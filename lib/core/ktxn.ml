@@ -14,12 +14,10 @@ type t = {
   mutable next_id : int;
   mutable pending_commits : (txn * Cache.frame list) list; (* group commit *)
   mutable pending_deadline : float; (* flush time of the oldest pending *)
-  (* Scheduler-mode state. [parked]: processes blocked in [lock], keyed
-     by txn id, woken by the lock manager's waker. [flush_gen] /
-     [commit_cond]: the group-commit rendezvous — committers park until
-     the generation moves past the one they joined; every flush bumps it
-     after the frames are durable. *)
-  parked : (int, Sched.cond) Hashtbl.t;
+  (* Scheduler-mode state. [flush_gen] / [commit_cond]: the group-commit
+     rendezvous — committers park until the generation moves past the
+     one they joined; every flush bumps it after the frames are
+     durable. *)
   mutable flush_gen : int;
   (* [Lfs.force_frames] parks in disk I/O under the scheduler, so a
      flush is not atomic: [flushing] is the mutex bit that keeps a
@@ -30,7 +28,6 @@ type t = {
   commit_cond : Sched.cond;
 }
 
-exception Conflict of int list
 exception Deadlock_abort of int
 exception Too_large
 
@@ -41,35 +38,22 @@ let create lfs =
   (* Group-commit histograms exist even in runs that never defer. *)
   Stats.declare stats "ktxn.commit_batch";
   Stats.declare stats "ktxn.group_commit_wait";
-  let t =
-    {
-      lfs;
-      clock;
-      stats;
-      cfg;
-      locks =
-        Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation clock stats
-          cfg.Config.cpu;
-      active_tbl = Hashtbl.create 16;
-      next_id = 1;
-      pending_commits = [];
-      pending_deadline = 0.0;
-      parked = Hashtbl.create 8;
-      flush_gen = 0;
-      flushing = false;
-      commit_cond = Sched.condition ();
-    }
-  in
-  Lockmgr.set_waker t.locks
-    (Some
-       (fun txnid ->
-         match Hashtbl.find_opt t.parked txnid with
-         | Some c -> (
-           match Sched.of_clock clock with
-           | Some sched -> Sched.broadcast sched c
-           | None -> ())
-         | None -> ()));
-  t
+  {
+    lfs;
+    clock;
+    stats;
+    cfg;
+    locks =
+      Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation
+        ~metrics:"ktxn" clock stats cfg.Config.cpu;
+    active_tbl = Hashtbl.create 16;
+    next_id = 1;
+    pending_commits = [];
+    pending_deadline = 0.0;
+    flush_gen = 0;
+    flushing = false;
+    commit_cond = Sched.condition ();
+  }
 
 let lfs t = t.lfs
 let locks t = t.locks
@@ -123,41 +107,13 @@ let do_abort t txn =
   release t txn;
   Stats.incr t.stats "ktxn.aborts"
 
-(* Under the scheduler the process really is descheduled and left
-   sleeping (Section 4.2): park until the lock manager's waker reports
-   our wait edges cleared, then retry the acquire. *)
-let rec block_lock t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "ktxn.lock_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  let dt = Clock.now t.clock -. t0 in
-  Stats.add_time t.stats "ktxn.lock_wait" dt;
-  Stats.observe t.stats "ktxn.lock_wait" dt;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block _ -> block_lock t sched txn obj mode
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
-
+(* A conflicting request parks the process: it "is descheduled and left
+   sleeping" (Section 4.2) until the lock is free, inside
+   [Lockmgr.acquire_blocking]. *)
 let lock_obj t txn obj mode =
   kmutex t;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      block_lock t sched txn obj mode
-    | _ ->
-      (* The process would be descheduled and left sleeping
-         (Section 4.2); at MPL 1 we charge the switch and bounce the
-         caller instead. *)
-      Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-      raise (Conflict blockers))
+  match Lockmgr.acquire_blocking t.locks ~txn:txn.id obj mode with
+  | `Granted | `Waited -> ()
   | `Deadlock ->
     do_abort t txn;
     raise (Deadlock_abort txn.id)
@@ -195,12 +151,7 @@ let flush_pending t =
   (* Wait out an in-flight flush first: it already claimed its batch,
      and running under it would re-release (without forcing) whatever
      committers enqueued while it was parked in the disk I/O. *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.flushing do
-      Sched.wait sched t.commit_cond
-    done
-  | _ -> ());
+  Sched.wait_while t.clock t.commit_cond (fun () -> t.flushing);
   if t.pending_commits <> [] then begin
     (* Claim the batch before the first yield: committers arriving
        during [Lfs.force_frames] belong to the NEXT flush. *)
@@ -213,9 +164,7 @@ let flush_pending t =
         (* Release committers parked at the rendezvous — each re-checks
            whether its own transaction was in the flushed batch. *)
         t.flush_gen <- t.flush_gen + 1;
-        match Sched.of_clock t.clock with
-        | Some sched -> Sched.broadcast sched t.commit_cond
-        | None -> ())
+        Sched.wake t.clock t.commit_cond)
       (fun () ->
         let cache = Lfs.cache t.lfs in
         let batch = List.length pending in
@@ -254,7 +203,7 @@ let flush_pending t =
    flush) implies the flush happened first. *)
 let settle_pending t =
   (* Under a scheduler the batch is owned by the rendezvous (a timeout
-     process flushes it); the legacy fast-forward would flush early and
+     process flushes it); the MPL-1 fast-forward would flush early and
      double-release. *)
   if Option.is_none (Sched.of_clock t.clock) && t.pending_commits <> [] then begin
     let wait = t.pending_deadline -. Clock.now t.clock in
@@ -283,8 +232,8 @@ let txn_commit t txn =
     || List.length t.pending_commits >= t.cfg.Config.fs.group_commit_size
   then flush_pending t
   else
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
+    match Sched.current t.clock with
+    | Some sched ->
       (* Real rendezvous (Section 4.4): park until the batch fills — a
          later committer's inline flush — or this batch's timeout
          process fires. The first committer arms the timeout. Waking is
@@ -302,7 +251,7 @@ let txn_commit t txn =
       let waited = Clock.now t.clock -. t0 in
       Stats.add_time t.stats "ktxn.group_commit_wait" waited;
       Stats.observe t.stats "ktxn.group_commit_wait" waited
-    | _ ->
+    | None ->
       (* At MPL 1 the committing process sleeps; the deferred batch is
          settled by the next event (see [settle_pending]). *)
       ()

@@ -30,8 +30,13 @@ type t
 
 type txn
 
-exception Conflict of int list
 exception Deadlock_abort of int
+(** The request would deadlock; the transaction has been aborted (its
+    buffers invalidated, its locks released) before the exception is
+    raised. A request that merely conflicts parks the calling scheduler
+    process until the lock is free ({!Lockmgr.acquire_blocking});
+    outside any process it raises {!Lockmgr.Blocked_outside_process}. *)
+
 exception Too_large
 (** The transaction dirtied more pages than the buffer cache can pin
     (implementation restriction 1 of Section 4.5). *)

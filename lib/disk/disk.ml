@@ -81,7 +81,7 @@ type t = {
   mutable busy_until : float;
       (* device occupancy horizon under the discrete-event scheduler:
          a request issued from a process waits until the arm is free.
-         Meaningless (always in the past) on the legacy paths. *)
+         Meaningless (always in the past) on the no-scheduler paths. *)
 }
 
 let create ?(prefix = "disk") clock stats (cfg : Config.disk) =
@@ -165,12 +165,8 @@ let serve ?(queued = false) t blkno ~nblocks ~write =
      other spindles) keep running. Outside the scheduler the clock just
      jumps, exactly as before. Positioning costs are computed only after
      the wait — the head may have moved while we queued. *)
-  let sched =
-    match Sched.of_clock t.clock with
-    | Some s when Sched.in_process s -> Some s
-    | _ -> None
-  in
-  (match sched with Some s -> wait_device t s | None -> ());
+  let sched = Sched.current t.clock in
+  Option.iter (wait_device t) sched;
   let seek = seek_time t ~from:t.head ~target:blkno in
   let seek_c, rot_c =
     if queued then (0.3 *. seek, 0.75 *. rotation_time t)
@@ -342,8 +338,8 @@ let rec serve_queue t sched =
     serve_queue t sched)
 
 let read_async t blkno =
-  match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
+  match Sched.current t.clock with
+  | Some sched ->
     check_range t blkno 1;
     let p =
       {
@@ -367,7 +363,7 @@ let read_async t blkno =
       Sched.wait sched p.p_cond
     done;
     p.p_data
-  | _ -> read t blkno
+  | None -> read t blkno
 
 let head t = t.head
 

@@ -110,7 +110,7 @@ let run_tpcb_mpl ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns
   (* Attach the discrete-event scheduler before any component boots, so
      subsystems discover it via [Sched.of_clock] and take their blocking
      paths once inside worker processes. Setup itself runs outside any
-     process and stays on the legacy paths. *)
+     process, where nothing waits. *)
   let sched = Sched.create m.clock in
   let rng = Rng.create ~seed in
   let vfs, backend, lfs =

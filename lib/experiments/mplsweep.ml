@@ -137,8 +137,8 @@ let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
           groups)
       grains
   in
-  (* Same configurations through the legacy MPL-1 driver: the scheduler
-     at MPL 1 must land within a small epsilon of these. *)
+  (* Same configurations through the no-scheduler MPL-1 driver, for
+     comparison with the scheduler's MPL-1 points. *)
   let legacy_mpl1 =
     List.map
       (fun (gsize, gtimeout) ->
@@ -216,7 +216,7 @@ let print t =
         p.run.Expcommon.result.Tpcb.tps p.mean_batch p.group_flushes
         p.multi.Tpcb.conflicts p.multi.Tpcb.deadlocks p.group_commit_wait_s)
     t.points;
-  Printf.printf "\nlegacy MPL-1 driver (epsilon reference):\n";
+  Printf.printf "\nno-scheduler MPL-1 driver (reference):\n";
   List.iter
     (fun (gsize, gtimeout, tps) ->
       Printf.printf "  gsize %d timeout %.1fms: %.2f TPS\n" gsize

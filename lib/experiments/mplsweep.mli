@@ -8,8 +8,10 @@
     ([`Page] vs [`Record], see {!Lockmgr}) and reports, per point:
     throughput, the mean commit batch size actually achieved,
     flush/force counts, lock blocks, deadlocks, rendezvous wait time and
-    the p99 lock wait. A legacy MPL-1 run per group configuration is
-    included as the epsilon reference for the refactor's safety net. *)
+    the p99 lock wait. A run of the no-scheduler MPL-1 driver
+    ({!Tpcb.run}) per group configuration is included as a reference:
+    on this disk-bound configuration it does not match the scheduler's
+    MPL 1 (DESIGN.md §11). *)
 
 type point = {
   mpl : int;

@@ -582,7 +582,7 @@ let run_one_tpcb_mpl ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
   let acked = Stats.count stats "tpcb.commits" in
   let writes = Faultsim.writes arm in
   Faultsim.disarm arm;
-  (* Recovery must run on the legacy (non-scheduler) paths. *)
+  (* Recovery must run on the no-scheduler paths. *)
   Sched.detach sched;
   let violations =
     ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])

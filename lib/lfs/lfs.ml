@@ -67,6 +67,7 @@ type t = {
      waiters park on [seg_write_cond]. *)
   mutable seg_writing : bool;
   seg_write_cond : Sched.cond;
+  mutable in_flight : int * int; (* see [write_blocks] *)
   mutable pending_cp : bool;
   mutable crashed : bool;
   mutable bg : bool; (* syncer/cleaner run as scheduler daemons *)
@@ -235,9 +236,7 @@ type ditem = {
    blocks whose inode address was already flipped to the in-flight
    segment. *)
 let maint_self t =
-  match Sched.of_clock t.clock with
-  | Some s when Sched.in_process s -> Sched.self s
-  | _ -> 0
+  match Sched.current t.clock with Some s -> Sched.self s | None -> 0
 
 let maint_enter t =
   let id = maint_self t in
@@ -266,6 +265,22 @@ type inode_plan = {
 
 let imap_chunk_of t inum = inum / imap_per_chunk t
 let mark_imap_dirty t inum = t.imap_dirty.(imap_chunk_of t inum) <- true
+
+(* A partial's inode addresses point at its new blocks before the disk
+   write that puts them there lands (the write parks, under a
+   scheduler, while the arm serves queued requests first). A queued
+   read of those addresses served in that window returns the platter's
+   old bytes, so [get_page] holds such readers back until the write has
+   landed; [write_partial] wakes them when it releases the writer
+   mutex. *)
+let write_blocks t base buf =
+  t.in_flight <- (base, Bytes.length buf / block_size t);
+  Diskset.write_run t.disk base buf;
+  t.in_flight <- (0, 0)
+
+let in_flight t addr =
+  let base, n = t.in_flight in
+  addr >= base && addr < base + n
 
 (* Exact block count and per-inode metadata plan for one partial segment. *)
 let plan t ~ditems ~inodes =
@@ -374,19 +389,12 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
      the first state read keeps a follower's plan consistent with
      whatever the in-flight writer logged (re-logging a frame it already
      cleaned is harmless; interleaving two packs is not). *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.seg_writing do
-      Sched.wait sched t.seg_write_cond
-    done
-  | _ -> ());
+  Sched.wait_while t.clock t.seg_write_cond (fun () -> t.seg_writing);
   t.seg_writing <- true;
   Fun.protect
     ~finally:(fun () ->
       t.seg_writing <- false;
-      match Sched.of_clock t.clock with
-      | Some sched -> Sched.broadcast sched t.seg_write_cond
-      | None -> ())
+      Sched.wake t.clock t.seg_write_cond)
   @@ fun () ->
   (* Relocation items are re-validated here, under the writer mutex: the
      cleaner captured these platter bytes before (possibly) yielding —
@@ -501,7 +509,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
         | `Frame f -> Cache.mark_clean t.cache f
         | `Raw _ | `Reloc _ -> ())
       ditems;
-    Diskset.write_run t.disk base buf;
+    write_blocks t base buf;
     Stats.incr t.stats "lfs.partials";
     Stats.incr t.stats "lfs.cold_partials";
     Stats.add t.stats "lfs.blocks_logged" nblocks;
@@ -729,7 +737,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
       ino.Inode.dbl_dirty <- false)
     plans;
   List.iter (fun idx -> t.imap_dirty.(idx) <- false) imap_chunks;
-  Diskset.write_run t.disk base buf;
+  write_blocks t base buf;
   Stats.incr t.stats "lfs.partials";
   Stats.add t.stats "lfs.blocks_logged" nblocks;
   t.write_seq <- Int64.succ t.write_seq;
@@ -1258,13 +1266,13 @@ let get_page t ~inum ~lblock =
   | None -> (
     let ino = iget t inum in
     let addr = Inode.get_addr ino lblock in
-    match Sched.of_clock t.clock with
-    | Some sched
-      when Sched.in_process sched && (not (maint_here t sched)) && addr <> 0 ->
+    match Sched.current t.clock with
+    | Some sched when (not (maint_here t sched)) && addr <> 0 ->
       (* Cache miss under the scheduler: the read joins the live disk
          queue and this process parks. LFS maintenance paths stay on the
          synchronous branch — they must not yield mid-write. *)
       let rec fetch addr =
+        Sched.wait_while t.clock t.seg_write_cond (fun () -> in_flight t addr);
         let data = Diskset.read_async t.disk addr in
         (* Another process may have brought the page in (and dirtied it)
            while we were parked: never clobber a present frame. *)
@@ -1320,12 +1328,12 @@ let force_frames t frames =
      sections drain; the clean then happens on the foreground path,
      which is exactly the Section 5.1 cleaning stall. *)
   (if free_segments t < t.cfg.fs.cleaner_low_segments then
-     match Sched.of_clock t.clock with
-     | Some sched when Sched.in_process sched ->
+     match Sched.current t.clock with
+     | Some sched ->
        while not (maint_idle t) do
          Sched.delay sched 0.001
        done
-     | _ -> ());
+     | None -> ());
   tick t;
   let maint_tok = maint_enter t in
   log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
@@ -1541,6 +1549,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       last_syncer = Clock.now clock;
       maint = [];
       seg_writing = false;
+      in_flight = (0, 0);
       seg_write_cond = Sched.condition ();
       pending_cp = false;
       crashed = false;

@@ -7,6 +7,19 @@ type obj =
 
 type outcome = [ `Granted | `Would_block of int list | `Deadlock ]
 
+exception Blocked_outside_process of int * int list
+
+let () =
+  Printexc.register_printer (function
+    | Blocked_outside_process (txn, blockers) ->
+      Some
+        (Printf.sprintf
+           "Lockmgr.Blocked_outside_process: txn %d must wait for %s, but no \
+            scheduler process is running to park"
+           txn
+           (String.concat "," (List.map string_of_int blockers)))
+    | _ -> None)
+
 (* Gray's multi-granularity compatibility matrix. *)
 let compatible a b =
   match (a, b) with
@@ -66,13 +79,17 @@ type t = {
   latch_table : (obj, entry) Hashtbl.t;
   latch_chains : (int, (obj * mode) list ref) Hashtbl.t;
   latch_waits : (int, wait) Hashtbl.t;
-  (* Under the discrete-event scheduler the transaction layer parks a
-     process whose acquire would block; this hook tells it which
-     transactions' requests stopped conflicting so it can wake them. *)
-  mutable waker : (int -> unit) option;
+  (* Processes parked in [acquire_blocking]/[latch_blocking], keyed by
+     the requesting transaction (or latch owner); a request whose wait
+     edges clear wakes its process. *)
+  parked : (int, Sched.cond) Hashtbl.t;
+  k_lock_blocks : string;
+  k_lock_wait : string;
+  k_latch_blocks : string;
+  k_latch_wait : string;
 }
 
-let create ?(escalation = max_int) clock stats cpu =
+let create ?(escalation = max_int) ?(metrics = "lock") clock stats cpu =
   {
     clock;
     stats;
@@ -84,10 +101,12 @@ let create ?(escalation = max_int) clock stats cpu =
     latch_table = Hashtbl.create 64;
     latch_chains = Hashtbl.create 32;
     latch_waits = Hashtbl.create 32;
-    waker = None;
+    parked = Hashtbl.create 8;
+    k_lock_blocks = metrics ^ ".lock_blocks";
+    k_lock_wait = metrics ^ ".lock_wait";
+    k_latch_blocks = metrics ^ ".latch_blocks";
+    k_latch_wait = metrics ^ ".latch_wait";
   }
-
-let set_waker t f = t.waker <- f
 
 let charge t = Cpu.charge t.clock t.stats t.cpu Cpu.Lock_op
 
@@ -170,7 +189,9 @@ let revalidate_table t ~table ~waits obj =
     (fun waiter ->
       Hashtbl.remove waits waiter;
       Stats.incr t.stats "lock.waits_cleared";
-      match t.waker with Some wake -> wake waiter | None -> ())
+      match Hashtbl.find_opt t.parked waiter with
+      | Some c -> Sched.wake t.clock c
+      | None -> ())
     !cleared
 
 let revalidate_waiters t obj =
@@ -437,3 +458,57 @@ let release_latches t ~owner =
 
 let latched t ~owner =
   match Hashtbl.find_opt t.latch_chains owner with Some r -> !r | None -> []
+
+(* ---- Parking ------------------------------------------------------ *)
+
+(* A request that must wait parks its process — "descheduled and left
+   sleeping" (Section 4.2) — until revalidation clears its wait edges;
+   the caller then retries. The context switch and the time parked are
+   charged to [blocks]/[wait]. *)
+let park t sched ~txn ~blocks ~wait ~hist =
+  Cpu.charge t.clock t.stats t.cpu Cpu.Context_switch;
+  Stats.incr t.stats blocks;
+  let c = Sched.condition () in
+  Hashtbl.replace t.parked txn c;
+  let t0 = Clock.now t.clock in
+  Sched.wait sched c;
+  Hashtbl.remove t.parked txn;
+  let dt = Clock.now t.clock -. t0 in
+  Stats.add_time t.stats wait dt;
+  if hist then Stats.observe t.stats wait dt
+
+(* Only a scheduler process can wait; anywhere else a conflict means
+   two transactions were interleaved without one. *)
+let scheduler_for t ~txn blockers =
+  match Sched.current t.clock with
+  | Some sched -> sched
+  | None -> raise (Blocked_outside_process (txn, blockers))
+
+let acquire_blocking ?(on_wait = ignore) t ~txn obj mode =
+  match acquire t ~txn obj mode with
+  | (`Granted | `Deadlock) as r -> r
+  | `Would_block blockers ->
+    let sched = scheduler_for t ~txn blockers in
+    on_wait ();
+    let rec retry () =
+      park t sched ~txn ~blocks:t.k_lock_blocks ~wait:t.k_lock_wait ~hist:true;
+      match acquire t ~txn obj mode with
+      | `Granted -> `Waited
+      | `Would_block _ -> retry ()
+      | `Deadlock -> `Deadlock
+    in
+    retry ()
+
+let latch_blocking t ~owner obj mode =
+  match latch t ~owner obj mode with
+  | `Granted -> ()
+  | `Would_block blockers ->
+    let sched = scheduler_for t ~txn:owner blockers in
+    let rec retry () =
+      park t sched ~txn:owner ~blocks:t.k_latch_blocks ~wait:t.k_latch_wait
+        ~hist:false;
+      match latch t ~owner obj mode with
+      | `Granted -> ()
+      | `Would_block _ -> retry ()
+    in
+    retry ()

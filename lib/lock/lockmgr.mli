@@ -30,19 +30,21 @@
     the page grant would conflict it is skipped and retried on the next
     record acquire.
 
-    The manager itself never blocks (the simulation is single-threaded):
-    a conflicting request returns [`Would_block] and registers the
-    waits-for edges, and the caller decides whether to spin, deschedule
-    its simulated process, or abort. A request that would close a cycle
-    in the waits-for graph — which may now pass through intention
-    holders — returns [`Deadlock] instead.
+    [acquire] never blocks: a conflicting request returns [`Would_block]
+    and registers the waits-for edges. A request that would close a
+    cycle in the waits-for graph — which may now pass through intention
+    holders — returns [`Deadlock] instead. [acquire_blocking] is the one
+    place a request waits: it parks the calling {!Sched} process until
+    a release, abort or grant clears its wait edges, then retries. A
+    request that must wait outside any scheduler process is an error
+    ({!Blocked_outside_process}): the single-user runs never conflict.
 
     A separate latch table provides short-term physical page latches
     (Shared/Exclusive only, no deadlock detection): access methods hold
     latches only across a page edit while record locks persist to
-    commit. Latch waiters are woken through the same waker callback.
-    Latch acquisition is strictly top-down and latch holders never block
-    on locks, so latch waits always make progress. *)
+    commit. Latch waiters park the same way ([latch_blocking]). Latch
+    acquisition is strictly top-down and latch holders never block on
+    locks, so latch waits always make progress. *)
 
 type mode = IS | IX | Shared | SIX | Exclusive
 
@@ -57,12 +59,21 @@ type outcome =
   | `Deadlock  (** waiting would close a cycle; caller should abort *)
   ]
 
+exception Blocked_outside_process of int * int list
+(** [(requester, blockers)]: a blocking request had to wait, but the
+    caller is not running inside a scheduler process, so nothing could
+    ever wake it. *)
+
 type t
 
-val create : ?escalation:int -> Clock.t -> Stats.t -> Config.cpu -> t
+val create :
+  ?escalation:int -> ?metrics:string -> Clock.t -> Stats.t -> Config.cpu -> t
 (** [escalation] is the per-(transaction, page) record-lock count at
     which the manager escalates to a page lock; defaults to [max_int]
-    (never). *)
+    (never). [metrics] (default ["lock"]) prefixes the counters and
+    times the blocking calls record: [<metrics>.lock_blocks],
+    [<metrics>.lock_wait], [<metrics>.latch_blocks] and
+    [<metrics>.latch_wait]. *)
 
 val compatible : mode -> mode -> bool
 (** The multi-granularity compatibility matrix. *)
@@ -71,20 +82,27 @@ val sup : mode -> mode -> mode
 (** Least upper bound in the mode lattice
     (IS < IX < X, IS < S < SIX < X, IX < SIX; sup S IX = SIX). *)
 
-val set_waker : t -> (int -> unit) option -> unit
-(** Install a callback fired with a transaction id whenever that
-    transaction's pending request (lock or latch) stops conflicting —
-    its wait edges are cleared by a release, abort or grant. The
-    transaction layer uses it to unpark a process blocked in [acquire]
-    under the discrete-event scheduler; a retried acquire is then
-    expected to be granted. [None] (the default) restores the
-    fire-nothing behavior. *)
-
 val acquire : t -> txn:int -> obj -> mode -> outcome
 (** Request a lock, taking intention locks on all ancestors first.
     Upgrades fold through [sup] and are granted in place when no other
     holder conflicts with the folded mode. Repeated requests at an equal
     or weaker mode are no-ops. *)
+
+val acquire_blocking :
+  ?on_wait:(unit -> unit) ->
+  t ->
+  txn:int ->
+  obj ->
+  mode ->
+  [ `Granted | `Waited | `Deadlock ]
+(** [acquire], parking the calling process while the request conflicts:
+    [`Waited] means granted after at least one park. Each park charges a
+    context switch, counts [<metrics>.lock_blocks] and records the time
+    parked in [<metrics>.lock_wait]. [on_wait] runs once, before the
+    first park. [`Deadlock] (at the first try or a retry) leaves the
+    transaction's locks held; the caller aborts it.
+    @raise Blocked_outside_process if the request must wait outside any
+    scheduler process. *)
 
 val release : t -> txn:int -> obj -> unit
 (** Early release of a single lock (used by non-two-phase callers).
@@ -123,8 +141,14 @@ val latch :
   t -> owner:int -> obj -> mode -> [ `Granted | `Would_block of int list ]
 (** Acquire a short-term physical latch ([Shared] or [Exclusive] only;
     other modes raise [Invalid_argument]). No deadlock detection: a
-    conflicting request registers a latch wait (woken via the waker) and
-    returns the blockers. *)
+    conflicting request registers a latch wait and returns the
+    blockers. *)
+
+val latch_blocking : t -> owner:int -> obj -> mode -> unit
+(** [latch], parking the calling process until granted; parks count
+    [<metrics>.latch_blocks] and [<metrics>.latch_wait].
+    @raise Blocked_outside_process if the latch must wait outside any
+    scheduler process. *)
 
 val unlatch : t -> owner:int -> obj -> unit
 val release_latches : t -> owner:int -> unit

@@ -63,11 +63,11 @@ type fs = {
   cleaner_high_segments : int;  (** stop cleaning at this many free *)
   cleaner_policy : [ `Greedy | `Cost_benefit ];
       (** default [`Cost_benefit]: the Rosenblum/Ousterhout
-          benefit-to-cost ratio, measured against [`Greedy] by the
-          cleanersweep experiment. (Earlier revisions defaulted to
-          greedy because a bookkeeping bug fed the policy usage-table
-          touch times instead of last-write times, which made decaying
-          segments look young and inverted the age term.) *)
+          benefit-to-cost ratio. It picks victims only for the adaptive
+          background cleaner's idle clean-ahead, which runs only under
+          the scheduler; the emergency stall paths in [Lfs.maybe_clean]
+          always pick [`Greedy] victims, so single-user runs clean the
+          same under either setting. *)
   cleaner_segregate : bool;
       (** hot/cold segregation: the cleaner writes relocated survivors
           to a separate open "cold" segment instead of re-mixing them

@@ -185,6 +185,20 @@ let run t =
   in
   loop ()
 
+let current clock =
+  match of_clock clock with Some t when t.in_fiber -> Some t | _ -> None
+
+let wait_while clock c busy =
+  match current clock with
+  | Some t ->
+    while busy () do
+      wait t c
+    done
+  | None -> ()
+
+let wake clock c =
+  match of_clock clock with Some t -> broadcast t c | None -> ()
+
 let create clock =
   let t =
     {
@@ -199,8 +213,8 @@ let create clock =
   in
   registry := (clock, t) :: List.filter (fun (c, _) -> c != clock) !registry;
   (* Route Clock.sleep_until through the scheduler — but only for calls
-     made from inside a process; standalone callers (setup code, legacy
-     paths) keep the original jump-forward semantics. *)
+     made from inside a process; callers outside any process (setup
+     code, the MPL-1 driver) keep the jump-forward semantics. *)
   Clock.set_sleeper clock
     (Some
        (fun deadline ->

@@ -19,9 +19,14 @@
     through the event queue. A scheduler attaches to a clock at
     {!create} time and is discoverable from it via {!of_clock}, which is
     how subsystems deep in the stack (disk, log manager, lock manager)
-    opt into blocking behavior without widening their constructors. With
-    no scheduler attached — or when called from outside any process —
-    every legacy code path behaves exactly as before the refactor. *)
+    opt into blocking behavior without widening their constructors.
+
+    {b Two execution modes.} Inside a process, blocking points park.
+    With no scheduler attached, or outside any process (set-up,
+    recovery, the single-user runs), nothing waits: costs just advance
+    the clock. The modes disagree on disk-bound configurations
+    (DESIGN.md §11), so both stay. Subsystems tell them apart only
+    through {!current}, {!wait_while} and {!wake}. *)
 
 type t
 
@@ -48,6 +53,20 @@ val of_clock : Clock.t -> t option
 val in_process : t -> bool
 (** True while executing inside a spawned process — i.e. blocking
     operations are legal right now. *)
+
+val current : Clock.t -> t option
+(** The scheduler attached to [clock], but only when called from inside
+    one of its processes; [None] means nothing may block here and the
+    caller takes its non-waiting path. *)
+
+val wait_while : Clock.t -> cond -> (unit -> bool) -> unit
+(** [wait_while clock c busy]: from inside a process, park on [c] until
+    [busy ()] is false, re-checking after every wake-up. Outside any
+    process it returns at once, busy or not: nothing waits there. *)
+
+val wake : Clock.t -> cond -> unit
+(** {!broadcast} [c] if a scheduler is attached to [clock], whether or
+    not the caller is inside a process; a no-op otherwise. *)
 
 val self : t -> int
 (** Identity of the running process: a positive id unique per spawned

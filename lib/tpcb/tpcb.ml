@@ -116,32 +116,103 @@ let execute clock stats cfg db backend ~account ~teller ~branch ~delta =
     ignore (Recno.append hist (history_record ~account ~teller ~branch ~delta));
     Ktxn.txn_commit k txn
 
-let run clock stats cfg db backend ~rng ~n =
+type multi_result = {
+  base : result;
+  conflicts : int;
+  deadlocks : int;
+  restarts : int;
+}
+
+(* The one TPC-B driver. [start worker] runs the worker loop: inline for
+   [run], as [mpl] scheduler processes for [run_sched]. Each copy claims
+   transactions from a shared counter until [n] have been issued, draws
+   their parameters from the shared [rng] stream, and retries a deadlock
+   victim with fresh ones. With the scheduler's deterministic
+   tie-breaking a seeded run is reproducible.
+
+   The history append is TPC-B's built-in hotspot: every transaction
+   extends the same tail page, and under page-grain 2PL that lock is
+   held through the commit flush, so at most one committer can ever be
+   in flight and group commit degenerates to batches of one. Record
+   granularity ([fs.lock_grain = `Record]) is the real fix: appenders
+   lock only their own slot, so committers overlap on the single shared
+   history file. *)
+let drive clock stats cfg db backend ~rng ~n ~start =
   Stats.declare stats "tpcb.txn";
-  let latencies = Array.make n 0.0 in
+  let blocks () =
+    Stats.count stats "ktxn.lock_blocks" + Stats.count stats "txn.lock_blocks"
+  in
+  let blocks0 = blocks () in
+  let deadlocks = ref 0 in
+  let latencies = ref [] in
+  let issued = ref 0 and committed = ref 0 in
   let t0 = Clock.now clock in
-  for i = 0 to n - 1 do
-    let start = Clock.now clock in
-    let account = Rng.int rng db.scale.accounts in
-    let teller = Rng.int rng db.scale.tellers in
-    let branch = teller * db.scale.branches / db.scale.tellers in
-    let delta = Rng.int rng 1_999_999 - 999_999 in
-    execute clock stats cfg db backend ~account ~teller ~branch ~delta;
-    let lat = Clock.now clock -. start in
-    latencies.(i) <- lat;
-    Stats.incr stats "tpcb.commits";
-    Stats.observe stats "tpcb.txn" lat
-  done;
-  (* Any deferred group commit belongs to the measured run. *)
+  let worker () =
+    while !issued < n do
+      incr issued;
+      let rec attempt () =
+        let account = Rng.int rng db.scale.accounts in
+        let teller = Rng.int rng db.scale.tellers in
+        let branch = teller * db.scale.branches / db.scale.tellers in
+        let delta = Rng.int rng 1_999_999 - 999_999 in
+        let start = Clock.now clock in
+        match
+          execute clock stats cfg db backend ~account ~teller ~branch ~delta
+        with
+        | () ->
+          incr committed;
+          let lat = Clock.now clock -. start in
+          latencies := lat :: !latencies;
+          Stats.incr stats "tpcb.commits";
+          Stats.observe stats "tpcb.txn" lat
+        | exception (Libtp.Deadlock_abort _ | Ktxn.Deadlock_abort _) ->
+          incr deadlocks;
+          Stats.incr stats "tpcb.deadlocks";
+          Stats.incr stats "tpcb.restarts";
+          attempt ()
+      in
+      attempt ()
+    done
+  in
+  start worker;
+  (* Any deferred group commit belongs to the measured run. Under the
+     scheduler the last batch's rendezvous completes inside [Sched.run]
+     (its timeout process fires while the committers are parked), so
+     this only matters for the inline run. *)
   (match backend with Kernel k -> Ktxn.flush_commits k | User _ -> ());
   let elapsed = Clock.now clock -. t0 in
+  let latencies_s = Array.of_list (List.rev !latencies) in
   {
-    txns = n;
-    elapsed_s = elapsed;
-    tps = (if elapsed > 0.0 then float_of_int n /. elapsed else 0.0);
-    max_latency_s = Array.fold_left Float.max 0.0 latencies;
-    latencies_s = latencies;
+    base =
+      {
+        txns = !committed;
+        elapsed_s = elapsed;
+        tps =
+          (if elapsed > 0.0 then float_of_int !committed /. elapsed else 0.0);
+        max_latency_s = Array.fold_left Float.max 0.0 latencies_s;
+        latencies_s;
+      };
+    conflicts = blocks () - blocks0;
+    deadlocks = !deadlocks;
+    restarts = !deadlocks;
   }
+
+let run clock stats cfg db backend ~rng ~n =
+  (drive clock stats cfg db backend ~rng ~n ~start:(fun worker -> worker ()))
+    .base
+
+let run_sched clock stats cfg db backend ~rng ~n ~mpl =
+  if mpl <= 0 then invalid_arg "Tpcb.run_sched: mpl must be positive";
+  let sched =
+    match Sched.of_clock clock with
+    | Some s -> s
+    | None -> invalid_arg "Tpcb.run_sched: no scheduler attached to the clock"
+  in
+  drive clock stats cfg db backend ~rng ~n ~start:(fun worker ->
+      for _ = 1 to mpl do
+        Sched.spawn sched worker
+      done;
+      Sched.run sched)
 
 (* Non-transactional inspection ------------------------------------------- *)
 
@@ -199,291 +270,3 @@ let check_consistency clock stats cfg db vfs =
          !from_history a)
 
 let account_fd db = db.acct
-
-(* Multi-user driver ------------------------------------------------------- *)
-
-type multi_result = {
-  base : result;
-  conflicts : int;
-  deadlocks : int;
-  restarts : int;
-}
-
-type handle = Hu of Libtp.txn | Hk of Ktxn.txn
-
-type step = Sacct | Steller | Sbranch | Shist | Scommit
-
-type proc = {
-  pid : int;
-  mutable handle : handle option;
-  mutable steps : step list;
-  mutable account : int;
-  mutable teller : int;
-  mutable branch : int;
-  mutable delta : int;
-  mutable blocked : bool;
-  mutable t_begin : float; (* simulated time this attempt's txn began *)
-}
-
-(* Scheduler-based multi-user driver: [mpl] worker processes claim
-   transactions from a shared counter and run the ordinary [execute]
-   path; blocking (lock waits, disk-queue reads, the group-commit
-   rendezvous) parks the worker's process, so workers genuinely overlap.
-   Parameter draws come from the shared [rng] stream — with the
-   scheduler's deterministic tie-breaking, a seeded run is
-   reproducible.
-
-   The history append is TPC-B's built-in hotspot: every transaction
-   extends the same tail page, and under page-grain 2PL that lock is
-   held through the commit flush, so at most one committer can ever be
-   in flight and group commit degenerates to batches of one. Record
-   granularity ([fs.lock_grain = `Record]) is the real fix: appenders
-   lock only their own slot, so committers overlap on the single shared
-   history file. *)
-let run_sched clock stats cfg db backend ~rng ~n ~mpl =
-  if mpl <= 0 then invalid_arg "Tpcb.run_sched: mpl must be positive";
-  let sched =
-    match Sched.of_clock clock with
-    | Some s -> s
-    | None -> invalid_arg "Tpcb.run_sched: no scheduler attached to the clock"
-  in
-  Stats.declare stats "tpcb.txn";
-  let blocks () =
-    Stats.count stats "ktxn.lock_blocks" + Stats.count stats "txn.lock_blocks"
-  in
-  let blocks0 = blocks () in
-  let deadlocks = ref 0 and restarts = ref 0 in
-  let latencies = ref [] in
-  let issued = ref 0 and committed = ref 0 in
-  let t0 = Clock.now clock in
-  let worker () =
-    while !issued < n do
-      incr issued;
-      let rec attempt () =
-        let account = Rng.int rng db.scale.accounts in
-        let teller = Rng.int rng db.scale.tellers in
-        let branch = teller * db.scale.branches / db.scale.tellers in
-        let delta = Rng.int rng 1_999_999 - 999_999 in
-        let start = Clock.now clock in
-        match
-          execute clock stats cfg db backend ~account ~teller ~branch ~delta
-        with
-        | () ->
-          incr committed;
-          let lat = Clock.now clock -. start in
-          latencies := lat :: !latencies;
-          Stats.incr stats "tpcb.commits";
-          Stats.observe stats "tpcb.txn" lat
-        | exception (Libtp.Deadlock_abort _ | Ktxn.Deadlock_abort _) ->
-          incr deadlocks;
-          incr restarts;
-          Stats.incr stats "tpcb.deadlocks";
-          Stats.incr stats "tpcb.restarts";
-          attempt ()
-      in
-      attempt ()
-    done
-  in
-  for _ = 1 to mpl do
-    Sched.spawn sched worker
-  done;
-  Sched.run sched;
-  (* The last batch's rendezvous completes inside [run] (its timeout
-     process fires while the committers are parked); this is a safety
-     net only. *)
-  (match backend with Kernel k -> Ktxn.flush_commits k | User _ -> ());
-  let elapsed = Clock.now clock -. t0 in
-  let latencies_s = Array.of_list (List.rev !latencies) in
-  {
-    base =
-      {
-        txns = !committed;
-        elapsed_s = elapsed;
-        tps =
-          (if elapsed > 0.0 then float_of_int !committed /. elapsed else 0.0);
-        max_latency_s = Array.fold_left Float.max 0.0 latencies_s;
-        latencies_s;
-      };
-    conflicts = blocks () - blocks0;
-    deadlocks = !deadlocks;
-    restarts = !restarts;
-  }
-
-let run_multi clock stats cfg db backend ~rng ~n ~mpl =
-  if mpl <= 0 then invalid_arg "Tpcb.run_multi: mpl must be positive";
-  Stats.declare stats "tpcb.txn";
-  let cpu = cfg.Config.cpu in
-  let conflicts = ref 0 and deadlocks = ref 0 and restarts = ref 0 in
-  let latencies = ref [] in
-  let committed = ref 0 in
-  let new_params p =
-    p.account <- Rng.int rng db.scale.accounts;
-    p.teller <- Rng.int rng db.scale.tellers;
-    p.branch <- p.teller * db.scale.branches / db.scale.tellers;
-    p.delta <- Rng.int rng 1_999_999 - 999_999;
-    p.steps <- [ Sacct; Steller; Sbranch; Shist; Scommit ]
-  in
-  let procs =
-    Array.init mpl (fun pid ->
-        let p =
-          {
-            pid;
-            handle = None;
-            steps = [];
-            account = 0;
-            teller = 0;
-            branch = 0;
-            delta = 0;
-            blocked = false;
-            t_begin = 0.0;
-          }
-        in
-        new_params p;
-        p)
-  in
-  let begin_txn () =
-    match backend with
-    | User env -> Hu (Libtp.begin_txn env)
-    | Kernel k -> Hk (Ktxn.txn_begin k)
-  in
-  let adjust h fd key =
-    let bt =
-      match (backend, h) with
-      | User env, Hu txn -> Btree.attach clock stats cpu (Pager.wal env txn fd)
-      | Kernel k, Hk txn -> Btree.attach clock stats cpu (Ktxn.pager k txn ~inum:fd)
-      | _ -> assert false
-    in
-    let balance =
-      match Btree.find bt key with
-      | Some v -> parse_balance v
-      | None -> failwith ("TPC-B: missing record " ^ key)
-    in
-    fun delta -> Btree.insert bt key (balance_value (balance + delta))
-  in
-  let append_hist h p =
-    let rn =
-      match (backend, h) with
-      | User env, Hu txn ->
-        Recno.attach clock stats cpu (Pager.wal env txn db.hist)
-          ~reclen:history_bytes
-      | Kernel k, Hk txn ->
-        Recno.attach clock stats cpu (Ktxn.pager k txn ~inum:db.hist)
-          ~reclen:history_bytes
-      | _ -> assert false
-    in
-    ignore
-      (Recno.append rn
-         (history_record ~account:p.account ~teller:p.teller ~branch:p.branch
-            ~delta:p.delta))
-  in
-  let commit h =
-    match (backend, h) with
-    | User env, Hu txn -> Libtp.commit env txn
-    | Kernel k, Hk txn -> Ktxn.txn_commit k txn
-    | _ -> assert false
-  in
-  (* Run one step of process [p]; returns whether any lock was released
-     (a commit, or a deadlock abort), which unblocks waiters. *)
-  let step p =
-    let h =
-      match p.handle with
-      | Some h -> h
-      | None ->
-        let h = begin_txn () in
-        p.handle <- Some h;
-        p.t_begin <- Clock.now clock;
-        h
-    in
-    match p.steps with
-    | [] -> false
-    | s :: rest -> (
-      match
-        (match s with
-        | Sacct -> (adjust h db.acct (key10 p.account)) p.delta
-        | Steller -> (adjust h db.tell (key10 p.teller)) p.delta
-        | Sbranch -> (adjust h db.br (key10 p.branch)) p.delta
-        | Shist -> append_hist h p
-        | Scommit -> commit h)
-      with
-      | () ->
-        p.steps <- rest;
-        p.blocked <- false;
-        if s = Scommit then begin
-          incr committed;
-          let lat = Clock.now clock -. p.t_begin in
-          latencies := lat :: !latencies;
-          Stats.incr stats "tpcb.commits";
-          Stats.observe stats "tpcb.txn" lat;
-          p.handle <- None;
-          new_params p;
-          true
-        end
-        else false
-      | exception (Libtp.Conflict _ | Ktxn.Conflict _) ->
-        incr conflicts;
-        Stats.incr stats "tpcb.conflicts";
-        p.blocked <- true;
-        Cpu.charge clock stats cpu Cpu.Context_switch;
-        false
-      | exception (Libtp.Deadlock_abort _ | Ktxn.Deadlock_abort _) ->
-        incr deadlocks;
-        incr restarts;
-        Stats.incr stats "tpcb.deadlocks";
-        Stats.incr stats "tpcb.restarts";
-        p.handle <- None;
-        new_params p;
-        p.blocked <- false;
-        true)
-  in
-  let t0 = Clock.now clock in
-  let stuck_rounds = ref 0 in
-  while !committed < n do
-    let progressed = ref false in
-    let released = ref false in
-    Array.iter
-      (fun p ->
-        if (not p.blocked) || !released then begin
-          if p.blocked then p.blocked <- false;
-          if step p then released := true;
-          progressed := true
-        end)
-      procs;
-    if not !progressed then begin
-      (* Everyone is blocked: wake all and retry (the holder's commit will
-         have released by now, or a deadlock will fire on retry). *)
-      Array.iter (fun p -> p.blocked <- false) procs;
-      incr stuck_rounds;
-      if !stuck_rounds > 1000 then failwith "Tpcb.run_multi: no progress"
-    end
-    else stuck_rounds := 0
-  done;
-  (* Quiesce: abort the transactions still in flight so the run leaves
-     only committed state behind. *)
-  Array.iter
-    (fun p ->
-      match (p.handle, backend) with
-      | Some (Hu txn), User env ->
-        Libtp.abort env txn;
-        p.handle <- None
-      | Some (Hk txn), Kernel k ->
-        Ktxn.txn_abort k txn;
-        p.handle <- None
-      | Some _, _ -> assert false
-      | None, _ -> ())
-    procs;
-  (match backend with Kernel k -> Ktxn.flush_commits k | User _ -> ());
-  let elapsed = Clock.now clock -. t0 in
-  let latencies_s = Array.of_list (List.rev !latencies) in
-  {
-    base =
-      {
-        txns = !committed;
-        elapsed_s = elapsed;
-        tps = (if elapsed > 0.0 then float_of_int !committed /. elapsed else 0.0);
-        max_latency_s = Array.fold_left Float.max 0.0 latencies_s;
-        latencies_s;
-      };
-    conflicts = !conflicts;
-    deadlocks = !deadlocks;
-    restarts = !restarts;
-  }

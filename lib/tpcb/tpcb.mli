@@ -46,9 +46,12 @@ type result = {
 
 val run :
   Clock.t -> Stats.t -> Config.t -> db -> backend -> rng:Rng.t -> n:int -> result
-(** Execute [n] transactions and report simulated-time throughput.
-    @raise Failure if a transaction cannot complete (the single-user
-    configuration never conflicts). *)
+(** Execute [n] transactions one after another, outside any scheduler
+    process, and report simulated-time throughput: the single-user
+    (MPL 1) case of the TPC-B driver, with no waiting anywhere — device
+    and group-commit costs just advance the clock.
+    @raise Lockmgr.Blocked_outside_process if a lock request conflicts
+    (a single user never does). *)
 
 val account_balance : Clock.t -> Stats.t -> Config.t -> db -> Vfs.t -> int -> int
 (** Read one account's balance non-transactionally (for tests). *)
@@ -67,34 +70,20 @@ val account_fd : db -> Vfs.fd
 
     The paper measures single-user (multiprogramming level 1) and notes
     that the configuration "is so disk-bound that increasing the
-    multi-programming level increases throughput only marginally". This
-    driver runs [mpl] interleaved transactions as cooperative processes:
-    a lock conflict deschedules the process until the holder resolves, a
-    deadlock aborts and restarts the requester. It exercises the lock
-    managers under genuine contention. *)
+    multi-programming level increases throughput only marginally".
+    {!run_sched} runs the same worker loop as {!run} in [mpl] processes
+    of the discrete-event scheduler: a lock conflict parks the process
+    until the holder releases, and a deadlock aborts and restarts the
+    requester. The two entry points are the two execution modes of
+    {!Sched}; they agree on cache-resident configurations but not on
+    disk-bound ones (DESIGN.md §11). *)
 
 type multi_result = {
   base : result;
-  conflicts : int;  (** times a process blocked on a lock *)
+  conflicts : int;  (** times a process parked on a lock *)
   deadlocks : int;  (** transactions aborted by deadlock detection *)
   restarts : int;  (** transaction restarts (deadlock victims retried) *)
 }
-
-val run_multi :
-  Clock.t ->
-  Stats.t ->
-  Config.t ->
-  db ->
-  backend ->
-  rng:Rng.t ->
-  n:int ->
-  mpl:int ->
-  multi_result
-(** Run until [n] transactions have committed, [mpl] at a time.
-    Legacy round-robin interleaving: steps run back-to-back on the
-    shared clock and a blocked process is simply skipped — no simulated
-    time passes while it waits. Superseded by {!run_sched} for timing
-    studies; kept for lock-manager contention tests. *)
 
 val run_sched :
   Clock.t ->

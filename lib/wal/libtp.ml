@@ -25,13 +25,8 @@ type t = {
   mutable committed_since_cp : int;
   checkpoint_every : int;
   mutable losers : int;
-  (* Processes parked in [lock] under the scheduler, keyed by txn id;
-     the lock manager's waker broadcasts the condition when the txn's
-     wait edges clear. *)
-  parked : (int, Sched.cond) Hashtbl.t;
 }
 
-exception Conflict of int list
 exception Deadlock_abort of int
 
 let txn_id txn = txn.id
@@ -86,34 +81,13 @@ let release t txn =
   Hashtbl.remove t.active txn.id;
   txn.live <- false
 
-(* Block until a latch is granted. Latch waits carry no deadlock risk:
-   latch acquisition is top-down, and a process never parks on a lock
-   while holding latches (it drops them and restarts the operation), so
-   every latch holder runs to the end of its operation. *)
-let rec block_latch t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "txn.latch_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  Stats.add_time t.stats "txn.latch_wait" (Clock.now t.clock -. t0);
-  match Lockmgr.latch t.locks ~owner:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block _ -> block_latch t sched txn obj mode
-
-let latch_blocking t txn obj mode =
-  match Lockmgr.latch t.locks ~owner:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched -> block_latch t sched txn obj mode
-    | _ -> raise (Conflict blockers))
-
+(* Latch waits carry no deadlock risk: latch acquisition is top-down,
+   and a process never parks on a lock while holding latches (it drops
+   them and restarts the operation), so every latch holder runs to the
+   end of its operation. *)
 let latch t txn obj mode =
   check_live txn;
-  latch_blocking t txn obj mode
+  Lockmgr.latch_blocking t.locks ~owner:txn.id obj mode
 
 let end_op t txn = Lockmgr.release_latches t.locks ~owner:txn.id
 
@@ -129,7 +103,8 @@ let do_abort t txn =
   List.iter
     (fun (file, page, off, before) ->
       if latched then
-        latch_blocking t txn (Lockmgr.Page (file, page)) Lockmgr.Exclusive;
+        Lockmgr.latch_blocking t.locks ~owner:txn.id (Lockmgr.Page (file, page))
+          Lockmgr.Exclusive;
       note_touch t txn ~file ~page;
       let pstream, plsn = chain_for t txn ~file ~page in
       let current =
@@ -161,40 +136,18 @@ let do_abort t txn =
   Stats.incr t.stats "txn.aborts";
   release t txn
 
-(* Under the scheduler a conflicting acquire genuinely blocks: the
-   process parks until the lock manager's waker reports its wait edges
-   cleared, then retries. Deadlock (a real wait cycle, detected at
-   acquire time) still aborts and raises. *)
-let rec block_lock t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "txn.lock_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  let dt = Clock.now t.clock -. t0 in
-  Stats.add_time t.stats "txn.lock_wait" dt;
-  Stats.observe t.stats "txn.lock_wait" dt;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block _ -> block_lock t sched txn obj mode
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
+(* A conflicting acquire parks the process until the lock is free (see
+   [Lockmgr.acquire_blocking]); deadlock, detected at acquire time,
+   aborts the transaction and raises. *)
+let deadlock t txn =
+  do_abort t txn;
+  raise (Deadlock_abort txn.id)
 
 let lock t txn obj mode =
   mutex t;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      block_lock t sched txn obj mode
-    | _ -> raise (Conflict blockers))
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
+  match Lockmgr.acquire_blocking t.locks ~txn:txn.id obj mode with
+  | `Granted | `Waited -> ()
+  | `Deadlock -> deadlock t txn
 
 (* Record-grain lock acquisition from inside an access-method operation:
    if the request must wait, the process first releases every latch it
@@ -206,19 +159,14 @@ let lock t txn obj mode =
 let lock_restartable t txn obj mode =
   check_live txn;
   mutex t;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
+  let on_wait () =
+    Lockmgr.release_latches t.locks ~owner:txn.id;
+    Stats.incr t.stats "txn.op_restarts"
+  in
+  match Lockmgr.acquire_blocking ~on_wait t.locks ~txn:txn.id obj mode with
   | `Granted -> `Granted
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      Lockmgr.release_latches t.locks ~owner:txn.id;
-      Stats.incr t.stats "txn.op_restarts";
-      block_lock t sched txn obj mode;
-      `Restart
-    | _ -> raise (Conflict blockers))
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
+  | `Waited -> `Restart
+  | `Deadlock -> deadlock t txn
 
 let begin_txn t =
   mutex t;
@@ -449,7 +397,8 @@ let open_env clock stats (cfg : Config.t) vfs ?log_vfs ?log_vfss
   let logs = Logset.create clock stats cfg ~homes ~path:log_path in
   let pool = Bufpool.create clock stats cfg vfs logs ~pages:pool_pages in
   let locks =
-    Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation clock stats cfg.cpu
+    Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation ~metrics:"txn"
+      clock stats cfg.cpu
   in
   let t =
     {
@@ -465,17 +414,7 @@ let open_env clock stats (cfg : Config.t) vfs ?log_vfs ?log_vfss
       committed_since_cp = 0;
       checkpoint_every;
       losers = 0;
-      parked = Hashtbl.create 8;
     }
   in
-  Lockmgr.set_waker locks
-    (Some
-       (fun txnid ->
-         match Hashtbl.find_opt t.parked txnid with
-         | Some c -> (
-           match Sched.of_clock clock with
-           | Some sched -> Sched.broadcast sched c
-           | None -> ())
-         | None -> ()));
   if Logset.flushed_total logs > 0 then recover t else checkpoint t;
   t

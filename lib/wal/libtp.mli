@@ -17,14 +17,12 @@ type t
 
 type txn
 
-exception Conflict of int list
-(** A lock request would block; the blockers' transaction ids are
-    reported. With a multiprogramming level above 1 the driver decides
-    how long the blocked process sleeps. *)
-
 exception Deadlock_abort of int
 (** The request would deadlock; the transaction has been aborted (locks
-    released, updates undone) before the exception is raised. *)
+    released, updates undone) before the exception is raised. A request
+    that merely conflicts parks the calling scheduler process until the
+    lock is free ({!Lockmgr.acquire_blocking}); outside any process it
+    raises {!Lockmgr.Blocked_outside_process}. *)
 
 val open_env :
   Clock.t ->

@@ -119,12 +119,7 @@ let do_force t =
      while the first is parked in the write/fsync would double-write
      them and double-advance [flushed]. Followers wait the in-flight
      force out, then re-check — it may already have covered them. *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.forcing do
-      Sched.wait sched t.flush_cond
-    done
-  | _ -> ());
+  Sched.wait_while t.clock t.flush_cond (fun () -> t.forcing);
   if Buffer.length t.buf > 0 then begin
     t.forcing <- true;
     Fun.protect
@@ -165,9 +160,7 @@ let do_force t =
            rendezvous. Incrementing after the fsync means a woken waiter
            whose record made the snapshot is guaranteed durable. *)
         t.force_gen <- t.force_gen + 1;
-        match Sched.of_clock t.clock with
-        | Some sched -> Sched.broadcast sched t.flush_cond
-        | None -> ())
+        Sched.wake t.clock t.flush_cond)
   end
 
 let rec force t ~upto =
@@ -180,27 +173,21 @@ let rec force t ~upto =
   end
 
 let force_commit t ~upto =
-  if upto >= t.flushed then begin
+  if upto >= t.flushed then
     (* A force already in flight snapshotted the buffer before our
        record went in: wait it out and join the NEXT batch rather than
        chasing it with a batch of one — arrivals accumulate while the
        log arm is busy, which is what fills group-commit batches at
        high MPL. *)
-    (match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      while t.forcing do
-        Sched.wait sched t.flush_cond
-      done
-    | _ -> ())
-  end;
+    Sched.wait_while t.clock t.flush_cond (fun () -> t.forcing);
   if upto >= t.flushed then begin
     t.pending_commits <- t.pending_commits + 1;
     let timeout = t.cfg.Config.fs.group_commit_timeout_s in
     if timeout <= 0.0 || t.pending_commits >= t.cfg.Config.fs.group_commit_size
     then do_force t
     else begin
-      match Sched.of_clock t.clock with
-      | Some sched when Sched.in_process sched ->
+      match Sched.current t.clock with
+      | Some sched ->
         (* Real rendezvous: park until the batch fills (a later
            committer's inline force) or our batch's timeout process
            fires. The first committer of a batch arms the timeout. *)
@@ -220,7 +207,7 @@ let force_commit t ~upto =
         let waited = Clock.now t.clock -. t0 in
         Stats.add_time t.stats "log.group_commit_wait" waited;
         Stats.observe t.stats "log.group_commit_wait" waited
-      | _ ->
+      | None ->
         (* Wait for company; at MPL 1 nobody arrives and the timeout
            expires (Section 4.4). *)
         Clock.advance t.clock timeout;
@@ -240,26 +227,15 @@ let truncate t =
      empty file. Wait the in-flight force out, then hold the same mutex
      across our own (yielding) truncate/fsync so no new force starts
      against the half-truncated file. *)
-  let sched =
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched -> Some sched
-    | _ -> None
-  in
-  (match sched with
-  | Some sched ->
-    while t.forcing do
-      Sched.wait sched t.flush_cond
-    done
-  | None -> ());
+  let sched = Sched.current t.clock in
+  Sched.wait_while t.clock t.flush_cond (fun () -> t.forcing);
   if Buffer.length t.buf > 0 then
     invalid_arg "Logmgr.truncate: unflushed records";
   t.forcing <- true;
   Fun.protect
     ~finally:(fun () ->
       t.forcing <- false;
-      match sched with
-      | Some sched -> Sched.broadcast sched t.flush_cond
-      | None -> ())
+      Option.iter (fun s -> Sched.broadcast s t.flush_cond) sched)
     (fun () ->
       t.vfs.Vfs.truncate t.fd 0;
       t.vfs.Vfs.fsync t.fd;

@@ -108,6 +108,10 @@ let test_unprotected_files_bypass_locking () =
   Ktxn.txn_commit k t1;
   Ktxn.txn_commit k t2
 
+(* Two processes: t1 parks on t2's page, then t2 requests t1's page,
+   closes the cycle and is aborted — the requester is the victim. The
+   victim's buffers are invalidated and the survivor, woken by the
+   release, completes its write and commits. *)
 let test_lock_conflict_and_deadlock () =
   let sys = boot () in
   let inum = setup_file sys "/db" in
@@ -116,25 +120,47 @@ let test_lock_conflict_and_deadlock () =
   let t2 = Ktxn.txn_begin k in
   Ktxn.write_page k t1 ~inum ~page:0 (page sys 'A');
   Ktxn.write_page k t2 ~inum ~page:1 (page sys 'B');
-  (* t1 blocks on t2's page and is left sleeping... *)
-  Alcotest.(check bool) "writer blocks" true
-    (match Ktxn.write_page k t1 ~inum ~page:1 (page sys 'C') with
-    | exception Ktxn.Conflict [ b ] -> b = Ktxn.txn_id t2
-    | _ -> false);
-  (* ...so t2 requesting t1's page closes the cycle and is aborted. *)
-  Alcotest.(check bool) "deadlock detected and aborted" true
-    (match Ktxn.read_page k t2 ~inum ~page:0 with
-    | exception Ktxn.Deadlock_abort id -> id = Ktxn.txn_id t2
-    | _ -> false);
-  (* Victim's buffers invalidated; survivor retries and proceeds. *)
-  Ktxn.write_page k t1 ~inum ~page:1 (page sys 'C');
-  Ktxn.txn_commit k t1;
+  let sched = Sched.create sys.Core.clock in
+  let blockers = ref [] and victim = ref None in
+  Sched.spawn sched (fun () ->
+      Ktxn.write_page k t1 ~inum ~page:1 (page sys 'C');
+      Ktxn.txn_commit k t1);
+  Sched.spawn sched (fun () ->
+      (* t1 is already descheduled and left sleeping on t2's page... *)
+      blockers := Lockmgr.blockers (Ktxn.locks k) ~txn:(Ktxn.txn_id t1);
+      (* ...so t2 requesting t1's page closes the cycle. *)
+      match Ktxn.read_page k t2 ~inum ~page:0 with
+      | _ -> ()
+      | exception Ktxn.Deadlock_abort id -> victim := Some id);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check (list int)) "writer blocks on t2" [ Ktxn.txn_id t2 ] !blockers;
+  Alcotest.(check int) "one lock block" 1
+    (Stats.count sys.Core.stats "ktxn.lock_blocks");
+  Alcotest.(check (option int)) "requester aborted" (Some (Ktxn.txn_id t2)) !victim;
   let t3 = Ktxn.txn_begin k in
   Alcotest.(check char) "survivor's writes present" 'A'
     (Bytes.get (Ktxn.read_page k t3 ~inum ~page:0) 0);
   Alcotest.(check char) "victim's write gone, survivor's retry applied" 'C'
     (Bytes.get (Ktxn.read_page k t3 ~inum ~page:1) 0);
   Ktxn.txn_commit k t3
+
+(* Outside any scheduler process nothing can wake a waiter, so a
+   conflicting request fails loudly and names its blocker. *)
+let test_conflict_outside_process_fails () =
+  let sys = boot () in
+  let inum = setup_file sys "/db" in
+  let k = sys.Core.ktxn in
+  let t1 = Ktxn.txn_begin k in
+  let t2 = Ktxn.txn_begin k in
+  Ktxn.write_page k t1 ~inum ~page:0 (page sys 'A');
+  Alcotest.(check bool) "names requester and blocker" true
+    (match Ktxn.read_page k t2 ~inum ~page:0 with
+    | exception Lockmgr.Blocked_outside_process (r, [ b ]) ->
+      r = Ktxn.txn_id t2 && b = Ktxn.txn_id t1
+    | _ -> false);
+  Ktxn.txn_abort k t2;
+  Ktxn.txn_commit k t1
 
 let test_group_commit_batches () =
   let cfg = Tutil.small_config () in
@@ -451,6 +477,8 @@ let () =
           Alcotest.test_case "unprotected bypass" `Quick
             test_unprotected_files_bypass_locking;
           Alcotest.test_case "conflict/deadlock" `Quick test_lock_conflict_and_deadlock;
+          Alcotest.test_case "conflict outside a process fails" `Quick
+            test_conflict_outside_process_fails;
           Alcotest.test_case "group commit" `Quick test_group_commit_batches;
           Alcotest.test_case "syncer skips txn buffers" `Quick
             test_syncer_skips_txn_buffers;

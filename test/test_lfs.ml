@@ -758,6 +758,43 @@ let test_cleaner_counter_consistency () =
 (* Hot/cold segregation: survivors relocated by the cleaner land in a
    dedicated cold segment, and the cold bit rides the checkpointed usage
    table across a crash + remount. *)
+(* Under a scheduler a partial's inode addresses point at its new
+   blocks before its disk write lands. Here the fsync's write waits for
+   the arm, busy with a queued read, while another process misses in the
+   cache on the block being written and queues a read of its new
+   address: that read must wait for the write, not return the platter's
+   old bytes. *)
+let test_queued_read_waits_for_segment_write () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let cold = v.Vfs.create "/cold" and hot = v.Vfs.create "/hot" in
+  v.Vfs.write cold ~off:0 (Bytes.make bs 'C');
+  Lfs.sync fs;
+  v.Vfs.write hot ~off:0 (Bytes.make bs 'H');
+  let cold_inum = Lfs.inum_of fs "/cold" and hot_inum = Lfs.inum_of fs "/hot" in
+  let evict inum =
+    match Cache.lookup (Lfs.cache fs) ~file:inum ~lblock:0 with
+    | Some f -> Cache.invalidate (Lfs.cache fs) f
+    | None -> ()
+  in
+  evict cold_inum;
+  let sched = Sched.create m.Tutil.clock in
+  let seen = ref ' ' in
+  Sched.spawn sched (fun () ->
+      ignore (Lfs.get_page fs ~inum:cold_inum ~lblock:0));
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 1e-4;
+      Lfs.fsync_inum fs hot_inum);
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 2e-4;
+      (* The fsync has marked the frame clean and is parked in its write. *)
+      evict hot_inum;
+      seen := Bytes.get (Lfs.get_page fs ~inum:hot_inum ~lblock:0).Cache.data 0);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check char) "read the written bytes" 'H' !seen
+
 let test_cold_bit_persists_remount () =
   let cfg = Tutil.small_config () in
   let cfg =
@@ -868,6 +905,8 @@ let () =
             test_user_cleaner_idle_no_checkpoint;
           Alcotest.test_case "counter consistency" `Quick
             test_cleaner_counter_consistency;
+          Alcotest.test_case "queued read waits for segment write" `Quick
+            test_queued_read_waits_for_segment_write;
           Alcotest.test_case "cold bit persists" `Quick
             test_cold_bit_persists_remount;
         ] );

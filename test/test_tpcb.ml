@@ -156,10 +156,12 @@ let test_multi_user_lfs_kernel () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:11 in
+  let sched = Sched.create m.Tutil.clock in
   let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
+    Tpcb.run_sched m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
       ~rng ~n:200 ~mpl:4
   in
+  Sched.detach sched;
   Alcotest.(check int) "all committed" 200 r.Tpcb.base.Tpcb.txns;
   Tpcb.check_consistency m.Tutil.clock m.Tutil.stats m.Tutil.cfg db v;
   Alcotest.(check int) "history matches commits" 200
@@ -178,10 +180,12 @@ let test_multi_user_contention () =
     Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:64
       ~log_path:"/tpcb/log" ()
   in
+  let sched = Sched.create m.Tutil.clock in
   let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env)
+    Tpcb.run_sched m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env)
       ~rng ~n:300 ~mpl:6
   in
+  Sched.detach sched;
   Alcotest.(check int) "all committed" 300 r.Tpcb.base.Tpcb.txns;
   Alcotest.(check bool) "contention observed" true (r.Tpcb.conflicts > 0);
   Libtp.checkpoint env;
@@ -226,12 +230,14 @@ let test_multi_user_matches_single_user_invariants () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:11 in
+  let sched = Sched.create m.Tutil.clock in
   let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
+    Tpcb.run_sched m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
       ~rng ~n:120 ~mpl:3
   in
+  Sched.detach sched;
+  Alcotest.(check int) "all committed" 120 r.Tpcb.base.Tpcb.txns;
   (* Crash right after: everything committed must survive. *)
-  ignore r;
   Lfs.crash fs;
   let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
   let v' = Lfs.vfs fs in

@@ -244,41 +244,74 @@ let test_abort_undoes () =
     (Bytes.get (Libtp.read_page env t3 ~file:fd ~page:1) 0);
   Libtp.commit env t3
 
+(* The reader parks on the writer's page lock; the writer's commit
+   releases it and the reader resumes with the committed data. *)
 let test_two_phase_locking_conflict () =
-  let _m, _fs, v, env = mk_env () in
+  let m, _fs, v, env = mk_env () in
   let fd = v.Vfs.create "/db" in
   let t1 = Libtp.begin_txn env in
   Libtp.write_page env t1 ~file:fd ~page:0 (page_with v 'A');
   let t2 = Libtp.begin_txn env in
-  Alcotest.(check bool) "reader blocks on writer" true
-    (match Libtp.read_page env t2 ~file:fd ~page:0 with
-    | exception Libtp.Conflict [ blocker ] -> blocker = Libtp.txn_id t1
-    | _ -> false);
-  Libtp.commit env t1;
-  (* After commit the lock is free. *)
-  ignore (Libtp.read_page env t2 ~file:fd ~page:0);
-  Libtp.commit env t2
+  let sched = Sched.create m.Tutil.clock in
+  let blockers = ref [] and seen = ref ' ' in
+  Sched.spawn sched (fun () ->
+      seen := Bytes.get (Libtp.read_page env t2 ~file:fd ~page:0) 0;
+      Libtp.commit env t2);
+  Sched.spawn sched (fun () ->
+      blockers := Lockmgr.blockers (Libtp.locks env) ~txn:(Libtp.txn_id t2);
+      Libtp.commit env t1);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check (list int)) "reader blocks on writer" [ Libtp.txn_id t1 ]
+    !blockers;
+  Alcotest.(check int) "one lock block" 1
+    (Stats.count m.Tutil.stats "txn.lock_blocks");
+  Alcotest.(check char) "reader sees the committed write" 'A' !seen
 
 let test_deadlock_aborts_requester () =
-  let _m, _fs, v, env = mk_env () in
+  let m, _fs, v, env = mk_env () in
   let fd = v.Vfs.create "/db" in
   let t1 = Libtp.begin_txn env in
   let t2 = Libtp.begin_txn env in
   Libtp.write_page env t1 ~file:fd ~page:0 (page_with v 'A');
   Libtp.write_page env t2 ~file:fd ~page:1 (page_with v 'B');
-  (* t1 waits for page 1 *)
-  (try ignore (Libtp.read_page env t1 ~file:fd ~page:1) with Libtp.Conflict _ -> ());
-  (* t2 requesting page 0 closes the cycle: t2 is aborted. *)
-  Alcotest.(check bool) "deadlock abort" true
-    (match Libtp.read_page env t2 ~file:fd ~page:0 with
-    | exception Libtp.Deadlock_abort id -> id = Libtp.txn_id t2
-    | _ -> false);
+  let sched = Sched.create m.Tutil.clock in
+  let victim = ref None in
+  (* t1 parks waiting for page 1... *)
+  Sched.spawn sched (fun () ->
+      ignore (Libtp.read_page env t1 ~file:fd ~page:1);
+      Libtp.commit env t1);
+  (* ...and t2 requesting page 0 closes the cycle: t2 is aborted. *)
+  Sched.spawn sched (fun () ->
+      match Libtp.read_page env t2 ~file:fd ~page:0 with
+      | _ -> ()
+      | exception Libtp.Deadlock_abort id -> victim := Some id);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check (option int)) "deadlock abort" (Some (Libtp.txn_id t2)) !victim;
   (* t2's update is undone. *)
-  Libtp.commit env t1;
   let t3 = Libtp.begin_txn env in
   Alcotest.(check char) "t2 undone" '\000'
     (Bytes.get (Libtp.read_page env t3 ~file:fd ~page:1) 0);
+  Alcotest.(check char) "t1 committed" 'A'
+    (Bytes.get (Libtp.read_page env t3 ~file:fd ~page:0) 0);
   Libtp.commit env t3
+
+(* Outside any scheduler process nothing can wake a waiter, so a
+   conflicting request fails loudly and names its blocker. *)
+let test_conflict_outside_process_fails () =
+  let _m, _fs, v, env = mk_env () in
+  let fd = v.Vfs.create "/db" in
+  let t1 = Libtp.begin_txn env in
+  Libtp.write_page env t1 ~file:fd ~page:0 (page_with v 'A');
+  let t2 = Libtp.begin_txn env in
+  Alcotest.(check bool) "names requester and blocker" true
+    (match Libtp.read_page env t2 ~file:fd ~page:0 with
+    | exception Lockmgr.Blocked_outside_process (r, [ b ]) ->
+      r = Libtp.txn_id t2 && b = Libtp.txn_id t1
+    | _ -> false);
+  Libtp.abort env t2;
+  Libtp.commit env t1
 
 let test_no_op_write_logs_nothing () =
   let m, _fs, v, env = mk_env () in
@@ -760,6 +793,8 @@ let () =
           Alcotest.test_case "abort undoes" `Quick test_abort_undoes;
           Alcotest.test_case "2PL conflict" `Quick test_two_phase_locking_conflict;
           Alcotest.test_case "deadlock abort" `Quick test_deadlock_aborts_requester;
+          Alcotest.test_case "conflict outside a process fails" `Quick
+            test_conflict_outside_process_fails;
           Alcotest.test_case "no-op write" `Quick test_no_op_write_logs_nothing;
         ] );
       ( "pool",
