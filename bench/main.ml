@@ -81,6 +81,24 @@ let micro_tests () =
            incr i;
            Btree.insert bt (Printf.sprintf "new%08d" !i) "value"))
   in
+  let btree_update =
+    let bt = mk_btree 10_000 in
+    let i = ref 0 in
+    Test.make ~name:"btree.update same size (10k keys)"
+      (Staged.stage (fun () ->
+           incr i;
+           Btree.insert bt
+             (Printf.sprintf "key%08d" (!i * 7919 mod 10_000))
+             (if !i land 1 = 0 then "value" else "VALUE")))
+  in
+  let page_diff =
+    (* One TPC-B record rewritten in the middle of a 4 KB page. *)
+    let a = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+    let b = Bytes.copy a in
+    Bytes.fill b 2000 100 '*';
+    Test.make ~name:"libtp page diff (4 KB, 100 B changed)"
+      (Staged.stage (fun () -> ignore (Libtp.diff_range a b)))
+  in
   let lock_cycle =
     let clock = Clock.create () in
     let stats = Stats.create () in
@@ -152,7 +170,16 @@ let micro_tests () =
            incr i;
            ignore (Cache.lookup c ~file:1 ~lblock:(!i land 1023))))
   in
-  [ btree_find; btree_insert; lock_cycle; logrec_codec; summary_codec; cache_hit ]
+  [
+    btree_find;
+    btree_insert;
+    btree_update;
+    page_diff;
+    lock_cycle;
+    logrec_codec;
+    summary_codec;
+    cache_hit;
+  ]
 
 let run_micro () =
   let open Bechamel in

@@ -3,8 +3,8 @@ exception Entry_too_large
 let magic = 0x42545231 (* "BTR1" *)
 
 type node =
-  | Leaf of { mutable next : int; mutable items : (string * string) list }
-  | Node of { mutable child0 : int; mutable items : (string * int) list }
+  | Leaf of { next : int; items : (string * string) list }
+  | Node of { child0 : int; items : (string * int) list }
 (* Leaf items are (key, value); internal items are (key, child) with the
    child holding keys >= key; [child0] holds keys below the first key. *)
 
@@ -47,7 +47,9 @@ let write_meta t =
   t.pager.Pager.put 0 b;
   t.meta_dirty <- false
 
-let decode_node ps b =
+let bad_kind k = failwith (Printf.sprintf "Btree: bad node kind %d" k)
+
+let decode_node b =
   match Enc.get_u8 b 0 with
   | 0 ->
     let n = Enc.get_u16 b 1 in
@@ -62,7 +64,6 @@ let decode_node ps b =
           off := !off + 4 + klen + vlen;
           (key, value))
     in
-    ignore ps;
     Leaf { next; items }
   | 1 ->
     let n = Enc.get_u16 b 1 in
@@ -77,7 +78,7 @@ let decode_node ps b =
           (key, child))
     in
     Node { child0; items }
-  | k -> failwith (Printf.sprintf "Btree: bad node kind %d" k)
+  | k -> bad_kind k
 
 let encode_node ps node =
   let b = Bytes.make ps '\000' in
@@ -117,7 +118,7 @@ let node_size = function
 
 (* Page I/O --------------------------------------------------------------- *)
 
-let read_node t page = decode_node t.pager.Pager.page_size (t.pager.Pager.get page)
+let read_node t page = decode_node (t.pager.Pager.get page)
 let write_node t page node = t.pager.Pager.put page (encode_node t.pager.Pager.page_size node)
 
 let alloc_page t =
@@ -125,6 +126,102 @@ let alloc_page t =
   t.meta.npages <- p + 1;
   t.meta_dirty <- true;
   p
+
+(* In-place page access ----------------------------------------------------- *)
+
+(* Searches and non-splitting edits work on the encoded page bytes the
+   pager hands out, as db(3) searches buffer-pool pages: no key or value
+   is copied out except the value a lookup returns, and an edit builds
+   the new page with a few blits. The result is byte-identical to
+   re-encoding the decoded node with the change applied. *)
+
+let is_leaf b =
+  match Enc.get_u8 b 0 with 0 -> true | 1 -> false | k -> bad_kind k
+
+let nitems b = Enc.get_u16 b 1
+
+(* [String.compare] of the page key at [off, off + len) against [key]. *)
+let compare_at b off len key =
+  let klen = String.length key in
+  let n = if len < klen then len else klen in
+  let rec go i =
+    if i = n then Int.compare len klen
+    else
+      let c = Char.compare (Bytes.unsafe_get b (off + i)) (String.unsafe_get key i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* Child of internal page [b] that covers [key]: items are (key, child)
+   with the child holding keys >= key; [child0] holds the rest. *)
+let child_at b key =
+  let n = nitems b in
+  let rec go i off prev =
+    if i = n then prev
+    else
+      let klen = Enc.get_u16 b off in
+      if compare_at b (off + 6) klen key > 0 then prev
+      else go (i + 1) (off + 6 + klen) (Enc.get_u32 b (off + 2))
+  in
+  go 0 7 (Enc.get_u32 b 3)
+
+let entry_len b off = 4 + Enc.get_u16 b off + Enc.get_u16 b (off + 2)
+let value_len b off = Enc.get_u16 b (off + 2)
+let value_at b off = Bytes.sub_string b (off + 4 + Enc.get_u16 b off) (value_len b off)
+
+(* Where [key] lies in leaf page [b]: the offset of its entry when
+   present, else [-1 - off] for the offset it would be inserted at. *)
+let leaf_search b key =
+  let n = nitems b in
+  let rec go i off =
+    if i = n then -1 - off
+    else
+      let c = compare_at b (off + 4) (Enc.get_u16 b off) key in
+      if c = 0 then off else if c > 0 then -1 - off else go (i + 1) (off + entry_len b off)
+  in
+  go 0 7
+
+(* First byte past the last entry of leaf page [b]. *)
+let leaf_end b =
+  let n = nitems b in
+  let rec go i off = if i = n then off else go (i + 1) (off + entry_len b off) in
+  go 0 7
+
+(* A fresh page: leaf [b] with the [cut] bytes at [pos] replaced by the
+   (key, value) [entry], or by nothing, and the item count moved by
+   [dn]. [None] when the result overflows the page. *)
+let leaf_splice ps b ~pos ~cut ~entry ~dn =
+  let used = leaf_end b in
+  let add =
+    match entry with Some (k, v) -> 4 + String.length k + String.length v | None -> 0
+  in
+  let size = used - cut + add in
+  if size > ps then None
+  else begin
+    let out = Bytes.create ps in
+    Bytes.blit b 0 out 0 pos;
+    (match entry with
+    | Some (k, v) ->
+      Enc.set_u16 out pos (String.length k);
+      Enc.set_u16 out (pos + 2) (String.length v);
+      Enc.set_string out (pos + 4) k;
+      Enc.set_string out (pos + 4 + String.length k) v
+    | None -> ());
+    Bytes.blit b (pos + cut) out (pos + add) (used - pos - cut);
+    Bytes.fill out size (ps - size) '\000';
+    Enc.set_u16 out 1 (nitems b + dn);
+    Some out
+  end
+
+(* Leaf [b] with [key] bound to [value]; [None] if that overflows. *)
+let leaf_upsert ps b key value =
+  let s = leaf_search b key and entry = Some (key, value) in
+  if s >= 0 then leaf_splice ps b ~pos:s ~cut:(entry_len b s) ~entry ~dn:0
+  else leaf_splice ps b ~pos:(-1 - s) ~cut:0 ~entry ~dn:1
+
+(* Leaf [b] without the entry at [off]. *)
+let leaf_remove ps b off =
+  Option.get (leaf_splice ps b ~pos:off ~cut:(entry_len b off) ~entry:None ~dn:(-1))
 
 (* Construction ----------------------------------------------------------- *)
 
@@ -176,37 +273,31 @@ let begin_op t =
 
 (* Search ------------------------------------------------------------------ *)
 
-(* Child of an internal node that covers [key]. *)
-let child_for items child0 key =
-  let rec go prev = function
-    | [] -> prev
-    | (k, child) :: rest -> if key < k then prev else go child rest
-  in
-  go child0 items
-
+(* The leaf page covering [key] and its bytes. *)
 let rec descend t page key =
-  match read_node t page with
-  | Leaf _ as leaf -> (page, leaf)
-  | Node { child0; items } -> descend t (child_for items child0 key) key
+  let b = t.pager.Pager.get page in
+  if is_leaf b then (page, b) else descend t (child_at b key) key
+
+(* Offset of [key]'s entry in leaf [b]; -1 if absent or [b] is no leaf. *)
+let slot b key = if is_leaf b then max (-1) (leaf_search b key) else -1
+
+let leaf_find b key =
+  assert (is_leaf b);
+  let s = leaf_search b key in
+  if s >= 0 then Some (value_at b s) else None
 
 let find t key =
   Pager.with_op t.pager (fun () ->
       charge t Cpu.Record_op;
-      if not t.pager.Pager.record_grain then begin
-        let _, leaf = descend t t.meta.root key in
-        match leaf with
-        | Leaf { items; _ } -> List.assoc_opt key items
-        | Node _ -> assert false
-      end
+      if not t.pager.Pager.record_grain then
+        leaf_find (snd (descend t t.meta.root key)) key
       else begin
         begin_op t;
         let page, _ = descend t t.meta.root key in
         (* Lock, then re-read: the value is only trusted once the record
            lock is held (a lock that had to wait restarts the op). *)
         t.pager.Pager.lock_rec ~page ~recno:(rec_id key) ~write:false;
-        match read_node t page with
-        | Leaf { items; _ } -> List.assoc_opt key items
-        | Node _ -> assert false
+        leaf_find (t.pager.Pager.get page) key
       end)
 
 (* Insert ------------------------------------------------------------------ *)
@@ -251,57 +342,66 @@ let split_items ?(appending = false) size_of items =
 let leaf_item_size (k, v) = 4 + String.length k + String.length v
 let node_item_size (k, _) = 6 + String.length k
 
-(* Returns [Some (separator, right page)] when the child split. *)
+(* Returns [Some (separator, right page)] when the child split. A leaf
+   edit that fits is made in place; only a split decodes the leaf, and
+   only a child's split decodes its parent. The parent's bytes are
+   decoded after the child's pages were read and written: every page on
+   the path is share-locked at page grain, and at record grain this runs
+   under the exclusive file latch, so no other process writes them. *)
 let rec insert_rec t page key value =
-  match read_node t page with
-  | Leaf { items; next } ->
-    let existed = List.mem_assoc key items in
-    let items = insert_sorted_leaf items key value in
-    if not existed then begin
+  let b = t.pager.Pager.get page in
+  let ps = t.pager.Pager.page_size in
+  if is_leaf b then begin
+    if leaf_search b key < 0 then begin
       t.meta.nrecords <- t.meta.nrecords + 1;
       t.meta_dirty <- true
     end;
-    let node = Leaf { next; items } in
-    if node_size node <= t.pager.Pager.page_size then begin
-      write_node t page node;
+    match leaf_upsert ps b key value with
+    | Some page_bytes ->
+      t.pager.Pager.put page page_bytes;
       None
-    end
-    else begin
-      let appending =
-        match List.rev items with (k, _) :: _ -> k = key | [] -> false
-      in
-      let left_items, right_items = split_items ~appending leaf_item_size items in
-      let right_page = alloc_page t in
-      write_node t right_page (Leaf { next; items = right_items });
-      write_node t page (Leaf { next = right_page; items = left_items });
-      match right_items with
-      | (sep, _) :: _ -> Some (sep, right_page)
-      | [] -> assert false
-    end
-  | Node { child0; items } -> (
-    let child = child_for items child0 key in
-    match insert_rec t child key value with
-    | None -> None
-    | Some (sep, right) ->
-      let items = insert_sorted_node items sep right in
-      let node = Node { child0; items } in
-      if node_size node <= t.pager.Pager.page_size then begin
-        write_node t page node;
-        None
-      end
-      else begin
+    | None -> (
+      match decode_node b with
+      | Leaf { items; next } ->
+        let items = insert_sorted_leaf items key value in
         let appending =
-          match List.rev items with (k, _) :: _ -> k = sep | [] -> false
+          match List.rev items with (k, _) :: _ -> k = key | [] -> false
         in
-        let left_items, right_items = split_items ~appending node_item_size items in
-        match right_items with
-        | (mid_key, mid_child) :: rest ->
-          let right_page = alloc_page t in
-          write_node t right_page (Node { child0 = mid_child; items = rest });
-          write_node t page (Node { child0; items = left_items });
-          Some (mid_key, right_page)
-        | [] -> assert false
-      end)
+        let left_items, right_items = split_items ~appending leaf_item_size items in
+        let right_page = alloc_page t in
+        write_node t right_page (Leaf { next; items = right_items });
+        write_node t page (Leaf { next = right_page; items = left_items });
+        (match right_items with
+        | (sep, _) :: _ -> Some (sep, right_page)
+        | [] -> assert false)
+      | Node _ -> assert false)
+  end
+  else
+    match insert_rec t (child_at b key) key value with
+    | None -> None
+    | Some (sep, right) -> (
+      match decode_node b with
+      | Node { child0; items } ->
+        let items = insert_sorted_node items sep right in
+        let node = Node { child0; items } in
+        if node_size node <= ps then begin
+          write_node t page node;
+          None
+        end
+        else begin
+          let appending =
+            match List.rev items with (k, _) :: _ -> k = sep | [] -> false
+          in
+          let left_items, right_items = split_items ~appending node_item_size items in
+          match right_items with
+          | (mid_key, mid_child) :: rest ->
+            let right_page = alloc_page t in
+            write_node t right_page (Node { child0 = mid_child; items = rest });
+            write_node t page (Node { child0; items = left_items });
+            Some (mid_key, right_page)
+          | [] -> assert false
+        end
+      | Leaf _ -> assert false)
 
 (* The classic whole-tree insert: recursive descent, splits propagating
    up, root split growing the tree. At record grain this only runs with
@@ -318,6 +418,11 @@ let insert_locked t key value =
     t.meta_dirty <- true);
   if t.meta_dirty then write_meta t
 
+(* [key] is in leaf [b] with a value of [len] bytes. *)
+let same_size b key len =
+  let s = slot b key in
+  s >= 0 && value_len b s = len
+
 let insert t key value =
   Pager.with_op t.pager (fun () ->
       charge t Cpu.Record_op;
@@ -327,33 +432,21 @@ let insert t key value =
       else begin
         begin_op t;
         let page, leaf = descend t t.meta.root key in
-        let gated =
-          (* Only an insert that can change the tree shape needs the
-             structure-modification path: a new key, or a value whose
-             size changes (an equal-size replacement can never overflow
-             the leaf). The decision is stable: a concurrent size change
-             would need a record lock that conflicts with ours below. *)
-          match leaf with
-          | Leaf { items; _ } -> (
-            match List.assoc_opt key items with
-            | Some v -> String.length v <> String.length value
-            | None -> true)
-          | Node _ -> assert false
-        in
-        if not gated then begin
+        let vlen = String.length value in
+        (* Only an insert that can change the tree shape needs the
+           structure-modification path: a new key, or a value whose size
+           changes (an equal-size replacement can never overflow the
+           leaf). The decision is stable: a concurrent size change would
+           need a record lock that conflicts with ours below. *)
+        if same_size leaf key vlen then begin
           t.pager.Pager.lock_rec ~page ~recno:(rec_id key) ~write:true;
           t.pager.Pager.latch_page ~page ~write:true;
-          match read_node t page with
-          | Leaf { next; items }
-            when (match List.assoc_opt key items with
-                 | Some v -> String.length v = String.length value
-                 | None -> false) ->
-            write_node t page
-              (Leaf { next; items = insert_sorted_leaf items key value })
-          | _ ->
-            (* The leaf changed in the instant before the lock landed;
-               re-run against a fresh view. *)
-            raise Pager.Op_restart
+          let b = t.pager.Pager.get page in
+          (* The leaf changed in the instant before the lock landed:
+             re-run against a fresh view. *)
+          if not (same_size b key vlen) then raise Pager.Op_restart;
+          t.pager.Pager.put page
+            (Option.get (leaf_upsert t.pager.Pager.page_size b key value))
         end
         else begin
           (* Structure-modification path: two-phase-lock the meta, every
@@ -365,9 +458,8 @@ let insert t key value =
           t.pager.Pager.lock_meta ~write:true;
           let rec lock_path page =
             t.pager.Pager.lock_page page;
-            match read_node t page with
-            | Leaf _ -> page
-            | Node { child0; items } -> lock_path (child_for items child0 key)
+            let b = t.pager.Pager.get page in
+            if is_leaf b then page else lock_path (child_at b key)
           in
           let leaf_page = lock_path t.meta.root in
           t.pager.Pager.lock_rec ~page:leaf_page ~recno:(rec_id key) ~write:true;
@@ -378,39 +470,33 @@ let insert t key value =
 
 (* Delete (lazy, as in db(3): pages are never merged) ---------------------- *)
 
+let remove_at t page b off =
+  t.pager.Pager.put page (leaf_remove t.pager.Pager.page_size b off);
+  t.meta.nrecords <- t.meta.nrecords - 1;
+  t.meta_dirty <- true;
+  write_meta t
+
 let delete t key =
   Pager.with_op t.pager (fun () ->
       charge t Cpu.Record_op;
       if not t.pager.Pager.record_grain then begin
         let page, leaf = descend t t.meta.root key in
-        match leaf with
-        | Leaf { next; items } ->
-          if List.mem_assoc key items then begin
-            write_node t page (Leaf { next; items = List.remove_assoc key items });
-            t.meta.nrecords <- t.meta.nrecords - 1;
-            t.meta_dirty <- true;
-            write_meta t;
-            true
-          end
-          else false
-        | Node _ -> assert false
+        let s = slot leaf key in
+        if s >= 0 then begin
+          remove_at t page leaf s;
+          true
+        end
+        else false
       end
       else begin
         begin_op t;
         let page, leaf = descend t t.meta.root key in
-        let present =
-          match leaf with
-          | Leaf { items; _ } -> List.mem_assoc key items
-          | Node _ -> assert false
-        in
-        if not present then begin
+        if slot leaf key < 0 then begin
           (* Lock the (absent) record's name anyway so the verdict holds
              to commit, then re-check under the lock. *)
           t.pager.Pager.lock_rec ~page ~recno:(rec_id key) ~write:false;
-          match read_node t page with
-          | Leaf { items; _ } when List.mem_assoc key items ->
-            raise Pager.Op_restart
-          | _ -> false
+          if slot (t.pager.Pager.get page) key >= 0 then raise Pager.Op_restart;
+          false
         end
         else begin
           (* Deletes change the meta (record count), so they take the
@@ -420,14 +506,11 @@ let delete t key =
           t.pager.Pager.lock_page page;
           t.pager.Pager.lock_rec ~page ~recno:(rec_id key) ~write:true;
           t.pager.Pager.latch_page ~page ~write:true;
-          match read_node t page with
-          | Leaf { next; items } when List.mem_assoc key items ->
-            write_node t page (Leaf { next; items = List.remove_assoc key items });
-            t.meta.nrecords <- t.meta.nrecords - 1;
-            t.meta_dirty <- true;
-            write_meta t;
-            true
-          | _ -> raise Pager.Op_restart
+          let b = t.pager.Pager.get page in
+          let s = slot b key in
+          if s < 0 then raise Pager.Op_restart;
+          remove_at t page b s;
+          true
         end
       end)
 
@@ -436,11 +519,9 @@ let delete t key =
 let iter_body t ?from f =
   let start_key = Option.value from ~default:"" in
   let rec leftmost page =
-    match read_node t page with
-    | Leaf _ -> page
-    | Node { child0; items } ->
-      if from = None then leftmost child0
-      else leftmost (child_for items child0 start_key)
+    let b = t.pager.Pager.get page in
+    if is_leaf b then page
+    else leftmost (if from = None then Enc.get_u32 b 3 else child_at b start_key)
   in
   let rec walk page skip_below =
     if page <> 0 then

@@ -8,6 +8,12 @@
     experiment of Section 5.3 is one long cursor walk). Deletion is lazy
     — emptied pages are not merged — matching db(3)'s behaviour.
 
+    Pages are searched in place: a lookup walks the encoded bytes the
+    pager returns and copies out only the value it finds, and an insert
+    or delete that fits its leaf builds the new page with a few blits.
+    Only a split (and {!check} and the cursor) decodes a page into
+    lists.
+
     The tree is bound to a {!Pager.t}, so the same code runs
     non-transactionally, under LIBTP, or under the embedded kernel
     transaction manager. Every [find]/[insert]/[delete] charges one
@@ -39,3 +45,25 @@ val height : t -> int
 val check : t -> unit
 (** Structural invariant check (sorted keys, separator bounds, leaf chain
     order); raises [Failure] on violation. For tests. *)
+
+(** {2 Page codec}
+
+    The on-page format, exposed so tests can check that every page the
+    in-place paths write is exactly what re-encoding its decoded node
+    gives. A leaf is [u8 0, u16 count, u32 next] followed by
+    [u16 klen, u16 vlen, key, value] entries; an internal node is
+    [u8 1, u16 count, u32 child0] followed by [u16 klen, u32 child, key]
+    entries; the rest of the page is zero. *)
+
+type node =
+  | Leaf of { next : int; items : (string * string) list }
+  | Node of { child0 : int; items : (string * int) list }
+      (** Leaf items are (key, value); internal items are (key, child)
+          with the child holding keys [>= key]; [child0] holds keys below
+          the first key. *)
+
+val decode_node : bytes -> node
+(** @raise Failure on an unknown node kind. *)
+
+val encode_node : int -> node -> bytes
+(** [encode_node page_size node]. *)

@@ -54,19 +54,24 @@ let plain (vfs : Vfs.t) fd =
   let ps = vfs.Vfs.block_size in
   nohooks ~page_size:ps
     (fun page ->
-      let b = Bytes.make ps '\000' in
-      let size = vfs.Vfs.size fd in
-      if page * ps < size then begin
-        let chunk = vfs.Vfs.read fd ~off:(page * ps) ~len:ps in
-        Bytes.blit chunk 0 b 0 (Bytes.length chunk)
-      end;
-      b)
+      let chunk =
+        if page * ps < vfs.Vfs.size fd then vfs.Vfs.read fd ~off:(page * ps) ~len:ps
+        else Bytes.empty
+      in
+      (* A whole page is returned as read; a short read at end of file
+         is zero-padded. *)
+      if Bytes.length chunk = ps then chunk
+      else begin
+        let b = Bytes.make ps '\000' in
+        Bytes.blit chunk 0 b 0 (Bytes.length chunk);
+        b
+      end)
     (fun page data -> vfs.Vfs.write fd ~off:(page * ps) data)
 
 let wal env txn fd =
   if Libtp.grain env = `Page then
     nohooks ~page_size:(Libtp.page_size env)
-      (fun page -> Bytes.copy (Libtp.read_page env txn ~file:fd ~page))
+      (fun page -> Libtp.read_page env txn ~file:fd ~page)
       (fun page data -> Libtp.write_page env txn ~file:fd ~page data)
   else begin
     let locks = Libtp.locks env in
@@ -82,7 +87,7 @@ let wal env txn fd =
       (* Reads go through the pool without a page lock: isolation comes
          from the record locks the access method takes, and structural
          stability from the file latch. *)
-      get = (fun page -> Bytes.copy (Libtp.read_page_raw env txn ~file:fd ~page));
+      get = (fun page -> Libtp.read_page_raw env txn ~file:fd ~page);
       put = (fun page data -> Libtp.write_page_raw env txn ~file:fd ~page data);
       put_sys = (fun page data -> Libtp.write_page_sys env txn ~file:fd ~page data);
       lock_rec =

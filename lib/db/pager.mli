@@ -7,10 +7,14 @@
     Section 3); the kernel pager for the embedded system lives in
     [lib/core] next to the transaction manager it belongs to.
 
-    Contract: [get] returns bytes the caller must not mutate; changed
-    pages are produced fresh and handed to [put] whole (the WAL pager
-    diffs them to log only the changed range, Section 3's byte-range
-    logging).
+    Contract: [get] returns a read-only view of the page, often the
+    buffer-pool frame itself, not a copy. The view stays valid until the
+    calling process next parks (a lock, latch or disk wait); a pager
+    never reuses a returned buffer for another page, so across a park
+    its bytes can change only where another process writes that page.
+    Copy before modifying, as [Recno] does: changed pages are produced
+    fresh and handed to [put] whole (the WAL pager diffs them to log
+    only the changed range, Section 3's byte-range logging).
 
     When [record_grain] is set the pager exposes the hierarchical
     locking hooks of the record-grain protocol: the access methods lock

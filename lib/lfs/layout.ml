@@ -8,12 +8,18 @@ let sb_magic = 0x4c46_5353 (* "LFSS" *)
 let sum_magic = 0x4c46_5355 (* "LFSU" *)
 let cp_magic = 0x4c46_5343 (* "LFSC" *)
 
-let checksum b =
+(* The sum is masked once at the end: native ints wrap modulo 2^63, a
+   multiple of 2^30, so the result equals masking after every byte. *)
+let checksum_sub b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Layout.checksum_sub";
   let acc = ref 0 in
-  for i = 0 to Bytes.length b - 1 do
-    acc := (!acc + (Char.code (Bytes.unsafe_get b i) * (1 + (i land 0xff)))) land 0x3fffffff
+  for i = 0 to len - 1 do
+    acc := !acc + (Char.code (Bytes.unsafe_get b (off + i)) * (1 + (i land 0xff)))
   done;
-  !acc
+  !acc land 0x3fffffff
+
+let checksum b = checksum_sub b 0 (Bytes.length b)
 
 (* Checksums live in bytes [4..8) of each structure, just after the magic.
    They are computed with that field zeroed. *)

@@ -19,8 +19,13 @@ val inode_size : int
 (** Bytes per packed on-disk inode (256; 16 inodes per 4 KB block). *)
 
 val checksum : bytes -> int
-(** Additive 32-bit checksum of a buffer with its checksum field zeroed
-    (the caller zeroes it before calling). *)
+(** Additive 30-bit checksum: the sum of every byte times one plus its
+    offset modulo 256, modulo 2{^30}. A structure is summed with its
+    checksum field zeroed (the caller zeroes it before calling). *)
+
+val checksum_sub : bytes -> int -> int -> int
+(** [checksum_sub b off len] is [checksum (Bytes.sub b off len)] without
+    the copy. @raise Invalid_argument if the range is outside [b]. *)
 
 (** {1 Superblock} *)
 

@@ -52,6 +52,9 @@ type t = {
      state transition so the kernel cleaner's batch loop does not fold
      over the usage table several times per victim. *)
   mutable n_reclaimable : int;
+  (* Count of Free segments no live snapshot pins — [free_segments],
+     read on every Vfs call — kept the same way. *)
+  mutable n_free : int;
   mutable cleaned_since_cp : int;
   mutable write_seq : int64;
   mutable cp_seq : int64;
@@ -104,15 +107,18 @@ let block_size t = t.sb.Layout.block_size
 let seg_base t i = Layout.segment_base t.sb i
 let seg_of_addr t addr = (addr - Layout.data_start) / t.cfg.fs.segment_blocks
 let nsegments t = t.sb.Layout.nsegments
-let rec free_segments t =
+let pinned t i = List.exists (fun s -> s.snap_live && s.snap_segments.(i)) t.snaps
+
+let is_free t i = t.usage.(i).state = Free && not (pinned t i)
+
+let count_free t =
   let n = ref 0 in
-  Array.iteri
-    (fun i u -> if u.state = Free && not (pinned t i) then incr n)
-    t.usage;
+  for i = 0 to Array.length t.usage - 1 do
+    if is_free t i then incr n
+  done;
   !n
 
-and pinned t i =
-  List.exists (fun s -> s.snap_live && s.snap_segments.(i)) t.snaps
+let free_segments t = t.n_free
 
 let live_blocks t i = t.usage.(i).live
 let last_write t i = t.usage.(i).last_write
@@ -148,14 +154,17 @@ let inc_usage ?(write = true) ?age t seg n =
     if w > u.last_write then u.last_write <- w
 
 (* Every segment state change goes through here so [n_reclaimable]
-   (Free + Pending) stays exact without refolding the usage table. *)
+   (Free + Pending) and [n_free] stay exact without refolding the usage
+   table. *)
 let set_state t i st =
   let u = t.usage.(i) in
   let reclaimable = function Free | Pending -> true | Current | Dirty -> false in
   let was = reclaimable u.state and is = reclaimable st in
+  let was_free = is_free t i in
   u.state <- st;
   if was && not is then t.n_reclaimable <- t.n_reclaimable - 1
-  else if is && not was then t.n_reclaimable <- t.n_reclaimable + 1
+  else if is && not was then t.n_reclaimable <- t.n_reclaimable + 1;
+  t.n_free <- t.n_free + Bool.to_int (is_free t i) - Bool.to_int was_free
 
 let dec_inode_block_ref t addr =
   if addr <> 0 then
@@ -345,7 +354,7 @@ let plan t ~ditems ~inodes =
 let pop_free t =
   let rec find i =
     if i >= nsegments t then Vfs.error No_space "LFS: out of clean segments"
-    else if t.usage.(i).state = Free && not (pinned t i) then i
+    else if is_free t i then i
     else find (i + 1)
   in
   let s = find 0 in
@@ -487,7 +496,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
     let nblocks = !pos - base in
     let buf = Bytes.make (nblocks * bs) '\000' in
     List.iteri (fun i fill -> Bytes.blit (fill ()) 0 buf ((i + 1) * bs) bs) fills;
-    let payload_ck = Layout.checksum (Bytes.sub buf bs ((nblocks - 1) * bs)) in
+    let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
     let summary_bytes = Bytes.make bs '\000' in
     Layout.write_summary summary_bytes
       {
@@ -704,7 +713,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
       let b = fill () in
       Bytes.blit b 0 buf ((i + 1) * bs) bs)
     fills;
-  let payload_ck = Layout.checksum (Bytes.sub buf bs ((nblocks - 1) * bs)) in
+  let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
   let summary_bytes = Bytes.make bs '\000' in
   Layout.write_summary summary_bytes
     {
@@ -1542,6 +1551,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       cold_seg = -1;
       cold_off = 0;
       n_reclaimable = nseg;
+      n_free = nseg;
       cleaned_since_cp = 0;
       write_seq = 1L;
       cp_seq = 0L;
@@ -1778,7 +1788,8 @@ let recompute_usage t =
   t.n_reclaimable <-
     Array.fold_left
       (fun n u -> if u.state = Free || u.state = Pending then n + 1 else n)
-      0 t.usage
+      0 t.usage;
+  t.n_free <- count_free t
 
 let mount disk clock stats (cfg : Config.t) =
   let sb = Layout.read_superblock (Diskset.read disk Layout.superblock_blkno) in
@@ -1963,12 +1974,14 @@ let snapshot t =
   in
   t.next_snap <- t.next_snap + 1;
   t.snaps <- s :: t.snaps;
+  t.n_free <- count_free t;
   Stats.incr t.stats "lfs.snapshots";
   s
 
 let release_snapshot t s =
   s.snap_live <- false;
-  t.snaps <- List.filter (fun x -> x != s) t.snaps
+  t.snaps <- List.filter (fun x -> x != s) t.snaps;
+  t.n_free <- count_free t
 
 let snapshots t = List.length t.snaps
 
@@ -2043,6 +2056,9 @@ let check t =
   if t.n_reclaimable <> recount then
     fail "LFS.check: reclaimable counter %d but recount says %d"
       t.n_reclaimable recount;
+  let free = count_free t in
+  if t.n_free <> free then
+    fail "LFS.check: free counter %d but recount says %d" t.n_free free;
   (* Inode-block refcounts. *)
   Hashtbl.iter
     (fun addr n ->

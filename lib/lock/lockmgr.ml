@@ -141,12 +141,13 @@ let conflicts e ~txn mode =
 
 (* DFS over the waits-for graph: is [target] reachable from [start]? *)
 let reaches t start target =
-  let seen = Hashtbl.create 8 in
+  (* Waits-for chains are short: a visited list beats a table. *)
+  let seen = ref [] in
   let rec go v =
     v = target
-    || (not (Hashtbl.mem seen v))
+    || (not (List.mem v !seen))
        && begin
-         Hashtbl.add seen v ();
+         seen := v :: !seen;
          match Hashtbl.find_opt t.waits_for v with
          | None -> false
          | Some w -> List.exists go w.w_blockers

@@ -199,21 +199,33 @@ let read_page_raw t txn ~file ~page =
   note_touch t txn ~file ~page;
   Bufpool.get t.pool ~file ~page
 
-(* Smallest byte range where [a] and [b] differ; None if equal. *)
+external get_word : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Smallest byte range where [a] and [b] differ; None if equal. Whole
+   8-byte words are compared first from each end, then single bytes; the
+   loop bounds keep every unchecked word load inside the page. *)
 let diff_range a b =
   let n = Bytes.length a in
   assert (n = Bytes.length b);
   let lo = ref 0 in
+  while !lo + 8 <= n && Int64.equal (get_word a !lo) (get_word b !lo) do
+    lo := !lo + 8
+  done;
   while !lo < n && Bytes.get a !lo = Bytes.get b !lo do
     incr lo
   done;
   if !lo = n then None
   else begin
-    let hi = ref (n - 1) in
-    while Bytes.get a !hi = Bytes.get b !hi do
+    (* [hi] is one past the last differing byte; a[lo] <> b[lo] stops
+       both loops above [lo]. *)
+    let hi = ref n in
+    while !hi - 8 > !lo && Int64.equal (get_word a (!hi - 8)) (get_word b (!hi - 8)) do
+      hi := !hi - 8
+    done;
+    while Bytes.get a (!hi - 1) = Bytes.get b (!hi - 1) do
       decr hi
     done;
-    Some (!lo, !hi - !lo + 1)
+    Some (!lo, !hi - !lo)
   end
 
 let write_bytes t txn ~file ~page data =

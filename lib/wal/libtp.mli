@@ -102,6 +102,11 @@ val write_page_sys : t -> txn -> file:int -> page:int -> bytes -> unit
 (** Redo-only system write logged as transaction 0: recovery replays it
     but never undoes it, even if [txn] aborts. *)
 
+val diff_range : bytes -> bytes -> (int * int) option
+(** [(off, len)] of the smallest byte range where two equal-length pages
+    differ, [None] if they are equal: the range a page write logs as its
+    before- and after-image. *)
+
 val commit : t -> txn -> unit
 (** Force the log through this transaction's commit record (honouring
     group commit) and release its locks. With multiple streams the

@@ -524,6 +524,178 @@ let prop_hash_iteration =
            (fun k v acc -> acc && Hashtbl.find_opt seen k = Some v)
            model true)
 
+(* In-place pages ----------------------------------------------------------- *)
+
+(* An in-memory pager of small pages whose [get] returns the stored page
+   itself, as a buffer pool does, and which remembers the pages written.
+   With [record_grain] the access methods take their record-grain paths
+   (the lock and latch hooks stay no-ops). *)
+let mem_pager ~record_grain ps =
+  let pages = Hashtbl.create 16 and written = ref [] in
+  let get page =
+    match Hashtbl.find_opt pages page with
+    | Some b -> b
+    | None -> Bytes.make ps '\000'
+  in
+  let put page data =
+    Hashtbl.replace pages page (Bytes.copy data);
+    written := page :: !written
+  in
+  ({ (Pager.nohooks ~page_size:ps get put) with Pager.record_grain }, pages, written)
+
+(* The in-place search and edit paths must leave every page exactly as
+   encoding its decoded node would, and agree with a map model, at both
+   lock grains. Small pages make leaf and internal splits frequent. *)
+let prop_btree_inplace_pages =
+  let ps = 128 in
+  Tutil.qtest ~count:60 "in-place pages re-encode byte-identically"
+    QCheck2.Gen.(
+      pair bool
+        (list_size (int_range 1 300)
+           (triple (int_bound 3) (int_bound 80)
+              (pair (int_bound 17) (char_range 'a' 'z')))))
+    (fun (record_grain, ops) ->
+      let m = Tutil.machine () in
+      let pager, pages, written = mem_pager ~record_grain ps in
+      let bt = attach_btree m pager in
+      let module M = Map.Make (String) in
+      let model = ref M.empty in
+      List.for_all
+        (fun (op, k, (len, c)) ->
+          let k = key k in
+          (match op with
+          | 0 -> ignore (Btree.find bt k)
+          | 1 ->
+            if Btree.delete bt k <> M.mem k !model then failwith "delete mismatch";
+            model := M.remove k !model
+          | _ ->
+            (* op 2 keeps an existing value's size; op 3 picks any size,
+               or adds a new key. *)
+            let len =
+              match M.find_opt k !model with
+              | Some v when op = 2 -> String.length v
+              | _ -> len
+            in
+            let v = String.make len c in
+            Btree.insert bt k v;
+            model := M.add k v !model);
+          let canonical =
+            List.for_all
+              (fun page ->
+                page = 0
+                ||
+                let b = Hashtbl.find pages page in
+                Bytes.equal (Btree.encode_node ps (Btree.decode_node b)) b)
+              !written
+          in
+          written := [];
+          canonical && Btree.find bt k = M.find_opt k !model)
+        ops
+      && begin
+        Btree.check bt;
+        M.for_all (fun k v -> Btree.find bt k = Some v) !model
+        && Btree.count bt = M.cardinal !model
+      end)
+
+(* Wrap [p] so every buffer [get] hands out is fingerprinted; the next
+   [put], [put_sys] or [end_op] (or an explicit [verify]) fails if any of
+   them changed: callers must copy a page before editing it. *)
+let aliasing_guard (p : Pager.t) =
+  let seen = ref [] in
+  let verify () =
+    List.iter
+      (fun (page, b, d) ->
+        if not (Digest.equal (Digest.bytes b) d) then
+          Alcotest.failf "page %d returned by get was modified in place" page)
+      !seen;
+    seen := []
+  in
+  let guarded =
+    {
+      p with
+      Pager.get =
+        (fun page ->
+          let b = p.Pager.get page in
+          seen := (page, b, Digest.bytes b) :: !seen;
+          b);
+      put =
+        (fun page data ->
+          verify ();
+          p.Pager.put page data);
+      put_sys =
+        (fun page data ->
+          verify ();
+          p.Pager.put_sys page data);
+      end_op =
+        (fun () ->
+          verify ();
+          p.Pager.end_op ());
+    }
+  in
+  (guarded, verify)
+
+(* Every access method, through guarded pagers from [pager_for name]. *)
+let exercise_access_methods (m : Tutil.machine) pager_for =
+  let clock = m.Tutil.clock and stats = m.Tutil.stats and cpu = m.Tutil.cfg.Config.cpu in
+  let bt = Btree.attach clock stats cpu (pager_for "/bt") in
+  for i = 0 to 299 do
+    Btree.insert bt (key i) (value i)
+  done;
+  for i = 0 to 299 do
+    if i mod 3 = 0 then Btree.insert bt (key i) (String.uppercase_ascii (value i));
+    if i mod 5 = 1 then Btree.insert bt (key i) (value (i + 1));
+    if i mod 7 = 2 then ignore (Btree.delete bt (key i))
+  done;
+  Alcotest.(check (option string))
+    "same-size update" (Some (String.uppercase_ascii (value 3))) (Btree.find bt (key 3));
+  Alcotest.(check (option string))
+    "resized value" (Some (value 7)) (Btree.find bt (key 6));
+  Alcotest.(check (option string)) "deleted" None (Btree.find bt (key 9));
+  Btree.iter bt (fun _ _ -> true);
+  Btree.check bt;
+  let r = Recno.attach clock stats cpu (pager_for "/rn") ~reclen:50 in
+  for i = 0 to 199 do
+    ignore (Recno.append r (record i 50))
+  done;
+  Recno.set r 7 (record 9999 50);
+  Tutil.check_bytes "recno set" (record 9999 50) (Recno.get r 7);
+  Recno.iter r (fun _ _ -> true);
+  let h = Hashdb.attach clock stats cpu (pager_for "/h") ~buckets:2 in
+  for i = 0 to 199 do
+    Hashdb.insert h (key i) (value i)
+  done;
+  Alcotest.(check bool) "hash delete" true (Hashdb.delete h (key 5));
+  Alcotest.(check (option string)) "hash find" (Some (value 6)) (Hashdb.find h (key 6));
+  Hashdb.iter h (fun _ _ -> true)
+
+(* [exercise_access_methods] through guarded pagers from [open_pager];
+   the final [verify] covers views read after the last write. *)
+let run_guarded m open_pager =
+  let verifies = ref [] in
+  exercise_access_methods m (fun name ->
+      let p, verify = aliasing_guard (open_pager name) in
+      verifies := verify :: !verifies;
+      p);
+  List.iter (fun verify -> verify ()) !verifies
+
+let guarded_plain () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  run_guarded m (fun name -> Pager.plain v (v.Vfs.create name))
+
+let guarded_wal grain () =
+  let cfg = Tutil.small_config () in
+  let cfg = { cfg with Config.fs = { cfg.Config.fs with Config.lock_grain = grain } } in
+  let m, fs = Tutil.fresh_lfs ~cfg () in
+  let v = Lfs.vfs fs in
+  let env =
+    Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:64
+      ~log_path:"/wal.log" ()
+  in
+  let txn = Libtp.begin_txn env in
+  run_guarded m (fun name -> Pager.wal env txn (v.Vfs.create name));
+  Libtp.commit env txn
+
 (* db(3)-style unified facade ---------------------------------------------- *)
 
 let mk_db kind =
@@ -628,5 +800,14 @@ let () =
           Alcotest.test_case "persistence" `Quick test_hash_persistence;
           prop_hash_model;
           prop_hash_iteration;
+        ] );
+      ( "in-place pages",
+        [
+          prop_btree_inplace_pages;
+          Alcotest.test_case "plain pager views unmodified" `Quick guarded_plain;
+          Alcotest.test_case "wal page-grain views unmodified" `Quick
+            (guarded_wal `Page);
+          Alcotest.test_case "wal record-grain views unmodified" `Quick
+            (guarded_wal `Record);
         ] );
     ]

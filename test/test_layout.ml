@@ -178,6 +178,30 @@ let test_segment_geometry () =
   Alcotest.(check int) "segment 0 base" Layout.data_start (Layout.segment_base sb 0);
   Alcotest.(check int) "segment 3 base" (Layout.data_start + 192) (Layout.segment_base sb 3)
 
+(* Checksums are on disk: [checksum_sub] must equal summing a copied
+   range, and the values themselves must never move. *)
+let prop_checksum_sub =
+  Tutil.qtest "checksum_sub equals checksum of the copied range"
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 3000)) (pair (int_bound 3000) (int_bound 3000)))
+    (fun (s, (a, b)) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Layout.checksum_sub buf off len = Layout.checksum (Bytes.sub buf off len))
+
+let test_checksum_pinned () =
+  let small = Bytes.init 4096 (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+  (* Large enough that the unmasked sum passes 2^30. *)
+  let large = Bytes.init 65536 (fun i -> Char.chr ((i * i + 3 * i) land 0xff)) in
+  Alcotest.(check int) "4 KB buffer" 67151872 (Layout.checksum small);
+  Alcotest.(check int) "64 KB buffer" 4096000 (Layout.checksum large);
+  Alcotest.(check int) "sub range" (Layout.checksum (Bytes.sub large 4096 4096))
+    (Layout.checksum_sub large 4096 4096);
+  Alcotest.check_raises "range past the end" (Invalid_argument "Layout.checksum_sub")
+    (fun () -> ignore (Layout.checksum_sub small 4000 97))
+
 let () =
   Alcotest.run "layout"
     [
@@ -198,5 +222,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "corruption" `Quick test_checkpoint_corruption;
           Alcotest.test_case "checksum" `Quick test_checksum_sensitivity;
+          Alcotest.test_case "checksum values pinned" `Quick test_checksum_pinned;
+          prop_checksum_sub;
         ] );
     ]

@@ -547,6 +547,8 @@ let test_snapshot_survives_cleaning_pressure () =
        v.Vfs.fsync sfd
      done
    with Vfs.Error (Vfs.No_space, _) -> () (* acceptable under a snapshot *));
+  (* Segments freed under the snapshot stay out of the free count. *)
+  Lfs.check fs;
   let old = Lfs.snapshot_view fs snap in
   Tutil.check_bytes "snapshot data intact under cleaning pressure" precious
     (old.Vfs.read (old.Vfs.open_file "/precious") ~off:0 ~len:30_000);

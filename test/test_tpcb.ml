@@ -320,6 +320,65 @@ let test_lfs_scan_slower_after_random_updates () =
     (Printf.sprintf "LFS scan (%.3fs) slower than read-optimized (%.3fs)" lfs ffs)
     true (lfs > ffs)
 
+(* Pinned simulated results --------------------------------------------------- *)
+
+(* Small fixed-seed runs whose simulated outcome is pinned exactly: a
+   change that must not move simulated results (a refactor, a host-time
+   optimisation) fails here if it does. Only a change meant to move
+   simulated results may update these constants, and it must say so in
+   CHANGES.md. *)
+
+let pinned_cfg grain ~split_log =
+  let c = Config.scaled ~factor:0.2 Config.default in
+  let fs = { c.Config.fs with Config.lock_grain = grain } in
+  let fs = if split_log then { fs with Config.ndisks = 2; log_disk = true } else fs in
+  { c with Config.fs }
+
+let pinned_scale = { Tpcb.accounts = 2_000; tellers = 40; branches = 40 }
+
+(* Commits, simulated elapsed time and a digest of every latency, all
+   printed exactly ([%h] is the float's exact hexadecimal form). *)
+let fingerprint (r : Tpcb.result) =
+  let lat = Array.to_list (Array.map (Printf.sprintf "%h") r.Tpcb.latencies_s) in
+  Printf.sprintf "commits=%d elapsed=%h latencies=%s" r.Tpcb.txns r.Tpcb.elapsed_s
+    (Digest.to_hex (Digest.string (String.concat "," lat)))
+
+let check_pinned name expected (r : Tpcb.result) =
+  let got = fingerprint r in
+  if got <> expected then
+    Alcotest.failf
+      "%s: simulated results moved.\n  expected %s\n  got      %s\n\
+       Only a change meant to move simulated results may update this \
+       constant, and it must say so in CHANGES.md."
+      name expected got
+
+let test_pinned_kernel_page_mpl1 () =
+  let run =
+    Expcommon.run_tpcb ~config:(pinned_cfg `Page ~split_log:false) ~scale:pinned_scale
+      ~txns:300 ~seed:3 Expcommon.Lfs_kernel
+  in
+  check_pinned "lfs-kernel, page grain, MPL 1"
+    "commits=300 elapsed=0x1.732812aaccdc5p+3 latencies=3e8c97e8dafb7844414679bdd1df7834"
+    run.Expcommon.result
+
+let test_pinned_user_record_mpl4 () =
+  let run, _ =
+    Expcommon.run_tpcb_mpl ~config:(pinned_cfg `Record ~split_log:true)
+      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_user
+  in
+  check_pinned "LIBTP, record grain, 2+log, MPL 4"
+    "commits=300 elapsed=0x1.b1afb1ad0890dp+4 latencies=769b7b55ed255079e7104e341920141c"
+    run.Expcommon.result
+
+let test_pinned_kernel_record_mpl4 () =
+  let run, _ =
+    Expcommon.run_tpcb_mpl ~config:(pinned_cfg `Record ~split_log:false)
+      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_kernel
+  in
+  check_pinned "lfs-kernel, record grain, MPL 4"
+    "commits=300 elapsed=0x1.9449ca0952621p+3 latencies=3ed724775e774ee3646cca97eaf35501"
+    run.Expcommon.result
+
 let () =
   Alcotest.run "tx_tpcb"
     [
@@ -356,5 +415,14 @@ let () =
           Alcotest.test_case "scan" `Quick test_scan_counts_all_records;
           Alcotest.test_case "scan slower on LFS" `Quick
             test_lfs_scan_slower_after_random_updates;
+        ] );
+      ( "pinned simulated results",
+        [
+          Alcotest.test_case "lfs-kernel page grain mpl=1" `Quick
+            test_pinned_kernel_page_mpl1;
+          Alcotest.test_case "LIBTP record grain 2+log mpl=4" `Quick
+            test_pinned_user_record_mpl4;
+          Alcotest.test_case "lfs-kernel record grain mpl=4" `Quick
+            test_pinned_kernel_record_mpl4;
         ] );
     ]

@@ -768,6 +768,33 @@ let prop_multi_stream_crash_prefix =
       Libtp.commit env txn;
       !ok)
 
+(* The word-at-a-time page diff must find exactly the range a byte-by-
+   byte scan finds: it decides what every update record logs. *)
+let prop_diff_range =
+  let reference a b =
+    let n = Bytes.length a in
+    let lo = ref 0 in
+    while !lo < n && Bytes.get a !lo = Bytes.get b !lo do
+      incr lo
+    done;
+    if !lo = n then None
+    else begin
+      let hi = ref (n - 1) in
+      while Bytes.get a !hi = Bytes.get b !hi do
+        decr hi
+      done;
+      Some (!lo, !hi - !lo + 1)
+    end
+  in
+  Tutil.qtest ~count:500 "diff_range matches a byte-by-byte scan"
+    QCheck2.Gen.(
+      pair (int_range 0 200) (list_size (int_bound 4) (pair (int_bound 199) char)))
+    (fun (n, edits) ->
+      let a = Bytes.init n (fun i -> Char.chr (i land 0xff)) in
+      let b = Bytes.copy a in
+      List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+      Libtp.diff_range a b = reference a b)
+
 let () =
   Alcotest.run "tx_wal"
     [
@@ -796,6 +823,7 @@ let () =
           Alcotest.test_case "conflict outside a process fails" `Quick
             test_conflict_outside_process_fails;
           Alcotest.test_case "no-op write" `Quick test_no_op_write_logs_nothing;
+          prop_diff_range;
         ] );
       ( "pool",
         [
