@@ -57,22 +57,30 @@ let log_streams_arg =
 let with_disks ~ndisks ~log_disk ?(log_streams = 1) (c : Config.t) =
   { c with Config.fs = { c.Config.fs with Config.ndisks; log_disk; log_streams } }
 
+(* A list element may carry spaces around it ("--mpls '1, 8'"). *)
+let trimmed c =
+  Arg.conv ~docv:(Arg.conv_docv c)
+    ((fun s -> Arg.conv_parser c (String.trim s)), Arg.conv_printer c)
+
+let grain_conv =
+  Arg.enum (List.map (fun g -> (Mplsweep.grain_key g, g)) [ `Page; `Record ])
+
 let lock_grain_arg =
   let doc =
     "Two-phase locking granularity: $(b,page) (classic page locks) or \
      $(b,record) (hierarchical record locks with intention modes; see the \
      lock manager docs)."
   in
-  Arg.(value & opt string "page" & info [ "lock-grain" ] ~docv:"G" ~doc)
-
-let parse_grain s =
-  try Mplsweep.grain_of_string s
-  with Invalid_argument _ ->
-    prerr_endline ("unknown lock grain " ^ s ^ " (page, record)");
-    exit 2
+  Arg.(value & opt grain_conv `Page & info [ "lock-grain" ] ~docv:"G" ~doc)
 
 let with_grain grain (c : Config.t) =
   { c with Config.fs = { c.Config.fs with Config.lock_grain = grain } }
+
+let ints_arg name ~default ~doc =
+  Arg.(value & opt (list (trimmed int)) default & info [ name ] ~docv:"LIST" ~doc)
+
+let mpls_arg default =
+  ints_arg "mpls" ~default ~doc:"Comma-separated multiprogramming levels to sweep."
 
 let emit_bench ~name ~config json =
   let path = Expcommon.write_bench ~name ~config json in
@@ -120,16 +128,8 @@ let fig7_cmd =
     let f = Fig7.of_measurements ~fig4 ~fig6 in
     Fig7.print f;
     if json then
-      (* Figure 7 is derived; ship the source measurements (and their
-         metrics) alongside so the artifact stands on its own. *)
       emit_bench ~name:"fig7" ~config:fig4.Fig4.config
-        (Json.Obj
-           [
-             ("fig7", Fig7.to_json f);
-             ( "sources",
-               Json.Obj
-                 [ ("fig4", Fig4.to_json fig4); ("fig6", Fig6.to_json fig6) ] );
-           ])
+        (Fig7.artifact_json ~fig4 ~fig6 f)
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Figure 7: transaction/scan trade-off crossover")
@@ -166,15 +166,16 @@ let ablation_cmd =
     Term.(const run $ which $ scale_arg $ txns_arg 10_000)
 
 (* Ad hoc TPC-B *)
-let setup_arg =
-  let doc = "Configuration: readopt-user, lfs-user, or lfs-kernel." in
-  Arg.(value & opt string "lfs-kernel" & info [ "setup" ] ~docv:"SETUP" ~doc)
+let setups =
+  [
+    ("readopt-user", Expcommon.Readopt_user);
+    ("lfs-user", Expcommon.Lfs_user);
+    ("lfs-kernel", Expcommon.Lfs_kernel);
+  ]
 
-let parse_setup = function
-  | "readopt-user" -> Expcommon.Readopt_user
-  | "lfs-user" -> Expcommon.Lfs_user
-  | "lfs-kernel" -> Expcommon.Lfs_kernel
-  | s -> failwith ("unknown setup: " ^ s)
+let setup_arg ?(choices = setups) ~default () =
+  let doc = "Configuration: " ^ Arg.doc_alts_enum choices ^ "." in
+  Arg.(value & opt (enum choices) default & info [ "setup" ] ~docv:"SETUP" ~doc)
 
 let mpl_arg =
   let doc =
@@ -184,28 +185,26 @@ let mpl_arg =
   in
   Arg.(value & opt int 1 & info [ "mpl" ] ~docv:"N" ~doc)
 
+(* [--mpl] as {!Expcommon.run_tpcb} takes it: absent at 1. *)
+let sched_mpl_arg =
+  Term.(const (fun mpl -> if mpl > 1 then Some mpl else None) $ mpl_arg)
+
 let tpcb_cmd =
   let run setup scale txns seed mpl ndisks log_disk log_streams grain =
-    let setup = parse_setup setup in
     let config =
-      with_grain (parse_grain grain)
+      with_grain grain
         (with_disks ~ndisks ~log_disk ~log_streams
            (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
     in
     let r =
-      if mpl <= 1 then
-        Expcommon.run_tpcb ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
-          ~seed setup
-      else begin
-        let r, multi =
-          Expcommon.run_tpcb_mpl ~config ~scale:(Tpcb.scale_for_tps scale)
-            ~txns ~seed ~mpl setup
-        in
-        Printf.printf "mpl %d: %d lock block(s), %d deadlock(s), %d restart(s)\n"
-          mpl multi.Tpcb.conflicts multi.Tpcb.deadlocks multi.Tpcb.restarts;
-        r
-      end
+      Expcommon.run_tpcb ?mpl ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
+        ~seed setup
     in
+    Option.iter
+      (fun mpl ->
+        Printf.printf "mpl %d: %d lock block(s), %d deadlock(s), %d restart(s)\n"
+          mpl r.Expcommon.lock_blocks r.Expcommon.deadlocks r.Expcommon.restarts)
+      mpl;
     Printf.printf
       "%s: %d txns in %.1f simulated seconds = %.2f TPS (max latency %.3fs, \
        cleaner stall %.1fs)\n"
@@ -217,54 +216,38 @@ let tpcb_cmd =
   Cmd.v
     (Cmd.info "tpcb" ~doc:"Run TPC-B on one configuration and report TPS")
     Term.(
-      const run $ setup_arg $ scale_arg $ txns_arg 10_000 $ seed_arg $ mpl_arg
-      $ ndisks_arg $ log_disk_arg $ log_streams_arg $ lock_grain_arg)
+      const run
+      $ setup_arg ~default:Expcommon.Lfs_kernel ()
+      $ scale_arg $ txns_arg 10_000 $ seed_arg $ sched_mpl_arg $ ndisks_arg
+      $ log_disk_arg $ log_streams_arg $ lock_grain_arg)
 
 (* MPL x group-commit sweep on the discrete-event scheduler. *)
 let mplsweep_cmd =
-  let mpls_arg =
-    let doc = "Comma-separated multiprogramming levels to sweep." in
-    Arg.(value & opt string "1,2,4,8,16" & info [ "mpls" ] ~docv:"LIST" ~doc)
-  in
   let groups_arg =
     let doc =
       "Comma-separated group-commit configurations as size:timeout_ms pairs \
        (size 1 / timeout 0 forces every commit)."
     in
-    Arg.(value & opt string "1:0,4:50,8:100" & info [ "groups" ] ~docv:"LIST" ~doc)
-  in
-  let setup_arg =
-    (* lfs-user, not the shared default: record granularity changes
-       behaviour end to end only in the user-level system. *)
-    let doc = "Configuration: readopt-user, lfs-user, or lfs-kernel." in
-    Arg.(value & opt string "lfs-user" & info [ "setup" ] ~docv:"SETUP" ~doc)
+    (* Timeouts are given in milliseconds and held in seconds. *)
+    let ms =
+      Arg.conv
+        ( (fun s ->
+            Result.map (fun ms -> ms /. 1000.0) (Arg.conv_parser Arg.float s)),
+          fun ppf secs -> Format.fprintf ppf "%g" (secs *. 1000.0) )
+    in
+    Arg.(
+      value
+      & opt (list (trimmed (pair ~sep:':' int ms))) Mplsweep.default_groups
+      & info [ "groups" ] ~docv:"LIST" ~doc)
   in
   let grains_arg =
     let doc = "Comma-separated lock granularities to sweep (page, record)." in
-    Arg.(value & opt string "page,record" & info [ "grains" ] ~docv:"LIST" ~doc)
+    Arg.(
+      value
+      & opt (list (trimmed grain_conv)) Mplsweep.default_grains
+      & info [ "grains" ] ~docv:"LIST" ~doc)
   in
   let run setup scale txns seed mpls groups grains json ndisks log_disk =
-    let setup = parse_setup setup in
-    let parse_list name conv s =
-      List.map
-        (fun item ->
-          try conv (String.trim item)
-          with _ ->
-            prerr_endline ("mplsweep: bad " ^ name ^ " element: " ^ item);
-            exit 2)
-        (String.split_on_char ',' s)
-    in
-    let mpls = parse_list "mpls" int_of_string mpls in
-    let grains = parse_list "grains" Mplsweep.grain_of_string grains in
-    let groups =
-      parse_list "groups"
-        (fun item ->
-          match String.split_on_char ':' item with
-          | [ size; ms ] ->
-            (int_of_string size, float_of_string ms /. 1000.0)
-          | _ -> failwith "expected size:timeout_ms")
-        groups
-    in
     let config =
       with_disks ~ndisks ~log_disk
         (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default)
@@ -285,33 +268,17 @@ let mplsweep_cmd =
           granularity on the discrete-event scheduler and report TPS, commit \
           batch sizes, lock blocks and deadlocks")
     Term.(
-      const run $ setup_arg $ scale_arg $ txns_arg 2_000 $ seed_arg $ mpls_arg
+      (* lfs-user, not the shared default: record granularity changes
+         behaviour end to end only in the user-level system. *)
+      const run
+      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ scale_arg $ txns_arg 2_000 $ seed_arg
+      $ mpls_arg Mplsweep.default_mpls
       $ groups_arg $ grains_arg $ json_arg $ ndisks_arg $ log_disk_arg)
 
 (* Disk-placement sweep: dedicated log spindle and striped segments. *)
 let disksweep_cmd =
-  let mpls_arg =
-    let doc = "Comma-separated multiprogramming levels to sweep." in
-    Arg.(value & opt string "1,8" & info [ "mpls" ] ~docv:"LIST" ~doc)
-  in
-  (* Default to lfs-user: the WAL is where a dedicated log spindle pays
-     off. In lfs-kernel the LFS log IS the data, so the spindle only
-     carries checkpoints. *)
-  let setup_arg =
-    let doc = "Configuration: readopt-user, lfs-user, or lfs-kernel." in
-    Arg.(value & opt string "lfs-user" & info [ "setup" ] ~docv:"SETUP" ~doc)
-  in
   let run setup scale txns seed mpls json =
-    let setup = parse_setup setup in
-    let mpls =
-      List.map
-        (fun item ->
-          try int_of_string (String.trim item)
-          with _ ->
-            prerr_endline ("disksweep: bad mpl element: " ^ item);
-            exit 2)
-        (String.split_on_char ',' mpls)
-    in
     let s = Disksweep.run ~tps_scale:scale ~txns ~seed ~mpls ~setup () in
     Disksweep.print s;
     if json then
@@ -325,38 +292,22 @@ let disksweep_cmd =
           2- and 4-wide segment stripes — under TPC-B and report TPS and \
           per-disk utilization")
     Term.(
-      const run $ setup_arg $ scale_arg $ txns_arg 1_000 $ seed_arg $ mpls_arg
+      (* Default to lfs-user: the WAL is where a dedicated log spindle
+         pays off. In lfs-kernel the LFS log IS the data, so the spindle
+         only carries checkpoints. *)
+      const run
+      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ scale_arg $ txns_arg 1_000 $ seed_arg
+      $ mpls_arg Disksweep.default_mpls
       $ json_arg)
 
 (* Parallel-WAL sweep: log-stream count x MPL. *)
 let logsweep_cmd =
   let streams_arg =
-    let doc = "Comma-separated log-stream counts to sweep." in
-    Arg.(value & opt string "1,2,4" & info [ "streams" ] ~docv:"LIST" ~doc)
-  in
-  let mpls_arg =
-    let doc = "Comma-separated multiprogramming levels to sweep." in
-    Arg.(value & opt string "8,16" & info [ "mpls" ] ~docv:"LIST" ~doc)
-  in
-  let setup_arg =
-    (* lfs-user: the WAL (and so the stream count) only exists in the
-       user-level systems. *)
-    let doc = "Configuration: readopt-user or lfs-user." in
-    Arg.(value & opt string "lfs-user" & info [ "setup" ] ~docv:"SETUP" ~doc)
+    ints_arg "streams" ~default:Logsweep.default_streams
+      ~doc:"Comma-separated log-stream counts to sweep."
   in
   let run setup scale txns seed streams mpls json =
-    let setup = parse_setup setup in
-    let parse_list name s =
-      List.map
-        (fun item ->
-          try int_of_string (String.trim item)
-          with _ ->
-            prerr_endline ("logsweep: bad " ^ name ^ " element: " ^ item);
-            exit 2)
-        (String.split_on_char ',' s)
-    in
-    let streams = parse_list "streams" streams in
-    let mpls = parse_list "mpls" mpls in
     let s = Logsweep.run ~tps_scale:scale ~txns ~seed ~streams ~mpls ~setup () in
     Logsweep.print s;
     if json then
@@ -369,55 +320,32 @@ let logsweep_cmd =
           per stream) and report TPS, commit batching, cross-stream \
           dependency forces and per-stream force latency")
     Term.(
-      const run $ setup_arg $ scale_arg $ txns_arg 1_500 $ seed_arg
-      $ streams_arg $ mpls_arg $ json_arg)
+      (* The WAL (and so the stream count) only exists in the user-level
+         systems. *)
+      const run
+      $ setup_arg
+          ~choices:(List.filter (fun (_, s) -> s <> Expcommon.Lfs_kernel) setups)
+          ~default:Expcommon.Lfs_user ()
+      $ scale_arg $ txns_arg 1_500 $ seed_arg $ streams_arg
+      $ mpls_arg Logsweep.default_mpls
+      $ json_arg)
 
 let cleanersweep_cmd =
   let utils_arg =
-    let doc = "Comma-separated disk utilizations (percent) to sweep." in
-    Arg.(value & opt string "50,70,80,90" & info [ "utils" ] ~docv:"LIST" ~doc)
-  in
-  let mpls_arg =
-    let doc = "Comma-separated multiprogramming levels to sweep." in
-    Arg.(value & opt string "1,8" & info [ "mpls" ] ~docv:"LIST" ~doc)
+    ints_arg "utils" ~default:Cleanersweep.default_utils
+      ~doc:"Comma-separated disk utilizations (percent) to sweep."
   in
   let arms_arg =
-    let doc =
-      "Comma-separated cleaner arms: any of greedy, greedy+seg, \
-       cost-benefit, cost-benefit+seg."
+    let arms =
+      List.map (fun a -> (Cleanersweep.arm_key a, a)) Cleanersweep.default_arms
     in
+    let doc = "Comma-separated cleaner arms, each " ^ Arg.doc_alts_enum arms ^ "." in
     Arg.(
       value
-      & opt string "greedy,greedy+seg,cost-benefit,cost-benefit+seg"
+      & opt (list (trimmed (enum arms))) Cleanersweep.default_arms
       & info [ "arms" ] ~docv:"LIST" ~doc)
   in
   let run scale txns seed utils mpls arms json =
-    let parse_ints name s =
-      List.map
-        (fun item ->
-          try int_of_string (String.trim item)
-          with _ ->
-            prerr_endline ("cleanersweep: bad " ^ name ^ " element: " ^ item);
-            exit 2)
-        (String.split_on_char ',' s)
-    in
-    let utils = parse_ints "utils" utils in
-    let mpls = parse_ints "mpls" mpls in
-    let arms =
-      List.map
-        (fun item ->
-          match String.trim item with
-          | "greedy" -> { Cleanersweep.policy = `Greedy; segregate = false }
-          | "greedy+seg" -> { Cleanersweep.policy = `Greedy; segregate = true }
-          | "cost-benefit" ->
-            { Cleanersweep.policy = `Cost_benefit; segregate = false }
-          | "cost-benefit+seg" ->
-            { Cleanersweep.policy = `Cost_benefit; segregate = true }
-          | other ->
-            prerr_endline ("cleanersweep: bad arms element: " ^ other);
-            exit 2)
-        (String.split_on_char ',' arms)
-    in
     let s = Cleanersweep.run ~tps_scale:scale ~txns ~seed ~utils ~mpls ~arms () in
     Cleanersweep.print s;
     if json then
@@ -431,7 +359,8 @@ let cleanersweep_cmd =
           segregation under TPC-B (kernel-embedded setup) and report TPS, \
           cleaner stall p99 and per-victim write cost")
     Term.(
-      const run $ scale_arg $ txns_arg 1_000 $ seed_arg $ utils_arg $ mpls_arg
+      const run $ scale_arg $ txns_arg 1_000 $ seed_arg $ utils_arg
+      $ mpls_arg Cleanersweep.default_mpls
       $ arms_arg $ json_arg)
 
 (* Event tracing: run TPC-B with the trace ring attached and dump it. *)
@@ -448,20 +377,14 @@ let trace_cmd =
     Arg.(value & opt int 65_536 & info [ "cap" ] ~docv:"N" ~doc)
   in
   let run setup scale txns seed out cap mpl ndisks log_disk grain =
-    let setup = parse_setup setup in
     let config =
-      with_grain (parse_grain grain)
+      with_grain grain
         (with_disks ~ndisks ~log_disk
            (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
     in
     let r =
-      if mpl <= 1 then
-        Expcommon.run_tpcb ~trace:cap ~config
-          ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed setup
-      else
-        fst
-          (Expcommon.run_tpcb_mpl ~trace:cap ~config
-             ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed ~mpl setup)
+      Expcommon.run_tpcb ~trace:cap ?mpl ~config
+        ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed setup
     in
     match Stats.trace r.Expcommon.stats with
     | None -> prerr_endline "trace: no events captured"
@@ -482,449 +405,75 @@ let trace_cmd =
           as JSONL (one event per line, keyed by simulated time); --mpl \
           captures multi-process interleavings")
     Term.(
-      const run $ setup_arg $ scale_arg $ txns_arg 1_000 $ seed_arg $ out_arg
-      $ cap_arg $ mpl_arg $ ndisks_arg $ log_disk_arg $ lock_grain_arg)
+      const run
+      $ setup_arg ~default:Expcommon.Lfs_kernel ()
+      $ scale_arg $ txns_arg 1_000 $ seed_arg $ out_arg $ cap_arg
+      $ sched_mpl_arg $ ndisks_arg $ log_disk_arg $ lock_grain_arg)
 
-(* Schema check for BENCH_*.json artifacts (used by CI to reject empty or
-   malformed benchmark output). *)
+(* Rule check for BENCH_*.json artifacts (CI rejects empty, malformed or
+   shape-violating benchmark output). *)
 let bench_check_cmd =
   let files_arg =
     let doc = "BENCH_*.json files to validate." in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
   in
-  let rec collect key j acc =
-    match j with
-    | Json.Obj kvs ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let acc = if k = key then v :: acc else acc in
-          collect key v acc)
-        acc kvs
-    | Json.List l -> List.fold_left (fun acc v -> collect key v acc) acc l
-    | _ -> acc
-  in
   let check file =
-    let contents =
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let errors = ref [] in
-    let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-    (match Json.of_string_opt contents with
-    | None -> err "not valid JSON"
-    | Some doc ->
-      (match Json.member "meta" doc with
-      | None -> err "missing meta object"
-      | Some meta ->
-        (match Json.member "name" meta with
-        | Some (Json.Str n) when n <> "" -> ()
-        | _ -> err "meta.name missing or empty");
-        (match Json.member "config" meta with
-        | Some (Json.Obj (_ :: _)) -> ()
-        | _ -> err "meta.config missing or empty"));
-      if Json.member "data" doc = None then err "missing data object";
-      let counters =
-        List.concat_map
-          (function Json.Obj kvs -> kvs | _ -> [])
-          (collect "counters" doc [])
-      in
-      let nonzero =
-        List.exists (function _, Json.Int n -> n > 0 | _ -> false) counters
-      in
-      if counters = [] then err "no counters anywhere in the document"
-      else if not nonzero then err "all counters are zero";
-      let histos =
-        List.concat_map
-          (function Json.Obj kvs -> kvs | _ -> [])
-          (collect "histograms" doc [])
-      in
-      if histos = [] then err "no histograms anywhere in the document"
-      else
-        List.iter
-          (fun (name, h) ->
-            List.iter
-              (fun field ->
-                if Json.member field h = None then
-                  err "histogram %s missing field %s" name field)
-              [ "count"; "p50"; "p95"; "p99"; "max"; "buckets" ])
-          histos;
-      (* mplsweep artifacts additionally promise per-point sweep fields
-         and that group commit demonstrably batched once MPL and group
-         size allow it. *)
-      (match Json.member "meta" doc with
-      | Some meta when Json.member "name" meta = Some (Json.Str "mplsweep") -> (
-        let points =
-          match Json.member "data" doc with
-          | Some data -> (
-            match Json.member "points" data with
-            | Some (Json.List ps) -> ps
-            | _ -> [])
-          | None -> []
-        in
-        if points = [] then err "mplsweep: data.points missing or empty"
-        else begin
-          List.iter
-            (fun p ->
-              List.iter
-                (fun field ->
-                  if Json.member field p = None then
-                    err "mplsweep point missing field %s" field)
-                [
-                  "mpl";
-                  "group_size";
-                  "group_timeout_s";
-                  "lock_grain";
-                  "tps";
-                  "mean_commit_batch";
-                  "group_flushes";
-                  "lock_wait_p99_s";
-                ])
-            points;
-          let num = function
-            | Some (Json.Float f) -> f
-            | Some (Json.Int i) -> float_of_int i
-            | _ -> 0.0
-          in
-          let batching_possible =
-            List.exists
-              (fun p ->
-                num (Json.member "mpl" p) > 1.0
-                && num (Json.member "group_size" p) > 1.0)
-              points
-          in
-          let max_batch =
-            List.fold_left
-              (fun acc p -> Float.max acc (num (Json.member "mean_commit_batch" p)))
-              0.0 points
-          in
-          if batching_possible && max_batch <= 1.0 then
-            err
-              "mplsweep: no point achieved a mean commit batch > 1 despite \
-               MPL > 1 and group size > 1";
-          (* Where both endpoints exist for a grouped configuration (at
-             the same lock granularity — legacy artifacts carry none and
-             still match), MPL 8 must beat MPL 1. *)
-          List.iter
-            (fun p8 ->
-              if
-                num (Json.member "mpl" p8) = 8.0
-                && num (Json.member "group_size" p8) > 1.0
-              then
-                List.iter
-                  (fun p1 ->
-                    if
-                      num (Json.member "mpl" p1) = 1.0
-                      && Json.member "group_size" p1
-                         = Json.member "group_size" p8
-                      && Json.member "lock_grain" p1
-                         = Json.member "lock_grain" p8
-                      && num (Json.member "tps" p8)
-                         <= num (Json.member "tps" p1)
-                    then
-                      err
-                        "mplsweep: TPS at MPL 8 (%.2f) not above MPL 1 (%.2f) \
-                         for group size %g"
-                        (num (Json.member "tps" p8))
-                        (num (Json.member "tps" p1))
-                        (num (Json.member "group_size" p8)))
-                  points)
-            points;
-          (* Record granularity is the point of hierarchical locking:
-             where both grains were swept, record must out-run page at
-             MPL 16 (the contention end of the sweep). *)
-          let grain_at g p =
-            Json.member "lock_grain" p = Some (Json.Str g)
-            && num (Json.member "mpl" p) = 16.0
-          in
-          List.iter
-            (fun pr ->
-              if grain_at "record" pr then
-                List.iter
-                  (fun pp ->
-                    if
-                      grain_at "page" pp
-                      && Json.member "group_size" pp
-                         = Json.member "group_size" pr
-                      && num (Json.member "tps" pr)
-                         <= num (Json.member "tps" pp)
-                    then
-                      err
-                        "mplsweep: record-grain TPS at MPL 16 (%.2f) not \
-                         above page grain (%.2f) for group size %g"
-                        (num (Json.member "tps" pr))
-                        (num (Json.member "tps" pp))
-                        (num (Json.member "group_size" pr)))
-                  points)
-            points
-        end)
-      | _ -> ());
-      (* disksweep artifacts promise per-point placement fields, that the
-         dedicated log spindle and the stripe beat the shared single disk
-         at MPL 8, and that the stripe actually spreads the load. *)
-      (match Json.member "meta" doc with
-      | Some meta when Json.member "name" meta = Some (Json.Str "disksweep") ->
-        let points =
-          match Json.member "data" doc with
-          | Some data -> (
-            match Json.member "points" data with
-            | Some (Json.List ps) -> ps
-            | _ -> [])
-          | None -> []
-        in
-        if points = [] then err "disksweep: data.points missing or empty"
-        else begin
-          List.iter
-            (fun p ->
-              List.iter
-                (fun field ->
-                  if Json.member field p = None then
-                    err "disksweep point missing field %s" field)
-                [ "label"; "ndisks"; "log_disk"; "mpl"; "tps"; "disks" ])
-            points;
-          let num = function
-            | Some (Json.Float f) -> f
-            | Some (Json.Int i) -> float_of_int i
-            | _ -> 0.0
-          in
-          let at ~ndisks ~log_disk ~mpl =
-            List.find_opt
-              (fun p ->
-                num (Json.member "ndisks" p) = float_of_int ndisks
-                && Json.member "log_disk" p = Some (Json.Bool log_disk)
-                && num (Json.member "mpl" p) = float_of_int mpl)
-              points
-          in
-          let require_faster ~what a b =
-            if num (Json.member "tps" a) <= num (Json.member "tps" b) then
-              err "disksweep: TPS(%s) (%.2f) not above TPS(1 shared) (%.2f) \
-                   at MPL 8"
-                what
-                (num (Json.member "tps" a))
-                (num (Json.member "tps" b))
-          in
-          (match (at ~ndisks:1 ~log_disk:false ~mpl:8,
-                  at ~ndisks:1 ~log_disk:true ~mpl:8) with
-          | Some shared, Some dedicated ->
-            require_faster ~what:"1+log" dedicated shared
-          | _ -> ());
-          (match (at ~ndisks:1 ~log_disk:false ~mpl:8,
-                  at ~ndisks:4 ~log_disk:true ~mpl:8) with
-          | Some shared, Some stripe ->
-            require_faster ~what:"4+log" stripe shared
-          | _ -> ());
-          (* Per-disk busy times of a 4-wide stripe must lie within 2x of
-             each other — the round-robin layout has no hot spindle. *)
-          List.iter
-            (fun p ->
-              if num (Json.member "ndisks" p) = 4.0 then
-                match Json.member "disks" p with
-                | Some (Json.List ds) ->
-                  let busies =
-                    List.filter_map
-                      (fun d ->
-                        match Json.member "disk" d with
-                        | Some (Json.Str name) when name <> "disklog" ->
-                          Some (num (Json.member "busy_s" d))
-                        | _ -> None)
-                      ds
-                  in
-                  let hi = List.fold_left Float.max 0.0 busies in
-                  let lo = List.fold_left Float.min infinity busies in
-                  if busies <> [] && hi > 2.0 *. lo then
-                    err
-                      "disksweep: 4-disk stripe busy times unbalanced at MPL \
-                       %g (max %.2fs > 2x min %.2fs)"
-                      (num (Json.member "mpl" p))
-                      hi lo
-                | _ -> ())
-            points
-        end
-      | _ -> ());
-      (* logsweep artifacts promise per-point stream-sweep fields, that
-         parallel streams pay off at the contended end (4 streams beat 1
-         at MPL 16), and that every point carries its per-stream
-         force-latency p99. *)
-      (match Json.member "meta" doc with
-      | Some meta when Json.member "name" meta = Some (Json.Str "logsweep") ->
-        let points =
-          match Json.member "data" doc with
-          | Some data -> (
-            match Json.member "points" data with
-            | Some (Json.List ps) -> ps
-            | _ -> [])
-          | None -> []
-        in
-        if points = [] then err "logsweep: data.points missing or empty"
-        else begin
-          List.iter
-            (fun p ->
-              List.iter
-                (fun field ->
-                  if Json.member field p = None then
-                    err "logsweep point missing field %s" field)
-                [
-                  "streams";
-                  "mpl";
-                  "tps";
-                  "mean_commit_batch";
-                  "dep_checks";
-                  "dep_forces";
-                  "force_p99";
-                ];
-              (match Json.member "force_p99" p with
-              | Some (Json.List (_ :: _ as l)) ->
-                List.iter
-                  (fun entry ->
-                    if
-                      Json.member "stream" entry = None
-                      || Json.member "p99_s" entry = None
-                    then err "logsweep: force_p99 entry missing stream/p99_s")
-                  l
-              | Some (Json.List []) -> err "logsweep: force_p99 empty"
-              | _ -> ()))
-            points;
-          let num = function
-            | Some (Json.Float f) -> f
-            | Some (Json.Int i) -> float_of_int i
-            | _ -> 0.0
-          in
-          let at ~streams ~mpl =
-            List.find_opt
-              (fun p ->
-                num (Json.member "streams" p) = float_of_int streams
-                && num (Json.member "mpl" p) = float_of_int mpl)
-              points
-          in
-          match (at ~streams:1 ~mpl:16, at ~streams:4 ~mpl:16) with
-          | Some one, Some four ->
-            if num (Json.member "tps" four) <= num (Json.member "tps" one)
-            then
-              err
-                "logsweep: TPS(4 streams) (%.2f) not above TPS(1 stream) \
-                 (%.2f) at MPL 16"
-                (num (Json.member "tps" four))
-                (num (Json.member "tps" one))
-          | _ -> ()
-        end
-      | _ -> ());
-      (* cleanersweep artifacts promise per-point sweep fields, consistent
-         cleaner accounting (every cleaned segment observed exactly once),
-         and the headline claim: cost-benefit with segregation degrades
-         less from the emptiest to the fullest disk than greedy without,
-         at the contended end of the sweep (MPL 8). *)
-      (match Json.member "meta" doc with
-      | Some meta when Json.member "name" meta = Some (Json.Str "cleanersweep")
-        ->
-        let points =
-          match Json.member "data" doc with
-          | Some data -> (
-            match Json.member "points" data with
-            | Some (Json.List ps) -> ps
-            | _ -> [])
-          | None -> []
-        in
-        if points = [] then err "cleanersweep: data.points missing or empty"
-        else begin
-          let num = function
-            | Some (Json.Float f) -> f
-            | Some (Json.Int i) -> float_of_int i
-            | _ -> 0.0
-          in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun field ->
-                  if Json.member field p = None then
-                    err "cleanersweep point missing field %s" field)
-                [
-                  "util_pct";
-                  "mpl";
-                  "policy";
-                  "segregate";
-                  "tps";
-                  "stall_p99_s";
-                  "write_cost";
-                  "segments_cleaned";
-                  "cleans_observed";
-                ];
-              (* Dead-segment reclaims must still be observed: the clean
-                 histogram and the segment counter move in lock step. *)
-              let cleaned = num (Json.member "segments_cleaned" p) in
-              let observed = num (Json.member "cleans_observed" p) in
-              if cleaned <> observed then
-                err
-                  "cleanersweep: segments_cleaned (%g) != cleans_observed \
-                   (%g) at util %g%% mpl %g (%s)"
-                  cleaned observed
-                  (num (Json.member "util_pct" p))
-                  (num (Json.member "mpl" p))
-                  (match Json.member "arm" p with
-                  | Some (Json.Str a) -> a
-                  | _ -> "?"))
-            points;
-          let at ~policy ~segregate ~util ~mpl =
-            List.find_opt
-              (fun p ->
-                Json.member "policy" p = Some (Json.Str policy)
-                && Json.member "segregate" p = Some (Json.Bool segregate)
-                && num (Json.member "util_pct" p) = float_of_int util
-                && num (Json.member "mpl" p) = float_of_int mpl)
-              points
-          in
-          let utils =
-            List.sort_uniq compare
-              (List.map (fun p -> num (Json.member "util_pct" p)) points)
-          in
-          match (utils, List.rev utils) with
-          | lo :: _, hi :: _ when lo <> hi -> (
-            let lo = int_of_float lo and hi = int_of_float hi in
-            let retention ~policy ~segregate =
-              match
-                ( at ~policy ~segregate ~util:lo ~mpl:8,
-                  at ~policy ~segregate ~util:hi ~mpl:8 )
-              with
-              | Some plo, Some phi when num (Json.member "tps" plo) > 0.0 ->
-                Some
-                  (num (Json.member "tps" phi)
-                  /. num (Json.member "tps" plo))
-              | _ -> None
-            in
-            match
-              ( retention ~policy:"cost-benefit" ~segregate:true,
-                retention ~policy:"greedy" ~segregate:false )
-            with
-            | Some cb, Some greedy ->
-              if cb <= greedy then
-                err
-                  "cleanersweep: cost-benefit+seg keeps %.1f%% of its \
-                   %d%%-full TPS at %d%% full (MPL 8) — not above greedy's \
-                   %.1f%%"
-                  (100.0 *. cb) lo hi (100.0 *. greedy)
-            | _ -> ())
-          | _ -> ()
-        end
-      | _ -> ()));
-    match !errors with
+    match Benchcheck.check_file file with
     | [] ->
       Printf.printf "%s: ok\n" file;
       true
     | es ->
-      List.iter (fun e -> Printf.printf "%s: %s\n" file e) (List.rev es);
+      List.iter (fun e -> Printf.printf "%s: %s\n" file e) es;
       false
   in
   let run files =
     let ok = List.fold_left (fun acc f -> check f && acc) true files in
     if not ok then exit 1
   in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Every artifact needs the meta/data envelope (meta.name, a non-empty \
+         meta.config, data), at least one non-zero counter, and histograms \
+         carrying count, p50, p95, p99, max and buckets.";
+      `P
+        "The experiment named in meta.name then checks its data block with \
+         the $(b,check) function its module in lib/experiments exports. \
+         The sweeps also require their per-point fields.";
+      `I
+        ( "fig4",
+          "every bar's TPS positive; LFS/user TPS above read-optimized; \
+           kernel above 0.85 x user." );
+      `I ("fig5", "every benchmark's |delta_pct| below 2.");
+      `I
+        ( "fig6",
+          "LFS scan slower than read-optimized; read-optimized contiguity \
+           above 0.95." );
+      `I ("fig7", "a crossover exists.");
+      `I
+        ( "mplsweep",
+          "mean commit batch > 1 somewhere once MPL and group size allow it; \
+           TPS at MPL 8 above MPL 1; record grain above page grain at MPL 16." );
+      `I
+        ( "disksweep",
+          "1+log and 4+log above the shared disk at MPL 8; the 4-wide \
+           stripe's busy times within 2x." );
+      `I
+        ( "logsweep",
+          "4 streams above 1 at MPL 16; every point's force_p99 entries \
+           name a stream and its p99_s." );
+      `I
+        ( "cleanersweep",
+          "segments_cleaned = cleans_observed; at MPL 8, cost-benefit+seg \
+           keeps more of its lowest-utilization TPS at the highest \
+           utilization than greedy." );
+    ]
+  in
+  let exits = Cmd.Exit.info 1 ~doc:"on any violation." :: Cmd.Exit.defaults in
   Cmd.v
-    (Cmd.info "bench-check"
-       ~doc:
-         "Validate BENCH_*.json artifacts: schema envelope present, at least \
-          one non-zero counter, and every histogram carries count and \
-          p50/p95/p99/max")
+    (Cmd.info "bench-check" ~man ~exits
+       ~doc:"Validate BENCH_*.json artifacts against their experiment's rules")
     Term.(const run $ files_arg)
 
 (* LFS inspection: build a small fs, exercise it, dump segment usage. *)
@@ -1035,7 +584,7 @@ let faultsim_cmd =
     Arg.(value & flag & info [ "verbose" ] ~doc)
   in
   let run backend workload txns seed points crash_point verbose mpl ndisks
-      log_disk log_streams grain =
+      log_disk log_streams lock_grain =
     let usage msg =
       prerr_endline ("txnlfs faultsim: " ^ msg);
       exit 2
@@ -1055,7 +604,6 @@ let faultsim_cmd =
         ( Sweep.run_one_tpcb ~ndisks ~log_disk ~log_streams,
           Sweep.sweep_tpcb ~ndisks ~log_disk ~log_streams )
       | "tpcb", _ ->
-        let lock_grain = parse_grain grain in
         ( (fun backend ~seed ~txns ?crash_point () ->
             Sweep.run_one_tpcb_mpl ~ndisks ~log_disk ~log_streams ~lock_grain
               backend ~seed ~txns ~mpl ?crash_point ()),
@@ -1064,7 +612,7 @@ let faultsim_cmd =
               ~lock_grain backend ~seed ~txns ~mpl ~points )
       | w, _ -> usage ("unknown workload " ^ w ^ " (pages, tpcb)")
     in
-    if parse_grain grain = `Record && (workload <> "tpcb" || mpl = 1) then
+    if lock_grain = `Record && (workload <> "tpcb" || mpl = 1) then
       usage "--lock-grain record applies to the tpcb workload at --mpl > 1";
     match crash_point with
     | Some p ->

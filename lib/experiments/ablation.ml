@@ -154,17 +154,16 @@ let multiprogramming ?config ?(tps_scale = 4) ?(txns = 8_000) () =
   let config = base_config config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let row mpl =
-    let r, multi =
-      Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed:1 ~mpl
-        Expcommon.Lfs_kernel
+    let r =
+      Expcommon.run_tpcb ~config ~scale ~txns ~seed:1 ~mpl Expcommon.Lfs_kernel
     in
     {
       label = Printf.sprintf "multiprogramming level %d" mpl;
       tps = r.Expcommon.result.Tpcb.tps;
       max_latency_s = r.Expcommon.result.Tpcb.max_latency_s;
       note =
-        Printf.sprintf "%d lock blocks, %d deadlocks" multi.Tpcb.conflicts
-          multi.Tpcb.deadlocks;
+        Printf.sprintf "%d lock blocks, %d deadlocks" r.Expcommon.lock_blocks
+          r.Expcommon.deadlocks;
     }
   in
   {

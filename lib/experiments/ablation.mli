@@ -40,7 +40,7 @@ val multiprogramming :
   ?config:Config.t -> ?tps_scale:int -> ?txns:int -> unit -> t
 (** TPC-B throughput, worst latency, lock blocks and deadlocks of the
     embedded manager at multiprogramming levels 1, 2 and 4, each on the
-    discrete-event scheduler ({!Expcommon.run_tpcb_mpl}). The paper
+    discrete-event scheduler ({!Expcommon.run_tpcb} with [~mpl]). The paper
     expected "only marginally" more throughput from a higher level; here
     throughput rises well above that (5.82 / 7.70 / 10.09 TPS at
     [~tps_scale:1 ~txns:500]) while lock blocks and the worst latency

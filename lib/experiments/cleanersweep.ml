@@ -126,14 +126,11 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
                 in
                 let cfg = { base with Config.fs } in
                 let prepare = prefill ~util_pct in
+                (* MPL 1 runs inline, as the paper measured. *)
                 let run =
-                  if mpl <= 1 then
-                    Expcommon.run_tpcb ~prepare ~config:cfg ~scale ~txns ~seed
-                      Expcommon.Lfs_kernel
-                  else
-                    fst
-                      (Expcommon.run_tpcb_mpl ~prepare ~config:cfg ~scale ~txns
-                         ~seed ~mpl Expcommon.Lfs_kernel)
+                  Expcommon.run_tpcb ~prepare
+                    ?mpl:(if mpl > 1 then Some mpl else None)
+                    ~config:cfg ~scale ~txns ~seed Expcommon.Lfs_kernel
                 in
                 let stats = run.Expcommon.stats in
                 let moved = Stats.count stats "cleaner.blocks_moved" in
@@ -190,13 +187,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "cleanersweep");
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
     ]
@@ -236,3 +227,73 @@ let print t =
         | _ -> ())
       (List.sort_uniq compare (List.map (fun p -> p.arm) t.points))
   | _ -> ()
+
+(* Cleaner accounting must be consistent — every cleaned segment,
+   dead-segment reclaims included, observed exactly once by the clean
+   histogram — and the headline claim must hold: at the contended end of
+   the sweep (MPL 8), cost-benefit with segregation keeps more of its
+   emptiest-disk throughput at the fullest disk than greedy without. *)
+let check =
+  Expcommon.check_sweep ~name:"cleanersweep"
+    ~fields:
+      [
+        "util_pct";
+        "mpl";
+        "policy";
+        "segregate";
+        "tps";
+        "stall_p99_s";
+        "write_cost";
+        "segments_cleaned";
+        "cleans_observed";
+      ]
+    (fun points ->
+      let num = Expcommon.num in
+      let accounting p =
+        let cleaned = num "segments_cleaned" p in
+        let observed = num "cleans_observed" p in
+        if cleaned <> observed then
+          [
+            Printf.sprintf
+              "cleanersweep: segments_cleaned (%g) != cleans_observed (%g) at \
+               util %g%% mpl %g (%s)"
+              cleaned observed (num "util_pct" p) (num "mpl" p)
+              (match Json.member "arm" p with
+              | Some (Json.Str a) -> a
+              | _ -> "?");
+          ]
+        else []
+      in
+      let utils = List.sort_uniq compare (List.map (num "util_pct") points) in
+      let retention =
+        match (utils, List.rev utils) with
+        | lo :: _, hi :: _ when lo <> hi -> (
+          let kept policy segregate =
+            let at util =
+              Expcommon.find_point
+                [
+                  ("policy", Json.Str policy);
+                  ("segregate", Json.Bool segregate);
+                  ("util_pct", Json.Float util);
+                  ("mpl", Json.Int 8);
+                ]
+                points
+            in
+            match (at lo, at hi) with
+            | Some plo, Some phi when num "tps" plo > 0.0 ->
+              Some (num "tps" phi /. num "tps" plo)
+            | _ -> None
+          in
+          match (kept "cost-benefit" true, kept "greedy" false) with
+          | Some cb, Some greedy when cb <= greedy ->
+            [
+              Printf.sprintf
+                "cleanersweep: cost-benefit+seg keeps %.1f%% of its %d%%-full \
+                 TPS at %d%% full (MPL 8) — not above greedy's %.1f%%"
+                (100.0 *. cb) (int_of_float lo) (int_of_float hi)
+                (100.0 *. greedy);
+            ]
+          | _ -> [])
+        | _ -> []
+      in
+      List.concat_map accounting points @ retention)

@@ -49,6 +49,9 @@ val default_mpls : int list
 val default_arms : arm list
 (** Both policies, each with and without segregation. *)
 
+val arm_key : arm -> string
+(** [greedy], [greedy+seg], [cost-benefit] or [cost-benefit+seg]. *)
+
 val run :
   ?tps_scale:int ->
   ?txns:int ->
@@ -62,5 +65,12 @@ val run :
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_cleanersweep.json]; every point carries
     the machine's full stats. *)
+
+val check : Json.t -> string list
+(** The rules a [BENCH_cleanersweep.json] data block must satisfy: every
+    point carries the sweep fields and [segments_cleaned =
+    cleans_observed]; and where MPL-8 points of both arms exist at the
+    lowest and highest swept utilization, cost-benefit+seg retains a
+    larger share of its lowest-utilization TPS than greedy does. *)
 
 val print : t -> unit

@@ -21,7 +21,6 @@ type point = {
   log_disk : bool;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   disks : disk_stat list;
 }
 
@@ -96,13 +95,13 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
               }
             in
             let cfg = { base with Config.fs } in
-            let run, multi =
-              Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl setup
+            let run =
+              Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed ~mpl setup
             in
             let disks =
               List.map (disk_stat run.Expcommon.stats) (prefixes cfg)
             in
-            { label; ndisks; log_disk; mpl; run; multi; disks })
+            { label; ndisks; log_disk; mpl; run; disks })
           mpls)
       setups
   in
@@ -131,9 +130,9 @@ let point_json p =
       ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
       ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
       ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
+      ("lock_blocks", Json.Int p.run.Expcommon.lock_blocks);
+      ("deadlocks", Json.Int p.run.Expcommon.deadlocks);
+      ("restarts", Json.Int p.run.Expcommon.restarts);
       ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
       ("disks", Json.List (List.map disk_stat_json p.disks));
       ("stats", Stats.to_json p.run.Expcommon.stats);
@@ -144,13 +143,7 @@ let to_json t =
     [
       ("figure", Json.Str "disksweep");
       ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
     ]
@@ -186,3 +179,57 @@ let print t =
            /. shared.run.Expcommon.result.Tpcb.tps)
          -. 1.0))
   | _ -> ()
+
+(* The dedicated log spindle and the 4-wide stripe must beat the shared
+   single disk at MPL 8, and the stripe must actually spread the load:
+   the per-disk busy times of a 4-wide stripe lie within 2x of each
+   other, since the round-robin layout has no hot spindle. *)
+let check =
+  Expcommon.check_sweep ~name:"disksweep"
+    ~fields:[ "label"; "ndisks"; "log_disk"; "mpl"; "tps"; "disks" ]
+    (fun points ->
+      let num = Expcommon.num in
+      let at ndisks log_disk =
+        Expcommon.find_point
+          [
+            ("ndisks", Json.Int ndisks);
+            ("log_disk", Json.Bool log_disk);
+            ("mpl", Json.Int 8);
+          ]
+          points
+      in
+      let faster what placement =
+        match (at 1 false, placement) with
+        | Some shared, Some p when num "tps" p <= num "tps" shared ->
+          [
+            Printf.sprintf
+              "disksweep: TPS(%s) (%.2f) not above TPS(1 shared) (%.2f) at \
+               MPL 8"
+              what (num "tps" p) (num "tps" shared);
+          ]
+        | _ -> []
+      in
+      let balanced p =
+        let busies =
+          List.filter_map
+            (fun d ->
+              match Json.member "disk" d with
+              | Some (Json.Str name) when name <> "disklog" ->
+                Some (num "busy_s" d)
+              | _ -> None)
+            (Expcommon.points ~key:"disks" p)
+        in
+        let hi = List.fold_left Float.max 0.0 busies in
+        let lo = List.fold_left Float.min infinity busies in
+        if num "ndisks" p = 4.0 && busies <> [] && hi > 2.0 *. lo then
+          [
+            Printf.sprintf
+              "disksweep: 4-disk stripe busy times unbalanced at MPL %g (max \
+               %.2fs > 2x min %.2fs)"
+              (num "mpl" p) hi lo;
+          ]
+        else []
+      in
+      faster "1+log" (at 1 true)
+      @ faster "4+log" (at 4 true)
+      @ List.concat_map balanced points)

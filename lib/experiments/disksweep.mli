@@ -26,7 +26,6 @@ type point = {
   log_disk : bool;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   disks : disk_stat list;  (** one entry per spindle, data then log *)
 }
 
@@ -58,5 +57,11 @@ val to_json : t -> Json.t
 (** The [data] block of [BENCH_disksweep.json]; every point carries its
     per-disk busy/seek summary and the machine's full stats (including
     the per-spindle seek histograms). *)
+
+val check : Json.t -> string list
+(** The rules a [BENCH_disksweep.json] data block must satisfy: every
+    point carries the placement fields; TPS of 1+log and of 4+log beat
+    the shared single disk at MPL 8; and the data spindles of a 4-wide
+    stripe have busy times within 2x of each other. *)
 
 val print : t -> unit

@@ -43,6 +43,9 @@ type tpcb_run = {
   setup : setup;
   seed : int;
   result : Tpcb.result;
+  lock_blocks : int;
+  deadlocks : int;
+  restarts : int;
   cleaner_stall_s : float;
   cleaner_max_stall_s : float;
   stats : Stats.t;
@@ -52,106 +55,69 @@ type tpcb_run = {
    window: experiments use it to shape the disk (e.g. prefill to a target
    utilization for cleaner studies). It receives the machine, the data
    file system's VFS, and the LFS handle when the setup has one. *)
-let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns ~seed
-    setup =
+let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ?mpl ~config ~scale ~txns
+    ~seed setup =
   (* Only the kernel-embedded setup leaves the log spindle (if any) free
      of a file system, so only there may the LFS checkpoint region use it. *)
   let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
   (match trace with
   | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
   | None -> ());
+  (* With [mpl], attach the discrete-event scheduler before any component
+     boots, so subsystems discover it via [Sched.of_clock] and take their
+     blocking paths once inside worker processes. Setup itself runs
+     outside any process, where nothing waits. *)
+  let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
   let vfs, backend, lfs =
     match setup with
     | Readopt_user ->
       let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
       let v = Ffs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
+      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
       let env = wal_env m v ~pool_pages in
       (v, Tpcb.User env, None)
     | Lfs_user ->
       let fs = Lfs.format m.disks m.clock m.stats m.cfg in
       let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
+      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
       let env = wal_env m v ~pool_pages in
       (v, Tpcb.User env, Some fs)
     | Lfs_kernel ->
       let fs = Lfs.format m.disks m.clock m.stats m.cfg in
       let v = Lfs.vfs fs in
       let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
       let k = Ktxn.create fs in
       Tpcb.protect_all db k;
       (v, Tpcb.Kernel k, Some fs)
   in
   (match prepare with Some f -> f m vfs lfs | None -> ());
+  (match (sched, lfs) with
+  | Some _, Some fs -> Lfs.start_background fs
+  | _ -> ());
   let db = Tpcb.open_db vfs ~scale in
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
   let stall0 = Stats.time m.stats "cleaner.stall" in
-  let result = Tpcb.run m.clock m.stats m.cfg db backend ~rng ~n:txns in
+  let result, lock_blocks, deadlocks, restarts =
+    match mpl with
+    | None -> (Tpcb.run m.clock m.stats m.cfg db backend ~rng ~n:txns, 0, 0, 0)
+    | Some mpl ->
+      let r = Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl in
+      (r.Tpcb.base, r.Tpcb.conflicts, r.Tpcb.deadlocks, r.Tpcb.restarts)
+  in
+  Option.iter Sched.detach sched;
   {
     setup;
     seed;
     result;
+    lock_blocks;
+    deadlocks;
+    restarts;
     cleaner_stall_s = Stats.time m.stats "cleaner.stall" -. stall0;
     cleaner_max_stall_s = Stats.max_of m.stats "cleaner.max_stall";
     stats = m.stats;
   }
-
-let run_tpcb_mpl ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns
-    ~seed ~mpl setup =
-  let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
-  (match trace with
-  | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
-  | None -> ());
-  (* Attach the discrete-event scheduler before any component boots, so
-     subsystems discover it via [Sched.of_clock] and take their blocking
-     paths once inside worker processes. Setup itself runs outside any
-     process, where nothing waits. *)
-  let sched = Sched.create m.clock in
-  let rng = Rng.create ~seed in
-  let vfs, backend, lfs =
-    match setup with
-    | Readopt_user ->
-      let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
-      let v = Ffs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, None)
-    | Lfs_user ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, Some fs)
-    | Lfs_kernel ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      let k = Ktxn.create fs in
-      Tpcb.protect_all db k;
-      (v, Tpcb.Kernel k, Some fs)
-  in
-  (match prepare with Some f -> f m vfs lfs | None -> ());
-  (match lfs with Some fs -> Lfs.start_background fs | None -> ());
-  let db = Tpcb.open_db vfs ~scale in
-  let stall0 = Stats.time m.stats "cleaner.stall" in
-  let multi =
-    Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl
-  in
-  Sched.detach sched;
-  ( {
-      setup;
-      seed;
-      result = multi.Tpcb.base;
-      cleaner_stall_s = Stats.time m.stats "cleaner.stall" -. stall0;
-      cleaner_max_stall_s = Stats.max_of m.stats "cleaner.max_stall";
-      stats = m.stats;
-    },
-    multi )
 
 let mean xs =
   match xs with
@@ -266,6 +232,14 @@ let write_bench ~name ~config data =
   close_out oc;
   path
 
+let scale_json (s : Tpcb.scale) =
+  Json.Obj
+    [
+      ("accounts", Json.Int s.Tpcb.accounts);
+      ("tellers", Json.Int s.Tpcb.tellers);
+      ("branches", Json.Int s.Tpcb.branches);
+    ]
+
 let tpcb_run_json (r : tpcb_run) =
   Json.Obj
     [
@@ -279,3 +253,35 @@ let tpcb_run_json (r : tpcb_run) =
       ("cleaner_max_stall_s", Json.Float r.cleaner_max_stall_s);
       ("stats", Stats.to_json r.stats);
     ]
+
+(* Artifact rules ------------------------------------------------------------ *)
+
+let points ?(key = "points") data =
+  match Json.member key data with Some (Json.List ps) -> ps | _ -> []
+
+let num key p =
+  Option.value ~default:0.0 (Option.bind (Json.member key p) Json.to_float_opt)
+
+let missing_fields what fields p =
+  List.filter_map
+    (fun f ->
+      if Json.member f p = None then
+        Some (Printf.sprintf "%s missing field %s" what f)
+      else None)
+    fields
+
+let matches fields p =
+  List.for_all
+    (fun (key, v) ->
+      match (Json.member key p, Json.to_float_opt v) with
+      | Some found, Some x -> Json.to_float_opt found = Some x
+      | found, _ -> found = Some v)
+    fields
+
+let find_point fields points = List.find_opt (matches fields) points
+
+let check_sweep ~name ~fields rules data =
+  match points data with
+  | [] -> [ name ^ ": data.points missing or empty" ]
+  | ps ->
+    List.concat_map (missing_fields (name ^ " point") fields) ps @ rules ps

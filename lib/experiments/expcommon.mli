@@ -30,6 +30,9 @@ type tpcb_run = {
   setup : setup;
   seed : int;
   result : Tpcb.result;
+  lock_blocks : int;  (** times a process parked on a lock (0 inline) *)
+  deadlocks : int;  (** transactions aborted by deadlock detection *)
+  restarts : int;  (** deadlock victims retried *)
   cleaner_stall_s : float;  (** total time the system stalled cleaning *)
   cleaner_max_stall_s : float;
   stats : Stats.t;  (** the machine's stats — counters, histograms, trace *)
@@ -39,6 +42,7 @@ val run_tpcb :
   ?pool_pages:int ->
   ?trace:int ->
   ?prepare:(machine -> Vfs.t -> Lfs.t option -> unit) ->
+  ?mpl:int ->
   config:Config.t ->
   scale:Tpcb.scale ->
   txns:int ->
@@ -46,30 +50,16 @@ val run_tpcb :
   setup ->
   tpcb_run
 (** Boot a fresh machine, build the database, run [txns] transactions,
-    and report throughput plus cleaner interference. [?trace] attaches an
+    and report throughput plus cleaner interference. Without [?mpl] the
+    transactions run inline ({!Tpcb.run}); with [~mpl:n] (even [n = 1])
+    the machine boots with a {!Sched} attached to its clock, the LFS
+    syncer/cleaner run as background processes, and [n] worker processes
+    drive the workload ({!Tpcb.run_sched}). [?trace] attaches an
     event-trace ring of that capacity to the machine's stats before the
     run; retrieve it via [Stats.trace run.stats]. [?prepare] runs after
     the database is built but before the measured window — experiments
     use it to shape the disk (e.g. prefill to a target utilization for
     cleaner studies); it gets the LFS handle when the setup has one. *)
-
-val run_tpcb_mpl :
-  ?pool_pages:int ->
-  ?trace:int ->
-  ?prepare:(machine -> Vfs.t -> Lfs.t option -> unit) ->
-  config:Config.t ->
-  scale:Tpcb.scale ->
-  txns:int ->
-  seed:int ->
-  mpl:int ->
-  setup ->
-  tpcb_run * Tpcb.multi_result
-(** Like {!run_tpcb} but at multiprogramming level [mpl] on the
-    discrete-event scheduler: boots the machine with a {!Sched} attached
-    to its clock, starts the LFS syncer/cleaner as background processes,
-    and drives the workload with [Tpcb.run_sched]. The [tpcb_run] mirrors
-    {!run_tpcb}'s shape; the [multi_result] adds lock blocks, deadlocks
-    and restarts. *)
 
 val mean : float list -> float
 val stdev : float list -> float
@@ -94,7 +84,45 @@ val write_bench : name:string -> config:Config.t -> Json.t -> string
 (** Write [BENCH_<name>.json] (pretty-printed) into [$BENCH_DIR] (or the
     current directory) and return the path. *)
 
+val scale_json : Tpcb.scale -> Json.t
+(** The TPC-B relation sizes: [{accounts; tellers; branches}]. *)
+
 val tpcb_run_json : tpcb_run -> Json.t
 (** One TPC-B run: throughput, cleaner interference, and the machine's
     full stats (counters + histograms, including the [tpcb.txn] latency
     histogram). *)
+
+(** {2 Artifact rules}
+
+    Helpers for the [check] function every experiment exports over the
+    [data] block of its [BENCH_*.json] artifact. A check returns one
+    message per violated rule, [[]] when the artifact holds. *)
+
+val points : ?key:string -> Json.t -> Json.t list
+(** The list under [key] (default ["points"]) of a data block; [[]] if it
+    is absent or not a list. *)
+
+val num : string -> Json.t -> float
+(** Numeric field [key] of an object; [0.0] if absent or not a number. *)
+
+val missing_fields : string -> string list -> Json.t -> string list
+(** [missing_fields what fields p]: ["<what> missing field <f>"] for every
+    [f] of [fields] absent from [p]. *)
+
+val matches : (string * Json.t) list -> Json.t -> bool
+(** [matches fields p]: [p] carries every [(key, value)] of [fields].
+    Numbers compare by value, whether [Int] or [Float]. *)
+
+val find_point : (string * Json.t) list -> Json.t list -> Json.t option
+(** The first point that {!matches} [fields]. *)
+
+val check_sweep :
+  name:string ->
+  fields:string list ->
+  (Json.t list -> string list) ->
+  Json.t ->
+  string list
+(** [check_sweep ~name ~fields rules data]: a sweep's [data.points] must
+    be non-empty (["<name>: data.points missing or empty"]), every point
+    must carry [fields] (["<name> point missing field <f>"]), and then
+    [rules points] must hold. *)

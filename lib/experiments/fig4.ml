@@ -57,13 +57,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "fig4");
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ( "bars",
         Json.List
@@ -108,3 +102,47 @@ let print t =
       (100.0 *. ((lu.tps_mean /. ro.tps_mean) -. 1.0))
       (100.0 *. ((lk.tps_mean /. lu.tps_mean) -. 1.0))
   | _ -> ()
+
+(* The paper's shape: every system commits transactions, user-level LFS
+   beats the read-optimized system, and the embedded manager keeps up with
+   user level (within 15 %). *)
+let check data =
+  let num = Expcommon.num in
+  let bar setup =
+    Expcommon.find_point
+      [ ("setup", Json.Str (Expcommon.setup_key setup)) ]
+      (Expcommon.points ~key:"bars" data)
+  in
+  match
+    (bar Expcommon.Readopt_user, bar Expcommon.Lfs_user, bar Expcommon.Lfs_kernel)
+  with
+  | Some ro, Some lu, Some lk ->
+    let tps = num "tps_mean" in
+    List.filter_map
+      (fun (setup, b) ->
+        if tps b > 0.0 then None
+        else
+          Some
+            (Printf.sprintf "fig4: %s TPS (%.2f) not positive"
+               (Expcommon.setup_key setup) (tps b)))
+      [
+        (Expcommon.Readopt_user, ro);
+        (Expcommon.Lfs_user, lu);
+        (Expcommon.Lfs_kernel, lk);
+      ]
+    @ (if tps lu > tps ro then []
+       else
+         [
+           Printf.sprintf
+             "fig4: LFS/user TPS (%.2f) not above read-optimized (%.2f)"
+             (tps lu) (tps ro);
+         ])
+    @
+    if tps lk > 0.85 *. tps lu then []
+    else
+      [
+        Printf.sprintf
+          "fig4: kernel TPS (%.2f) not above 0.85 x LFS/user (%.2f)" (tps lk)
+          (tps lu);
+      ]
+  | _ -> [ "fig4: data.bars must hold ffs-user, lfs-user and lfs-kernel" ]

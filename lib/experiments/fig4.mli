@@ -38,4 +38,9 @@ val to_json : t -> Json.t
 (** Machine-readable form: bars with per-seed runs, each carrying the
     machine's full stats (counters and latency histograms). *)
 
+val check : Json.t -> string list
+(** The paper's shape, checked on a [BENCH_fig4.json] data block: every
+    bar's TPS positive, LFS/user TPS above read-optimized, and kernel TPS
+    above 0.85 x LFS/user. *)
+
 val print : t -> unit

@@ -107,3 +107,22 @@ let print t =
       Printf.printf "%-12s %14.1f %18.1f %+9.2f%% %12s\n" r.benchmark
         r.normal_s r.txn_kernel_s r.delta_pct "within 1-2%")
     t.rows
+
+(* The paper's shape: the embedded manager costs non-transaction work
+   within 1-2 %. *)
+let check data =
+  match Expcommon.points ~key:"rows" data with
+  | [] -> [ "fig5: data.rows missing or empty" ]
+  | rows ->
+    List.filter_map
+      (fun r ->
+        let d = Expcommon.num "delta_pct" r in
+        if Float.abs d < 2.0 then None
+        else
+          Some
+            (Printf.sprintf "fig5: %s differs by %+.2f%% between kernels (limit 2%%)"
+               (match Json.member "benchmark" r with
+               | Some (Json.Str b) -> b
+               | _ -> "?")
+               d))
+      rows

@@ -21,3 +21,7 @@ type t = { rows : row list; config : Config.t }
 val run : ?config:Config.t -> ?tps_scale:int -> unit -> t
 val to_json : t -> Json.t
 val print : t -> unit
+
+val check : Json.t -> string list
+(** The paper's shape, checked on a [BENCH_fig5.json] data block: every
+    benchmark's [|delta_pct|] is below 2. *)

@@ -92,3 +92,23 @@ let print t =
     "\nshape: LFS scan / read-optimized scan = %.2fx (paper: ~1.5x — \
      read-optimized 50%% faster)\n"
     (t.lfs.scan_s /. t.readopt.scan_s)
+
+(* The paper's shape: after random updates LFS scans slower than the
+   read-optimized system, whose layout stayed sequential. *)
+let check data =
+  let side key = Option.value ~default:Json.Null (Json.member key data) in
+  let ro = side "readopt" and lfs = side "lfs" in
+  let num = Expcommon.num in
+  (if num "scan_s" lfs > num "scan_s" ro then []
+   else
+     [
+       Printf.sprintf "fig6: LFS scan (%.1fs) not slower than read-optimized (%.1fs)"
+         (num "scan_s" lfs) (num "scan_s" ro);
+     ])
+  @
+  if num "contiguity" ro > 0.95 then []
+  else
+    [
+      Printf.sprintf "fig6: read-optimized contiguity %.4f not above 0.95"
+        (num "contiguity" ro);
+    ]

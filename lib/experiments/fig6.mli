@@ -29,3 +29,8 @@ val run :
 
 val to_json : t -> Json.t
 val print : t -> unit
+
+val check : Json.t -> string list
+(** The paper's shape, checked on a [BENCH_fig6.json] data block: the
+    LFS scan is slower than the read-optimized one, and the
+    read-optimized layout's contiguity is above 0.95. *)

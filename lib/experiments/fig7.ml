@@ -104,3 +104,19 @@ let print t =
   | None ->
     print_endline
       "\nno crossover: one system dominates both workloads at this scale")
+
+(* Figure 7 is derived; the artifact ships the source measurements (and
+   their metrics) alongside so it stands on its own. *)
+let artifact_json ~fig4 ~fig6 t =
+  Json.Obj
+    [
+      ("fig7", to_json t);
+      ( "sources",
+        Json.Obj [ ("fig4", Fig4.to_json fig4); ("fig6", Fig6.to_json fig6) ] );
+    ]
+
+(* The paper's shape: the two systems' total-time lines cross. *)
+let check data =
+  match Option.bind (Json.member "fig7" data) (Json.member "crossover_txns") with
+  | Some (Json.Int _ | Json.Float _) -> []
+  | _ -> [ "fig7: no crossover (one system dominates both workloads)" ]

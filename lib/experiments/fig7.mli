@@ -29,4 +29,14 @@ val run :
 (** Run Figures 4 and 6 afresh and derive the crossover. *)
 
 val to_json : t -> Json.t
+
+val artifact_json : fig4:Fig4.t -> fig6:Fig6.t -> t -> Json.t
+(** The [BENCH_fig7.json] data block: {!to_json} under [fig7], beside
+    the Figure 4 and 6 measurements it was derived from under
+    [sources.fig4] and [sources.fig6]. *)
+
 val print : t -> unit
+
+val check : Json.t -> string list
+(** The paper's shape, checked on an {!artifact_json} data block: a
+    crossover exists. *)

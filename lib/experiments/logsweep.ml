@@ -11,7 +11,6 @@ type point = {
   streams : int;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_commit_batch : float;
   forces : int;
   dep_checks : int;  (** cross-stream dependencies inspected at commit *)
@@ -57,6 +56,10 @@ let force_p99s stats streams =
 let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
     ?(streams = default_streams) ?(mpls = default_mpls)
     ?(setup = Expcommon.Lfs_user) () =
+  (* The embedded manager has no WAL: the stream count would reach no
+     code and every arm would measure the same run. *)
+  if setup = Expcommon.Lfs_kernel then
+    invalid_arg "Logsweep.run: lfs-kernel has no write-ahead log";
   let base =
     Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
   in
@@ -86,8 +89,8 @@ let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
               }
             in
             let cfg = { base with Config.fs } in
-            let run, multi =
-              Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl setup
+            let run =
+              Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed ~mpl setup
             in
             let stats = run.Expcommon.stats in
             let mean_commit_batch =
@@ -99,7 +102,6 @@ let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
               streams = ns;
               mpl;
               run;
-              multi;
               mean_commit_batch;
               forces = Stats.count stats "log.forces";
               dep_checks = Stats.count stats "log.dep_checks";
@@ -130,9 +132,9 @@ let point_json p =
              (fun (stream, s) ->
                Json.Obj [ ("stream", Json.Str stream); ("p99_s", Json.Float s) ])
              p.force_p99) );
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
+      ("lock_blocks", Json.Int p.run.Expcommon.lock_blocks);
+      ("deadlocks", Json.Int p.run.Expcommon.deadlocks);
+      ("restarts", Json.Int p.run.Expcommon.restarts);
       ("stats", Stats.to_json p.run.Expcommon.stats);
     ]
 
@@ -141,13 +143,7 @@ let to_json t =
     [
       ("figure", Json.Str "logsweep");
       ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
     ]
@@ -184,3 +180,51 @@ let print t =
            /. one.run.Expcommon.result.Tpcb.tps)
          -. 1.0))
   | _ -> ()
+
+(* Parallel streams must pay off at the contended end (4 streams beat 1
+   at MPL 16), and every point carries its per-stream force-latency
+   p99. *)
+let check =
+  Expcommon.check_sweep ~name:"logsweep"
+    ~fields:
+      [
+        "streams";
+        "mpl";
+        "tps";
+        "mean_commit_batch";
+        "dep_checks";
+        "dep_forces";
+        "force_p99";
+      ]
+    (fun points ->
+      let num = Expcommon.num in
+      let force_p99 p =
+        match Json.member "force_p99" p with
+        | Some (Json.List []) -> [ "logsweep: force_p99 empty" ]
+        | Some (Json.List l) ->
+          List.filter_map
+            (fun entry ->
+              if
+                Json.member "stream" entry = None
+                || Json.member "p99_s" entry = None
+              then Some "logsweep: force_p99 entry missing stream/p99_s"
+              else None)
+            l
+        | _ -> []
+      in
+      let at streams =
+        Expcommon.find_point
+          [ ("streams", Json.Int streams); ("mpl", Json.Int 16) ]
+          points
+      in
+      List.concat_map force_p99 points
+      @
+      match (at 1, at 4) with
+      | Some one, Some four when num "tps" four <= num "tps" one ->
+        [
+          Printf.sprintf
+            "logsweep: TPS(4 streams) (%.2f) not above TPS(1 stream) (%.2f) \
+             at MPL 16"
+            (num "tps" four) (num "tps" one);
+        ]
+      | _ -> [])

@@ -16,7 +16,6 @@ type point = {
   streams : int;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_commit_batch : float;  (** mean of [log.commit_batch], all streams *)
   forces : int;  (** total log forces across streams *)
   dep_checks : int;  (** cross-stream dependencies inspected at commit *)
@@ -49,9 +48,18 @@ val run :
   ?setup:Expcommon.setup ->
   unit ->
   t
+(** Default [setup] is {!Expcommon.Lfs_user}.
+    @raise Invalid_argument for {!Expcommon.Lfs_kernel}, which has no
+    write-ahead log for the streams to split. *)
 
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_logsweep.json]; every point carries the
     machine's full stats (including the per-stream force histograms). *)
+
+val check : Json.t -> string list
+(** The rules a [BENCH_logsweep.json] data block must satisfy: every
+    point carries the stream-sweep fields and a non-empty [force_p99]
+    list whose entries name a stream and its [p99_s]; and TPS at 4
+    streams beats 1 stream at MPL 16. *)
 
 val print : t -> unit

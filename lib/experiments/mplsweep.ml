@@ -11,7 +11,6 @@ type point = {
   group_timeout_s : float;
   lock_grain : [ `Page | `Record ];
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_batch : float;
   group_flushes : int;
   group_commit_wait_s : float;
@@ -63,11 +62,6 @@ let with_grain config grain =
 
 let grain_key = function `Page -> "page" | `Record -> "record"
 
-let grain_of_string = function
-  | "page" -> `Page
-  | "record" -> `Record
-  | s -> invalid_arg ("Mplsweep: unknown lock grain " ^ s)
-
 let batch_key = function
   | Expcommon.Lfs_kernel -> "ktxn.commit_batch"
   | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.commit_batch"
@@ -106,9 +100,8 @@ let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
             let cfg = with_grain (with_group base (gsize, gtimeout)) grain in
             List.map
               (fun mpl ->
-                let run, multi =
-                  Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl
-                    setup
+                let run =
+                  Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed ~mpl setup
                 in
                 let stats = run.Expcommon.stats in
                 let mean_batch =
@@ -127,7 +120,6 @@ let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
                   group_timeout_s = gtimeout;
                   lock_grain = grain;
                   run;
-                  multi;
                   mean_batch;
                   group_flushes = Stats.count stats (flush_key setup);
                   group_commit_wait_s = Stats.time stats (wait_key setup);
@@ -163,10 +155,10 @@ let point_json p =
       ("mean_commit_batch", Json.Float p.mean_batch);
       ("group_flushes", Json.Int p.group_flushes);
       ("group_commit_wait_s", Json.Float p.group_commit_wait_s);
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
+      ("lock_blocks", Json.Int p.run.Expcommon.lock_blocks);
       ("lock_wait_p99_s", Json.Float p.lock_wait_p99_s);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
+      ("deadlocks", Json.Int p.run.Expcommon.deadlocks);
+      ("restarts", Json.Int p.run.Expcommon.restarts);
       ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
       ("stats", Stats.to_json p.run.Expcommon.stats);
     ]
@@ -176,13 +168,7 @@ let to_json t =
     [
       ("figure", Json.Str "mplsweep");
       ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
       ( "legacy_mpl1",
@@ -214,7 +200,8 @@ let print t =
         (grain_key p.lock_grain) p.mpl p.group_size
         (1000.0 *. p.group_timeout_s)
         p.run.Expcommon.result.Tpcb.tps p.mean_batch p.group_flushes
-        p.multi.Tpcb.conflicts p.multi.Tpcb.deadlocks p.group_commit_wait_s)
+        p.run.Expcommon.lock_blocks p.run.Expcommon.deadlocks
+        p.group_commit_wait_s)
     t.points;
   Printf.printf "\nno-scheduler MPL-1 driver (reference):\n";
   List.iter
@@ -250,3 +237,71 @@ let print t =
       *. ((pr.run.Expcommon.result.Tpcb.tps /. pp.run.Expcommon.result.Tpcb.tps)
          -. 1.0))
   | _ -> ()
+
+(* Group commit must demonstrably batch once MPL and group size allow
+   it; at the same group size and lock grain MPL 8 must beat MPL 1; and
+   where both grains were swept, record must out-run page at MPL 16 (the
+   contention end of the sweep) — that is the point of hierarchical
+   locking. *)
+let check =
+  Expcommon.check_sweep ~name:"mplsweep"
+    ~fields:
+      [
+        "mpl";
+        "group_size";
+        "group_timeout_s";
+        "lock_grain";
+        "tps";
+        "mean_commit_batch";
+        "group_flushes";
+        "lock_wait_p99_s";
+      ]
+    (fun points ->
+      let num = Expcommon.num in
+      let batching_possible =
+        List.exists
+          (fun p -> num "mpl" p > 1.0 && num "group_size" p > 1.0)
+          points
+      in
+      let max_batch =
+        List.fold_left
+          (fun acc p -> Float.max acc (num "mean_commit_batch" p))
+          0.0 points
+      in
+      let batching =
+        if batching_possible && max_batch <= 1.0 then
+          [
+            "mplsweep: no point achieved a mean commit batch > 1 despite MPL \
+             > 1 and group size > 1";
+          ]
+        else []
+      in
+      (* Every [w] must out-run every [l] that agrees with it on [same]. *)
+      let must_beat ~same w_ok l_ok msg =
+        List.concat_map
+          (fun w ->
+            List.filter_map
+              (fun l ->
+                if
+                  w_ok w && l_ok l
+                  && List.for_all (fun k -> Json.member k w = Json.member k l) same
+                  && num "tps" w <= num "tps" l
+                then Some (msg (num "tps" w) (num "tps" l) (num "group_size" w))
+                else None)
+              points)
+          points
+      in
+      let at mpl grain =
+        Expcommon.matches [ ("mpl", Json.Int mpl); ("lock_grain", Json.Str grain) ]
+      in
+      batching
+      @ must_beat ~same:[ "group_size"; "lock_grain" ]
+          (fun p -> num "mpl" p = 8.0 && num "group_size" p > 1.0)
+          (fun p -> num "mpl" p = 1.0)
+          (Printf.sprintf
+             "mplsweep: TPS at MPL 8 (%.2f) not above MPL 1 (%.2f) for group \
+              size %g")
+      @ must_beat ~same:[ "group_size" ] (at 16 "record") (at 16 "page")
+          (Printf.sprintf
+             "mplsweep: record-grain TPS at MPL 16 (%.2f) not above page grain \
+              (%.2f) for group size %g"))

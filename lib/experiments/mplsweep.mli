@@ -19,7 +19,6 @@ type point = {
   group_timeout_s : float;
   lock_grain : [ `Page | `Record ];
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_batch : float;  (** mean committers per flush (1.0 if no sample) *)
   group_flushes : int;
   group_commit_wait_s : float;
@@ -40,7 +39,6 @@ val default_groups : (int * float) list
 val default_grains : [ `Page | `Record ] list
 
 val grain_key : [ `Page | `Record ] -> string
-val grain_of_string : string -> [ `Page | `Record ]
 
 val run :
   ?config:Config.t ->
@@ -59,5 +57,12 @@ val run :
 
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_mplsweep.json]. *)
+
+val check : Json.t -> string list
+(** The rules a [BENCH_mplsweep.json] data block must satisfy: every
+    point carries the sweep fields; some point batches commits (mean
+    batch > 1) when MPL > 1 and group size > 1 were swept; TPS at MPL 8
+    beats MPL 1 at the same group size (> 1) and lock grain; and
+    record-grain TPS beats page grain at MPL 16 and the same group size. *)
 
 val print : t -> unit

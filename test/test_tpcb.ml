@@ -362,8 +362,8 @@ let test_pinned_kernel_page_mpl1 () =
     run.Expcommon.result
 
 let test_pinned_user_record_mpl4 () =
-  let run, _ =
-    Expcommon.run_tpcb_mpl ~config:(pinned_cfg `Record ~split_log:true)
+  let run =
+    Expcommon.run_tpcb ~config:(pinned_cfg `Record ~split_log:true)
       ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_user
   in
   check_pinned "LIBTP, record grain, 2+log, MPL 4"
@@ -371,8 +371,8 @@ let test_pinned_user_record_mpl4 () =
     run.Expcommon.result
 
 let test_pinned_kernel_record_mpl4 () =
-  let run, _ =
-    Expcommon.run_tpcb_mpl ~config:(pinned_cfg `Record ~split_log:false)
+  let run =
+    Expcommon.run_tpcb ~config:(pinned_cfg `Record ~split_log:false)
       ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_kernel
   in
   check_pinned "lfs-kernel, record grain, MPL 4"
