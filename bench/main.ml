@@ -225,13 +225,7 @@ let () =
   emit ~name:"fig6" ~config:fig6.Fig6.config (Fig6.to_json fig6);
   let fig7 = Fig7.of_measurements ~fig4 ~fig6 in
   Fig7.print fig7;
-  emit ~name:"fig7" ~config:fig4.Fig4.config
-    (Json.Obj
-       [
-         ("fig7", Fig7.to_json fig7);
-         ( "sources",
-           Json.Obj [ ("fig4", Fig4.to_json fig4); ("fig6", Fig6.to_json fig6) ] );
-       ]);
+  emit ~name:"fig7" ~config:fig4.Fig4.config (Fig7.artifact_json ~fig4 ~fig6 fig7);
   Ablation.print (Ablation.test_and_set ~tps_scale:o.tps_scale ~txns:(o.txns / 2) ());
   Ablation.print
     (Ablation.cleaner_placement ~tps_scale:o.tps_scale ~txns:(o.txns * 3 / 4) ());

@@ -40,6 +40,17 @@ type t = {
   config : Config.t;  (** the base configuration before per-arm edits *)
 }
 
+val spread_scale : int -> Tpcb.scale
+(** The sweep's TPC-B scale at [tps] TPS: 2 000 accounts, 200 tellers
+    and 200 branches per TPS — a compact hot set over a log-bound
+    workload. *)
+
+val prefill : util_pct:int -> Expcommon.machine -> Vfs.t -> Lfs.t option -> unit
+(** A [~prepare] hook for {!Expcommon.run_tpcb}: fill the LFS with static
+    files until [util_pct] % of its segments are in use (never so far
+    that the cleaner's low-water mark is reached), then sync. No-op
+    without an LFS. *)
+
 val default_utils : int list
 (** [[50; 70; 80; 90]] *)
 

@@ -239,3 +239,63 @@ let read_checkpoint b =
         imap_addrs;
         usage_addrs;
       }
+
+(* Inode map and segment usage table *)
+
+type imap_entry = { addr : int; slot : int; alloc : bool }
+type usage_entry = { live : int; mtime : float; last_write : float; cold : bool }
+
+let imap_entry_bytes = 8
+let usage_entry_bytes = 21
+let imap_per_chunk ~block_size = block_size / imap_entry_bytes
+let usage_per_chunk ~block_size = block_size / usage_entry_bytes
+let chunks n per = (n + per - 1) / per
+let n_imap_chunks ~block_size ~max_inodes = chunks max_inodes (imap_per_chunk ~block_size)
+
+let n_usage_chunks ~block_size ~nsegments =
+  chunks nsegments (usage_per_chunk ~block_size)
+
+(* [f off index] for each entry of an [n]-entry table that chunk [chunk]
+   holds: its byte offset in the chunk and its index in the table. *)
+let iter_chunk b ~bytes ~chunk ~n f =
+  let per = Bytes.length b / bytes in
+  let lo = chunk * per in
+  for i = 0 to min per (n - lo) - 1 do
+    f (i * bytes) (lo + i)
+  done
+
+let write_imap_chunk b ~chunk ~n entry =
+  Bytes.fill b 0 (Bytes.length b) '\000';
+  iter_chunk b ~bytes:imap_entry_bytes ~chunk ~n (fun off inum ->
+      let e = entry inum in
+      Enc.set_u32 b off e.addr;
+      Enc.set_u8 b (off + 4) e.slot;
+      Enc.set_u8 b (off + 5) (Bool.to_int e.alloc))
+
+let read_imap_chunk b ~chunk ~n set =
+  iter_chunk b ~bytes:imap_entry_bytes ~chunk ~n (fun off inum ->
+      set inum
+        {
+          addr = Enc.get_u32 b off;
+          slot = Enc.get_u8 b (off + 4);
+          alloc = Enc.get_u8 b (off + 5) = 1;
+        })
+
+let write_usage_chunk b ~chunk ~n entry =
+  Bytes.fill b 0 (Bytes.length b) '\000';
+  iter_chunk b ~bytes:usage_entry_bytes ~chunk ~n (fun off seg ->
+      let e = entry seg in
+      Enc.set_u32 b off e.live;
+      Enc.set_f64 b (off + 4) e.mtime;
+      Enc.set_f64 b (off + 12) e.last_write;
+      Enc.set_u8 b (off + 20) (Bool.to_int e.cold))
+
+let read_usage_chunk b ~chunk ~n set =
+  iter_chunk b ~bytes:usage_entry_bytes ~chunk ~n (fun off seg ->
+      set seg
+        {
+          live = Enc.get_u32 b off;
+          mtime = Enc.get_f64 b (off + 4);
+          last_write = Enc.get_f64 b (off + 12);
+          cold = Enc.get_u8 b (off + 20) land 1 = 1;
+        })

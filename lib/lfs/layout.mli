@@ -101,3 +101,50 @@ type checkpoint = {
 
 val write_checkpoint : bytes -> checkpoint -> unit
 val read_checkpoint : bytes -> checkpoint option
+
+(** {1 Inode map and segment usage table}
+
+    Both tables live in memory and reach the log at checkpoints, one
+    block ("chunk") at a time; the checkpoint region lists every chunk's
+    address. A chunk holds [block_size / entry_bytes] consecutive
+    entries, little-endian, with the tail of the block zero-filled.
+
+    {b Imap entry} (8 bytes), one per inode number:
+    - bytes 0..3: u32 address of the inode block holding the inode
+      (0 = never written);
+    - byte 4: u8 slot of the inode within that block;
+    - byte 5: u8 allocated flag (1 = in use);
+    - bytes 6..7: zero.
+
+    {b Usage entry} (21 bytes), one per segment:
+    - bytes 0..3: u32 live-block count;
+    - bytes 4..11: f64 [mtime], the entry's bookkeeping touch time;
+    - bytes 12..19: f64 [last_write], when data was last written into
+      the segment (the cost-benefit policy's age signal);
+    - byte 20: u8 flags, bit 0 = cold (a relocation segment). *)
+
+type imap_entry = { addr : int; slot : int; alloc : bool }
+type usage_entry = { live : int; mtime : float; last_write : float; cold : bool }
+
+val imap_per_chunk : block_size:int -> int
+(** Imap entries per chunk: inode [inum] lives in chunk
+    [inum / imap_per_chunk]. *)
+
+val n_imap_chunks : block_size:int -> max_inodes:int -> int
+(** Chunks needed for [max_inodes] imap entries. *)
+
+val n_usage_chunks : block_size:int -> nsegments:int -> int
+(** Chunks needed for [nsegments] usage entries. *)
+
+val write_imap_chunk : bytes -> chunk:int -> n:int -> (int -> imap_entry) -> unit
+(** [write_imap_chunk b ~chunk ~n entry] fills block [b] with chunk
+    [chunk] of an [n]-entry inode map, asking [entry] for each inode
+    number the chunk covers. *)
+
+val read_imap_chunk : bytes -> chunk:int -> n:int -> (int -> imap_entry -> unit) -> unit
+(** Decode chunk [chunk] of an [n]-entry inode map, handing each inode
+    number and its entry to the callback. *)
+
+val write_usage_chunk : bytes -> chunk:int -> n:int -> (int -> usage_entry) -> unit
+val read_usage_chunk : bytes -> chunk:int -> n:int -> (int -> usage_entry -> unit) -> unit
+(** The same pair for the [n]-segment usage table. *)

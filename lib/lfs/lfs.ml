@@ -42,10 +42,8 @@ type t = {
   mutable next_seg : int;
   (* The cleaner's relocation (cold) log head: survivors are appended
      here so they never re-mix with hot writes at the main head. -1 =
-     no relocation segment open. Cold partials are outside the
-     roll-forward chain; their durability rides on checkpoints, which is
-     already the invariant for cleaned space (Pending -> Free only at a
-     checkpoint). *)
+     no relocation segment open. See [emit] for the cold-partial
+     invariant. *)
   mutable cold_seg : int;
   mutable cold_off : int;
   (* Count of segments in state Free or Pending, maintained at every
@@ -88,21 +86,6 @@ and snapshot = {
 let max_inodes = 32_768
 let root_inum_init = 1
 
-(* Chunk geometry *)
-let imap_entry_bytes = 8
-
-(* Usage-table entry on disk: u32 live, f64 mtime, f64 last_write,
-   u8 flags (bit 0 = cold). *)
-let usage_entry_bytes = 21
-let imap_per_chunk t = t.sb.Layout.block_size / imap_entry_bytes
-let usage_per_chunk t = t.sb.Layout.block_size / usage_entry_bytes
-
-let n_imap_chunks t =
-  (max_inodes + imap_per_chunk t - 1) / imap_per_chunk t
-
-let n_usage_chunks t =
-  (t.sb.Layout.nsegments + usage_per_chunk t - 1) / usage_per_chunk t
-
 let block_size t = t.sb.Layout.block_size
 let seg_base t i = Layout.segment_base t.sb i
 let seg_of_addr t addr = (addr - Layout.data_start) / t.cfg.fs.segment_blocks
@@ -111,12 +94,17 @@ let pinned t i = List.exists (fun s -> s.snap_live && s.snap_segments.(i)) t.sna
 
 let is_free t i = t.usage.(i).state = Free && not (pinned t i)
 
-let count_free t =
+let reclaimable = function Free | Pending -> true | Current | Dirty -> false
+
+let count_segments t p =
   let n = ref 0 in
   for i = 0 to Array.length t.usage - 1 do
-    if is_free t i then incr n
+    if p i then incr n
   done;
   !n
+
+let count_free t = count_segments t (is_free t)
+let count_reclaimable t = count_segments t (fun i -> reclaimable t.usage.(i).state)
 
 let free_segments t = t.n_free
 
@@ -158,7 +146,6 @@ let inc_usage ?(write = true) ?age t seg n =
    table. *)
 let set_state t i st =
   let u = t.usage.(i) in
-  let reclaimable = function Free | Pending -> true | Current | Dirty -> false in
   let was = reclaimable u.state and is = reclaimable st in
   let was_free = is_free t i in
   u.state <- st;
@@ -272,8 +259,8 @@ type inode_plan = {
   mutable pi_dbl : bool;
 }
 
-let imap_chunk_of t inum = inum / imap_per_chunk t
-let mark_imap_dirty t inum = t.imap_dirty.(imap_chunk_of t inum) <- true
+let mark_imap_dirty t inum =
+  t.imap_dirty.(inum / Layout.imap_per_chunk ~block_size:(block_size t)) <- true
 
 (* A partial's inode addresses point at its new blocks before the disk
    write that puts them there lands (the write parks, under a
@@ -382,160 +369,73 @@ let close_cold t =
     note_closed t
   end
 
-(* Write one partial segment containing [ditems] data blocks, the dirty
-   metadata of every involved inode, plus the listed imap/usage chunks.
-   The caller guarantees the partial fits in a segment.
+(* The two log heads. The hot head carries every regular write and is
+   the roll-forward chain: its partials carry [seq], [next_seg] and the
+   atomic-batch [more] flag. The cold head carries the cleaner's
+   relocated survivors, data only, stamped with the victim's age. *)
+type head = Hot of { more : bool } | Cold of { age : float }
 
-   With [defer_meta] the partial carries only the data blocks and their
-   summary — no inodes or indirect blocks. That is how real LFS commits:
-   recovery re-derives the block locations from the summary entries, and
-   the (still-dirty) in-memory metadata reaches the log with the next
-   syncer flush or checkpoint. *)
-let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
-    ~ditems ~inodes ~imap_chunks ~usage_chunks =
-  (* One writer at a time: everything below reads and mutates the shared
-     cursor/usage/imap state around disk parks. Taking the mutex before
-     the first state read keeps a follower's plan consistent with
-     whatever the in-flight writer logged (re-logging a frame it already
-     cleaned is harmless; interleaving two packs is not). *)
-  Sched.wait_while t.clock t.seg_write_cond (fun () -> t.seg_writing);
-  t.seg_writing <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.seg_writing <- false;
-      Sched.wake t.clock t.seg_write_cond)
-  @@ fun () ->
-  (* Relocation items are re-validated here, under the writer mutex: the
-     cleaner captured these platter bytes before (possibly) yielding —
-     waiting for this mutex, or parked in the victim read — and a
-     foreground flush may have re-logged the block since. Installing the
-     stale copy would point the inode at old data, which surfaces as a
-     lost update once the newer cached frame is evicted. Skip any item
-     whose block no longer lives at the address the cleaner scanned; the
-     write that moved it already adjusted the victim's live count. *)
-  let ditems =
-    List.filter
-      (fun d ->
-        match d.d_src with
-        | `Reloc (_, expect) ->
-          let still_there =
-            match iget_opt t d.d_inum with
-            | Some ino -> Inode.get_addr ino d.d_lblock = expect
-            | None -> false
-          in
-          if not still_there then Stats.incr t.stats "cleaner.reloc_races";
-          still_there
-        | `Frame _ | `Raw _ -> true)
-      ditems
-  in
-  let target =
-    match target with
-    | `Cold _
-      when (t.cold_seg < 0
-            || 1 + List.length ditems > t.cfg.fs.segment_blocks - t.cold_off)
-           && free_segments t <= 3 ->
-      (* This write would have to pop a fresh cold segment while the
-         writable reserve is nearly gone (mid-clean, before the next
-         checkpoint refills Free). Segregation is an optimization; the
-         reserve is an invariant — fall back to the hot head. *)
-      Stats.incr t.stats "cleaner.cold_fallbacks";
-      `Hot
-    | tgt -> tgt
-  in
-  match target with
-  | `Cold age ->
-    (* Relocation write: data blocks + summary only, appended at the
-       cleaner's cold head. Cold partials live outside the roll-forward
-       chain (seq 0, cold flag): if the machine dies before the next
-       checkpoint, recovery still finds every survivor live in its
-       victim segment, which Pending state keeps from reuse until that
-       same checkpoint. The survivors' inodes are marked dirty so their
-       new addresses reach the log with the next hot metadata flush or
-       the checkpoint itself. *)
-    let bs = block_size t in
-    if inodes <> [] || imap_chunks <> [] || usage_chunks <> [] then
-      invalid_arg "LFS.write_partial: cold partials carry only data";
-    if ditems = [] then ()  (* every survivor lost its race; nothing left *)
-    else begin
-    let total = 1 + List.length ditems in
-    if total > t.cfg.fs.segment_blocks then
-      invalid_arg "LFS.write_partial: partial larger than a segment";
-    if t.cold_seg >= 0 && total > t.cfg.fs.segment_blocks - t.cold_off then
+(* Whether an [n]-block cold partial needs a fresh relocation segment. *)
+let cold_needs_segment t n =
+  t.cold_seg < 0 || n > t.cfg.fs.segment_blocks - t.cold_off
+
+(* Make room for an [n]-block partial at [head]; returns the segment and
+   offset it goes to. *)
+let open_head t head n =
+  match head with
+  | Hot _ ->
+    if n > t.cfg.fs.segment_blocks - t.cur_off then close_segment t;
+    (t.cur_seg, t.cur_off)
+  | Cold _ ->
+    if cold_needs_segment t n then begin
       close_cold t;
-    if t.cold_seg < 0 then begin
       let s = pop_free t in
       t.usage.(s).cold <- true;
       t.cold_seg <- s;
-      t.cold_off <- 0;
       Stats.incr t.stats "cleaner.cold_segments"
     end;
-    let base = seg_base t t.cold_seg + t.cold_off in
-    let pos = ref (base + 1) in
-    let entries = ref [] in
-    let fills = ref [] in
-    List.iter
-      (fun d ->
-        let ino = iget t d.d_inum in
-        let old = Inode.get_addr ino d.d_lblock in
-        let addr = !pos in
-        incr pos;
-        entries :=
-          Layout.Data { inum = d.d_inum; lblock = d.d_lblock } :: !entries;
-        fills :=
-          (fun () ->
-            match d.d_src with
-            | `Frame f -> f.Cache.data
-            | `Raw b | `Reloc (b, _) -> b)
-          :: !fills;
-        inc_usage ~age t t.cold_seg 1;
-        dec_usage t old;
-        Inode.set_addr ino ~block_size:bs d.d_lblock addr;
-        ino.Inode.dirty <- true)
-      ditems;
-    let entries = List.rev !entries and fills = List.rev !fills in
-    let nblocks = !pos - base in
-    let buf = Bytes.make (nblocks * bs) '\000' in
-    List.iteri (fun i fill -> Bytes.blit (fill ()) 0 buf ((i + 1) * bs) bs) fills;
-    let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
-    let summary_bytes = Bytes.make bs '\000' in
-    Layout.write_summary summary_bytes
-      {
-        Layout.seq = 0L;
-        timestamp = Clock.now t.clock;
-        next_seg = 0;
-        more = false;
-        cold = true;
-        payload_ck;
-        entries;
-      };
-    Bytes.blit summary_bytes 0 buf 0 bs;
-    (* Clear dirty flags before the disk park for the same reason as the
-       hot path: a frame re-dirtied while the write is in flight must
-       stay dirty. *)
-    List.iter
-      (fun d ->
-        match d.d_src with
-        | `Frame f -> Cache.mark_clean t.cache f
-        | `Raw _ | `Reloc _ -> ())
-      ditems;
-    write_blocks t base buf;
-    Stats.incr t.stats "lfs.partials";
-    Stats.incr t.stats "lfs.cold_partials";
-    Stats.add t.stats "lfs.blocks_logged" nblocks;
-    t.cold_off <- t.cold_off + nblocks;
-    if t.cold_off >= t.cfg.fs.segment_blocks then close_cold t
-    end
-  | `Hot ->
-  let bs = block_size t in
-  let plans, n_meta =
-    if defer_meta then ([], List.length ditems) else plan t ~ditems ~inodes
+    (t.cold_seg, t.cold_off)
+
+(* Move [head] past [n] written blocks, closing its segment when full. *)
+let advance_head t head n =
+  let seg_blocks = t.cfg.fs.segment_blocks in
+  match head with
+  | Hot _ ->
+    t.write_seq <- Int64.succ t.write_seq;
+    t.cur_off <- t.cur_off + n;
+    if t.cur_off >= seg_blocks then close_segment t
+  | Cold _ ->
+    t.cold_off <- t.cold_off + n;
+    if t.cold_off >= seg_blocks then close_cold t
+
+(* The first [n] elements of [l], and the rest. *)
+let split_at n l =
+  let rec go n acc = function
+    | x :: xs when n > 0 -> go (n - 1) (x :: acc) xs
+    | rest -> (List.rev acc, rest)
   in
-  let n_chunks = List.length imap_chunks + List.length usage_chunks in
-  let total = 1 + n_meta + n_chunks in
-  if total > t.cfg.fs.segment_blocks then
+  go n [] l
+
+(* The partial emitter: the one place a partial segment is laid out,
+   sealed and written, at either head. [nblocks] counts the summary,
+   [ditems], the metadata [plans] need and the table chunks.
+
+   Cold-partial invariant: a cold partial lies outside the roll-forward
+   chain (seq 0, cold flag), so it becomes durable only through a
+   checkpoint. Until then recovery must still find every survivor live
+   in its victim segment, which the victim's Pending state keeps from
+   reuse until that same checkpoint; and the survivors' inodes are
+   marked dirty here so their new addresses reach the log with the next
+   hot metadata flush or the checkpoint itself. *)
+let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
+  if nblocks > t.cfg.fs.segment_blocks then
     invalid_arg "LFS.write_partial: partial larger than a segment";
-  if total > t.cfg.fs.segment_blocks - t.cur_off then close_segment t;
-  let base = seg_base t t.cur_seg + t.cur_off in
+  let bs = block_size t in
+  let seg, off = open_head t head nblocks in
+  let cold, age =
+    match head with Hot _ -> (false, None) | Cold { age } -> (true, Some age)
+  in
+  let base = seg_base t seg + off in
   (* Position cursor: summary occupies [base]; blocks follow. *)
   let pos = ref (base + 1) in
   let entries = ref [] in
@@ -548,14 +448,10 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
     incr pos;
     entries := entry :: !entries;
     fills := fill :: !fills;
-    inc_usage t t.cur_seg 1;
+    inc_usage ?age t seg 1;
     addr
   in
   (* 1. Data blocks. *)
-  let all_ditems =
-    if defer_meta then ditems
-    else List.concat_map (fun p -> List.rev p.pi_ditems) plans
-  in
   List.iter
     (fun d ->
       let ino = iget t d.d_inum in
@@ -569,8 +465,9 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
             | `Raw b | `Reloc (b, _) -> b)
       in
       dec_usage t old;
-      Inode.set_addr ino ~block_size:bs d.d_lblock addr)
-    all_ditems;
+      Inode.set_addr ino ~block_size:bs d.d_lblock addr;
+      if cold then ino.Inode.dirty <- true)
+    ditems;
   (* 2. Indirect blocks. *)
   List.iter
     (fun p ->
@@ -616,15 +513,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
   let rec pack = function
     | [] -> ()
     | group_src ->
-      let group, rest =
-        let rec take n = function
-          | x :: xs when n > 0 ->
-            let g, r = take (n - 1) xs in
-            (x :: g, r)
-          | l -> ([], l)
-        in
-        take ipb group_src
-      in
+      let group, rest = split_at ipb group_src in
       let inums = List.map (fun p -> p.pi_inode.Inode.inum) group in
       let addr =
         assign
@@ -651,77 +540,63 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
   in
   pack plans;
   (* 5. Inode-map and usage-table chunks (checkpoint partials only). *)
-  List.iter
-    (fun idx ->
-      let old = t.imap_chunk_addr.(idx) in
-      let addr =
-        assign
-          (Layout.Imap_block { index = idx })
-          (fun () ->
-            let b = Bytes.make bs '\000' in
-            let lo = idx * imap_per_chunk t in
-            for i = 0 to imap_per_chunk t - 1 do
-              let inum = lo + i in
-              if inum < max_inodes then begin
-                Enc.set_u32 b (i * imap_entry_bytes) t.imap_addr.(inum);
-                Enc.set_u8 b ((i * imap_entry_bytes) + 4) t.imap_slot.(inum);
-                Enc.set_u8 b
-                  ((i * imap_entry_bytes) + 5)
-                  (if t.imap_alloc.(inum) then 1 else 0)
-              end
-            done;
-            b)
-      in
-      dec_usage t old;
-      t.imap_chunk_addr.(idx) <- addr)
+  let assign_chunks entry addrs encode =
+    List.iter (fun chunk ->
+        let old = addrs.(chunk) in
+        let addr =
+          assign (entry chunk) (fun () ->
+              let b = Bytes.create bs in
+              encode b ~chunk;
+              b)
+        in
+        dec_usage t old;
+        addrs.(chunk) <- addr)
+  in
+  assign_chunks
+    (fun index -> Layout.Imap_block { index })
+    t.imap_chunk_addr
+    (fun b ~chunk ->
+      Layout.write_imap_chunk b ~chunk ~n:max_inodes (fun inum ->
+          {
+            Layout.addr = t.imap_addr.(inum);
+            slot = t.imap_slot.(inum);
+            alloc = t.imap_alloc.(inum);
+          }))
     imap_chunks;
-  List.iter
-    (fun idx ->
-      let old = t.usage_chunk_addr.(idx) in
-      let addr =
-        assign
-          (Layout.Usage_block { index = idx })
-          (fun () ->
-            let b = Bytes.make bs '\000' in
-            let lo = idx * usage_per_chunk t in
-            for i = 0 to usage_per_chunk t - 1 do
-              let seg = lo + i in
-              if seg < nsegments t then begin
-                let u = t.usage.(seg) in
-                Enc.set_u32 b (i * usage_entry_bytes) u.live;
-                Enc.set_f64 b ((i * usage_entry_bytes) + 4) u.mtime;
-                Enc.set_f64 b ((i * usage_entry_bytes) + 12) u.last_write;
-                Enc.set_u8 b
-                  ((i * usage_entry_bytes) + 20)
-                  (if u.cold then 1 else 0)
-              end
-            done;
-            b)
-      in
-      dec_usage t old;
-      t.usage_chunk_addr.(idx) <- addr)
+  assign_chunks
+    (fun index -> Layout.Usage_block { index })
+    t.usage_chunk_addr
+    (fun b ~chunk ->
+      Layout.write_usage_chunk b ~chunk ~n:(nsegments t) (fun seg ->
+          let u = t.usage.(seg) in
+          {
+            Layout.live = u.live;
+            mtime = u.mtime;
+            last_write = u.last_write;
+            cold = u.cold;
+          }))
     usage_chunks;
   (* 6. Encode and write the whole partial as one sequential I/O. The
      payload is materialized first so the summary can carry its checksum:
      a torn write may persist the summary block without the blocks it
      describes, and recovery must be able to tell. *)
   let entries = List.rev !entries and fills = List.rev !fills in
-  let nblocks = !pos - base in
   let buf = Bytes.make (nblocks * bs) '\000' in
-  List.iteri
-    (fun i fill ->
-      let b = fill () in
-      Bytes.blit b 0 buf ((i + 1) * bs) bs)
-    fills;
+  List.iteri (fun i fill -> Bytes.blit (fill ()) 0 buf ((i + 1) * bs) bs) fills;
   let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
+  let seq, next_seg, more =
+    match head with
+    | Hot { more } -> (t.write_seq, t.next_seg, more)
+    | Cold _ -> (0L, 0, false)
+  in
   let summary_bytes = Bytes.make bs '\000' in
   Layout.write_summary summary_bytes
     {
-      Layout.seq = t.write_seq;
+      Layout.seq;
       timestamp = Clock.now t.clock;
-      next_seg = t.next_seg;
+      next_seg;
       more;
-      cold = false;
+      cold;
       payload_ck;
       entries;
     };
@@ -737,7 +612,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
       match d.d_src with
       | `Frame f -> Cache.mark_clean t.cache f
       | `Raw _ | `Reloc _ -> ())
-    all_ditems;
+    ditems;
   List.iter
     (fun p ->
       let ino = p.pi_inode in
@@ -748,10 +623,88 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
   List.iter (fun idx -> t.imap_dirty.(idx) <- false) imap_chunks;
   write_blocks t base buf;
   Stats.incr t.stats "lfs.partials";
+  if cold then Stats.incr t.stats "lfs.cold_partials";
   Stats.add t.stats "lfs.blocks_logged" nblocks;
-  t.write_seq <- Int64.succ t.write_seq;
-  t.cur_off <- t.cur_off + nblocks;
-  if t.cur_off >= t.cfg.fs.segment_blocks then close_segment t
+  advance_head t head nblocks
+
+(* Write one partial segment at [head] (default: the hot head, not part
+   of an atomic batch). A hot partial carries [ditems] data blocks, the
+   dirty metadata of every involved inode, plus the listed imap/usage
+   chunks; a cold partial carries only relocated data blocks. The caller
+   guarantees the partial fits in a segment.
+
+   With [defer_meta] a hot partial carries only the data blocks and
+   their summary — no inodes or indirect blocks. That is how real LFS
+   commits: recovery re-derives the block locations from the summary
+   entries, and the (still-dirty) in-memory metadata reaches the log
+   with the next syncer flush or checkpoint. *)
+let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
+    ~inodes ~imap_chunks ~usage_chunks =
+  (* One writer at a time: everything below reads and mutates the shared
+     cursor/usage/imap state around disk parks. Taking the mutex before
+     the first state read keeps a follower's plan consistent with
+     whatever the in-flight writer logged (re-logging a frame it already
+     cleaned is harmless; interleaving two packs is not). *)
+  Sched.wait_while t.clock t.seg_write_cond (fun () -> t.seg_writing);
+  t.seg_writing <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      t.seg_writing <- false;
+      Sched.wake t.clock t.seg_write_cond)
+  @@ fun () ->
+  (* Relocation items are re-validated here, under the writer mutex: the
+     cleaner captured these platter bytes before (possibly) yielding —
+     waiting for this mutex, or parked in the victim read — and a
+     foreground flush may have re-logged the block since. Installing the
+     stale copy would point the inode at old data, which surfaces as a
+     lost update once the newer cached frame is evicted. Skip any item
+     whose block no longer lives at the address the cleaner scanned; the
+     write that moved it already adjusted the victim's live count. *)
+  let ditems =
+    List.filter
+      (fun d ->
+        match d.d_src with
+        | `Reloc (_, expect) ->
+          let still_there =
+            match iget_opt t d.d_inum with
+            | Some ino -> Inode.get_addr ino d.d_lblock = expect
+            | None -> false
+          in
+          if not still_there then Stats.incr t.stats "cleaner.reloc_races";
+          still_there
+        | `Frame _ | `Raw _ -> true)
+      ditems
+  in
+  let head =
+    match head with
+    | Cold _
+      when cold_needs_segment t (1 + List.length ditems) && free_segments t <= 3 ->
+      (* This write would have to pop a fresh cold segment while the
+         writable reserve is nearly gone (mid-clean, before the next
+         checkpoint refills Free). Segregation is an optimization; the
+         reserve is an invariant — fall back to the hot head. *)
+      Stats.incr t.stats "cleaner.cold_fallbacks";
+      Hot { more = false }
+    | h -> h
+  in
+  match head with
+  | Cold _ ->
+    if inodes <> [] || imap_chunks <> [] || usage_chunks <> [] then
+      invalid_arg "LFS.write_partial: cold partials carry only data";
+    (* Every survivor may have lost its race: then nothing is left. *)
+    if ditems <> [] then
+      emit t head ~ditems ~plans:[] ~imap_chunks:[] ~usage_chunks:[]
+        ~nblocks:(1 + List.length ditems)
+  | Hot _ ->
+    let plans, n_meta =
+      if defer_meta then ([], List.length ditems) else plan t ~ditems ~inodes
+    in
+    let ditems =
+      if defer_meta then ditems
+      else List.concat_map (fun p -> List.rev p.pi_ditems) plans
+    in
+    emit t head ~ditems ~plans ~imap_chunks ~usage_chunks
+      ~nblocks:(1 + n_meta + List.length imap_chunks + List.length usage_chunks)
 
 let dirty_ditems frames =
   List.map
@@ -793,13 +746,7 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
   let rec chunks = function
     | [] -> []
     | l ->
-      let rec take n = function
-        | x :: xs when n > 0 ->
-          let g, r = take (n - 1) xs in
-          (x :: g, r)
-        | l -> ([], l)
-      in
-      let g, r = take max_data l in
+      let g, r = split_at max_data l in
       g :: chunks r
   in
   match ditems with
@@ -815,8 +762,8 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
         (* Attach the extra inodes to the last chunk so their final state
            is what lands on disk. *)
         let inodes = if i = last then inodes else [] in
-        write_partial ~defer_meta ~more:(atomic && i < last) t ~ditems:g
-          ~inodes ~imap_chunks:[] ~usage_chunks:[])
+        write_partial ~defer_meta ~head:(Hot { more = atomic && i < last }) t
+          ~ditems:g ~inodes ~imap_chunks:[] ~usage_chunks:[])
       groups
 
 let dirty_inodes t =
@@ -825,7 +772,8 @@ let dirty_inodes t =
 
 (* Checkpoint ------------------------------------------------------------ *)
 
-let checkpoint t =
+(* Write a checkpoint and return the record it wrote. *)
+let checkpoint_record t =
   let cp_t0 = Clock.now t.clock in
   let maint_tok = maint_enter t in
   (* A checkpoint must leave the on-disk state self-consistent: flush the
@@ -849,9 +797,9 @@ let checkpoint t =
   (* Then every dirty imap chunk and the whole usage table, and finally
      the alternating checkpoint region. *)
   let imap_chunks =
-    List.filter (fun i -> t.imap_dirty.(i)) (List.init (n_imap_chunks t) Fun.id)
+    List.filter (fun i -> t.imap_dirty.(i)) (List.init (Array.length t.imap_dirty) Fun.id)
   in
-  let usage_chunks = List.init (n_usage_chunks t) Fun.id in
+  let usage_chunks = List.init (Array.length t.usage_chunk_addr) Fun.id in
   write_partial t ~ditems:[] ~inodes:[] ~imap_chunks ~usage_chunks;
   (* Segments cleaned since the previous checkpoint are now safe to reuse:
      no checkpoint references their old contents any more. *)
@@ -888,7 +836,10 @@ let checkpoint t =
         ("seq", Trace.I (Int64.to_int t.cp_seq));
         ("duration_s", Trace.F (Clock.now t.clock -. cp_t0));
       ];
-  maint_exit t maint_tok
+  maint_exit t maint_tok;
+  cp
+
+let checkpoint t = ignore (checkpoint_record t)
 
 (* Cleaner --------------------------------------------------------------- *)
 
@@ -966,9 +917,9 @@ let clean_victim t victim =
                   if segregate then begin
                     (* A survivor copied straight off the platter is cold
                        by definition: segregate it so it does not re-mix
-                       with hot writes, and flush its inode promptly (a
-                       cold partial is outside the roll-forward chain, so
-                       only metadata makes the new address durable). *)
+                       with hot writes, and flush its inode promptly
+                       (see [emit]: only metadata makes a cold partial's
+                       new address durable). *)
                     cold_items := d :: !cold_items;
                     add_inode ino
                   end
@@ -1018,32 +969,24 @@ let clean_victim t victim =
        the relocation head, inheriting the victim's last-write time so the
        data keeps looking as old as it is to the cost-benefit policy; hot
        data, metadata and table chunks ride the regular log. *)
-    let seg_age = u.last_write in
-    if !cold_items <> [] then begin
-      (* Pack each cold partial to exactly the relocation segment's
-         remaining capacity: a cold segment must close 100 % full, or its
-         inherited old age combined with a slack tail makes it the
-         cost-benefit policy's next victim and the cleaner copies the
-         same cold data in a loop. *)
-      let max_entries = Layout.max_summary_entries ~block_size:bs in
-      let items = ref (List.rev !cold_items) in
-      while !items <> [] do
-        let cap =
-          if t.cold_seg >= 0 && t.cold_off < seg_blocks - 1 then
-            seg_blocks - t.cold_off - 1
-          else seg_blocks - 1
-        in
-        let cap = min cap max_entries in
-        let rec take n acc = function
-          | x :: xs when n > 0 -> take (n - 1) (x :: acc) xs
-          | rest -> (List.rev acc, rest)
-        in
-        let g, rest = take cap [] !items in
-        items := rest;
-        write_partial ~target:(`Cold seg_age) t ~ditems:g ~inodes:[]
-          ~imap_chunks:[] ~usage_chunks:[]
-      done
-    end;
+    (* Pack each cold partial to exactly the relocation segment's
+       remaining capacity: a cold segment must close 100 % full, or its
+       inherited old age combined with a slack tail makes it the
+       cost-benefit policy's next victim and the cleaner copies the same
+       cold data in a loop. *)
+    let max_entries = Layout.max_summary_entries ~block_size:bs in
+    let head = Cold { age = u.last_write } in
+    let items = ref (List.rev !cold_items) in
+    while !items <> [] do
+      let cap =
+        if t.cold_seg >= 0 && t.cold_off < seg_blocks - 1 then
+          seg_blocks - t.cold_off - 1
+        else seg_blocks - 1
+      in
+      let g, rest = split_at (min cap max_entries) !items in
+      items := rest;
+      write_partial ~head t ~ditems:g ~inodes:[] ~imap_chunks:[] ~usage_chunks:[]
+    done;
     log_write t ~ditems:(List.rev !ditems) ~inodes:!extra;
     write_partial t ~ditems:[] ~inodes:[] ~imap_chunks:!imap_chunks
       ~usage_chunks:!usage_chunks;
@@ -1097,49 +1040,58 @@ let clean_once ?policy t =
   maint_exit t maint_tok;
   r
 
+(* The victim loop every cleaning path runs: clean victims chosen by
+   [policy] until [stop ~cleaned ~stalled] holds or no candidate is
+   left, checkpointing after a clean whenever [checkpoint_if ()] says so.
+   [stalled] counts consecutive cleans that gained no reclaimable
+   segment (a clean can be net-zero when its relocation closes a
+   segment). Returns the number of segments cleaned. *)
+let clean_victims t ~policy ~stop ~checkpoint_if =
+  let rec go cleaned stalled =
+    if stop ~cleaned ~stalled then cleaned
+    else
+      let before = t.n_reclaimable in
+      if not (clean_once ~policy t) then cleaned
+      else begin
+        if checkpoint_if () then checkpoint t;
+        go (cleaned + 1) (if t.n_reclaimable <= before then stalled + 1 else 0)
+      end
+  in
+  go 0 0
+
+(* Cleaned segments become reusable only at a checkpoint, which the
+   incremental cleaners batch over a few cleans. *)
+let checkpoint_batch_due t =
+  t.cleaned_since_cp >= max 1 (t.cfg.fs.checkpoint_segments / 2)
+
+(* The foreground cleaner, run when free segments drop below the
+   low-water mark. Either variant cleans greedily (see [clean_once]) and
+   checkpoints whenever the writable reserve runs low, before the
+   cleaner's own relocation writes could starve the log. *)
 let maybe_clean t =
   if free_segments t < t.cfg.fs.cleaner_low_segments then begin
     let t0 = Clock.now t.clock in
-    if t.cfg.fs.lfs_user_cleaner then begin
+    let reserve_low () = free_segments t <= 4 in
+    if t.cfg.fs.lfs_user_cleaner then
       (* User-space cleaner (Section 5.4): cleans incrementally, one
          segment per opportunity, without locking files for long bursts.
-         Checkpoint only when a segment was actually cleaned — an idle
-         tick with no victim must not pay the checkpoint's forced
-         metadata flush — and batch a few cleans per checkpoint: the
-         checkpoint exists to turn Pending segments into Free ones, so
-         it is needed only before the writable reserve runs out. *)
-      if clean_once ~policy:`Greedy t then begin
-        if
-          free_segments t <= 4
-          || t.cleaned_since_cp >= max 1 (t.cfg.fs.checkpoint_segments / 2)
-        then checkpoint t
-      end
-    end
+         It checkpoints only after an actual clean — an idle tick with no
+         victim must not pay the checkpoint's forced metadata flush. *)
+      ignore
+        (clean_victims t ~policy:`Greedy
+           ~stop:(fun ~cleaned ~stalled:_ -> cleaned >= 1)
+           ~checkpoint_if:(fun () -> reserve_low () || checkpoint_batch_due t))
     else begin
       (* Kernel cleaner: cleans a batch to the high-water mark while
          holding the files locked; regular processing observes one long
-         stall (Section 5.1). [t.n_reclaimable] is maintained
-         incrementally by [set_state], so the loop no longer refolds the
-         whole usage table up to three times per iteration. *)
-      let continue = ref true in
-      let stalled = ref 0 in
-      while !continue && t.n_reclaimable < t.cfg.fs.cleaner_high_segments do
-        let before = t.n_reclaimable in
-        if not (clean_once ~policy:`Greedy t) then continue := false
-        else begin
-          (* Cleaned segments only become reusable at a checkpoint; do
-             that mid-batch if the writable reserve runs low, otherwise
-             the batch's own relocation writes could starve the log. *)
-          if free_segments t <= 4 then checkpoint t;
-          (* A single clean can be net-zero when its relocation closes a
-             segment; only sustained lack of progress means the disk is
-             genuinely full of live data. *)
-          if t.n_reclaimable <= before then incr stalled else stalled := 0;
-          if !stalled >= 4 then continue := false
-        end
-      done;
-      (* One checkpoint for the whole batch turns Pending segments into
-         Free ones. *)
+         stall (Section 5.1). Only sustained lack of progress means the
+         disk is genuinely full of live data. One checkpoint for the whole
+         batch then turns its Pending segments into Free ones. *)
+      ignore
+        (clean_victims t ~policy:`Greedy
+           ~stop:(fun ~cleaned:_ ~stalled ->
+             stalled >= 4 || t.n_reclaimable >= t.cfg.fs.cleaner_high_segments)
+           ~checkpoint_if:reserve_low);
       checkpoint t
     end;
     let stall = Clock.now t.clock -. t0 in
@@ -1215,17 +1167,18 @@ let start_background t =
               Stats.incr t.stats "cleaner.backoffs";
               0.5
             end
-            else if t.n_reclaimable < t.cfg.fs.cleaner_high_segments then begin
-              if clean_once t then begin
-                Stats.incr t.stats "cleaner.idle_cleans";
-                if
-                  t.cleaned_since_cp
-                  >= max 1 (t.cfg.fs.checkpoint_segments / 2)
-                then checkpoint t;
-                (* More idle headroom to win back: wake up again soon. *)
-                0.05
-              end
-              else 0.5
+            else if
+              (* Idle: clean one victim ahead, by the configured policy,
+                 toward the high-water mark. *)
+              clean_victims t ~policy:t.cfg.fs.cleaner_policy
+                ~stop:(fun ~cleaned ~stalled:_ ->
+                  cleaned >= 1 || t.n_reclaimable >= t.cfg.fs.cleaner_high_segments)
+                ~checkpoint_if:(fun () -> checkpoint_batch_due t)
+              > 0
+            then begin
+              Stats.incr t.stats "cleaner.idle_cleans";
+              (* More idle headroom to win back: wake up again soon. *)
+              0.05
             end
             else 0.5
           in
@@ -1523,6 +1476,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
   List.iter (Stats.declare stats)
     [ "lfs.checkpoint"; "cleaner.clean"; "cleaner.stall"; "cleaner.write_cost" ];
   let nseg = sb.Layout.nsegments in
+  let n_imap = Layout.n_imap_chunks ~block_size:sb.Layout.block_size ~max_inodes in
   let t =
     {
       disk;
@@ -1535,10 +1489,12 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       imap_addr = Array.make max_inodes 0;
       imap_slot = Array.make max_inodes 0;
       imap_alloc = Array.make max_inodes false;
-      imap_dirty = Array.make ((max_inodes * imap_entry_bytes / sb.Layout.block_size) + 1) false;
-      imap_chunk_addr = Array.make ((max_inodes * imap_entry_bytes / sb.Layout.block_size) + 1) 0;
+      imap_dirty = Array.make n_imap false;
+      imap_chunk_addr = Array.make n_imap 0;
       usage_chunk_addr =
-        Array.make ((nseg * usage_entry_bytes / sb.Layout.block_size) + 1) 0;
+        Array.make
+          (Layout.n_usage_chunks ~block_size:sb.Layout.block_size ~nsegments:nseg)
+          0;
       inode_block_refs = Hashtbl.create 64;
       usage =
         Array.init nseg (fun _ ->
@@ -1613,6 +1569,31 @@ let load_checkpoint t =
   | None, None -> Vfs.error Invalid "LFS mount: no valid checkpoint"
   | Some cp, None | None, Some cp -> cp
   | Some a, Some b -> if a.Layout.cp_seq >= b.Layout.cp_seq then a else b
+
+(* Install checkpoint [cp]: the log head, the table chunk addresses and
+   the inode map it records. Mount and the snapshot view share this. *)
+let install_checkpoint t (cp : Layout.checkpoint) =
+  if
+    Array.length cp.imap_addrs <> Array.length t.imap_chunk_addr
+    || Array.length cp.usage_addrs <> Array.length t.usage_chunk_addr
+  then Vfs.error Invalid "LFS: checkpoint table sizes do not match the geometry";
+  t.cp_seq <- cp.cp_seq;
+  t.cur_seg <- cp.cur_seg;
+  t.cur_off <- cp.cur_off;
+  t.next_seg <- cp.cp_next_seg;
+  t.next_inum <- cp.next_inum;
+  t.write_seq <- cp.write_seq;
+  Array.blit cp.imap_addrs 0 t.imap_chunk_addr 0 (Array.length cp.imap_addrs);
+  Array.blit cp.usage_addrs 0 t.usage_chunk_addr 0 (Array.length cp.usage_addrs);
+  Array.iteri
+    (fun chunk addr ->
+      if addr <> 0 then
+        Layout.read_imap_chunk (Diskset.read t.disk addr) ~chunk ~n:max_inodes
+          (fun inum e ->
+            t.imap_addr.(inum) <- e.Layout.addr;
+            t.imap_slot.(inum) <- e.Layout.slot;
+            t.imap_alloc.(inum) <- e.Layout.alloc))
+    t.imap_chunk_addr
 
 (* Test-only hook: when set, roll-forward trusts a summary without
    verifying the checksum of its payload blocks — reintroducing the
@@ -1741,6 +1722,21 @@ let roll_forward t =
   done;
   if !next <> !seg then scrub (seg_base t !next)
 
+type block_kind = Data_block | Indirect_block | Double_block
+
+(* Every block address an inode's map holds, holes included: [f kind i
+   addr] for data block [i], indirect block [i], then the
+   double-indirect block. *)
+let iter_block_addrs t ino f =
+  for lb = 0 to Inode.nblocks ino - 1 do
+    f Data_block lb (Inode.get_addr ino lb)
+  done;
+  let nind = Inode.indirect_count ino ~block_size:(block_size t) in
+  for idx = 0 to min nind (Array.length ino.Inode.ind_addrs) - 1 do
+    f Indirect_block idx ino.Inode.ind_addrs.(idx)
+  done;
+  if nind > 1 then f Double_block 0 ino.Inode.dbl_addr
+
 let recompute_usage t =
   Array.iter
     (fun u ->
@@ -1765,16 +1761,7 @@ let recompute_usage t =
         count addr);
       match iget_opt t inum with
       | None -> ()
-      | Some ino ->
-        for lb = 0 to Inode.nblocks ino - 1 do
-          count (Inode.get_addr ino lb)
-        done;
-        let nind = Inode.indirect_count ino ~block_size:(block_size t) in
-        for idx = 0 to nind - 1 do
-          if idx < Array.length ino.Inode.ind_addrs then
-            count ino.Inode.ind_addrs.(idx)
-        done;
-        if nind > 1 then count ino.Inode.dbl_addr
+      | Some ino -> iter_block_addrs t ino (fun _ _ addr -> count addr)
     end
   done;
   Array.iter count t.imap_chunk_addr;
@@ -1785,10 +1772,7 @@ let recompute_usage t =
   t.usage.(t.cur_seg).state <- Current;
   t.usage.(t.next_seg).state <- Current;
   (* States were rebuilt wholesale; re-derive the incremental counter. *)
-  t.n_reclaimable <-
-    Array.fold_left
-      (fun n u -> if u.state = Free || u.state = Pending then n + 1 else n)
-      0 t.usage;
+  t.n_reclaimable <- count_reclaimable t;
   t.n_free <- count_free t
 
 let mount disk clock stats (cfg : Config.t) =
@@ -1796,52 +1780,19 @@ let mount disk clock stats (cfg : Config.t) =
   if sb.Layout.block_size <> cfg.disk.block_size then
     Vfs.error Invalid "LFS mount: block size mismatch";
   let t = make_empty disk clock stats { cfg with fs = { cfg.fs with segment_blocks = sb.Layout.segment_blocks } } sb in
-  let cp = load_checkpoint t in
-  t.cp_seq <- cp.Layout.cp_seq;
-  t.cur_seg <- cp.Layout.cur_seg;
-  t.cur_off <- cp.Layout.cur_off;
-  t.next_seg <- cp.Layout.cp_next_seg;
-  t.next_inum <- cp.Layout.next_inum;
-  t.write_seq <- cp.Layout.write_seq;
-  Array.blit cp.Layout.imap_addrs 0 t.imap_chunk_addr 0
-    (Array.length cp.Layout.imap_addrs);
-  Array.blit cp.Layout.usage_addrs 0 t.usage_chunk_addr 0
-    (Array.length cp.Layout.usage_addrs);
-  (* Load the inode map. *)
-  Array.iteri
-    (fun chunk addr ->
-      if addr <> 0 then begin
-        let b = Diskset.read t.disk addr in
-        let lo = chunk * imap_per_chunk t in
-        for i = 0 to imap_per_chunk t - 1 do
-          let inum = lo + i in
-          if inum < max_inodes then begin
-            t.imap_addr.(inum) <- Enc.get_u32 b (i * imap_entry_bytes);
-            t.imap_slot.(inum) <- Enc.get_u8 b ((i * imap_entry_bytes) + 4);
-            t.imap_alloc.(inum) <-
-              Enc.get_u8 b ((i * imap_entry_bytes) + 5) = 1
-          end
-        done
-      end)
-    t.imap_chunk_addr;
+  install_checkpoint t (load_checkpoint t);
   (* Load segment usage (live counts are recomputed below; keep the
      timestamps and the hot/cold bit — the age signal and segregation
      survive remounts only through this table). *)
   Array.iteri
     (fun chunk addr ->
-      if addr <> 0 then begin
-        let b = Diskset.read t.disk addr in
-        let lo = chunk * usage_per_chunk t in
-        for i = 0 to usage_per_chunk t - 1 do
-          let seg = lo + i in
-          if seg < nsegments t then begin
-            let off = i * usage_entry_bytes in
-            t.usage.(seg).mtime <- Enc.get_f64 b (off + 4);
-            t.usage.(seg).last_write <- Enc.get_f64 b (off + 12);
-            t.usage.(seg).cold <- Enc.get_u8 b (off + 20) land 1 = 1
-          end
-        done
-      end)
+      if addr <> 0 then
+        Layout.read_usage_chunk (Diskset.read t.disk addr) ~chunk ~n:(nsegments t)
+          (fun seg e ->
+            let u = t.usage.(seg) in
+            u.mtime <- e.Layout.mtime;
+            u.last_write <- e.Layout.last_write;
+            u.cold <- e.Layout.cold))
     t.usage_chunk_addr;
   roll_forward t;
   recompute_usage t;
@@ -1947,21 +1898,8 @@ let coalesce_all t =
 let snapshot t =
   check_alive t;
   let maint_tok = maint_enter t in
-  checkpoint t;
+  let cp = checkpoint_record t in
   maint_exit t maint_tok;
-  let cp =
-    {
-      Layout.cp_seq = t.cp_seq;
-      cp_timestamp = Clock.now t.clock;
-      cur_seg = t.cur_seg;
-      cur_off = t.cur_off;
-      cp_next_seg = t.next_seg;
-      next_inum = t.next_inum;
-      write_seq = t.write_seq;
-      imap_addrs = Array.copy t.imap_chunk_addr;
-      usage_addrs = Array.copy t.usage_chunk_addr;
-    }
-  in
   (* Freeze every segment that holds (or may hold) referenced blocks: the
      partially-filled current segment only ever gains appends, but once
      it closes it must not be cleaned or reused while the snapshot is
@@ -2011,17 +1949,12 @@ let check t =
         if t.imap_addr.(inum) <> 0 then
           fail "LFS.check: imap entry %d points at no decodable inode" inum
       | Some ino ->
-        for lb = 0 to Inode.nblocks ino - 1 do
-          claim (Inode.get_addr ino lb) (Printf.sprintf "inode %d block %d" inum lb)
-        done;
-        let nind = Inode.indirect_count ino ~block_size:(block_size t) in
-        for idx = 0 to nind - 1 do
-          if idx < Array.length ino.Inode.ind_addrs then
-            claim ino.Inode.ind_addrs.(idx)
-              (Printf.sprintf "inode %d indirect %d" inum idx)
-        done;
-        if nind > 1 then
-          claim ino.Inode.dbl_addr (Printf.sprintf "inode %d double-indirect" inum)
+        iter_block_addrs t ino (fun kind i addr ->
+            claim addr
+              (match kind with
+              | Data_block -> Printf.sprintf "inode %d block %d" inum i
+              | Indirect_block -> Printf.sprintf "inode %d indirect %d" inum i
+              | Double_block -> Printf.sprintf "inode %d double-indirect" inum))
   done;
   (* Inode blocks are shared: count each address once. *)
   let seen_iblocks = Hashtbl.create 64 in
@@ -2048,11 +1981,7 @@ let check t =
   (* The incrementally-maintained reclaimable counter must agree with a
      full recount — it replaced the cleaner's O(nsegments) folds and any
      drift would silently skew batch-clean termination. *)
-  let recount =
-    Array.fold_left
-      (fun n u -> if u.state = Free || u.state = Pending then n + 1 else n)
-      0 t.usage
-  in
+  let recount = count_reclaimable t in
   if t.n_reclaimable <> recount then
     fail "LFS.check: reclaimable counter %d but recount says %d"
       t.n_reclaimable recount;
@@ -2080,6 +2009,13 @@ let resolve_file t path =
   | Some (inum, Vfs.File) -> inum
   | Some (_, Vfs.Dir) -> Vfs.error Is_dir "%s" path
   | None -> Vfs.error Not_found "%s" path
+
+let stat t path =
+  match Ns.lookup t path with
+  | None -> Vfs.error Not_found "%s" path
+  | Some (inum, kind) ->
+    let ino = iget t inum in
+    { Vfs.inum; size = ino.Inode.size; kind; protected_ = ino.Inode.protected_ }
 
 let vfs t =
   let wrap f = fun x ->
@@ -2126,18 +2062,7 @@ let vfs t =
           ignore (Ns.create t path ~kind:Vfs.Dir));
     readdir = wrap (fun path -> Ns.readdir t path);
     exists = (fun path -> Option.is_some (Ns.lookup t path));
-    stat =
-      wrap (fun path ->
-          match Ns.lookup t path with
-          | None -> Vfs.error Not_found "%s" path
-          | Some (inum, kind) ->
-            let ino = iget t inum in
-            {
-              Vfs.inum;
-              size = ino.Inode.size;
-              kind;
-              protected_ = ino.Inode.protected_;
-            });
+    stat = wrap (stat t);
     set_protected =
       wrap (fun path value ->
           let inum = inum_of t path in
@@ -2152,31 +2077,7 @@ let vfs t =
 let snapshot_view t s =
   if not s.snap_live then invalid_arg "Lfs.snapshot_view: snapshot released";
   let view = make_empty t.disk t.clock t.stats t.cfg t.sb in
-  let cp = s.snap_cp in
-  view.cp_seq <- cp.Layout.cp_seq;
-  view.cur_seg <- cp.Layout.cur_seg;
-  view.cur_off <- cp.Layout.cur_off;
-  view.next_seg <- cp.Layout.cp_next_seg;
-  view.next_inum <- cp.Layout.next_inum;
-  view.write_seq <- cp.Layout.write_seq;
-  Array.blit cp.Layout.imap_addrs 0 view.imap_chunk_addr 0
-    (Array.length cp.Layout.imap_addrs);
-  Array.iteri
-    (fun chunk addr ->
-      if addr <> 0 then begin
-        let b = Diskset.read view.disk addr in
-        let lo = chunk * imap_per_chunk view in
-        for i = 0 to imap_per_chunk view - 1 do
-          let inum = lo + i in
-          if inum < max_inodes then begin
-            view.imap_addr.(inum) <- Enc.get_u32 b (i * imap_entry_bytes);
-            view.imap_slot.(inum) <- Enc.get_u8 b ((i * imap_entry_bytes) + 4);
-            view.imap_alloc.(inum) <-
-              Enc.get_u8 b ((i * imap_entry_bytes) + 5) = 1
-          end
-        done
-      end)
-    view.imap_chunk_addr;
+  install_checkpoint view s.snap_cp;
   (* No syncer, no cleaner, no checkpoints: the view never writes. *)
   view.maint <- [ 0 ];
   let deny _ = Vfs.error Not_supported "snapshot view is read-only" in
@@ -2195,18 +2096,7 @@ let snapshot_view t s =
     mkdir = deny;
     readdir = (fun path -> Ns.readdir view path);
     exists = (fun path -> Option.is_some (Ns.lookup view path));
-    stat =
-      (fun path ->
-        match Ns.lookup view path with
-        | None -> Vfs.error Not_found "%s" path
-        | Some (inum, kind) ->
-          let ino = iget view inum in
-          {
-            Vfs.inum;
-            size = ino.Inode.size;
-            kind;
-            protected_ = ino.Inode.protected_;
-          });
+    stat = stat view;
     set_protected = (fun _ _ -> deny ());
   }
 

@@ -202,6 +202,86 @@ let test_checksum_pinned () =
   Alcotest.check_raises "range past the end" (Invalid_argument "Layout.checksum_sub")
     (fun () -> ignore (Layout.checksum_sub small 4000 97))
 
+(* Inode map and usage table chunks ------------------------------------------ *)
+
+(* Encode a whole table chunk by chunk, decode it back into fresh arrays. *)
+let table_roundtrip ~block_size ~n_chunks ~write ~read entries =
+  let n = Array.length entries in
+  let back = Array.make n None in
+  for chunk = 0 to n_chunks - 1 do
+    let b = Bytes.make block_size '\255' in
+    write b ~chunk ~n (fun i -> entries.(i));
+    read b ~chunk ~n (fun i e -> back.(i) <- Some e)
+  done;
+  Array.for_all2 (fun e d -> d = Some e) entries back
+
+let prop_imap_roundtrip =
+  let entry =
+    QCheck2.Gen.(
+      map3
+        (fun addr slot alloc -> { Layout.addr; slot; alloc })
+        (int_bound 0x3fff_ffff) (int_bound 255) bool)
+  in
+  Tutil.qtest "imap chunks round-trip"
+    QCheck2.Gen.(pair (oneofl [ 512; 2048; 4096 ]) (array_size (int_range 0 2000) entry))
+    (fun (block_size, entries) ->
+      table_roundtrip ~block_size
+        ~n_chunks:(Layout.n_imap_chunks ~block_size ~max_inodes:(Array.length entries))
+        ~write:Layout.write_imap_chunk ~read:Layout.read_imap_chunk entries)
+
+let prop_usage_roundtrip =
+  let entry =
+    QCheck2.Gen.(
+      map2
+        (fun (live, cold) (mtime, last_write) -> { Layout.live; mtime; last_write; cold })
+        (pair (int_bound 0xffff) bool)
+        (pair (float_bound_inclusive 1e6) (float_bound_inclusive 1e6)))
+  in
+  Tutil.qtest "usage chunks round-trip"
+    QCheck2.Gen.(pair (oneofl [ 512; 2048; 4096 ]) (array_size (int_range 0 1000) entry))
+    (fun (block_size, entries) ->
+      table_roundtrip ~block_size
+        ~n_chunks:(Layout.n_usage_chunks ~block_size ~nsegments:(Array.length entries))
+        ~write:Layout.write_usage_chunk ~read:Layout.read_usage_chunk entries)
+
+let test_chunk_counts () =
+  (* 2 048-byte blocks hold 97 usage entries: 195 segments need a third
+     chunk. *)
+  let usage nsegments = Layout.n_usage_chunks ~block_size:2048 ~nsegments in
+  Alcotest.(check int) "194 segments" 2 (usage 194);
+  Alcotest.(check int) "195 segments" 3 (usage 195);
+  Alcotest.(check int) "imap at 4 KB" 64
+    (Layout.n_imap_chunks ~block_size:4096 ~max_inodes:32_768)
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* The on-disk format must not move: the second chunk of a 13-entry imap
+   and of a 5-entry usage table in 64-byte blocks, each a partial last
+   chunk, byte for byte as the encoder wrote them before Layout owned
+   it. *)
+let test_chunks_pinned () =
+  let b = Bytes.make 64 '\255' in
+  Layout.write_imap_chunk b ~chunk:1 ~n:13 (fun i ->
+      { Layout.addr = 1_000_003 * (i + 1); slot = i mod 16; alloc = i mod 3 <> 0 });
+  Alcotest.(check string) "imap chunk"
+    "0089545b080100000098969e0900000000a7d8e10a01000000b71b240b01000000\
+     c65d670c000000000000000000000000000000000000000000000000000000"
+    (hex b);
+  let b = Bytes.make 64 '\255' in
+  Layout.write_usage_chunk b ~chunk:1 ~n:5 (fun i ->
+      {
+        Layout.live = (7 * i) + 1;
+        mtime = 1.5 *. float_of_int i;
+        last_write = 0.25 +. float_of_int i;
+        cold = i mod 2 = 1;
+      });
+  Alcotest.(check string) "usage chunk"
+    "000000164012000000000000400a000000000000010000001d40180000000000\
+     0040110000000000000000000000000000000000000000000000000000000000"
+    (hex b)
+
 let () =
   Alcotest.run "layout"
     [
@@ -224,5 +304,12 @@ let () =
           Alcotest.test_case "checksum" `Quick test_checksum_sensitivity;
           Alcotest.test_case "checksum values pinned" `Quick test_checksum_pinned;
           prop_checksum_sub;
+        ] );
+      ( "tables",
+        [
+          Alcotest.test_case "chunk counts" `Quick test_chunk_counts;
+          Alcotest.test_case "chunks pinned" `Quick test_chunks_pinned;
+          prop_imap_roundtrip;
+          prop_usage_roundtrip;
         ] );
     ]

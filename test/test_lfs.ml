@@ -847,6 +847,60 @@ let test_cold_bit_persists_remount () =
   let kfd = v.Vfs.open_file "/keep" in
   Tutil.check_bytes "cold survivor intact" keep (v.Vfs.read kfd ~off:0 ~len:(8 * bs))
 
+(* The usage table's last chunk: with 2 048-byte blocks a chunk holds
+   97 usage entries, so 195 segments need 3 chunks — one more than
+   sizing the chunk arrays as [n * entry_bytes / block_size + 1] gives.
+   Format, checkpoint, remount and check at exactly that geometry. *)
+let test_usage_table_last_chunk () =
+  let cfg = Tutil.small_config () in
+  let cfg =
+    {
+      cfg with
+      Config.disk =
+        {
+          cfg.Config.disk with
+          block_size = 2048;
+          nblocks = Layout.data_start + (195 * 16);
+        };
+      fs = { cfg.Config.fs with segment_blocks = 16 };
+    }
+  in
+  let m, fs = Tutil.fresh_lfs ~cfg () in
+  Alcotest.(check int) "segments" 195 (Lfs.nsegments fs);
+  let v = Lfs.vfs fs in
+  let fd = v.Vfs.create "/f" in
+  let data = Tutil.payload 3 (5 * 2048) in
+  v.Vfs.write fd ~off:0 data;
+  Lfs.checkpoint fs;
+  Lfs.check fs;
+  let fs = remount m fs in
+  Lfs.check fs;
+  let v = Lfs.vfs fs in
+  Tutil.check_bytes "file survives" data
+    (v.Vfs.read (v.Vfs.open_file "/f") ~off:0 ~len:(5 * 2048))
+
+(* A checkpoint whose chunk lists do not match the image's geometry is
+   refused at mount instead of being half-loaded. *)
+let test_mount_rejects_mismatched_checkpoint () =
+  let m, fs = Tutil.fresh_lfs () in
+  Lfs.sync fs;
+  Lfs.crash fs;
+  let r0, r1 = Layout.checkpoint_blknos in
+  List.iter
+    (fun r ->
+      match Layout.read_checkpoint (Diskset.read m.Tutil.disks r) with
+      | None -> ()
+      | Some cp ->
+        let b = Bytes.make m.Tutil.cfg.Config.disk.block_size '\000' in
+        Layout.write_checkpoint b
+          { cp with Layout.imap_addrs = Array.append cp.Layout.imap_addrs [| 0 |] };
+        Diskset.write m.Tutil.disks r b)
+    [ r0; r1 ];
+  Alcotest.(check bool) "mount refuses" true
+    (match Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg with
+    | exception Vfs.Error (Vfs.Invalid, _) -> true
+    | _ -> false)
+
 let () =
   Alcotest.run "tx_lfs"
     [
@@ -874,6 +928,10 @@ let () =
             test_crash_after_cleaning_before_checkpoint;
           Alcotest.test_case "repeated crash cycles" `Quick
             test_repeated_crash_recovery_cycles;
+          Alcotest.test_case "usage table's last chunk" `Quick
+            test_usage_table_last_chunk;
+          Alcotest.test_case "mismatched checkpoint refused" `Quick
+            test_mount_rejects_mismatched_checkpoint;
         ] );
       ( "snapshots",
         [

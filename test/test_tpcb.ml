@@ -379,6 +379,68 @@ let test_pinned_kernel_record_mpl4 () =
     "commits=300 elapsed=0x1.9449ca0952621p+3 latencies=3ed724775e774ee3646cca97eaf35501"
     run.Expcommon.result
 
+(* The three runs above never clean. These run on a disk prefilled with
+   cold files (the cleaner sweep's configuration at 1 TPS), so each
+   reaches one cleaning path: the kernel cleaner's batch stall and the
+   user-space cleaner inline at MPL 1, and the adaptive daemon's idle
+   cleans at MPL 8. Besides the fingerprint they pin the cleaner's own
+   counters, and each path's counter must be nonzero. *)
+
+let cleaning_cfg ~user_cleaner =
+  let c = Config.scaled ~factor:0.1 Config.default in
+  let fs =
+    {
+      c.Config.fs with
+      Config.lock_grain = `Record;
+      group_commit_size = 8;
+      group_commit_timeout_s = 0.02;
+      lfs_user_cleaner = user_cleaner;
+    }
+  in
+  { c with Config.fs }
+
+let cleaning_keys =
+  [ "cleaner.segments"; "cleaner.idle_cleans"; "lfs.cold_partials"; "lfs.checkpoints" ]
+
+let check_pinned_cleaning name ~util_pct ?mpl ~user_cleaner ~reaches expected
+    expected_counters =
+  let run =
+    Expcommon.run_tpcb ~config:(cleaning_cfg ~user_cleaner)
+      ~prepare:(Cleanersweep.prefill ~util_pct) ?mpl
+      ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1 Expcommon.Lfs_kernel
+  in
+  let stats = run.Expcommon.stats in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (name ^ ": reaches " ^ k) true (Stats.count stats k > 0))
+    reaches;
+  let counters =
+    String.concat " "
+      (List.map (fun k -> Printf.sprintf "%s=%d" k (Stats.count stats k)) cleaning_keys)
+  in
+  Alcotest.(check string) (name ^ ": cleaner counters") expected_counters counters;
+  check_pinned name expected run.Expcommon.result
+
+let test_pinned_kernel_batch_clean () =
+  check_pinned_cleaning "kernel batch cleaner, MPL 1" ~util_pct:90
+    ~user_cleaner:false
+    ~reaches:[ "cleaner.segments"; "lfs.cold_partials" ]
+    "commits=200 elapsed=0x1.f600d8a7c3b04p+4 latencies=05875449bc1ac4dd07a13b6905f64d45"
+    "cleaner.segments=35 cleaner.idle_cleans=0 lfs.cold_partials=47 lfs.checkpoints=10"
+
+let test_pinned_user_cleaner () =
+  check_pinned_cleaning "user-space cleaner, MPL 1" ~util_pct:90
+    ~user_cleaner:true ~reaches:[ "cleaner.segments" ]
+    "commits=200 elapsed=0x1.4fb2d485d85e2p+4 latencies=9ed4d6e5382a29d34c5a1337a45eb937"
+    "cleaner.segments=12 cleaner.idle_cleans=0 lfs.cold_partials=13 lfs.checkpoints=11"
+
+let test_pinned_adaptive_daemon () =
+  check_pinned_cleaning "adaptive daemon, segregation, MPL 8" ~util_pct:80 ~mpl:8
+    ~user_cleaner:false
+    ~reaches:[ "cleaner.idle_cleans"; "lfs.cold_partials" ]
+    "commits=200 elapsed=0x1.25692d91e5283p+5 latencies=0567c73bff3be6530ba80ae55635a755"
+    "cleaner.segments=53 cleaner.idle_cleans=53 lfs.cold_partials=75 lfs.checkpoints=21"
+
 let () =
   Alcotest.run "tx_tpcb"
     [
@@ -424,5 +486,11 @@ let () =
             test_pinned_user_record_mpl4;
           Alcotest.test_case "lfs-kernel record grain mpl=4" `Quick
             test_pinned_kernel_record_mpl4;
+          Alcotest.test_case "kernel batch cleaner mpl=1" `Quick
+            test_pinned_kernel_batch_clean;
+          Alcotest.test_case "user-space cleaner mpl=1" `Quick
+            test_pinned_user_cleaner;
+          Alcotest.test_case "adaptive daemon mpl=8" `Quick
+            test_pinned_adaptive_daemon;
         ] );
     ]
