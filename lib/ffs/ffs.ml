@@ -1,8 +1,8 @@
-exception Crashed
+exception Crashed = Vfs.Crashed
 
 let magic = 0x4646_5342 (* "FFSB" *)
 let max_inodes = 8192
-let root_inum = 1
+let root_inum = Fileops.root_inum
 
 (* Disk layout: block 0 superblock; then the inode table; then the block
    bitmap; then data blocks. *)
@@ -20,21 +20,18 @@ type t = {
   bitmap_blocks : int;
   data_start : int;
   cache : Cache.t;
-  inodes : (int, Inode.t) Hashtbl.t;
+  files : Fileops.state;
   dirty_inodes : (int, unit) Hashtbl.t;
   bitmap : Bytes.t; (* one bit per block *)
   mutable bitmap_dirty : bool;
-  mutable free_inums : int list;
-  mutable next_inum : int;
   mutable rotor : int; (* global next-fit pointer for allocation *)
   mutable last_syncer : float;
   mutable in_maintenance : bool;
-  mutable crashed : bool;
 }
 
 let inodes_per_block t = t.bs / 256
 
-let check_alive t = if t.crashed then raise Crashed
+let check_alive t = Fileops.check_alive t.files
 
 let config t = t.cfg
 let clock t = t.clock
@@ -100,28 +97,10 @@ let mark_inode_dirty t ino =
 let iget_opt t inum =
   if inum <= 0 || inum >= max_inodes then None
   else
-    match Hashtbl.find_opt t.inodes inum with
-    | Some ino -> Some ino
-    | None -> (
-      let block = Disk.read t.disk (itable_blkno t inum) in
-      match Inode.decode block (itable_off t inum) with
-      | None -> None
-      | Some ino ->
-        let nind = Inode.indirect_count ino ~block_size:t.bs in
-        if nind > 1 && ino.Inode.dbl_addr <> 0 then
-          Inode.decode_double ino ~block_size:t.bs
-            (Disk.read t.disk ino.Inode.dbl_addr);
-        for idx = 0 to nind - 1 do
-          let a =
-            if idx < Array.length ino.Inode.ind_addrs then
-              ino.Inode.ind_addrs.(idx)
-            else 0
-          in
-          if a <> 0 then
-            Inode.decode_indirect ino ~block_size:t.bs idx (Disk.read t.disk a)
-        done;
-        Hashtbl.replace t.inodes inum ino;
-        Some ino)
+    Fileops.cached t.files inum (fun () ->
+        Inode.load ~block_size:t.bs ~read:(Disk.read t.disk)
+          (Disk.read t.disk (itable_blkno t inum))
+          (itable_off t inum))
 
 let iget t inum =
   match iget_opt t inum with
@@ -190,7 +169,7 @@ let inode_table_writes t inums =
       let b = Disk.read t.disk blk in
       List.iter
         (fun inum ->
-          match Hashtbl.find_opt t.inodes inum with
+          match Hashtbl.find_opt t.files.inodes inum with
           | Some ino ->
             Bytes.blit (Inode.encode ino) 0 b (itable_off t inum) 256;
             ino.Inode.dirty <- false
@@ -253,7 +232,7 @@ let flush_frames t frames =
   let dirty = Hashtbl.fold (fun inum () acc -> inum :: acc) t.dirty_inodes [] in
   List.iter
     (fun inum ->
-      match Hashtbl.find_opt t.inodes inum with
+      match Hashtbl.find_opt t.files.inodes inum with
       | Some ino -> meta := writes_for_inode t ino @ !meta
       | None -> ())
     dirty;
@@ -267,163 +246,79 @@ let sync_internal t =
   flush_frames t frames;
   issue_sorted t (bitmap_writes t)
 
+(* Run [f] with the syncer in [tick] held off. *)
+let maintaining t f =
+  let was = t.in_maintenance in
+  t.in_maintenance <- true;
+  f ();
+  t.in_maintenance <- was
+
 let tick t =
-  check_alive t;
-  if not t.in_maintenance then begin
-    t.in_maintenance <- true;
-    if Clock.now t.clock -. t.last_syncer >= t.cfg.Config.fs.syncer_interval_s
-    then begin
-      t.last_syncer <- Clock.now t.clock;
-      sync_internal t;
-      Stats.incr t.stats "ffs.syncer_runs"
-    end;
-    t.in_maintenance <- false
-  end
+  if
+    (not t.in_maintenance)
+    && Clock.now t.clock -. t.last_syncer >= t.cfg.Config.fs.syncer_interval_s
+  then
+    maintaining t (fun () ->
+        t.last_syncer <- Clock.now t.clock;
+        sync_internal t;
+        Stats.incr t.stats "ffs.syncer_runs")
 
 (* Page access ------------------------------------------------------------ *)
-
-let zero_block t = Bytes.make t.bs '\000'
 
 let get_page t ~inum ~lblock =
   match Cache.lookup t.cache ~file:inum ~lblock with
   | Some f -> f
   | None ->
-    let ino = iget t inum in
-    let addr = Inode.get_addr ino lblock in
-    let data = if addr = 0 then zero_block t else Disk.read t.disk addr in
+    let addr = Inode.get_addr (iget t inum) lblock in
+    let data = if addr = 0 then Bytes.make t.bs '\000' else Disk.read t.disk addr in
     Cache.insert t.cache ~file:inum ~lblock data
 
-let new_page t ~inum ~lblock =
-  match Cache.lookup t.cache ~file:inum ~lblock with
-  | Some f -> f
-  | None -> Cache.insert t.cache ~file:inum ~lblock (zero_block t)
+let sync t =
+  check_alive t;
+  maintaining t (fun () -> sync_internal t)
 
-(* Byte-level I/O --------------------------------------------------------- *)
+let fsync_inum t inum =
+  maintaining t (fun () -> flush_frames t (Cache.dirty_frames t.cache ~file:inum ()))
 
-let read_bytes t inum ~off ~len =
-  let ino = iget t inum in
-  if off < 0 || len < 0 then Vfs.error Invalid "read: negative offset/length";
-  let len = max 0 (min len (ino.Inode.size - off)) in
-  let out = Bytes.create len in
-  let copied = ref 0 in
-  while !copied < len do
-    let pos = off + !copied in
-    let lb = pos / t.bs and boff = pos mod t.bs in
-    let n = min (t.bs - boff) (len - !copied) in
-    let f = get_page t ~inum ~lblock:lb in
-    Bytes.blit f.Cache.data boff out !copied n;
-    Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Copy_block;
-    copied := !copied + n
-  done;
-  out
+(* File layer ------------------------------------------------------------------
 
-let write_bytes t inum ~off data =
-  let ino = iget t inum in
-  let len = Bytes.length data in
-  if off < 0 then Vfs.error Invalid "write: negative offset";
-  let written = ref 0 in
-  while !written < len do
-    let pos = off + !written in
-    let lb = pos / t.bs and boff = pos mod t.bs in
-    let n = min (t.bs - boff) (len - !written) in
-    let f =
-      (* A read-modify-write is needed unless the write covers the whole
-         block or the block lies entirely at or past end of file. *)
-      if n = t.bs || lb * t.bs >= ino.Inode.size then new_page t ~inum ~lblock:lb
-      else get_page t ~inum ~lblock:lb
-    in
-    Bytes.blit data !written f.Cache.data boff n;
-    Cache.mark_dirty t.cache f;
-    Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Copy_block;
-    written := !written + n
-  done;
-  if off + len > ino.Inode.size then ino.Inode.size <- off + len;
-  ino.Inode.mtime <- Clock.now t.clock;
-  mark_inode_dirty t ino
+   Blocks get their permanent address at first flush ([frame_writes]), so
+   a page write only marks the frame; the inode is marked once per write,
+   after the page loop, and a freed block goes back to the bitmap. *)
 
-let truncate_bytes t inum len =
-  let ino = iget t inum in
-  if len < 0 then Vfs.error Invalid "truncate: negative length";
-  if len < ino.Inode.size then begin
-    let keep = (len + t.bs - 1) / t.bs in
-    let old_n = Inode.nblocks ino in
-    for lb = keep to old_n - 1 do
-      let addr = Inode.get_addr ino lb in
-      if addr <> 0 then free_block t addr
-    done;
-    List.iter
-      (fun f -> if f.Cache.lblock >= keep then Cache.invalidate t.cache f)
-      (Cache.file_frames t.cache inum);
-    (if len mod t.bs <> 0 && len < ino.Inode.size then begin
-       let f = get_page t ~inum ~lblock:(len / t.bs) in
-       Bytes.fill f.Cache.data (len mod t.bs) (t.bs - (len mod t.bs)) '\000';
-       Cache.mark_dirty t.cache f
-     end);
-    let old_nind = Inode.indirect_count ino ~block_size:t.bs in
-    Inode.truncate_map ino ~block_size:t.bs keep;
-    let new_nind = Inode.indirect_count ino ~block_size:t.bs in
-    for idx = new_nind to old_nind - 1 do
-      if idx < Array.length ino.Inode.ind_addrs then begin
-        free_block t ino.Inode.ind_addrs.(idx);
-        ino.Inode.ind_addrs.(idx) <- 0
-      end
-    done;
-    if new_nind <= 1 && ino.Inode.dbl_addr <> 0 then begin
-      free_block t ino.Inode.dbl_addr;
-      ino.Inode.dbl_addr <- 0;
-      ino.Inode.dbl_dirty <- false
-    end
-  end;
-  ino.Inode.size <- len;
-  mark_inode_dirty t ino
-
-(* Inode allocation ------------------------------------------------------- *)
-
-let alloc_inode t ~kind =
-  let inum =
-    match t.free_inums with
-    | i :: rest ->
-      t.free_inums <- rest;
-      i
-    | [] ->
-      if t.next_inum >= max_inodes then Vfs.error No_space "FFS: out of inodes";
-      let i = t.next_inum in
-      t.next_inum <- i + 1;
-      i
-  in
-  let ino = Inode.create ~inum ~kind in
-  ino.Inode.mtime <- Clock.now t.clock;
-  Hashtbl.replace t.inodes inum ino;
-  mark_inode_dirty t ino;
-  inum
-
-let free_inode t inum =
-  truncate_bytes t inum 0;
-  List.iter (Cache.invalidate t.cache) (Cache.file_frames t.cache inum);
-  Hashtbl.remove t.inodes inum;
-  Hashtbl.replace t.dirty_inodes inum () (* forces the slot to be cleared *);
-  t.free_inums <- inum :: t.free_inums
-
-(* Namespace --------------------------------------------------------------- *)
-
-module Store = struct
+module Files = Fileops.Make (struct
   type nonrec t = t
 
-  let root _ = root_inum
-  let read t inum ~off ~len = read_bytes t inum ~off ~len
-  let write t inum ~off data = write_bytes t inum ~off data
-  let truncate t inum ~len = truncate_bytes t inum len
-  let size t inum = (iget t inum).Inode.size
-  let alloc_inode t ~kind = alloc_inode t ~kind
-  let free_inode t inum = free_inode t inum
-end
+  let name = "ffs"
+  let max_inodes = max_inodes
+  let protection = false
+  let state t = t.files
+  let config t = t.cfg
+  let clock t = t.clock
+  let stats t = t.stats
+  let cache t = t.cache
+  let block_size t = t.bs
+  let iget = iget
+  let get_page = get_page
+  let page_dirty t f = Cache.mark_dirty t.cache f
+  let inode_dirty = mark_inode_dirty
 
-module Ns = Namespace.Make (Store)
+  let wrote t ino =
+    ino.Inode.mtime <- Clock.now t.clock;
+    mark_inode_dirty t ino
 
-let inum_of t path =
-  match Ns.lookup t path with
-  | Some (inum, _) -> inum
-  | None -> Vfs.error Not_found "%s" path
+  let free_block = free_block
+  let slot_alloc = mark_inode_dirty
+
+  (* A freed inode's slot is cleared at the next flush. *)
+  let slot_free t inum = Hashtbl.replace t.dirty_inodes inum ()
+  let tick = tick
+  let fsync = fsync_inum
+  let sync = sync
+end)
+
+let inum_of = Files.inum_of
+let vfs = Files.vfs
 
 (* Construction ------------------------------------------------------------ *)
 
@@ -455,16 +350,13 @@ let make disk clock stats (cfg : Config.t) =
       bitmap_blocks;
       data_start;
       cache = Cache.create clock stats cfg.cpu ~capacity:cfg.fs.cache_blocks;
-      inodes = Hashtbl.create 64;
+      files = Fileops.state ();
       dirty_inodes = Hashtbl.create 16;
       bitmap = Bytes.make ((nblocks + 7) / 8) '\000';
       bitmap_dirty = true;
-      free_inums = [];
-      next_inum = root_inum;
       rotor = data_start;
       last_syncer = Clock.now clock;
       in_maintenance = false;
-      crashed = false;
     }
   in
   Cache.set_writeback t.cache (fun _victim ->
@@ -472,10 +364,7 @@ let make disk clock stats (cfg : Config.t) =
          elevator-sorted sweep, exactly as the syncer does — single
          random writes would misrepresent the sorted disk queue the
          paper's baseline relies on. *)
-      let was = t.in_maintenance in
-      t.in_maintenance <- true;
-      flush_frames t (Cache.dirty_frames t.cache ());
-      t.in_maintenance <- was);
+      maintaining t (fun () -> flush_frames t (Cache.dirty_frames t.cache ())));
   t
 
 let write_superblock t =
@@ -493,14 +382,11 @@ let format disk clock stats cfg =
   done;
   write_superblock t;
   (* Zero the inode table. *)
-  let zero = Bytes.make t.bs '\000' in
   Disk.write_run t.disk t.itable_start
     (Bytes.make (t.itable_blocks * t.bs) '\000');
-  ignore zero;
-  let inum = alloc_inode t ~kind:Vfs.Dir in
+  let inum = Files.alloc_inode t ~kind:Vfs.Dir in
   assert (inum = root_inum);
   sync_internal t;
-  issue_sorted t (bitmap_writes t);
   t
 
 let mount disk clock stats cfg =
@@ -517,7 +403,6 @@ let mount disk clock stats cfg =
   done;
   t.bitmap_dirty <- false;
   (* Scan the inode table for the allocation picture. *)
-  let free = ref [] in
   let maxseen = ref root_inum in
   for blk = 0 to t.itable_blocks - 1 do
     let b = Disk.read disk (t.itable_start + blk) in
@@ -529,34 +414,17 @@ let mount disk clock stats cfg =
         | None -> ()
     done
   done;
-  t.next_inum <- !maxseen + 1;
-  for inum = t.next_inum - 1 downto 2 do
-    let b = Disk.read disk (itable_blkno t inum) in
-    if Inode.decode b (itable_off t inum) = None then free := inum :: !free
-  done;
-  t.free_inums <- !free;
+  t.files.next_inum <- !maxseen + 1;
+  Fileops.rebuild_free_inums t.files ~allocated:(fun inum ->
+      Inode.decode (Disk.read disk (itable_blkno t inum)) (itable_off t inum) <> None);
   Stats.incr t.stats "ffs.mounts";
   t
 
-let crash t = t.crashed <- true
-
-let sync t =
-  check_alive t;
-  let was = t.in_maintenance in
-  t.in_maintenance <- true;
-  sync_internal t;
-  issue_sorted t (bitmap_writes t);
-  t.in_maintenance <- was
+let crash t = t.files.crashed <- true
 
 let unmount t =
   sync t;
-  t.crashed <- true
-
-let fsync_inum t inum =
-  let was = t.in_maintenance in
-  t.in_maintenance <- true;
-  flush_frames t (Cache.dirty_frames t.cache ~file:inum ());
-  t.in_maintenance <- was
+  crash t
 
 (* fsck -------------------------------------------------------------------- *)
 
@@ -581,15 +449,7 @@ let fsck t =
     | None -> ()
     | Some ino ->
       incr scanned;
-      for lb = 0 to Inode.nblocks ino - 1 do
-        bump (Inode.get_addr ino lb)
-      done;
-      let nind = Inode.indirect_count ino ~block_size:t.bs in
-      for idx = 0 to nind - 1 do
-        if idx < Array.length ino.Inode.ind_addrs then
-          bump ino.Inode.ind_addrs.(idx)
-      done;
-      if nind > 1 then bump ino.Inode.dbl_addr
+      Inode.iter_block_addrs ino ~block_size:t.bs (fun _ _ addr -> bump addr)
   done;
   let leaked = ref 0 and cross = ref 0 in
   for blk = t.data_start to t.nblocks - 1 do
@@ -610,92 +470,4 @@ let fsck t =
   issue_sorted t (bitmap_writes t);
   { scanned_inodes = !scanned; leaked_blocks = !leaked; cross_allocated = !cross; fixed }
 
-let contiguity t path =
-  let ino = iget t (inum_of t path) in
-  let n = Inode.nblocks ino in
-  if n < 2 then 1.0
-  else begin
-    let adjacent = ref 0 and pairs = ref 0 in
-    for lb = 1 to n - 1 do
-      let a = Inode.get_addr ino (lb - 1) and b = Inode.get_addr ino lb in
-      if a <> 0 && b <> 0 then begin
-        incr pairs;
-        if b = a + 1 then incr adjacent
-      end
-    done;
-    if !pairs = 0 then 1.0 else float_of_int !adjacent /. float_of_int !pairs
-  end
-
-(* VFS surface -------------------------------------------------------------- *)
-
-let charge_op t = Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Syscall
-
-let resolve_file t path =
-  match Ns.lookup t path with
-  | Some (inum, Vfs.File) -> inum
-  | Some (_, Vfs.Dir) -> Vfs.error Is_dir "%s" path
-  | None -> Vfs.error Not_found "%s" path
-
-let vfs t =
-  let wrap f = fun x ->
-    tick t;
-    charge_op t;
-    f x
-  in
-  {
-    Vfs.name = "ffs";
-    block_size = t.bs;
-    create =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.File_op;
-          Ns.create t path ~kind:Vfs.File);
-    open_file =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.File_op;
-          resolve_file t path);
-    read =
-      (fun fd ~off ~len ->
-        tick t;
-        charge_op t;
-        read_bytes t fd ~off ~len);
-    write =
-      (fun fd ~off data ->
-        tick t;
-        charge_op t;
-        write_bytes t fd ~off data);
-    truncate =
-      (fun fd len ->
-        tick t;
-        charge_op t;
-        truncate_bytes t fd len);
-    size = (fun fd -> (iget t fd).Inode.size);
-    fsync = wrap (fun fd -> fsync_inum t fd);
-    sync = wrap (fun () -> sync t);
-    remove =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.File_op;
-          Ns.remove t path);
-    mkdir =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.File_op;
-          ignore (Ns.create t path ~kind:Vfs.Dir));
-    readdir = wrap (fun path -> Ns.readdir t path);
-    exists = (fun path -> Option.is_some (Ns.lookup t path));
-    stat =
-      wrap (fun path ->
-          match Ns.lookup t path with
-          | None -> Vfs.error Not_found "%s" path
-          | Some (inum, kind) ->
-            let ino = iget t inum in
-            {
-              Vfs.inum;
-              size = ino.Inode.size;
-              kind;
-              protected_ = ino.Inode.protected_;
-            });
-    set_protected =
-      (fun path _ ->
-        Vfs.error Not_supported
-          "%s: transaction protection requires the embedded (LFS) manager"
-          path);
-  }
+let contiguity t path = Inode.contiguity (iget t (inum_of t path))

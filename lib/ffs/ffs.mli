@@ -11,11 +11,21 @@
     Dirty pages are delayed writes: a 30-second syncer flushes them,
     elevator-sorted into the disk queue (Section 5.1). [fsync] forces one
     file synchronously. There is no crash-consistency machinery beyond
-    {!fsck}, mirroring the original. *)
+    {!fsck}, mirroring the original.
+
+    Byte-range I/O, inode-number allocation, the namespace and the
+    {!Vfs.t} surface are the shared file layer ({!Fileops.Make}). This
+    module supplies only the hooks that differ: the page fetch, dirty
+    marking (a write marks its inode once, after its pages), the bitmap
+    that takes freed blocks, the inode table that holds inode slots, and
+    the syncer [tick]. *)
 
 type t
 
 exception Crashed
+(** {!Vfs.Crashed}: raised by every operation, and by every {!Vfs.t}
+    taken from this file system, after {!crash} until the image is
+    mounted again. *)
 
 val format : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
 val mount : Disk.t -> Clock.t -> Stats.t -> Config.t -> t

@@ -1,5 +1,5 @@
 
-exception Crashed
+exception Crashed = Vfs.Crashed
 
 type seg_state = Free | Current | Dirty | Pending
 
@@ -26,7 +26,7 @@ type t = {
   cfg : Config.t;
   sb : Layout.superblock;
   cache : Cache.t;
-  inodes : (int, Inode.t) Hashtbl.t;
+  files : Fileops.state;
   imap_addr : int array; (* inum -> disk address of its inode block; 0 = none *)
   imap_slot : int array;
   imap_alloc : bool array;
@@ -35,8 +35,6 @@ type t = {
   usage_chunk_addr : int array;
   inode_block_refs : (int, int) Hashtbl.t; (* inode-block addr -> #inodes *)
   usage : usage_entry array;
-  mutable next_inum : int;
-  mutable free_inums : int list;
   mutable cur_seg : int;
   mutable cur_off : int;
   mutable next_seg : int;
@@ -70,7 +68,6 @@ type t = {
   seg_write_cond : Sched.cond;
   mutable in_flight : int * int; (* see [write_blocks] *)
   mutable pending_cp : bool;
-  mutable crashed : bool;
   mutable bg : bool; (* syncer/cleaner run as scheduler daemons *)
   mutable snaps : snapshot list;
   mutable next_snap : int;
@@ -84,7 +81,6 @@ and snapshot = {
 }
 
 let max_inodes = 32_768
-let root_inum_init = 1
 
 let block_size t = t.sb.Layout.block_size
 let seg_base t i = Layout.segment_base t.sb i
@@ -117,7 +113,7 @@ let clock t = t.clock
 let stats t = t.stats
 let cache t = t.cache
 
-let check_alive t = if t.crashed then raise Crashed
+let check_alive t = Fileops.check_alive t.files
 
 let dec_usage t addr =
   if addr >= Layout.data_start then begin
@@ -167,33 +163,13 @@ let dec_inode_block_ref t addr =
 let iget_opt t inum =
   if inum <= 0 || inum >= max_inodes || not t.imap_alloc.(inum) then None
   else
-    match Hashtbl.find_opt t.inodes inum with
-    | Some ino -> Some ino
-    | None ->
-      let addr = t.imap_addr.(inum) in
-      if addr = 0 then None (* allocated but never written: lost *)
-      else begin
-        let block = Diskset.read t.disk addr in
-        match Inode.decode block (t.imap_slot.(inum) * Layout.inode_size) with
-        | None -> None
-        | Some ino ->
-          let bs = block_size t in
-          let nind = Inode.indirect_count ino ~block_size:bs in
-          if nind > 1 && ino.Inode.dbl_addr <> 0 then
-            Inode.decode_double ino ~block_size:bs
-              (Diskset.read t.disk ino.Inode.dbl_addr);
-          for idx = 0 to nind - 1 do
-            let a =
-              if idx < Array.length ino.Inode.ind_addrs then
-                ino.Inode.ind_addrs.(idx)
-              else 0
-            in
-            if a <> 0 then
-              Inode.decode_indirect ino ~block_size:bs idx (Diskset.read t.disk a)
-          done;
-          Hashtbl.replace t.inodes inum ino;
-          Some ino
-      end
+    Fileops.cached t.files inum (fun () ->
+        let addr = t.imap_addr.(inum) in
+        if addr = 0 then None (* allocated but never written: lost *)
+        else
+          Inode.load ~block_size:(block_size t) ~read:(Diskset.read t.disk)
+            (Diskset.read t.disk addr)
+            (t.imap_slot.(inum) * Layout.inode_size))
 
 let iget t inum =
   match iget_opt t inum with
@@ -767,7 +743,7 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
       groups
 
 let dirty_inodes t =
-  Hashtbl.fold (fun _ ino acc -> if ino.Inode.dirty then ino :: acc else acc) t.inodes []
+  Hashtbl.fold (fun _ ino acc -> if ino.Inode.dirty then ino :: acc else acc) t.files.inodes []
   |> List.sort (fun a b -> Int.compare a.Inode.inum b.Inode.inum)
 
 (* Checkpoint ------------------------------------------------------------ *)
@@ -815,7 +791,7 @@ let checkpoint_record t =
       cur_seg = t.cur_seg;
       cur_off = t.cur_off;
       cp_next_seg = t.next_seg;
-      next_inum = t.next_inum;
+      next_inum = t.files.next_inum;
       write_seq = t.write_seq;
       imap_addrs = Array.copy t.imap_chunk_addr;
       usage_addrs = Array.copy t.usage_chunk_addr;
@@ -1140,9 +1116,9 @@ let start_background t =
          piggy-backed on every operation. *)
       Sched.spawn ~daemon:true sched (fun () ->
           let rec loop () =
-            if not t.crashed then begin
+            if not t.files.crashed then begin
               Sched.delay sched t.cfg.fs.syncer_interval_s;
-              if not t.crashed then begin
+              if not t.files.crashed then begin
                 if maint_idle t then syncer_run t;
                 loop ()
               end
@@ -1183,7 +1159,7 @@ let start_background t =
             else 0.5
           in
           let rec loop () =
-            if not t.crashed then begin
+            if not t.files.crashed then begin
               let wait =
                 if maint_idle t then begin
                   let w =
@@ -1205,11 +1181,11 @@ let start_background t =
                   0.05
               in
               Sched.delay sched wait;
-              if not t.crashed then loop ()
+              if not t.files.crashed then loop ()
             end
           in
           Sched.delay sched 0.5;
-          if not t.crashed then loop ())
+          if not t.files.crashed then loop ())
     end
 
 (* Page access ----------------------------------------------------------- *)
@@ -1259,12 +1235,6 @@ let get_page t ~inum ~lblock =
     | _ ->
       let data = if addr = 0 then zero_block t else Diskset.read t.disk addr in
       Cache.insert t.cache ~file:inum ~lblock data)
-
-let new_page t ~inum ~lblock =
-  check_alive t;
-  match Cache.lookup t.cache ~file:inum ~lblock with
-  | Some f -> f
-  | None -> Cache.insert t.cache ~file:inum ~lblock (zero_block t)
 
 let page_dirty t f =
   Cache.mark_dirty t.cache f;
@@ -1321,149 +1291,51 @@ let sync t =
   checkpoint t;
   maint_exit t maint_tok
 
-(* Byte-level file I/O --------------------------------------------------- *)
+(* File layer ------------------------------------------------------------
 
-let read_bytes t inum ~off ~len =
-  let ino = iget t inum in
-  let bs = block_size t in
-  if off < 0 || len < 0 then Vfs.error Invalid "read: negative offset/length";
-  let len = max 0 (min len (ino.Inode.size - off)) in
-  let out = Bytes.create len in
-  let copied = ref 0 in
-  while !copied < len do
-    let pos = off + !copied in
-    let lb = pos / bs and boff = pos mod bs in
-    let n = min (bs - boff) (len - !copied) in
-    let f = get_page t ~inum ~lblock:lb in
-    Bytes.blit f.Cache.data boff out !copied n;
-    Cpu.charge t.clock t.stats t.cfg.cpu Cpu.Copy_block;
-    copied := !copied + n
-  done;
-  out
+   Every page write marks its inode dirty ([page_dirty]), a freed block
+   comes off its segment's live count, and an inode's slot is its imap
+   entry, written at the next checkpoint. *)
 
-let write_bytes t inum ~off data =
-  let ino = iget t inum in
-  let bs = block_size t in
-  let len = Bytes.length data in
-  if off < 0 then Vfs.error Invalid "write: negative offset";
-  let written = ref 0 in
-  while !written < len do
-    let pos = off + !written in
-    let lb = pos / bs and boff = pos mod bs in
-    let n = min (bs - boff) (len - !written) in
-    let f =
-      (* A read-modify-write is needed unless the write covers the whole
-         block or the block lies entirely at or past end of file. *)
-      if n = bs || lb * bs >= ino.Inode.size then new_page t ~inum ~lblock:lb
-      else get_page t ~inum ~lblock:lb
-    in
-    Bytes.blit data !written f.Cache.data boff n;
-    page_dirty t f;
-    Cpu.charge t.clock t.stats t.cfg.cpu Cpu.Copy_block;
-    written := !written + n
-  done;
-  if off + len > ino.Inode.size then begin
-    ino.Inode.size <- off + len;
-    ino.Inode.dirty <- true
-  end
-
-let truncate_bytes t inum len =
-  let ino = iget t inum in
-  let bs = block_size t in
-  if len < 0 then Vfs.error Invalid "truncate: negative length";
-  if len < ino.Inode.size then begin
-    let keep = (len + bs - 1) / bs in
-    let old_n = Inode.nblocks ino in
-    (* Release on-disk blocks past the cut. *)
-    for lb = keep to old_n - 1 do
-      dec_usage t (Inode.get_addr ino lb)
-    done;
-    (* Drop cached frames past the cut — they may exist even for blocks
-       that never reached the log. *)
-    List.iter
-      (fun f -> if f.Cache.lblock >= keep then Cache.invalidate t.cache f)
-      (Cache.file_frames t.cache inum);
-    (* Zero the tail of the boundary block so a later regrow reads zeros,
-       as POSIX requires. *)
-    (if len mod bs <> 0 && len < ino.Inode.size then begin
-       let f = get_page t ~inum ~lblock:(len / bs) in
-       Bytes.fill f.Cache.data (len mod bs) (bs - (len mod bs)) '\000';
-       page_dirty t f
-     end);
-    let old_nind = Inode.indirect_count ino ~block_size:bs in
-    Inode.truncate_map ino ~block_size:bs keep;
-    let new_nind = Inode.indirect_count ino ~block_size:bs in
-    for idx = new_nind to old_nind - 1 do
-      if idx < Array.length ino.Inode.ind_addrs then begin
-        dec_usage t ino.Inode.ind_addrs.(idx);
-        ino.Inode.ind_addrs.(idx) <- 0
-      end
-    done;
-    if new_nind <= 1 && ino.Inode.dbl_addr <> 0 then begin
-      dec_usage t ino.Inode.dbl_addr;
-      ino.Inode.dbl_addr <- 0;
-      ino.Inode.dbl_dirty <- false
-    end
-  end;
-  ino.Inode.size <- len;
-  ino.Inode.dirty <- true
-
-(* Inode allocation ------------------------------------------------------ *)
-
-let alloc_inode t ~kind =
-  let inum =
-    match t.free_inums with
-    | i :: rest ->
-      t.free_inums <- rest;
-      i
-    | [] ->
-      if t.next_inum >= max_inodes then Vfs.error No_space "LFS: out of inodes";
-      let i = t.next_inum in
-      t.next_inum <- i + 1;
-      i
-  in
-  let ino = Inode.create ~inum ~kind in
-  ino.Inode.mtime <- Clock.now t.clock;
-  Hashtbl.replace t.inodes inum ino;
-  t.imap_alloc.(inum) <- true;
-  t.imap_addr.(inum) <- 0;
-  t.imap_slot.(inum) <- 0;
-  mark_imap_dirty t inum;
-  inum
-
-let free_inode t inum =
-  truncate_bytes t inum 0;
-  (match Cache.file_frames t.cache inum with
-  | frames -> List.iter (Cache.invalidate t.cache) frames);
-  dec_inode_block_ref t t.imap_addr.(inum);
-  t.imap_addr.(inum) <- 0;
-  t.imap_alloc.(inum) <- false;
-  mark_imap_dirty t inum;
-  Hashtbl.remove t.inodes inum;
-  t.free_inums <- inum :: t.free_inums
-
-(* Namespace ------------------------------------------------------------- *)
-
-let root_inum = 1
-
-module Store = struct
+module Files = Fileops.Make (struct
   type nonrec t = t
 
-  let root _ = root_inum
-  let read t inum ~off ~len = read_bytes t inum ~off ~len
-  let write t inum ~off data = write_bytes t inum ~off data
-  let truncate t inum ~len = truncate_bytes t inum len
-  let size t inum = (iget t inum).Inode.size
-  let alloc_inode t ~kind = alloc_inode t ~kind
-  let free_inode t inum = free_inode t inum
-end
+  let name = "lfs"
+  let max_inodes = max_inodes
+  let protection = true
+  let state t = t.files
+  let config t = t.cfg
+  let clock t = t.clock
+  let stats t = t.stats
+  let cache t = t.cache
+  let block_size = block_size
+  let iget = iget
+  let get_page = get_page
+  let page_dirty = page_dirty
+  let inode_dirty _ ino = ino.Inode.dirty <- true
+  let wrote _ _ = ()
+  let free_block = dec_usage
 
-module Ns = Namespace.Make (Store)
+  let slot_alloc t ino =
+    let inum = ino.Inode.inum in
+    t.imap_alloc.(inum) <- true;
+    t.imap_addr.(inum) <- 0;
+    t.imap_slot.(inum) <- 0;
+    mark_imap_dirty t inum
 
-let inum_of t path =
-  match Ns.lookup t path with
-  | Some (inum, _) -> inum
-  | None -> Vfs.error Not_found "%s" path
+  let slot_free t inum =
+    dec_inode_block_ref t t.imap_addr.(inum);
+    t.imap_addr.(inum) <- 0;
+    t.imap_alloc.(inum) <- false;
+    mark_imap_dirty t inum
+
+  let tick = tick
+  let fsync = fsync_inum
+  let sync = sync
+end)
+
+let inum_of = Files.inum_of
+let vfs = Files.vfs
 
 let is_protected t inum =
   match iget_opt t inum with Some ino -> ino.Inode.protected_ | None -> false
@@ -1485,7 +1357,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       cfg;
       sb;
       cache = Cache.create clock stats cfg.cpu ~capacity:cfg.fs.cache_blocks;
-      inodes = Hashtbl.create 64;
+      files = Fileops.state ();
       imap_addr = Array.make max_inodes 0;
       imap_slot = Array.make max_inodes 0;
       imap_alloc = Array.make max_inodes false;
@@ -1499,8 +1371,6 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       usage =
         Array.init nseg (fun _ ->
             { live = 0; mtime = 0.0; last_write = 0.0; cold = false; state = Free });
-      next_inum = root_inum_init;
-      free_inums = [];
       cur_seg = 0;
       cur_off = 0;
       next_seg = 1;
@@ -1518,7 +1388,6 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       in_flight = (0, 0);
       seg_write_cond = Sched.condition ();
       pending_cp = false;
-      crashed = false;
       bg = false;
       snaps = [];
       next_snap = 1;
@@ -1552,8 +1421,8 @@ let format disk clock stats (cfg : Config.t) =
   set_state t 0 Current;
   set_state t 1 Current;
   (* Root directory. *)
-  let inum = alloc_inode t ~kind:Vfs.Dir in
-  assert (inum = root_inum);
+  let inum = Files.alloc_inode t ~kind:Vfs.Dir in
+  assert (inum = Fileops.root_inum);
   let maint_tok = maint_enter t in
   checkpoint t;
   maint_exit t maint_tok;
@@ -1581,7 +1450,7 @@ let install_checkpoint t (cp : Layout.checkpoint) =
   t.cur_seg <- cp.cur_seg;
   t.cur_off <- cp.cur_off;
   t.next_seg <- cp.cp_next_seg;
-  t.next_inum <- cp.next_inum;
+  t.files.next_inum <- cp.next_inum;
   t.write_seq <- cp.write_seq;
   Array.blit cp.imap_addrs 0 t.imap_chunk_addr 0 (Array.length cp.imap_addrs);
   Array.blit cp.usage_addrs 0 t.usage_chunk_addr 0 (Array.length cp.usage_addrs);
@@ -1619,8 +1488,8 @@ let roll_forward t =
                 t.imap_alloc.(inum) <- true;
                 (* Any inode loaded earlier in this scan is stale now:
                    the block written later in the log wins. *)
-                Hashtbl.remove t.inodes inum;
-                if inum >= t.next_inum then t.next_inum <- inum + 1
+                Hashtbl.remove t.files.inodes inum;
+                if inum >= t.files.next_inum then t.files.next_inum <- inum + 1
               end)
             inums
         | Layout.Imap_block { index } -> t.imap_chunk_addr.(index) <- addr
@@ -1722,21 +1591,6 @@ let roll_forward t =
   done;
   if !next <> !seg then scrub (seg_base t !next)
 
-type block_kind = Data_block | Indirect_block | Double_block
-
-(* Every block address an inode's map holds, holes included: [f kind i
-   addr] for data block [i], indirect block [i], then the
-   double-indirect block. *)
-let iter_block_addrs t ino f =
-  for lb = 0 to Inode.nblocks ino - 1 do
-    f Data_block lb (Inode.get_addr ino lb)
-  done;
-  let nind = Inode.indirect_count ino ~block_size:(block_size t) in
-  for idx = 0 to min nind (Array.length ino.Inode.ind_addrs) - 1 do
-    f Indirect_block idx ino.Inode.ind_addrs.(idx)
-  done;
-  if nind > 1 then f Double_block 0 ino.Inode.dbl_addr
-
 let recompute_usage t =
   Array.iter
     (fun u ->
@@ -1761,7 +1615,9 @@ let recompute_usage t =
         count addr);
       match iget_opt t inum with
       | None -> ()
-      | Some ino -> iter_block_addrs t ino (fun _ _ addr -> count addr)
+      | Some ino ->
+        Inode.iter_block_addrs ino ~block_size:(block_size t) (fun _ _ addr ->
+            count addr)
     end
   done;
   Array.iter count t.imap_chunk_addr;
@@ -1802,21 +1658,15 @@ let mount disk clock stats (cfg : Config.t) =
      next_seg aliasing cur_seg and the writer would wrap onto the very
      segment it is filling, overwriting live blocks. Reserve afresh. *)
   if t.next_seg = t.cur_seg then t.next_seg <- pop_free t;
-  (* Rebuild the free-inode list. *)
-  let free = ref [] in
-  for inum = t.next_inum - 1 downto 2 do
-    if not t.imap_alloc.(inum) then free := inum :: !free
-  done;
-  t.free_inums <- !free;
+  Fileops.rebuild_free_inums t.files ~allocated:(Array.get t.imap_alloc);
   Stats.incr t.stats "lfs.mounts";
   t
 
-let crash t =
-  t.crashed <- true
+let crash t = t.files.crashed <- true
 
 let unmount t =
   sync t;
-  t.crashed <- true
+  crash t
 
 (* Coalescing (Section 5.4): rewrite a file's blocks in logical order so
    sequential reads become sequential again. *)
@@ -1862,22 +1712,7 @@ let coalesce_file t inum =
   maybe_clean t
 
 let contiguity t inum =
-  match iget_opt t inum with
-  | None -> 1.0
-  | Some ino ->
-    let n = Inode.nblocks ino in
-    if n < 2 then 1.0
-    else begin
-      let adjacent = ref 0 and pairs = ref 0 in
-      for lb = 1 to n - 1 do
-        let a = Inode.get_addr ino (lb - 1) and b = Inode.get_addr ino lb in
-        if a <> 0 && b <> 0 then begin
-          incr pairs;
-          if b = a + 1 then incr adjacent
-        end
-      done;
-      if !pairs = 0 then 1.0 else float_of_int !adjacent /. float_of_int !pairs
-    end
+  match iget_opt t inum with None -> 1.0 | Some ino -> Inode.contiguity ino
 
 let coalesce_all t =
   check_alive t;
@@ -1949,12 +1784,12 @@ let check t =
         if t.imap_addr.(inum) <> 0 then
           fail "LFS.check: imap entry %d points at no decodable inode" inum
       | Some ino ->
-        iter_block_addrs t ino (fun kind i addr ->
+        Inode.iter_block_addrs ino ~block_size:(block_size t) (fun kind i addr ->
             claim addr
               (match kind with
-              | Data_block -> Printf.sprintf "inode %d block %d" inum i
-              | Indirect_block -> Printf.sprintf "inode %d indirect %d" inum i
-              | Double_block -> Printf.sprintf "inode %d double-indirect" inum))
+              | Inode.Data_block -> Printf.sprintf "inode %d block %d" inum i
+              | Inode.Indirect_block -> Printf.sprintf "inode %d indirect %d" inum i
+              | Inode.Double_block -> Printf.sprintf "inode %d double-indirect" inum))
   done;
   (* Inode blocks are shared: count each address once. *)
   let seen_iblocks = Hashtbl.create 64 in
@@ -2000,105 +1835,20 @@ let check t =
           !counted)
     t.inode_block_refs
 
-(* VFS surface ----------------------------------------------------------- *)
-
-let charge_op t = Cpu.charge t.clock t.stats t.cfg.cpu Cpu.Syscall
-
-let resolve_file t path =
-  match Ns.lookup t path with
-  | Some (inum, Vfs.File) -> inum
-  | Some (_, Vfs.Dir) -> Vfs.error Is_dir "%s" path
-  | None -> Vfs.error Not_found "%s" path
-
-let stat t path =
-  match Ns.lookup t path with
-  | None -> Vfs.error Not_found "%s" path
-  | Some (inum, kind) ->
-    let ino = iget t inum in
-    { Vfs.inum; size = ino.Inode.size; kind; protected_ = ino.Inode.protected_ }
-
-let vfs t =
-  let wrap f = fun x ->
-    tick t;
-    charge_op t;
-    f x
-  in
-  {
-    Vfs.name = "lfs";
-    block_size = block_size t;
-    create =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.cpu Cpu.File_op;
-          Ns.create t path ~kind:Vfs.File);
-    open_file =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.cpu Cpu.File_op;
-          resolve_file t path);
-    read =
-      (fun fd ~off ~len ->
-        tick t;
-        charge_op t;
-        read_bytes t fd ~off ~len);
-    write =
-      (fun fd ~off data ->
-        tick t;
-        charge_op t;
-        write_bytes t fd ~off data);
-    truncate =
-      (fun fd len ->
-        tick t;
-        charge_op t;
-        truncate_bytes t fd len);
-    size = (fun fd -> (iget t fd).Inode.size);
-    fsync = wrap (fun fd -> fsync_inum t fd);
-    sync = wrap (fun () -> sync t);
-    remove =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.cpu Cpu.File_op;
-          Ns.remove t path);
-    mkdir =
-      wrap (fun path ->
-          Cpu.charge t.clock t.stats t.cfg.cpu Cpu.File_op;
-          ignore (Ns.create t path ~kind:Vfs.Dir));
-    readdir = wrap (fun path -> Ns.readdir t path);
-    exists = (fun path -> Option.is_some (Ns.lookup t path));
-    stat = wrap (stat t);
-    set_protected =
-      wrap (fun path value ->
-          let inum = inum_of t path in
-          let ino = iget t inum in
-          ino.Inode.protected_ <- value;
-          ino.Inode.dirty <- true);
-  }
-
 (* A read-only file system reconstructed from a snapshot's checkpoint:
    its own inode map and caches over the same disk image, with the
    maintenance machinery disabled and every mutator rejected. *)
 let snapshot_view t s =
-  if not s.snap_live then invalid_arg "Lfs.snapshot_view: snapshot released";
+  let guard () =
+    check_alive t;
+    if not s.snap_live then invalid_arg "Lfs.snapshot_view: snapshot released"
+  in
+  guard ();
   let view = make_empty t.disk t.clock t.stats t.cfg t.sb in
   install_checkpoint view s.snap_cp;
   (* No syncer, no cleaner, no checkpoints: the view never writes. *)
   view.maint <- [ 0 ];
-  let deny _ = Vfs.error Not_supported "snapshot view is read-only" in
-  {
-    Vfs.name = "lfs-snapshot";
-    block_size = block_size view;
-    create = deny;
-    open_file = (fun path -> resolve_file view path);
-    read = (fun fd ~off ~len -> read_bytes view fd ~off ~len);
-    write = (fun _ ~off:_ _ -> deny ());
-    truncate = (fun _ _ -> deny ());
-    size = (fun fd -> (iget view fd).Inode.size);
-    fsync = (fun _ -> deny ());
-    sync = deny;
-    remove = deny;
-    mkdir = deny;
-    readdir = (fun path -> Ns.readdir view path);
-    exists = (fun path -> Option.is_some (Ns.lookup view path));
-    stat = stat view;
-    set_protected = (fun _ _ -> deny ());
-  }
+  Files.read_only view ~name:"lfs-snapshot" ~guard
 
 let checkpoint t =
   check_alive t;

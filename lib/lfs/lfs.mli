@@ -13,15 +13,21 @@
     discussed in Section 5.1), and Section 5.4's user-space variant is
     available via {!Config.fs}[.lfs_user_cleaner].
 
-    The module exposes both the portable {!Vfs.t} surface and the
+    Byte-range I/O, inode-number allocation, the namespace and the
+    {!Vfs.t} surface are the shared file layer ({!Fileops.Make}). This
+    module supplies only what is LFS's own: where blocks go (the log and
+    its cleaner, checkpoints and recovery), the page fetch, dirty marking
+    (every page write marks its inode), the usage table that takes freed
+    blocks, and the inode map that holds inode slots. It also exposes the
     page-frame hooks the embedded transaction manager needs
     ({!get_page}, {!force_frames}, …). *)
 
 type t
 
 exception Crashed
-(** Raised by every operation after {!crash} until the image is
-    re-mounted. *)
+(** {!Vfs.Crashed}: raised by every operation, and by every {!Vfs.t}
+    taken from this file system (snapshot views included), after
+    {!crash} until the image is re-mounted. *)
 
 val format :
   Diskset.t -> Clock.t -> Stats.t -> Config.t -> t
@@ -124,7 +130,11 @@ val release_snapshot : t -> snapshot -> unit
 
 val snapshot_view : t -> snapshot -> Vfs.t
 (** A read-only view of the file system as it was at the snapshot.
-    Mutating operations raise [Vfs.Error (Not_supported, _)].
+    Mutating operations raise [Vfs.Error (Not_supported, _)]. The view
+    lives no longer than its snapshot and its file system: once the
+    snapshot is released every view operation raises [Invalid_argument]
+    (its segments may already be reused), and once [t] crashes they
+    raise {!Crashed}.
     @raise Invalid_argument if the snapshot has been released. *)
 
 val snapshots : t -> int

@@ -1,0 +1,108 @@
+(** The file layer both file systems share.
+
+    LFS and the read-optimized file system differ in where a file's
+    blocks land and how they reach disk (Sections 2 and 5.3), not in how
+    bytes map onto cached pages, how inode numbers are handed out, or
+    what the system-call surface looks like. {!Make} implements that
+    common part once: byte-range read, write and truncate over pages,
+    inode-number allocation, the namespace ({!Namespace.Make} is applied
+    here and nowhere else), [stat], and the {!Vfs.t} record with its
+    crash check. Each file system supplies only the hooks of {!FS}: how a
+    page is fetched, how pages and inodes are marked dirty, where a freed
+    block goes, how an inode slot is claimed and released, and its
+    maintenance [tick], [fsync] and [sync]. *)
+
+val root_inum : int
+(** Inode number of the root directory on both file systems. *)
+
+type state = {
+  inodes : (int, Inode.t) Hashtbl.t;  (** in-memory inode cache *)
+  mutable next_inum : int;  (** lowest inode number never handed out *)
+  mutable free_inums : int list;  (** freed numbers, reused first *)
+  mutable crashed : bool;
+}
+(** The volatile file-layer state a file system keeps. *)
+
+val state : unit -> state
+(** Empty cache, [next_inum = root_inum], not crashed. *)
+
+val check_alive : state -> unit
+(** @raise Vfs.Crashed once [crashed] is set. *)
+
+val cached : state -> int -> (unit -> Inode.t option) -> Inode.t option
+(** [cached st inum load] is the cached inode, or else [load ()], which
+    is cached when it finds one. *)
+
+val rebuild_free_inums : state -> allocated:(int -> bool) -> unit
+(** After mount: every number from [next_inum - 1] down to 2 that is not
+    [allocated] becomes free (lowest first in the list). *)
+
+module type FS = sig
+  type t
+
+  val name : string
+  (** ["lfs"] or ["ffs"]: {!Vfs.t}'s name. *)
+
+  val max_inodes : int
+
+  val protection : bool
+  (** Whether [set_protected] is supported (only with the embedded
+      transaction manager). *)
+
+  val state : t -> state
+  val config : t -> Config.t
+  val clock : t -> Clock.t
+  val stats : t -> Stats.t
+  val cache : t -> Cache.t
+  val block_size : t -> int
+
+  val iget : t -> int -> Inode.t
+  (** @raise Vfs.Error [Not_found] for an unallocated inode. *)
+
+  val get_page : t -> inum:int -> lblock:int -> Cache.frame
+  (** The cached frame of a page, read from disk on a miss (zeros for a
+      hole). *)
+
+  val page_dirty : t -> Cache.frame -> unit
+  (** A page's bytes changed. *)
+
+  val inode_dirty : t -> Inode.t -> unit
+  (** The inode's record changed (size, map or attributes). *)
+
+  val wrote : t -> Inode.t -> unit
+  (** Called once after a write's page loop, after any size change. *)
+
+  val free_block : t -> int -> unit
+  (** A block address a truncate released (0 and metadata addresses are
+      ignored). *)
+
+  val slot_alloc : t -> Inode.t -> unit
+  (** A new inode, already cached, needs an on-disk slot. *)
+
+  val slot_free : t -> int -> unit
+  (** An inode number was released; its slot must be cleared. *)
+
+  val tick : t -> unit
+  (** Maintenance run before each charged operation. *)
+
+  val fsync : t -> int -> unit
+  val sync : t -> unit
+end
+
+module Make (F : FS) : sig
+  val alloc_inode : F.t -> kind:Vfs.file_kind -> int
+  val inum_of : F.t -> string -> int
+  (** @raise Vfs.Error [Not_found]. *)
+
+  val vfs : F.t -> Vfs.t
+  (** The system-call surface. Every operation first raises
+      {!Vfs.Crashed} if the file system has crashed. All but [size],
+      [exists] and an unsupported [set_protected] then run [F.tick] and
+      charge a system call; path operations that create, open or remove
+      also charge a file operation. *)
+
+  val read_only : F.t -> name:string -> guard:(unit -> unit) -> Vfs.t
+  (** A read-only surface without maintenance or system-call charges.
+      Every operation runs [guard] first; mutators then raise
+      [Vfs.Error (Not_supported, _)]. *)
+end

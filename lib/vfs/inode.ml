@@ -182,3 +182,39 @@ let decode_double t ~block_size b =
   for i = 1 to nind - 1 do
     t.ind_addrs.(i) <- Enc.get_u32 b (4 * (i - 1))
   done
+
+let load ~block_size ~read block off =
+  match decode block off with
+  | None -> None
+  | Some t ->
+    let nind = indirect_count t ~block_size in
+    if nind > 1 && t.dbl_addr <> 0 then
+      decode_double t ~block_size (read t.dbl_addr);
+    for idx = 0 to nind - 1 do
+      let a = if idx < Array.length t.ind_addrs then t.ind_addrs.(idx) else 0 in
+      if a <> 0 then decode_indirect t ~block_size idx (read a)
+    done;
+    Some t
+
+type block_kind = Data_block | Indirect_block | Double_block
+
+let iter_block_addrs t ~block_size f =
+  for lb = 0 to t.nmap - 1 do
+    f Data_block lb t.map.(lb)
+  done;
+  let nind = indirect_count t ~block_size in
+  for idx = 0 to min nind (Array.length t.ind_addrs) - 1 do
+    f Indirect_block idx t.ind_addrs.(idx)
+  done;
+  if nind > 1 then f Double_block 0 t.dbl_addr
+
+let contiguity t =
+  let adjacent = ref 0 and pairs = ref 0 in
+  for lb = 1 to t.nmap - 1 do
+    let a = t.map.(lb - 1) and b = t.map.(lb) in
+    if a <> 0 && b <> 0 then begin
+      incr pairs;
+      if b = a + 1 then incr adjacent
+    end
+  done;
+  if !pairs = 0 then 1.0 else float_of_int !adjacent /. float_of_int !pairs

@@ -70,3 +70,21 @@ val encode_double : t -> block_size:int -> bytes
     1..n-1; indirect block 0's address lives in the inode itself). *)
 
 val decode_double : t -> block_size:int -> bytes -> unit
+
+val load : block_size:int -> read:(int -> bytes) -> bytes -> int -> t option
+(** [load ~block_size ~read block off] decodes the record at [off] in
+    [block], then fills the whole map from its double-indirect and
+    indirect blocks, fetched with [read addr] (double-indirect first,
+    then indirect blocks in index order). [None] for a free slot. *)
+
+type block_kind = Data_block | Indirect_block | Double_block
+
+val iter_block_addrs : t -> block_size:int -> (block_kind -> int -> int -> unit) -> unit
+(** [f kind i addr] for every address the inode holds, holes (0)
+    included: data block [i] in logical order, then indirect block [i],
+    then the double-indirect block (with [i = 0]) when the map needs
+    one. *)
+
+val contiguity : t -> float
+(** Fraction of adjacent mapped logical blocks that are also adjacent on
+    disk; 1.0 when fewer than two neighbours are mapped. *)

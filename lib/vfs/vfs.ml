@@ -15,6 +15,8 @@ type error_code =
 
 exception Error of error_code * string
 
+exception Crashed
+
 let string_of_error_code = function
   | Not_found -> "not found"
   | Exists -> "already exists"

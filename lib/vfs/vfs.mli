@@ -29,6 +29,11 @@ type error_code =
 
 exception Error of error_code * string
 
+exception Crashed
+(** Raised by every operation of a file system, and of every {!t} taken
+    from it, once the file system has crashed, until the image is
+    mounted again. *)
+
 val error : error_code -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [error code fmt ...] raises {!Error} with a formatted message. *)
 

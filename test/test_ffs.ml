@@ -2,18 +2,6 @@
    plus FFS-specific behaviour — stable block addresses, contiguous layout,
    the elevator syncer, and fsck. *)
 
-let make_harness () =
-  let m = Tutil.machine () in
-  let fs = ref (Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
-  {
-    Conformance.vfs = (fun () -> Ffs.vfs !fs);
-    sync_remount =
-      (fun () ->
-        Ffs.sync !fs;
-        Ffs.crash !fs;
-        fs := Ffs.mount m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
-  }
-
 let fresh () =
   let m = Tutil.machine () in
   (m, Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg)
@@ -136,85 +124,10 @@ let test_no_space () =
     | exception Vfs.Error (Vfs.No_space, _) -> true
     | () -> false)
 
-(* Model-based property test mirroring the LFS one: random
-   create/write/truncate/remove/sync/remount sequences vs an in-memory
-   map. Only synced state survives a remount. *)
-let prop_model =
-  let op_gen =
-    QCheck2.Gen.(
-      frequency
-        [
-          (6, map2 (fun f (off, len) -> `Write (f, off, len))
-                (int_bound 4) (pair (int_bound 3000) (int_range 1 2000)));
-          (2, map (fun f -> `Remove f) (int_bound 4));
-          (2, map (fun f -> `Truncate f) (int_bound 4));
-          (1, return `Sync);
-          (1, return `Remount);
-        ])
-  in
-  Tutil.qtest ~count:25 "model equivalence" QCheck2.Gen.(list_size (int_range 1 40) op_gen)
-    (fun ops ->
-      let m = Tutil.machine () in
-      let fs = ref (Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
-      let model : (string, bytes) Hashtbl.t = Hashtbl.create 8 in
-      let synced = ref [] in
-      let path i = Printf.sprintf "/file%d" i in
-      let counter = ref 0 in
-      List.iter
-        (fun op ->
-          let v = Ffs.vfs !fs in
-          incr counter;
-          match op with
-          | `Write (i, off, len) ->
-            let p = path i in
-            let data = Tutil.payload !counter len in
-            let fd = if v.Vfs.exists p then v.Vfs.open_file p else v.Vfs.create p in
-            v.Vfs.write fd ~off data;
-            let old = Option.value (Hashtbl.find_opt model p) ~default:Bytes.empty in
-            let size = max (Bytes.length old) (off + len) in
-            let b = Bytes.make size '\000' in
-            Bytes.blit old 0 b 0 (Bytes.length old);
-            Bytes.blit data 0 b off len;
-            Hashtbl.replace model p b
-          | `Remove i ->
-            let p = path i in
-            if v.Vfs.exists p then begin
-              v.Vfs.remove p;
-              Hashtbl.remove model p
-            end
-          | `Truncate i ->
-            let p = path i in
-            if v.Vfs.exists p then begin
-              let n = v.Vfs.size (v.Vfs.open_file p) / 2 in
-              v.Vfs.truncate (v.Vfs.open_file p) n;
-              let old = Hashtbl.find model p in
-              Hashtbl.replace model p (Bytes.sub old 0 (min n (Bytes.length old)))
-            end
-          | `Sync ->
-            v.Vfs.sync ();
-            synced := Hashtbl.fold (fun k d acc -> (k, Bytes.copy d) :: acc) model []
-          | `Remount ->
-            Ffs.crash !fs;
-            fs := Ffs.mount m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg;
-            ignore (Ffs.fsck !fs);
-            Hashtbl.reset model;
-            List.iter (fun (k, d) -> Hashtbl.replace model k d) !synced)
-        ops;
-      let v = Ffs.vfs !fs in
-      Hashtbl.fold
-        (fun p data ok ->
-          ok
-          && v.Vfs.exists p
-          &&
-          let fd = v.Vfs.open_file p in
-          v.Vfs.size fd = Bytes.length data
-          && Bytes.equal (v.Vfs.read fd ~off:0 ~len:(Bytes.length data)) data)
-        model true)
-
 let () =
   Alcotest.run "tx_ffs"
     [
-      ("conformance", Conformance.cases make_harness);
+      ("conformance", Conformance.cases Conformance.ffs);
       ( "layout",
         [
           Alcotest.test_case "sequential contiguity" `Quick
@@ -237,5 +150,5 @@ let () =
             test_protection_unsupported;
           Alcotest.test_case "no space" `Quick test_no_space;
         ] );
-      ("model", [ prop_model ]);
+      ("model", [ Conformance.prop_model ~count:25 Conformance.ffs ]);
     ]

@@ -94,6 +94,67 @@ let test_double_indirect_roundtrip () =
   Alcotest.(check int) "ind 2" 33 fresh.Inode.ind_addrs.(2);
   Alcotest.(check int) "ind 3" 44 fresh.Inode.ind_addrs.(3)
 
+(* A file past the single-indirect range, written to a fake disk the way a
+   file system does (record, indirect blocks, double-indirect block) and
+   read back with [Inode.load]; [iter_block_addrs] and [contiguity] are
+   checked on both copies. *)
+let test_load_double_indirect () =
+  let n = Inode.ndirect + (2 * per) + 40 (* three indirect blocks *) in
+  let ino = mk () in
+  ino.Inode.size <- n * bs;
+  (* Blocks 0..99 are contiguous from 1000, the rest are strided by 2;
+     logical block 500 is a hole. *)
+  let addr lb = if lb < 100 then 1000 + lb else 5000 + (2 * lb) in
+  for lb = 0 to n - 1 do
+    if lb <> 500 then Inode.set_addr ino ~block_size:bs lb (addr lb)
+  done;
+  let nind = Inode.indirect_count ino ~block_size:bs in
+  Alcotest.(check int) "three indirect blocks" 3 nind;
+  let disk = Hashtbl.create 8 in
+  for idx = 0 to nind - 1 do
+    let a = 90_000 + idx in
+    ino.Inode.ind_addrs.(idx) <- a;
+    Hashtbl.replace disk a (Inode.encode_indirect ino ~block_size:bs idx)
+  done;
+  ino.Inode.dbl_addr <- 95_000;
+  Hashtbl.replace disk 95_000 (Inode.encode_double ino ~block_size:bs);
+  let block = Bytes.make bs '\000' in
+  Bytes.blit (Inode.encode ino) 0 block 256 256;
+  let reads = ref [] in
+  let read a =
+    reads := a :: !reads;
+    Hashtbl.find disk a
+  in
+  match Inode.load ~block_size:bs ~read block 256 with
+  | None -> Alcotest.fail "load: slot reads as free"
+  | Some d ->
+    Alcotest.(check (list int)) "double-indirect read first, then indirects"
+      [ 95_000; 90_000; 90_001; 90_002 ] (List.rev !reads);
+    Alcotest.(check int) "nblocks" n (Inode.nblocks d);
+    for lb = 0 to n - 1 do
+      Alcotest.(check int) (Printf.sprintf "block %d" lb)
+        (Inode.get_addr ino lb) (Inode.get_addr d lb)
+    done;
+    let walk i =
+      let l = ref [] in
+      Inode.iter_block_addrs i ~block_size:bs (fun kind k a -> l := (kind, k, a) :: !l);
+      List.rev !l
+    in
+    let expected =
+      List.init n (fun lb -> (Inode.Data_block, lb, Inode.get_addr ino lb))
+      @ List.init nind (fun k -> (Inode.Indirect_block, k, 90_000 + k))
+      @ [ (Inode.Double_block, 0, 95_000) ]
+    in
+    Alcotest.(check bool) "block walk of the original" true (walk ino = expected);
+    Alcotest.(check bool) "block walk of the loaded copy" true (walk d = expected);
+    (* 99 adjacent pairs among the first 100 blocks; the strided tail and
+       the two pairs touching the hole are not adjacent. *)
+    let pairs = n - 1 - 2 in
+    Alcotest.(check (float 1e-9)) "contiguity"
+      (99.0 /. float_of_int pairs) (Inode.contiguity d);
+    Alcotest.(check (float 1e-9)) "contiguity of the original"
+      (Inode.contiguity ino) (Inode.contiguity d)
+
 let test_truncate_map () =
   let ino = mk () in
   for i = 0 to Inode.ndirect + per + 5 do
@@ -140,5 +201,7 @@ let () =
           Alcotest.test_case "indirect roundtrip" `Quick test_indirect_block_roundtrip;
           Alcotest.test_case "double-indirect roundtrip" `Quick
             test_double_indirect_roundtrip;
+          Alcotest.test_case "load with double-indirect" `Quick
+            test_load_double_indirect;
         ] );
     ]

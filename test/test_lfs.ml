@@ -6,17 +6,6 @@ let remount (m : Tutil.machine) fs =
   Lfs.crash fs;
   Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg
 
-let make_harness () =
-  let m = Tutil.machine () in
-  let fs = ref (Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
-  {
-    Conformance.vfs = (fun () -> Lfs.vfs !fs);
-    sync_remount =
-      (fun () ->
-        Lfs.sync !fs;
-        fs := remount m !fs);
-  }
-
 let test_create_write_read () =
   let _, fs = Tutil.fresh_lfs () in
   let v = Lfs.vfs fs in
@@ -279,86 +268,6 @@ let test_no_space () =
     | exception Vfs.Error (Vfs.No_space, _) -> true
     | () -> false)
 
-(* Model-based property test: random create/write/remove/sync/remount
-   sequences must match an in-memory map of path -> contents. Only synced
-   state is compared after a remount. *)
-let prop_model =
-  let op_gen =
-    QCheck2.Gen.(
-      frequency
-        [
-          (6, map2 (fun f (off, len) -> `Write (f, off, len))
-                (int_bound 4) (pair (int_bound 3000) (int_range 1 2000)));
-          (2, map (fun f -> `Remove f) (int_bound 4));
-          (2, map (fun f -> `Truncate f) (int_bound 4));
-          (1, return `Sync);
-          (1, return `Remount);
-        ])
-  in
-  Tutil.qtest ~count:30 "model equivalence" QCheck2.Gen.(list_size (int_range 1 40) op_gen)
-    (fun ops ->
-      let m, fs0 = Tutil.fresh_lfs () in
-      let fs = ref fs0 in
-      let model : (string, bytes) Hashtbl.t = Hashtbl.create 8 in
-      let synced = ref [] in
-      let path i = Printf.sprintf "/file%d" i in
-      let counter = ref 0 in
-      List.iter
-        (fun op ->
-          let v = Lfs.vfs !fs in
-          incr counter;
-          match op with
-          | `Write (i, off, len) ->
-            let p = path i in
-            let data = Tutil.payload !counter len in
-            let fd =
-              if v.Vfs.exists p then v.Vfs.open_file p else v.Vfs.create p
-            in
-            v.Vfs.write fd ~off data;
-            let old = Option.value (Hashtbl.find_opt model p) ~default:Bytes.empty in
-            let size = max (Bytes.length old) (off + len) in
-            let b = Bytes.make size '\000' in
-            Bytes.blit old 0 b 0 (Bytes.length old);
-            Bytes.blit data 0 b off len;
-            Hashtbl.replace model p b
-          | `Remove i ->
-            let p = path i in
-            if v.Vfs.exists p then begin
-              v.Vfs.remove p;
-              Hashtbl.remove model p
-            end
-          | `Truncate i ->
-            let p = path i in
-            if v.Vfs.exists p then begin
-              let n = v.Vfs.size (v.Vfs.open_file p) / 2 in
-              v.Vfs.truncate (v.Vfs.open_file p) n;
-              let old = Hashtbl.find model p in
-              Hashtbl.replace model p
-                (Bytes.sub old 0 (min n (Bytes.length old)))
-            end
-          | `Sync ->
-            v.Vfs.sync ();
-            synced :=
-              Hashtbl.fold (fun k d acc -> (k, Bytes.copy d) :: acc) model []
-          | `Remount ->
-            fs := remount m !fs;
-            Hashtbl.reset model;
-            List.iter (fun (k, d) -> Hashtbl.replace model k d) !synced)
-        ops;
-      (* The image must be internally consistent after every sequence. *)
-      Lfs.check !fs;
-      (* Final check against the live model. *)
-      let v = Lfs.vfs !fs in
-      Hashtbl.fold
-        (fun p data ok ->
-          ok
-          && v.Vfs.exists p
-          &&
-          let fd = v.Vfs.open_file p in
-          v.Vfs.size fd = Bytes.length data
-          && Bytes.equal (v.Vfs.read fd ~off:0 ~len:(Bytes.length data)) data)
-        model true)
-
 let test_consistency_check_after_activity () =
   let m, fs = Tutil.fresh_lfs () in
   let v = Lfs.vfs fs in
@@ -521,12 +430,34 @@ let test_snapshot_time_travel_and_undelete () =
     (match old.Vfs.write (old.Vfs.open_file "/report") ~off:0 (Bytes.of_string "x") with
     | exception Vfs.Error (Vfs.Not_supported, _) -> true
     | _ -> false);
+  let ofd = old.Vfs.open_file "/report" in
   Lfs.release_snapshot fs snap;
   Alcotest.(check int) "no snapshots left" 0 (Lfs.snapshots fs);
   Alcotest.(check bool) "released view rejected" true
     (match Lfs.snapshot_view fs snap with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* A view taken before the release dies with its snapshot: the cleaner
+     may already be reusing the segments it would read. *)
+  let rejected name f =
+    Alcotest.(check bool) name true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejected "released view: read" (fun () -> ignore (old.Vfs.read ofd ~off:0 ~len:10));
+  rejected "released view: size" (fun () -> ignore (old.Vfs.size ofd));
+  rejected "released view: exists" (fun () -> ignore (old.Vfs.exists "/doomed"));
+  rejected "released view: open" (fun () -> ignore (old.Vfs.open_file "/doomed"));
+  (* A live snapshot's view dies with the file system it was taken from. *)
+  let snap2 = Lfs.snapshot fs in
+  let view2 = Lfs.snapshot_view fs snap2 in
+  let rfd = view2.Vfs.open_file "/report" in
+  Lfs.crash fs;
+  Alcotest.check_raises "view after crash: read" Lfs.Crashed (fun () ->
+      ignore (view2.Vfs.read rfd ~off:0 ~len:10));
+  Alcotest.check_raises "view after crash: size" Lfs.Crashed (fun () ->
+      ignore (view2.Vfs.size rfd));
+  Alcotest.check_raises "view after crash: exists" Lfs.Crashed (fun () ->
+      ignore (view2.Vfs.exists "/report"))
 
 let test_snapshot_survives_cleaning_pressure () =
   let cfg = Tutil.small_config () in
@@ -904,7 +835,7 @@ let test_mount_rejects_mismatched_checkpoint () =
 let () =
   Alcotest.run "tx_lfs"
     [
-      ("conformance", Conformance.cases make_harness);
+      ("conformance", Conformance.cases Conformance.lfs);
       ( "io",
         [
           Alcotest.test_case "create/write/read" `Quick test_create_write_read;
@@ -970,5 +901,5 @@ let () =
           Alcotest.test_case "cold bit persists" `Quick
             test_cold_bit_persists_remount;
         ] );
-      ("model", [ prop_model ]);
+      ("model", [ Conformance.prop_model ~count:30 Conformance.lfs ]);
     ]

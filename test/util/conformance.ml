@@ -1,9 +1,48 @@
 (* File-system conformance suite: behavioural cases every Vfs.t
-   implementation must satisfy, run against both the log-structured and the
-   read-optimized file systems. A harness supplies a fresh file system and
-   a sync-then-remount operation (crash + recover/mount). *)
+   implementation must satisfy, and a model-based property, run against
+   both the log-structured and the read-optimized file systems. A harness
+   holds one file system on its own machine. *)
 
-type harness = { vfs : unit -> Vfs.t; sync_remount : unit -> unit }
+type harness = {
+  vfs : unit -> Vfs.t;  (* the surface of the current file system *)
+  crash : unit -> unit;  (* power failure: volatile state is lost *)
+  mount : unit -> unit;  (* mount the image again *)
+  check : unit -> unit;  (* consistency check: Lfs.check or Ffs.fsck *)
+}
+
+let lfs () =
+  let m = Tutil.machine () in
+  let fs = ref (Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
+  {
+    vfs = (fun () -> Lfs.vfs !fs);
+    crash = (fun () -> Lfs.crash !fs);
+    mount = (fun () -> fs := Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
+    check = (fun () -> Lfs.check !fs);
+  }
+
+let ffs () =
+  let m = Tutil.machine () in
+  let fs = ref (Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
+  {
+    vfs = (fun () -> Ffs.vfs !fs);
+    crash = (fun () -> Ffs.crash !fs);
+    mount = (fun () -> fs := Ffs.mount m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
+    check =
+      (fun () ->
+        let r = Ffs.fsck !fs in
+        if r.Ffs.cross_allocated > 0 then
+          Alcotest.failf "fsck: %d cross-allocated blocks" r.Ffs.cross_allocated);
+  }
+
+(* Crash, mount the image again and check it. *)
+let remount h =
+  h.crash ();
+  h.mount ();
+  h.check ()
+
+let sync_remount h =
+  (h.vfs ()).Vfs.sync ();
+  remount h
 
 let bs h = (h.vfs ()).Vfs.block_size
 
@@ -61,7 +100,7 @@ let test_durability h () =
   let data = Tutil.payload 21 (2 * bs h) in
   let fd = v.Vfs.create "/c/durable" in
   v.Vfs.write fd ~off:0 data;
-  h.sync_remount ();
+  sync_remount h;
   let v = h.vfs () in
   let fd = v.Vfs.open_file "/c/durable" in
   Tutil.check_bytes "survives remount" data (v.Vfs.read fd ~off:0 ~len:(2 * bs h));
@@ -78,7 +117,7 @@ let test_many_files_durable h () =
         v.Vfs.write fd ~off:0 d;
         (p, d))
   in
-  h.sync_remount ();
+  sync_remount h;
   let v = h.vfs () in
   List.iter
     (fun (p, d) ->
@@ -137,7 +176,7 @@ let test_zero_length_file h () =
   Alcotest.(check int) "size 0" 0 (v.Vfs.size fd);
   Alcotest.(check string) "empty read" ""
     (Bytes.to_string (v.Vfs.read fd ~off:0 ~len:100));
-  h.sync_remount ();
+  sync_remount h;
   let v = h.vfs () in
   Alcotest.(check bool) "survives remount" true (v.Vfs.exists "/c/empty");
   Alcotest.(check int) "still size 0" 0 (v.Vfs.size (v.Vfs.open_file "/c/empty"))
@@ -152,6 +191,133 @@ let test_truncate_to_zero_and_rewrite h () =
   v.Vfs.write fd ~off:0 fresh;
   Tutil.check_bytes "rewritten" fresh (v.Vfs.read fd ~off:0 ~len:500);
   Alcotest.(check int) "new size" 500 (v.Vfs.size fd)
+
+(* After a crash every operation of the old surface raises, not just the
+   ones that reach the disk: a crashed file system must not keep
+   answering from its lost volatile state. *)
+let test_crashed_raises h () =
+  let v = h.vfs () in
+  v.Vfs.sync ();
+  let fd = v.Vfs.create "/c/x" in
+  v.Vfs.write fd ~off:0 (Tutil.payload 9 5000);
+  h.crash ();
+  let raises name f =
+    Alcotest.check_raises name Vfs.Crashed (fun () -> ignore (f ()))
+  in
+  raises "size" (fun () -> v.Vfs.size fd);
+  raises "exists" (fun () -> v.Vfs.exists "/c/x");
+  raises "stat" (fun () -> v.Vfs.stat "/c/x");
+  raises "readdir" (fun () -> v.Vfs.readdir "/c");
+  raises "open" (fun () -> v.Vfs.open_file "/c/x");
+  raises "read" (fun () -> v.Vfs.read fd ~off:0 ~len:10);
+  raises "write" (fun () -> v.Vfs.write fd ~off:0 (Bytes.of_string "y"));
+  raises "truncate" (fun () -> v.Vfs.truncate fd 0);
+  raises "create" (fun () -> v.Vfs.create "/c/y");
+  raises "mkdir" (fun () -> v.Vfs.mkdir "/c/d");
+  raises "remove" (fun () -> v.Vfs.remove "/c/x");
+  raises "fsync" (fun () -> v.Vfs.fsync fd);
+  raises "sync" (fun () -> v.Vfs.sync ());
+  raises "set_protected" (fun () -> v.Vfs.set_protected "/c/x" true);
+  (* The image itself is fine: the last sync made /c durable. *)
+  h.mount ();
+  h.check ();
+  Alcotest.(check bool) "remounted" true ((h.vfs ()).Vfs.exists "/c")
+
+(* Model-based property: random operation sequences against an in-memory
+   map of path -> contents. Ops: write (extending), remove, truncate to
+   half, truncate growing past the end (the new range reads as zeros),
+   a write into a nested directory, sync, and crash + remount + check.
+   Only synced state survives a remount. *)
+let prop_model ~count make =
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map2 (fun f (off, len) -> `Write (f, off, len))
+                (int_bound 4) (pair (int_bound 3000) (int_range 1 2000)));
+          (2, map (fun f -> `Remove f) (int_bound 4));
+          (2, map (fun f -> `Truncate f) (int_bound 4));
+          (1, map2 (fun f n -> `Grow (f, n)) (int_bound 4) (int_range 1 5000));
+          (1, map2 (fun f len -> `Nested (f, len)) (int_bound 2) (int_range 1 3000));
+          (1, return `Sync);
+          (1, return `Remount);
+        ])
+  in
+  Tutil.qtest ~count "model equivalence" QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+    (fun ops ->
+      let h = make () in
+      let model : (string, bytes) Hashtbl.t = Hashtbl.create 8 in
+      let synced = ref [] in
+      let path i = Printf.sprintf "/file%d" i in
+      let counter = ref 0 in
+      let ok = ref true in
+      let write v p ~off data =
+        let fd = if v.Vfs.exists p then v.Vfs.open_file p else v.Vfs.create p in
+        v.Vfs.write fd ~off data;
+        let len = Bytes.length data in
+        let old = Option.value (Hashtbl.find_opt model p) ~default:Bytes.empty in
+        let b = Bytes.make (max (Bytes.length old) (off + len)) '\000' in
+        Bytes.blit old 0 b 0 (Bytes.length old);
+        Bytes.blit data 0 b off len;
+        Hashtbl.replace model p b
+      in
+      List.iter
+        (fun op ->
+          let v = h.vfs () in
+          incr counter;
+          match op with
+          | `Write (i, off, len) -> write v (path i) ~off (Tutil.payload !counter len)
+          | `Nested (i, len) ->
+            List.iter
+              (fun d -> if not (v.Vfs.exists d) then v.Vfs.mkdir d)
+              [ "/d"; "/d/sub" ];
+            write v (Printf.sprintf "/d/sub/f%d" i) ~off:0 (Tutil.payload !counter len)
+          | `Remove i ->
+            let p = path i in
+            if v.Vfs.exists p then begin
+              v.Vfs.remove p;
+              Hashtbl.remove model p
+            end
+          | `Truncate i ->
+            let p = path i in
+            if v.Vfs.exists p then begin
+              let fd = v.Vfs.open_file p in
+              let n = v.Vfs.size fd / 2 in
+              v.Vfs.truncate fd n;
+              let old = Hashtbl.find model p in
+              Hashtbl.replace model p (Bytes.sub old 0 (min n (Bytes.length old)))
+            end
+          | `Grow (i, extra) ->
+            let p = path i in
+            if v.Vfs.exists p then begin
+              let fd = v.Vfs.open_file p in
+              let size = v.Vfs.size fd in
+              v.Vfs.truncate fd (size + extra);
+              let zeros = Bytes.make extra '\000' in
+              ok := !ok && Bytes.equal (v.Vfs.read fd ~off:size ~len:extra) zeros;
+              let old = Hashtbl.find model p in
+              Hashtbl.replace model p (Bytes.cat old zeros)
+            end
+          | `Sync ->
+            v.Vfs.sync ();
+            synced := Hashtbl.fold (fun k d acc -> (k, Bytes.copy d) :: acc) model []
+          | `Remount ->
+            remount h;
+            Hashtbl.reset model;
+            List.iter (fun (k, d) -> Hashtbl.replace model k d) !synced)
+        ops;
+      (* The image must be internally consistent after every sequence. *)
+      h.check ();
+      let v = h.vfs () in
+      Hashtbl.fold
+        (fun p data ok ->
+          ok
+          && v.Vfs.exists p
+          &&
+          let fd = v.Vfs.open_file p in
+          v.Vfs.size fd = Bytes.length data
+          && Bytes.equal (v.Vfs.read fd ~off:0 ~len:(Bytes.length data)) data)
+        model !ok)
 
 let cases make =
   let with_harness f () =
@@ -177,4 +343,5 @@ let cases make =
     Alcotest.test_case "zero-length file" `Quick (with_harness test_zero_length_file);
     Alcotest.test_case "truncate to zero" `Quick
       (with_harness test_truncate_to_zero_and_rewrite);
+    Alcotest.test_case "crashed raises" `Quick (with_harness test_crashed_raises);
   ]
