@@ -156,6 +156,19 @@ let micro_tests () =
            | Some _ -> ()
            | None -> assert false))
   in
+  (* The LFS segment path: the payload checksum of a commit's partial
+     segment and of a whole segment, and the cleaner's read of a victim. *)
+  let checksum_of ~name len =
+    let b = Bytes.init len (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+    Test.make ~name (Staged.stage (fun () -> ignore (Layout.checksum_sub b 0 len)))
+  in
+  let segment_read =
+    let cfg = Config.scaled ~factor:0.05 Config.default in
+    let disks = Diskset.create (Clock.create ()) (Stats.create ()) cfg in
+    let n = cfg.Config.fs.Config.segment_blocks in
+    Test.make ~name:"diskset.read_run (one 512 KB segment)"
+      (Staged.stage (fun () -> ignore (Diskset.read_run disks Layout.data_start n)))
+  in
   let cache_hit =
     let clock = Clock.create () in
     let stats = Stats.create () in
@@ -178,6 +191,9 @@ let micro_tests () =
     lock_cycle;
     logrec_codec;
     summary_codec;
+    checksum_of ~name:"LFS checksum_sub (28 KB partial)" (28 * 1024);
+    checksum_of ~name:"LFS checksum_sub (512 KB segment)" (512 * 1024);
+    segment_read;
     cache_hit;
   ]
 

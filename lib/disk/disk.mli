@@ -80,12 +80,13 @@ val queue_depth : t -> int
 
 val read_run : t -> int -> int -> bytes
 (** [read_run t blkno n] reads [n] consecutive blocks as one sequential
-    request, returning their concatenation. *)
+    request, returning their concatenation in a fresh buffer. *)
 
 val write_run : t -> int -> bytes -> unit
 (** [write_run t blkno data] writes [data] (a whole number of blocks) as
     one sequential request starting at [blkno]. Used by the LFS segment
-    writer: one seek, one rotational delay, then pure streaming. *)
+    writer: one seek, one rotational delay, then pure streaming. The
+    bytes are copied onto the platter; no reference to [data] is kept. *)
 
 val write_queued : t -> int -> bytes -> unit
 (** A delayed write issued from a sorted disk queue. Because the

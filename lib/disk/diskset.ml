@@ -139,15 +139,15 @@ let read t blkno =
   let d, phys = locate t blkno in
   Disk.read d phys
 
+(* Disk.read_run already returns a fresh copy, so a run on one extent
+   (every LFS segment, under segment-granular striping) is returned as
+   is; only a run cut at a stripe boundary is assembled. *)
 let read_run t blkno n =
-  let bs = block_size t in
-  let out = Bytes.create (n * bs) in
-  let cursor = ref 0 in
-  split t blkno n (fun d phys len ->
-      let part = Disk.read_run d phys len in
-      Bytes.blit part 0 out (!cursor * bs) (len * bs);
-      cursor := !cursor + len);
-  out
+  let parts = ref [] in
+  split t blkno n (fun d phys len -> parts := Disk.read_run d phys len :: !parts);
+  match !parts with
+  | [ part ] -> part
+  | parts -> Bytes.concat Bytes.empty (List.rev parts)
 
 let read_async t blkno =
   let d, phys = locate t blkno in
@@ -164,7 +164,12 @@ let write_run t blkno data =
     invalid_arg "Diskset.write_run: data must be a positive whole number of blocks";
   let cursor = ref 0 in
   split t blkno (len / bs) (fun d phys n ->
-      Disk.write_run d phys (Bytes.sub data (!cursor * bs) (n * bs));
+      (* Disk.write_run copies onto the platter and keeps no reference,
+         so a single extent needs no copy of its own. *)
+      let part =
+        if n * bs = len then data else Bytes.sub data (!cursor * bs) (n * bs)
+      in
+      Disk.write_run d phys part;
       cursor := !cursor + n)
 
 let peek t blkno =

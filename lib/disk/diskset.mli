@@ -80,7 +80,14 @@ val nblocks : t -> int
 val block_size : t -> int
 
 val read : t -> int -> bytes
+
 val read_run : t -> int -> int -> bytes
+(** [read_run t blkno n] reads [n] blocks with one sequential
+    {!Disk.read_run} per extent, in logical order. The result is the
+    caller's own: it shares no bytes with the platter or with any other
+    result. A run on one spindle (every LFS segment) is the member's copy
+    itself; only a run cut at a stripe boundary is assembled into a new
+    buffer. *)
 
 val read_async : t -> int -> bytes
 (** Forwards to {!Disk.read_async} on the owning member: under a
@@ -92,7 +99,11 @@ val write : t -> int -> bytes -> unit
 val write_run : t -> int -> bytes -> unit
 (** Splits the run at spindle boundaries and issues one sequential
     {!Disk.write_run} per extent, in logical order. Segment-granular
-    striping means an LFS segment write is always a single extent. *)
+    striping means an LFS segment write is always a single extent, which
+    is passed to the member without a copy. The bytes reach the platter
+    when the transfer lands, which under a scheduler is after the call
+    parks, so the caller leaves [data] alone until the call returns; the
+    platter keeps no reference to it afterwards. *)
 
 val peek : t -> int -> bytes
 val poke : t -> int -> bytes -> unit

@@ -8,16 +8,66 @@ let sb_magic = 0x4c46_5353 (* "LFSS" *)
 let sum_magic = 0x4c46_5355 (* "LFSU" *)
 let cp_magic = 0x4c46_5343 (* "LFSC" *)
 
-(* The sum is masked once at the end: native ints wrap modulo 2^63, a
-   multiple of 2^30, so the result equals masking after every byte. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* The checksum is taken eight bytes per step. The weight
+   [1 + (i land 0xff)] repeats every 256 bytes, so word [k] of every
+   256-byte period carries the same eight weights: [column] sums that
+   word over a run of periods with its even and its odd bytes each in
+   16-bit lanes, and multiplies by the weights once at the end. The top
+   lane of a 63-bit int holds 15 bits, so a column covers at most 128
+   periods (128 * 255 = 32 640 < 2^15). The total is masked once at the
+   end: native ints wrap modulo 2^63, a multiple of 2^30, so the result
+   equals masking after every byte. *)
+let lanes = 0x00ff_00ff_00ff_00ffL
+let max_periods = 128
+
+(* Even lane [j] of word [k] holds bytes of weight [1 + 8k + 2j], odd
+   lane [j] those of weight [2 + 8k + 2j]. *)
+let weigh k e o =
+  let w = 1 + (8 * k) in
+  ((e land 0xffff) * w)
+  + (((e lsr 16) land 0xffff) * (w + 2))
+  + (((e lsr 32) land 0xffff) * (w + 4))
+  + ((e lsr 48) * (w + 6))
+  + ((o land 0xffff) * (w + 1))
+  + (((o lsr 16) land 0xffff) * (w + 3))
+  + (((o lsr 32) land 0xffff) * (w + 5))
+  + ((o lsr 48) * (w + 7))
+
 let checksum_sub b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Layout.checksum_sub";
-  let acc = ref 0 in
-  for i = 0 to len - 1 do
-    acc := !acc + (Char.code (Bytes.unsafe_get b (off + i)) * (1 + (i land 0xff)))
+  (* Word [k] of [periods] consecutive periods from [base], weighed. *)
+  let column base periods k =
+    let e = ref 0 and o = ref 0 in
+    for p = 0 to periods - 1 do
+      let w = get64u b (base + (8 * k) + (256 * p)) in
+      let w = if Sys.big_endian then swap64 w else w in
+      e := !e + Int64.to_int (Int64.logand w lanes);
+      o := !o + Int64.to_int (Int64.logand (Int64.shift_right_logical w 8) lanes)
+    done;
+    weigh k !e !o
+  in
+  let total = ref 0 in
+  let periods = len / 256 in
+  let p = ref 0 in
+  while !p < periods do
+    let n = min max_periods (periods - !p) in
+    for k = 0 to 31 do
+      total := !total + column (off + (256 * !p)) n k
+    done;
+    p := !p + n
   done;
-  !acc land 0x3fffffff
+  let tail = len - (256 * periods) in
+  for k = 0 to (tail / 8) - 1 do
+    total := !total + column (off + (256 * periods)) 1 k
+  done;
+  for i = len - (tail land 7) to len - 1 do
+    total := !total + (Char.code (Bytes.unsafe_get b (off + i)) * (1 + (i land 0xff)))
+  done;
+  !total land 0x3fffffff
 
 let checksum b = checksum_sub b 0 (Bytes.length b)
 
@@ -27,12 +77,17 @@ let seal b =
   Enc.set_u32 b 4 0;
   Enc.set_u32 b 4 (checksum b)
 
-let check_seal b =
-  let stored = Enc.get_u32 b 4 in
-  Enc.set_u32 b 4 0;
-  let ok = checksum b = stored in
-  Enc.set_u32 b 4 stored;
-  ok
+(* A seal is checked in place, without zeroing the field: its four bytes
+   (weights 5..8) are taken back out of the sum instead. *)
+let check_seal_at b off len =
+  let stored = Enc.get_u32 b (off + 4) in
+  let field = ref 0 in
+  for i = 4 to 7 do
+    field := !field + (Char.code (Bytes.get b (off + i)) * (1 + i))
+  done;
+  (checksum_sub b off len - !field) land 0x3fffffff = stored
+
+let check_seal b = check_seal_at b 0 (Bytes.length b)
 
 (* Superblock *)
 
@@ -150,17 +205,22 @@ let write_summary b s =
     s.entries;
   seal b
 
-let read_summary b =
-  if Enc.get_u32 b 0 <> sum_magic || not (check_seal b) then None
+let read_summary_at b ~off ~block_size =
+  if
+    Enc.get_u32 b off <> sum_magic
+    || not (check_seal_at b off block_size)
+  then None
   else
-    let n = Enc.get_u16 b 28 in
+    let n = Enc.get_u16 b (off + 28) in
     let entry i =
-      let off = sum_header + (i * entry_bytes) in
-      let a = Enc.get_u32 b (off + 1) and c = Enc.get_u32 b (off + 5) in
-      match Enc.get_u8 b off with
+      let e = off + sum_header + (i * entry_bytes) in
+      let a = Enc.get_u32 b (e + 1) and c = Enc.get_u32 b (e + 5) in
+      match Enc.get_u8 b e with
       | 0 -> Data { inum = a; lblock = c }
       | 1 ->
-        let inums = List.init c (fun j -> Enc.get_u32 b (a + (4 * j))) in
+        if a + (4 * c) > block_size then
+          Vfs.error Invalid "LFS summary: inode table past the block";
+        let inums = List.init c (fun j -> Enc.get_u32 b (off + a + (4 * j))) in
         Inode_block { inums }
       | 2 -> Indirect { inum = a; index = c }
       | 3 -> Double_indirect { inum = a }
@@ -170,14 +230,16 @@ let read_summary b =
     in
     Some
       {
-        seq = Enc.get_i64 b 8;
-        timestamp = Enc.get_f64 b 16;
-        next_seg = Enc.get_u32 b 24;
-        more = Enc.get_u8 b 30 = 1;
-        cold = Enc.get_u8 b 31 = 1;
-        payload_ck = Enc.get_u32 b 32;
+        seq = Enc.get_i64 b (off + 8);
+        timestamp = Enc.get_f64 b (off + 16);
+        next_seg = Enc.get_u32 b (off + 24);
+        more = Enc.get_u8 b (off + 30) = 1;
+        cold = Enc.get_u8 b (off + 31) = 1;
+        payload_ck = Enc.get_u32 b (off + 32);
         entries = List.init n entry;
       }
+
+let read_summary b = read_summary_at b ~off:0 ~block_size:(Bytes.length b)
 
 (* Checkpoint *)
 

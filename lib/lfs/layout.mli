@@ -21,11 +21,14 @@ val inode_size : int
 val checksum : bytes -> int
 (** Additive 30-bit checksum: the sum of every byte times one plus its
     offset modulo 256, modulo 2{^30}. A structure is summed with its
-    checksum field zeroed (the caller zeroes it before calling). *)
+    checksum field zeroed (the caller zeroes it before calling). The sum
+    is taken eight bytes per step; the value is the per-byte definition's
+    to the bit, since it is on disk. *)
 
 val checksum_sub : bytes -> int -> int -> int
 (** [checksum_sub b off len] is [checksum (Bytes.sub b off len)] without
-    the copy. @raise Invalid_argument if the range is outside [b]. *)
+    the copy; it only reads [b]. @raise Invalid_argument if the range is
+    outside [b]. *)
 
 (** {1 Superblock} *)
 
@@ -81,7 +84,15 @@ type summary = {
 
 val write_summary : bytes -> summary -> unit
 val read_summary : bytes -> summary option
-(** [None] if the block is not a valid summary (bad magic or checksum). *)
+(** [None] if the block is not a valid summary (bad magic or checksum).
+    Reads the block only; the summary returned shares no bytes with it. *)
+
+val read_summary_at : bytes -> off:int -> block_size:int -> summary option
+(** [read_summary_at run ~off ~block_size] is
+    [read_summary (Bytes.sub run off block_size)] without the copy: the
+    cleaner parses the summaries of a whole segment run in place.
+    @raise Vfs.Error [Invalid] if a sealed summary is malformed (an
+    unknown entry kind, or an inode table past the block). *)
 
 val max_summary_entries : block_size:int -> int
 

@@ -557,7 +557,10 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
      a torn write may persist the summary block without the blocks it
      describes, and recovery must be able to tell. *)
   let entries = List.rev !entries and fills = List.rev !fills in
-  let buf = Bytes.make (nblocks * bs) '\000' in
+  (* Not zero-filled: the fills cover every payload block (the plan
+     counted exactly these) and the summary the first. *)
+  assert (!pos = base + nblocks);
+  let buf = Bytes.create (nblocks * bs) in
   List.iteri (fun i fill -> Bytes.blit (fill ()) 0 buf ((i + 1) * bs) bs) fills;
   let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
   let seq, next_seg, more =
@@ -844,7 +847,6 @@ let clean_victim t victim =
     Stats.add t.stats "cleaner.victim_live" u.live;
     let seg_blocks = t.cfg.fs.segment_blocks in
     let run = Diskset.read_run t.disk (seg_base t victim) seg_blocks in
-    let block i = Bytes.sub run (i * bs) bs in
     let segregate = t.cfg.fs.cleaner_segregate in
     let ditems = ref [] in
     let cold_items = ref [] in
@@ -857,7 +859,7 @@ let clean_victim t victim =
     let pos = ref 0 in
     let continue = ref true in
     while !continue && !pos < seg_blocks do
-      match Layout.read_summary (block !pos) with
+      match Layout.read_summary_at run ~off:(!pos * bs) ~block_size:bs with
       | None -> continue := false
       | Some s ->
         List.iteri
@@ -887,7 +889,7 @@ let clean_victim t victim =
                     {
                       d_inum = inum;
                       d_lblock = lblock;
-                      d_src = `Reloc (block (!pos + 1 + i), addr);
+                      d_src = `Reloc (Bytes.sub run ((!pos + 1 + i) * bs) bs, addr);
                     }
                   in
                   if segregate then begin

@@ -176,16 +176,18 @@ let obj_fields obj =
    edges made [acquire] report spurious deadlocks. *)
 let revalidate_table t ~table ~waits obj =
   let cleared = ref [] in
-  Hashtbl.iter
-    (fun waiter w ->
-      if w.w_obj = obj then
-        match Hashtbl.find_opt table obj with
-        | None -> cleared := waiter :: !cleared
-        | Some e -> (
-          match conflicts e ~txn:waiter w.w_mode with
-          | [] -> cleared := waiter :: !cleared
-          | bs -> w.w_blockers <- bs))
-    waits;
+  (* [Hashtbl.iter] walks every bucket even of an empty table. *)
+  if Hashtbl.length waits > 0 then
+    Hashtbl.iter
+      (fun waiter w ->
+        if w.w_obj = obj then
+          match Hashtbl.find_opt table obj with
+          | None -> cleared := waiter :: !cleared
+          | Some e -> (
+            match conflicts e ~txn:waiter w.w_mode with
+            | [] -> cleared := waiter :: !cleared
+            | bs -> w.w_blockers <- bs))
+      waits;
   List.iter
     (fun waiter ->
       Hashtbl.remove waits waiter;

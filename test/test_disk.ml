@@ -271,6 +271,41 @@ let test_diskset_run_split () =
     (Bytes.sub data (2 * bs) bs)
     (Disk.peek (List.assoc "disk1" (Diskset.members ds)) 3)
 
+(* Run I/O hands out no aliases: [read_run] returns the caller's own
+   bytes and [write_run] keeps none of the caller's, whether the run lies
+   on one spindle (returned or passed on without a copy) or is cut at a
+   stripe boundary. *)
+let test_diskset_run_no_aliasing () =
+  List.iter
+    (fun ndisks ->
+      let cfg = stripe_cfg ~ndisks () in
+      let m = Tutil.machine ~cfg () in
+      let ds = m.Tutil.disks in
+      let chunk = cfg.Config.fs.Config.segment_blocks in
+      let bs = Diskset.block_size ds in
+      let n = 4 in
+      List.iter
+        (fun (what, start) ->
+          let what = Printf.sprintf "%d spindle(s), %s" ndisks what in
+          let data = Tutil.payload start (n * bs) in
+          let expect i = Bytes.sub data (i * bs) bs in
+          let mine = Bytes.copy data in
+          Diskset.write_run ds start mine;
+          Bytes.fill mine 0 (n * bs) 'w';
+          for i = 0 to n - 1 do
+            Tutil.check_bytes (what ^ ": platter ignores a later write to the buffer")
+              (expect i) (Diskset.peek ds (start + i))
+          done;
+          let got = Diskset.read_run ds start n in
+          Tutil.check_bytes (what ^ ": run read back") data got;
+          Bytes.fill got 0 (n * bs) 'r';
+          for i = 0 to n - 1 do
+            Tutil.check_bytes (what ^ ": later read ignores the mutated result")
+              (expect i) (Diskset.read ds (start + i))
+          done)
+        [ ("run on one spindle", 3 + 1); ("run across a stripe boundary", 3 + chunk - 2) ])
+    [ 1; 2 ]
+
 let test_diskset_checkpoint_routing () =
   let cfg = stripe_cfg ~ndisks:1 ~log_disk:true () in
   let clock = Clock.create () in
@@ -338,6 +373,8 @@ let () =
           Alcotest.test_case "stripe mapping" `Quick test_diskset_stripe_mapping;
           Alcotest.test_case "run split across spindles" `Quick
             test_diskset_run_split;
+          Alcotest.test_case "run I/O returns and keeps no aliases" `Quick
+            test_diskset_run_no_aliasing;
           Alcotest.test_case "checkpoint routing" `Quick
             test_diskset_checkpoint_routing;
           prop_diskset_roundtrip;

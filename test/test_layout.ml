@@ -178,18 +178,88 @@ let test_segment_geometry () =
   Alcotest.(check int) "segment 0 base" Layout.data_start (Layout.segment_base sb 0);
   Alcotest.(check int) "segment 3 base" (Layout.data_start + 192) (Layout.segment_base sb 3)
 
-(* Checksums are on disk: [checksum_sub] must equal summing a copied
-   range, and the values themselves must never move. *)
-let prop_checksum_sub =
-  Tutil.qtest "checksum_sub equals checksum of the copied range"
+(* Checksums are on disk, so their values must never move. This is the
+   definition, a byte at a time: the word-wide [checksum_sub], and
+   [checksum] of the copied range, must agree with it on every input. *)
+let reference_checksum b off len =
+  let acc = ref 0 in
+  for i = 0 to len - 1 do
+    acc := !acc + (Char.code (Bytes.get b (off + i)) * (1 + (i land 0xff)))
+  done;
+  !acc land 0x3fffffff
+
+(* Buffers past 32 KB (128 periods of 256 bytes, where the lanes must be
+   flushed), runs of 0xff bytes (the largest lane increments), and
+   lengths from 0 through under 256 to not a multiple of 256. *)
+let prop_checksum_reference =
+  Tutil.qtest "checksum_sub equals the per-byte definition"
     QCheck2.Gen.(
-      pair (string_size (int_range 0 3000)) (pair (int_bound 3000) (int_bound 3000)))
-    (fun (s, (a, b)) ->
+      tup4
+        (string_size
+           ~gen:(frequency [ (1, char); (1, return '\255') ])
+           (int_range 0 70_000))
+        (int_bound 70_000)
+        (oneof [ int_bound 300; int_bound 70_000 ])
+        bool)
+    (fun (s, a, b, short) ->
       let buf = Bytes.of_string s in
       let n = Bytes.length buf in
-      let off = if n = 0 then 0 else a mod (n + 1) in
-      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
-      Layout.checksum_sub buf off len = Layout.checksum (Bytes.sub buf off len))
+      let off = a mod (n + 1) in
+      let len = if short then b mod 300 else b in
+      let len = len mod (n - off + 1) in
+      let expect = reference_checksum buf off len in
+      Layout.checksum_sub buf off len = expect
+      && Layout.checksum (Bytes.sub buf off len) = expect)
+
+let test_checksum_saturated () =
+  let seg = Bytes.make (512 * 1024) '\255' in
+  let n = Bytes.length seg in
+  Alcotest.(check int) "512 KB of 0xff" (reference_checksum seg 0 n)
+    (Layout.checksum seg);
+  Alcotest.(check int) "unaligned, ragged tail" (reference_checksum seg 3 (n - 10))
+    (Layout.checksum_sub seg 3 (n - 10));
+  Alcotest.(check int) "128 periods and a tail" (reference_checksum seg 5 ((128 * 256) + 255))
+    (Layout.checksum_sub seg 5 ((128 * 256) + 255))
+
+(* The cleaner parses summaries in place inside a segment run; that must
+   read exactly what parsing a copied block reads, and leave the run as
+   it was. *)
+let test_summary_in_run () =
+  let s =
+    {
+      Layout.seq = 5L;
+      timestamp = 2.0;
+      next_seg = 9;
+      more = false;
+      cold = true;
+      payload_ck = 77;
+      entries = sample_entries;
+    }
+  in
+  let run = Tutil.payload 11 (4 * bs) in
+  let b = Bytes.make bs '\000' in
+  Layout.write_summary b s;
+  Bytes.blit b 0 run (2 * bs) bs;
+  let before = Bytes.copy run in
+  Alcotest.(check bool) "parsed in place" true
+    (Layout.read_summary_at run ~off:(2 * bs) ~block_size:bs = Some s);
+  Tutil.check_bytes "run untouched" before run;
+  Alcotest.(check bool) "a data block is no summary" true
+    (Layout.read_summary_at run ~off:bs ~block_size:bs = None);
+  Bytes.set run ((2 * bs) + 100) '\255';
+  Alcotest.(check bool) "bit flip detected in place" true
+    (Layout.read_summary_at run ~off:(2 * bs) ~block_size:bs = None);
+  (* A sealed summary whose inode table (entry 4 of [sample_entries], at
+     byte 40 + 4 * 9) points past its block must not be read from the
+     next block of the run. *)
+  Enc.set_u32 b 77 (bs - 4);
+  Enc.set_u32 b 4 0;
+  Enc.set_u32 b 4 (Layout.checksum b);
+  Bytes.blit b 0 run (2 * bs) bs;
+  Alcotest.(check bool) "inode table past the block rejected" true
+    (match Layout.read_summary_at run ~off:(2 * bs) ~block_size:bs with
+    | exception Vfs.Error (Vfs.Invalid, _) -> true
+    | _ -> false)
 
 let test_checksum_pinned () =
   let small = Bytes.init 4096 (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
@@ -296,6 +366,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_summary_roundtrip;
           Alcotest.test_case "garbage" `Quick test_summary_rejects_garbage;
           prop_summary_roundtrip;
+          Alcotest.test_case "parsed in place in a run" `Quick test_summary_in_run;
         ] );
       ( "checkpoint",
         [
@@ -303,7 +374,9 @@ let () =
           Alcotest.test_case "corruption" `Quick test_checkpoint_corruption;
           Alcotest.test_case "checksum" `Quick test_checksum_sensitivity;
           Alcotest.test_case "checksum values pinned" `Quick test_checksum_pinned;
-          prop_checksum_sub;
+          prop_checksum_reference;
+          Alcotest.test_case "checksum of saturated lanes" `Quick
+            test_checksum_saturated;
         ] );
       ( "tables",
         [
