@@ -183,6 +183,21 @@ let micro_tests () =
            incr i;
            ignore (Cache.lookup c ~file:1 ~lblock:(!i land 1023))))
   in
+  (* Every layer records into Stats; Cpu.charge is the hottest caller. *)
+  let stats_tests =
+    let stats = Stats.create () in
+    let counter = Stats.counter "bench.counter" in
+    let clock = Clock.create () in
+    let cpu = Config.default.Config.cpu in
+    [
+      Test.make ~name:"Stats.incr (by name)"
+        (Staged.stage (fun () -> Stats.incr stats "bench.counter"));
+      Test.make ~name:"Stats.bump (by handle)"
+        (Staged.stage (fun () -> Stats.bump stats counter));
+      Test.make ~name:"Cpu.charge"
+        (Staged.stage (fun () -> Cpu.charge clock stats cpu Cpu.Lock_op));
+    ]
+  in
   [
     btree_find;
     btree_insert;
@@ -196,6 +211,7 @@ let micro_tests () =
     segment_read;
     cache_hit;
   ]
+  @ stats_tests
 
 let run_micro () =
   let open Bechamel in

@@ -79,15 +79,21 @@ let touch t f =
   unlink f;
   push_mru t f
 
+let k_evict_clean = Stats.counter "cache.evict_clean"
+let k_evict_dirty = Stats.counter "cache.evict_dirty"
+let k_hits = Stats.counter "cache.hits"
+let k_insert_writeback = Stats.counter "cache.insert_writeback"
+let k_misses = Stats.counter "cache.misses"
+
 let lookup t ~file ~lblock =
   Cpu.charge t.clock t.stats t.cpu Cpu.Buffer_lookup;
   match Hashtbl.find_opt t.tbl (file, lblock) with
   | Some f ->
-    Stats.incr t.stats "cache.hits";
+    Stats.bump t.stats k_hits;
     touch t f;
     Some f
   | None ->
-    Stats.incr t.stats "cache.misses";
+    Stats.bump t.stats k_misses;
     None
 
 let mark_clean _t f = f.dirty <- false
@@ -112,7 +118,7 @@ let evict_one t =
   in
   let victim = find t.lru.next in
   if victim.dirty then begin
-    Stats.incr t.stats "cache.evict_dirty";
+    Stats.bump t.stats k_evict_dirty;
     (* Pin across the writeback: under the scheduler the hook can block
        on the disk and yield, and no other fiber may pick this victim
        (pins > 0 excludes it from the walk above) or drop it from the
@@ -126,7 +132,7 @@ let evict_one t =
        writeback was parked — a newer modification is not on disk. *)
     if victim.modseq = seq then victim.dirty <- false
   end
-  else Stats.incr t.stats "cache.evict_clean";
+  else Stats.bump t.stats k_evict_clean;
   (* Re-check after the potential yield: the victim may have been
      invalidated, pinned or re-dirtied by another fiber meanwhile. If it
      is no longer droppable the caller's capacity loop simply evicts
@@ -142,7 +148,7 @@ let insert t ~file ~lblock data =
       (* Replacing a dirty frame must not lose its bytes: push them to
          the backing store first (the hook may clean other frames too,
          hence the re-checks below). *)
-      Stats.incr t.stats "cache.insert_writeback";
+      Stats.bump t.stats k_insert_writeback;
       let seq = old.modseq in
       pin old;
       Fun.protect ~finally:(fun () -> unpin old) (fun () -> t.writeback old);

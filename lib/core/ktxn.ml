@@ -31,13 +31,22 @@ type t = {
 exception Deadlock_abort of int
 exception Too_large
 
+let k_aborts = Stats.counter "ktxn.aborts"
+let k_begins = Stats.counter "ktxn.begins"
+let h_commit_batch = Stats.series "ktxn.commit_batch"
+let k_commits = Stats.counter "ktxn.commits"
+let h_group_commit_wait = Stats.series "ktxn.group_commit_wait"
+let k_group_commit_wait = Stats.timer "ktxn.group_commit_wait"
+let k_group_flushes = Stats.counter "ktxn.group_flushes"
+let k_page_writes = Stats.counter "ktxn.page_writes"
+
 let create lfs =
   let clock = Lfs.clock lfs in
   let stats = Lfs.stats lfs in
   let cfg = Lfs.config lfs in
   (* Group-commit histograms exist even in runs that never defer. *)
-  Stats.declare stats "ktxn.commit_batch";
-  Stats.declare stats "ktxn.group_commit_wait";
+  Stats.declare_at stats h_commit_batch;
+  Stats.declare_at stats h_group_commit_wait;
   {
     lfs;
     clock;
@@ -83,7 +92,7 @@ let txn_begin t =
   t.next_id <- id + 1;
   let txn = { id; frames = []; live = true } in
   Hashtbl.replace t.active_tbl id txn;
-  Stats.incr t.stats "ktxn.begins";
+  Stats.bump t.stats k_begins;
   txn
 
 let check_live txn =
@@ -105,7 +114,7 @@ let do_abort t txn =
     txn.frames;
   txn.frames <- [];
   release t txn;
-  Stats.incr t.stats "ktxn.aborts"
+  Stats.bump t.stats k_aborts
 
 (* A conflicting request parks the process: it "is descheduled and left
    sleeping" (Section 4.2) until the lock is free, inside
@@ -145,7 +154,7 @@ let write_page t txn ~inum ~page data =
     Cache.set_txn cache f txn.id;
     txn.frames <- f :: txn.frames
   end;
-  Stats.incr t.stats "ktxn.page_writes"
+  Stats.bump t.stats k_page_writes
 
 let flush_pending t =
   (* Wait out an in-flight flush first: it already claimed its batch,
@@ -191,8 +200,8 @@ let flush_pending t =
         in
         Lfs.force_frames t.lfs frames;
         List.iter (fun (txn, _) -> release t txn) pending;
-        Stats.incr t.stats "ktxn.group_flushes";
-        Stats.observe t.stats "ktxn.commit_batch" (float_of_int batch);
+        Stats.bump t.stats k_group_flushes;
+        Stats.observe_at t.stats h_commit_batch (float_of_int batch);
         if Stats.tracing t.stats then
           Stats.emit t.stats ~time:(Clock.now t.clock) "ktxn.group_flush"
             [ ("batch", Trace.I batch); ("frames", Trace.I (List.length frames)) ])
@@ -207,7 +216,7 @@ let settle_pending t =
      double-release. *)
   if Option.is_none (Sched.of_clock t.clock) && t.pending_commits <> [] then begin
     let wait = t.pending_deadline -. Clock.now t.clock in
-    if wait > 0.0 then Stats.observe t.stats "ktxn.group_commit_wait" wait;
+    if wait > 0.0 then Stats.observe_at t.stats h_group_commit_wait wait;
     Clock.sleep_until t.clock t.pending_deadline;
     flush_pending t
   end
@@ -223,7 +232,7 @@ let txn_commit t txn =
   let was_empty = t.pending_commits = [] in
   t.pending_commits <- (txn, txn.frames) :: t.pending_commits;
   txn.frames <- [];
-  Stats.incr t.stats "ktxn.commits";
+  Stats.bump t.stats k_commits;
   let timeout = t.cfg.Config.fs.group_commit_timeout_s in
   if was_empty then
     t.pending_deadline <- Clock.now t.clock +. Float.max 0.0 timeout;
@@ -249,8 +258,8 @@ let txn_commit t txn =
         Sched.wait sched t.commit_cond
       done;
       let waited = Clock.now t.clock -. t0 in
-      Stats.add_time t.stats "ktxn.group_commit_wait" waited;
-      Stats.observe t.stats "ktxn.group_commit_wait" waited
+      Stats.add_to t.stats k_group_commit_wait waited;
+      Stats.observe_at t.stats h_group_commit_wait waited
     | None ->
       (* At MPL 1 the committing process sleeps; the deferred batch is
          settled by the next event (see [settle_pending]). *)

@@ -130,6 +130,8 @@ let lock_write t key =
       ~write:true
   end
 
+let k_overflow_pages = Stats.counter "hash.overflow_pages"
+
 let insert t key value =
   Pager.with_op t.pager (fun () ->
   charge t Cpu.Record_op;
@@ -161,7 +163,7 @@ let insert t key value =
         t.npages <- fresh + 1;
         t.pager.Pager.put fresh (encode_bucket ps [ (key, value) ] 0);
         t.pager.Pager.put page (encode_bucket ps items fresh);
-        Stats.incr t.stats "hash.overflow_pages"
+        Stats.bump t.stats k_overflow_pages
       end
     in
     add (bucket_page t key);

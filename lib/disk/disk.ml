@@ -25,47 +25,51 @@ type pending = {
   p_cond : Sched.cond;
 }
 
-(* Stat keys, precomputed from the prefix at create time so multi-disk
+(* Stat handles, registered from the prefix at create time so multi-disk
    machines report per-spindle counters ("disk0.busy", "disklog.seek",
-   ...) without per-op string building. The default prefix "disk" keeps
-   every single-disk name bit-for-bit identical to before. *)
+   ...) without per-op string building or hashing. The default prefix
+   "disk" keeps every single-disk name bit-for-bit identical to before.
+   [<prefix>.seek] names both a time and a histogram. *)
 type keys = {
-  k_busy : string;
-  k_seek : string;
-  k_seek_queued : string;
-  k_seeks : string;
-  k_requests : string;
-  k_blocks_written : string;
-  k_blocks_read : string;
-  k_read_service : string;
-  k_write_service : string;
-  k_rotation : string;
-  k_transfer : string;
-  k_read_qwait : string;
-  k_read_retries : string;
-  k_queue_enqueued : string;
-  k_queue_depth : string;
+  k_busy : Stats.timer;
+  k_seek : Stats.timer;
+  k_seek_hist : Stats.series;
+  k_seek_queued : Stats.series;
+  k_seeks : Stats.counter;
+  k_requests : Stats.counter;
+  k_blocks_written : Stats.counter;
+  k_blocks_read : Stats.counter;
+  k_read_service : Stats.series;
+  k_write_service : Stats.series;
+  k_rotation : Stats.series;
+  k_transfer : Stats.series;
+  k_read_qwait : Stats.series;
+  k_read_retries : Stats.counter;
+  k_queue_enqueued : Stats.counter;
+  k_queue_depth : Stats.maximum;
   k_op : string;
 }
 
 let make_keys pfx =
+  let k s = pfx ^ s in
   {
-    k_busy = pfx ^ ".busy";
-    k_seek = pfx ^ ".seek";
-    k_seek_queued = pfx ^ ".seek.queued";
-    k_seeks = pfx ^ ".seeks";
-    k_requests = pfx ^ ".requests";
-    k_blocks_written = pfx ^ ".blocks_written";
-    k_blocks_read = pfx ^ ".blocks_read";
-    k_read_service = pfx ^ ".read.service";
-    k_write_service = pfx ^ ".write.service";
-    k_rotation = pfx ^ ".rotation";
-    k_transfer = pfx ^ ".transfer";
-    k_read_qwait = pfx ^ ".read.qwait";
-    k_read_retries = pfx ^ ".read_retries";
-    k_queue_enqueued = pfx ^ ".queue.enqueued";
-    k_queue_depth = pfx ^ ".queue.depth";
-    k_op = pfx ^ ".op";
+    k_busy = Stats.timer (k ".busy");
+    k_seek = Stats.timer (k ".seek");
+    k_seek_hist = Stats.series (k ".seek");
+    k_seek_queued = Stats.series (k ".seek.queued");
+    k_seeks = Stats.counter (k ".seeks");
+    k_requests = Stats.counter (k ".requests");
+    k_blocks_written = Stats.counter (k ".blocks_written");
+    k_blocks_read = Stats.counter (k ".blocks_read");
+    k_read_service = Stats.series (k ".read.service");
+    k_write_service = Stats.series (k ".write.service");
+    k_rotation = Stats.series (k ".rotation");
+    k_transfer = Stats.series (k ".transfer");
+    k_read_qwait = Stats.series (k ".read.qwait");
+    k_read_retries = Stats.counter (k ".read_retries");
+    k_queue_enqueued = Stats.counter (k ".queue.enqueued");
+    k_queue_depth = Stats.maximum (k ".queue.depth");
+    k_op = k ".op";
   }
 
 type t = {
@@ -90,11 +94,11 @@ let create ?(prefix = "disk") clock stats (cfg : Config.disk) =
   let keys = make_keys prefix in
   (* Per-op latency histograms exist from boot so every benchmark
      artifact carries them, samples or not. *)
-  List.iter (Stats.declare stats)
+  List.iter (Stats.declare_at stats)
     [
       keys.k_read_service;
       keys.k_write_service;
-      keys.k_seek;
+      keys.k_seek_hist;
       keys.k_seek_queued;
       keys.k_rotation;
       keys.k_transfer;
@@ -157,6 +161,24 @@ let wait_device t sched =
     Sched.sleep_until sched t.busy_until
   done
 
+(* One request's accounting, shared by the synchronous path and the
+   elevator's server process. Count the seek actually charged: a queued
+   write pays a discounted seek, so the counter condition tests [seek],
+   and its samples go to their own histogram so the elevator's benefit
+   stays visible next to the cold-seek distribution. A read the elevator
+   serves pays the full seek and is not [queued] here. *)
+let account t ~write ~queued ~seek ~rot ~xfer ~dt ~nblocks =
+  let s = t.stats and k = t.keys in
+  Stats.add_to s k.k_busy dt;
+  Stats.add_to s k.k_seek seek;
+  if seek > 0.0 then Stats.bump s k.k_seeks;
+  Stats.bump s k.k_requests;
+  Stats.bump_by s (if write then k.k_blocks_written else k.k_blocks_read) nblocks;
+  Stats.observe_at s (if write then k.k_write_service else k.k_read_service) dt;
+  Stats.observe_at s (if queued then k.k_seek_queued else k.k_seek_hist) seek;
+  Stats.observe_at s k.k_rotation rot;
+  Stats.observe_at s k.k_transfer xfer
+
 let serve ?(queued = false) t blkno ~nblocks ~write =
   check_range t blkno nblocks;
   (* Under the discrete-event scheduler each spindle is a real shared
@@ -181,25 +203,7 @@ let serve ?(queued = false) t blkno ~nblocks ~write =
     t.busy_until <- Clock.now t.clock +. dt;
     Sched.delay s dt
   | None -> Clock.advance t.clock dt);
-  Stats.add_time t.stats t.keys.k_busy dt;
-  Stats.add_time t.stats t.keys.k_seek seek_c;
-  (* Count the seek actually charged: a queued request pays a discounted
-     seek, so the counter condition must test [seek_c], and its samples
-     go to their own histogram so the elevator's benefit stays visible
-     next to the cold-seek distribution. *)
-  if seek_c > 0.0 then Stats.incr t.stats t.keys.k_seeks;
-  Stats.incr t.stats t.keys.k_requests;
-  Stats.add t.stats
-    (if write then t.keys.k_blocks_written else t.keys.k_blocks_read)
-    nblocks;
-  Stats.observe t.stats
-    (if write then t.keys.k_write_service else t.keys.k_read_service)
-    dt;
-  Stats.observe t.stats
-    (if queued then t.keys.k_seek_queued else t.keys.k_seek)
-    seek_c;
-  Stats.observe t.stats t.keys.k_rotation rot_c;
-  Stats.observe t.stats t.keys.k_transfer xfer;
+  account t ~write ~queued ~seek:seek_c ~rot:rot_c ~xfer ~dt ~nblocks;
   if Stats.tracing t.stats then
     Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
       [
@@ -220,8 +224,8 @@ let retry_reads t blkno n =
   | Some inj ->
     while inj.on_read ~blkno ~nblocks:n do
       Clock.advance t.clock (2.0 *. rotation_time t);
-      Stats.add_time t.stats t.keys.k_busy (2.0 *. rotation_time t);
-      Stats.incr t.stats t.keys.k_read_retries
+      Stats.add_to t.stats t.keys.k_busy (2.0 *. rotation_time t);
+      Stats.bump t.stats t.keys.k_read_retries
     done
 
 let read t blkno =
@@ -306,22 +310,15 @@ let rec serve_queue t sched =
     let dt = seek +. rot +. xfer in
     t.busy_until <- Clock.now t.clock +. dt;
     Sched.delay sched dt;
-    Stats.add_time t.stats t.keys.k_busy dt;
-    Stats.add_time t.stats t.keys.k_seek seek;
-    if seek > 0.0 then Stats.incr t.stats t.keys.k_seeks;
-    Stats.incr t.stats t.keys.k_requests;
-    Stats.add t.stats t.keys.k_blocks_read pick.p_nblocks;
-    Stats.observe t.stats t.keys.k_read_service dt;
-    Stats.observe t.stats t.keys.k_seek seek;
-    Stats.observe t.stats t.keys.k_rotation rot;
-    Stats.observe t.stats t.keys.k_transfer xfer;
+    account t ~write:false ~queued:false ~seek ~rot ~xfer ~dt
+      ~nblocks:pick.p_nblocks;
     t.head <- pick.p_blkno + pick.p_nblocks;
     retry_reads t pick.p_blkno pick.p_nblocks;
     pick.p_data <-
       Bytes.sub t.data
         (pick.p_blkno * t.cfg.block_size)
         (pick.p_nblocks * t.cfg.block_size);
-    Stats.observe t.stats t.keys.k_read_qwait
+    Stats.observe_at t.stats t.keys.k_read_qwait
       (Clock.now t.clock -. pick.p_submitted);
     if Stats.tracing t.stats then
       Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
@@ -352,8 +349,8 @@ let read_async t blkno =
       }
     in
     t.queue <- t.queue @ [ p ];
-    Stats.incr t.stats t.keys.k_queue_enqueued;
-    Stats.record_max t.stats t.keys.k_queue_depth
+    Stats.bump t.stats t.keys.k_queue_enqueued;
+    Stats.note_max t.stats t.keys.k_queue_depth
       (float_of_int (List.length t.queue + if t.serving then 1 else 0));
     if not t.serving then begin
       t.serving <- true;

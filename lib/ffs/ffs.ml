@@ -54,6 +54,11 @@ let free_blocks t =
   done;
   !n
 
+let k_blocks_allocated = Stats.counter "ffs.blocks_allocated"
+let k_inplace_writes = Stats.counter "ffs.inplace_writes"
+let k_mounts = Stats.counter "ffs.mounts"
+let k_syncer_runs = Stats.counter "ffs.syncer_runs"
+
 let alloc_block t ~hint =
   let start =
     if hint >= t.data_start && hint < t.nblocks then hint else t.rotor
@@ -76,7 +81,7 @@ let alloc_block t ~hint =
     bit_set t.bitmap blk true;
     t.bitmap_dirty <- true;
     t.rotor <- (if blk + 1 >= t.nblocks then t.data_start else blk + 1);
-    Stats.incr t.stats "ffs.blocks_allocated";
+    Stats.bump t.stats k_blocks_allocated;
     blk
 
 let free_block t blk =
@@ -197,7 +202,7 @@ let issue_sorted t writes =
   List.iter
     (fun (blk, data) ->
       Disk.write_queued t.disk blk data;
-      Stats.incr t.stats "ffs.inplace_writes")
+      Stats.bump t.stats k_inplace_writes)
     ordered
 
 (* Assign addresses to dirty frames (allocation on first flush keeps
@@ -261,7 +266,7 @@ let tick t =
     maintaining t (fun () ->
         t.last_syncer <- Clock.now t.clock;
         sync_internal t;
-        Stats.incr t.stats "ffs.syncer_runs")
+        Stats.bump t.stats k_syncer_runs)
 
 (* Page access ------------------------------------------------------------ *)
 
@@ -417,7 +422,7 @@ let mount disk clock stats cfg =
   t.files.next_inum <- !maxseen + 1;
   Fileops.rebuild_free_inums t.files ~allocated:(fun inum ->
       Inode.decode (Disk.read disk (itable_blkno t inum)) (itable_off t inum) <> None);
-  Stats.incr t.stats "ffs.mounts";
+  Stats.bump t.stats k_mounts;
   t
 
 let crash t = t.files.crashed <- true

@@ -325,10 +325,40 @@ let pop_free t =
   t.usage.(s).cold <- false;
   s
 
+let k_cleaner_backoffs = Stats.counter "cleaner.backoffs"
+let k_cleaner_blocks_moved = Stats.counter "cleaner.blocks_moved"
+let k_cleaner_blocks_reclaimed = Stats.counter "cleaner.blocks_reclaimed"
+let k_cleaner_busy = Stats.timer "cleaner.busy"
+let h_cleaner_clean = Stats.series "cleaner.clean"
+let k_cleaner_cold_fallbacks = Stats.counter "cleaner.cold_fallbacks"
+let k_cleaner_cold_segments = Stats.counter "cleaner.cold_segments"
+let k_cleaner_idle_cleans = Stats.counter "cleaner.idle_cleans"
+let k_cleaner_max_stall = Stats.maximum "cleaner.max_stall"
+let k_cleaner_reclaimed_dead = Stats.counter "cleaner.reclaimed_dead"
+let k_cleaner_reloc_races = Stats.counter "cleaner.reloc_races"
+let k_cleaner_segments = Stats.counter "cleaner.segments"
+let h_cleaner_stall = Stats.series "cleaner.stall"
+let k_cleaner_stall = Stats.timer "cleaner.stall"
+let k_cleaner_victim_live = Stats.counter "cleaner.victim_live"
+let h_cleaner_write_cost = Stats.series "cleaner.write_cost"
+let k_blocks_logged = Stats.counter "lfs.blocks_logged"
+let h_checkpoint = Stats.series "lfs.checkpoint"
+let k_checkpoints = Stats.counter "lfs.checkpoints"
+let k_coalesced_files = Stats.counter "lfs.coalesced_files"
+let k_cold_partials = Stats.counter "lfs.cold_partials"
+let k_discarded_batches = Stats.counter "lfs.discarded_batches"
+let k_mounts = Stats.counter "lfs.mounts"
+let k_partials = Stats.counter "lfs.partials"
+let k_read_relocated = Stats.counter "lfs.read_relocated"
+let k_rolled_partials = Stats.counter "lfs.rolled_partials"
+let k_segments_closed = Stats.counter "lfs.segments_closed"
+let k_snapshots = Stats.counter "lfs.snapshots"
+let k_syncer_runs = Stats.counter "lfs.syncer_runs"
+
 let note_closed t =
   t.segs_since_cp <- t.segs_since_cp + 1;
   if t.segs_since_cp >= t.cfg.fs.checkpoint_segments then t.pending_cp <- true;
-  Stats.incr t.stats "lfs.segments_closed"
+  Stats.bump t.stats k_segments_closed
 
 let close_segment t =
   set_state t t.cur_seg Dirty;
@@ -368,7 +398,7 @@ let open_head t head n =
       let s = pop_free t in
       t.usage.(s).cold <- true;
       t.cold_seg <- s;
-      Stats.incr t.stats "cleaner.cold_segments"
+      Stats.bump t.stats k_cleaner_cold_segments
     end;
     (t.cold_seg, t.cold_off)
 
@@ -601,9 +631,9 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
     plans;
   List.iter (fun idx -> t.imap_dirty.(idx) <- false) imap_chunks;
   write_blocks t base buf;
-  Stats.incr t.stats "lfs.partials";
-  if cold then Stats.incr t.stats "lfs.cold_partials";
-  Stats.add t.stats "lfs.blocks_logged" nblocks;
+  Stats.bump t.stats k_partials;
+  if cold then Stats.bump t.stats k_cold_partials;
+  Stats.bump_by t.stats k_blocks_logged nblocks;
   advance_head t head nblocks
 
 (* Write one partial segment at [head] (default: the hot head, not part
@@ -649,7 +679,7 @@ let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
             | Some ino -> Inode.get_addr ino d.d_lblock = expect
             | None -> false
           in
-          if not still_there then Stats.incr t.stats "cleaner.reloc_races";
+          if not still_there then Stats.bump t.stats k_cleaner_reloc_races;
           still_there
         | `Frame _ | `Raw _ -> true)
       ditems
@@ -662,7 +692,7 @@ let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
          writable reserve is nearly gone (mid-clean, before the next
          checkpoint refills Free). Segregation is an optimization; the
          reserve is an invariant — fall back to the hot head. *)
-      Stats.incr t.stats "cleaner.cold_fallbacks";
+      Stats.bump t.stats k_cleaner_cold_fallbacks;
       Hot { more = false }
     | h -> h
   in
@@ -807,8 +837,8 @@ let checkpoint_record t =
   Diskset.write t.disk region b;
   t.segs_since_cp <- 0;
   t.pending_cp <- false;
-  Stats.incr t.stats "lfs.checkpoints";
-  Stats.observe t.stats "lfs.checkpoint" (Clock.now t.clock -. cp_t0);
+  Stats.bump t.stats k_checkpoints;
+  Stats.observe_at t.stats h_checkpoint (Clock.now t.clock -. cp_t0);
   if Stats.tracing t.stats then
     Stats.emit t.stats ~time:(Clock.now t.clock) "lfs.checkpoint"
       [
@@ -831,11 +861,11 @@ let clean_victim t victim =
     (* A dead segment is still a cleaned segment: count it and observe a
        zero-cost clean, or bench artifacts undercount cleaner activity
        and the write-cost metric loses its cheapest points. *)
-    Stats.incr t.stats "cleaner.reclaimed_dead";
-    Stats.incr t.stats "cleaner.segments";
-    Stats.observe t.stats "cleaner.clean" 0.0;
-    Stats.add t.stats "cleaner.blocks_reclaimed" t.cfg.fs.segment_blocks;
-    Stats.observe t.stats "cleaner.write_cost" 0.0;
+    Stats.bump t.stats k_cleaner_reclaimed_dead;
+    Stats.bump t.stats k_cleaner_segments;
+    Stats.observe_at t.stats h_cleaner_clean 0.0;
+    Stats.bump_by t.stats k_cleaner_blocks_reclaimed t.cfg.fs.segment_blocks;
+    Stats.observe_at t.stats h_cleaner_write_cost 0.0;
     if Stats.tracing t.stats then
       Stats.emit t.stats ~time:(Clock.now t.clock) "cleaner.victim"
         [ ("seg", Trace.I victim); ("live", Trace.I 0) ];
@@ -844,7 +874,7 @@ let clean_victim t victim =
   else begin
     let t0 = Clock.now t.clock in
     let live0 = u.live in
-    Stats.add t.stats "cleaner.victim_live" u.live;
+    Stats.bump_by t.stats k_cleaner_victim_live u.live;
     let seg_blocks = t.cfg.fs.segment_blocks in
     let run = Diskset.read_run t.disk (seg_base t victim) seg_blocks in
     let segregate = t.cfg.fs.cleaner_segregate in
@@ -975,17 +1005,17 @@ let clean_victim t victim =
     set_state t victim Pending;
     t.cleaned_since_cp <- t.cleaned_since_cp + 1;
     let dt = Clock.now t.clock -. t0 in
-    Stats.incr t.stats "cleaner.segments";
-    Stats.add_time t.stats "cleaner.busy" dt;
-    Stats.observe t.stats "cleaner.clean" dt;
+    Stats.bump t.stats k_cleaner_segments;
+    Stats.add_to t.stats k_cleaner_busy dt;
+    Stats.observe_at t.stats h_cleaner_clean dt;
     (* Write cost: blocks physically copied per block of free space
        gained — the per-victim metric the cleanersweep bench compares
        policies on. *)
-    Stats.add t.stats "cleaner.blocks_moved" live0;
+    Stats.bump_by t.stats k_cleaner_blocks_moved live0;
     let reclaimed = seg_blocks - live0 in
-    Stats.add t.stats "cleaner.blocks_reclaimed" reclaimed;
+    Stats.bump_by t.stats k_cleaner_blocks_reclaimed reclaimed;
     if reclaimed > 0 then
-      Stats.observe t.stats "cleaner.write_cost"
+      Stats.observe_at t.stats h_cleaner_write_cost
         (float_of_int live0 /. float_of_int reclaimed);
     if Stats.tracing t.stats then
       Stats.emit t.stats ~time:(Clock.now t.clock) "cleaner.victim"
@@ -1074,9 +1104,9 @@ let maybe_clean t =
     end;
     let stall = Clock.now t.clock -. t0 in
     if stall > 0.0 then begin
-      Stats.add_time t.stats "cleaner.stall" stall;
-      Stats.record_max t.stats "cleaner.max_stall" stall;
-      Stats.observe t.stats "cleaner.stall" stall;
+      Stats.add_to t.stats k_cleaner_stall stall;
+      Stats.note_max t.stats k_cleaner_max_stall stall;
+      Stats.observe_at t.stats h_cleaner_stall stall;
       if Stats.tracing t.stats then
         Stats.emit t.stats ~time:(Clock.now t.clock) "cleaner.stall"
           [ ("duration_s", Trace.F stall) ]
@@ -1089,7 +1119,7 @@ let syncer_run t =
   t.last_syncer <- Clock.now t.clock;
   let frames = Cache.dirty_frames t.cache () in
   log_write t ~ditems:(dirty_ditems frames) ~inodes:(dirty_inodes t);
-  Stats.incr t.stats "lfs.syncer_runs";
+  Stats.bump t.stats k_syncer_runs;
   maint_exit t maint_tok
 
 (* Syncer + maintenance hook executed at every public operation. When
@@ -1142,7 +1172,7 @@ let start_background t =
             end
             else if Diskset.queue_depth t.disk > t.cfg.fs.cleaner_backoff_qdepth
             then begin
-              Stats.incr t.stats "cleaner.backoffs";
+              Stats.bump t.stats k_cleaner_backoffs;
               0.5
             end
             else if
@@ -1154,7 +1184,7 @@ let start_background t =
                 ~checkpoint_if:(fun () -> checkpoint_batch_due t)
               > 0
             then begin
-              Stats.incr t.stats "cleaner.idle_cleans";
+              Stats.bump t.stats k_cleaner_idle_cleans;
               (* More idle headroom to win back: wake up again soon. *)
               0.05
             end
@@ -1228,7 +1258,7 @@ let get_page t ~inum ~lblock =
           let addr' = Inode.get_addr (iget t inum) lblock in
           if addr' = addr then Cache.insert t.cache ~file:inum ~lblock data
           else begin
-            Stats.incr t.stats "lfs.read_relocated";
+            Stats.bump t.stats k_read_relocated;
             if addr' = 0 then Cache.insert t.cache ~file:inum ~lblock (zero_block t)
             else fetch addr'
           end
@@ -1347,8 +1377,8 @@ let is_protected t inum =
 let make_empty disk clock stats (cfg : Config.t) sb =
   (* LFS-side histograms appear in every benchmark artifact, samples or
      not (short runs may never checkpoint or clean). *)
-  List.iter (Stats.declare stats)
-    [ "lfs.checkpoint"; "cleaner.clean"; "cleaner.stall"; "cleaner.write_cost" ];
+  List.iter (Stats.declare_at stats)
+    [ h_checkpoint; h_cleaner_clean; h_cleaner_stall; h_cleaner_write_cost ];
   let nseg = sb.Layout.nsegments in
   let n_imap = Layout.n_imap_chunks ~block_size:sb.Layout.block_size ~max_inodes in
   let t =
@@ -1508,7 +1538,7 @@ let roll_forward t =
           | None -> () (* file created but its inode never reached disk *))
         | Layout.Indirect _ | Layout.Double_indirect _ -> ())
       s.Layout.entries;
-    Stats.incr t.stats "lfs.rolled_partials"
+    Stats.bump t.stats k_rolled_partials
   in
   (* A sealed summary only proves the summary block itself persisted; a
      write torn inside the partial leaves it describing garbage. *)
@@ -1572,7 +1602,7 @@ let roll_forward t =
     off := o0;
     next := n0;
     expected := q0;
-    Stats.incr t.stats "lfs.discarded_batches"
+    Stats.bump t.stats k_discarded_batches
   | _ -> ());
   t.cur_seg <- !seg;
   t.cur_off <- !off;
@@ -1661,7 +1691,7 @@ let mount disk clock stats (cfg : Config.t) =
      segment it is filling, overwriting live blocks. Reserve afresh. *)
   if t.next_seg = t.cur_seg then t.next_seg <- pop_free t;
   Fileops.rebuild_free_inums t.files ~allocated:(Array.get t.imap_alloc);
-  Stats.incr t.stats "lfs.mounts";
+  Stats.bump t.stats k_mounts;
   t
 
 let crash t = t.files.crashed <- true
@@ -1709,7 +1739,7 @@ let coalesce_file t inum =
       maybe_clean t;
       ignore (maint_enter t)
     done;
-    Stats.incr t.stats "lfs.coalesced_files");
+    Stats.bump t.stats k_coalesced_files);
   maint_exit t maint_tok;
   maybe_clean t
 
@@ -1750,7 +1780,7 @@ let snapshot t =
   t.next_snap <- t.next_snap + 1;
   t.snaps <- s :: t.snaps;
   t.n_free <- count_free t;
-  Stats.incr t.stats "lfs.snapshots";
+  Stats.bump t.stats k_snapshots;
   s
 
 let release_snapshot t s =

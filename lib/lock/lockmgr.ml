@@ -83,11 +83,21 @@ type t = {
      the requesting transaction (or latch owner); a request whose wait
      edges clear wakes its process. *)
   parked : (int, Sched.cond) Hashtbl.t;
-  k_lock_blocks : string;
-  k_lock_wait : string;
-  k_latch_blocks : string;
-  k_latch_wait : string;
+  k_lock_blocks : Stats.counter;
+  k_lock_wait : Stats.timer;
+  k_lock_wait_hist : Stats.series;
+  k_latch_blocks : Stats.counter;
+  k_latch_wait : Stats.timer;
 }
+
+let k_waits_cleared = Stats.counter "lock.waits_cleared"
+let k_conflicts = Stats.counter "lock.conflicts"
+let k_deadlocks = Stats.counter "lock.deadlocks"
+let k_waits = Stats.counter "lock.waits"
+let k_escalations_skipped = Stats.counter "lock.escalations_skipped"
+let k_escalations = Stats.counter "lock.escalations"
+let k_acquires = Stats.counter "lock.acquires"
+let k_latch_waits = Stats.counter "lock.latch_waits"
 
 let create ?(escalation = max_int) ?(metrics = "lock") clock stats cpu =
   {
@@ -102,10 +112,11 @@ let create ?(escalation = max_int) ?(metrics = "lock") clock stats cpu =
     latch_chains = Hashtbl.create 32;
     latch_waits = Hashtbl.create 32;
     parked = Hashtbl.create 8;
-    k_lock_blocks = metrics ^ ".lock_blocks";
-    k_lock_wait = metrics ^ ".lock_wait";
-    k_latch_blocks = metrics ^ ".latch_blocks";
-    k_latch_wait = metrics ^ ".latch_wait";
+    k_lock_blocks = Stats.counter (metrics ^ ".lock_blocks");
+    k_lock_wait = Stats.timer (metrics ^ ".lock_wait");
+    k_lock_wait_hist = Stats.series (metrics ^ ".lock_wait");
+    k_latch_blocks = Stats.counter (metrics ^ ".latch_blocks");
+    k_latch_wait = Stats.timer (metrics ^ ".latch_wait");
   }
 
 let charge t = Cpu.charge t.clock t.stats t.cpu Cpu.Lock_op
@@ -167,6 +178,15 @@ let obj_fields obj =
   | Rec (f, p, r) ->
     [ ("file", Trace.I f); ("page", Trace.I p); ("rec", Trace.I r) ]
 
+(* [=] on objects without the polymorphic compare call: revalidation
+   runs it on every waiter of every release. *)
+let obj_equal a b =
+  match (a, b) with
+  | File f, File f' -> f = f'
+  | Page (f, p), Page (f', p') -> f = f' && p = p'
+  | Rec (f, p, r), Rec (f', p', r') -> f = f' && p = p' && r = r'
+  | (File _ | Page _ | Rec _), _ -> false
+
 (* The holder set of [obj] changed: recompute every waiter-on-[obj]'s
    blocker list from the live table. A wait whose request no longer
    conflicts is dropped entirely — the waiter would be granted on retry,
@@ -180,7 +200,7 @@ let revalidate_table t ~table ~waits obj =
   if Hashtbl.length waits > 0 then
     Hashtbl.iter
       (fun waiter w ->
-        if w.w_obj = obj then
+        if obj_equal w.w_obj obj then
           match Hashtbl.find_opt table obj with
           | None -> cleared := waiter :: !cleared
           | Some e -> (
@@ -191,7 +211,7 @@ let revalidate_table t ~table ~waits obj =
   List.iter
     (fun waiter ->
       Hashtbl.remove waits waiter;
-      Stats.incr t.stats "lock.waits_cleared";
+      Stats.bump t.stats k_waits_cleared;
       match Hashtbl.find_opt t.parked waiter with
       | Some c -> Sched.wake t.clock c
       | None -> ())
@@ -255,10 +275,10 @@ let acquire_node t ~txn obj mode =
       record_grant t ~txn obj target;
       `Granted
     | blockers ->
-      Stats.incr t.stats "lock.conflicts";
+      Stats.bump t.stats k_conflicts;
       (* Would waiting close a cycle? *)
       if List.exists (fun b -> reaches t b txn) blockers then begin
-        Stats.incr t.stats "lock.deadlocks";
+        Stats.bump t.stats k_deadlocks;
         if Stats.tracing t.stats then
           Stats.emit t.stats ~time:(Clock.now t.clock) "lock.deadlock"
             (("txn", Trace.I txn) :: obj_fields obj
@@ -272,7 +292,7 @@ let acquire_node t ~txn obj mode =
       else begin
         Hashtbl.replace t.waits_for txn
           { w_obj = obj; w_mode = target; w_blockers = blockers };
-        Stats.incr t.stats "lock.waits";
+        Stats.bump t.stats k_waits;
         if Stats.tracing t.stats then
           Stats.emit t.stats ~time:(Clock.now t.clock) "lock.wait"
             (("txn", Trace.I txn) :: obj_fields obj
@@ -313,7 +333,7 @@ let maybe_escalate t ~txn file page =
         | Some e -> conflicts e ~txn target
       in
       match blocked with
-      | _ :: _ -> Stats.incr t.stats "lock.escalations_skipped"
+      | _ :: _ -> Stats.bump t.stats k_escalations_skipped
       | [] ->
         record_grant t ~txn page_obj target;
         List.iter
@@ -324,7 +344,7 @@ let maybe_escalate t ~txn file page =
             | Some r -> r := List.filter (fun (o', _) -> o' <> o) !r);
             revalidate_waiters t o)
           recs;
-        Stats.incr t.stats "lock.escalations";
+        Stats.bump t.stats k_escalations;
         if Stats.tracing t.stats then
           Stats.emit t.stats ~time:(Clock.now t.clock) "lock.escalate"
             (("txn", Trace.I txn) :: obj_fields page_obj
@@ -338,7 +358,7 @@ let maybe_escalate t ~txn file page =
    retried acquire re-walks the path as no-ops. *)
 let acquire t ~txn obj mode =
   charge t;
-  Stats.incr t.stats "lock.acquires";
+  Stats.bump t.stats k_acquires;
   (* A transaction has one outstanding request at a time: issuing a new
      acquire supersedes any pending one, so its stale edges must not
      linger in the waits-for graph (a deadlocked walk registers no new
@@ -428,7 +448,7 @@ let latch t ~owner obj mode =
     | blockers ->
       Hashtbl.replace t.latch_waits owner
         { w_obj = obj; w_mode = target; w_blockers = blockers };
-      Stats.incr t.stats "lock.latch_waits";
+      Stats.bump t.stats k_latch_waits;
       `Would_block blockers
 
 let remove_latch_holder t ~owner obj =
@@ -467,18 +487,18 @@ let latched t ~owner =
 (* A request that must wait parks its process — "descheduled and left
    sleeping" (Section 4.2) — until revalidation clears its wait edges;
    the caller then retries. The context switch and the time parked are
-   charged to [blocks]/[wait]. *)
-let park t sched ~txn ~blocks ~wait ~hist =
+   charged to [blocks]/[wait], and sampled into [hist] if given. *)
+let park ?hist t sched ~txn ~blocks ~wait =
   Cpu.charge t.clock t.stats t.cpu Cpu.Context_switch;
-  Stats.incr t.stats blocks;
+  Stats.bump t.stats blocks;
   let c = Sched.condition () in
   Hashtbl.replace t.parked txn c;
   let t0 = Clock.now t.clock in
   Sched.wait sched c;
   Hashtbl.remove t.parked txn;
   let dt = Clock.now t.clock -. t0 in
-  Stats.add_time t.stats wait dt;
-  if hist then Stats.observe t.stats wait dt
+  Stats.add_to t.stats wait dt;
+  Option.iter (fun h -> Stats.observe_at t.stats h dt) hist
 
 (* Only a scheduler process can wait; anywhere else a conflict means
    two transactions were interleaved without one. *)
@@ -494,7 +514,8 @@ let acquire_blocking ?(on_wait = ignore) t ~txn obj mode =
     let sched = scheduler_for t ~txn blockers in
     on_wait ();
     let rec retry () =
-      park t sched ~txn ~blocks:t.k_lock_blocks ~wait:t.k_lock_wait ~hist:true;
+      park t sched ~txn ~blocks:t.k_lock_blocks ~wait:t.k_lock_wait
+        ~hist:t.k_lock_wait_hist;
       match acquire t ~txn obj mode with
       | `Granted -> `Waited
       | `Would_block _ -> retry ()
@@ -508,8 +529,7 @@ let latch_blocking t ~owner obj mode =
   | `Would_block blockers ->
     let sched = scheduler_for t ~txn:owner blockers in
     let rec retry () =
-      park t sched ~txn:owner ~blocks:t.k_latch_blocks ~wait:t.k_latch_wait
-        ~hist:false;
+      park t sched ~txn:owner ~blocks:t.k_latch_blocks ~wait:t.k_latch_wait;
       match latch t ~owner obj mode with
       | `Granted -> ()
       | `Would_block _ -> retry ()

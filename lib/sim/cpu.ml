@@ -50,25 +50,33 @@ let key = function
   | File_op -> "cpu.file_op"
   | Compile_unit -> "cpu.compile_unit"
 
-(* Count key of each kind: [key kind ^ ".n"], spelled out so a charge
-   allocates nothing. *)
-let count_key = function
-  | Syscall -> "cpu.syscall.n"
-  | Context_switch -> "cpu.context_switch.n"
-  | User_mutex -> "cpu.user_mutex.n"
-  | Kernel_mutex -> "cpu.kernel_mutex.n"
-  | Copy_block -> "cpu.copy_block.n"
-  | Buffer_lookup -> "cpu.buffer_lookup.n"
-  | Protection_check -> "cpu.protection_check.n"
-  | Record_op -> "cpu.record_op.n"
-  | Cursor_next -> "cpu.cursor_next.n"
-  | Lock_op -> "cpu.lock_op.n"
-  | Log_record -> "cpu.log_record.n"
-  | File_op -> "cpu.file_op.n"
-  | Compile_unit -> "cpu.compile_unit.n"
+let index = function
+  | Syscall -> 0
+  | Context_switch -> 1
+  | User_mutex -> 2
+  | Kernel_mutex -> 3
+  | Copy_block -> 4
+  | Buffer_lookup -> 5
+  | Protection_check -> 6
+  | Record_op -> 7
+  | Cursor_next -> 8
+  | Lock_op -> 9
+  | Log_record -> 10
+  | File_op -> 11
+  | Compile_unit -> 12
+
+(* Every kind in [index] order, and its time and count handles. *)
+let kinds =
+  [| Syscall; Context_switch; User_mutex; Kernel_mutex; Copy_block;
+     Buffer_lookup; Protection_check; Record_op; Cursor_next; Lock_op;
+     Log_record; File_op; Compile_unit |]
+
+let timers = Array.map (fun k -> Stats.timer (key k)) kinds
+let counters = Array.map (fun k -> Stats.counter (key k ^ ".n")) kinds
 
 let charge clock stats cpu kind =
   let dt = cost cpu kind in
   Clock.advance clock dt;
-  Stats.add_time stats (key kind) dt;
-  Stats.incr stats (count_key kind)
+  let i = index kind in
+  Stats.add_to stats timers.(i) dt;
+  Stats.bump stats counters.(i)

@@ -1,78 +1,179 @@
+(* Key registry ------------------------------------------------------------- *)
+
+(* A process-wide table per kind of entry maps each key to the slot
+   every [t] stores it at, so an update through a handle is an array
+   access and only registration hashes the name. The kinds have separate
+   namespaces: a time, a maximum and a histogram may share a key. *)
+type registry = { slots : (string, int) Hashtbl.t; mutable names : string array }
+
+let registry () = { slots = Hashtbl.create 64; names = [||] }
+let size r = Hashtbl.length r.slots
+
+let register r name =
+  match Hashtbl.find_opt r.slots name with
+  | Some i -> i
+  | None ->
+    let i = size r in
+    if i = Array.length r.names then begin
+      let names = Array.make (max 64 (2 * i)) "" in
+      Array.blit r.names 0 names 0 i;
+      r.names <- names
+    end;
+    r.names.(i) <- name;
+    Hashtbl.add r.slots name i;
+    i
+
+let counters = registry ()
+let timers = registry ()
+let maxima = registry ()
+let serieses = registry ()
+
+type counter = int
+type timer = int
+type maximum = int
+type series = int
+
+let counter = register counters
+let timer = register timers
+let maximum = register maxima
+let series = register serieses
+
+(* Store --------------------------------------------------------------------- *)
+
+(* One flat array per kind, indexed by slot, with a byte per slot that
+   says whether it was updated (or declared) since [create] or [reset]:
+   reports list exactly those. A histogram slot is touched when it holds
+   [Some]. *)
 type t = {
-  counts : (string, int ref) Hashtbl.t;
-  times : (string, float ref) Hashtbl.t;
-  maxes : (string, float ref) Hashtbl.t;
-  histos : (string, Histo.t) Hashtbl.t;
+  mutable counts : int array;
+  mutable counted : Bytes.t;
+  mutable times : Float.Array.t;
+  mutable timed : Bytes.t;
+  mutable maxes : Float.Array.t;
+  mutable maxed : Bytes.t;
+  mutable histos : Histo.t option array;
   mutable trace : Trace.t option;
 }
 
 let create () =
   {
-    counts = Hashtbl.create 32;
-    times = Hashtbl.create 32;
-    maxes = Hashtbl.create 8;
-    histos = Hashtbl.create 16;
+    counts = Array.make (size counters) 0;
+    counted = Bytes.make (size counters) '\000';
+    times = Float.Array.make (size timers) 0.0;
+    timed = Bytes.make (size timers) '\000';
+    maxes = Float.Array.make (size maxima) 0.0;
+    maxed = Bytes.make (size maxima) '\000';
+    histos = Array.make (size serieses) None;
     trace = None;
   }
 
-let cell tbl zero key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r
-  | None ->
-    let r = ref zero in
-    Hashtbl.add tbl key r;
-    r
+(* A key registered after [t] was created lies past the end of its
+   arrays; its first update grows them to the registry's size. *)
+let grown a n zero =
+  let a' = Array.make n zero in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
-let add t key n =
-  let r = cell t.counts 0 key in
-  r := !r + n
+let grown_flags b n =
+  let b' = Bytes.make n '\000' in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
 
-let incr t key = add t key 1
+let grown_floats a n =
+  let a' = Float.Array.make n 0.0 in
+  Float.Array.blit a 0 a' 0 (Float.Array.length a);
+  a'
 
-let add_time t key dt =
-  let r = cell t.times 0.0 key in
-  r := !r +. dt
+let grow_counts t =
+  t.counts <- grown t.counts (size counters) 0;
+  t.counted <- grown_flags t.counted (size counters)
 
-(* Maxima live in their own table: storing them among the cumulative
-   times made [cleaner.max_stall] pretty-print as accumulated seconds,
-   and an [add_time] on the same key silently corrupted the maximum. *)
-let record_max t key v =
-  let r = cell t.maxes 0.0 key in
-  if v > !r then r := v
+let grow_times t =
+  t.times <- grown_floats t.times (size timers);
+  t.timed <- grown_flags t.timed (size timers)
 
-let count t key =
-  match Hashtbl.find_opt t.counts key with Some r -> !r | None -> 0
+let grow_maxes t =
+  t.maxes <- grown_floats t.maxes (size maxima);
+  t.maxed <- grown_flags t.maxed (size maxima)
 
-let time t key =
-  match Hashtbl.find_opt t.times key with Some r -> !r | None -> 0.0
+let grow_histos t = t.histos <- grown t.histos (size serieses) None
 
-let max_of t key =
-  match Hashtbl.find_opt t.maxes key with Some r -> !r | None -> 0.0
+(* Each update checks its slot against the array length itself, so the
+   accesses after the check are unchecked. *)
+let bump_by t c n =
+  if c >= Array.length t.counts then grow_counts t;
+  Array.unsafe_set t.counts c (Array.unsafe_get t.counts c + n);
+  Bytes.unsafe_set t.counted c '\001'
 
-(* Histograms -------------------------------------------------------------- *)
+let bump t c = bump_by t c 1
 
-let histo_cell t key =
-  match Hashtbl.find_opt t.histos key with
+let add_to t k dt =
+  if k >= Float.Array.length t.times then grow_times t;
+  Float.Array.unsafe_set t.times k (Float.Array.unsafe_get t.times k +. dt);
+  Bytes.unsafe_set t.timed k '\001'
+
+(* Maxima live apart from the cumulative times: storing them together
+   made [cleaner.max_stall] pretty-print as accumulated seconds, and an
+   [add_time] on the same key silently corrupted the maximum. *)
+let note_max t m v =
+  if m >= Float.Array.length t.maxes then grow_maxes t;
+  if v > Float.Array.unsafe_get t.maxes m then Float.Array.unsafe_set t.maxes m v;
+  Bytes.unsafe_set t.maxed m '\001'
+
+let histo_slot t s =
+  if s >= Array.length t.histos then grow_histos t;
+  match Array.unsafe_get t.histos s with
   | Some h -> h
   | None ->
     let h = Histo.create () in
-    Hashtbl.add t.histos key h;
+    Array.unsafe_set t.histos s (Some h);
     h
 
-let declare t key = ignore (histo_cell t key)
+let declare_at t s = ignore (histo_slot t s)
 
-let observe t key v =
+let histo_invalid = counter "histo.invalid"
+
+let observe_at t s v =
   (* Invalid samples (NaN, negative) are dropped by the histogram; keep
      them visible as a counter so an instrumentation bug upstream shows
      up in artifacts instead of silently thinning a distribution. *)
-  if not (Histo.is_valid v) then incr t "histo.invalid";
-  Histo.add (histo_cell t key) v
+  if not (Histo.is_valid v) then bump t histo_invalid;
+  Histo.add (histo_slot t s) v
 
-let histo t key = Hashtbl.find_opt t.histos key
+(* By name, for cold callers: one registry lookup, then the slot update. *)
+let add t key n = bump_by t (counter key) n
+let incr t key = bump t (counter key)
+let add_time t key dt = add_to t (timer key) dt
+let record_max t key v = note_max t (maximum key) v
+let observe t key v = observe_at t (series key) v
+let declare t key = declare_at t (series key)
 
-let histograms t =
-  Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.histos []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* Reads never register: an unknown key reads as zero or absent. An
+   untouched slot holds zero, so only the bound needs checking. *)
+let lookup r key len =
+  match Hashtbl.find_opt r.slots key with
+  | Some i when i < len -> Some i
+  | _ -> None
+
+let count t key =
+  match lookup counters key (Array.length t.counts) with
+  | Some i -> t.counts.(i)
+  | None -> 0
+
+let time t key =
+  match lookup timers key (Float.Array.length t.times) with
+  | Some i -> Float.Array.get t.times i
+  | None -> 0.0
+
+let max_of t key =
+  match lookup maxima key (Float.Array.length t.maxes) with
+  | Some i -> Float.Array.get t.maxes i
+  | None -> 0.0
+
+let histo t key =
+  match lookup serieses key (Array.length t.histos) with
+  | Some i -> t.histos.(i)
+  | None -> None
 
 (* Tracing ----------------------------------------------------------------- *)
 
@@ -86,19 +187,45 @@ let emit t ~time name attrs =
   | Some tr -> Trace.emit tr ~t:time name attrs
 
 let reset t =
-  Hashtbl.reset t.counts;
-  Hashtbl.reset t.times;
-  Hashtbl.reset t.maxes;
-  Hashtbl.reset t.histos
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Bytes.fill t.counted 0 (Bytes.length t.counted) '\000';
+  Float.Array.fill t.times 0 (Float.Array.length t.times) 0.0;
+  Bytes.fill t.timed 0 (Bytes.length t.timed) '\000';
+  Float.Array.fill t.maxes 0 (Float.Array.length t.maxes) 0.0;
+  Bytes.fill t.maxed 0 (Bytes.length t.maxed) '\000';
+  Array.fill t.histos 0 (Array.length t.histos) None
 
 (* Reporting --------------------------------------------------------------- *)
 
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+(* [(name, f slot)] for every touched slot, prepended to [acc]. *)
+let touched r flags f acc =
+  let acc = ref acc in
+  for i = Bytes.length flags - 1 downto 0 do
+    if Bytes.get flags i <> '\000' then acc := (r.names.(i), f i) :: !acc
+  done;
+  !acc
+
+let counts_of t f = touched counters t.counted (fun i -> f t.counts.(i))
+let times_of t f = touched timers t.timed (fun i -> f (Float.Array.get t.times i))
+let maxes_of t f = touched maxima t.maxed (fun i -> f (Float.Array.get t.maxes i))
+
+let histograms t =
+  let acc = ref [] in
+  for i = Array.length t.histos - 1 downto 0 do
+    match t.histos.(i) with
+    | Some h -> acc := (serieses.names.(i), h) :: !acc
+    | None -> ()
+  done;
+  by_name !acc
+
+(* A stable sort over maxima, then times, then counts: where a maximum,
+   a time and a counter share a key they list in that order. *)
 let to_list t =
-  let entries = ref [] in
-  Hashtbl.iter (fun k r -> entries := (k, `Count !r) :: !entries) t.counts;
-  Hashtbl.iter (fun k r -> entries := (k, `Seconds !r) :: !entries) t.times;
-  Hashtbl.iter (fun k r -> entries := (k, `Max !r) :: !entries) t.maxes;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !entries
+  by_name
+    (maxes_of t (fun m -> `Max m)
+       (times_of t (fun s -> `Seconds s) (counts_of t (fun n -> `Count n) [])))
 
 let pp ppf t =
   let pp_entry ppf = function
@@ -109,25 +236,16 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_entry)
     (to_list t);
-  match histograms t with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun (k, h) ->
-        if Histo.count h > 0 then
-          Format.fprintf ppf "@,%s: %a" k Histo.pp h)
-      hs
+  List.iter
+    (fun (k, h) -> if Histo.count h > 0 then Format.fprintf ppf "@,%s: %a" k Histo.pp h)
+    (histograms t)
 
 let to_json t =
-  let sorted tbl f =
-    Hashtbl.fold (fun k r acc -> (k, f r) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
   Json.Obj
     [
-      ("counters", Json.Obj (sorted t.counts (fun r -> Json.Int !r)));
-      ("times_s", Json.Obj (sorted t.times (fun r -> Json.Float !r)));
-      ("maxes_s", Json.Obj (sorted t.maxes (fun r -> Json.Float !r)));
+      ("counters", Json.Obj (by_name (counts_of t (fun n -> Json.Int n) [])));
+      ("times_s", Json.Obj (by_name (times_of t (fun s -> Json.Float s) [])));
+      ("maxes_s", Json.Obj (by_name (maxes_of t (fun m -> Json.Float m) [])));
       ( "histograms",
         Json.Obj (List.map (fun (k, h) -> (k, Histo.to_json h)) (histograms t)) );
     ]

@@ -6,11 +6,69 @@
     experiment harness can report not just elapsed time but {e why} time
     was spent. The same handle carries the observability layer: fixed
     bucket latency histograms ({!observe}) and an optional structured
-    event trace ({!set_trace} / {!emit}) that is free when disabled. *)
+    event trace ({!set_trace} / {!emit}) that is free when disabled.
+
+    {b Handles.} A key is registered once with {!counter}, {!timer},
+    {!maximum} or {!series}, which return a slot handle; updates through
+    the handle ({!bump}, {!add_to}, {!note_max}, {!observe_at}, …) are an
+    array access, with no hashing. Handles are process-wide: one handle
+    is valid for every [Stats.t], including ones created before the key
+    was registered, and stays valid across {!reset}. Registering is
+    idempotent — the same key always yields the same handle — and the
+    four kinds have separate namespaces, so a time, a maximum and a
+    histogram may share a key. The registry is a plain global table, not
+    safe to extend from several domains at once.
+
+    Reports ({!to_list}, {!to_json}, {!pp}, {!histograms}) list exactly
+    the keys updated or declared since {!create} or the last {!reset}.
+
+    The string-keyed functions ({!incr}, {!add}, {!add_time},
+    {!record_max}, {!observe}, {!declare}) cost one hash lookup per call
+    and exist for cold callers; hot paths hold handles. *)
 
 type t
 
 val create : unit -> t
+
+(** {1 Handles} *)
+
+type counter
+type timer
+type maximum
+type series
+
+val counter : string -> counter
+(** The integer counter named by the key. *)
+
+val timer : string -> timer
+(** The seconds accumulator named by the key. *)
+
+val maximum : string -> maximum
+(** The running maximum named by the key. *)
+
+val series : string -> series
+(** The latency histogram named by the key. *)
+
+val bump : t -> counter -> unit
+(** Add 1 to the counter. *)
+
+val bump_by : t -> counter -> int -> unit
+(** Add [n] to the counter. *)
+
+val add_to : t -> timer -> float -> unit
+(** Accumulate [dt] seconds. *)
+
+val note_max : t -> maximum -> float -> unit
+(** Keep the maximum of all values reported. *)
+
+val observe_at : t -> series -> float -> unit
+(** Record one sample into the histogram (created on first use). *)
+
+val declare_at : t -> series -> unit
+(** Ensure the histogram exists, so reports carry it even when no sample
+    was recorded. *)
+
+(** {1 By name} *)
 
 val incr : t -> string -> unit
 (** Add 1 to the integer counter named by the key. *)
@@ -60,7 +118,8 @@ val emit : t -> time:float -> string -> (string * Trace.value) list -> unit
     attached. *)
 
 val reset : t -> unit
-(** Zero every counter, accumulator, maximum and histogram. *)
+(** Zero every counter, accumulator, maximum and histogram in place;
+    handles stay valid. *)
 
 val to_list : t -> (string * [ `Count of int | `Seconds of float | `Max of float ]) list
 (** Sorted dump of all scalar entries, for reports and debugging. *)

@@ -123,6 +123,11 @@ type multi_result = {
   restarts : int;
 }
 
+let k_commits = Stats.counter "tpcb.commits"
+let k_deadlocks = Stats.counter "tpcb.deadlocks"
+let k_restarts = Stats.counter "tpcb.restarts"
+let h_txn = Stats.series "tpcb.txn"
+
 (* The one TPC-B driver. [start worker] runs the worker loop: inline for
    [run], as [mpl] scheduler processes for [run_sched]. Each copy claims
    transactions from a shared counter until [n] have been issued, draws
@@ -138,7 +143,7 @@ type multi_result = {
    lock only their own slot, so committers overlap on the single shared
    history file. *)
 let drive clock stats cfg db backend ~rng ~n ~start =
-  Stats.declare stats "tpcb.txn";
+  Stats.declare_at stats h_txn;
   let blocks () =
     Stats.count stats "ktxn.lock_blocks" + Stats.count stats "txn.lock_blocks"
   in
@@ -163,12 +168,12 @@ let drive clock stats cfg db backend ~rng ~n ~start =
           incr committed;
           let lat = Clock.now clock -. start in
           latencies := lat :: !latencies;
-          Stats.incr stats "tpcb.commits";
-          Stats.observe stats "tpcb.txn" lat
+          Stats.bump stats k_commits;
+          Stats.observe_at stats h_txn lat
         | exception (Libtp.Deadlock_abort _ | Ktxn.Deadlock_abort _) ->
           incr deadlocks;
-          Stats.incr stats "tpcb.deadlocks";
-          Stats.incr stats "tpcb.restarts";
+          Stats.bump stats k_deadlocks;
+          Stats.bump stats k_restarts;
           attempt ()
       in
       attempt ()

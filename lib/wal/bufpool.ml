@@ -22,6 +22,8 @@ type t = {
 
 let page_size t = t.ps
 
+let k_writebacks = Stats.counter "pool.writebacks"
+
 let write_back t (f : Cache.frame) =
   (* WAL rule: every log stream must cover the page's last update in
      that stream before the page itself reaches disk. *)
@@ -32,7 +34,7 @@ let write_back t (f : Cache.frame) =
       tag.vec
   | None -> ());
   t.vfs.Vfs.write f.Cache.file ~off:(f.Cache.lblock * t.ps) f.Cache.data;
-  Stats.incr t.stats "pool.writebacks"
+  Stats.bump t.stats k_writebacks
 
 let create clock stats (cfg : Config.t) vfs logs ~pages =
   let ps = vfs.Vfs.block_size in

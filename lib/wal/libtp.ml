@@ -91,6 +91,13 @@ let latch t txn obj mode =
 
 let end_op t txn = Lockmgr.release_latches t.locks ~owner:txn.id
 
+let k_aborts = Stats.counter "txn.aborts"
+let k_begins = Stats.counter "txn.begins"
+let k_checkpoints = Stats.counter "txn.checkpoints"
+let k_commits = Stats.counter "txn.commits"
+let k_op_restarts = Stats.counter "txn.op_restarts"
+let k_recovered_losers = Stats.counter "txn.recovered_losers"
+
 (* Undo with compensation logging: each restore is itself logged as an
    update, so recovery replays aborts forward (redo-only) and never
    re-applies a stale before-image over a later committed write. At
@@ -133,7 +140,7 @@ let do_abort t txn =
       }
   in
   txn.last_lsn <- lsn;
-  Stats.incr t.stats "txn.aborts";
+  Stats.bump t.stats k_aborts;
   release t txn
 
 (* A conflicting acquire parks the process until the lock is free (see
@@ -161,7 +168,7 @@ let lock_restartable t txn obj mode =
   mutex t;
   let on_wait () =
     Lockmgr.release_latches t.locks ~owner:txn.id;
-    Stats.incr t.stats "txn.op_restarts"
+    Stats.bump t.stats k_op_restarts
   in
   match Lockmgr.acquire_blocking ~on_wait t.locks ~txn:txn.id obj mode with
   | `Granted -> `Granted
@@ -186,7 +193,7 @@ let begin_txn t =
   txn.last_lsn <-
     Logmgr.append (lm t txn)
       { Logrec.txn = id; prev = Logrec.null_lsn; body = Logrec.Begin };
-  Stats.incr t.stats "txn.begins";
+  Stats.bump t.stats k_begins;
   txn
 
 let read_page t txn ~file ~page =
@@ -316,7 +323,7 @@ let checkpoint t =
       Logmgr.force lg ~upto:lsn
     done;
     t.committed_since_cp <- 0;
-    Stats.incr t.stats "txn.checkpoints"
+    Stats.bump t.stats k_checkpoints
   end
 
 let commit t txn =
@@ -335,7 +342,7 @@ let commit t txn =
   in
   Logmgr.force_commit (lm t txn) ~upto:lsn;
   release t txn;
-  Stats.incr t.stats "txn.commits";
+  Stats.bump t.stats k_commits;
   t.committed_since_cp <- t.committed_since_cp + 1;
   if t.committed_since_cp >= t.checkpoint_every then checkpoint t
 
@@ -391,7 +398,7 @@ let recover t =
       | _ -> ())
     (List.rev undo_list);
   t.losers <- Hashtbl.length losers;
-  Stats.add t.stats "txn.recovered_losers" t.losers;
+  Stats.bump_by t.stats k_recovered_losers t.losers;
   (* Make the recovered state durable and reset the logs. *)
   checkpoint t
 

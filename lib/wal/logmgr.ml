@@ -4,7 +4,7 @@ type t = {
   cfg : Config.t;
   vfs : Vfs.t;
   fd : Vfs.fd;
-  tag : string option; (* per-stream stats suffix, e.g. "s0" *)
+  stream_force : Stats.series option; (* "log.<tag>.force", e.g. "log.s0.force" *)
   buf : Buffer.t; (* records appended since [flushed] *)
   mutable flushed : int; (* bytes durable on disk *)
   mutable pending_commits : int;
@@ -30,14 +30,24 @@ type t = {
    byte a bounded number of times. *)
 let scan_chunk_bytes = 64 * 1024
 
+let k_appends = Stats.counter "log.appends"
+let h_commit_batch = Stats.series "log.commit_batch"
+let h_force = Stats.series "log.force"
+let k_forces = Stats.counter "log.forces"
+let h_group_commit_wait = Stats.series "log.group_commit_wait"
+let k_group_commit_wait = Stats.timer "log.group_commit_wait"
+let k_recovery_bytes_scanned = Stats.counter "log.recovery_bytes_scanned"
+let k_recovery_reads = Stats.counter "log.recovery_reads"
+let k_truncations = Stats.counter "log.truncations"
+
 let records ?stats vfs fd ~from =
   let size = vfs.Vfs.size fd in
   let fetch off want =
     let len = min want (size - off) in
     (match stats with
     | Some s ->
-      Stats.add s "log.recovery_bytes_scanned" len;
-      Stats.incr s "log.recovery_reads"
+      Stats.bump_by s k_recovery_bytes_scanned len;
+      Stats.bump s k_recovery_reads
     | None -> ());
     (off, vfs.Vfs.read fd ~off ~len)
   in
@@ -83,19 +93,18 @@ let open_log ?tag clock stats cfg vfs ~path =
   if tail < vfs.Vfs.size fd then vfs.Vfs.truncate fd tail;
   (* Group-commit histograms are part of every benchmark artifact, even
      when the run never forces (or never waits). *)
-  Stats.declare stats "log.force";
-  Stats.declare stats "log.commit_batch";
-  Stats.declare stats "log.group_commit_wait";
-  (match tag with
-  | Some tag -> Stats.declare stats ("log." ^ tag ^ ".force")
-  | None -> ());
+  Stats.declare_at stats h_force;
+  Stats.declare_at stats h_commit_batch;
+  Stats.declare_at stats h_group_commit_wait;
+  let stream_force = Option.map (fun tag -> Stats.series ("log." ^ tag ^ ".force")) tag in
+  Option.iter (Stats.declare_at stats) stream_force;
   {
     clock;
     stats;
     cfg;
     vfs;
     fd;
-    tag;
+    stream_force;
     buf = Buffer.create 4096;
     flushed = tail;
     pending_commits = 0;
@@ -111,7 +120,7 @@ let append t rec_ =
   Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Log_record;
   let lsn = next_lsn t in
   Buffer.add_bytes t.buf (Logrec.encode rec_);
-  Stats.incr t.stats "log.appends";
+  Stats.bump t.stats k_appends;
   lsn
 
 let do_force t =
@@ -141,15 +150,13 @@ let do_force t =
         if t.pending_commits > 0 then
           (* Group-commit batch size: how many committers shared this
              force. *)
-          Stats.observe t.stats "log.commit_batch"
+          Stats.observe_at t.stats h_commit_batch
             (float_of_int t.pending_commits);
         t.pending_commits <- 0;
-        Stats.incr t.stats "log.forces";
-        Stats.observe t.stats "log.force" (Clock.now t.clock -. t0);
-        (match t.tag with
-        | Some tag ->
-          Stats.observe t.stats ("log." ^ tag ^ ".force")
-            (Clock.now t.clock -. t0)
+        Stats.bump t.stats k_forces;
+        Stats.observe_at t.stats h_force (Clock.now t.clock -. t0);
+        (match t.stream_force with
+        | Some h -> Stats.observe_at t.stats h (Clock.now t.clock -. t0)
         | None -> ());
         if Stats.tracing t.stats then
           Stats.emit t.stats ~time:(Clock.now t.clock) "log.force"
@@ -205,14 +212,14 @@ let force_commit t ~upto =
            that snapshot is still volatile. Force the remainder. *)
         if upto >= t.flushed then force t ~upto;
         let waited = Clock.now t.clock -. t0 in
-        Stats.add_time t.stats "log.group_commit_wait" waited;
-        Stats.observe t.stats "log.group_commit_wait" waited
+        Stats.add_to t.stats k_group_commit_wait waited;
+        Stats.observe_at t.stats h_group_commit_wait waited
       | None ->
         (* Wait for company; at MPL 1 nobody arrives and the timeout
            expires (Section 4.4). *)
         Clock.advance t.clock timeout;
-        Stats.add_time t.stats "log.group_commit_wait" timeout;
-        Stats.observe t.stats "log.group_commit_wait" timeout;
+        Stats.add_to t.stats k_group_commit_wait timeout;
+        Stats.observe_at t.stats h_group_commit_wait timeout;
         do_force t
     end
   end
@@ -240,5 +247,5 @@ let truncate t =
       t.vfs.Vfs.truncate t.fd 0;
       t.vfs.Vfs.fsync t.fd;
       t.flushed <- 0);
-  Stats.incr t.stats "log.truncations"
+  Stats.bump t.stats k_truncations
 

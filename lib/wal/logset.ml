@@ -6,6 +6,12 @@
 
 type t = { streams : Logmgr.t array; stats : Stats.t }
 
+let k_dep_checks = Stats.counter "log.dep_checks"
+let h_dep_checks = Stats.series "log.dep_checks"
+let k_dep_forces = Stats.counter "log.dep_forces"
+let h_dep_forces = Stats.series "log.dep_forces"
+let k_merge_dropped = Stats.counter "log.merge_dropped"
+
 let create clock stats cfg ~homes ~path =
   let ns = max 1 cfg.Config.fs.log_streams in
   if ns > 0xfe then invalid_arg "Logset.create: too many log streams";
@@ -18,8 +24,8 @@ let create clock stats cfg ~homes ~path =
         Logmgr.open_log ?tag clock stats cfg vfs ~path)
   in
   if ns > 1 then begin
-    Stats.declare stats "log.dep_forces";
-    Stats.declare stats "log.dep_checks"
+    Stats.declare_at stats h_dep_forces;
+    Stats.declare_at stats h_dep_checks
   end;
   { streams; stats }
 
@@ -40,9 +46,9 @@ let force_deps t ~own deps =
   Array.iteri
     (fun s upto ->
       if s <> own && upto >= 0 then begin
-        Stats.incr t.stats "log.dep_checks";
+        Stats.bump t.stats k_dep_checks;
         if upto >= Logmgr.flushed_lsn t.streams.(s) then begin
-          Stats.incr t.stats "log.dep_forces";
+          Stats.bump t.stats k_dep_forces;
           Logmgr.force t.streams.(s) ~upto
         end
       end)
@@ -148,5 +154,5 @@ let merged_records t =
   for s = 0 to ns - 1 do
     dropped := !dropped + (Array.length recs.(s) - cursor.(s))
   done;
-  if !dropped > 0 then Stats.add t.stats "log.merge_dropped" !dropped;
+  if !dropped > 0 then Stats.bump_by t.stats k_merge_dropped !dropped;
   List.rev !out

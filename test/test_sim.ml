@@ -366,6 +366,245 @@ let test_stats_to_json () =
       [ "p50"; "p95"; "p99"; "max"; "buckets" ]
   | None -> Alcotest.fail "histogram missing from json"
 
+(* Stats against a reference model: the string-keyed store Stats had
+   before its keys became slots, four hash tables looked up by name on
+   every update. Random operations run on two live instances and two
+   models; after each step every report must agree. *)
+module Model = struct
+  type t = {
+    counts : (string, int ref) Hashtbl.t;
+    times : (string, float ref) Hashtbl.t;
+    maxes : (string, float ref) Hashtbl.t;
+    histos : (string, Histo.t) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      counts = Hashtbl.create 8;
+      times = Hashtbl.create 8;
+      maxes = Hashtbl.create 8;
+      histos = Hashtbl.create 8;
+    }
+
+  let cell tbl zero key =
+    match Hashtbl.find_opt tbl key with
+    | Some r -> r
+    | None ->
+      let r = ref zero in
+      Hashtbl.add tbl key r;
+      r
+
+  let add t key n =
+    let r = cell t.counts 0 key in
+    r := !r + n
+
+  let add_time t key dt =
+    let r = cell t.times 0.0 key in
+    r := !r +. dt
+
+  let record_max t key v =
+    let r = cell t.maxes 0.0 key in
+    if v > !r then r := v
+
+  let get tbl zero key = match Hashtbl.find_opt tbl key with Some r -> !r | None -> zero
+
+  let histo_cell t key =
+    match Hashtbl.find_opt t.histos key with
+    | Some h -> h
+    | None ->
+      let h = Histo.create () in
+      Hashtbl.add t.histos key h;
+      h
+
+  let declare t key = ignore (histo_cell t key)
+
+  let observe t key v =
+    if not (Histo.is_valid v) then add t "histo.invalid" 1;
+    Histo.add (histo_cell t key) v
+
+  let histograms t =
+    Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.histos []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let reset t =
+    Hashtbl.reset t.counts;
+    Hashtbl.reset t.times;
+    Hashtbl.reset t.maxes;
+    Hashtbl.reset t.histos
+
+  let to_list t =
+    let entries = ref [] in
+    Hashtbl.iter (fun k r -> entries := (k, `Count !r) :: !entries) t.counts;
+    Hashtbl.iter (fun k r -> entries := (k, `Seconds !r) :: !entries) t.times;
+    Hashtbl.iter (fun k r -> entries := (k, `Max !r) :: !entries) t.maxes;
+    List.sort (fun (a, _) (b, _) -> String.compare a b) !entries
+
+  let to_json t =
+    let sorted tbl f =
+      Hashtbl.fold (fun k r acc -> (k, f r) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    Json.Obj
+      [
+        ("counters", Json.Obj (sorted t.counts (fun r -> Json.Int !r)));
+        ("times_s", Json.Obj (sorted t.times (fun r -> Json.Float !r)));
+        ("maxes_s", Json.Obj (sorted t.maxes (fun r -> Json.Float !r)));
+        ( "histograms",
+          Json.Obj (List.map (fun (k, h) -> (k, Histo.to_json h)) (histograms t)) );
+      ]
+end
+
+type kind = Counter | Timer | Maximum | Series
+
+type stats_op =
+  | Bump of int * int * bool  (* instance, key, by handle *)
+  | Bump_by of int * int * bool * int
+  | Add_to of int * int * bool * float
+  | Note_max of int * int * bool * float
+  | Observe of int * int * bool * float
+  | Declare of int * int * bool
+  | Reset of int
+  | Fresh of int * kind * float  (* register a new key, update it *)
+
+(* Every key collides across kinds; "histo.invalid" is also the counter
+   [observe] bumps on an invalid sample. Key 4 is the newest [Fresh]
+   key, registered after both instances were created. *)
+let pool = [| "m"; "n"; "a.b"; "histo.invalid" |]
+let fresh_keys = ref 0
+let latest = ref "m"
+let key_name k = if k < Array.length pool then pool.(k) else !latest
+
+let stats_op_gen =
+  let open QCheck2.Gen in
+  let inst = int_bound 1 and key = int_bound 4 and by_handle = bool in
+  let value =
+    oneofl [ 0.0; 0.5; 1.25; 3.0; 1e-3; -1.0; Float.nan; Float.infinity ]
+  in
+  oneof
+    [
+      map3 (fun i k h -> Bump (i, k, h)) inst key by_handle;
+      map3 (fun (i, k) h n -> Bump_by (i, k, h, n)) (pair inst key) by_handle
+        (int_range (-3) 5);
+      map3 (fun (i, k) h v -> Add_to (i, k, h, v)) (pair inst key) by_handle value;
+      map3 (fun (i, k) h v -> Note_max (i, k, h, v)) (pair inst key) by_handle value;
+      map3 (fun (i, k) h v -> Observe (i, k, h, v)) (pair inst key) by_handle value;
+      map3 (fun i k h -> Declare (i, k, h)) inst key by_handle;
+      map (fun i -> Reset i) inst;
+      map3 (fun i k v -> Fresh (i, k, v)) inst
+        (oneofl [ Counter; Timer; Maximum; Series ])
+        value;
+    ]
+
+let apply_stats_op stats models op =
+  let key k = key_name k in
+  match op with
+  | Bump (i, k, h) ->
+    if h then Stats.bump stats.(i) (Stats.counter (key k))
+    else Stats.incr stats.(i) (key k);
+    Model.add models.(i) (key k) 1
+  | Bump_by (i, k, h, n) ->
+    if h then Stats.bump_by stats.(i) (Stats.counter (key k)) n
+    else Stats.add stats.(i) (key k) n;
+    Model.add models.(i) (key k) n
+  | Add_to (i, k, h, v) ->
+    if h then Stats.add_to stats.(i) (Stats.timer (key k)) v
+    else Stats.add_time stats.(i) (key k) v;
+    Model.add_time models.(i) (key k) v
+  | Note_max (i, k, h, v) ->
+    if h then Stats.note_max stats.(i) (Stats.maximum (key k)) v
+    else Stats.record_max stats.(i) (key k) v;
+    Model.record_max models.(i) (key k) v
+  | Observe (i, k, h, v) ->
+    if h then Stats.observe_at stats.(i) (Stats.series (key k)) v
+    else Stats.observe stats.(i) (key k) v;
+    Model.observe models.(i) (key k) v
+  | Declare (i, k, h) ->
+    if h then Stats.declare_at stats.(i) (Stats.series (key k))
+    else Stats.declare stats.(i) (key k);
+    Model.declare models.(i) (key k)
+  | Reset i ->
+    Stats.reset stats.(i);
+    Model.reset models.(i)
+  | Fresh (i, kind, v) ->
+    incr fresh_keys;
+    let name = Printf.sprintf "fresh.%d" !fresh_keys in
+    latest := name;
+    let s = stats.(i) and m = models.(i) in
+    (match kind with
+    | Counter ->
+      Stats.bump s (Stats.counter name);
+      Model.add m name 1
+    | Timer ->
+      Stats.add_to s (Stats.timer name) v;
+      Model.add_time m name v
+    | Maximum ->
+      Stats.note_max s (Stats.maximum name) v;
+      Model.record_max m name v
+    | Series ->
+      Stats.observe_at s (Stats.series name) v;
+      Model.observe m name v)
+
+(* Structural equality that treats NaN as equal to itself. *)
+let same a b = compare a b = 0
+
+let agrees s m =
+  let histos hs = List.map (fun (k, h) -> (k, Histo.to_json h)) hs in
+  let keys = "never.registered" :: !latest :: Array.to_list pool in
+  same (Stats.to_list s) (Model.to_list m)
+  && same (Stats.to_json s) (Model.to_json m)
+  && same (histos (Stats.histograms s)) (histos (Model.histograms m))
+  && List.for_all
+       (fun k ->
+         Stats.count s k = Model.get m.Model.counts 0 k
+         && same (Stats.time s k) (Model.get m.Model.times 0.0 k)
+         && same (Stats.max_of s k) (Model.get m.Model.maxes 0.0 k)
+         && same
+              (Option.map Histo.to_json (Stats.histo s k))
+              (Option.map Histo.to_json (Hashtbl.find_opt m.Model.histos k)))
+       keys
+
+let prop_stats_model =
+  Tutil.qtest ~count:300 "matches the by-name model"
+    QCheck2.Gen.(list_size (int_range 1 40) stats_op_gen)
+    (fun ops ->
+      let stats = [| Stats.create (); Stats.create () |] in
+      let models = [| Model.create (); Model.create () |] in
+      List.for_all
+        (fun op ->
+          apply_stats_op stats models op;
+          agrees stats.(0) models.(0) && agrees stats.(1) models.(1))
+        ops)
+
+let test_stats_handle_survives_reset () =
+  let k = Stats.counter "unit.reset" and h = Stats.series "unit.reset" in
+  let s = Stats.create () in
+  Stats.bump s k;
+  Stats.observe_at s h 0.5;
+  Stats.reset s;
+  Alcotest.(check int) "zeroed" 0 (Stats.count s "unit.reset");
+  Alcotest.(check bool) "histogram gone" true (Stats.histo s "unit.reset" = None);
+  Stats.bump s k;
+  Stats.observe_at s h 0.5;
+  Alcotest.(check int) "counts after reset" 1 (Stats.count s "unit.reset");
+  Alcotest.(check bool) "listed after reset" true
+    (List.mem ("unit.reset", `Count 1) (Stats.to_list s));
+  match Stats.histo s "unit.reset" with
+  | Some h -> Alcotest.(check int) "samples after reset" 1 (Histo.count h)
+  | None -> Alcotest.fail "histogram missing after reset"
+
+let test_stats_instances_isolated () =
+  let a = Stats.create () and b = Stats.create () in
+  let k = Stats.counter "unit.isolated" and tm = Stats.timer "unit.isolated" in
+  Stats.bump a k;
+  Stats.add_to b tm 0.25;
+  Alcotest.(check int) "a counts" 1 (Stats.count a "unit.isolated");
+  Alcotest.(check int) "b does not" 0 (Stats.count b "unit.isolated");
+  Alcotest.(check (float 0.0)) "a has no time" 0.0 (Stats.time a "unit.isolated");
+  Alcotest.(check bool) "a lists only its counter" true
+    (Stats.to_list a = [ ("unit.isolated", `Count 1) ]);
+  Alcotest.(check bool) "b lists only its time" true
+    (Stats.to_list b = [ ("unit.isolated", `Seconds 0.25) ])
+
 let test_cpu_charges () =
   let cfg = Config.default.Config.cpu in
   let clock = Clock.create () in
@@ -374,6 +613,34 @@ let test_cpu_charges () =
   Alcotest.(check (float 1e-12)) "syscall advances clock" cfg.Config.syscall_s
     (Clock.now clock);
   Alcotest.(check int) "recorded" 1 (Stats.count stats "cpu.syscall.n")
+
+(* Each kind charges its own time and count keys: the key names are the
+   schema of every artifact's [cpu.*] block. *)
+let test_cpu_keys () =
+  let cfg = Config.default.Config.cpu in
+  List.iter
+    (fun (kind, key) ->
+      let stats = Stats.create () in
+      Cpu.charge (Clock.create ()) stats cfg kind;
+      Alcotest.(check bool) key true
+        (Stats.to_list stats
+        = [ (key, `Seconds (Cpu.cost cfg kind)); (key ^ ".n", `Count 1) ]))
+    Cpu.
+      [
+        (Syscall, "cpu.syscall");
+        (Context_switch, "cpu.context_switch");
+        (User_mutex, "cpu.user_mutex");
+        (Kernel_mutex, "cpu.kernel_mutex");
+        (Copy_block, "cpu.copy_block");
+        (Buffer_lookup, "cpu.buffer_lookup");
+        (Protection_check, "cpu.protection_check");
+        (Record_op, "cpu.record_op");
+        (Cursor_next, "cpu.cursor_next");
+        (Lock_op, "cpu.lock_op");
+        (Log_record, "cpu.log_record");
+        (File_op, "cpu.file_op");
+        (Compile_unit, "cpu.compile_unit");
+      ]
 
 let test_user_mutex_cost () =
   let cpu = Config.default.Config.cpu in
@@ -454,8 +721,16 @@ let () =
           Alcotest.test_case "basics" `Quick test_clock_basics;
           Alcotest.test_case "bad delta" `Quick test_clock_rejects_bad_delta;
         ] );
-      ("stats", [ Alcotest.test_case "counters" `Quick test_stats;
-                  Alcotest.test_case "to_json" `Quick test_stats_to_json ]);
+      ( "stats",
+        [
+          Alcotest.test_case "counters" `Quick test_stats;
+          Alcotest.test_case "to_json" `Quick test_stats_to_json;
+          Alcotest.test_case "handle survives reset" `Quick
+            test_stats_handle_survives_reset;
+          Alcotest.test_case "instances isolated" `Quick
+            test_stats_instances_isolated;
+          prop_stats_model;
+        ] );
       ( "histo",
         [
           Alcotest.test_case "basics" `Quick test_histo_basics;
@@ -478,6 +753,7 @@ let () =
       ( "cpu",
         [
           Alcotest.test_case "charges" `Quick test_cpu_charges;
+          Alcotest.test_case "keys per kind" `Quick test_cpu_keys;
           Alcotest.test_case "user mutex" `Quick test_user_mutex_cost;
         ] );
       ("config", [ Alcotest.test_case "scaled" `Quick test_config_scaled ]);
