@@ -113,6 +113,40 @@ let micro_tests () =
                 Lockmgr.Exclusive);
            Lockmgr.release_all lm ~txn:1))
   in
+  (* One TPC-B transaction's lock set at record grain, then commit: the
+     same cycle as the benchmark runner's host.lockmgr_cycle_ns probe. *)
+  let lock_tpcb_set =
+    let lm =
+      Lockmgr.create (Clock.create ()) (Stats.create ()) Config.default.Config.cpu
+    in
+    let i = ref 0 in
+    Test.make ~name:"lockmgr TPC-B record lock set"
+      (Staged.stage (fun () ->
+           incr i;
+           let i = !i in
+           List.iter
+             (fun o -> ignore (Lockmgr.acquire lm ~txn:1 o Lockmgr.Exclusive))
+             [
+               Lockmgr.Rec (1, i land 127, i land 31);
+               Lockmgr.Rec (2, i land 15, i land 31);
+               Lockmgr.Rec (3, i land 15, i land 31);
+               Lockmgr.Rec (4, i land 1023, i land 63);
+             ];
+           Lockmgr.release_all lm ~txn:1))
+  in
+  (* Sixteen processes park on one condition and a seventeenth wakes
+     them all, as group commit does at MPL 16. *)
+  let sched_broadcast =
+    let sched = Sched.create (Clock.create ()) in
+    let c = Sched.condition () in
+    Test.make ~name:"Sched 16 x wait, then broadcast"
+      (Staged.stage (fun () ->
+           for _ = 1 to 16 do
+             Sched.spawn sched (fun () -> Sched.wait sched c)
+           done;
+           Sched.spawn sched (fun () -> Sched.broadcast sched c);
+           Sched.run sched))
+  in
   let logrec_codec =
     let r =
       {
@@ -204,6 +238,8 @@ let micro_tests () =
     btree_update;
     page_diff;
     lock_cycle;
+    lock_tpcb_set;
+    sched_broadcast;
     logrec_codec;
     summary_codec;
     checksum_of ~name:"LFS checksum_sub (28 KB partial)" (28 * 1024);

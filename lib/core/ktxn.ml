@@ -185,15 +185,19 @@ let flush_pending t =
             pending
         in
         (* Frames may have been superseded if two pending transactions
-           touched the same page; de-duplicate while preserving order. *)
-        let seen = Hashtbl.create 16 in
+           touched the same page; de-duplicate while preserving order.
+           A batch holds a few frames per transaction, so a linear check
+           against the frames seen so far beats building a table. *)
+        let seen = ref [] in
         let frames =
           List.filter
             (fun (f : Cache.frame) ->
-              let k = (f.Cache.file, f.Cache.lblock) in
-              if Hashtbl.mem seen k then false
+              let same (g : Cache.frame) =
+                g.Cache.file = f.Cache.file && g.Cache.lblock = f.Cache.lblock
+              in
+              if List.exists same !seen then false
               else begin
-                Hashtbl.add seen k ();
+                seen := f :: !seen;
                 f.Cache.resident && f.Cache.dirty
               end)
             all_frames

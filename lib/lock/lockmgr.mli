@@ -73,7 +73,8 @@ val create :
     (never). [metrics] (default ["lock"]) prefixes the counters and
     times the blocking calls record: [<metrics>.lock_blocks],
     [<metrics>.lock_wait], [<metrics>.latch_blocks] and
-    [<metrics>.latch_wait]. *)
+    [<metrics>.latch_wait].
+    @raise Invalid_argument if [escalation] is below 1. *)
 
 val compatible : mode -> mode -> bool
 (** The multi-granularity compatibility matrix. *)

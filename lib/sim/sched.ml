@@ -84,7 +84,7 @@ type t = {
   mutable cur : int;  (* id of the running process; only valid in a fiber *)
 }
 
-type cond = { mutable waiters : (unit -> unit) list }
+type cond = (unit -> unit) Queue.t
 
 (* Clock -> scheduler discovery, so deep subsystems (disk, log manager,
    lock manager) can find the scheduler without widening every
@@ -121,21 +121,21 @@ let sleep_until t deadline = suspend (fun k -> schedule t deadline k)
 
 let yield t = suspend (fun k -> schedule t (Clock.now t.clock) k)
 
-let condition () = { waiters = [] }
+let condition () = Queue.create ()
 
-let wait _t c = suspend (fun k -> c.waiters <- c.waiters @ [ k ])
+let wait _t c = suspend (fun k -> Queue.push k c)
 
 let signal t c =
-  match c.waiters with
-  | [] -> ()
-  | k :: rest ->
-    c.waiters <- rest;
-    schedule t (Clock.now t.clock) k
+  if not (Queue.is_empty c) then schedule t (Clock.now t.clock) (Queue.take c)
 
+(* [schedule] only queues the resumptions, so none of them can park on
+   [c] while it is being drained. *)
 let broadcast t c =
-  let ws = c.waiters in
-  c.waiters <- [];
-  List.iter (fun k -> schedule t (Clock.now t.clock) k) ws
+  if not (Queue.is_empty c) then begin
+    let now = Clock.now t.clock in
+    Queue.iter (fun k -> schedule t now k) c;
+    Queue.clear c
+  end
 
 (* Run [body] as a fiber under the suspension handler. The handler is
    deep, so every Suspend performed anywhere below [body] re-enters it. *)

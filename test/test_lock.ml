@@ -262,6 +262,21 @@ let test_escalation_skipped_on_conflict () =
   Alcotest.(check bool) "record locks intact" true
     (Lockmgr.holds lm ~txn:1 (rec_ 1 0 1) = Some Lockmgr.Exclusive)
 
+(* A threshold below 1 would escalate every record acquire at once. *)
+let test_escalation_threshold_checked () =
+  List.iter
+    (fun e ->
+      Alcotest.check_raises
+        (Printf.sprintf "escalation %d" e)
+        (Invalid_argument
+           (Printf.sprintf "Lockmgr.create: escalation threshold %d is below 1" e))
+        (fun () -> ignore (mk ~escalation:e ())))
+    [ 0; -1; min_int ];
+  let stats, lm = mk ~escalation:1 () in
+  ignore (Lockmgr.acquire lm ~txn:1 (rec_ 1 0 0) Shared);
+  Alcotest.(check int) "threshold 1 escalates the first record" 1
+    (Stats.count stats "lock.escalations")
+
 let test_latches () =
   let stats, lm = mk () in
   let p = obj 1 0 in
@@ -835,6 +850,8 @@ let () =
           Alcotest.test_case "escalation all-shared" `Quick test_escalation_all_shared;
           Alcotest.test_case "escalation skipped on conflict" `Quick
             test_escalation_skipped_on_conflict;
+          Alcotest.test_case "escalation threshold below 1" `Quick
+            test_escalation_threshold_checked;
           Alcotest.test_case "latches" `Quick test_latches;
         ] );
       ( "properties",
