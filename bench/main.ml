@@ -91,6 +91,17 @@ let micro_tests () =
              (Printf.sprintf "key%08d" (!i * 7919 mod 10_000))
              (if !i land 1 = 0 then "value" else "VALUE")))
   in
+  (* A full 4 KB internal page of 10-byte keys: 255 items. *)
+  let btree_child_at =
+    let items = List.init 255 (fun i -> (Printf.sprintf "key%07d" (i * 40), i + 2)) in
+    let page = Btree.encode_node 4096 (Btree.Node { child0 = 1; items }) in
+    let probes = Array.init 256 (fun i -> Printf.sprintf "key%07d" (i * 40 - 1)) in
+    let i = ref 0 in
+    Test.make ~name:"btree child_at (full page, 10-byte keys)"
+      (Staged.stage (fun () ->
+           incr i;
+           ignore (Btree.child_at page probes.(!i land 255))))
+  in
   let page_diff =
     (* One TPC-B record rewritten in the middle of a 4 KB page. *)
     let a = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
@@ -217,6 +228,23 @@ let micro_tests () =
            incr i;
            ignore (Cache.lookup c ~file:1 ~lblock:(!i land 1023))))
   in
+  (* Hits spread over many files, as the LFS cache holds them. *)
+  let cache_hit_files =
+    let c =
+      Cache.create (Clock.create ()) (Stats.create ()) Config.default.Config.cpu
+        ~capacity:1024
+    in
+    Cache.set_writeback c (fun _ -> ());
+    for i = 0 to 1023 do
+      ignore (Cache.insert c ~file:(i land 15) ~lblock:(i lsr 4) (Bytes.make 64 'x'))
+    done;
+    let i = ref 0 in
+    Test.make ~name:"buffer cache hit (16 files)"
+      (Staged.stage (fun () ->
+           incr i;
+           let k = !i * 7 land 1023 in
+           ignore (Cache.lookup c ~file:(k land 15) ~lblock:(k lsr 4))))
+  in
   (* Every layer records into Stats; Cpu.charge is the hottest caller. *)
   let stats_tests =
     let stats = Stats.create () in
@@ -236,6 +264,7 @@ let micro_tests () =
     btree_find;
     btree_insert;
     btree_update;
+    btree_child_at;
     page_diff;
     lock_cycle;
     lock_tpcb_set;
@@ -246,6 +275,7 @@ let micro_tests () =
     checksum_of ~name:"LFS checksum_sub (512 KB segment)" (512 * 1024);
     segment_read;
     cache_hit;
+    cache_hit_files;
   ]
   @ stats_tests
 

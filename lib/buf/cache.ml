@@ -15,12 +15,33 @@ type frame = {
 
 exception Cache_full
 
+(* Frames are keyed by one int, [(file lsl 32) lor lblock]: a probe
+   allocates no tuple and hashes without a C call. The multiplicative
+   hash folds the file bits down into the bucket index. *)
+let key_bits = 32
+let max_file = (1 lsl (Sys.int_size - 1 - key_bits)) - 1
+
+let in_range ~file ~lblock =
+  file >= 0 && file <= max_file && lblock >= 0 && lblock < 1 lsl key_bits
+
+let key ~file ~lblock = (file lsl key_bits) lor lblock
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr key_bits)
+end)
+
 type t = {
   clock : Clock.t;
   stats : Stats.t;
   cpu : Config.cpu;
   cap : int;
-  tbl : (int * int, frame) Hashtbl.t;
+  tbl : frame Tbl.t;
   lru : frame; (* sentinel of a cyclic list; [lru.next] is least recent *)
   mutable writeback : frame -> unit;
   mutable seq : int;
@@ -51,7 +72,7 @@ let create clock stats cpu ~capacity =
     stats;
     cpu;
     cap = capacity;
-    tbl = Hashtbl.create (2 * capacity);
+    tbl = Tbl.create (2 * capacity);
     lru = make_sentinel ();
     writeback = (fun _ -> failwith "Cache: writeback hook not installed");
     seq = 0;
@@ -59,7 +80,7 @@ let create clock stats cpu ~capacity =
 
 let set_writeback t f = t.writeback <- f
 let capacity t = t.cap
-let resident t = Hashtbl.length t.tbl
+let resident t = Tbl.length t.tbl
 let modseq t = t.seq
 
 let unlink f =
@@ -87,7 +108,10 @@ let k_misses = Stats.counter "cache.misses"
 
 let lookup t ~file ~lblock =
   Cpu.charge t.clock t.stats t.cpu Cpu.Buffer_lookup;
-  match Hashtbl.find_opt t.tbl (file, lblock) with
+  let found =
+    if in_range ~file ~lblock then Tbl.find_opt t.tbl (key ~file ~lblock) else None
+  in
+  match found with
   | Some f ->
     Stats.bump t.stats k_hits;
     touch t f;
@@ -100,7 +124,7 @@ let mark_clean _t f = f.dirty <- false
 
 let drop t f =
   unlink f;
-  Hashtbl.remove t.tbl (f.file, f.lblock);
+  Tbl.remove t.tbl (key ~file:f.file ~lblock:f.lblock);
   f.resident <- false
 
 let pin f = f.pins <- f.pins + 1
@@ -140,7 +164,10 @@ let evict_one t =
   if victim.resident && victim.pins = 0 && not victim.dirty then drop t victim
 
 let insert t ~file ~lblock data =
-  (match Hashtbl.find_opt t.tbl (file, lblock) with
+  if not (in_range ~file ~lblock) then
+    invalid_arg (Printf.sprintf "Cache.insert: key (%d, %d) out of range" file lblock);
+  let k = key ~file ~lblock in
+  (match Tbl.find_opt t.tbl k with
   | Some old ->
     if old.pins > 0 || old.txn >= 0 then
       invalid_arg "Cache.insert: replacing a pinned or transaction-owned frame";
@@ -156,7 +183,7 @@ let insert t ~file ~lblock data =
     end;
     if old.resident then drop t old
   | None -> ());
-  while Hashtbl.length t.tbl >= t.cap do
+  while Tbl.length t.tbl >= t.cap do
     evict_one t
   done;
   let f =
@@ -174,7 +201,7 @@ let insert t ~file ~lblock data =
       resident = true;
     }
   in
-  Hashtbl.add t.tbl (file, lblock) f;
+  Tbl.add t.tbl k f;
   push_mru t f;
   f
 

@@ -13,7 +13,13 @@
     (Section 4.5, restriction 1). Each frame also remembers when it was
     first dirtied so the 30-second syncer can find delayed writes, and a
     sequence number of its last modification so a user-space cleaner can
-    detect "recently modified" blocks (Section 5.4). *)
+    detect "recently modified" blocks (Section 5.4).
+
+    The table packs a key into one int, [(file lsl 32) lor lblock], so
+    a frame's key must have [0 <= lblock < 2^32] and
+    [0 <= file < 2^30] on a 64-bit host: file systems number inodes from
+    1 below [max_inodes] and blocks from 0. {!insert} rejects any other
+    key. *)
 
 type t
 
@@ -47,7 +53,8 @@ val capacity : t -> int
 val resident : t -> int
 
 val lookup : t -> file:int -> lblock:int -> frame option
-(** Cache probe; charges one buffer lookup of CPU and refreshes LRU. *)
+(** Cache probe; charges one buffer lookup of CPU and refreshes LRU. A
+    key out of range is never cached, so its probe misses. *)
 
 val insert : t -> file:int -> lblock:int -> bytes -> frame
 (** Bring a block into the cache (evicting if needed) and return its
@@ -55,7 +62,7 @@ val insert : t -> file:int -> lblock:int -> bytes -> frame
     same key is replaced; if it was dirty its contents are written back
     through the {!set_writeback} hook first, never silently discarded.
     @raise Invalid_argument if the previous frame is pinned or owned by
-    a kernel transaction.
+    a kernel transaction, or if the key is out of range.
     @raise Cache_full if no frame can be evicted. *)
 
 val mark_dirty : t -> frame -> unit

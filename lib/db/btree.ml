@@ -140,52 +140,69 @@ let is_leaf b =
 
 let nitems b = Enc.get_u16 b 1
 
-(* [String.compare] of the page key at [off, off + len) against [key]. *)
+(* [String.compare]'s sign for the page key at [off, off + len) against
+   [key], up to the shorter length [n] from position [i]: big-endian
+   8-byte words compared unsigned (a signed compare would misorder bytes
+   of 0x80 and above), then the lengths. A tail shorter than a word is
+   compared as the last word of the common prefix, whose bytes before
+   [i] are already known equal, or byte by byte when [n] is under a
+   word. These loops are top-level so that a search captures no closure
+   and allocates nothing. *)
+let rec compare_bytes b off key i n len klen =
+  if i = n then Int.compare len klen
+  else
+    let c = Char.compare (Bytes.unsafe_get b (off + i)) (String.unsafe_get key i) in
+    if c <> 0 then c else compare_bytes b off key (i + 1) n len klen
+
+let rec compare_words b off key i n len klen =
+  if i = n then Int.compare len klen
+  else
+    let i = if i + 8 > n then n - 8 else i in
+    let x = Bytes.get_int64_be b (off + i) and y = String.get_int64_be key i in
+    if Int64.equal x y then compare_words b off key (i + 8) n len klen
+    else Int64.unsigned_compare x y
+
 let compare_at b off len key =
   let klen = String.length key in
   let n = if len < klen then len else klen in
-  let rec go i =
-    if i = n then Int.compare len klen
-    else
-      let c = Char.compare (Bytes.unsafe_get b (off + i)) (String.unsafe_get key i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if n < 8 then compare_bytes b off key 0 n len klen
+  else compare_words b off key 0 n len klen
 
 (* Child of internal page [b] that covers [key]: items are (key, child)
-   with the child holding keys >= key; [child0] holds the rest. *)
-let child_at b key =
-  let n = nitems b in
-  let rec go i off prev =
-    if i = n then prev
-    else
-      let klen = Enc.get_u16 b off in
-      if compare_at b (off + 6) klen key > 0 then prev
-      else go (i + 1) (off + 6 + klen) (Enc.get_u32 b (off + 2))
-  in
-  go 0 7 (Enc.get_u32 b 3)
+   with the child holding keys >= key; [child0] holds the rest. [ptr] is
+   the offset of the chosen child's pointer so far; item [i] starts at
+   [off]. *)
+let rec child_from b key n i off ptr =
+  if i = n then Enc.get_u32 b ptr
+  else
+    let klen = Enc.get_u16 b off in
+    if compare_at b (off + 6) klen key > 0 then Enc.get_u32 b ptr
+    else child_from b key n (i + 1) (off + 6 + klen) (off + 2)
+
+let child_at b key = child_from b key (nitems b) 0 7 3
 
 let entry_len b off = 4 + Enc.get_u16 b off + Enc.get_u16 b (off + 2)
 let value_len b off = Enc.get_u16 b (off + 2)
 let value_at b off = Bytes.sub_string b (off + 4 + Enc.get_u16 b off) (value_len b off)
 
+let rec leaf_from b key n i off =
+  if i = n then -1 - off
+  else
+    let klen = Enc.get_u16 b off in
+    let c = compare_at b (off + 4) klen key in
+    if c = 0 then off
+    else if c > 0 then -1 - off
+    else leaf_from b key n (i + 1) (off + 4 + klen + Enc.get_u16 b (off + 2))
+
 (* Where [key] lies in leaf page [b]: the offset of its entry when
    present, else [-1 - off] for the offset it would be inserted at. *)
-let leaf_search b key =
-  let n = nitems b in
-  let rec go i off =
-    if i = n then -1 - off
-    else
-      let c = compare_at b (off + 4) (Enc.get_u16 b off) key in
-      if c = 0 then off else if c > 0 then -1 - off else go (i + 1) (off + entry_len b off)
-  in
-  go 0 7
+let leaf_search b key = leaf_from b key (nitems b) 0 7
+
+let rec end_from b n i off =
+  if i = n then off else end_from b n (i + 1) (off + entry_len b off)
 
 (* First byte past the last entry of leaf page [b]. *)
-let leaf_end b =
-  let n = nitems b in
-  let rec go i off = if i = n then off else go (i + 1) (off + entry_len b off) in
-  go 0 7
+let leaf_end b = end_from b (nitems b) 0 7
 
 (* A fresh page: leaf [b] with the [cut] bytes at [pos] replaced by the
    (key, value) [entry], or by nothing, and the item count moved by
@@ -213,9 +230,10 @@ let leaf_splice ps b ~pos ~cut ~entry ~dn =
     Some out
   end
 
-(* Leaf [b] with [key] bound to [value]; [None] if that overflows. *)
-let leaf_upsert ps b key value =
-  let s = leaf_search b key and entry = Some (key, value) in
+(* Leaf [b] with [key] bound to [value], where [s] is [leaf_search b
+   key]; [None] if that overflows. *)
+let leaf_upsert ps b s key value =
+  let entry = Some (key, value) in
   if s >= 0 then leaf_splice ps b ~pos:s ~cut:(entry_len b s) ~entry ~dn:0
   else leaf_splice ps b ~pos:(-1 - s) ~cut:0 ~entry ~dn:1
 
@@ -352,11 +370,12 @@ let rec insert_rec t page key value =
   let b = t.pager.Pager.get page in
   let ps = t.pager.Pager.page_size in
   if is_leaf b then begin
-    if leaf_search b key < 0 then begin
+    let s = leaf_search b key in
+    if s < 0 then begin
       t.meta.nrecords <- t.meta.nrecords + 1;
       t.meta_dirty <- true
     end;
-    match leaf_upsert ps b key value with
+    match leaf_upsert ps b s key value with
     | Some page_bytes ->
       t.pager.Pager.put page page_bytes;
       None
@@ -418,10 +437,11 @@ let insert_locked t key value =
     t.meta_dirty <- true);
   if t.meta_dirty then write_meta t
 
-(* [key] is in leaf [b] with a value of [len] bytes. *)
+(* The offset of [key]'s entry in leaf [b] if its value has [len]
+   bytes, else -1. *)
 let same_size b key len =
   let s = slot b key in
-  s >= 0 && value_len b s = len
+  if s >= 0 && value_len b s = len then s else -1
 
 let insert t key value =
   Pager.with_op t.pager (fun () ->
@@ -438,15 +458,16 @@ let insert t key value =
            changes (an equal-size replacement can never overflow the
            leaf). The decision is stable: a concurrent size change would
            need a record lock that conflicts with ours below. *)
-        if same_size leaf key vlen then begin
+        if same_size leaf key vlen >= 0 then begin
           t.pager.Pager.lock_rec ~page ~recno:(rec_id key) ~write:true;
           t.pager.Pager.latch_page ~page ~write:true;
           let b = t.pager.Pager.get page in
           (* The leaf changed in the instant before the lock landed:
              re-run against a fresh view. *)
-          if not (same_size b key vlen) then raise Pager.Op_restart;
+          let s = same_size b key vlen in
+          if s < 0 then raise Pager.Op_restart;
           t.pager.Pager.put page
-            (Option.get (leaf_upsert t.pager.Pager.page_size b key value))
+            (Option.get (leaf_upsert t.pager.Pager.page_size b s key value))
         end
         else begin
           (* Structure-modification path: two-phase-lock the meta, every

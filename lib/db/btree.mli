@@ -67,3 +67,20 @@ val decode_node : bytes -> node
 
 val encode_node : int -> node -> bytes
 (** [encode_node page_size node]. *)
+
+(** {2 Page search}
+
+    The primitives that search encoded pages in place, exposed so tests
+    can hold them to a reference over the decoded node. *)
+
+val compare_at : bytes -> int -> int -> string -> int
+(** [compare_at b off len key] has the sign of [String.compare] between
+    the [len] bytes of [b] at [off] and [key]. *)
+
+val child_at : bytes -> string -> int
+(** The child of an encoded internal page that covers a key: the child
+    of the last item whose key is [<=] it, else [child0]. *)
+
+val leaf_search : bytes -> string -> int
+(** In an encoded leaf page: the offset of the key's entry when present,
+    else [-1 - off] for the offset it would be inserted at. *)

@@ -7,11 +7,13 @@
     Section 3); the kernel pager for the embedded system lives in
     [lib/core] next to the transaction manager it belongs to.
 
-    Contract: [get] returns a read-only view of the page, often the
-    buffer-pool frame itself, not a copy. The view stays valid until the
-    calling process next parks (a lock, latch or disk wait); a pager
-    never reuses a returned buffer for another page, so across a park
-    its bytes can change only where another process writes that page.
+    Contract: [get] returns a read-only view of the page, usually the
+    cached frame itself (the buffer-pool frame under {!wal} and the
+    kernel pager, the file-system cache frame under {!plain}), not a
+    copy. The view stays valid until the calling process next parks (a
+    lock, latch or disk wait); a pager never reuses a returned buffer
+    for another page, so across a park its bytes can change only where
+    another process writes that page.
     Copy before modifying, as [Recno] does: changed pages are produced
     fresh and handed to [put] whole (the WAL pager diffs them to log
     only the changed range, Section 3's byte-range logging).
@@ -76,7 +78,10 @@ val with_op : t -> (unit -> 'a) -> 'a
 
 val plain : Vfs.t -> Vfs.fd -> t
 (** Direct, non-transactional paging (used to bulk-load databases and by
-    non-transactional applications). *)
+    non-transactional applications). [get] of a page wholly inside the
+    file is [Vfs.read_block]'s view of the cached frame; the partial
+    last page and pages past the end of file are read into a fresh,
+    zero-padded buffer. *)
 
 val wal : Libtp.t -> Libtp.txn -> Vfs.fd -> t
 (** User-level transactional paging bound to one transaction. At page

@@ -174,7 +174,7 @@ let inode_table_writes t inums =
       let b = Disk.read t.disk blk in
       List.iter
         (fun inum ->
-          match Hashtbl.find_opt t.files.inodes inum with
+          match Fileops.Itbl.find_opt t.files.inodes inum with
           | Some ino ->
             Bytes.blit (Inode.encode ino) 0 b (itable_off t inum) 256;
             ino.Inode.dirty <- false
@@ -237,7 +237,7 @@ let flush_frames t frames =
   let dirty = Hashtbl.fold (fun inum () acc -> inum :: acc) t.dirty_inodes [] in
   List.iter
     (fun inum ->
-      match Hashtbl.find_opt t.files.inodes inum with
+      match Fileops.Itbl.find_opt t.files.inodes inum with
       | Some ino -> meta := writes_for_inode t ino @ !meta
       | None -> ())
     dirty;

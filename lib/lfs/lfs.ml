@@ -730,17 +730,18 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
      size and block map on disk that describe bytes which are only in
      memory; pull every involved file's eligible dirty frames into the
      write so each partial is self-consistent. (Irrelevant when metadata
-     is deferred: no inodes are written at all.) *)
-  let files = Hashtbl.create 8 in
-  List.iter (fun d -> Hashtbl.replace files d.d_inum ()) ditems;
-  List.iter
-    (fun (ino : Inode.t) -> Hashtbl.replace files ino.Inode.inum ())
-    inodes;
-  let have = Hashtbl.create 16 in
-  List.iter (fun d -> Hashtbl.replace have (d.d_inum, d.d_lblock) ()) ditems;
+     is deferred: no inodes are written at all, so no tables are built.)
+     The fold's order decides the layout of the partial. *)
   let extra =
     if defer_meta then []
-    else
+    else begin
+      let files = Hashtbl.create 8 in
+      List.iter (fun d -> Hashtbl.replace files d.d_inum ()) ditems;
+      List.iter
+        (fun (ino : Inode.t) -> Hashtbl.replace files ino.Inode.inum ())
+        inodes;
+      let have = Hashtbl.create 16 in
+      List.iter (fun d -> Hashtbl.replace have (d.d_inum, d.d_lblock) ()) ditems;
       Hashtbl.fold
         (fun inum () acc ->
           List.filter
@@ -749,6 +750,7 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
             (Cache.dirty_frames t.cache ~file:inum ())
           @ acc)
         files []
+    end
   in
   let ditems = ditems @ dirty_ditems extra in
   let max_data = max 1 (t.cfg.fs.segment_blocks * 3 / 4) in
@@ -776,7 +778,9 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
       groups
 
 let dirty_inodes t =
-  Hashtbl.fold (fun _ ino acc -> if ino.Inode.dirty then ino :: acc else acc) t.files.inodes []
+  Fileops.Itbl.fold
+    (fun _ ino acc -> if ino.Inode.dirty then ino :: acc else acc)
+    t.files.inodes []
   |> List.sort (fun a b -> Int.compare a.Inode.inum b.Inode.inum)
 
 (* Checkpoint ------------------------------------------------------------ *)
@@ -1520,7 +1524,7 @@ let roll_forward t =
                 t.imap_alloc.(inum) <- true;
                 (* Any inode loaded earlier in this scan is stale now:
                    the block written later in the log wins. *)
-                Hashtbl.remove t.files.inodes inum;
+                Fileops.Itbl.remove t.files.inodes inum;
                 if inum >= t.files.next_inum then t.files.next_inum <- inum + 1
               end)
             inums

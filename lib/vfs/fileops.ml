@@ -1,23 +1,30 @@
 let root_inum = 1
 
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (inum : int) = inum
+end)
+
 type state = {
-  inodes : (int, Inode.t) Hashtbl.t;
+  inodes : Inode.t Itbl.t;
   mutable next_inum : int;
   mutable free_inums : int list;
   mutable crashed : bool;
 }
 
 let state () =
-  { inodes = Hashtbl.create 64; next_inum = root_inum; free_inums = []; crashed = false }
+  { inodes = Itbl.create 64; next_inum = root_inum; free_inums = []; crashed = false }
 
 let check_alive st = if st.crashed then raise Vfs.Crashed
 
 let cached st inum load =
-  match Hashtbl.find_opt st.inodes inum with
+  match Itbl.find_opt st.inodes inum with
   | Some ino -> Some ino
   | None ->
     let found = load () in
-    Option.iter (Hashtbl.replace st.inodes inum) found;
+    Option.iter (Itbl.replace st.inodes inum) found;
     found
 
 let rebuild_free_inums st ~allocated =
@@ -78,6 +85,17 @@ module Make (F : FS) = struct
       copied := !copied + n
     done;
     out
+
+  (* [read t inum ~off:(lb * bs) ~len:bs] for a block wholly inside the
+     file, with the same checks and charges, returning the frame itself. *)
+  let read_block t inum lb =
+    let ino = F.iget t inum in
+    let bs = F.block_size t in
+    if lb < 0 || (lb + 1) * bs > ino.Inode.size then
+      Vfs.error Invalid "read_block: block %d is not wholly inside the file" lb;
+    let f = F.get_page t ~inum ~lblock:lb in
+    charge t Cpu.Copy_block;
+    f.Cache.data
 
   let write t inum ~off data =
     let ino = F.iget t inum in
@@ -162,7 +180,7 @@ module Make (F : FS) = struct
     in
     let ino = Inode.create ~inum ~kind in
     ino.Inode.mtime <- Clock.now (F.clock t);
-    Hashtbl.replace st.inodes inum ino;
+    Itbl.replace st.inodes inum ino;
     F.slot_alloc t ino;
     inum
 
@@ -171,7 +189,7 @@ module Make (F : FS) = struct
     truncate t inum 0;
     List.iter (Cache.invalidate (F.cache t)) (Cache.file_frames (F.cache t) inum);
     F.slot_free t inum;
-    Hashtbl.remove st.inodes inum;
+    Itbl.remove st.inodes inum;
     st.free_inums <- inum :: st.free_inums
 
   let size t inum = (F.iget t inum).Inode.size
@@ -218,6 +236,7 @@ module Make (F : FS) = struct
       create = (fun path -> file_op (); Ns.create t path ~kind:Vfs.File);
       open_file = (fun path -> file_op (); resolve_file t path);
       read = (fun fd ~off ~len -> op (); read t fd ~off ~len);
+      read_block = (fun fd lb -> op (); read_block t fd lb);
       write = (fun fd ~off data -> op (); write t fd ~off data);
       truncate = (fun fd len -> op (); truncate t fd len);
       size = (fun fd -> alive (); size t fd);
@@ -249,6 +268,7 @@ module Make (F : FS) = struct
       create = deny;
       open_file = (fun path -> guard (); resolve_file t path);
       read = (fun fd ~off ~len -> guard (); read t fd ~off ~len);
+      read_block = (fun fd lb -> guard (); read_block t fd lb);
       write = (fun _ ~off:_ _ -> deny ());
       truncate = (fun _ _ -> deny ());
       size = (fun fd -> guard (); size t fd);

@@ -15,8 +15,11 @@
 val root_inum : int
 (** Inode number of the root directory on both file systems. *)
 
+module Itbl : Hashtbl.S with type key = int
+(** Tables keyed by inode number, hashed without a C call. *)
+
 type state = {
-  inodes : (int, Inode.t) Hashtbl.t;  (** in-memory inode cache *)
+  inodes : Inode.t Itbl.t;  (** in-memory inode cache *)
   mutable next_inum : int;  (** lowest inode number never handed out *)
   mutable free_inums : int list;  (** freed numbers, reused first *)
   mutable crashed : bool;

@@ -35,6 +35,7 @@ type t = {
   create : string -> fd;
   open_file : string -> fd;
   read : fd -> off:int -> len:int -> bytes;
+  read_block : fd -> int -> bytes;
   write : fd -> off:int -> bytes -> unit;
   truncate : fd -> int -> unit;
   size : fd -> int;

@@ -46,6 +46,17 @@ type t = {
   open_file : string -> fd;
   read : fd -> off:int -> len:int -> bytes;
       (** short reads at end-of-file return fewer bytes *)
+  read_block : fd -> int -> bytes;
+      (** [read_block fd b] is block [b] of the file, which must lie
+          wholly inside it, as a view of the cached page rather than a
+          copy. It makes the same checks and charges as
+          [read fd ~off:(b * block_size) ~len:block_size]. The view is
+          read-only and stays valid until the caller next parks (a lock,
+          latch or disk wait); the file system never reuses its bytes
+          for another block, so they change only where that block is
+          written.
+          @raise Error [Invalid] if the block is not wholly inside the
+          file. *)
   write : fd -> off:int -> bytes -> unit;
       (** extends the file if the range ends past the current size *)
   truncate : fd -> int -> unit;

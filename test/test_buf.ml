@@ -20,6 +20,37 @@ let test_insert_lookup () =
   Alcotest.(check bool) "miss on other key" true
     (Cache.lookup c ~file:1 ~lblock:1 = None)
 
+(* One int keys a frame: files and blocks that share low bits stay
+   apart, and a key that does not pack is refused, not aliased. *)
+let test_key_range () =
+  let _, _, c = mk ~capacity:8 () in
+  Cache.set_writeback c (fun _ -> ());
+  let top = (1 lsl 30) - 1 and last = (1 lsl 32) - 1 in
+  let keys = [ (1, 0); (2, 0); (0, 1); (top, last); (0, last); (top, 0) ] in
+  let frames =
+    List.map (fun (file, lblock) -> Cache.insert c ~file ~lblock (block 'k')) keys
+  in
+  List.iter2
+    (fun (file, lblock) f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "frame of (%d, %d)" file lblock)
+        true
+        (match Cache.lookup c ~file ~lblock with Some f' -> f' == f | None -> false))
+    keys frames;
+  List.iter
+    (fun (file, lblock) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "insert (%d, %d) rejected" file lblock)
+        true
+        (match Cache.insert c ~file ~lblock (block 'x') with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "lookup (%d, %d) misses" file lblock)
+        true
+        (Cache.lookup c ~file ~lblock = None))
+    [ (-1, 0); (0, -1); (top + 1, 0); (0, last + 1); (1, -1) ]
+
 let test_lru_eviction_order () =
   let _, _, c = mk ~capacity:2 () in
   let evicted = ref [] in
@@ -246,6 +277,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "insert/lookup" `Quick test_insert_lookup;
+          Alcotest.test_case "key range" `Quick test_key_range;
           Alcotest.test_case "LRU order" `Quick test_lru_eviction_order;
           Alcotest.test_case "dirty writeback" `Quick
             test_dirty_eviction_writes_back;

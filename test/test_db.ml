@@ -597,6 +597,95 @@ let prop_btree_inplace_pages =
         && Btree.count bt = M.cardinal !model
       end)
 
+(* Page search --------------------------------------------------------------- *)
+
+(* Bytes that make close calls: the extremes, both sides of the signed
+   boundary (0x7f / 0x80), and anything at all. *)
+let key_char =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl [ '\000'; '\001'; 'a'; 'b'; '\127'; '\128'; '\129'; '\255' ]);
+        (1, char);
+      ])
+
+(* Two keys sharing a prefix of 0-20 bytes, each at most 24 bytes long:
+   keys that differ only past the first word, keys equal up to a word
+   boundary, and one key a prefix of the other all come up often. *)
+let key_pair =
+  QCheck2.Gen.(
+    let* prefix = string_size ~gen:key_char (int_range 0 20) in
+    let tail = string_size ~gen:key_char (int_range 0 (24 - String.length prefix)) in
+    let* a = tail and* b = tail in
+    return (prefix ^ a, prefix ^ b))
+
+let sign c = Int.compare c 0
+
+(* The page key sits inside a larger buffer with arbitrary bytes around
+   it, so a compare that reads past either key's end is caught. *)
+let prop_compare_at =
+  Tutil.qtest ~count:2000 "compare_at has String.compare's sign"
+    QCheck2.Gen.(
+      quad key_pair (string_size ~gen:char (int_range 0 9))
+        (string_size ~gen:char (int_range 0 9)) bool)
+    (fun ((a, b), before, after, swap) ->
+      let page_key, key = if swap then (b, a) else (a, b) in
+      let buf = Bytes.of_string (before ^ page_key ^ after) in
+      sign (Btree.compare_at buf (String.length before) (String.length page_key) key)
+      = sign (String.compare page_key key))
+
+(* Sorted distinct keys, with probes that are the keys themselves and
+   near misses of them. *)
+let keys_and_probes =
+  QCheck2.Gen.(
+    let key = string_size ~gen:key_char (int_range 0 24) in
+    let* keys = list_size (int_range 0 60) key in
+    let keys = List.sort_uniq String.compare keys in
+    let* extra = list_size (int_range 0 20) key in
+    let* shifted =
+      list_size (int_range 0 20)
+        (map2 (fun k c -> k ^ String.make 1 c) (oneofl ("" :: keys)) key_char)
+    in
+    return (keys, keys @ extra @ shifted))
+
+(* [child_at] against the decoded node: the child of the last item whose
+   key is <= the probe, else [child0]. *)
+let prop_child_at =
+  Tutil.qtest ~count:300 "child_at matches the decoded node" keys_and_probes
+    (fun (keys, probes) ->
+      let items = List.mapi (fun i k -> (k, 100 + i)) keys in
+      let b = Btree.encode_node 4096 (Btree.Node { child0 = 7; items }) in
+      List.for_all
+        (fun probe ->
+          let expected =
+            List.fold_left
+              (fun acc (k, c) -> if String.compare k probe <= 0 then c else acc)
+              7 items
+          in
+          Btree.child_at b probe = expected)
+        probes)
+
+(* [leaf_search] against the decoded leaf: entry offsets are summed from
+   the decoded items, and the answer is the first key >= the probe. *)
+let prop_leaf_search =
+  Tutil.qtest ~count:300 "leaf_search matches the decoded leaf"
+    QCheck2.Gen.(pair keys_and_probes (string_size ~gen:key_char (int_range 0 16)))
+    (fun ((keys, probes), value) ->
+      let items = List.map (fun k -> (k, value)) keys in
+      let b = Btree.encode_node 4096 (Btree.Leaf { next = 0; items }) in
+      List.for_all
+        (fun probe ->
+          let rec reference off = function
+            | [] -> -1 - off
+            | (k, v) :: rest ->
+              let c = String.compare k probe in
+              if c = 0 then off
+              else if c > 0 then -1 - off
+              else reference (off + 4 + String.length k + String.length v) rest
+          in
+          Btree.leaf_search b probe = reference 7 items)
+        probes)
+
 (* Wrap [p] so every buffer [get] hands out is fingerprinted; the next
    [put], [put_sys] or [end_op] (or an explicit [verify]) fails if any of
    them changed: callers must copy a page before editing it. *)
@@ -801,6 +890,7 @@ let () =
           prop_hash_model;
           prop_hash_iteration;
         ] );
+      ("page search", [ prop_compare_at; prop_child_at; prop_leaf_search ]);
       ( "in-place pages",
         [
           prop_btree_inplace_pages;

@@ -431,6 +431,9 @@ let test_snapshot_time_travel_and_undelete () =
     | exception Vfs.Error (Vfs.Not_supported, _) -> true
     | _ -> false);
   let ofd = old.Vfs.open_file "/report" in
+  let bs = old.Vfs.block_size in
+  Tutil.check_bytes "snapshot read_block" (Bytes.sub original bs bs)
+    (old.Vfs.read_block ofd 1);
   Lfs.release_snapshot fs snap;
   Alcotest.(check int) "no snapshots left" 0 (Lfs.snapshots fs);
   Alcotest.(check bool) "released view rejected" true
@@ -444,6 +447,7 @@ let test_snapshot_time_travel_and_undelete () =
       (match f () with exception Invalid_argument _ -> true | _ -> false)
   in
   rejected "released view: read" (fun () -> ignore (old.Vfs.read ofd ~off:0 ~len:10));
+  rejected "released view: read_block" (fun () -> ignore (old.Vfs.read_block ofd 0));
   rejected "released view: size" (fun () -> ignore (old.Vfs.size ofd));
   rejected "released view: exists" (fun () -> ignore (old.Vfs.exists "/doomed"));
   rejected "released view: open" (fun () -> ignore (old.Vfs.open_file "/doomed"));

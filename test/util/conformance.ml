@@ -4,6 +4,7 @@
    holds one file system on its own machine. *)
 
 type harness = {
+  machine : Tutil.machine;
   vfs : unit -> Vfs.t;  (* the surface of the current file system *)
   crash : unit -> unit;  (* power failure: volatile state is lost *)
   mount : unit -> unit;  (* mount the image again *)
@@ -14,6 +15,7 @@ let lfs () =
   let m = Tutil.machine () in
   let fs = ref (Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
   {
+    machine = m;
     vfs = (fun () -> Lfs.vfs !fs);
     crash = (fun () -> Lfs.crash !fs);
     mount = (fun () -> fs := Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
@@ -24,6 +26,7 @@ let ffs () =
   let m = Tutil.machine () in
   let fs = ref (Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg) in
   {
+    machine = m;
     vfs = (fun () -> Ffs.vfs !fs);
     crash = (fun () -> Ffs.crash !fs);
     mount = (fun () -> fs := Ffs.mount m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
@@ -210,6 +213,7 @@ let test_crashed_raises h () =
   raises "readdir" (fun () -> v.Vfs.readdir "/c");
   raises "open" (fun () -> v.Vfs.open_file "/c/x");
   raises "read" (fun () -> v.Vfs.read fd ~off:0 ~len:10);
+  raises "read_block" (fun () -> v.Vfs.read_block fd 0);
   raises "write" (fun () -> v.Vfs.write fd ~off:0 (Bytes.of_string "y"));
   raises "truncate" (fun () -> v.Vfs.truncate fd 0);
   raises "create" (fun () -> v.Vfs.create "/c/y");
@@ -222,6 +226,43 @@ let test_crashed_raises h () =
   h.mount ();
   h.check ();
   Alcotest.(check bool) "remounted" true ((h.vfs ()).Vfs.exists "/c")
+
+(* [read_block] is [read] of one whole block without the copy. Twin file
+   systems run the same operations, then one reads each block of a file
+   with [read] and the other with [read_block], first from disk and then
+   from the cache: the bytes, the simulated clock and the whole [Stats]
+   report must match after every call. The partial last block is not a
+   whole block and is refused. *)
+let test_read_block make () =
+  let twin () =
+    let h = make () in
+    let v = h.vfs () in
+    let bs = v.Vfs.block_size in
+    let fd = v.Vfs.create "/blocks" in
+    v.Vfs.write fd ~off:0 (Tutil.payload 5 ((3 * bs) + 100));
+    v.Vfs.sync ();
+    remount h;
+    (h, h.vfs (), fd, bs)
+  in
+  let h1, v1, fd1, bs = twin () in
+  let h2, v2, fd2, _ = twin () in
+  let report h = Format.asprintf "%a" Stats.pp h.machine.Tutil.stats in
+  for pass = 1 to 2 do
+    for b = 0 to 2 do
+      let name = Printf.sprintf "pass %d block %d" pass b in
+      let copy = v1.Vfs.read fd1 ~off:(b * bs) ~len:bs in
+      let view = v2.Vfs.read_block fd2 b in
+      Tutil.check_bytes (name ^ ": bytes") copy view;
+      Alcotest.(check (float 0.0))
+        (name ^ ": clock") (Clock.now h1.machine.Tutil.clock)
+        (Clock.now h2.machine.Tutil.clock);
+      Alcotest.(check string) (name ^ ": stats") (report h1) (report h2)
+    done
+  done;
+  Alcotest.(check bool) "partial block refused" true
+    (match v2.Vfs.read_block fd2 3 with
+    | exception Vfs.Error (Vfs.Invalid, _) -> true
+    | _ -> false)
 
 (* Model-based property: random operation sequences against an in-memory
    map of path -> contents. Ops: write (extending), remove, truncate to
@@ -344,4 +385,6 @@ let cases make =
     Alcotest.test_case "truncate to zero" `Quick
       (with_harness test_truncate_to_zero_and_rewrite);
     Alcotest.test_case "crashed raises" `Quick (with_harness test_crashed_raises);
+    Alcotest.test_case "read_block is read without the copy" `Quick
+      (test_read_block make);
   ]
