@@ -211,8 +211,78 @@ let micro_tests () =
     let cfg = Config.scaled ~factor:0.05 Config.default in
     let disks = Diskset.create (Clock.create ()) (Stats.create ()) cfg in
     let n = cfg.Config.fs.Config.segment_blocks in
-    Test.make ~name:"diskset.read_run (one 512 KB segment)"
-      (Staged.stage (fun () -> ignore (Diskset.read_run disks Layout.data_start n)))
+    Test.make ~name:"diskset.read_run_view (one 512 KB segment)"
+      (Staged.stage (fun () ->
+           ignore (Diskset.read_run_view disks Layout.data_start n)))
+  in
+  (* A 40-segment LFS whose space the cases below reclaim themselves: no
+     syncer, no emergency cleaner, greedy victims whose survivors go to
+     the hot head. *)
+  let small_lfs () =
+    let c = Config.default in
+    let cfg =
+      {
+        c with
+        Config.disk = { c.Config.disk with nblocks = Layout.data_start + (40 * 128) };
+        fs =
+          {
+            c.Config.fs with
+            cache_blocks = 512;
+            syncer_interval_s = 1e9;
+            cleaner_low_segments = 2;
+            cleaner_policy = `Greedy;
+            cleaner_segregate = false;
+          };
+      }
+    in
+    let clock = Clock.create () in
+    let stats = Stats.create () in
+    let fs = Lfs.format (Diskset.create clock stats cfg) clock stats cfg in
+    let v = Lfs.vfs fs in
+    let file name nblocks =
+      let fd = v.Vfs.create name in
+      v.Vfs.write fd ~off:0 (Bytes.make (nblocks * v.Vfs.block_size) 'x');
+      Lfs.inum_of fs name
+    in
+    (fs, file)
+  in
+  let dirty fs inum nblocks =
+    List.init nblocks (fun lblock ->
+        let f = Lfs.get_page fs ~inum ~lblock in
+        Lfs.page_dirty fs f;
+        f)
+  in
+  (* A commit's flush: seven pages forced as one partial with its
+     summary. When free segments run out, cleans (nearly all of dead
+     segments) and a checkpoint reclaim them. *)
+  let emit_partial =
+    let fs, file = small_lfs () in
+    let hot = file "/hot" 7 in
+    Lfs.sync fs;
+    Test.make ~name:"emit an 8-block hot partial"
+      (Staged.stage (fun () ->
+           if Lfs.free_segments fs < 4 then begin
+             while Lfs.clean_once fs do () done;
+             Lfs.checkpoint fs
+           end;
+           Lfs.force_frames fs (dirty fs hot 7)))
+  in
+  (* A clean consumes its victim, so each run makes the next one: it
+     rewrites a 90-block hot file, cleans one victim and checkpoints,
+     which frees the victim for reuse. The victim is then always the
+     segment the run before wrote, where the hot file's old copy is dead
+     and 26 of the 128 blocks are live: three 7-block cold files, their
+     inode block and the blocks of the last checkpoint. *)
+  let clean_victim =
+    let fs, file = small_lfs () in
+    List.iter (fun name -> ignore (file name 7)) [ "/c0"; "/c1"; "/c2" ];
+    let hot = file "/hot" 90 in
+    Lfs.sync fs;
+    Test.make ~name:"clean one victim (512 KB, ~20 % live)"
+      (Staged.stage (fun () ->
+           Lfs.force_frames fs (dirty fs hot 90);
+           ignore (Lfs.clean_once fs);
+           Lfs.checkpoint fs))
   in
   let cache_hit =
     let clock = Clock.create () in
@@ -274,6 +344,8 @@ let micro_tests () =
     checksum_of ~name:"LFS checksum_sub (28 KB partial)" (28 * 1024);
     checksum_of ~name:"LFS checksum_sub (512 KB segment)" (512 * 1024);
     segment_read;
+    emit_partial;
+    clean_victim;
     cache_hit;
     cache_hit_files;
   ]

@@ -222,13 +222,15 @@ let fold t acc0 g =
   let rec go f acc = if f == t.lru then acc else go f.next (g acc f) in
   go t.lru.next acc0
 
-let dirty_frames t ?file () =
-  let keep f =
-    f.dirty && f.txn < 0
-    && match file with None -> true | Some inum -> f.file = inum
-  in
-  fold t [] (fun acc f -> if keep f then f :: acc else acc)
+let dirty_frames_of t of_file =
+  fold t [] (fun acc f ->
+      if f.dirty && f.txn < 0 && of_file f.file then f :: acc else acc)
   |> List.sort (fun a b -> Float.compare a.dirtied_at b.dirtied_at)
+
+let dirty_frames t ?file () =
+  match file with
+  | None -> dirty_frames_of t (fun _ -> true)
+  | Some inum -> dirty_frames_of t (fun f -> f = inum)
 
 let txn_frames t txn = fold t [] (fun acc f -> if f.txn = txn then f :: acc else acc)
 

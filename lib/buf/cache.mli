@@ -84,6 +84,11 @@ val dirty_frames : t -> ?file:int -> unit -> frame list
     owned by a transaction are excluded — they are not eligible for
     writeback until their transaction commits. *)
 
+val dirty_frames_of : t -> (int -> bool) -> frame list
+(** The dirty frames of every file [of_file] accepts, in one walk of the
+    cache, oldest-dirtied first. The sort is stable, so the frames of
+    one file come in the order [dirty_frames ~file] gives them. *)
+
 val txn_frames : t -> int -> frame list
 (** All frames owned by kernel transaction [txn]. *)
 

@@ -228,53 +228,57 @@ let retry_reads t blkno n =
       Stats.bump t.stats t.keys.k_read_retries
     done
 
-let read t blkno =
-  serve t blkno ~nblocks:1 ~write:false;
-  retry_reads t blkno 1;
-  Bytes.sub t.data (blkno * t.cfg.block_size) t.cfg.block_size
-
-let read_run t blkno n =
+(* The one synchronous read path: service, retries, then the platter
+   itself at the run's offset. Copies are taken from the view. *)
+let read_run_view t blkno n =
   serve t blkno ~nblocks:n ~write:false;
   retry_reads t blkno n;
-  Bytes.sub t.data (blkno * t.cfg.block_size) (n * t.cfg.block_size)
+  (t.data, blkno * t.cfg.block_size)
+
+let read_run t blkno n =
+  let b, off = read_run_view t blkno n in
+  Bytes.sub b off (n * t.cfg.block_size)
+
+let read t blkno = read_run t blkno 1
 
 (* Persist [data] at [blkno], honouring the injector: only the first
    [keep] blocks reach the platter, and if the injector truncated or
    ended the run it also kills the machine — the write never returns.
    Power failure is modelled at sector granularity: individual blocks
    are atomic, multi-block runs tear on a block boundary. *)
-let persist t blkno data =
+let persist t blkno data ~off ~len =
   let bs = t.cfg.block_size in
-  let n = Bytes.length data / bs in
+  let n = len / bs in
   match t.injector with
-  | None -> Bytes.blit data 0 t.data (blkno * bs) (Bytes.length data)
+  | None -> Bytes.blit data off t.data (blkno * bs) len
   | Some inj ->
     let keep = inj.on_write ~blkno ~nblocks:n in
     let keep = max 0 (min keep n) in
-    Bytes.blit data 0 t.data (blkno * bs) (keep * bs);
+    Bytes.blit data off t.data (blkno * bs) (keep * bs);
     if keep < n then raise Injected_crash
 
-let write_blocks t blkno data =
+let write_run_sub t blkno data ~off ~len =
   let bs = t.cfg.block_size in
-  let len = Bytes.length data in
-  if len = 0 || len mod bs <> 0 then
+  if len <= 0 || len mod bs <> 0 then
     invalid_arg "Disk.write: data must be a positive whole number of blocks";
-  let n = len / bs in
-  serve t blkno ~nblocks:n ~write:true;
-  persist t blkno data
+  if off < 0 || off > Bytes.length data - len then
+    invalid_arg "Disk.write_run_sub: range outside the buffer";
+  serve t blkno ~nblocks:(len / bs) ~write:true;
+  persist t blkno data ~off ~len
+
+let write_run t blkno data =
+  write_run_sub t blkno data ~off:0 ~len:(Bytes.length data)
 
 let write t blkno data =
   if Bytes.length data <> t.cfg.block_size then
     invalid_arg "Disk.write: data must be exactly one block";
-  write_blocks t blkno data
+  write_run t blkno data
 
 let write_queued t blkno data =
   if Bytes.length data <> t.cfg.block_size then
     invalid_arg "Disk.write_queued: data must be exactly one block";
   serve ~queued:true t blkno ~nblocks:1 ~write:true;
-  persist t blkno data
-
-let write_run t blkno data = write_blocks t blkno data
+  persist t blkno data ~off:0 ~len:t.cfg.block_size
 
 (* The disk server process: as long as requests are queued, pick the
    next one by C-LOOK from the *live* head position, hold the device for

@@ -80,13 +80,31 @@ val queue_depth : t -> int
 
 val read_run : t -> int -> int -> bytes
 (** [read_run t blkno n] reads [n] consecutive blocks as one sequential
-    request, returning their concatenation in a fresh buffer. *)
+    request, returning their concatenation in a fresh buffer: a copy
+    taken from {!read_run_view}. *)
+
+val read_run_view : t -> int -> int -> bytes * int
+(** [read_run_view t blkno n] services exactly the request {!read_run}
+    does (same clock, head and [Stats] effects, same retries) and
+    returns the platter itself with the byte offset of block [blkno]:
+    the run is the [n * block_size] bytes from there. The view is
+    read-only, and its bytes stay those of the run only until the next
+    write to those blocks; a caller that keeps it across a park must
+    know that nothing rewrites them meanwhile. *)
 
 val write_run : t -> int -> bytes -> unit
 (** [write_run t blkno data] writes [data] (a whole number of blocks) as
     one sequential request starting at [blkno]. Used by the LFS segment
     writer: one seek, one rotational delay, then pure streaming. The
     bytes are copied onto the platter; no reference to [data] is kept. *)
+
+val write_run_sub : t -> int -> bytes -> off:int -> len:int -> unit
+(** [write_run_sub t blkno data ~off ~len] is {!write_run} of the [len]
+    bytes of [data] from [off], without copying them out first; a torn
+    write keeps the same prefix. The bytes are read when the transfer
+    lands, so the caller leaves them alone until the call returns.
+    @raise Invalid_argument if [len] is not a positive whole number of
+    blocks or the range lies outside [data]. *)
 
 val write_queued : t -> int -> bytes -> unit
 (** A delayed write issued from a sorted disk queue. Because the

@@ -115,6 +115,17 @@ let locate t blkno =
       let off = (blkno - reserved) mod t.chunk in
       (t.data.(seg mod n), reserved + (seg / n * t.chunk) + off)
 
+(* How many blocks from [blkno] on lie contiguously on its spindle, by
+   the mapping [locate] implements: the routed checkpoint pair is one
+   extent on the log spindle; a single data spindle is the identity
+   above it; a striped set keeps each segment whole on one spindle, and
+   the boot region runs straight into segment 0's slot on disk 0. *)
+let contiguous t blkno =
+  if t.route_cp && blkno < reserved then if blkno = 0 then 1 else reserved - blkno
+  else if Array.length t.data = 1 then t.logical_nblocks - blkno
+  else if blkno < reserved then reserved + t.chunk - blkno
+  else t.chunk - ((blkno - reserved) mod t.chunk)
+
 (* Cut [blkno, blkno+n) into maximal extents that are contiguous on one
    spindle and feed them to [k] in logical order. *)
 let split t blkno n k =
@@ -122,15 +133,9 @@ let split t blkno n k =
   let rec go blkno n =
     if n > 0 then begin
       let d, phys = locate t blkno in
-      let len = ref 1 in
-      (try
-         while !len < n do
-           let d', p' = locate t (blkno + !len) in
-           if d' == d && p' = phys + !len then incr len else raise Exit
-         done
-       with Exit -> ());
-      k d phys !len;
-      go (blkno + !len) (n - !len)
+      let len = min n (contiguous t blkno) in
+      k d phys len;
+      go (blkno + len) (n - len)
     end
   in
   go blkno n
@@ -139,15 +144,29 @@ let read t blkno =
   let d, phys = locate t blkno in
   Disk.read d phys
 
-(* Disk.read_run already returns a fresh copy, so a run on one extent
-   (every LFS segment, under segment-granular striping) is returned as
-   is; only a run cut at a stripe boundary is assembled. *)
+(* A run on one extent (every LFS segment, under segment-granular
+   striping) is the member's view. A run cut at a stripe boundary is
+   assembled, each extent copied as soon as it is read, as a sequence
+   of [Disk.read_run]s would. *)
+let read_run_view t blkno n =
+  check_range t blkno n;
+  if n > 0 && n <= contiguous t blkno then
+    let d, phys = locate t blkno in
+    Disk.read_run_view d phys n
+  else begin
+    let bs = block_size t in
+    let buf = Bytes.create (n * bs) in
+    let cursor = ref 0 in
+    split t blkno n (fun d phys len ->
+        let b, off = Disk.read_run_view d phys len in
+        Bytes.blit b off buf (!cursor * bs) (len * bs);
+        cursor := !cursor + len);
+    (buf, 0)
+  end
+
 let read_run t blkno n =
-  let parts = ref [] in
-  split t blkno n (fun d phys len -> parts := Disk.read_run d phys len :: !parts);
-  match !parts with
-  | [ part ] -> part
-  | parts -> Bytes.concat Bytes.empty (List.rev parts)
+  let b, off = read_run_view t blkno n in
+  Bytes.sub b off (n * block_size t)
 
 let read_async t blkno =
   let d, phys = locate t blkno in
@@ -157,20 +176,19 @@ let write t blkno data =
   let d, phys = locate t blkno in
   Disk.write d phys data
 
-let write_run t blkno data =
+let write_run_sub t blkno data ~off ~len =
   let bs = block_size t in
-  let len = Bytes.length data in
-  if len = 0 || len mod bs <> 0 then
+  if len <= 0 || len mod bs <> 0 then
     invalid_arg "Diskset.write_run: data must be a positive whole number of blocks";
-  let cursor = ref 0 in
+  if off < 0 || off > Bytes.length data - len then
+    invalid_arg "Diskset.write_run_sub: range outside the buffer";
+  let cursor = ref off in
   split t blkno (len / bs) (fun d phys n ->
-      (* Disk.write_run copies onto the platter and keeps no reference,
-         so a single extent needs no copy of its own. *)
-      let part =
-        if n * bs = len then data else Bytes.sub data (!cursor * bs) (n * bs)
-      in
-      Disk.write_run d phys part;
-      cursor := !cursor + n)
+      Disk.write_run_sub d phys data ~off:!cursor ~len:(n * bs);
+      cursor := !cursor + (n * bs))
+
+let write_run t blkno data =
+  write_run_sub t blkno data ~off:0 ~len:(Bytes.length data)
 
 let peek t blkno =
   let d, phys = locate t blkno in

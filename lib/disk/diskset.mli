@@ -82,12 +82,20 @@ val block_size : t -> int
 val read : t -> int -> bytes
 
 val read_run : t -> int -> int -> bytes
-(** [read_run t blkno n] reads [n] blocks with one sequential
-    {!Disk.read_run} per extent, in logical order. The result is the
-    caller's own: it shares no bytes with the platter or with any other
-    result. A run on one spindle (every LFS segment) is the member's copy
-    itself; only a run cut at a stripe boundary is assembled into a new
-    buffer. *)
+(** [read_run t blkno n] reads [n] blocks with one sequential request
+    per extent, in logical order. The result is the
+    caller's own: a copy of {!read_run_view}'s bytes, sharing nothing
+    with the platter or with any other result. *)
+
+val read_run_view : t -> int -> int -> bytes * int
+(** [read_run_view t blkno n] services exactly the requests {!read_run}
+    does and returns [(b, off)]: the run is the [n * block_size] bytes
+    of [b] from [off]. A run on one extent (every LFS segment, under
+    segment-granular striping) is the member's {!Disk.read_run_view},
+    the platter itself; only a run cut at a stripe boundary is assembled
+    into a new buffer, at offset 0, each extent copied as it is read.
+    The view is read-only and holds the run's bytes only until the next
+    write to those blocks. *)
 
 val read_async : t -> int -> bytes
 (** Forwards to {!Disk.read_async} on the owning member: under a
@@ -98,12 +106,19 @@ val write : t -> int -> bytes -> unit
 
 val write_run : t -> int -> bytes -> unit
 (** Splits the run at spindle boundaries and issues one sequential
-    {!Disk.write_run} per extent, in logical order. Segment-granular
-    striping means an LFS segment write is always a single extent, which
-    is passed to the member without a copy. The bytes reach the platter
-    when the transfer lands, which under a scheduler is after the call
-    parks, so the caller leaves [data] alone until the call returns; the
-    platter keeps no reference to it afterwards. *)
+    {!Disk.write_run_sub} per extent, in logical order, each on its own
+    range of [data]: nothing is copied before the transfer. The bytes
+    reach the platter when the transfer lands, which under a scheduler
+    is after the call parks, so the caller leaves [data] alone until the
+    call returns; the platter keeps no reference to it afterwards. *)
+
+val write_run_sub : t -> int -> bytes -> off:int -> len:int -> unit
+(** {!write_run} of the [len] bytes of [data] from [off], so a caller
+    can write a prefix of a larger buffer; it is the same requests, the
+    same bytes and, under an injector, the same torn prefix as
+    [write_run] of [Bytes.sub data off len].
+    @raise Invalid_argument if [len] is not a positive whole number of
+    blocks or the range lies outside [data]. *)
 
 val peek : t -> int -> bytes
 val poke : t -> int -> bytes -> unit

@@ -73,9 +73,11 @@ let checksum b = checksum_sub b 0 (Bytes.length b)
 
 (* Checksums live in bytes [4..8) of each structure, just after the magic.
    They are computed with that field zeroed. *)
-let seal b =
-  Enc.set_u32 b 4 0;
-  Enc.set_u32 b 4 (checksum b)
+let seal_at b off len =
+  Enc.set_u32 b (off + 4) 0;
+  Enc.set_u32 b (off + 4) (checksum_sub b off len)
+
+let seal b = seal_at b 0 (Bytes.length b)
 
 (* A seal is checked in place, without zeroing the field: its four bytes
    (weights 5..8) are taken back out of the sum instead. *)
@@ -157,53 +159,56 @@ let max_summary_entries ~block_size =
   (* Reserve a quarter of the block for inode-number side tables. *)
   (block_size - sum_header) * 3 / 4 / entry_bytes
 
-let write_summary b s =
-  Bytes.fill b 0 (Bytes.length b) '\000';
+let write_summary_at b ~off ~block_size s =
+  Bytes.fill b off block_size '\000';
   let n = List.length s.entries in
-  Enc.set_u32 b 0 sum_magic;
-  Enc.set_i64 b 8 s.seq;
-  Enc.set_f64 b 16 s.timestamp;
-  Enc.set_u32 b 24 s.next_seg;
-  Enc.set_u16 b 28 n;
-  Enc.set_u8 b 30 (if s.more then 1 else 0);
-  Enc.set_u8 b 31 (if s.cold then 1 else 0);
-  Enc.set_u32 b 32 s.payload_ck;
+  Enc.set_u32 b off sum_magic;
+  Enc.set_i64 b (off + 8) s.seq;
+  Enc.set_f64 b (off + 16) s.timestamp;
+  Enc.set_u32 b (off + 24) s.next_seg;
+  Enc.set_u16 b (off + 28) n;
+  Enc.set_u8 b (off + 30) (if s.more then 1 else 0);
+  Enc.set_u8 b (off + 31) (if s.cold then 1 else 0);
+  Enc.set_u32 b (off + 32) s.payload_ck;
   let side = ref (sum_header + (n * entry_bytes)) in
   List.iteri
-    (fun i e ->
-      let off = sum_header + (i * entry_bytes) in
-      match e with
+    (fun i entry ->
+      let e = off + sum_header + (i * entry_bytes) in
+      match entry with
       | Data { inum; lblock } ->
-        Enc.set_u8 b off 0;
-        Enc.set_u32 b (off + 1) inum;
-        Enc.set_u32 b (off + 5) lblock
+        Enc.set_u8 b e 0;
+        Enc.set_u32 b (e + 1) inum;
+        Enc.set_u32 b (e + 5) lblock
       | Inode_block { inums } ->
-        Enc.set_u8 b off 1;
-        Enc.set_u32 b (off + 1) !side;
-        Enc.set_u32 b (off + 5) (List.length inums);
+        Enc.set_u8 b e 1;
+        Enc.set_u32 b (e + 1) !side;
+        Enc.set_u32 b (e + 5) (List.length inums);
         List.iter
           (fun inum ->
-            Enc.set_u32 b !side inum;
+            Enc.set_u32 b (off + !side) inum;
             side := !side + 4)
           inums
       | Indirect { inum; index } ->
-        Enc.set_u8 b off 2;
-        Enc.set_u32 b (off + 1) inum;
-        Enc.set_u32 b (off + 5) index
+        Enc.set_u8 b e 2;
+        Enc.set_u32 b (e + 1) inum;
+        Enc.set_u32 b (e + 5) index
       | Double_indirect { inum } ->
-        Enc.set_u8 b off 3;
-        Enc.set_u32 b (off + 1) inum;
-        Enc.set_u32 b (off + 5) 0
+        Enc.set_u8 b e 3;
+        Enc.set_u32 b (e + 1) inum;
+        Enc.set_u32 b (e + 5) 0
       | Imap_block { index } ->
-        Enc.set_u8 b off 4;
-        Enc.set_u32 b (off + 1) index;
-        Enc.set_u32 b (off + 5) 0
+        Enc.set_u8 b e 4;
+        Enc.set_u32 b (e + 1) index;
+        Enc.set_u32 b (e + 5) 0
       | Usage_block { index } ->
-        Enc.set_u8 b off 5;
-        Enc.set_u32 b (off + 1) index;
-        Enc.set_u32 b (off + 5) 0)
+        Enc.set_u8 b e 5;
+        Enc.set_u32 b (e + 1) index;
+        Enc.set_u32 b (e + 5) 0)
     s.entries;
-  seal b
+  seal_at b off block_size
+
+let write_summary b s =
+  write_summary_at b ~off:0 ~block_size:(Bytes.length b) s
 
 let read_summary_at b ~off ~block_size =
   if

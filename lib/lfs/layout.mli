@@ -83,16 +83,23 @@ type summary = {
 }
 
 val write_summary : bytes -> summary -> unit
+
 val read_summary : bytes -> summary option
 (** [None] if the block is not a valid summary (bad magic or checksum).
     Reads the block only; the summary returned shares no bytes with it. *)
 
 val read_summary_at : bytes -> off:int -> block_size:int -> summary option
-(** [read_summary_at run ~off ~block_size] is
-    [read_summary (Bytes.sub run off block_size)] without the copy: the
-    cleaner parses the summaries of a whole segment run in place.
+(** [read_summary_at run ~off ~block_size] is [read_summary] of the
+    [block_size] bytes of [run] from [off], without copying them out:
+    the cleaner parses the summaries of a whole segment run in place.
     @raise Vfs.Error [Invalid] if a sealed summary is malformed (an
     unknown entry kind, or an inode table past the block). *)
+
+val write_summary_at : bytes -> off:int -> block_size:int -> summary -> unit
+(** [write_summary_at buf ~off ~block_size s] encodes and seals [s] into
+    the [block_size] bytes of [buf] from [off], the bytes
+    [write_summary] would give a block of its own: the segment writer
+    seals a partial's summary in place in its staging buffer. *)
 
 val max_summary_entries : block_size:int -> int
 

@@ -66,6 +66,9 @@ type t = {
      waiters park on [seg_write_cond]. *)
   mutable seg_writing : bool;
   seg_write_cond : Sched.cond;
+  stage : bytes;
+      (* One segment: [emit] assembles every partial here and writes its
+         prefix, all under [seg_writing]. *)
   mutable in_flight : int * int; (* see [write_blocks] *)
   mutable pending_cp : bool;
   mutable bg : bool; (* syncer/cleaner run as scheduler daemons *)
@@ -184,10 +187,11 @@ type ditem = {
   d_src :
     [ `Frame of Cache.frame
     | `Raw of bytes
-    | `Reloc of bytes * int
-      (* cleaner-relocated platter copy + the address it was scanned at;
-         installed only if the block still lives there (see
-         [write_partial]'s race filter) *) ];
+    | `Reloc of bytes * int * int
+      (* cleaner survivor: a view of the victim (platter, byte offset of
+         the block) and the address it was scanned at; installed only if
+         the block still lives there (see [write_partial]'s race filter
+         and the victim-reuse invariant at [clean_victim]) *) ];
 }
 
 (* Maintenance sections: paths that relocate or flush blocks (cleaner,
@@ -230,9 +234,9 @@ let maint_here t sched =
 
 type inode_plan = {
   pi_inode : Inode.t;
-  mutable pi_ditems : ditem list;
-  mutable pi_ind : int list; (* indirect indexes to write, sorted *)
-  mutable pi_dbl : bool;
+  pi_ditems : ditem list;
+  pi_ind : int list; (* indirect indexes to write, sorted *)
+  pi_dbl : bool;
 }
 
 let mark_imap_dirty t inum =
@@ -245,68 +249,79 @@ let mark_imap_dirty t inum =
    old bytes, so [get_page] holds such readers back until the write has
    landed; [write_partial] wakes them when it releases the writer
    mutex. *)
-let write_blocks t base buf =
-  t.in_flight <- (base, Bytes.length buf / block_size t);
-  Diskset.write_run t.disk base buf;
+let write_blocks t base nblocks =
+  t.in_flight <- (base, nblocks);
+  Diskset.write_run_sub t.disk base t.stage ~off:0 ~len:(nblocks * block_size t);
   t.in_flight <- (0, 0)
 
 let in_flight t addr =
   let base, n = t.in_flight in
   addr >= base && addr < base + n
 
-(* Exact block count and per-inode metadata plan for one partial segment. *)
+(* Exact block count and per-inode metadata plan for one partial segment.
+   Plans come out in inum order, each with its data items in [ditems]
+   order; an inode involved both ways keeps the object its data items
+   looked up. Every data item's inode is looked up first, in order (a
+   miss reads the inode block). *)
 let plan t ~ditems ~inodes =
   let bs = block_size t in
-  let per = Hashtbl.create 8 in
-  let get_plan ino =
-    match Hashtbl.find_opt per ino.Inode.inum with
-    | Some p -> p
-    | None ->
-      let p = { pi_inode = ino; pi_ditems = []; pi_ind = []; pi_dbl = false } in
-      Hashtbl.add per ino.Inode.inum p;
-      p
+  let per_ind = Inode.per_indirect ~block_size:bs in
+  let by_inum (a, _) (b, _) = Int.compare a.Inode.inum b.Inode.inum in
+  (* One group per inode, of the consecutive items the sort brought
+     together. *)
+  let rec group = function
+    | [] -> []
+    | (ino, d) :: rest ->
+      let rec run acc = function
+        | (i, d') :: tl when i.Inode.inum = ino.Inode.inum -> run (d' :: acc) tl
+        | tl -> (List.rev acc, tl)
+      in
+      let ds, rest = run [ d ] rest in
+      (ino, ds) :: group rest
   in
-  List.iter
-    (fun d ->
-      let p = get_plan (iget t d.d_inum) in
-      p.pi_ditems <- d :: p.pi_ditems)
-    ditems;
-  List.iter (fun ino -> ignore (get_plan ino)) inodes;
-  (* Fill in metadata needs per inode. *)
+  let grouped =
+    List.map (fun d -> (iget t d.d_inum, d)) ditems
+    |> List.stable_sort by_inum |> group
+  in
+  (* Groups come before the extra inodes, so the stable sort keeps a
+     group ahead of the same inode listed again. *)
+  let rec dedup = function
+    | ((a, _) as x) :: (b, _) :: rest when a.Inode.inum = b.Inode.inum ->
+      dedup (x :: rest)
+    | x :: rest -> x :: dedup rest
+    | [] -> []
+  in
   let plans =
-    Hashtbl.fold (fun _ p acc -> p :: acc) per []
-    |> List.sort (fun a b -> Int.compare a.pi_inode.Inode.inum b.pi_inode.Inode.inum)
+    List.stable_sort by_inum (grouped @ List.map (fun ino -> (ino, [])) inodes)
+    |> dedup
+    |> List.map (fun (ino, ds) ->
+           let nmap' =
+             List.fold_left (fun m d -> max m (d.d_lblock + 1)) (Inode.nblocks ino) ds
+           in
+           let ind =
+             List.filter_map
+               (fun d ->
+                 if d.d_lblock >= Inode.ndirect then
+                   Some ((d.d_lblock - Inode.ndirect) / per_ind)
+                 else None)
+               ds
+           in
+           let ind =
+             Hashtbl.fold (fun idx () l -> idx :: l) ino.Inode.dirty_ind ind
+             |> List.sort_uniq Int.compare
+           in
+           let nind =
+             if nmap' <= Inode.ndirect then 0
+             else (nmap' - Inode.ndirect + per_ind - 1) / per_ind
+           in
+           {
+             pi_inode = ino;
+             pi_ditems = ds;
+             pi_ind = ind;
+             pi_dbl =
+               nind > 1 && (ino.Inode.dbl_dirty || List.exists (fun i -> i >= 1) ind);
+           })
   in
-  List.iter
-    (fun p ->
-      let ino = p.pi_inode in
-      let nmap' =
-        List.fold_left
-          (fun m d -> max m (d.d_lblock + 1))
-          (Inode.nblocks ino) p.pi_ditems
-      in
-      let module IS = Set.Make (Int) in
-      let ind =
-        List.fold_left
-          (fun s d ->
-            if d.d_lblock >= Inode.ndirect then
-              IS.add ((d.d_lblock - Inode.ndirect) / Inode.per_indirect ~block_size:bs) s
-            else s)
-          IS.empty p.pi_ditems
-      in
-      let ind =
-        Hashtbl.fold (fun idx () s -> IS.add idx s) ino.Inode.dirty_ind ind
-      in
-      let nind =
-        if nmap' <= Inode.ndirect then 0
-        else
-          (nmap' - Inode.ndirect + Inode.per_indirect ~block_size:bs - 1)
-          / Inode.per_indirect ~block_size:bs
-      in
-      p.pi_ind <- IS.elements ind;
-      p.pi_dbl <-
-        nind > 1 && (ino.Inode.dbl_dirty || IS.exists (fun i -> i >= 1) ind))
-    plans;
   let n_data = List.length ditems in
   let n_ind = List.fold_left (fun n p -> n + List.length p.pi_ind) 0 plans in
   let n_dbl = List.fold_left (fun n p -> n + if p.pi_dbl then 1 else 0) 0 plans in
@@ -447,8 +462,8 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
   let entries = ref [] in
   let fills = ref [] in
   (* [assign entry fill] gives the next block address to a block whose
-     bytes are produced by [fill] (thunked: metadata is encoded only after
-     every address assignment is done). *)
+     bytes [fill dst off] puts at [off] in [dst] (thunked: metadata is
+     encoded only after every address assignment is done). *)
   let assign entry fill =
     let addr = !pos in
     incr pos;
@@ -465,10 +480,11 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
       let addr =
         assign
           (Layout.Data { inum = d.d_inum; lblock = d.d_lblock })
-          (fun () ->
+          (fun dst o ->
             match d.d_src with
-            | `Frame f -> f.Cache.data
-            | `Raw b | `Reloc (b, _) -> b)
+            | `Frame f -> Bytes.blit f.Cache.data 0 dst o bs
+            | `Raw b -> Bytes.blit b 0 dst o bs
+            | `Reloc (b, boff, _) -> Bytes.blit b boff dst o bs)
       in
       dec_usage t old;
       Inode.set_addr ino ~block_size:bs d.d_lblock addr;
@@ -488,7 +504,8 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
           let addr =
             assign
               (Layout.Indirect { inum = ino.Inode.inum; index = idx })
-              (fun () -> Inode.encode_indirect ino ~block_size:bs idx)
+              (fun dst o ->
+                Bytes.blit (Inode.encode_indirect ino ~block_size:bs idx) 0 dst o bs)
           in
           dec_usage t old;
           if idx >= Array.length ino.Inode.ind_addrs then begin
@@ -508,7 +525,7 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
         let addr =
           assign
             (Layout.Double_indirect { inum = ino.Inode.inum })
-            (fun () -> Inode.encode_double ino ~block_size:bs)
+            (fun dst o -> Bytes.blit (Inode.encode_double ino ~block_size:bs) 0 dst o bs)
         in
         dec_usage t old;
         ino.Inode.dbl_addr <- addr
@@ -524,14 +541,14 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
       let addr =
         assign
           (Layout.Inode_block { inums })
-          (fun () ->
-            let b = Bytes.make bs '\000' in
+          (fun dst o ->
+            Bytes.fill dst o bs '\000';
             List.iteri
               (fun slot p ->
-                Bytes.blit (Inode.encode p.pi_inode) 0 b
-                  (slot * Layout.inode_size) Layout.inode_size)
-              group;
-            b)
+                Bytes.blit (Inode.encode p.pi_inode) 0 dst
+                  (o + (slot * Layout.inode_size))
+                  Layout.inode_size)
+              group)
       in
       Hashtbl.replace t.inode_block_refs addr (List.length group);
       List.iteri
@@ -550,10 +567,10 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
     List.iter (fun chunk ->
         let old = addrs.(chunk) in
         let addr =
-          assign (entry chunk) (fun () ->
+          assign (entry chunk) (fun dst o ->
               let b = Bytes.create bs in
               encode b ~chunk;
-              b)
+              Bytes.blit b 0 dst o bs)
         in
         dec_usage t old;
         addrs.(chunk) <- addr)
@@ -587,19 +604,20 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
      a torn write may persist the summary block without the blocks it
      describes, and recovery must be able to tell. *)
   let entries = List.rev !entries and fills = List.rev !fills in
-  (* Not zero-filled: the fills cover every payload block (the plan
-     counted exactly these) and the summary the first. *)
+  (* Assembled in the staging buffer, which the writer mutex makes ours
+     until [write_blocks] returns. Not cleared between partials: the
+     fills cover every payload block (the plan counted exactly these)
+     and the summary the first. *)
   assert (!pos = base + nblocks);
-  let buf = Bytes.create (nblocks * bs) in
-  List.iteri (fun i fill -> Bytes.blit (fill ()) 0 buf ((i + 1) * bs) bs) fills;
+  let buf = t.stage in
+  List.iteri (fun i fill -> fill buf ((i + 1) * bs)) fills;
   let payload_ck = Layout.checksum_sub buf bs ((nblocks - 1) * bs) in
   let seq, next_seg, more =
     match head with
     | Hot { more } -> (t.write_seq, t.next_seg, more)
     | Cold _ -> (0L, 0, false)
   in
-  let summary_bytes = Bytes.make bs '\000' in
-  Layout.write_summary summary_bytes
+  Layout.write_summary_at buf ~off:0 ~block_size:bs
     {
       Layout.seq;
       timestamp = Clock.now t.clock;
@@ -609,7 +627,6 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
       payload_ck;
       entries;
     };
-  Bytes.blit summary_bytes 0 buf 0 bs;
   (* 7. Mark everything clean — BEFORE parking in the disk write. The
      snapshot into [buf] is complete and nothing yields between the blit
      and here, so snapshot+clear is atomic; a concurrent process that
@@ -630,7 +647,7 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
       ino.Inode.dbl_dirty <- false)
     plans;
   List.iter (fun idx -> t.imap_dirty.(idx) <- false) imap_chunks;
-  write_blocks t base buf;
+  write_blocks t base nblocks;
   Stats.bump t.stats k_partials;
   if cold then Stats.bump t.stats k_cold_partials;
   Stats.bump_by t.stats k_blocks_logged nblocks;
@@ -673,7 +690,7 @@ let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
     List.filter
       (fun d ->
         match d.d_src with
-        | `Reloc (_, expect) ->
+        | `Reloc (_, _, expect) ->
           let still_there =
             match iget_opt t d.d_inum with
             | Some ino -> Inode.get_addr ino d.d_lblock = expect
@@ -710,7 +727,7 @@ let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
     in
     let ditems =
       if defer_meta then ditems
-      else List.concat_map (fun p -> List.rev p.pi_ditems) plans
+      else List.concat_map (fun p -> p.pi_ditems) plans
     in
     emit t head ~ditems ~plans ~imap_chunks ~usage_chunks
       ~nblocks:(1 + n_meta + List.length imap_chunks + List.length usage_chunks)
@@ -735,19 +752,29 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
   let extra =
     if defer_meta then []
     else begin
+      (* One bucket per involved file. The order the table folds the
+         files in decides the layout of the partial. *)
       let files = Hashtbl.create 8 in
-      List.iter (fun d -> Hashtbl.replace files d.d_inum ()) ditems;
-      List.iter
-        (fun (ino : Inode.t) -> Hashtbl.replace files ino.Inode.inum ())
-        inodes;
+      let involve inum =
+        if not (Hashtbl.mem files inum) then Hashtbl.add files inum (ref [])
+      in
+      List.iter (fun d -> involve d.d_inum) ditems;
+      List.iter (fun (ino : Inode.t) -> involve ino.Inode.inum) inodes;
       let have = Hashtbl.create 16 in
       List.iter (fun d -> Hashtbl.replace have (d.d_inum, d.d_lblock) ()) ditems;
+      (* One walk of the cache for all the files: each bucket gets its
+         file's frames in the order [Cache.dirty_frames ~file] gives. *)
+      List.iter
+        (fun (f : Cache.frame) ->
+          let b = Hashtbl.find files f.Cache.file in
+          b := f :: !b)
+        (List.rev (Cache.dirty_frames_of t.cache (Hashtbl.mem files)));
       Hashtbl.fold
-        (fun inum () acc ->
+        (fun inum b acc ->
           List.filter
             (fun (f : Cache.frame) ->
               not (Hashtbl.mem have (inum, f.Cache.lblock)))
-            (Cache.dirty_frames t.cache ~file:inum ())
+            !b
           @ acc)
         files []
     end
@@ -856,6 +883,15 @@ let checkpoint t = ignore (checkpoint_record t)
 
 (* Cleaner --------------------------------------------------------------- *)
 
+(* Victim-reuse invariant: nothing writes a segment's blocks while any
+   of them is live. The log heads write only Current segments, which
+   [pop_free] takes from Free ones; a victim becomes Pending only once
+   its live count is zero, and Free only at the checkpoint after that.
+   The cleaner relies on it to read a victim in place: its survivors are
+   views of the platter (a [`Reloc] item), not copies, and stay valid
+   across every park until [write_partial] installs them. An item is
+   installed only if its inode still points at the scanned address, so
+   the block is still live there and its bytes are the scanned ones. *)
 let clean_victim t victim =
   let bs = block_size t in
   let u = t.usage.(victim) in
@@ -880,7 +916,26 @@ let clean_victim t victim =
     let live0 = u.live in
     Stats.bump_by t.stats k_cleaner_victim_live u.live;
     let seg_blocks = t.cfg.fs.segment_blocks in
-    let run = Diskset.read_run t.disk (seg_base t victim) seg_blocks in
+    let plat, roff = Diskset.read_run_view t.disk (seg_base t victim) seg_blocks in
+    (* The victim's summaries, parsed in the view. Each must describe
+       blocks inside the segment: the view spans the whole platter, so an
+       entry past the end would name the next segment's bytes. A bad
+       summary is refused before any survivor is taken. *)
+    let rec summaries pos =
+      if pos >= seg_blocks then []
+      else
+        match Layout.read_summary_at plat ~off:(roff + (pos * bs)) ~block_size:bs with
+        | None -> []
+        | Some s ->
+          let n = List.length s.Layout.entries in
+          if pos + 1 + n > seg_blocks then
+            Vfs.error Invalid
+              "LFS cleaner: summary at block %d of segment %d describes %d \
+               blocks, past the segment's end"
+              pos victim n;
+          (pos, s) :: summaries (pos + 1 + n)
+    in
+    let summaries = summaries 0 in
     let segregate = t.cfg.fs.cleaner_segregate in
     let ditems = ref [] in
     let cold_items = ref [] in
@@ -890,15 +945,11 @@ let clean_victim t victim =
     let add_inode ino =
       if not (List.memq ino !extra) then extra := ino :: !extra
     in
-    let pos = ref 0 in
-    let continue = ref true in
-    while !continue && !pos < seg_blocks do
-      match Layout.read_summary_at run ~off:(!pos * bs) ~block_size:bs with
-      | None -> continue := false
-      | Some s ->
+    List.iter
+      (fun (pos, s) ->
         List.iteri
           (fun i entry ->
-            let addr = seg_base t victim + !pos + 1 + i in
+            let addr = seg_base t victim + pos + 1 + i in
             match entry with
             | Layout.Data { inum; lblock } -> (
               match iget_opt t inum with
@@ -923,11 +974,11 @@ let clean_victim t victim =
                     {
                       d_inum = inum;
                       d_lblock = lblock;
-                      d_src = `Reloc (Bytes.sub run ((!pos + 1 + i) * bs) bs, addr);
+                      d_src = `Reloc (plat, roff + ((pos + 1 + i) * bs), addr);
                     }
                   in
                   if segregate then begin
-                    (* A survivor copied straight off the platter is cold
+                    (* A survivor moved straight from the platter is cold
                        by definition: segregate it so it does not re-mix
                        with hot writes, and flush its inode promptly
                        (see [emit]: only metadata makes a cold partial's
@@ -974,10 +1025,9 @@ let clean_victim t victim =
             | Layout.Usage_block { index } ->
               if t.usage_chunk_addr.(index) = addr then
                 usage_chunks := index :: !usage_chunks)
-          s.Layout.entries;
-        pos := !pos + 1 + List.length s.Layout.entries
-    done;
-    (* Copy the survivors out. Cold survivors (raw platter copies) go to
+          s.Layout.entries)
+      summaries;
+    (* Move the survivors out. Cold survivors (platter views) go to
        the relocation head, inheriting the victim's last-write time so the
        data keeps looking as old as it is to the cost-benefit policy; hot
        data, metadata and table chunks ride the regular log. *)
@@ -1423,6 +1473,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       seg_writing = false;
       in_flight = (0, 0);
       seg_write_cond = Sched.condition ();
+      stage = Bytes.create (cfg.fs.segment_blocks * sb.Layout.block_size);
       pending_cp = false;
       bg = false;
       snaps = [];
@@ -1545,13 +1596,17 @@ let roll_forward t =
     Stats.bump t.stats k_rolled_partials
   in
   (* A sealed summary only proves the summary block itself persisted; a
-     write torn inside the partial leaves it describing garbage. *)
-  let payload_ok blkno (s : Layout.summary) =
-    !test_disable_payload_check
-    ||
+     write torn inside the partial leaves it describing garbage. Its
+     entries must also end inside its segment, as [clean_victim]
+     requires: no partial the writer lays out spans two. *)
+  let payload_ok off blkno (s : Layout.summary) =
     let n = List.length s.Layout.entries in
-    n = 0
-    || Layout.checksum (Diskset.read_run t.disk (blkno + 1) n) = s.Layout.payload_ck
+    off + 1 + n <= t.cfg.fs.segment_blocks
+    && (!test_disable_payload_check
+       || n = 0
+       ||
+       let b, boff = Diskset.read_run_view t.disk (blkno + 1) n in
+       Layout.checksum_sub b boff (n * block_size t) = s.Layout.payload_ck)
   in
   let expected = ref t.write_seq in
   let seg = ref t.cur_seg and off = ref t.cur_off in
@@ -1575,7 +1630,7 @@ let roll_forward t =
     | Some s
       when Int64.equal s.Layout.seq !expected
            && (not s.Layout.cold)
-           && payload_ok blkno s ->
+           && payload_ok !off blkno s ->
       if !batch = [] then batch_start := Some (!seg, !off, !next, !expected);
       batch := (blkno, s) :: !batch;
       if not s.Layout.more then begin

@@ -306,6 +306,161 @@ let test_diskset_run_no_aliasing () =
         [ ("run on one spindle", 3 + 1); ("run across a stripe boundary", 3 + chunk - 2) ])
     [ 1; 2 ]
 
+(* Two machines built alike, to compare what two ways of making the same
+   request leave behind: bytes, clock and the whole [Stats] report. *)
+let twins cfg =
+  let mk () =
+    let clock = Clock.create () in
+    let stats = Stats.create () in
+    (clock, stats, Diskset.create ~route_checkpoints:true clock stats cfg)
+  in
+  (mk (), mk ())
+
+let same_effects what (c1, s1, _) (c2, s2, _) =
+  Alcotest.(check (float 0.0)) (what ^ ": clock") (Clock.now c1) (Clock.now c2);
+  Alcotest.(check string) (what ^ ": stats")
+    (Json.to_string (Stats.to_json s1))
+    (Json.to_string (Stats.to_json s2))
+
+(* Every other read fails once, so the retries are compared too. *)
+let flaky () =
+  let n = ref 0 in
+  Some
+    {
+      Disk.on_write = (fun ~blkno:_ ~nblocks -> nblocks);
+      on_read =
+        (fun ~blkno:_ ~nblocks:_ ->
+          incr n;
+          !n mod 3 = 1);
+    }
+
+(* [read_run_view] is [read_run] without the copy: the same bytes, the
+   same clock and the same stats, on one spindle and on two, for a run
+   on one extent and for one cut at the stripe boundary. *)
+let test_read_run_view_matches_copy () =
+  List.iter
+    (fun ndisks ->
+      let cfg = stripe_cfg ~ndisks ~log_disk:true () in
+      let chunk = cfg.Config.fs.Config.segment_blocks in
+      List.iter
+        (fun (what, start, n) ->
+          let what = Printf.sprintf "%d spindle(s), %s" ndisks what in
+          let ((_, _, a) as ma), ((_, _, b) as mb) = twins cfg in
+          let bs = Diskset.block_size a in
+          let data = Tutil.payload start (n * bs) in
+          Diskset.write_run a start data;
+          Diskset.write_run b start data;
+          Diskset.set_injector a (flaky ());
+          Diskset.set_injector b (flaky ());
+          let copy = Diskset.read_run a start n in
+          let v, off = Diskset.read_run_view b start n in
+          Tutil.check_bytes (what ^ ": bytes") copy (Bytes.sub v off (n * bs));
+          Tutil.check_bytes (what ^ ": the written run") data copy;
+          same_effects what ma mb)
+        [
+          ("one segment", 3 + chunk, chunk);
+          ("boot region into segment 0", 0, 6);
+          ("across the stripe boundary", 3 + chunk - 2, 4);
+        ])
+    [ 1; 2 ]
+
+(* [write_run_sub] of a range is [write_run] of the same bytes copied
+   out, on the platter, the clock and the stats, and a write the
+   injector tears keeps the same prefix. *)
+let test_write_run_sub_matches_copy () =
+  List.iter
+    (fun ndisks ->
+      let cfg = stripe_cfg ~ndisks () in
+      let chunk = cfg.Config.fs.Config.segment_blocks in
+      List.iter
+        (fun (what, start, n, keep) ->
+          let what = Printf.sprintf "%d spindle(s), %s" ndisks what in
+          let ((_, _, a) as ma), ((_, _, b) as mb) = twins cfg in
+          let bs = Diskset.block_size a in
+          let big = Tutil.payload start ((n + 3) * bs) in
+          let tear () =
+            Option.map
+              (fun keep ->
+                {
+                  Disk.on_write = (fun ~blkno:_ ~nblocks -> min keep nblocks);
+                  on_read = (fun ~blkno:_ ~nblocks:_ -> false);
+                })
+              keep
+          in
+          Diskset.set_injector a (tear ());
+          Diskset.set_injector b (tear ());
+          let crashed f =
+            match f () with () -> false | exception Disk.Injected_crash -> true
+          in
+          let ca =
+            crashed (fun () ->
+                Diskset.write_run a start (Bytes.sub big (2 * bs) (n * bs)))
+          in
+          let cb =
+            crashed (fun () ->
+                Diskset.write_run_sub b start big ~off:(2 * bs) ~len:(n * bs))
+          in
+          Alcotest.(check bool) (what ^ ": same crash") ca cb;
+          Alcotest.(check bool) (what ^ ": crash as injected") (keep <> None) ca;
+          for i = start - 1 to start + n do
+            Tutil.check_bytes
+              (Printf.sprintf "%s: block %d" what i)
+              (Diskset.peek a i) (Diskset.peek b i)
+          done;
+          same_effects what ma mb)
+        [
+          ("one extent", 3 + 1, 8, None);
+          ("across the stripe boundary", 3 + chunk - 2, 4, None);
+          ("torn after 5 blocks", 3 + 1, 8, Some 5);
+        ])
+    [ 1; 2 ]
+
+(* The extents a run is cut into follow from the stripe geometry: the
+   same requests, in the same order, as issuing one [Disk.read_run] per
+   maximal stretch of blocks that [locate]'s documented mapping puts
+   next to each other on one spindle. *)
+let prop_split_matches_mapping =
+  Tutil.qtest "run extents follow the stripe mapping"
+    QCheck2.Gen.(quad (int_range 1 3) bool (int_bound 400) (int_range 1 100))
+    (fun (ndisks, log_disk, start, n) ->
+      let cfg = stripe_cfg ~ndisks ~log_disk () in
+      let chunk = cfg.Config.fs.Config.segment_blocks in
+      let ((_, _, a) as ma), ((_, _, b) as mb) = twins cfg in
+      let start = start mod (Diskset.nblocks a - n) in
+      let members = Diskset.members b in
+      let data_disk i =
+        List.assoc (if ndisks = 1 then "disk" else Printf.sprintf "disk%d" i) members
+      in
+      (* Logical block -> (spindle, physical block), as diskset.mli has it. *)
+      let where blkno =
+        if log_disk && (blkno = 1 || blkno = 2) then
+          (List.assoc "disklog" members, blkno)
+        else if ndisks = 1 || blkno < 3 then (data_disk 0, blkno)
+        else
+          let seg = (blkno - 3) / chunk and off = (blkno - 3) mod chunk in
+          (data_disk (seg mod ndisks), 3 + (seg / ndisks * chunk) + off)
+      in
+      ignore (Diskset.read_run a start n);
+      let rec go blkno left =
+        if left > 0 then begin
+          let d, phys = where blkno in
+          let len = ref 1 in
+          while
+            !len < left
+            &&
+            let d', p' = where (blkno + !len) in
+            d' == d && p' = phys + !len
+          do
+            incr len
+          done;
+          ignore (Disk.read_run d phys !len);
+          go (blkno + !len) (left - !len)
+        end
+      in
+      go start n;
+      same_effects "twins" ma mb;
+      true)
+
 let test_diskset_checkpoint_routing () =
   let cfg = stripe_cfg ~ndisks:1 ~log_disk:true () in
   let clock = Clock.create () in
@@ -375,6 +530,11 @@ let () =
             test_diskset_run_split;
           Alcotest.test_case "run I/O returns and keeps no aliases" `Quick
             test_diskset_run_no_aliasing;
+          Alcotest.test_case "read_run_view = read_run" `Quick
+            test_read_run_view_matches_copy;
+          Alcotest.test_case "write_run_sub = write_run of the copy" `Quick
+            test_write_run_sub_matches_copy;
+          prop_split_matches_mapping;
           Alcotest.test_case "checkpoint routing" `Quick
             test_diskset_checkpoint_routing;
           prop_diskset_roundtrip;

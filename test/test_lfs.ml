@@ -836,6 +836,170 @@ let test_mount_rejects_mismatched_checkpoint () =
     | exception Vfs.Error (Vfs.Invalid, _) -> true
     | _ -> false)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A sealed summary whose entries run past its segment's end is refused
+   by the cleaner, naming the segment, before any survivor is moved:
+   parsed in place, such an entry would name the next segment's bytes.
+   Here each used segment's first summary gains entries, for no live
+   file, up to one past the segment's end. *)
+let test_cleaner_refuses_overflowing_summary () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let seg_blocks = m.Tutil.cfg.Config.fs.Config.segment_blocks in
+  let data = Tutil.payload 5 (40 * bs) in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 data;
+  Lfs.sync fs;
+  let used =
+    List.filter (fun i -> Lfs.live_blocks fs i > 0) (List.init (Lfs.nsegments fs) Fun.id)
+  in
+  List.iter
+    (fun i ->
+      let blkno = Layout.data_start + (i * seg_blocks) in
+      match Layout.read_summary (Diskset.peek m.Tutil.disks blkno) with
+      | None -> ()
+      | Some s ->
+        let pad = seg_blocks - List.length s.Layout.entries in
+        let b = Bytes.make bs '\000' in
+        Layout.write_summary b
+          {
+            s with
+            Layout.entries =
+              s.Layout.entries
+              @ List.init pad (fun _ -> Layout.Data { inum = 0; lblock = 0 });
+          };
+        Diskset.poke m.Tutil.disks blkno b)
+    used;
+  let live = List.map (Lfs.live_blocks fs) used in
+  (match Lfs.clean_once fs with
+  | _ -> Alcotest.fail "the cleaner took an overflowing summary"
+  | exception Vfs.Error (Vfs.Invalid, msg) ->
+    Alcotest.(check bool)
+      ("names a used segment: " ^ msg)
+      true
+      (List.exists
+         (fun i -> contains msg (Printf.sprintf "segment %d " i))
+         used));
+  Alcotest.(check (list int))
+    "no survivor moved" live
+    (List.map (Lfs.live_blocks fs) used);
+  Tutil.check_bytes "file intact" data (v.Vfs.read fd ~off:0 ~len:(40 * bs))
+
+(* Roll-forward applies the same bound. A summary at the recovered log
+   head whose entries run into the next segment, with a valid payload
+   checksum over those blocks, would otherwise remap a file's block to
+   the next segment's first block. *)
+let test_roll_forward_refuses_overflowing_summary () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let seg_blocks = m.Tutil.cfg.Config.fs.Config.segment_blocks in
+  let data = Tutil.payload 6 (3 * bs) in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 data;
+  Lfs.sync fs;
+  let inum = Lfs.inum_of fs "/f" in
+  Lfs.crash fs;
+  let cp =
+    let r0, r1 = Layout.checkpoint_blknos in
+    match
+      List.filter_map
+        (fun r -> Layout.read_checkpoint (Diskset.peek m.Tutil.disks r))
+        [ r0; r1 ]
+      |> List.sort (fun a b -> Int64.compare b.Layout.cp_seq a.Layout.cp_seq)
+    with
+    | cp :: _ -> cp
+    | [] -> Alcotest.fail "no checkpoint"
+  in
+  let blkno = Layout.data_start + (cp.Layout.cur_seg * seg_blocks) + cp.Layout.cur_off in
+  let n = seg_blocks - cp.Layout.cur_off in
+  let payload =
+    Bytes.concat Bytes.empty
+      (List.init n (fun i -> Diskset.peek m.Tutil.disks (blkno + 1 + i)))
+  in
+  let b = Bytes.make bs '\000' in
+  Layout.write_summary b
+    {
+      Layout.seq = cp.Layout.write_seq;
+      timestamp = 0.0;
+      next_seg = cp.Layout.cp_next_seg;
+      more = false;
+      cold = false;
+      payload_ck = Layout.checksum payload;
+      entries =
+        List.init n (fun i ->
+            Layout.Data { inum = (if i = n - 1 then inum else 0); lblock = 0 });
+    };
+  Diskset.poke m.Tutil.disks blkno b;
+  let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+  let v = Lfs.vfs fs in
+  Tutil.check_bytes "file intact" data
+    (v.Vfs.read (v.Vfs.open_file "/f") ~off:0 ~len:(3 * bs));
+  Lfs.check fs
+
+(* The on-disk bytes of a cleaning-heavy run, not only its timings:
+   hot/cold segregation and the adaptive daemon on the scheduler at
+   MPL 8 with group commit, over two striped spindles and a log spindle
+   holding the checkpoints, then a crash and a remount. The digests pin
+   every spindle's platter, so a change that must not move simulated
+   results is shown to leave each byte where it was. Only a change
+   meant to move simulated results may update them, and it says so in
+   CHANGES.md. *)
+let test_platter_digest () =
+  let c = Config.scaled ~factor:0.1 Config.default in
+  let config =
+    {
+      c with
+      Config.fs =
+        {
+          c.Config.fs with
+          Config.lock_grain = `Record;
+          group_commit_size = 8;
+          group_commit_timeout_s = 0.02;
+          ndisks = 2;
+          log_disk = true;
+        };
+    }
+  in
+  let booted = ref None in
+  let run =
+    Expcommon.run_tpcb ~config
+      ~prepare:(fun m v lfs ->
+        Cleanersweep.prefill ~util_pct:80 m v lfs;
+        booted := Option.map (fun fs -> (m, fs)) lfs)
+      ~mpl:8 ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1
+      Expcommon.Lfs_kernel
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        ("reaches " ^ k) true
+        (Stats.count run.Expcommon.stats k > 0))
+    [ "cleaner.segments"; "cleaner.idle_cleans"; "lfs.cold_partials" ];
+  let m, fs = Option.get !booted in
+  Lfs.crash fs;
+  Lfs.check (Lfs.mount m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats config);
+  let digest d =
+    let bs = Disk.block_size d in
+    let img = Bytes.create (Disk.nblocks d * bs) in
+    for i = 0 to Disk.nblocks d - 1 do
+      Bytes.blit (Disk.peek d i) 0 img (i * bs) bs
+    done;
+    Digest.to_hex (Digest.bytes img)
+  in
+  Alcotest.(check string) "platter digests"
+    "disk0=bf41d1377b29a4561851a5c3d8758529 disk1=e64e830187db25cf32f322fafd616c2d \
+     disklog=226cb047e261a8f8e2ef8b86cbd6946f"
+    (String.concat " "
+       (List.map
+          (fun (name, d) -> name ^ "=" ^ digest d)
+          (Diskset.members m.Expcommon.disks)))
+
 let () =
   Alcotest.run "tx_lfs"
     [
@@ -861,6 +1025,8 @@ let () =
           Alcotest.test_case "crash raises" `Quick test_crash_raises;
           Alcotest.test_case "crash after cleaning" `Quick
             test_crash_after_cleaning_before_checkpoint;
+          Alcotest.test_case "overflowing summary not rolled forward" `Quick
+            test_roll_forward_refuses_overflowing_summary;
           Alcotest.test_case "repeated crash cycles" `Quick
             test_repeated_crash_recovery_cycles;
           Alcotest.test_case "usage table's last chunk" `Quick
@@ -888,6 +1054,9 @@ let () =
           Alcotest.test_case "reclaims and preserves" `Quick
             test_cleaner_reclaims_and_preserves;
           Alcotest.test_case "no space" `Quick test_no_space;
+          Alcotest.test_case "overflowing summary refused" `Quick
+            test_cleaner_refuses_overflowing_summary;
+          Alcotest.test_case "platter bytes pinned" `Quick test_platter_digest;
           Alcotest.test_case "greedy policy" `Quick test_policy_greedy_prefers_emptiest;
           Alcotest.test_case "dead segment" `Quick test_policy_dead_segment_wins;
           Alcotest.test_case "cost-benefit cold" `Quick
