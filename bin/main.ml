@@ -166,14 +166,7 @@ let ablation_cmd =
     Term.(const run $ which $ scale_arg $ txns_arg 10_000)
 
 (* Ad hoc TPC-B *)
-let setups =
-  [
-    ("readopt-user", Expcommon.Readopt_user);
-    ("lfs-user", Expcommon.Lfs_user);
-    ("lfs-kernel", Expcommon.Lfs_kernel);
-  ]
-
-let setup_arg ?(choices = setups) ~default () =
+let setup_arg ?(choices = Txstack.backends) ~default () =
   let doc = "Configuration: " ^ Arg.doc_alts_enum choices ^ "." in
   Arg.(value & opt (enum choices) default & info [ "setup" ] ~docv:"SETUP" ~doc)
 
@@ -185,7 +178,8 @@ let mpl_arg =
   in
   Arg.(value & opt int 1 & info [ "mpl" ] ~docv:"N" ~doc)
 
-(* [--mpl] as {!Expcommon.run_tpcb} takes it: absent at 1. *)
+(* [--mpl] as {!Expcommon.run_tpcb} and {!Sweep.run_one_tpcb} take it:
+   absent at 1. *)
 let sched_mpl_arg =
   Term.(const (fun mpl -> if mpl > 1 then Some mpl else None) $ mpl_arg)
 
@@ -208,7 +202,7 @@ let tpcb_cmd =
     Printf.printf
       "%s: %d txns in %.1f simulated seconds = %.2f TPS (max latency %.3fs, \
        cleaner stall %.1fs)\n"
-      (Expcommon.setup_label setup)
+      (Txstack.label setup)
       r.Expcommon.result.Tpcb.txns r.Expcommon.result.Tpcb.elapsed_s
       r.Expcommon.result.Tpcb.tps r.Expcommon.result.Tpcb.max_latency_s
       r.Expcommon.cleaner_stall_s
@@ -217,7 +211,7 @@ let tpcb_cmd =
     (Cmd.info "tpcb" ~doc:"Run TPC-B on one configuration and report TPS")
     Term.(
       const run
-      $ setup_arg ~default:Expcommon.Lfs_kernel ()
+      $ setup_arg ~default:Txstack.Lfs_kernel ()
       $ scale_arg $ txns_arg 10_000 $ seed_arg $ sched_mpl_arg $ ndisks_arg
       $ log_disk_arg $ log_streams_arg $ lock_grain_arg)
 
@@ -271,7 +265,7 @@ let mplsweep_cmd =
       (* lfs-user, not the shared default: record granularity changes
          behaviour end to end only in the user-level system. *)
       const run
-      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ setup_arg ~default:Txstack.Lfs_user ()
       $ scale_arg $ txns_arg 2_000 $ seed_arg
       $ mpls_arg Mplsweep.default_mpls
       $ groups_arg $ grains_arg $ json_arg $ ndisks_arg $ log_disk_arg)
@@ -296,7 +290,7 @@ let disksweep_cmd =
          pays off. In lfs-kernel the LFS log IS the data, so the spindle
          only carries checkpoints. *)
       const run
-      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ setup_arg ~default:Txstack.Lfs_user ()
       $ scale_arg $ txns_arg 1_000 $ seed_arg
       $ mpls_arg Disksweep.default_mpls
       $ json_arg)
@@ -324,8 +318,8 @@ let logsweep_cmd =
          systems. *)
       const run
       $ setup_arg
-          ~choices:(List.filter (fun (_, s) -> s <> Expcommon.Lfs_kernel) setups)
-          ~default:Expcommon.Lfs_user ()
+          ~choices:(List.filter (fun (_, s) -> s <> Txstack.Lfs_kernel) Txstack.backends)
+          ~default:Txstack.Lfs_user ()
       $ scale_arg $ txns_arg 1_500 $ seed_arg $ streams_arg
       $ mpls_arg Logsweep.default_mpls
       $ json_arg)
@@ -406,7 +400,7 @@ let trace_cmd =
           captures multi-process interleavings")
     Term.(
       const run
-      $ setup_arg ~default:Expcommon.Lfs_kernel ()
+      $ setup_arg ~default:Txstack.Lfs_kernel ()
       $ scale_arg $ txns_arg 1_000 $ seed_arg $ out_arg $ cap_arg
       $ sched_mpl_arg $ ndisks_arg $ log_disk_arg $ lock_grain_arg)
 
@@ -561,8 +555,11 @@ let snapshot_cmd =
    workload, or a single replay of one reported (seed, crash_point). *)
 let faultsim_cmd =
   let backend_arg =
-    let doc = "Backend: lfs-kernel, lfs-user, or ffs-user." in
-    Arg.(value & opt string "lfs-kernel" & info [ "backend" ] ~docv:"B" ~doc)
+    let doc = "Backend: " ^ Arg.doc_alts_enum Txstack.backends ^ "." in
+    Arg.(
+      value
+      & opt (enum Txstack.backends) Txstack.Lfs_kernel
+      & info [ "backend" ] ~docv:"B" ~doc)
   in
   let points_arg =
     let doc = "Number of evenly spaced crash points (0 = every write)." in
@@ -576,8 +573,13 @@ let faultsim_cmd =
     Arg.(value & opt (some int) None & info [ "crash-point" ] ~docv:"N" ~doc)
   in
   let workload_arg =
-    let doc = "Workload: pages (random transactional page writes) or tpcb." in
-    Arg.(value & opt string "tpcb" & info [ "workload" ] ~docv:"W" ~doc)
+    let doc =
+      "Workload: $(b,pages) (random transactional page writes) or $(b,tpcb)."
+    in
+    Arg.(
+      value
+      & opt (enum Sweep.workloads) Sweep.Tpcb
+      & info [ "workload" ] ~docv:"W" ~doc)
   in
   let verbose_arg =
     let doc = "Print every run's outcome, not just violations." in
@@ -585,50 +587,48 @@ let faultsim_cmd =
   in
   let run backend workload txns seed points crash_point verbose mpl ndisks
       log_disk log_streams lock_grain =
-    let usage msg =
-      prerr_endline ("txnlfs faultsim: " ^ msg);
-      exit 2
-    in
-    let backend =
-      try Sweep.backend_of_string backend
-      with Invalid_argument _ ->
-        usage ("unknown backend " ^ backend ^ " (lfs-kernel, lfs-user, ffs-user)")
-    in
-    let one, swp =
-      match (workload, mpl) with
-      | "pages", 1 ->
-        ( Sweep.run_one ~ndisks ~log_disk ~log_streams,
-          Sweep.sweep ~ndisks ~log_disk ~log_streams )
-      | "pages", _ -> usage "--mpl applies to the tpcb workload only"
-      | "tpcb", 1 ->
-        ( Sweep.run_one_tpcb ~ndisks ~log_disk ~log_streams,
-          Sweep.sweep_tpcb ~ndisks ~log_disk ~log_streams )
-      | "tpcb", _ ->
-        ( (fun backend ~seed ~txns ?crash_point () ->
-            Sweep.run_one_tpcb_mpl ~ndisks ~log_disk ~log_streams ~lock_grain
-              backend ~seed ~txns ~mpl ?crash_point ()),
-          fun ?progress backend ~seed ~txns ~points ->
-            Sweep.sweep_tpcb_mpl ?progress ~ndisks ~log_disk ~log_streams
-              ~lock_grain backend ~seed ~txns ~mpl ~points )
-      | w, _ -> usage ("unknown workload " ^ w ^ " (pages, tpcb)")
-    in
-    if lock_grain = `Record && (workload <> "tpcb" || mpl = 1) then
-      usage "--lock-grain record applies to the tpcb workload at --mpl > 1";
-    match crash_point with
-    | Some p ->
-      let o = one backend ~seed ~txns ~crash_point:p () in
-      print_endline (Sweep.describe o);
-      if o.Sweep.violations <> [] then exit 1
-    | None ->
-      let progress o = if verbose then print_endline (Sweep.describe o) in
-      let r = swp ~progress backend ~seed ~txns ~points in
-      List.iter (fun o -> print_endline (Sweep.describe o)) r.Sweep.failures;
-      Printf.printf
-        "%s/%s seed=%d: swept %d of %d crash points, %d violation(s)\n"
-        (Sweep.backend_name backend)
-        workload seed r.Sweep.points_run r.Sweep.total_writes
-        (List.length r.Sweep.failures);
-      if r.Sweep.failures <> [] then exit 1
+    match (workload, mpl) with
+    | Sweep.Pages, Some _ ->
+      `Error (true, "--mpl applies to the tpcb workload only")
+    | _ when lock_grain = `Record && mpl = None ->
+      `Error (true, "--lock-grain record applies to the tpcb workload at --mpl > 1")
+    | _ -> (
+      let one ?crash_point () =
+        match workload with
+        | Sweep.Pages ->
+          Sweep.run_one ~ndisks ~log_disk ~log_streams backend ~seed ~txns
+            ?crash_point ()
+        | Sweep.Tpcb ->
+          Sweep.run_one_tpcb ~ndisks ~log_disk ~log_streams ~lock_grain ?mpl
+            backend ~seed ~txns ?crash_point ()
+      in
+      let swp ~progress =
+        match workload with
+        | Sweep.Pages ->
+          Sweep.sweep ~progress ~ndisks ~log_disk ~log_streams backend ~seed
+            ~txns ~points
+        | Sweep.Tpcb ->
+          Sweep.sweep_tpcb ~progress ~ndisks ~log_disk ~log_streams ~lock_grain
+            ?mpl backend ~seed ~txns ~points
+      in
+      match crash_point with
+      | Some p ->
+        let o = one ~crash_point:p () in
+        print_endline (Sweep.describe o);
+        if o.Sweep.violations <> [] then exit 1;
+        `Ok ()
+      | None ->
+        let progress o = if verbose then print_endline (Sweep.describe o) in
+        let r = swp ~progress in
+        List.iter (fun o -> print_endline (Sweep.describe o)) r.Sweep.failures;
+        Printf.printf
+          "%s/%s seed=%d: swept %d of %d crash points, %d violation(s)\n"
+          (Txstack.name backend)
+          (Sweep.workload_name workload)
+          seed r.Sweep.points_run r.Sweep.total_writes
+          (List.length r.Sweep.failures);
+        if r.Sweep.failures <> [] then exit 1;
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -636,9 +636,10 @@ let faultsim_cmd =
          "Crash after every k-th disk write, recover, and check the \
           durability oracle")
     Term.(
-      const run $ backend_arg $ workload_arg $ txns_arg 25 $ seed_arg
-      $ points_arg $ crash_point_arg $ verbose_arg $ mpl_arg $ ndisks_arg
-      $ log_disk_arg $ log_streams_arg $ lock_grain_arg)
+      ret
+        (const run $ backend_arg $ workload_arg $ txns_arg 25 $ seed_arg
+       $ points_arg $ crash_point_arg $ verbose_arg $ sched_mpl_arg
+       $ ndisks_arg $ log_disk_arg $ log_streams_arg $ lock_grain_arg))
 
 let main =
   Cmd.group

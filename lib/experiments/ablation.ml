@@ -27,11 +27,11 @@ let test_and_set ?config ?(tps_scale = 4) ?(txns = 10_000) () =
     title = "Test-and-set ablation (user-level synchronization cost)";
     rows =
       [
-        measure ~config:(with_tas false) ~tps_scale ~txns Expcommon.Lfs_user
+        measure ~config:(with_tas false) ~tps_scale ~txns Txstack.Lfs_user
           "user-level, semaphore syscalls" "the measured DECstation";
-        measure ~config:(with_tas true) ~tps_scale ~txns Expcommon.Lfs_user
+        measure ~config:(with_tas true) ~tps_scale ~txns Txstack.Lfs_user
           "user-level, hardware test-and-set" "Bershad-style fast mutex";
-        measure ~config:(with_tas false) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_tas false) ~tps_scale ~txns Txstack.Lfs_kernel
           "kernel (embedded)" "one trap per operation";
       ];
   }
@@ -45,9 +45,9 @@ let cleaner_placement ?config ?(tps_scale = 4) ?(txns = 15_000) () =
     title = "Cleaner placement (Section 5.4): kernel batch vs user-space incremental";
     rows =
       [
-        measure ~config:(with_user false) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_user false) ~tps_scale ~txns Txstack.Lfs_kernel
           "kernel cleaner (locks files, batch)" "as measured in the paper";
-        measure ~config:(with_user true) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_user true) ~tps_scale ~txns Txstack.Lfs_kernel
           "user-space cleaner (incremental)" "one segment per opportunity";
       ];
   }
@@ -62,9 +62,9 @@ let cleaning_policy ?config ?(tps_scale = 4) ?(txns = 15_000) () =
     rows =
       [
         measure ~config:(with_policy `Greedy) ~tps_scale ~txns
-          Expcommon.Lfs_kernel "greedy (fewest live blocks)" "";
+          Txstack.Lfs_kernel "greedy (fewest live blocks)" "";
         measure ~config:(with_policy `Cost_benefit) ~tps_scale ~txns
-          Expcommon.Lfs_kernel "cost-benefit (age-weighted)"
+          Txstack.Lfs_kernel "cost-benefit (age-weighted)"
           "single-user stalls clean greedily under either policy";
       ];
   }
@@ -81,12 +81,12 @@ let group_commit ?config ?(tps_scale = 4) ?(txns = 10_000) () =
     title = "Group commit at multiprogramming level 1 (Section 4.4)";
     rows =
       [
-        measure ~config:(with_gc 0.0) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_gc 0.0) ~tps_scale ~txns Txstack.Lfs_kernel
           "flush at every commit" "";
-        measure ~config:(with_gc 0.01) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_gc 0.01) ~tps_scale ~txns Txstack.Lfs_kernel
           "group commit, 10 ms timeout"
           "no concurrent committers: pure added latency";
-        measure ~config:(with_gc 0.05) ~tps_scale ~txns Expcommon.Lfs_kernel
+        measure ~config:(with_gc 0.05) ~tps_scale ~txns Txstack.Lfs_kernel
           "group commit, 50 ms timeout" "";
       ];
   }
@@ -102,33 +102,25 @@ type coalesce_result = {
 let coalescing ?config ?(tps_scale = 4) ?(txns = 15_000) () =
   let config = base_config config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
-  let m = Expcommon.machine config in
+  let m = Txstack.machine Txstack.Lfs_user config in
   let rng = Rng.create ~seed:1 in
-  let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-  let v = Lfs.vfs fs in
-  let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-  let env =
-    Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-      ~pool_pages:1024 ~log_path:"/tpcb/log" ()
+  let stack, db =
+    Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
+        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
   in
-  ignore
-    (Tpcb.run m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg db
-       (Tpcb.User env) ~rng ~n:txns);
-  Libtp.checkpoint env;
+  let fs = Option.get (Txstack.lfs stack) in
+  ignore (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns);
+  (match stack.txn with Tpcb.User env -> Libtp.checkpoint env | Kernel _ -> ());
   Lfs.sync fs;
   let inum = Lfs.inum_of fs "/tpcb/account" in
   let contiguity_before = Lfs.contiguity fs inum in
-  let scan_before_s =
-    Workloads.scan m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v db
-  in
-  let t0 = Clock.now m.Expcommon.clock in
+  let scan_before_s = Workloads.scan m.clock m.stats m.cfg stack.vfs db in
+  let t0 = Clock.now m.clock in
   Lfs.coalesce_file fs inum;
   Lfs.sync fs;
-  let coalesce_cost_s = Clock.now m.Expcommon.clock -. t0 in
+  let coalesce_cost_s = Clock.now m.clock -. t0 in
   let contiguity_after = Lfs.contiguity fs inum in
-  let scan_after_s =
-    Workloads.scan m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v db
-  in
+  let scan_after_s = Workloads.scan m.clock m.stats m.cfg stack.vfs db in
   {
     scan_before_s;
     scan_after_s;
@@ -155,7 +147,7 @@ let multiprogramming ?config ?(tps_scale = 4) ?(txns = 8_000) () =
   let scale = Tpcb.scale_for_tps tps_scale in
   let row mpl =
     let r =
-      Expcommon.run_tpcb ~config ~scale ~txns ~seed:1 ~mpl Expcommon.Lfs_kernel
+      Expcommon.run_tpcb ~config ~scale ~txns ~seed:1 ~mpl Txstack.Lfs_kernel
     in
     {
       label = Printf.sprintf "multiprogramming level %d" mpl;

@@ -130,7 +130,7 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
                 let run =
                   Expcommon.run_tpcb ~prepare
                     ?mpl:(if mpl > 1 then Some mpl else None)
-                    ~config:cfg ~scale ~txns ~seed Expcommon.Lfs_kernel
+                    ~config:cfg ~scale ~txns ~seed Txstack.Lfs_kernel
                 in
                 let stats = run.Expcommon.stats in
                 let moved = Stats.count stats "cleaner.blocks_moved" in

@@ -45,7 +45,7 @@ val spread_scale : int -> Tpcb.scale
     and 200 branches per TPS — a compact hot set over a log-bound
     workload. *)
 
-val prefill : util_pct:int -> Expcommon.machine -> Vfs.t -> Lfs.t option -> unit
+val prefill : util_pct:int -> Txstack.machine -> Vfs.t -> Lfs.t option -> unit
 (** A [~prepare] hook for {!Expcommon.run_tpcb}: fill the LFS with static
     files until [util_pct] % of its segments are in use (never so far
     that the cleaner's low-water mark is reached), then sync. No-op

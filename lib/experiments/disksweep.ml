@@ -29,7 +29,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 let default_setups =
@@ -67,7 +67,7 @@ let disk_stat stats prefix =
   }
 
 let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
-    ?(setups = default_setups) ?(setup = Expcommon.Lfs_user) () =
+    ?(setups = default_setups) ?(setup = Txstack.Lfs_user) () =
   let base =
     Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
   in
@@ -142,7 +142,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "disksweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
+      ("setup", Json.Str (Txstack.name t.setup));
       ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
@@ -151,7 +151,7 @@ let to_json t =
 let print t =
   Expcommon.pp_header
     (Printf.sprintf "Disk-placement sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
+       (Txstack.label t.setup)
        t.scale.Tpcb.accounts t.txns);
   Printf.printf "%-10s %4s %8s %10s  %s\n" "config" "mpl" "TPS" "max lat" "per-disk busy (s)";
   List.iter

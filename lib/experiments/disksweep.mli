@@ -34,7 +34,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;  (** the base (single shared disk) configuration *)
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 val default_setups : (string * int * bool) list
@@ -49,7 +49,7 @@ val run :
   ?seed:int ->
   ?mpls:int list ->
   ?setups:(string * int * bool) list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Txstack.backend ->
   unit ->
   t
 

@@ -1,46 +1,10 @@
-type machine = {
-  cfg : Config.t;
-  clock : Clock.t;
-  stats : Stats.t;
-  disks : Diskset.t;
-}
-
-let machine ?route_checkpoints cfg =
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  { cfg; clock; stats; disks = Diskset.create ?route_checkpoints clock stats cfg }
-
-(* Open the WAL environment. With dedicated log spindles each log stream
-   lives in a small FFS formatted on its own spindle (so commit forces
-   never move the data heads, and with several streams never contend for
-   one log arm); otherwise the streams are files in the data file
-   system. *)
-let wal_env m data_vfs ~pool_pages =
-  match Diskset.log_disks m.disks with
-  | [||] ->
-    Libtp.open_env m.clock m.stats m.cfg data_vfs ~pool_pages
-      ~log_path:"/tpcb/log" ()
-  | lds ->
-    let log_vfss =
-      Array.map (fun ld -> Ffs.vfs (Ffs.format ld m.clock m.stats m.cfg)) lds
-    in
-    Libtp.open_env m.clock m.stats m.cfg data_vfs ~log_vfss ~pool_pages
-      ~log_path:"/log" ()
-
-type setup = Readopt_user | Lfs_user | Lfs_kernel
-
-let setup_label = function
-  | Readopt_user -> "read-optimized / user-level"
-  | Lfs_user -> "LFS / user-level"
-  | Lfs_kernel -> "LFS / kernel (embedded)"
-
-let setup_key = function
-  | Readopt_user -> "ffs-user"
-  | Lfs_user -> "lfs-user"
-  | Lfs_kernel -> "lfs-kernel"
+(* LIBTP as every experiment runs it: a 1024-page buffer pool and
+   Libtp's default checkpoint interval. *)
+let wal =
+  { Txstack.pool_pages = 1024; checkpoint_every = 500; log_path = "/tpcb/log" }
 
 type tpcb_run = {
-  setup : setup;
+  setup : Txstack.backend;
   seed : int;
   result : Tpcb.result;
   lock_blocks : int;
@@ -51,15 +15,8 @@ type tpcb_run = {
   stats : Stats.t;
 }
 
-(* [prepare] runs after the database is built but before the measured
-   window: experiments use it to shape the disk (e.g. prefill to a target
-   utilization for cleaner studies). It receives the machine, the data
-   file system's VFS, and the LFS handle when the setup has one. *)
-let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ?mpl ~config ~scale ~txns
-    ~seed setup =
-  (* Only the kernel-embedded setup leaves the log spindle (if any) free
-     of a file system, so only there may the LFS checkpoint region use it. *)
-  let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
+let run_tpcb ?trace ?prepare ?mpl ~config ~scale ~txns ~seed setup =
+  let m = Txstack.machine setup config in
   (match trace with
   | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
   | None -> ());
@@ -69,41 +26,23 @@ let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ?mpl ~config ~scale ~txns
      outside any process, where nothing waits. *)
   let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
-  let vfs, backend, lfs =
-    match setup with
-    | Readopt_user ->
-      let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
-      let v = Ffs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, None)
-    | Lfs_user ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, Some fs)
-    | Lfs_kernel ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      let k = Ktxn.create fs in
-      Tpcb.protect_all db k;
-      (v, Tpcb.Kernel k, Some fs)
+  let stack, db =
+    Txstack.boot ~wal m ~populate:(fun v ->
+        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
   in
-  (match prepare with Some f -> f m vfs lfs | None -> ());
-  (match (sched, lfs) with
-  | Some _, Some fs -> Lfs.start_background fs
-  | _ -> ());
-  let db = Tpcb.open_db vfs ~scale in
+  (match stack.txn with Tpcb.Kernel k -> Tpcb.protect_all db k | User _ -> ());
+  let lfs = Txstack.lfs stack in
+  (match prepare with Some f -> f m stack.vfs lfs | None -> ());
+  if sched <> None then Option.iter Lfs.start_background lfs;
+  let db = Tpcb.open_db stack.vfs ~scale in
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
   let stall0 = Stats.time m.stats "cleaner.stall" in
   let result, lock_blocks, deadlocks, restarts =
     match mpl with
-    | None -> (Tpcb.run m.clock m.stats m.cfg db backend ~rng ~n:txns, 0, 0, 0)
+    | None -> (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns, 0, 0, 0)
     | Some mpl ->
-      let r = Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl in
+      let r = Tpcb.run_sched m.clock m.stats m.cfg db stack.txn ~rng ~n:txns ~mpl in
       (r.Tpcb.base, r.Tpcb.conflicts, r.Tpcb.deadlocks, r.Tpcb.restarts)
   in
   Option.iter Sched.detach sched;
@@ -243,7 +182,7 @@ let scale_json (s : Tpcb.scale) =
 let tpcb_run_json (r : tpcb_run) =
   Json.Obj
     [
-      ("setup", Json.Str (setup_key r.setup));
+      ("setup", Json.Str (Txstack.name r.setup));
       ("seed", Json.Int r.seed);
       ("txns", Json.Int r.result.Tpcb.txns);
       ("elapsed_s", Json.Float r.result.Tpcb.elapsed_s);

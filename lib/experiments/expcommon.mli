@@ -1,33 +1,12 @@
-(** Shared machinery for the paper-reproduction experiments: booting
-    machines, building TPC-B databases on either file system, running the
-    transaction phase under any of the three configurations, and small
-    statistics helpers. *)
+(** Shared machinery for the paper-reproduction experiments: running the
+    TPC-B transaction phase on any of the three stacks of {!Txstack},
+    small statistics helpers, and the [BENCH_*.json] artifacts. *)
 
-type machine = {
-  cfg : Config.t;
-  clock : Clock.t;
-  stats : Stats.t;
-  disks : Diskset.t;  (** spindles per [cfg.fs.ndisks] / [cfg.fs.log_disk] *)
-}
-
-val machine : ?route_checkpoints:bool -> Config.t -> machine
-(** Boot clock, stats and the disk set of [cfg]. [route_checkpoints]
-    (default false) is passed to {!Diskset.create}: only set it when the
-    log spindle will not host a file system of its own. *)
-
-(** The three measured configurations of Figure 4. *)
-type setup =
-  | Readopt_user  (** user-level transactions on the read-optimized FS *)
-  | Lfs_user  (** user-level transactions on LFS *)
-  | Lfs_kernel  (** the embedded transaction manager in LFS *)
-
-val setup_label : setup -> string
-
-val setup_key : setup -> string
-(** Short machine-readable slug ([ffs-user], [lfs-user], [lfs-kernel]). *)
+val wal : Txstack.wal
+(** LIBTP's pool, checkpoint interval and log file in every experiment. *)
 
 type tpcb_run = {
-  setup : setup;
+  setup : Txstack.backend;
   seed : int;
   result : Tpcb.result;
   lock_blocks : int;  (** times a process parked on a lock (0 inline) *)
@@ -39,18 +18,18 @@ type tpcb_run = {
 }
 
 val run_tpcb :
-  ?pool_pages:int ->
   ?trace:int ->
-  ?prepare:(machine -> Vfs.t -> Lfs.t option -> unit) ->
+  ?prepare:(Txstack.machine -> Vfs.t -> Lfs.t option -> unit) ->
   ?mpl:int ->
   config:Config.t ->
   scale:Tpcb.scale ->
   txns:int ->
   seed:int ->
-  setup ->
+  Txstack.backend ->
   tpcb_run
-(** Boot a fresh machine, build the database, run [txns] transactions,
-    and report throughput plus cleaner interference. Without [?mpl] the
+(** Boot a fresh machine and its stack ({!Txstack.boot}) with the
+    database built, run [txns] transactions, and report throughput plus
+    cleaner interference. Without [?mpl] the
     transactions run inline ({!Tpcb.run}); with [~mpl:n] (even [n = 1])
     the machine boots with a {!Sched} attached to its clock, the LFS
     syncer/cleaner run as background processes, and [n] worker processes

@@ -1,5 +1,5 @@
 type bar = {
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
   tps_mean : float;
   tps_sd : float;
   per_seed : float list;
@@ -13,9 +13,9 @@ type t = { bars : bar list; scale : Tpcb.scale; txns : int; config : Config.t }
 let default_tps_scale = 4
 
 let paper_value = function
-  | Expcommon.Readopt_user -> Some 12.3
-  | Expcommon.Lfs_user -> Some 13.6
-  | Expcommon.Lfs_kernel -> None (* "comparable to user level" *)
+  | Txstack.Ffs_user -> Some 12.3
+  | Txstack.Lfs_user -> Some 13.6
+  | Txstack.Lfs_kernel -> None (* "comparable to user level" *)
 
 let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
     ?(seeds = [ 1; 2; 3 ]) () =
@@ -47,7 +47,7 @@ let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
   {
     bars =
       List.map bar
-        [ Expcommon.Readopt_user; Expcommon.Lfs_user; Expcommon.Lfs_kernel ];
+        [ Txstack.Ffs_user; Txstack.Lfs_user; Txstack.Lfs_kernel ];
     scale;
     txns;
     config;
@@ -65,7 +65,7 @@ let to_json t =
              (fun b ->
                Json.Obj
                  [
-                   ("setup", Json.Str (Expcommon.setup_key b.setup));
+                   ("setup", Json.Str (Txstack.name b.setup));
                    ("tps_mean", Json.Float b.tps_mean);
                    ("tps_sd", Json.Float b.tps_sd);
                    ( "per_seed",
@@ -90,7 +90,7 @@ let print t =
   List.iter
     (fun b ->
       Printf.printf "%-30s %10.2f %8.2f %13.1fs %10s\n"
-        (Expcommon.setup_label b.setup)
+        (Txstack.label b.setup)
         b.tps_mean b.tps_sd b.cleaner_stall_mean_s
         (match b.paper_tps with Some v -> Printf.sprintf "%.1f" v | None -> "~user"))
     t.bars;
@@ -110,11 +110,11 @@ let check data =
   let num = Expcommon.num in
   let bar setup =
     Expcommon.find_point
-      [ ("setup", Json.Str (Expcommon.setup_key setup)) ]
+      [ ("setup", Json.Str (Txstack.name setup)) ]
       (Expcommon.points ~key:"bars" data)
   in
   match
-    (bar Expcommon.Readopt_user, bar Expcommon.Lfs_user, bar Expcommon.Lfs_kernel)
+    (bar Txstack.Ffs_user, bar Txstack.Lfs_user, bar Txstack.Lfs_kernel)
   with
   | Some ro, Some lu, Some lk ->
     let tps = num "tps_mean" in
@@ -124,11 +124,11 @@ let check data =
         else
           Some
             (Printf.sprintf "fig4: %s TPS (%.2f) not positive"
-               (Expcommon.setup_key setup) (tps b)))
+               (Txstack.name setup) (tps b)))
       [
-        (Expcommon.Readopt_user, ro);
-        (Expcommon.Lfs_user, lu);
-        (Expcommon.Lfs_kernel, lk);
+        (Txstack.Ffs_user, ro);
+        (Txstack.Lfs_user, lu);
+        (Txstack.Lfs_kernel, lk);
       ]
     @ (if tps lu > tps ro then []
        else

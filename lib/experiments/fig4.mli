@@ -7,7 +7,7 @@
     slightly above the user-level one. *)
 
 type bar = {
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
   tps_mean : float;
   tps_sd : float;
   per_seed : float list;

@@ -14,36 +14,33 @@ let elapsed_of phases = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 phases
 (* All three benchmarks run on LFS (the modified operating system), with
    and without the embedded transaction manager compiled in. *)
 let measure config bench =
-  let m = Expcommon.machine config in
-  let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-  let v = Lfs.vfs fs in
-  (bench m v, m.Expcommon.stats)
+  let m = Txstack.machine Txstack.Lfs_user config in
+  (bench m, m.Txstack.stats)
 
-let andrew_bench m v =
-  let t0 = Clock.now m.Expcommon.clock in
+let lfs_vfs m = Txstack.fs_vfs (Txstack.format m)
+
+let andrew_bench (m : Txstack.machine) =
+  let v = lfs_vfs m in
+  let t0 = Clock.now m.clock in
   ignore
-    (Workloads.andrew m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-       (Rng.create ~seed:5) Workloads.default_andrew);
-  Clock.now m.Expcommon.clock -. t0
+    (Workloads.andrew m.clock m.stats m.cfg v (Rng.create ~seed:5)
+       Workloads.default_andrew);
+  Clock.now m.clock -. t0
 
-let bigfile_bench m v =
+let bigfile_bench (m : Txstack.machine) =
+  let v = lfs_vfs m in
   elapsed_of
-    (Workloads.bigfile m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-       (Rng.create ~seed:5) Workloads.default_bigfile)
+    (Workloads.bigfile m.clock m.stats m.cfg v (Rng.create ~seed:5)
+       Workloads.default_bigfile)
 
-let user_tp_bench tps_scale txns m v =
+let user_tp_bench tps_scale txns (m : Txstack.machine) =
   let scale = Tpcb.scale_for_tps tps_scale in
   let rng = Rng.create ~seed:5 in
-  let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-  let env =
-    Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-      ~pool_pages:1024 ~log_path:"/tpcb/log" ()
+  let stack, db =
+    Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
+        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
   in
-  let r =
-    Tpcb.run m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg db
-      (Tpcb.User env) ~rng ~n:txns
-  in
-  r.Tpcb.elapsed_s
+  (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns).Tpcb.elapsed_s
 
 let run ?config ?(tps_scale = 2) () =
   let config =

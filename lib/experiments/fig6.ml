@@ -16,43 +16,31 @@ let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
       Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
   in
   let scale = Tpcb.scale_for_tps tps_scale in
-  let one which =
-    let m = Expcommon.machine config in
+  let one setup =
+    let m = Txstack.machine setup config in
     let rng = Rng.create ~seed in
-    let v, contiguity =
-      match which with
-      | `Readopt ->
-        let fs = Ffs.format (Diskset.primary m.Expcommon.disks) m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Ffs.vfs fs, fun () -> Some (Ffs.contiguity fs "/tpcb/account"))
-      | `Lfs ->
-        let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Lfs.vfs fs, fun () -> None)
+    let stack, db =
+      Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
+          Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
     in
-    let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-    let env =
-      Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-        ~pool_pages:1024 ~log_path:"/tpcb/log" ()
-    in
-    let r =
-      Tpcb.run m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg db
-        (Tpcb.User env) ~rng ~n:txns
-    in
+    let r = Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns in
     (* Flush everything so the scan measures the on-disk layout, not the
        caches' leftovers. *)
-    Libtp.checkpoint env;
-    v.Vfs.sync ();
-    let scan_s =
-      Workloads.scan m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v db
-    in
+    (match stack.txn with Tpcb.User env -> Libtp.checkpoint env | Kernel _ -> ());
+    stack.vfs.Vfs.sync ();
+    let scan_s = Workloads.scan m.clock m.stats m.cfg stack.vfs db in
     {
-      fs_name = v.Vfs.name;
+      fs_name = stack.vfs.Vfs.name;
       tps = r.Tpcb.tps;
       scan_s;
-      contiguity = contiguity ();
-      stats = m.Expcommon.stats;
+      contiguity =
+        (match stack.fs with
+        | Txstack.Ffs fs -> Some (Ffs.contiguity fs "/tpcb/account")
+        | Lfs _ -> None);
+      stats = m.stats;
     }
   in
-  { readopt = one `Readopt; lfs = one `Lfs; txns; config }
+  { readopt = one Txstack.Ffs_user; lfs = one Txstack.Lfs_user; txns; config }
 
 let side_json s =
   Json.Obj

@@ -44,8 +44,8 @@ let of_measurements ~(fig4 : Fig4.t) ~(fig6 : Fig6.t) =
     | None -> invalid_arg "Fig7: missing Figure 4 bar"
   in
   derive
-    ~readopt_tps:(tps Expcommon.Readopt_user)
-    ~lfs_tps:(tps Expcommon.Lfs_user)
+    ~readopt_tps:(tps Txstack.Ffs_user)
+    ~lfs_tps:(tps Txstack.Lfs_user)
     ~readopt_scan_s:fig6.Fig6.readopt.Fig6.scan_s
     ~lfs_scan_s:fig6.Fig6.lfs.Fig6.scan_s
 

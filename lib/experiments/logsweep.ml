@@ -25,7 +25,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 let default_streams = [ 1; 2; 4 ]
@@ -55,10 +55,10 @@ let force_p99s stats streams =
 
 let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
     ?(streams = default_streams) ?(mpls = default_mpls)
-    ?(setup = Expcommon.Lfs_user) () =
+    ?(setup = Txstack.Lfs_user) () =
   (* The embedded manager has no WAL: the stream count would reach no
      code and every arm would measure the same run. *)
-  if setup = Expcommon.Lfs_kernel then
+  if setup = Txstack.Lfs_kernel then
     invalid_arg "Logsweep.run: lfs-kernel has no write-ahead log";
   let base =
     Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
@@ -142,7 +142,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "logsweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
+      ("setup", Json.Str (Txstack.name t.setup));
       ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
@@ -152,7 +152,7 @@ let print t =
   Expcommon.pp_header
     (Printf.sprintf
        "Parallel-WAL sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
+       (Txstack.label t.setup)
        t.scale.Tpcb.accounts t.txns);
   Printf.printf "%7s %4s %8s %10s %8s %10s %10s  %s\n" "streams" "mpl" "TPS"
     "batch" "forces" "dep-force" "dep-check" "force p99 (ms)";

@@ -30,7 +30,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;  (** the base configuration before per-point edits *)
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 val default_streams : int list
@@ -45,11 +45,11 @@ val run :
   ?seed:int ->
   ?streams:int list ->
   ?mpls:int list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Txstack.backend ->
   unit ->
   t
-(** Default [setup] is {!Expcommon.Lfs_user}.
-    @raise Invalid_argument for {!Expcommon.Lfs_kernel}, which has no
+(** Default [setup] is {!Txstack.Lfs_user}.
+    @raise Invalid_argument for {!Txstack.Lfs_kernel}, which has no
     write-ahead log for the streams to split. *)
 
 val to_json : t -> Json.t

@@ -25,7 +25,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 let default_mpls = [ 1; 2; 4; 8; 16 ]
@@ -63,20 +63,20 @@ let with_grain config grain =
 let grain_key = function `Page -> "page" | `Record -> "record"
 
 let batch_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.commit_batch"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.commit_batch"
+  | Txstack.Lfs_kernel -> "ktxn.commit_batch"
+  | Txstack.Lfs_user | Txstack.Ffs_user -> "log.commit_batch"
 
 let flush_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.group_flushes"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.forces"
+  | Txstack.Lfs_kernel -> "ktxn.group_flushes"
+  | Txstack.Lfs_user | Txstack.Ffs_user -> "log.forces"
 
 let wait_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.group_commit_wait"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.group_commit_wait"
+  | Txstack.Lfs_kernel -> "ktxn.group_commit_wait"
+  | Txstack.Lfs_user | Txstack.Ffs_user -> "log.group_commit_wait"
 
 let lock_wait_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.lock_wait"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "txn.lock_wait"
+  | Txstack.Lfs_kernel -> "ktxn.lock_wait"
+  | Txstack.Lfs_user | Txstack.Ffs_user -> "txn.lock_wait"
 
 (* Default setup is the user-level system: that is where record-grain
    locking changes transaction behaviour end to end (the embedded kernel
@@ -84,7 +84,7 @@ let lock_wait_key = function
    whole cached frames — and only relaxes read locks). *)
 let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
     ?(mpls = default_mpls) ?(groups = default_groups)
-    ?(grains = default_grains) ?(setup = Expcommon.Lfs_user) () =
+    ?(grains = default_grains) ?(setup = Txstack.Lfs_user) () =
   let base =
     match config with
     | Some c -> c
@@ -167,7 +167,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "mplsweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
+      ("setup", Json.Str (Txstack.name t.setup));
       ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
@@ -188,7 +188,7 @@ let print t =
   Expcommon.pp_header
     (Printf.sprintf
        "MPL sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
+       (Txstack.label t.setup)
        t.scale.Tpcb.accounts t.txns);
   Printf.printf "%6s %4s %6s %10s %8s %10s %8s %8s %8s %9s\n" "grain" "mpl"
     "gsize" "timeout" "TPS" "mean" "flushes" "blocks" "dlocks" "gc wait";

@@ -31,7 +31,7 @@ type t = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
-  setup : Expcommon.setup;
+  setup : Txstack.backend;
 }
 
 val default_mpls : int list
@@ -48,10 +48,10 @@ val run :
   ?mpls:int list ->
   ?groups:(int * float) list ->
   ?grains:[ `Page | `Record ] list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Txstack.backend ->
   unit ->
   t
-(** Default [setup] is {!Expcommon.Lfs_user}: record granularity changes
+(** Default [setup] is {!Txstack.Lfs_user}: record granularity changes
     end-to-end behaviour only in the user-level system (the embedded
     kernel manager keeps page-exclusive writes). *)
 

@@ -4,113 +4,152 @@
    write in the run turns crash consistency into an exhaustively checked
    property; any failure is replayable from its (seed, crash_point). *)
 
-type backend = Lfs_kernel | Lfs_user | Ffs_user
+type workload = Pages | Tpcb
 
-let backend_name = function
-  | Lfs_kernel -> "lfs-kernel"
-  | Lfs_user -> "lfs-user"
-  | Ffs_user -> "ffs-user"
+let workloads = [ ("pages", Pages); ("tpcb", Tpcb) ]
+let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
 
-let backend_of_string = function
-  | "lfs-kernel" -> Lfs_kernel
-  | "lfs-user" -> Lfs_user
-  | "ffs-user" -> Ffs_user
-  | s -> invalid_arg ("Sweep: unknown backend " ^ s)
+type params = {
+  backend : Txstack.backend;
+  workload : workload;
+  seed : int;
+  txns : int;
+  mpl : int option;
+  ndisks : int;
+  log_disk : bool;
+  log_streams : int;
+  lock_grain : [ `Page | `Record ];
+  nblocks : int;
+}
+
+let default_nblocks = 4096
+
+let params ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
+    ?(lock_grain = `Page) ?(nblocks = default_nblocks) ?mpl workload backend
+    ~seed ~txns =
+  {
+    backend;
+    workload;
+    seed;
+    txns;
+    mpl;
+    ndisks;
+    log_disk;
+    log_streams;
+    lock_grain;
+    nblocks;
+  }
 
 (* A small machine: enough segments for the cleaner and checkpoints to
-   take part, a cache smaller than the data, and — essential for the
-   oracle — group commit disabled, so a commit's acknowledgement implies
-   its flush completed. *)
-let config ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
-    ?(lock_grain = `Page) ?(nblocks = 4096) backend =
+   take part, and a cache smaller than the data. Without [mpl] group
+   commit is disabled — essential for the oracle, so a commit's
+   acknowledgement implies its flush completed; with it the group is
+   [mpl] wide, because the rendezvous is the point of that sweep. *)
+let config r =
   let d = Config.default in
   {
     d with
-    Config.disk = { d.Config.disk with nblocks; blocks_per_cylinder = 16 };
+    Config.disk =
+      { d.Config.disk with nblocks = r.nblocks; blocks_per_cylinder = 16 };
     fs =
       {
         d.Config.fs with
-        kernel_txn = backend = Lfs_kernel;
+        kernel_txn = r.backend = Txstack.Lfs_kernel;
         segment_blocks = 32;
         cache_blocks = 128;
         cleaner_low_segments = 6;
         cleaner_high_segments = 12;
         checkpoint_segments = 4;
         syncer_interval_s = 1.0;
-        group_commit_timeout_s = 0.0;
-        ndisks;
-        log_disk;
-        log_streams;
-        lock_grain;
+        group_commit_size =
+          Option.value r.mpl ~default:d.Config.fs.group_commit_size;
+        group_commit_timeout_s = (if r.mpl = None then 0.0 else 0.02);
+        ndisks = r.ndisks;
+        log_disk = r.log_disk;
+        log_streams = r.log_streams;
+        lock_grain = r.lock_grain;
       };
   }
 
-(* Boot the spindles for a sweep machine. Only the kernel backend leaves
-   a dedicated log spindle bare (no WAL file system), so only it may
-   route the LFS checkpoint region there. *)
-let sweep_disks backend clock stats cfg =
-  Diskset.create ~route_checkpoints:(backend = Lfs_kernel) clock stats cfg
-
-let fsck_or_fail label fs' =
-  let rep = Ffs.fsck fs' in
-  if rep.Ffs.cross_allocated > 0 then
-    failwith
-      (Printf.sprintf "%s: %d cross-allocated blocks" label
-         rep.Ffs.cross_allocated)
-
-(* The WAL's home file systems: a small FFS per dedicated log spindle
-   when the config grants them (user backends only — the kernel backend
-   has no WAL; with [log_streams] > 1 there is one spindle per stream),
-   else the data file system itself. [remount] replays a crash on each
-   spindle: mount + bitmap rebuild, like any FFS. *)
-type log_home = { log_fs : Ffs.t ref; log_spindle : Disk.t }
-
-let make_log_homes backend clock stats cfg disks =
-  match backend with
-  | Lfs_kernel -> [||]
-  | _ ->
-    Array.map
-      (fun ld -> { log_fs = ref (Ffs.format ld clock stats cfg); log_spindle = ld })
-      (Diskset.log_disks disks)
-
-let crash_log_homes homes = Array.iter (fun h -> Ffs.crash !(h.log_fs)) homes
-
-let remount_log_homes clock stats cfg homes =
-  Array.iter
-    (fun h ->
-      let fs' = Ffs.mount h.log_spindle clock stats cfg in
-      fsck_or_fail "log fsck" fs';
-      h.log_fs := fs')
-    homes
-
-let log_home_vfss homes =
-  if Array.length homes = 0 then None
-  else Some (Array.map (fun h -> Ffs.vfs !(h.log_fs)) homes)
-
 type outcome = {
-  backend : backend;
-  seed : int;
+  params : params;
   crash_point : int option;
-  writes : int;  (** block writes observed while armed *)
+  writes : int;
   crashed : bool;
-  violations : string list;  (** empty = the invariant held *)
+  violations : string list;
 }
 
+(* The faultsim command line that replays [o]: every flag whose value
+   differs from the command's default, and the crash point if there is
+   one (without it the command sweeps, which repeats the base run). *)
+let recipe o =
+  let r = o.params in
+  let if_ cond s = if cond then [ s ] else [] in
+  String.concat " "
+    (List.concat
+       [
+         [
+           "--backend " ^ Txstack.name r.backend;
+           "--workload " ^ workload_name r.workload;
+           Printf.sprintf "--txns %d" r.txns;
+         ];
+         Option.to_list (Option.map (Printf.sprintf "--mpl %d") r.mpl);
+         if_ (r.ndisks <> 1) (Printf.sprintf "--ndisks %d" r.ndisks);
+         if_ r.log_disk "--log-disk";
+         if_ (r.log_streams <> 1) (Printf.sprintf "--log-streams %d" r.log_streams);
+         if_ (r.lock_grain = `Record) "--lock-grain record";
+         [ Printf.sprintf "--seed %d" r.seed ];
+         Option.to_list (Option.map (Printf.sprintf "--crash-point %d") o.crash_point);
+         if_ (r.nblocks <> default_nblocks)
+           (Printf.sprintf
+              "(and a %d-block disk, which only Sweep's ~nblocks sets)" r.nblocks);
+       ])
+
 let describe o =
-  let cp =
-    match o.crash_point with None -> "none" | Some p -> string_of_int p
+  let at =
+    match o.crash_point with
+    | None -> "fault-free run"
+    | Some p -> Printf.sprintf "crash_point=%d" p
   in
+  let name = Txstack.name o.params.backend in
   match o.violations with
   | [] ->
-    Printf.sprintf "[%s] seed=%d crash_point=%s: ok (%d writes, crashed=%b)"
-      (backend_name o.backend) o.seed cp o.writes o.crashed
+    Printf.sprintf "[%s] seed=%d %s: ok (%d writes, crashed=%b)" name
+      o.params.seed at o.writes o.crashed
   | vs ->
     Printf.sprintf
-      "[%s] DURABILITY VIOLATION at (seed=%d, crash_point=%s):\n  %s\n\
-      \  replay with: --backend %s --seed %d --crash-point %s"
-      (backend_name o.backend) o.seed cp
+      "[%s] DURABILITY VIOLATION at (seed=%d, %s):\n  %s\n  replay with: %s"
+      name o.params.seed at
       (String.concat "\n  " vs)
-      (backend_name o.backend) o.seed cp
+      (recipe o)
+
+(* Arm the injector on every spindle, run [work] until it returns or the
+   power fails, disarm, then crash and recover the stack and collect
+   what the structural check and [check] find in the recovered file
+   system. *)
+let crash_cycle r ?crash_point stack ~rng ~work ~check =
+  let arm =
+    Faultsim.arm ?crash_after:crash_point ~read_error_rate:0.02
+      ~rng:(Rng.split rng) stack.Txstack.machine.disks
+  in
+  let crashed, workload_err =
+    match work () with
+    | () -> (false, [])
+    | exception Disk.Injected_crash -> (true, [])
+    | exception e -> (false, [ "workload: " ^ Printexc.to_string e ])
+  in
+  let writes = Faultsim.writes arm in
+  Faultsim.disarm arm;
+  let recovered =
+    try
+      let vfs, structural = Txstack.crash_and_recover stack in
+      (match structural () with
+      | () -> []
+      | exception e -> [ "structural check: " ^ Printexc.to_string e ])
+      @ check vfs
+    with e -> [ "recovery failed: " ^ Printexc.to_string e ]
+  in
+  { params = r; crash_point; writes; crashed; violations = workload_err @ recovered }
 
 (* Page-level workload ---------------------------------------------------- *)
 
@@ -139,14 +178,6 @@ type txn_ops = {
   tabort : unit -> unit;
 }
 
-type recovered = {
-  rread : string -> int -> bytes;  (* one page, zero-padded *)
-  rsize : string -> int;
-  structural : unit -> unit;  (* raises on structural corruption *)
-}
-
-type session = { begin_txn : unit -> txn_ops; recover : unit -> recovered }
-
 let pad_page ps b =
   if Bytes.length b = ps then b
   else begin
@@ -155,18 +186,9 @@ let pad_page ps b =
     out
   end
 
-let vfs_reader ps (v : Vfs.t) structural =
-  {
-    rread =
-      (fun f p ->
-        pad_page ps (v.Vfs.read (v.Vfs.open_file f) ~off:(p * ps) ~len:ps));
-    rsize = (fun f -> v.Vfs.size (v.Vfs.open_file f));
-    structural;
-  }
-
 (* Create the working files and give every page committed initial
-   contents, recorded as setup writes; the caller makes them durable
-   before arming the injector. *)
+   contents, recorded as setup writes; they are durable before the
+   injector is armed. *)
 let setup_pages oracle model fresh_page (v : Vfs.t) ps =
   List.iter
     (fun path ->
@@ -177,116 +199,48 @@ let setup_pages oracle model fresh_page (v : Vfs.t) ps =
         Hashtbl.replace model (path, p) data;
         Oracle.record oracle (Oracle.Setup_write { file = path; page = p; data })
       done)
-    files;
-  ignore ps
+    files
 
-let session_lfs_kernel clock stats disks cfg oracle model fresh_page =
-  let ps = cfg.Config.disk.block_size in
-  let fs = Lfs.format disks clock stats cfg in
-  let v = Lfs.vfs fs in
-  setup_pages oracle model fresh_page v ps;
-  let kt = Ktxn.create fs in
-  List.iter (fun f -> Ktxn.protect kt f) files;
-  Lfs.sync fs;
-  let inums = List.map (fun f -> (f, Lfs.inum_of fs f)) files in
-  let inum f = List.assoc f inums in
-  {
-    begin_txn =
-      (fun () ->
-        let h = Ktxn.txn_begin kt in
-        {
-          id = Ktxn.txn_id h;
-          twrite = (fun f p d -> Ktxn.write_page kt h ~inum:(inum f) ~page:p d);
-          tread =
-            (fun f p -> Bytes.copy (Ktxn.read_page kt h ~inum:(inum f) ~page:p));
-          tcommit = (fun () -> Ktxn.txn_commit kt h);
-          tabort = (fun () -> Ktxn.txn_abort kt h);
-        });
-    recover =
-      (fun () ->
-        Lfs.crash fs;
-        let fs' = Lfs.mount disks clock stats cfg in
-        vfs_reader ps (Lfs.vfs fs') (fun () -> Lfs.check fs'));
-  }
-
-let session_libtp backend clock stats disks cfg oracle model fresh_page ~on_lfs =
-  let ps = cfg.Config.disk.block_size in
-  let homes = make_log_homes backend clock stats cfg disks in
-  let log_path = if Array.length homes = 0 then "/wal.log" else "/log" in
-  let open_env v =
-    Libtp.open_env clock stats cfg v ?log_vfss:(log_home_vfss homes)
-      ~pool_pages:16 ~checkpoint_every:25 ~log_path ()
-  in
-  let crash_fs, mount_fs, v =
-    if on_lfs then begin
-      let fs = Lfs.format disks clock stats cfg in
-      ( (fun () -> Lfs.crash fs),
-        (fun () ->
-          let fs' = Lfs.mount disks clock stats cfg in
-          (Lfs.vfs fs', fun () -> Lfs.check fs')),
-        Lfs.vfs fs )
-    end
-    else begin
-      let fs = Ffs.format (Diskset.primary disks) clock stats cfg in
-      ( (fun () -> Ffs.crash fs),
-        (fun () ->
-          let fs' = Ffs.mount (Diskset.primary disks) clock stats cfg in
-          (* The on-disk bitmap is stale after any crash (delayed
-             writes); rebuild it from the inodes before anything
-             allocates. Cross-allocation would be real corruption. *)
-          fsck_or_fail "fsck" fs';
-          (Ffs.vfs fs', fun () -> fsck_or_fail "fsck" fs')),
-        Ffs.vfs fs )
-    end
-  in
-  setup_pages oracle model fresh_page v ps;
-  v.Vfs.sync ();
-  Array.iter (fun h -> (Ffs.vfs !(h.log_fs)).Vfs.sync ()) homes;
-  let env = open_env v in
-  let fd = List.map (fun f -> (f, v.Vfs.open_file f)) files in
-  let fd f = List.assoc f fd in
-  {
-    begin_txn =
-      (fun () ->
-        let h = Libtp.begin_txn env in
-        {
-          id = Libtp.txn_id h;
-          twrite = (fun f p d -> Libtp.write_page env h ~file:(fd f) ~page:p d);
-          tread =
-            (fun f p -> Bytes.copy (Libtp.read_page env h ~file:(fd f) ~page:p));
-          tcommit = (fun () -> Libtp.commit env h);
-          tabort = (fun () -> Libtp.abort env h);
-        });
-    recover =
-      (fun () ->
-        crash_fs ();
-        crash_log_homes homes;
-        remount_log_homes clock stats cfg homes;
-        let v', structural = mount_fs () in
-        (* Re-opening the environment replays the log: redo committed
-           updates, undo losers, checkpoint (which flushes the pool, so
-           plain file reads below see recovered state). *)
-        ignore (open_env v');
-        vfs_reader ps v' structural);
-  }
-
-let make_session backend clock stats disks cfg oracle model fresh_page =
-  match backend with
-  | Lfs_kernel -> session_lfs_kernel clock stats disks cfg oracle model fresh_page
-  | Lfs_user ->
-    session_libtp backend clock stats disks cfg oracle model fresh_page
-      ~on_lfs:true
-  | Ffs_user ->
-    session_libtp backend clock stats disks cfg oracle model fresh_page
-      ~on_lfs:false
+(* One page transaction's operations on either manager. *)
+let page_txns (stack : Txstack.t) =
+  match stack.txn with
+  | Tpcb.Kernel kt ->
+    let fs = Option.get (Txstack.lfs stack) in
+    List.iter (Ktxn.protect kt) files;
+    Lfs.sync fs;
+    let inums = List.map (fun f -> (f, Lfs.inum_of fs f)) files in
+    let inum f = List.assoc f inums in
+    fun () ->
+      let h = Ktxn.txn_begin kt in
+      {
+        id = Ktxn.txn_id h;
+        twrite = (fun f p d -> Ktxn.write_page kt h ~inum:(inum f) ~page:p d);
+        tread =
+          (fun f p -> Bytes.copy (Ktxn.read_page kt h ~inum:(inum f) ~page:p));
+        tcommit = (fun () -> Ktxn.txn_commit kt h);
+        tabort = (fun () -> Ktxn.txn_abort kt h);
+      }
+  | Tpcb.User env ->
+    let fds = List.map (fun f -> (f, stack.vfs.Vfs.open_file f)) files in
+    let fd f = List.assoc f fds in
+    fun () ->
+      let h = Libtp.begin_txn env in
+      {
+        id = Libtp.txn_id h;
+        twrite = (fun f p d -> Libtp.write_page env h ~file:(fd f) ~page:p d);
+        tread =
+          (fun f p -> Bytes.copy (Libtp.read_page env h ~file:(fd f) ~page:p));
+        tcommit = (fun () -> Libtp.commit env h);
+        tabort = (fun () -> Libtp.abort env h);
+      }
 
 (* One transaction mixes a few page writes with reads that are verified
    live against the acknowledged model (committed state + own writes) —
    so corruption visible before any crash is caught too. *)
-let run_pages session oracle rng fresh_page model ~ps ~txns =
+let run_pages begin_txn oracle rng fresh_page model ~ps ~txns =
   let zeros = Bytes.make ps '\000' in
   for _ = 1 to txns do
-    let t = session.begin_txn () in
+    let t = begin_txn () in
     Oracle.record oracle (Oracle.Txn_begin t.id);
     let pending = Hashtbl.create 4 in
     let nops = 1 + Rng.int rng 4 in
@@ -327,13 +281,14 @@ let run_pages session oracle rng fresh_page model ~ps ~txns =
     end
   done
 
+let pages_wal =
+  { Txstack.pool_pages = 16; checkpoint_every = 25; log_path = "/wal.log" }
+
 let run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point () =
-  let cfg = config ?ndisks ?log_disk ?log_streams backend in
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  let disks = sweep_disks backend clock stats cfg in
+  let r = params ?ndisks ?log_disk ?log_streams Pages backend ~seed ~txns in
+  let m = Txstack.machine backend (config r) in
   let rng = Rng.create ~seed in
-  let ps = cfg.Config.disk.block_size in
+  let ps = m.cfg.Config.disk.block_size in
   let stamp = ref 0 in
   let fresh_page () =
     incr stamp;
@@ -341,32 +296,23 @@ let run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point () =
   in
   let oracle = Oracle.create ~page_size:ps in
   let model = Hashtbl.create 64 in
-  let session = make_session backend clock stats disks cfg oracle model fresh_page in
-  let arm =
-    Faultsim.arm ?crash_after:crash_point ~read_error_rate:0.02
-      ~rng:(Rng.split rng) disks
+  let stack, () =
+    Txstack.boot ~wal:pages_wal m ~populate:(fun v ->
+        setup_pages oracle model fresh_page v ps;
+        (* LIBTP opens on a durable image; the embedded manager's files
+           are synced once it protects them. *)
+        if backend <> Txstack.Lfs_kernel then v.Vfs.sync ())
   in
-  let crashed, workload_err =
-    match run_pages session oracle rng fresh_page model ~ps ~txns with
-    | () -> (false, None)
-    | exception Disk.Injected_crash -> (true, None)
-    | exception e -> (false, Some (Printexc.to_string e))
-  in
-  let writes = Faultsim.writes arm in
-  Faultsim.disarm arm;
-  let violations =
-    ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])
-  in
-  let push m = violations := m :: !violations in
-  (try
-     let r = session.recover () in
-     (try r.structural ()
-      with e -> push ("structural check: " ^ Printexc.to_string e));
-     List.iter
-       (fun v -> push (Format.asprintf "%a" Oracle.pp_violation v))
-       (Oracle.check oracle ~read_page:r.rread ~size:r.rsize)
-   with e -> push ("recovery failed: " ^ Printexc.to_string e));
-  { backend; seed; crash_point; writes; crashed; violations = List.rev !violations }
+  let begin_txn = page_txns stack in
+  crash_cycle r ?crash_point stack ~rng
+    ~work:(fun () -> run_pages begin_txn oracle rng fresh_page model ~ps ~txns)
+    ~check:(fun v ->
+      List.map
+        (Format.asprintf "%a" Oracle.pp_violation)
+        (Oracle.check oracle
+           ~read_page:(fun f p ->
+             pad_page ps (v.Vfs.read (v.Vfs.open_file f) ~off:(p * ps) ~len:ps))
+           ~size:(fun f -> v.Vfs.size (v.Vfs.open_file f))))
 
 (* TPC-B workload --------------------------------------------------------- *)
 
@@ -377,231 +323,60 @@ let run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point () =
    system's structural checker. *)
 let tpcb_scale = { Tpcb.accounts = 200; tellers = 10; branches = 2 }
 
-let run_one_tpcb ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point
-    () =
-  let cfg = config ?ndisks ?log_disk ?log_streams backend in
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  let disks = sweep_disks backend clock stats cfg in
-  let rng = Rng.create ~seed in
-  let scale = tpcb_scale in
-  let homes = make_log_homes backend clock stats cfg disks in
-  let open_env v =
-    Libtp.open_env clock stats cfg v ?log_vfss:(log_home_vfss homes)
-      ~pool_pages:64 ~checkpoint_every:50
-      ~log_path:(if Array.length homes = 0 then "/tpcb.log" else "/log")
-      ()
-  in
-  let recover_log () =
-    crash_log_homes homes;
-    remount_log_homes clock stats cfg homes
-  in
-  let bh, db, recover =
-    match backend with
-    | Lfs_kernel ->
-      let fs = Lfs.format disks clock stats cfg in
-      let db = Tpcb.build clock stats cfg (Lfs.vfs fs) ~rng ~scale in
-      let kt = Ktxn.create fs in
-      Tpcb.protect_all db kt;
-      ( Tpcb.Kernel kt,
-        db,
-        fun () ->
-          Lfs.crash fs;
-          let fs' = Lfs.mount disks clock stats cfg in
-          (Lfs.vfs fs', fun () -> Lfs.check fs') )
-    | Lfs_user ->
-      let fs = Lfs.format disks clock stats cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      ( Tpcb.User env,
-        db,
-        fun () ->
-          Lfs.crash fs;
-          recover_log ();
-          let fs' = Lfs.mount disks clock stats cfg in
-          let v' = Lfs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> Lfs.check fs') )
-    | Ffs_user ->
-      let fs = Ffs.format (Diskset.primary disks) clock stats cfg in
-      let v = Ffs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      ( Tpcb.User env,
-        db,
-        fun () ->
-          Ffs.crash fs;
-          recover_log ();
-          let fs' = Ffs.mount (Diskset.primary disks) clock stats cfg in
-          fsck_or_fail "fsck" fs';
-          let v' = Ffs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> ()) )
-  in
-  let arm =
-    Faultsim.arm ?crash_after:crash_point ~read_error_rate:0.02
-      ~rng:(Rng.split rng) disks
-  in
-  let acked = ref 0 in
-  let crashed, workload_err =
-    try
-      for _ = 1 to txns do
-        ignore (Tpcb.run clock stats cfg db bh ~rng ~n:1);
-        incr acked
-      done;
-      (false, None)
-    with
-    | Disk.Injected_crash -> (true, None)
-    | e -> (false, Some (Printexc.to_string e))
-  in
-  let writes = Faultsim.writes arm in
-  Faultsim.disarm arm;
-  let violations =
-    ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])
-  in
-  let push m = violations := m :: !violations in
-  (try
-     let v, structural = recover () in
-     (try structural ()
-      with e -> push ("structural check: " ^ Printexc.to_string e));
-     let db' = Tpcb.open_db v ~scale in
-     (try Tpcb.check_consistency clock stats cfg db' v
-      with e -> push ("tpcb consistency: " ^ Printexc.to_string e));
-     let h = Tpcb.history_count clock stats cfg db' v in
-     (* Every acknowledged commit is durable; at most the one in-flight
-        transaction may have landed beyond them. *)
-     if h < !acked || h > !acked + 1 then
-       push
-         (Printf.sprintf "history count %d outside [%d, %d]" h !acked
-            (!acked + 1))
-   with e -> push ("recovery failed: " ^ Printexc.to_string e));
-  { backend; seed; crash_point; writes; crashed; violations = List.rev !violations }
+let tpcb_wal =
+  { Txstack.pool_pages = 64; checkpoint_every = 50; log_path = "/tpcb.log" }
 
-(* TPC-B at MPL > 1: the same oracle under real concurrency. Worker
-   processes on the discrete-event scheduler park at the group-commit
-   rendezvous, so a crash point can land mid-batch — some committers
-   flushed but not yet resumed, others parked with nothing durable.
-   Acknowledgement is [txn_commit] returning (a parked committer wakes
-   only after its batch's force), so every acknowledged commit must
-   survive recovery; beyond them at most [mpl] in-flight transactions
-   may have landed. *)
-let run_one_tpcb_mpl ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
-    backend ~seed ~txns ~mpl ?crash_point () =
-  let cfg = config ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks backend in
-  (* Group commit on — the rendezvous is the point of this sweep. *)
-  let cfg =
-    {
-      cfg with
-      Config.fs =
-        {
-          cfg.Config.fs with
-          group_commit_size = mpl;
-          group_commit_timeout_s = 0.02;
-        };
-    }
+(* Without [mpl] the transactions run inline, one after another. With
+   it, worker processes on the discrete-event scheduler park at the
+   group-commit rendezvous, so a crash point can land mid-batch — some
+   committers flushed but not yet resumed, others parked with nothing
+   durable. Either way a commit is acknowledged when [txn_commit]
+   returns (a parked committer wakes only after its batch's force), and
+   every acknowledged commit must survive recovery; beyond them at most
+   the [mpl] in-flight transactions (one, inline) may have landed. *)
+let run_one_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl
+    backend ~seed ~txns ?crash_point () =
+  let r =
+    params ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl Tpcb backend
+      ~seed ~txns
   in
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  let disks = sweep_disks backend clock stats cfg in
-  let sched = Sched.create clock in
+  let m = Txstack.machine backend (config r) in
+  let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
-  let scale = tpcb_scale in
-  let homes = make_log_homes backend clock stats cfg disks in
-  let open_env v =
-    Libtp.open_env clock stats cfg v ?log_vfss:(log_home_vfss homes)
-      ~pool_pages:64 ~checkpoint_every:50
-      ~log_path:(if Array.length homes = 0 then "/tpcb.log" else "/log")
-      ()
+  let stack, db =
+    Txstack.boot ~wal:tpcb_wal m ~populate:(fun v ->
+        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale:tpcb_scale)
   in
-  let recover_log () =
-    crash_log_homes homes;
-    remount_log_homes clock stats cfg homes
+  (match stack.txn with Tpcb.Kernel kt -> Tpcb.protect_all db kt | User _ -> ());
+  if sched <> None then Option.iter Lfs.start_background (Txstack.lfs stack);
+  let work () =
+    (* Recovery must run on the no-scheduler paths. *)
+    Fun.protect ~finally:(fun () -> Option.iter Sched.detach sched) (fun () ->
+        match mpl with
+        | None -> ignore (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns)
+        | Some mpl ->
+          ignore (Tpcb.run_sched m.clock m.stats m.cfg db stack.txn ~rng ~n:txns ~mpl))
   in
-  let bh, db, _vfs, recover =
-    match backend with
-    | Lfs_kernel ->
-      let fs = Lfs.format disks clock stats cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let kt = Ktxn.create fs in
-      Tpcb.protect_all db kt;
-      Lfs.start_background fs;
-      ( Tpcb.Kernel kt,
-        db,
-        v,
-        fun () ->
-          Lfs.crash fs;
-          let fs' = Lfs.mount disks clock stats cfg in
-          (Lfs.vfs fs', fun () -> Lfs.check fs') )
-    | Lfs_user ->
-      let fs = Lfs.format disks clock stats cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      Lfs.start_background fs;
-      ( Tpcb.User env,
-        db,
-        v,
-        fun () ->
-          Lfs.crash fs;
-          recover_log ();
-          let fs' = Lfs.mount disks clock stats cfg in
-          let v' = Lfs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> Lfs.check fs') )
-    | Ffs_user ->
-      let fs = Ffs.format (Diskset.primary disks) clock stats cfg in
-      let v = Ffs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      ( Tpcb.User env,
-        db,
-        v,
-        fun () ->
-          Ffs.crash fs;
-          recover_log ();
-          let fs' = Ffs.mount (Diskset.primary disks) clock stats cfg in
-          fsck_or_fail "fsck" fs';
-          let v' = Ffs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> ()) )
+  let check v =
+    (* The TPC-B workers bump "tpcb.commits" as soon as [txn_commit] returns,
+       with no intervening yield — exactly the acknowledgement point —
+       and recovery runs no transaction. *)
+    let acked = Stats.count m.stats "tpcb.commits" in
+    let inflight = Option.value mpl ~default:1 in
+    let db' = Tpcb.open_db v ~scale:tpcb_scale in
+    let consistency =
+      match Tpcb.check_consistency m.clock m.stats m.cfg db' v with
+      | () -> []
+      | exception e -> [ "tpcb consistency: " ^ Printexc.to_string e ]
+    in
+    let h = Tpcb.history_count m.clock m.stats m.cfg db' v in
+    consistency
+    @
+    if h < acked || h > acked + inflight then
+      [ Printf.sprintf "history count %d outside [%d, %d]" h acked (acked + inflight) ]
+    else []
   in
-  let arm =
-    Faultsim.arm ?crash_after:crash_point ~read_error_rate:0.02
-      ~rng:(Rng.split rng) disks
-  in
-  let crashed, workload_err =
-    match Tpcb.run_sched clock stats cfg db bh ~rng ~n:txns ~mpl with
-    | (_ : Tpcb.multi_result) -> (false, None)
-    | exception Disk.Injected_crash -> (true, None)
-    | exception e -> (false, Some (Printexc.to_string e))
-  in
-  (* Workers bump "tpcb.commits" immediately after [txn_commit] returns,
-     with no intervening yield — exactly the acknowledgement point. *)
-  let acked = Stats.count stats "tpcb.commits" in
-  let writes = Faultsim.writes arm in
-  Faultsim.disarm arm;
-  (* Recovery must run on the no-scheduler paths. *)
-  Sched.detach sched;
-  let violations =
-    ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])
-  in
-  let push m = violations := m :: !violations in
-  (try
-     let v, structural = recover () in
-     (try structural ()
-      with e -> push ("structural check: " ^ Printexc.to_string e));
-     let db' = Tpcb.open_db v ~scale in
-     (try Tpcb.check_consistency clock stats cfg db' v
-      with e -> push ("tpcb consistency: " ^ Printexc.to_string e));
-     let h = Tpcb.history_count clock stats cfg db' v in
-     if h < acked || h > acked + mpl then
-       push
-         (Printf.sprintf "history count %d outside [%d, %d]" h acked
-            (acked + mpl))
-   with e -> push ("recovery failed: " ^ Printexc.to_string e));
-  { backend; seed; crash_point; writes; crashed; violations = List.rev !violations }
+  crash_cycle r ?crash_point stack ~rng ~work ~check
 
 (* Sweeping --------------------------------------------------------------- *)
 
@@ -638,22 +413,12 @@ let sweep_runs ?(progress = fun (_ : outcome) -> ()) run ~points =
 
 let sweep ?progress ?ndisks ?log_disk ?log_streams backend ~seed ~txns ~points =
   sweep_runs ?progress
-    (fun ?crash_point () ->
-      run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point ())
+    (run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns)
     ~points
 
-let sweep_tpcb ?progress ?ndisks ?log_disk ?log_streams backend ~seed ~txns
-    ~points =
+let sweep_tpcb ?progress ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
+    ?mpl backend ~seed ~txns ~points =
   sweep_runs ?progress
-    (fun ?crash_point () ->
-      run_one_tpcb ?ndisks ?log_disk ?log_streams backend ~seed ~txns
-        ?crash_point ())
-    ~points
-
-let sweep_tpcb_mpl ?progress ?ndisks ?log_disk ?log_streams ?lock_grain
-    ?nblocks backend ~seed ~txns ~mpl ~points =
-  sweep_runs ?progress
-    (fun ?crash_point () ->
-      run_one_tpcb_mpl ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
-        backend ~seed ~txns ~mpl ?crash_point ())
+    (run_one_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl
+       backend ~seed ~txns)
     ~points

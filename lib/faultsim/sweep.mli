@@ -2,37 +2,52 @@
 
     A sweep first runs a seeded workload fault-free to count its block
     writes, then repeats it once per chosen crash point: the injector
-    cuts the power after exactly that many writes, the file system and
-    transaction environment recover, and the oracle checks the
-    durability invariant. Everything is deterministic, so a reported
-    failure replays from its [(seed, crash_point)] pair alone. *)
+    cuts the power after exactly that many writes, {!Txstack} crashes
+    and recovers the stack, and the oracle checks the durability
+    invariant. Everything is deterministic, so a reported failure
+    replays from its parameters and crash point alone. *)
 
-(** Which stack executes the workload: the embedded (kernel) transaction
-    manager on LFS, or LIBTP on either file system. *)
-type backend = Lfs_kernel | Lfs_user | Ffs_user
+type workload = Pages | Tpcb
 
-val backend_name : backend -> string
+val workloads : (string * workload) list
+(** [pages] and [tpcb], as the faultsim command names them. *)
 
-val backend_of_string : string -> backend
-(** Inverse of {!backend_name}. @raise Invalid_argument on others. *)
+val workload_name : workload -> string
+
+(** Everything a run depends on besides its crash point. *)
+type params = {
+  backend : Txstack.backend;
+  workload : workload;
+  seed : int;
+  txns : int;
+  mpl : int option;  (** [None]: inline, no scheduler *)
+  ndisks : int;
+  log_disk : bool;
+  log_streams : int;
+  lock_grain : [ `Page | `Record ];
+  nblocks : int;  (** disk size in blocks *)
+}
 
 type outcome = {
-  backend : backend;
-  seed : int;
-  crash_point : int option;
+  params : params;
+  crash_point : int option;  (** [None]: the fault-free base run *)
   writes : int;  (** block writes observed while armed *)
   crashed : bool;
   violations : string list;  (** empty = the invariant held *)
 }
 
 val describe : outcome -> string
-(** One human-readable report; violations include the replay recipe. *)
+(** One human-readable report. A violation's report ends with the
+    faultsim command line that replays it: [--backend], [--workload],
+    [--txns] and [--seed], every other flag whose value differs from
+    the command's default, and [--crash-point] unless this is the base
+    run. *)
 
 val run_one :
   ?ndisks:int ->
   ?log_disk:bool ->
   ?log_streams:int ->
-  backend ->
+  Txstack.backend ->
   seed:int ->
   txns:int ->
   ?crash_point:int ->
@@ -47,13 +62,17 @@ val run_one :
     spindle carries a small FFS holding a WAL stream, crashed,
     remounted and fsck'd along with the data file system.
     [log_streams] (default 1) runs that many parallel WAL streams —
-    with [log_disk], one spindle each. *)
+    with [log_disk], one spindle each. Group commit is off, so an
+    acknowledged commit has been flushed. *)
 
 val run_one_tpcb :
   ?ndisks:int ->
   ?log_disk:bool ->
   ?log_streams:int ->
-  backend ->
+  ?lock_grain:[ `Page | `Record ] ->
+  ?nblocks:int ->
+  ?mpl:int ->
+  Txstack.backend ->
   seed:int ->
   txns:int ->
   ?crash_point:int ->
@@ -61,29 +80,19 @@ val run_one_tpcb :
   outcome
 (** Same, driving [txns] TPC-B transactions on a small database; after
     recovery the balance-consistency identity must hold and the history
-    count must lie in [acked, acked+1]. *)
+    count must lie in [[acked, acked + 1]].
 
-val run_one_tpcb_mpl :
-  ?ndisks:int ->
-  ?log_disk:bool ->
-  ?log_streams:int ->
-  ?lock_grain:[ `Page | `Record ] ->
-  ?nblocks:int ->
-  backend ->
-  seed:int ->
-  txns:int ->
-  mpl:int ->
-  ?crash_point:int ->
-  unit ->
-  outcome
-(** TPC-B at multiprogramming level [mpl] on the discrete-event
-    scheduler with group commit enabled (size [mpl], 20 ms timeout), so
-    crash points land mid-rendezvous. An acknowledged commit is one
-    whose [txn_commit] returned — a parked committer wakes only after
-    its batch's force — so after recovery the history count must lie in
-    [acked, acked + mpl]. [lock_grain] (default [`Page]) selects the
+    With [mpl] the transactions run in that many worker processes on the
+    discrete-event scheduler with group commit enabled (size [mpl],
+    20 ms timeout), so crash points land mid-rendezvous. An acknowledged
+    commit is one whose [txn_commit] returned — a parked committer wakes
+    only after its batch's force — so the history count must lie in
+    [[acked, acked + mpl]]. [lock_grain] (default [`Page]) selects the
     locking granularity; at [`Record] aborted history appends leave
-    zeroed holes, which the oracle's hole-tolerant count skips. *)
+    zeroed holes, which the oracle's hole-tolerant count skips.
+    [nblocks] (default 4096) sizes the disk: shrinking it puts the run
+    under live cleaning pressure, so crash points land inside segment
+    cleaning and hot/cold relocation. *)
 
 type sweep_result = {
   total_writes : int;  (** crash points available in the run *)
@@ -96,25 +105,17 @@ val sweep :
   ?ndisks:int ->
   ?log_disk:bool ->
   ?log_streams:int ->
-  backend -> seed:int -> txns:int -> points:int -> sweep_result
-(** Sweep the page workload. [points <= 0] (or >= the write count) runs
-    every crash point; otherwise [points] evenly spaced ones. *)
+  Txstack.backend -> seed:int -> txns:int -> points:int -> sweep_result
+(** Sweep {!run_one}. [points <= 0] (or >= the write count) runs every
+    crash point; otherwise [points] evenly spaced ones. *)
 
 val sweep_tpcb :
   ?progress:(outcome -> unit) ->
   ?ndisks:int ->
   ?log_disk:bool ->
   ?log_streams:int ->
-  backend -> seed:int -> txns:int -> points:int -> sweep_result
-
-val sweep_tpcb_mpl :
-  ?progress:(outcome -> unit) ->
-  ?ndisks:int ->
-  ?log_disk:bool ->
-  ?log_streams:int ->
   ?lock_grain:[ `Page | `Record ] ->
   ?nblocks:int ->
-  backend -> seed:int -> txns:int -> mpl:int -> points:int -> sweep_result
-(** Sweep {!run_one_tpcb_mpl}. [nblocks] (default 4096) sizes the disk:
-    shrinking it puts the run under live cleaning pressure, so crash
-    points land inside segment cleaning and hot/cold relocation. *)
+  ?mpl:int ->
+  Txstack.backend -> seed:int -> txns:int -> points:int -> sweep_result
+(** Sweep {!run_one_tpcb}. *)

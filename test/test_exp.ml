@@ -41,7 +41,7 @@ let test_fig7_crossover_math () =
       Fig4.bars =
         [
           {
-            Fig4.setup = Expcommon.Readopt_user;
+            Fig4.setup = Txstack.Ffs_user;
             tps_mean = 10.0;
             tps_sd = 0.0;
             per_seed = [ 10.0 ];
@@ -50,7 +50,7 @@ let test_fig7_crossover_math () =
             runs = [];
           };
           {
-            Fig4.setup = Expcommon.Lfs_user;
+            Fig4.setup = Txstack.Lfs_user;
             tps_mean = 12.5;
             tps_sd = 0.0;
             per_seed = [ 12.5 ];
@@ -114,7 +114,7 @@ let test_fig7_no_crossover () =
   (* LFS faster at everything: no crossover. *)
   let fig4 =
     {
-      Fig4.bars = [ bar Expcommon.Readopt_user 10.0; bar Expcommon.Lfs_user 12.0 ];
+      Fig4.bars = [ bar Txstack.Ffs_user 10.0; bar Txstack.Lfs_user 12.0 ];
       scale = Tpcb.scale_for_tps 1;
       txns = 0;
       config = Config.default;
@@ -190,7 +190,7 @@ let test_cleanersweep_shape () =
        s.Cleanersweep.points)
 
 let test_logsweep_rejects_kernel () =
-  match Logsweep.run ~txns:1 ~setup:Expcommon.Lfs_kernel () with
+  match Logsweep.run ~txns:1 ~setup:Txstack.Lfs_kernel () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "logsweep ran on lfs-kernel, which has no WAL"
 

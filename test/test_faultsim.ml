@@ -59,13 +59,50 @@ let test_rate_without_rng_rejected () =
 (* Every run is a pure function of (seed, crash_point): replaying one
    must reproduce the identical outcome, byte counts and all. *)
 let test_replay_is_deterministic () =
-  let run () = Sweep.run_one Sweep.Lfs_kernel ~seed:9 ~txns:5 ~crash_point:37 () in
+  let run () = Sweep.run_one Txstack.Lfs_kernel ~seed:9 ~txns:5 ~crash_point:37 () in
   let a = run () and b = run () in
   Alcotest.(check string) "identical outcome" (Sweep.describe a)
     (Sweep.describe b);
   Alcotest.(check int) "identical write counts" a.Sweep.writes b.Sweep.writes;
   Alcotest.(check bool) "both crashed the same way" a.Sweep.crashed
     b.Sweep.crashed
+
+(* A violation's report ends with the command line that replays it.
+   Every parameter of the run must be on it: the flags that differ from
+   the command's defaults, the workload and transaction count, and the
+   crash point. *)
+let test_recipe_names_every_parameter () =
+  let o =
+    Sweep.run_one_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
+      ~lock_grain:`Record ~mpl:2 Txstack.Lfs_user ~seed:11 ~txns:6
+      ~crash_point:5 ()
+  in
+  let report = Sweep.describe { o with Sweep.violations = [ "injected" ] } in
+  List.iter
+    (fun flag ->
+      if not (Tutil.contains report flag) then
+        Alcotest.failf "recipe lacks %S:\n%s" flag report)
+    [
+      "--backend lfs-user"; "--workload tpcb"; "--txns 6"; "--mpl 2";
+      "--ndisks 2"; "--log-disk"; "--log-streams 2"; "--lock-grain record";
+      "--seed 11"; "--crash-point 5";
+    ]
+
+(* A fault-free base run has no crash point: its recipe omits the flag
+   (the command then sweeps, which repeats the base run) rather than
+   printing a value the command rejects. *)
+let test_base_run_recipe () =
+  let o = Sweep.run_one Txstack.Ffs_user ~seed:7 ~txns:3 () in
+  let report = Sweep.describe { o with Sweep.violations = [ "injected" ] } in
+  List.iter
+    (fun (what, sub, present) ->
+      Alcotest.(check bool) what present (Tutil.contains report sub))
+    [
+      ("replays the page workload", "--workload pages --txns 3", true);
+      ("no crash point", "--crash-point", false);
+      ("no none", "none", false);
+      ("defaults omitted", "--mpl", false);
+    ]
 
 (* Sweeps --------------------------------------------------------------- *)
 
@@ -83,28 +120,28 @@ let sweep_pages backend () =
 
 let sweep_tpcb_kernel () =
   if full then begin
-    let r = Sweep.sweep_tpcb Sweep.Lfs_kernel ~seed:1 ~txns:40 ~points:0 in
+    let r = Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:1 ~txns:40 ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Sweep.Lfs_kernel ~seed:1 ~txns:5 ~points:8)
+  else assert_clean (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:1 ~txns:5 ~points:8)
 
 let sweep_tpcb_ffs () =
   if full then begin
-    let r = Sweep.sweep_tpcb Sweep.Ffs_user ~seed:1 ~txns:100 ~points:0 in
+    let r = Sweep.sweep_tpcb Txstack.Ffs_user ~seed:1 ~txns:100 ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Sweep.Ffs_user ~seed:1 ~txns:6 ~points:8)
+  else assert_clean (Sweep.sweep_tpcb Txstack.Ffs_user ~seed:1 ~txns:6 ~points:8)
 
 let sweep_tpcb_lfs_user () =
-  assert_clean (Sweep.sweep_tpcb Sweep.Lfs_user ~seed:2 ~txns:5 ~points:8)
+  assert_clean (Sweep.sweep_tpcb Txstack.Lfs_user ~seed:2 ~txns:5 ~points:8)
 
 (* MPL 2 on the discrete-event scheduler with group commit enabled:
    crash points land mid-rendezvous, with one committer possibly
@@ -113,10 +150,10 @@ let sweep_tpcb_lfs_user () =
 let sweep_tpcb_mpl2 () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:3 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:3 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:3 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:3 ~txns:6 ~mpl:2 ~points:10)
 
 (* Multi-spindle crash coverage: two striped data disks plus a dedicated
    log spindle, MPL 2. A crash now interrupts I/O that spans spindles —
@@ -126,11 +163,11 @@ let sweep_tpcb_mpl2 () =
 let sweep_tpcb_multidisk () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true Sweep.Lfs_user ~seed:5
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true Txstack.Lfs_user ~seed:5
          ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true Sweep.Lfs_user ~seed:5
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true Txstack.Lfs_user ~seed:5
          ~txns:6 ~mpl:2 ~points:10)
 
 (* Record-grain locking on the same 2-disks-plus-log topology: commits
@@ -142,12 +179,12 @@ let sweep_tpcb_multidisk () =
 let sweep_tpcb_record_grain () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Sweep.Lfs_user ~seed:11 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+         Txstack.Lfs_user ~seed:11 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Sweep.Lfs_user ~seed:11 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+         Txstack.Lfs_user ~seed:11 ~txns:6 ~mpl:2 ~points:10)
 
 (* Two parallel WAL streams on the 2-disks-plus-log topology: every
    stream lives in its own FFS on its own spindle, all of which crash,
@@ -159,12 +196,12 @@ let sweep_tpcb_record_grain () =
 let sweep_tpcb_multistream () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Sweep.Lfs_user ~seed:7 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
+         ~lock_grain:`Record Txstack.Lfs_user ~seed:7 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Sweep.Lfs_user ~seed:7 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
+         ~lock_grain:`Record Txstack.Lfs_user ~seed:7 ~txns:6 ~mpl:2 ~points:10)
 
 (* Crash sweep under genuine cleaning pressure: a 640-block disk (20
    segments at the sweep's 32-block geometry) keeps the kernel cleaner —
@@ -176,11 +213,11 @@ let sweep_tpcb_multistream () =
 let sweep_tpcb_cleaning_pressure () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~nblocks:640 Sweep.Lfs_kernel ~seed:13 ~txns:20
+      (Sweep.sweep_tpcb ~nblocks:640 Txstack.Lfs_kernel ~seed:13 ~txns:20
          ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~nblocks:640 Sweep.Lfs_kernel ~seed:13 ~txns:6
+      (Sweep.sweep_tpcb ~nblocks:640 Txstack.Lfs_kernel ~seed:13 ~txns:6
          ~mpl:2 ~points:10)
 
 (* Negative control: disable the roll-forward payload verification and
@@ -192,7 +229,7 @@ let test_broken_recovery_is_caught () =
   Fun.protect
     ~finally:(fun () -> Lfs.test_disable_payload_check := false)
     (fun () ->
-      let r = Sweep.sweep Sweep.Lfs_kernel ~seed:3 ~txns:4 ~points:0 in
+      let r = Sweep.sweep Txstack.Lfs_kernel ~seed:3 ~txns:4 ~points:0 in
       Alcotest.(check bool) "sweep detects the broken recovery path" true
         (r.Sweep.failures <> []))
 
@@ -209,13 +246,16 @@ let () =
             test_rate_without_rng_rejected;
           Alcotest.test_case "replay is deterministic" `Quick
             test_replay_is_deterministic;
+          Alcotest.test_case "recipe names every parameter" `Quick
+            test_recipe_names_every_parameter;
+          Alcotest.test_case "base-run recipe" `Quick test_base_run_recipe;
         ] );
       ( "sweep",
         [
           Alcotest.test_case "pages / lfs-kernel" `Slow
-            (sweep_pages Sweep.Lfs_kernel);
-          Alcotest.test_case "pages / lfs-user" `Slow (sweep_pages Sweep.Lfs_user);
-          Alcotest.test_case "pages / ffs-user" `Slow (sweep_pages Sweep.Ffs_user);
+            (sweep_pages Txstack.Lfs_kernel);
+          Alcotest.test_case "pages / lfs-user" `Slow (sweep_pages Txstack.Lfs_user);
+          Alcotest.test_case "pages / ffs-user" `Slow (sweep_pages Txstack.Ffs_user);
           Alcotest.test_case "tpcb / lfs-kernel" `Slow sweep_tpcb_kernel;
           Alcotest.test_case "tpcb / lfs-user" `Slow sweep_tpcb_lfs_user;
           Alcotest.test_case "tpcb / ffs-user" `Slow sweep_tpcb_ffs;

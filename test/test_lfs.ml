@@ -836,11 +836,6 @@ let test_mount_rejects_mismatched_checkpoint () =
     | exception Vfs.Error (Vfs.Invalid, _) -> true
     | _ -> false)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* A sealed summary whose entries run past its segment's end is refused
    by the cleaner, naming the segment, before any survivor is moved:
    parsed in place, such an entry would name the next segment's bytes.
@@ -883,7 +878,7 @@ let test_cleaner_refuses_overflowing_summary () =
       ("names a used segment: " ^ msg)
       true
       (List.exists
-         (fun i -> contains msg (Printf.sprintf "segment %d " i))
+         (fun i -> Tutil.contains msg (Printf.sprintf "segment %d " i))
          used));
   Alcotest.(check (list int))
     "no survivor moved" live
@@ -973,7 +968,7 @@ let test_platter_digest () =
         Cleanersweep.prefill ~util_pct:80 m v lfs;
         booted := Option.map (fun fs -> (m, fs)) lfs)
       ~mpl:8 ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1
-      Expcommon.Lfs_kernel
+      Txstack.Lfs_kernel
   in
   List.iter
     (fun k ->
@@ -983,7 +978,7 @@ let test_platter_digest () =
     [ "cleaner.segments"; "cleaner.idle_cleans"; "lfs.cold_partials" ];
   let m, fs = Option.get !booted in
   Lfs.crash fs;
-  Lfs.check (Lfs.mount m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats config);
+  Lfs.check (Lfs.mount m.Txstack.disks m.Txstack.clock m.Txstack.stats config);
   let digest d =
     let bs = Disk.block_size d in
     let img = Bytes.create (Disk.nblocks d * bs) in
@@ -998,7 +993,7 @@ let test_platter_digest () =
     (String.concat " "
        (List.map
           (fun (name, d) -> name ^ "=" ^ digest d)
-          (Diskset.members m.Expcommon.disks)))
+          (Diskset.members m.Txstack.disks)))
 
 let () =
   Alcotest.run "tx_lfs"

@@ -355,7 +355,7 @@ let check_pinned name expected (r : Tpcb.result) =
 let test_pinned_kernel_page_mpl1 () =
   let run =
     Expcommon.run_tpcb ~config:(pinned_cfg `Page ~split_log:false) ~scale:pinned_scale
-      ~txns:300 ~seed:3 Expcommon.Lfs_kernel
+      ~txns:300 ~seed:3 Txstack.Lfs_kernel
   in
   check_pinned "lfs-kernel, page grain, MPL 1"
     "commits=300 elapsed=0x1.732812aaccdc5p+3 latencies=3e8c97e8dafb7844414679bdd1df7834"
@@ -364,7 +364,7 @@ let test_pinned_kernel_page_mpl1 () =
 let test_pinned_user_record_mpl4 () =
   let run =
     Expcommon.run_tpcb ~config:(pinned_cfg `Record ~split_log:true)
-      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_user
+      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Txstack.Lfs_user
   in
   check_pinned "LIBTP, record grain, 2+log, MPL 4"
     "commits=300 elapsed=0x1.b1afb1ad0890dp+4 latencies=769b7b55ed255079e7104e341920141c"
@@ -373,7 +373,7 @@ let test_pinned_user_record_mpl4 () =
 let test_pinned_kernel_record_mpl4 () =
   let run =
     Expcommon.run_tpcb ~config:(pinned_cfg `Record ~split_log:false)
-      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Expcommon.Lfs_kernel
+      ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Txstack.Lfs_kernel
   in
   check_pinned "lfs-kernel, record grain, MPL 4"
     "commits=300 elapsed=0x1.9449ca0952621p+3 latencies=3ed724775e774ee3646cca97eaf35501"
@@ -407,7 +407,7 @@ let check_pinned_cleaning name ~util_pct ?mpl ~user_cleaner ~reaches expected
   let run =
     Expcommon.run_tpcb ~config:(cleaning_cfg ~user_cleaner)
       ~prepare:(Cleanersweep.prefill ~util_pct) ?mpl
-      ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1 Expcommon.Lfs_kernel
+      ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1 Txstack.Lfs_kernel
   in
   let stats = run.Expcommon.stats in
   List.iter

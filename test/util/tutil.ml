@@ -47,6 +47,12 @@ let payload tag len =
   done;
   b
 
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
 
