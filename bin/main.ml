@@ -4,15 +4,24 @@
 
 open Cmdliner
 
+(* A count or a size: a positive integer. *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let scale_arg =
   let doc = "TPC-B scale rating in TPS (the paper uses 10). All machine \
              parameters are scaled by scale/10 to preserve the paper's \
              cache/database/disk ratios." in
-  Arg.(value & opt int 4 & info [ "scale" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 4 & info [ "scale" ] ~docv:"N" ~doc)
 
 let txns_arg default =
   let doc = "Number of transactions to execute." in
-  Arg.(value & opt int default & info [ "txns" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive default & info [ "txns" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -20,7 +29,7 @@ let seed_arg =
 
 let seeds_arg =
   let doc = "Number of seeds (independent runs averaged)." in
-  Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 3 & info [ "seeds" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc =
@@ -35,7 +44,7 @@ let ndisks_arg =
      round-robin across the spindles; 1 reproduces the paper's single-disk \
      configuration bit-for-bit."
   in
-  Arg.(value & opt int 1 & info [ "ndisks" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "ndisks" ] ~docv:"N" ~doc)
 
 let log_disk_arg =
   let doc =
@@ -52,7 +61,7 @@ let log_streams_arg =
      vector LSN so recovery can merge the streams in dependency order. \
      With $(b,--log-disk), every stream gets its own spindle."
   in
-  Arg.(value & opt int 1 & info [ "log-streams" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "log-streams" ] ~docv:"N" ~doc)
 
 let with_disks ~ndisks ~log_disk ?(log_streams = 1) (c : Config.t) =
   { c with Config.fs = { c.Config.fs with Config.ndisks; log_disk; log_streams } }
@@ -76,11 +85,12 @@ let lock_grain_arg =
 let with_grain grain (c : Config.t) =
   { c with Config.fs = { c.Config.fs with Config.lock_grain = grain } }
 
-let ints_arg name ~default ~doc =
-  Arg.(value & opt (list (trimmed int)) default & info [ name ] ~docv:"LIST" ~doc)
+let ints_arg ?(elt = Arg.int) name ~default ~doc =
+  Arg.(value & opt (list (trimmed elt)) default & info [ name ] ~docv:"LIST" ~doc)
 
 let mpls_arg default =
-  ints_arg "mpls" ~default ~doc:"Comma-separated multiprogramming levels to sweep."
+  ints_arg ~elt:positive "mpls" ~default
+    ~doc:"Comma-separated multiprogramming levels to sweep."
 
 let emit_bench ~name ~config json =
   let path = Expcommon.write_bench ~name ~config json in
@@ -136,31 +146,33 @@ let fig7_cmd =
     Term.(const run $ scale_arg $ txns_arg 20_000 $ seeds_arg $ json_arg)
 
 let ablation_cmd =
+  let table (f : ?config:Config.t -> ?tps_scale:int -> ?txns:int -> unit -> Ablation.t)
+      scale txns =
+    Ablation.print (f ~tps_scale:scale ~txns ())
+  in
+  let coalesce scale txns =
+    Ablation.print_coalescing (Ablation.coalescing ~tps_scale:scale ~txns ())
+  in
+  let tables =
+    [
+      ("tas", table Ablation.test_and_set);
+      ("cleaner", table Ablation.cleaner_placement);
+      ("policy", table Ablation.cleaning_policy);
+      ("group-commit", table Ablation.group_commit);
+      ("mpl", table Ablation.multiprogramming);
+    ]
+  in
+  let all scale txns =
+    List.iter (fun (_, f) -> f scale txns) tables;
+    coalesce scale txns
+  in
+  let choices = tables @ [ ("coalesce", coalesce); ("all", all) ] in
   let which =
-    let doc = "Which ablation: tas, cleaner, policy, group-commit, coalesce, mpl, or all." in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"NAME" ~doc)
+    let names = List.map (fun (n, _) -> (n, n)) choices in
+    let doc = "Which ablation: " ^ Arg.doc_alts_enum names ^ "." in
+    Arg.(value & pos 0 (enum names) "all" & info [] ~docv:"NAME" ~doc)
   in
-  let run name scale txns =
-    let all =
-      [
-        ("tas", fun () -> Ablation.test_and_set ~tps_scale:scale ~txns ());
-        ("cleaner", fun () -> Ablation.cleaner_placement ~tps_scale:scale ~txns ());
-        ("policy", fun () -> Ablation.cleaning_policy ~tps_scale:scale ~txns ());
-        ("group-commit", fun () -> Ablation.group_commit ~tps_scale:scale ~txns ());
-        ("mpl", fun () -> Ablation.multiprogramming ~tps_scale:scale ~txns ());
-      ]
-    in
-    match name with
-    | "all" ->
-      List.iter (fun (_, f) -> Ablation.print (f ())) all;
-      Ablation.print_coalescing (Ablation.coalescing ~tps_scale:scale ~txns ())
-    | "coalesce" ->
-      Ablation.print_coalescing (Ablation.coalescing ~tps_scale:scale ~txns ())
-    | _ -> (
-      match List.assoc_opt name all with
-      | Some f -> Ablation.print (f ())
-      | None -> prerr_endline ("unknown ablation: " ^ name))
-  in
+  let run name scale txns = List.assoc name choices scale txns in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Design-choice ablations (test-and-set, cleaner, ...)")
     Term.(const run $ which $ scale_arg $ txns_arg 10_000)
@@ -176,9 +188,9 @@ let mpl_arg =
      processes. 1 uses the classic single-user driver; above 1 the run \
      executes on the discrete-event scheduler."
   in
-  Arg.(value & opt int 1 & info [ "mpl" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "mpl" ] ~docv:"N" ~doc)
 
-(* [--mpl] as {!Expcommon.run_tpcb} and {!Sweep.run_one_tpcb} take it:
+(* [--mpl] as {!Expcommon.run_tpcb} and {!Sweep.params} take it:
    absent at 1. *)
 let sched_mpl_arg =
   Term.(const (fun mpl -> if mpl > 1 then Some mpl else None) $ mpl_arg)
@@ -298,7 +310,7 @@ let disksweep_cmd =
 (* Parallel-WAL sweep: log-stream count x MPL. *)
 let logsweep_cmd =
   let streams_arg =
-    ints_arg "streams" ~default:Logsweep.default_streams
+    ints_arg ~elt:positive "streams" ~default:Logsweep.default_streams
       ~doc:"Comma-separated log-stream counts to sweep."
   in
   let run setup scale txns seed streams mpls json =
@@ -587,39 +599,21 @@ let faultsim_cmd =
   in
   let run backend workload txns seed points crash_point verbose mpl ndisks
       log_disk log_streams lock_grain =
-    match (workload, mpl) with
-    | Sweep.Pages, Some _ ->
-      `Error (true, "--mpl applies to the tpcb workload only")
-    | _ when lock_grain = `Record && mpl = None ->
-      `Error (true, "--lock-grain record applies to the tpcb workload at --mpl > 1")
-    | _ -> (
-      let one ?crash_point () =
-        match workload with
-        | Sweep.Pages ->
-          Sweep.run_one ~ndisks ~log_disk ~log_streams backend ~seed ~txns
-            ?crash_point ()
-        | Sweep.Tpcb ->
-          Sweep.run_one_tpcb ~ndisks ~log_disk ~log_streams ~lock_grain ?mpl
-            backend ~seed ~txns ?crash_point ()
-      in
-      let swp ~progress =
-        match workload with
-        | Sweep.Pages ->
-          Sweep.sweep ~progress ~ndisks ~log_disk ~log_streams backend ~seed
-            ~txns ~points
-        | Sweep.Tpcb ->
-          Sweep.sweep_tpcb ~progress ~ndisks ~log_disk ~log_streams ~lock_grain
-            ?mpl backend ~seed ~txns ~points
-      in
+    match
+      Sweep.params ?mpl ~ndisks ~log_disk ~log_streams ~lock_grain workload
+        backend ~seed ~txns
+    with
+    | exception Invalid_argument msg -> `Error (true, msg)
+    | p -> (
       match crash_point with
-      | Some p ->
-        let o = one ~crash_point:p () in
+      | Some crash_point ->
+        let o = Sweep.run_one ~crash_point p in
         print_endline (Sweep.describe o);
         if o.Sweep.violations <> [] then exit 1;
         `Ok ()
       | None ->
         let progress o = if verbose then print_endline (Sweep.describe o) in
-        let r = swp ~progress in
+        let r = Sweep.sweep ~progress p ~points in
         List.iter (fun o -> print_endline (Sweep.describe o)) r.Sweep.failures;
         Printf.printf
           "%s/%s seed=%d: swept %d of %d crash points, %d violation(s)\n"

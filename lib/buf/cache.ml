@@ -79,7 +79,6 @@ let create clock stats cpu ~capacity =
   }
 
 let set_writeback t f = t.writeback <- f
-let capacity t = t.cap
 let resident t = Tbl.length t.tbl
 let modseq t = t.seq
 
@@ -237,4 +236,3 @@ let txn_frames t txn = fold t [] (fun acc f -> if f.txn = txn then f :: acc else
 let file_frames t inum =
   fold t [] (fun acc f -> if f.file = inum then f :: acc else acc)
 
-let iter t g = fold t () (fun () f -> g f)

@@ -49,7 +49,6 @@ val set_writeback : t -> (frame -> unit) -> unit
     called when a dirty, unowned victim is evicted. [f] must persist the
     frame's contents; the cache marks the frame clean afterwards. *)
 
-val capacity : t -> int
 val resident : t -> int
 
 val lookup : t -> file:int -> lblock:int -> frame option
@@ -93,8 +92,6 @@ val txn_frames : t -> int -> frame list
 (** All frames owned by kernel transaction [txn]. *)
 
 val file_frames : t -> int -> frame list
-
-val iter : t -> (frame -> unit) -> unit
 
 val modseq : t -> int
 (** Current modification sequence number (monotone). *)

@@ -10,7 +10,6 @@ type t = {
   stats : Stats.t;
   cfg : Config.t;
   locks : Lockmgr.t; (* the lock table hanging off the file-system state *)
-  active_tbl : (int, txn) Hashtbl.t;
   mutable next_id : int;
   mutable pending_commits : (txn * Cache.frame list) list; (* group commit *)
   mutable pending_deadline : float; (* flush time of the oldest pending *)
@@ -55,7 +54,6 @@ let create lfs =
     locks =
       Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation
         ~metrics:"ktxn" clock stats cfg.Config.cpu;
-    active_tbl = Hashtbl.create 16;
     next_id = 1;
     pending_commits = [];
     pending_deadline = 0.0;
@@ -64,10 +62,8 @@ let create lfs =
     commit_cond = Sched.condition ();
   }
 
-let lfs t = t.lfs
 let locks t = t.locks
 let txn_id txn = txn.id
-let active t = Hashtbl.length t.active_tbl
 
 let syscall t = Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Syscall
 let kmutex t = Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Kernel_mutex
@@ -91,7 +87,6 @@ let txn_begin t =
   let id = t.next_id in
   t.next_id <- id + 1;
   let txn = { id; frames = []; live = true } in
-  Hashtbl.replace t.active_tbl id txn;
   Stats.bump t.stats k_begins;
   txn
 
@@ -100,7 +95,6 @@ let check_live txn =
 
 let release t txn =
   Lockmgr.release_all t.locks ~txn:txn.id;
-  Hashtbl.remove t.active_tbl txn.id;
   txn.live <- false
 
 let do_abort t txn =

@@ -44,8 +44,6 @@ exception Too_large
 val create : Lfs.t -> t
 (** Attach a transaction manager to a mounted LFS. *)
 
-val lfs : t -> Lfs.t
-
 val protect : t -> string -> unit
 (** Mark a file transaction-protected ("like protections or access
     control lists ... turned on or off through a provided utility"). *)
@@ -87,5 +85,4 @@ val txn_abort : t -> txn -> unit
 val pager : t -> txn -> inum:int -> Pager.t
 (** Page-access interface for the record library, bound to [txn]. *)
 
-val active : t -> int
 val locks : t -> Lockmgr.t

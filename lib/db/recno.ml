@@ -43,7 +43,6 @@ let attach clock stats cpu (pager : Pager.t) ~reclen =
     t
   end
 
-let reclen t = t.rl
 let count t = t.n
 
 let charge t kind = Cpu.charge t.clock t.stats t.cpu kind

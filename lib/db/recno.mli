@@ -14,7 +14,6 @@ val attach : Clock.t -> Stats.t -> Config.cpu -> Pager.t -> reclen:int -> t
     @raise Invalid_argument if the stored record length disagrees with
     [reclen], or [reclen] exceeds a page. *)
 
-val reclen : t -> int
 val count : t -> int
 
 val append : t -> bytes -> int

@@ -61,22 +61,10 @@ let create ?(route_checkpoints = false) clock stats (cfg : Config.t) =
     route_cp = route_checkpoints && Array.length log > 0;
   }
 
-let wrap d =
-  {
-    data = [| d |];
-    log = [||];
-    chunk = 1;
-    logical_nblocks = Disk.nblocks d;
-    route_cp = false;
-  }
-
-let ndisks t = Array.length t.data
-
 let queue_depth t =
   let sum = Array.fold_left (fun n d -> n + Disk.queue_depth d) 0 in
   sum t.data + sum t.log
 let primary t = t.data.(0)
-let log_disk t = if Array.length t.log > 0 then Some t.log.(0) else None
 let log_disks t = t.log
 let nblocks t = t.logical_nblocks
 let block_size t = Disk.block_size t.data.(0)
@@ -164,10 +152,6 @@ let read_run_view t blkno n =
     (buf, 0)
   end
 
-let read_run t blkno n =
-  let b, off = read_run_view t blkno n in
-  Bytes.sub b off (n * block_size t)
-
 let read_async t blkno =
   let d, phys = locate t blkno in
   Disk.read_async d phys
@@ -179,16 +163,13 @@ let write t blkno data =
 let write_run_sub t blkno data ~off ~len =
   let bs = block_size t in
   if len <= 0 || len mod bs <> 0 then
-    invalid_arg "Diskset.write_run: data must be a positive whole number of blocks";
+    invalid_arg "Diskset.write_run_sub: data must be a positive whole number of blocks";
   if off < 0 || off > Bytes.length data - len then
     invalid_arg "Diskset.write_run_sub: range outside the buffer";
   let cursor = ref off in
   split t blkno (len / bs) (fun d phys n ->
       Disk.write_run_sub d phys data ~off:!cursor ~len:(n * bs);
       cursor := !cursor + (n * bs))
-
-let write_run t blkno data =
-  write_run_sub t blkno data ~off:0 ~len:(Bytes.length data)
 
 let peek t blkno =
   let d, phys = locate t blkno in

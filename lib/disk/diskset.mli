@@ -46,20 +46,10 @@ val create : ?route_checkpoints:bool -> Clock.t -> Stats.t -> Config.t -> t
     @raise Invalid_argument if [ndisks < 1], or if striping is requested
     and a spindle cannot hold even one segment. *)
 
-val wrap : Disk.t -> t
-(** View an existing single disk as a (pass-through) set. For tests and
-    tools that already hold a {!Disk.t}. *)
-
-val ndisks : t -> int
-(** Number of data spindles (excludes the log disk). *)
-
 val primary : t -> Disk.t
 (** Data disk 0 — where the boot region lives, and the whole device for
     a pass-through set. The read-optimized FFS, which has no segment
     structure to stripe, runs entirely on this member. *)
-
-val log_disk : t -> Disk.t option
-(** The first dedicated log spindle, when configured. *)
 
 val log_disks : t -> Disk.t array
 (** Every dedicated log spindle — with [cfg.fs.log_disk] set there is
@@ -81,16 +71,11 @@ val block_size : t -> int
 
 val read : t -> int -> bytes
 
-val read_run : t -> int -> int -> bytes
-(** [read_run t blkno n] reads [n] blocks with one sequential request
-    per extent, in logical order. The result is the
-    caller's own: a copy of {!read_run_view}'s bytes, sharing nothing
-    with the platter or with any other result. *)
-
 val read_run_view : t -> int -> int -> bytes * int
-(** [read_run_view t blkno n] services exactly the requests {!read_run}
-    does and returns [(b, off)]: the run is the [n * block_size] bytes
-    of [b] from [off]. A run on one extent (every LFS segment, under
+(** [read_run_view t blkno n] reads [n] blocks with one sequential
+    {!Disk.read_run_view} per extent, in logical order, and returns
+    [(b, off)]: the run is the [n * block_size] bytes of [b] from
+    [off]. A run on one extent (every LFS segment, under
     segment-granular striping) is the member's {!Disk.read_run_view},
     the platter itself; only a run cut at a stripe boundary is assembled
     into a new buffer, at offset 0, each extent copied as it is read.
@@ -104,19 +89,15 @@ val read_async : t -> int -> bytes
 
 val write : t -> int -> bytes -> unit
 
-val write_run : t -> int -> bytes -> unit
-(** Splits the run at spindle boundaries and issues one sequential
-    {!Disk.write_run_sub} per extent, in logical order, each on its own
-    range of [data]: nothing is copied before the transfer. The bytes
-    reach the platter when the transfer lands, which under a scheduler
-    is after the call parks, so the caller leaves [data] alone until the
-    call returns; the platter keeps no reference to it afterwards. *)
-
 val write_run_sub : t -> int -> bytes -> off:int -> len:int -> unit
-(** {!write_run} of the [len] bytes of [data] from [off], so a caller
-    can write a prefix of a larger buffer; it is the same requests, the
-    same bytes and, under an injector, the same torn prefix as
-    [write_run] of [Bytes.sub data off len].
+(** [write_run_sub t blkno data ~off ~len] writes the [len] bytes of
+    [data] from [off] as a run starting at [blkno]. It splits the run at
+    spindle boundaries and issues one sequential {!Disk.write_run_sub}
+    per extent, in logical order, each on its own range of [data]:
+    nothing is copied before the transfer. The bytes reach the platter
+    when the transfer lands, which under a scheduler is after the call
+    parks, so the caller leaves [data] alone until the call returns; the
+    platter keeps no reference to it afterwards.
     @raise Invalid_argument if [len] is not a positive whole number of
     blocks or the range lies outside [data]. *)
 

@@ -1,6 +1,6 @@
 (** Validation of [BENCH_*.json] artifacts.
 
-    Every artifact must carry the {!Expcommon.bench_doc} envelope with
+    Every artifact must carry the {!Expcommon.write_bench} envelope with
     real metrics in it; on top of that, the experiment named by
     [meta.name] checks its own [data] block with the rules it exports
     (e.g. {!Fig4.check}, {!Mplsweep.check}). *)

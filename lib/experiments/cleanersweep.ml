@@ -58,9 +58,8 @@ let arm_key a =
   Printf.sprintf "%s%s" (policy_key a.policy)
     (if a.segregate then "+seg" else "")
 
-(* Small account spread as in the log/MPL sweeps: the cleaner study wants
-   a log-bound workload with a compact hot set, not a data-seek-bound
-   one. *)
+(* The cleaner study wants a log-bound workload with a compact hot set,
+   not a data-seek-bound one; the log sweep runs on the same scale. *)
 let spread_scale tps =
   { Tpcb.accounts = 2_000 * tps; tellers = 200 * tps; branches = 200 * tps }
 

@@ -32,17 +32,13 @@ type t = {
   setup : Txstack.backend;
 }
 
-let default_setups =
+(* [(label, ndisks, log_disk)]: one shared disk, one disk plus log
+   spindle, and 2- and 4-wide stripes plus log spindle. *)
+let setups =
   [ ("1-shared", 1, false); ("1+log", 1, true); ("2+log", 2, true);
     ("4+log", 4, true) ]
 
 let default_mpls = [ 1; 8 ]
-
-(* Same page-spreading as the MPL sweep: TPC-B's official teller/branch
-   ratios leave those relations on single pages, and page-grain 2PL
-   would serialize every transaction on them at any MPL above 1. *)
-let spread_scale tps =
-  { Tpcb.accounts = 100_000 * tps; tellers = 200 * tps; branches = 200 * tps }
 
 (* The spindles a configuration reports under, in Diskset.members order:
    the lone data disk keeps the historical "disk" prefix so single-disk
@@ -67,11 +63,13 @@ let disk_stat stats prefix =
   }
 
 let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
-    ?(setups = default_setups) ?(setup = Txstack.Lfs_user) () =
+    ?(setup = Txstack.Lfs_user) () =
   let base =
     Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
   in
-  let scale = spread_scale tps_scale in
+  (* The MPL sweep's scale: page-grain 2PL would serialize every
+     transaction on TPC-B's official teller and branch pages. *)
+  let scale = Mplsweep.spread_scale tps_scale in
   let points =
     List.concat_map
       (fun (label, ndisks, log_disk) ->

@@ -37,10 +37,6 @@ type t = {
   setup : Txstack.backend;
 }
 
-val default_setups : (string * int * bool) list
-(** [(label, ndisks, log_disk)]: one shared disk, one disk plus log
-    spindle, and 2- and 4-wide stripes plus log spindle. *)
-
 val default_mpls : int list
 
 val run :
@@ -48,7 +44,6 @@ val run :
   ?txns:int ->
   ?seed:int ->
   ?mpls:int list ->
-  ?setups:(string * int * bool) list ->
   ?setup:Txstack.backend ->
   unit ->
   t

@@ -125,8 +125,6 @@ let config_json (c : Config.t) =
                 | `Cost_benefit -> "cost-benefit") );
             ("cleaner_segregate", Json.Bool fs.Config.cleaner_segregate);
             ("cleaner_adaptive", Json.Bool fs.Config.cleaner_adaptive);
-            ( "cleaner_backoff_qdepth",
-              Json.Int fs.Config.cleaner_backoff_qdepth );
             ("lfs_user_cleaner", Json.Bool fs.Config.lfs_user_cleaner);
             ("group_commit_timeout_s", Json.Float fs.Config.group_commit_timeout_s);
             ("group_commit_size", Json.Int fs.Config.group_commit_size);

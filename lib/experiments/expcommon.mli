@@ -53,14 +53,9 @@ val pp_header : string -> unit
     config}, data: ...}]. The fingerprint lets tooling group artifacts
     produced under identical configurations. *)
 
-val config_json : Config.t -> Json.t
-val config_fingerprint : Config.t -> string
-
-val bench_doc : name:string -> config:Config.t -> Json.t -> Json.t
-(** Wrap [data] in the standard [{meta; data}] envelope. *)
-
 val write_bench : name:string -> config:Config.t -> Json.t -> string
-(** Write [BENCH_<name>.json] (pretty-printed) into [$BENCH_DIR] (or the
+(** Wrap [data] in the standard [{meta; data}] envelope, write it as
+    [BENCH_<name>.json] (pretty-printed) into [$BENCH_DIR] (or the
     current directory) and return the path. *)
 
 val scale_json : Tpcb.scale -> Json.t

@@ -49,11 +49,6 @@ let of_measurements ~(fig4 : Fig4.t) ~(fig6 : Fig6.t) =
     ~readopt_scan_s:fig6.Fig6.readopt.Fig6.scan_s
     ~lfs_scan_s:fig6.Fig6.lfs.Fig6.scan_s
 
-let run ?config ?tps_scale ?txns ?seeds () =
-  let fig4 = Fig4.run ?config ?tps_scale ?txns ?seeds () in
-  let fig6 = Fig6.run ?config ?tps_scale ?txns () in
-  of_measurements ~fig4 ~fig6
-
 let to_json t =
   Json.Obj
     [

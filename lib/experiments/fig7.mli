@@ -24,14 +24,8 @@ type t = {
 val of_measurements : fig4:Fig4.t -> fig6:Fig6.t -> t
 (** Derive the figure from the Figure 4 and Figure 6 measurements. *)
 
-val run :
-  ?config:Config.t -> ?tps_scale:int -> ?txns:int -> ?seeds:int list -> unit -> t
-(** Run Figures 4 and 6 afresh and derive the crossover. *)
-
-val to_json : t -> Json.t
-
 val artifact_json : fig4:Fig4.t -> fig6:Fig6.t -> t -> Json.t
-(** The [BENCH_fig7.json] data block: {!to_json} under [fig7], beside
+(** The [BENCH_fig7.json] data block: the figure under [fig7], beside
     the Figure 4 and 6 measurements it was derived from under
     [sources.fig4] and [sources.fig6]. *)
 

@@ -31,16 +31,6 @@ type t = {
 let default_streams = [ 1; 2; 4 ]
 let default_mpls = [ 8; 16 ]
 
-(* Tellers/branches spread as in the MPL and disk sweeps (the official
-   ratios leave them on single pages, and page contention would
-   serialize any MPL above 1) — but unlike those sweeps the account
-   relation is kept small enough to stay buffer-pool resident.  A
-   disk-resident account working set makes TPC-B data-seek-bound and the
-   log arm idles either way; parallel WAL is a remedy for the log-bound
-   regime, so that is the regime the sweep measures. *)
-let spread_scale tps =
-  { Tpcb.accounts = 2_000 * tps; tellers = 200 * tps; branches = 200 * tps }
-
 let p99 stats key =
   match Stats.histo stats key with
   | Some h -> Histo.percentile h 0.99
@@ -63,7 +53,14 @@ let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
   let base =
     Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
   in
-  let scale = spread_scale tps_scale in
+  (* Tellers/branches spread as in the MPL and disk sweeps (the official
+     ratios leave them on single pages, and page contention would
+     serialize any MPL above 1) — but unlike those sweeps the account
+     relation is kept small enough to stay buffer-pool resident.  A
+     disk-resident account working set makes TPC-B data-seek-bound and
+     the log arm idles either way; parallel WAL is a remedy for the
+     log-bound regime, so that is the regime the sweep measures. *)
+  let scale = Cleanersweep.spread_scale tps_scale in
   let points =
     List.concat_map
       (fun ns ->

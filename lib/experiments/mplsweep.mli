@@ -35,6 +35,13 @@ type t = {
 }
 
 val default_mpls : int list
+
+val spread_scale : int -> Tpcb.scale
+(** The sweep's TPC-B scale at [tps] TPS: the official 100 000 accounts
+    per TPS, with tellers and branches spread to 200 per TPS each so
+    that page-grain locking does not serialize every transaction on
+    their pages. The disk sweep runs on the same scale. *)
+
 val default_groups : (int * float) list
 val default_grains : [ `Page | `Record ] list
 

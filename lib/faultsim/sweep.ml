@@ -24,9 +24,13 @@ type params = {
 
 let default_nblocks = 4096
 
-let params ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
-    ?(lock_grain = `Page) ?(nblocks = default_nblocks) ?mpl workload backend
-    ~seed ~txns =
+let params ?mpl ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
+    ?(lock_grain = `Page) ?(nblocks = default_nblocks) workload backend ~seed
+    ~txns =
+  if workload = Pages && mpl <> None then
+    invalid_arg "--mpl applies to the tpcb workload only";
+  if lock_grain = `Record && Option.value mpl ~default:1 <= 1 then
+    invalid_arg "--lock-grain record applies to the tpcb workload at --mpl > 1";
   {
     backend;
     workload;
@@ -42,9 +46,12 @@ let params ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
 
 (* A small machine: enough segments for the cleaner and checkpoints to
    take part, and a cache smaller than the data. Without [mpl] group
-   commit is disabled — essential for the oracle, so a commit's
-   acknowledgement implies its flush completed; with it the group is
-   [mpl] wide, because the rendezvous is the point of that sweep. *)
+   commit is disabled. With a timeout outside a scheduler, the embedded
+   manager's [txn_commit] returns with its batch still pending, so the
+   oracle would see acknowledged commits lost (ROADMAP.md, open item
+   "the embedded manager acknowledges an MPL-1 group commit before it is
+   durable"). With [mpl] the group is [mpl] wide, because the rendezvous
+   is the point of that sweep. *)
 let config r =
   let d = Config.default in
   {
@@ -284,8 +291,8 @@ let run_pages begin_txn oracle rng fresh_page model ~ps ~txns =
 let pages_wal =
   { Txstack.pool_pages = 16; checkpoint_every = 25; log_path = "/wal.log" }
 
-let run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point () =
-  let r = params ?ndisks ?log_disk ?log_streams Pages backend ~seed ~txns in
+let run_pages ?crash_point r =
+  let { backend; seed; txns; _ } = r in
   let m = Txstack.machine backend (config r) in
   let rng = Rng.create ~seed in
   let ps = m.cfg.Config.disk.block_size in
@@ -334,12 +341,8 @@ let tpcb_wal =
    returns (a parked committer wakes only after its batch's force), and
    every acknowledged commit must survive recovery; beyond them at most
    the [mpl] in-flight transactions (one, inline) may have landed. *)
-let run_one_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl
-    backend ~seed ~txns ?crash_point () =
-  let r =
-    params ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl Tpcb backend
-      ~seed ~txns
-  in
+let run_tpcb ?crash_point r =
+  let { backend; seed; txns; mpl; _ } = r in
   let m = Txstack.machine backend (config r) in
   let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
@@ -378,6 +381,11 @@ let run_one_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl
   in
   crash_cycle r ?crash_point stack ~rng ~work ~check
 
+let run_one ?crash_point r =
+  match r.workload with
+  | Pages -> run_pages ?crash_point r
+  | Tpcb -> run_tpcb ?crash_point r
+
 (* Sweeping --------------------------------------------------------------- *)
 
 type sweep_result = {
@@ -386,10 +394,10 @@ type sweep_result = {
   failures : outcome list;
 }
 
-let sweep_runs ?(progress = fun (_ : outcome) -> ()) run ~points =
+let sweep ?(progress = fun (_ : outcome) -> ()) r ~points =
   (* The fault-free run both counts the crash points and sanity-checks
      that the oracle holds without any fault injected. *)
-  let base = run ?crash_point:None () in
+  let base = run_one r in
   if base.violations <> [] then
     { total_writes = base.writes; points_run = 1; failures = [ base ] }
   else begin
@@ -403,22 +411,10 @@ let sweep_runs ?(progress = fun (_ : outcome) -> ()) run ~points =
     let failures =
       List.filter_map
         (fun p ->
-          let r = run ?crash_point:(Some p) () in
-          progress r;
-          if r.violations = [] then None else Some r)
+          let o = run_one ~crash_point:p r in
+          progress o;
+          if o.violations = [] then None else Some o)
         pts
     in
     { total_writes = total; points_run = List.length pts; failures }
   end
-
-let sweep ?progress ?ndisks ?log_disk ?log_streams backend ~seed ~txns ~points =
-  sweep_runs ?progress
-    (run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns)
-    ~points
-
-let sweep_tpcb ?progress ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
-    ?mpl backend ~seed ~txns ~points =
-  sweep_runs ?progress
-    (run_one_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks ?mpl
-       backend ~seed ~txns)
-    ~points

@@ -33,11 +33,6 @@ let inodes_per_block t = t.bs / 256
 
 let check_alive t = Fileops.check_alive t.files
 
-let config t = t.cfg
-let clock t = t.clock
-let stats t = t.stats
-let cache t = t.cache
-
 (* Bitmap *)
 
 let bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -426,10 +421,6 @@ let mount disk clock stats cfg =
   t
 
 let crash t = t.files.crashed <- true
-
-let unmount t =
-  sync t;
-  crash t
 
 (* fsck -------------------------------------------------------------------- *)
 

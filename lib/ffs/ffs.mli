@@ -29,7 +29,6 @@ exception Crashed
 
 val format : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
 val mount : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
-val unmount : t -> unit
 
 val crash : t -> unit
 (** Discard all volatile state; the disk image keeps only what was
@@ -37,12 +36,7 @@ val crash : t -> unit
 
 val vfs : t -> Vfs.t
 
-val config : t -> Config.t
-val clock : t -> Clock.t
-val stats : t -> Stats.t
-val cache : t -> Cache.t
 val free_blocks : t -> int
-val inum_of : t -> string -> int
 val sync : t -> unit
 
 type fsck_report = {

@@ -1218,14 +1218,16 @@ let start_background t =
          toward the high-water mark when the machine is idle, so the
          emergency batch-clean stall almost never has to fire. *)
       Sched.spawn ~daemon:true sched (fun () ->
+          (* Outstanding requests across the spindles above which the
+             idle pass stays off the arm. *)
+          let backoff_qdepth = 2 in
           let adaptive_pass () =
             if free_segments t < t.cfg.fs.cleaner_low_segments then begin
               (* Below low water the reserve is at risk: pay the stall. *)
               maybe_clean t;
               0.5
             end
-            else if Diskset.queue_depth t.disk > t.cfg.fs.cleaner_backoff_qdepth
-            then begin
+            else if Diskset.queue_depth t.disk > backoff_qdepth then begin
               Stats.bump t.stats k_cleaner_backoffs;
               0.5
             end

@@ -76,13 +76,6 @@ val create :
     [<metrics>.latch_wait].
     @raise Invalid_argument if [escalation] is below 1. *)
 
-val compatible : mode -> mode -> bool
-(** The multi-granularity compatibility matrix. *)
-
-val sup : mode -> mode -> mode
-(** Least upper bound in the mode lattice
-    (IS < IX < X, IS < S < SIX < X, IX < SIX; sup S IX = SIX). *)
-
 val acquire : t -> txn:int -> obj -> mode -> outcome
 (** Request a lock, taking intention locks on all ancestors first.
     Upgrades fold through [sup] and are granted in place when no other

@@ -35,7 +35,6 @@ type fs = {
   cleaner_policy : [ `Greedy | `Cost_benefit ];
   cleaner_segregate : bool;
   cleaner_adaptive : bool;
-  cleaner_backoff_qdepth : int;
   lfs_user_cleaner : bool;
   group_commit_timeout_s : float;
   group_commit_size : int;
@@ -95,7 +94,6 @@ let default_fs =
     cleaner_policy = `Cost_benefit;
     cleaner_segregate = true;
     cleaner_adaptive = true;
-    cleaner_backoff_qdepth = 2;
     lfs_user_cleaner = false;
     group_commit_timeout_s = 0.0 (* 0 = force at every commit *);
     group_commit_size = 4;

@@ -76,10 +76,9 @@ type fs = {
       (** load-adaptive background cleaning: the cleaner daemon backs
           off while the disk queue is deep and cleans toward the
           high-water mark when the device idles, instead of waking only
-          at the low-water emergency; default true *)
-  cleaner_backoff_qdepth : int;
-      (** queue depth (outstanding requests across spindles) above which
-          the adaptive background cleaner stays off the arm; default 2 *)
+          at the low-water emergency; default true. The queue depth
+          above which it backs off is a constant, 2 outstanding
+          requests across the spindles *)
   lfs_user_cleaner : bool;
       (** Section 5.4 ablation: a user-space cleaner does not lock the
           files being cleaned *)

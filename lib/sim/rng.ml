@@ -8,7 +8,6 @@ let int t bound =
 
 let float t bound = Random.State.float t bound
 
-let bool t = Random.State.bool t
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -15,8 +15,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [[0, bound)]. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

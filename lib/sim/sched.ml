@@ -100,8 +100,6 @@ let in_process t = t.in_fiber
    every resume, so it is stable across parks. *)
 let self t = t.cur
 
-let now t = Clock.now t.clock
-
 let schedule t time go =
   let at = Float.max time (Clock.now t.clock) in
   t.seq <- t.seq + 1;

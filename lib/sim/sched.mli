@@ -73,9 +73,6 @@ val self : t -> int
     process, stable across suspensions. Only meaningful while
     [in_process] is true. *)
 
-val now : t -> float
-(** [Clock.now] of the attached clock. *)
-
 val spawn : ?daemon:bool -> t -> (unit -> unit) -> unit
 (** Create a process; it starts when {!run} reaches its start event
     (scheduled at the current time). [daemon] processes (background

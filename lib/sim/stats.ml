@@ -114,7 +114,7 @@ let add_to t k dt =
 
 (* Maxima live apart from the cumulative times: storing them together
    made [cleaner.max_stall] pretty-print as accumulated seconds, and an
-   [add_time] on the same key silently corrupted the maximum. *)
+   [add_to] on the same key silently corrupted the maximum. *)
 let note_max t m v =
   if m >= Float.Array.length t.maxes then grow_maxes t;
   if v > Float.Array.unsafe_get t.maxes m then Float.Array.unsafe_set t.maxes m v;
@@ -141,12 +141,7 @@ let observe_at t s v =
   Histo.add (histo_slot t s) v
 
 (* By name, for cold callers: one registry lookup, then the slot update. *)
-let add t key n = bump_by t (counter key) n
 let incr t key = bump t (counter key)
-let add_time t key dt = add_to t (timer key) dt
-let record_max t key v = note_max t (maximum key) v
-let observe t key v = observe_at t (series key) v
-let declare t key = declare_at t (series key)
 
 (* Reads never register: an unknown key reads as zero or absent. An
    untouched slot holds zero, so only the bound needs checking. *)

@@ -5,7 +5,7 @@
     segments cleaned, locks waited on, …) into a shared [Stats.t] so the
     experiment harness can report not just elapsed time but {e why} time
     was spent. The same handle carries the observability layer: fixed
-    bucket latency histograms ({!observe}) and an optional structured
+    bucket latency histograms ({!observe_at}) and an optional structured
     event trace ({!set_trace} / {!emit}) that is free when disabled.
 
     {b Handles.} A key is registered once with {!counter}, {!timer},
@@ -22,9 +22,9 @@
     Reports ({!to_list}, {!to_json}, {!pp}, {!histograms}) list exactly
     the keys updated or declared since {!create} or the last {!reset}.
 
-    The string-keyed functions ({!incr}, {!add}, {!add_time},
-    {!record_max}, {!observe}, {!declare}) cost one hash lookup per call
-    and exist for cold callers; hot paths hold handles. *)
+    Updates go through handles; {!incr} is the one string-keyed update,
+    one hash lookup per call, for callers outside the simulator. Reads
+    ({!count}, {!time}, {!max_of}, {!histo}) are by name. *)
 
 type t
 
@@ -73,16 +73,6 @@ val declare_at : t -> series -> unit
 val incr : t -> string -> unit
 (** Add 1 to the integer counter named by the key. *)
 
-val add : t -> string -> int -> unit
-(** Add [n] to the integer counter. *)
-
-val add_time : t -> string -> float -> unit
-(** Accumulate [dt] seconds under the key. *)
-
-val record_max : t -> string -> float -> unit
-(** Keep the maximum of all values reported under the key. Maxima have
-    their own table — read them back with {!max_of}, not {!time}. *)
-
 val count : t -> string -> int
 (** Current value of the integer counter (0 if never touched). *)
 
@@ -90,15 +80,8 @@ val time : t -> string -> float
 (** Current value of the time accumulator (0.0 if never touched). *)
 
 val max_of : t -> string -> float
-(** Current maximum recorded by {!record_max} (0.0 if never touched). *)
-
-val observe : t -> string -> float -> unit
-(** Record one sample into the key's latency histogram (created on first
-    use). *)
-
-val declare : t -> string -> unit
-(** Ensure the key's histogram exists (so reports always carry it, even
-    when no sample was recorded). *)
+(** Current maximum recorded by {!note_max} (0.0 if never touched).
+    Maxima have their own table, apart from {!time}'s. *)
 
 val histo : t -> string -> Histo.t option
 val histograms : t -> (string * Histo.t) list

@@ -23,7 +23,6 @@ val dropped : t -> int
 val to_list : t -> event list
 (** Oldest first. *)
 
-val iter : t -> (event -> unit) -> unit
 val clear : t -> unit
 
 val to_json_line : event -> string

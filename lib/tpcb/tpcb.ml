@@ -229,12 +229,6 @@ let sum_balances clock stats cfg vfs fd =
       true);
   !total
 
-let account_balance clock stats cfg db vfs id =
-  let bt = Btree.attach clock stats cfg.Config.cpu (Pager.plain vfs db.acct) in
-  match Btree.find bt (key10 id) with
-  | Some v -> parse_balance v
-  | None -> failwith "TPC-B: no such account"
-
 (* A history slot whose first byte is NUL is a hole: at record grain the
    recno record count moves through a redo-only system write, so an
    aborted append leaves its allocated slot zeroed. Committed records

@@ -53,9 +53,6 @@ val run :
     @raise Lockmgr.Blocked_outside_process if a lock request conflicts
     (a single user never does). *)
 
-val account_balance : Clock.t -> Stats.t -> Config.t -> db -> Vfs.t -> int -> int
-(** Read one account's balance non-transactionally (for tests). *)
-
 val check_consistency : Clock.t -> Stats.t -> Config.t -> db -> Vfs.t -> unit
 (** Verify Σ account balances = Σ teller balances = Σ branch balances and
     that the history count matches the balances' provenance; raises

@@ -37,8 +37,6 @@ exception Crashed
 val error : error_code -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [error code fmt ...] raises {!Error} with a formatted message. *)
 
-val string_of_error_code : error_code -> string
-
 type t = {
   name : string;  (** "lfs" or "ffs", for reports *)
   block_size : int;

@@ -128,11 +128,3 @@ let flush_all t =
     frames;
   Hashtbl.iter (fun fd () -> t.vfs.Vfs.fsync fd) files
 
-let drop t =
-  Cache.iter t.cache (fun f -> Cache.mark_clean t.cache f);
-  let frames = ref [] in
-  Cache.iter t.cache (fun f -> frames := f :: !frames);
-  List.iter (Cache.invalidate t.cache) !frames;
-  Hashtbl.reset t.lsns
-
-let dirty_pages t = List.length (Cache.dirty_frames t.cache ())

@@ -45,8 +45,3 @@ val reset_lsns : t -> unit
 
 val flush_all : t -> unit
 (** Write every dirty page back (checkpoint); forces the log first. *)
-
-val drop : t -> unit
-(** Forget all cached pages (crash simulation at the user level). *)
-
-val dirty_pages : t -> int

@@ -30,7 +30,6 @@ type t = {
 exception Deadlock_abort of int
 
 let txn_id txn = txn.id
-let active_txns t = Hashtbl.length t.active
 let pool t = t.pool
 let logs t = t.logs
 let log t = Logset.get t.logs 0

@@ -123,7 +123,6 @@ val checkpoint : t -> unit
     and seed each with a fresh checkpoint record. Skipped if
     transactions are active. *)
 
-val active_txns : t -> int
 val pool : t -> Bufpool.t
 
 val log : t -> Logmgr.t

@@ -13,7 +13,8 @@ let h_dep_forces = Stats.series "log.dep_forces"
 let k_merge_dropped = Stats.counter "log.merge_dropped"
 
 let create clock stats cfg ~homes ~path =
-  let ns = max 1 cfg.Config.fs.log_streams in
+  let ns = cfg.Config.fs.log_streams in
+  if ns < 1 then invalid_arg "Logset.create: log_streams must be >= 1";
   if ns > 0xfe then invalid_arg "Logset.create: too many log streams";
   if Array.length homes = 0 then invalid_arg "Logset.create: no log homes";
   let streams =

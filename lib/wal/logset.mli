@@ -13,10 +13,12 @@ type t
 
 val create :
   Clock.t -> Stats.t -> Config.t -> homes:Vfs.t array -> path:string -> t
-(** [create clock stats cfg ~homes ~path] opens
-    [max 1 cfg.fs.log_streams] streams. Stream [i] lives on
-    [homes.(i mod Array.length homes)] — pass one vfs per log spindle to
-    spread the streams — at [path] (single stream) or ["path.i"]. *)
+(** [create clock stats cfg ~homes ~path] opens [cfg.fs.log_streams]
+    streams. Stream [i] lives on [homes.(i mod Array.length homes)] —
+    pass one vfs per log spindle to spread the streams — at [path]
+    (single stream) or ["path.i"].
+    @raise Invalid_argument if [log_streams] is not in [1, 254] or
+    [homes] is empty. *)
 
 val n : t -> int
 val get : t -> int -> Logmgr.t

@@ -254,6 +254,15 @@ let test_diskset_stripe_mapping () =
       Tutil.check_bytes "round-trip" b (Diskset.read ds (3 + (seg * chunk) + off)))
     [ 0; 1; 2; 3 ]
 
+(* A whole buffer as one run, and a run read back as the caller's own
+   bytes. *)
+let write_run ds start data =
+  Diskset.write_run_sub ds start data ~off:0 ~len:(Bytes.length data)
+
+let read_run ds start n =
+  let b, off = Diskset.read_run_view ds start n in
+  Bytes.sub b off (n * Diskset.block_size ds)
+
 let test_diskset_run_split () =
   let cfg = stripe_cfg ~ndisks:2 () in
   let m = Tutil.machine ~cfg () in
@@ -264,17 +273,15 @@ let test_diskset_run_split () =
      round-trip; its tail lands at the start of disk1's first slot. *)
   let start = 3 + chunk - 2 in
   let data = Tutil.payload 9 (4 * bs) in
-  Diskset.write_run ds start data;
-  Tutil.check_bytes "run across the stripe boundary" data
-    (Diskset.read_run ds start 4);
+  write_run ds start data;
+  Tutil.check_bytes "run across the stripe boundary" data (read_run ds start 4);
   Tutil.check_bytes "tail block on disk1"
     (Bytes.sub data (2 * bs) bs)
     (Disk.peek (List.assoc "disk1" (Diskset.members ds)) 3)
 
-(* Run I/O hands out no aliases: [read_run] returns the caller's own
-   bytes and [write_run] keeps none of the caller's, whether the run lies
-   on one spindle (returned or passed on without a copy) or is cut at a
-   stripe boundary. *)
+(* A run write keeps none of the caller's bytes, whether the run lies on
+   one spindle (passed on without a copy) or is cut at a stripe
+   boundary. *)
 let test_diskset_run_no_aliasing () =
   List.iter
     (fun ndisks ->
@@ -288,21 +295,14 @@ let test_diskset_run_no_aliasing () =
         (fun (what, start) ->
           let what = Printf.sprintf "%d spindle(s), %s" ndisks what in
           let data = Tutil.payload start (n * bs) in
-          let expect i = Bytes.sub data (i * bs) bs in
           let mine = Bytes.copy data in
-          Diskset.write_run ds start mine;
+          write_run ds start mine;
           Bytes.fill mine 0 (n * bs) 'w';
           for i = 0 to n - 1 do
             Tutil.check_bytes (what ^ ": platter ignores a later write to the buffer")
-              (expect i) (Diskset.peek ds (start + i))
+              (Bytes.sub data (i * bs) bs) (Diskset.peek ds (start + i))
           done;
-          let got = Diskset.read_run ds start n in
-          Tutil.check_bytes (what ^ ": run read back") data got;
-          Bytes.fill got 0 (n * bs) 'r';
-          for i = 0 to n - 1 do
-            Tutil.check_bytes (what ^ ": later read ignores the mutated result")
-              (expect i) (Diskset.read ds (start + i))
-          done)
+          Tutil.check_bytes (what ^ ": run read back") data (read_run ds start n))
         [ ("run on one spindle", 3 + 1); ("run across a stripe boundary", 3 + chunk - 2) ])
     [ 1; 2 ]
 
@@ -334,10 +334,48 @@ let flaky () =
           !n mod 3 = 1);
     }
 
-(* [read_run_view] is [read_run] without the copy: the same bytes, the
-   same clock and the same stats, on one spindle and on two, for a run
-   on one extent and for one cut at the stripe boundary. *)
-let test_read_run_view_matches_copy () =
+(* The extents of [start, start + n), by the mapping diskset.mli
+   documents: each maximal stretch of blocks that lie next to each other
+   on one spindle, as (spindle, physical block, length), in logical
+   order. *)
+let mapped_extents cfg ds start n =
+  let ndisks = cfg.Config.fs.Config.ndisks in
+  let log_disk = cfg.Config.fs.Config.log_disk in
+  let chunk = cfg.Config.fs.Config.segment_blocks in
+  let members = Diskset.members ds in
+  let data_disk i =
+    List.assoc (if ndisks = 1 then "disk" else Printf.sprintf "disk%d" i) members
+  in
+  let where blkno =
+    if log_disk && (blkno = 1 || blkno = 2) then (List.assoc "disklog" members, blkno)
+    else if ndisks = 1 || blkno < 3 then (data_disk 0, blkno)
+    else
+      let seg = (blkno - 3) / chunk and off = (blkno - 3) mod chunk in
+      (data_disk (seg mod ndisks), 3 + (seg / ndisks * chunk) + off)
+  in
+  let rec go blkno left =
+    if left = 0 then []
+    else begin
+      let d, phys = where blkno in
+      let len = ref 1 in
+      while
+        !len < left
+        &&
+        let d', p' = where (blkno + !len) in
+        d' == d && p' = phys + !len
+      do
+        incr len
+      done;
+      (d, phys, !len) :: go (blkno + !len) (left - !len)
+    end
+  in
+  go start n
+
+(* [read_run_view] reads the run as one [Disk.read_run] per mapped
+   extent would: the same bytes, the same clock and the same stats, on
+   one spindle and on two, for a run on one extent and for one cut at
+   the stripe boundary, with read errors retried alike. *)
+let test_read_run_view_matches_extents () =
   List.iter
     (fun ndisks ->
       let cfg = stripe_cfg ~ndisks ~log_disk:true () in
@@ -348,14 +386,19 @@ let test_read_run_view_matches_copy () =
           let ((_, _, a) as ma), ((_, _, b) as mb) = twins cfg in
           let bs = Diskset.block_size a in
           let data = Tutil.payload start (n * bs) in
-          Diskset.write_run a start data;
-          Diskset.write_run b start data;
+          write_run a start data;
+          write_run b start data;
           Diskset.set_injector a (flaky ());
           Diskset.set_injector b (flaky ());
-          let copy = Diskset.read_run a start n in
-          let v, off = Diskset.read_run_view b start n in
-          Tutil.check_bytes (what ^ ": bytes") copy (Bytes.sub v off (n * bs));
-          Tutil.check_bytes (what ^ ": the written run") data copy;
+          let v, off = Diskset.read_run_view a start n in
+          let extents =
+            List.map
+              (fun (d, phys, len) -> Disk.read_run d phys len)
+              (mapped_extents cfg b start n)
+          in
+          Tutil.check_bytes (what ^ ": bytes") (Bytes.concat Bytes.empty extents)
+            (Bytes.sub v off (n * bs));
+          Tutil.check_bytes (what ^ ": the written run") data (Bytes.sub v off (n * bs));
           same_effects what ma mb)
         [
           ("one segment", 3 + chunk, chunk);
@@ -364,9 +407,9 @@ let test_read_run_view_matches_copy () =
         ])
     [ 1; 2 ]
 
-(* [write_run_sub] of a range is [write_run] of the same bytes copied
-   out, on the platter, the clock and the stats, and a write the
-   injector tears keeps the same prefix. *)
+(* [write_run_sub] of a range of a larger buffer is [write_run_sub] of
+   the same bytes copied out, on the platter, the clock and the stats,
+   and a write the injector tears keeps the same prefix. *)
 let test_write_run_sub_matches_copy () =
   List.iter
     (fun ndisks ->
@@ -393,8 +436,7 @@ let test_write_run_sub_matches_copy () =
             match f () with () -> false | exception Disk.Injected_crash -> true
           in
           let ca =
-            crashed (fun () ->
-                Diskset.write_run a start (Bytes.sub big (2 * bs) (n * bs)))
+            crashed (fun () -> write_run a start (Bytes.sub big (2 * bs) (n * bs)))
           in
           let cb =
             crashed (fun () ->
@@ -424,40 +466,12 @@ let prop_split_matches_mapping =
     QCheck2.Gen.(quad (int_range 1 3) bool (int_bound 400) (int_range 1 100))
     (fun (ndisks, log_disk, start, n) ->
       let cfg = stripe_cfg ~ndisks ~log_disk () in
-      let chunk = cfg.Config.fs.Config.segment_blocks in
       let ((_, _, a) as ma), ((_, _, b) as mb) = twins cfg in
       let start = start mod (Diskset.nblocks a - n) in
-      let members = Diskset.members b in
-      let data_disk i =
-        List.assoc (if ndisks = 1 then "disk" else Printf.sprintf "disk%d" i) members
-      in
-      (* Logical block -> (spindle, physical block), as diskset.mli has it. *)
-      let where blkno =
-        if log_disk && (blkno = 1 || blkno = 2) then
-          (List.assoc "disklog" members, blkno)
-        else if ndisks = 1 || blkno < 3 then (data_disk 0, blkno)
-        else
-          let seg = (blkno - 3) / chunk and off = (blkno - 3) mod chunk in
-          (data_disk (seg mod ndisks), 3 + (seg / ndisks * chunk) + off)
-      in
-      ignore (Diskset.read_run a start n);
-      let rec go blkno left =
-        if left > 0 then begin
-          let d, phys = where blkno in
-          let len = ref 1 in
-          while
-            !len < left
-            &&
-            let d', p' = where (blkno + !len) in
-            d' == d && p' = phys + !len
-          do
-            incr len
-          done;
-          ignore (Disk.read_run d phys !len);
-          go (blkno + !len) (left - !len)
-        end
-      in
-      go start n;
+      ignore (Diskset.read_run_view a start n);
+      List.iter
+        (fun (d, phys, len) -> ignore (Disk.read_run d phys len))
+        (mapped_extents cfg b start n);
       same_effects "twins" ma mb;
       true)
 
@@ -528,11 +542,11 @@ let () =
           Alcotest.test_case "stripe mapping" `Quick test_diskset_stripe_mapping;
           Alcotest.test_case "run split across spindles" `Quick
             test_diskset_run_split;
-          Alcotest.test_case "run I/O returns and keeps no aliases" `Quick
+          Alcotest.test_case "run writes keep no aliases" `Quick
             test_diskset_run_no_aliasing;
-          Alcotest.test_case "read_run_view = read_run" `Quick
-            test_read_run_view_matches_copy;
-          Alcotest.test_case "write_run_sub = write_run of the copy" `Quick
+          Alcotest.test_case "read_run_view = Disk.read_run per extent" `Quick
+            test_read_run_view_matches_extents;
+          Alcotest.test_case "write_run_sub of a range = of the copy" `Quick
             test_write_run_sub_matches_copy;
           prop_split_matches_mapping;
           Alcotest.test_case "checkpoint routing" `Quick

@@ -59,7 +59,8 @@ let test_rate_without_rng_rejected () =
 (* Every run is a pure function of (seed, crash_point): replaying one
    must reproduce the identical outcome, byte counts and all. *)
 let test_replay_is_deterministic () =
-  let run () = Sweep.run_one Txstack.Lfs_kernel ~seed:9 ~txns:5 ~crash_point:37 () in
+  let p = Sweep.params Sweep.Pages Txstack.Lfs_kernel ~seed:9 ~txns:5 in
+  let run () = Sweep.run_one ~crash_point:37 p in
   let a = run () and b = run () in
   Alcotest.(check string) "identical outcome" (Sweep.describe a)
     (Sweep.describe b);
@@ -73,9 +74,9 @@ let test_replay_is_deterministic () =
    crash point. *)
 let test_recipe_names_every_parameter () =
   let o =
-    Sweep.run_one_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
-      ~lock_grain:`Record ~mpl:2 Txstack.Lfs_user ~seed:11 ~txns:6
-      ~crash_point:5 ()
+    Sweep.run_one ~crash_point:5
+      (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true ~log_streams:2
+         ~lock_grain:`Record Sweep.Tpcb Txstack.Lfs_user ~seed:11 ~txns:6)
   in
   let report = Sweep.describe { o with Sweep.violations = [ "injected" ] } in
   List.iter
@@ -92,7 +93,7 @@ let test_recipe_names_every_parameter () =
    (the command then sweeps, which repeats the base run) rather than
    printing a value the command rejects. *)
 let test_base_run_recipe () =
-  let o = Sweep.run_one Txstack.Ffs_user ~seed:7 ~txns:3 () in
+  let o = Sweep.run_one (Sweep.params Sweep.Pages Txstack.Ffs_user ~seed:7 ~txns:3) in
   let report = Sweep.describe { o with Sweep.violations = [ "injected" ] } in
   List.iter
     (fun (what, sub, present) ->
@@ -103,6 +104,21 @@ let test_base_run_recipe () =
       ("no none", "none", false);
       ("defaults omitted", "--mpl", false);
     ]
+
+(* The two combinations no workload runs are rejected when the run is
+   described, before anything boots. *)
+let test_params_reject_bad_combinations () =
+  let rejected what f =
+    match f () with
+    | (_ : Sweep.params) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "pages at an mpl" (fun () ->
+      Sweep.params ~mpl:2 Sweep.Pages Txstack.Lfs_kernel ~seed:1 ~txns:1);
+  rejected "record grain inline" (fun () ->
+      Sweep.params ~lock_grain:`Record Sweep.Tpcb Txstack.Lfs_user ~seed:1 ~txns:1);
+  rejected "record grain on pages" (fun () ->
+      Sweep.params ~lock_grain:`Record Sweep.Pages Txstack.Lfs_user ~seed:1 ~txns:1)
 
 (* Sweeps --------------------------------------------------------------- *)
 
@@ -116,32 +132,36 @@ let assert_clean r =
 let sweep_pages backend () =
   let points = if full then 0 else 25 in
   let txns = if full then 20 else 6 in
-  assert_clean (Sweep.sweep backend ~seed:7 ~txns ~points)
+  assert_clean
+    (Sweep.sweep (Sweep.params Sweep.Pages backend ~seed:7 ~txns) ~points)
 
 let sweep_tpcb_kernel () =
+  let tpcb = Sweep.params Sweep.Tpcb Txstack.Lfs_kernel ~seed:1 in
   if full then begin
-    let r = Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:1 ~txns:40 ~points:0 in
+    let r = Sweep.sweep (tpcb ~txns:40) ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:1 ~txns:5 ~points:8)
+  else assert_clean (Sweep.sweep (tpcb ~txns:5) ~points:8)
 
 let sweep_tpcb_ffs () =
+  let tpcb = Sweep.params Sweep.Tpcb Txstack.Ffs_user ~seed:1 in
   if full then begin
-    let r = Sweep.sweep_tpcb Txstack.Ffs_user ~seed:1 ~txns:100 ~points:0 in
+    let r = Sweep.sweep (tpcb ~txns:100) ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Txstack.Ffs_user ~seed:1 ~txns:6 ~points:8)
+  else assert_clean (Sweep.sweep (tpcb ~txns:6) ~points:8)
 
 let sweep_tpcb_lfs_user () =
-  assert_clean (Sweep.sweep_tpcb Txstack.Lfs_user ~seed:2 ~txns:5 ~points:8)
+  assert_clean
+    (Sweep.sweep (Sweep.params Sweep.Tpcb Txstack.Lfs_user ~seed:2 ~txns:5) ~points:8)
 
 (* MPL 2 on the discrete-event scheduler with group commit enabled:
    crash points land mid-rendezvous, with one committer possibly
@@ -150,10 +170,14 @@ let sweep_tpcb_lfs_user () =
 let sweep_tpcb_mpl2 () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:3 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 Sweep.Tpcb Txstack.Lfs_kernel ~seed:3 ~txns:20)
+         ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb Txstack.Lfs_kernel ~seed:3 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 Sweep.Tpcb Txstack.Lfs_kernel ~seed:3 ~txns:6)
+         ~points:10)
 
 (* Multi-spindle crash coverage: two striped data disks plus a dedicated
    log spindle, MPL 2. A crash now interrupts I/O that spans spindles —
@@ -163,12 +187,16 @@ let sweep_tpcb_mpl2 () =
 let sweep_tpcb_multidisk () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true Txstack.Lfs_user ~seed:5
-         ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true Sweep.Tpcb
+            Txstack.Lfs_user ~seed:5 ~txns:20)
+         ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true Txstack.Lfs_user ~seed:5
-         ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true Sweep.Tpcb
+            Txstack.Lfs_user ~seed:5 ~txns:6)
+         ~points:10)
 
 (* Record-grain locking on the same 2-disks-plus-log topology: commits
    overlap far more than at page grain (the hot history tail page no
@@ -179,12 +207,16 @@ let sweep_tpcb_multidisk () =
 let sweep_tpcb_record_grain () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Txstack.Lfs_user ~seed:11 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+            Sweep.Tpcb Txstack.Lfs_user ~seed:11 ~txns:20)
+         ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Txstack.Lfs_user ~seed:11 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+            Sweep.Tpcb Txstack.Lfs_user ~seed:11 ~txns:6)
+         ~points:10)
 
 (* Two parallel WAL streams on the 2-disks-plus-log topology: every
    stream lives in its own FFS on its own spindle, all of which crash,
@@ -196,12 +228,16 @@ let sweep_tpcb_record_grain () =
 let sweep_tpcb_multistream () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Txstack.Lfs_user ~seed:7 ~txns:20 ~mpl:2 ~points:0)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true ~log_streams:2
+            ~lock_grain:`Record Sweep.Tpcb Txstack.Lfs_user ~seed:7 ~txns:20)
+         ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Txstack.Lfs_user ~seed:7 ~txns:6 ~mpl:2 ~points:10)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~ndisks:2 ~log_disk:true ~log_streams:2
+            ~lock_grain:`Record Sweep.Tpcb Txstack.Lfs_user ~seed:7 ~txns:6)
+         ~points:10)
 
 (* Crash sweep under genuine cleaning pressure: a 640-block disk (20
    segments at the sweep's 32-block geometry) keeps the kernel cleaner —
@@ -213,12 +249,16 @@ let sweep_tpcb_multistream () =
 let sweep_tpcb_cleaning_pressure () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb ~nblocks:640 Txstack.Lfs_kernel ~seed:13 ~txns:20
-         ~mpl:2 ~points:0)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~nblocks:640 Sweep.Tpcb Txstack.Lfs_kernel
+              ~seed:13 ~txns:20)
+         ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb ~nblocks:640 Txstack.Lfs_kernel ~seed:13 ~txns:6
-         ~mpl:2 ~points:10)
+      (Sweep.sweep
+         (Sweep.params ~mpl:2 ~nblocks:640 Sweep.Tpcb Txstack.Lfs_kernel
+              ~seed:13 ~txns:6)
+         ~points:10)
 
 (* Negative control: disable the roll-forward payload verification and
    the sweep must catch torn partial-segment writes that the hardened
@@ -229,7 +269,11 @@ let test_broken_recovery_is_caught () =
   Fun.protect
     ~finally:(fun () -> Lfs.test_disable_payload_check := false)
     (fun () ->
-      let r = Sweep.sweep Txstack.Lfs_kernel ~seed:3 ~txns:4 ~points:0 in
+      let r =
+        Sweep.sweep
+          (Sweep.params Sweep.Pages Txstack.Lfs_kernel ~seed:3 ~txns:4)
+          ~points:0
+      in
       Alcotest.(check bool) "sweep detects the broken recovery path" true
         (r.Sweep.failures <> []))
 
@@ -249,6 +293,8 @@ let () =
           Alcotest.test_case "recipe names every parameter" `Quick
             test_recipe_names_every_parameter;
           Alcotest.test_case "base-run recipe" `Quick test_base_run_recipe;
+          Alcotest.test_case "bad parameter combinations rejected" `Quick
+            test_params_reject_bad_combinations;
         ] );
       ( "sweep",
         [

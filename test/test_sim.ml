@@ -24,21 +24,21 @@ let test_clock_rejects_bad_delta () =
 let test_stats () =
   let s = Stats.create () in
   Stats.incr s "a";
-  Stats.add s "a" 4;
-  Stats.add_time s "t" 0.5;
-  Stats.add_time s "t" 0.25;
+  Stats.bump_by s (Stats.counter "a") 4;
+  Stats.add_to s (Stats.timer "t") 0.5;
+  Stats.add_to s (Stats.timer "t") 0.25;
   Alcotest.(check int) "count" 5 (Stats.count s "a");
   Alcotest.(check (float 1e-9)) "time" 0.75 (Stats.time s "t");
   Alcotest.(check int) "missing count is 0" 0 (Stats.count s "nope");
-  Stats.record_max s "m" 2.0;
-  Stats.record_max s "m" 1.0;
+  Stats.note_max s (Stats.maximum "m") 2.0;
+  Stats.note_max s (Stats.maximum "m") 1.0;
   Alcotest.(check (float 1e-9)) "max keeps larger" 2.0 (Stats.max_of s "m");
   (* Maxima live in their own table: a cumulative time under the same key
      must not be polluted by (or pollute) the recorded maximum. *)
-  Stats.add_time s "m" 0.125;
-  Alcotest.(check (float 1e-9)) "max unaffected by add_time" 2.0
+  Stats.add_to s (Stats.timer "m") 0.125;
+  Alcotest.(check (float 1e-9)) "max unaffected by add_to" 2.0
     (Stats.max_of s "m");
-  Alcotest.(check (float 1e-9)) "time unaffected by record_max" 0.125
+  Alcotest.(check (float 1e-9)) "time unaffected by note_max" 0.125
     (Stats.time s "m");
   Stats.reset s;
   Alcotest.(check int) "reset" 0 (Stats.count s "a")
@@ -104,7 +104,7 @@ let test_histo_outliers_and_merge () =
    coerced to 0.0, inflating the first bucket and dragging every
    percentile toward zero. Now the distribution reflects only the valid
    samples and the pollution is tallied in [invalid] (and, through
-   [Stats.observe], in the "histo.invalid" counter). *)
+   [Stats.observe_at], in the "histo.invalid" counter). *)
 let test_histo_nan_stream () =
   let h = Histo.create () in
   for _ = 1 to 50 do
@@ -123,8 +123,9 @@ let test_histo_nan_stream () =
   Alcotest.(check int) "buckets hold only valid samples" 50 total;
   (* The stats layer surfaces the same tally as a counter. *)
   let stats = Stats.create () in
-  Stats.observe stats "lat" Float.nan;
-  Stats.observe stats "lat" 0.25;
+  let lat = Stats.series "lat" in
+  Stats.observe_at stats lat Float.nan;
+  Stats.observe_at stats lat 0.25;
   Alcotest.(check int) "histo.invalid counter" 1 (Stats.count stats "histo.invalid");
   match Stats.histo stats "lat" with
   | None -> Alcotest.fail "histogram missing"
@@ -345,9 +346,9 @@ let test_trace_jsonl_roundtrip () =
 let test_stats_to_json () =
   let s = Stats.create () in
   Stats.incr s "ops";
-  Stats.add_time s "busy" 0.5;
-  Stats.record_max s "peak" 2.0;
-  Stats.observe s "lat" 0.01;
+  Stats.add_to s (Stats.timer "busy") 0.5;
+  Stats.note_max s (Stats.maximum "peak") 2.0;
+  Stats.observe_at s (Stats.series "lat") 0.01;
   let j = Stats.to_json s in
   let field k = match Json.member k j with Some v -> v | None -> Json.Null in
   Alcotest.(check bool) "counters" true
@@ -457,17 +458,17 @@ end
 type kind = Counter | Timer | Maximum | Series
 
 type stats_op =
-  | Bump of int * int * bool  (* instance, key, by handle *)
-  | Bump_by of int * int * bool * int
-  | Add_to of int * int * bool * float
-  | Note_max of int * int * bool * float
-  | Observe of int * int * bool * float
-  | Declare of int * int * bool
+  | Bump of int * int * bool  (* instance, key, by handle (else [incr]) *)
+  | Bump_by of int * int * int
+  | Add_to of int * int * float
+  | Note_max of int * int * float
+  | Observe of int * int * float
+  | Declare of int * int
   | Reset of int
   | Fresh of int * kind * float  (* register a new key, update it *)
 
 (* Every key collides across kinds; "histo.invalid" is also the counter
-   [observe] bumps on an invalid sample. Key 4 is the newest [Fresh]
+   [observe_at] bumps on an invalid sample. Key 4 is the newest [Fresh]
    key, registered after both instances were created. *)
 let pool = [| "m"; "n"; "a.b"; "histo.invalid" |]
 let fresh_keys = ref 0
@@ -476,19 +477,18 @@ let key_name k = if k < Array.length pool then pool.(k) else !latest
 
 let stats_op_gen =
   let open QCheck2.Gen in
-  let inst = int_bound 1 and key = int_bound 4 and by_handle = bool in
+  let inst = int_bound 1 and key = int_bound 4 in
   let value =
     oneofl [ 0.0; 0.5; 1.25; 3.0; 1e-3; -1.0; Float.nan; Float.infinity ]
   in
   oneof
     [
-      map3 (fun i k h -> Bump (i, k, h)) inst key by_handle;
-      map3 (fun (i, k) h n -> Bump_by (i, k, h, n)) (pair inst key) by_handle
-        (int_range (-3) 5);
-      map3 (fun (i, k) h v -> Add_to (i, k, h, v)) (pair inst key) by_handle value;
-      map3 (fun (i, k) h v -> Note_max (i, k, h, v)) (pair inst key) by_handle value;
-      map3 (fun (i, k) h v -> Observe (i, k, h, v)) (pair inst key) by_handle value;
-      map3 (fun i k h -> Declare (i, k, h)) inst key by_handle;
+      map3 (fun i k h -> Bump (i, k, h)) inst key bool;
+      map3 (fun i k n -> Bump_by (i, k, n)) inst key (int_range (-3) 5);
+      map3 (fun i k v -> Add_to (i, k, v)) inst key value;
+      map3 (fun i k v -> Note_max (i, k, v)) inst key value;
+      map3 (fun i k v -> Observe (i, k, v)) inst key value;
+      map2 (fun i k -> Declare (i, k)) inst key;
       map (fun i -> Reset i) inst;
       map3 (fun i k v -> Fresh (i, k, v)) inst
         (oneofl [ Counter; Timer; Maximum; Series ])
@@ -502,25 +502,20 @@ let apply_stats_op stats models op =
     if h then Stats.bump stats.(i) (Stats.counter (key k))
     else Stats.incr stats.(i) (key k);
     Model.add models.(i) (key k) 1
-  | Bump_by (i, k, h, n) ->
-    if h then Stats.bump_by stats.(i) (Stats.counter (key k)) n
-    else Stats.add stats.(i) (key k) n;
+  | Bump_by (i, k, n) ->
+    Stats.bump_by stats.(i) (Stats.counter (key k)) n;
     Model.add models.(i) (key k) n
-  | Add_to (i, k, h, v) ->
-    if h then Stats.add_to stats.(i) (Stats.timer (key k)) v
-    else Stats.add_time stats.(i) (key k) v;
+  | Add_to (i, k, v) ->
+    Stats.add_to stats.(i) (Stats.timer (key k)) v;
     Model.add_time models.(i) (key k) v
-  | Note_max (i, k, h, v) ->
-    if h then Stats.note_max stats.(i) (Stats.maximum (key k)) v
-    else Stats.record_max stats.(i) (key k) v;
+  | Note_max (i, k, v) ->
+    Stats.note_max stats.(i) (Stats.maximum (key k)) v;
     Model.record_max models.(i) (key k) v
-  | Observe (i, k, h, v) ->
-    if h then Stats.observe_at stats.(i) (Stats.series (key k)) v
-    else Stats.observe stats.(i) (key k) v;
+  | Observe (i, k, v) ->
+    Stats.observe_at stats.(i) (Stats.series (key k)) v;
     Model.observe models.(i) (key k) v
-  | Declare (i, k, h) ->
-    if h then Stats.declare_at stats.(i) (Stats.series (key k))
-    else Stats.declare stats.(i) (key k);
+  | Declare (i, k) ->
+    Stats.declare_at stats.(i) (Stats.series (key k));
     Model.declare models.(i) (key k)
   | Reset i ->
     Stats.reset stats.(i);

@@ -650,6 +650,12 @@ let test_multi_stream_commit_recover () =
     (Bytes.get (Libtp.read_page env t ~file:fd ~page:0) 0);
   Libtp.commit env t
 
+(* A stream count below one is a bad configuration, not one stream. *)
+let test_zero_streams_rejected () =
+  match mk_env ~cfg:(streams_cfg 0) () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "0 log streams accepted"
+
 (* Randomized multi-stream crash prefixes. A real crash can only lose a
    suffix of each stream; with a serial workload (each transaction
    forces its stream at commit before the next begins) the reachable
@@ -847,6 +853,7 @@ let () =
         [
           Alcotest.test_case "commit and recover across streams" `Quick
             test_multi_stream_commit_recover;
+          Alcotest.test_case "0 streams rejected" `Quick test_zero_streams_rejected;
           prop_multi_stream_crash_prefix;
         ] );
     ]
