@@ -189,7 +189,7 @@ let insert t ~file ~lblock data =
     {
       file;
       lblock;
-      data = Bytes.copy data;
+      data;
       dirty = false;
       pins = 0;
       dirtied_at = 0.0;

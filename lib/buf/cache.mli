@@ -57,7 +57,8 @@ val lookup : t -> file:int -> lblock:int -> frame option
 
 val insert : t -> file:int -> lblock:int -> bytes -> frame
 (** Bring a block into the cache (evicting if needed) and return its
-    frame. The byte contents are copied in. Any previous frame for the
+    frame. The frame adopts [data] as its buffer, uncopied: the caller
+    hands it over and must not keep writing it. Any previous frame for the
     same key is replaced; if it was dirty its contents are written back
     through the {!set_writeback} hook first, never silently discarded.
     @raise Invalid_argument if the previous frame is pinned or owned by

@@ -9,10 +9,12 @@
     — emptied pages are not merged — matching db(3)'s behaviour.
 
     Pages are searched in place: a lookup walks the encoded bytes the
-    pager returns and copies out only the value it finds, and an insert
-    or delete that fits its leaf builds the new page with a few blits.
-    Only a split (and {!check} and the cursor) decodes a page into
-    lists.
+    pager returns and copies out only the value it finds (binary search
+    on a full internal page), and an insert or delete that fits its
+    leaf builds the new page with a few blits. Only a split (and
+    {!check} and the cursor) decodes a page into lists. Every page a
+    tree writes is built in one page buffer the handle allocates on
+    first use, which {!Pager.t}'s [put] copies before returning.
 
     The tree is bound to a {!Pager.t}, so the same code runs
     non-transactionally, under LIBTP, or under the embedded kernel
@@ -65,8 +67,10 @@ type node =
 val decode_node : bytes -> node
 (** @raise Failure on an unknown node kind. *)
 
-val encode_node : int -> node -> bytes
-(** [encode_node page_size node]. *)
+val encode_node : bytes -> node -> unit
+(** [encode_node page node] writes [node] over the whole of [page],
+    zeroing the rest: the tree encodes into its one reused page buffer.
+    @raise Invalid_argument if the node overflows the page. *)
 
 (** {2 Page search}
 

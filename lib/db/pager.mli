@@ -14,9 +14,14 @@
     lock, latch or disk wait); a pager never reuses a returned buffer
     for another page, so across a park its bytes can change only where
     another process writes that page.
-    Copy before modifying, as [Recno] does: changed pages are produced
-    fresh and handed to [put] whole (the WAL pager diffs them to log
-    only the changed range, Section 3's byte-range logging).
+    Never modify it: build the changed page in a buffer of your own and
+    hand it to [put] whole (the WAL pager diffs it to log only the
+    changed range, Section 3's byte-range logging).
+
+    [put] copies the page before it returns and keeps no reference to
+    the caller's buffer, so an access method can build every page it
+    writes in one reused buffer, as [Btree] and [Recno] do (one per
+    handle: a [put] may park before it copies).
 
     When [record_grain] is set the pager exposes the hierarchical
     locking hooks of the record-grain protocol: the access methods lock

@@ -7,9 +7,17 @@ type t = {
   pager : Pager.t;
   rl : int;
   mutable n : int;
+  mutable scratch : bytes;
 }
 
 let per_page t = t.pager.Pager.page_size / t.rl
+
+(* The handle's one page buffer, allocated on first use: [put] copies
+   the page before returning, and a [put] that parks first parks this
+   handle's process, so no other process writes the buffer meanwhile. *)
+let scratch t =
+  if Bytes.length t.scratch = 0 then t.scratch <- Bytes.make t.pager.Pager.page_size '\000';
+  t.scratch
 
 (* The header is written through [put_sys]: a redo-only system write.
    At record grain the record count is protected by the header latch,
@@ -19,10 +27,11 @@ let per_page t = t.pager.Pager.page_size / t.rl
    durable count implies durable records below it. At page grain
    [put_sys] is just [put] and nothing changes. *)
 let write_meta t =
-  let b = Bytes.make t.pager.Pager.page_size '\000' in
+  let b = scratch t in
   Enc.set_u32 b 0 magic;
   Enc.set_u32 b 4 t.rl;
   Enc.set_u32 b 8 t.n;
+  Bytes.fill b 12 (Bytes.length b - 12) '\000';
   t.pager.Pager.put_sys 0 b
 
 let attach clock stats cpu (pager : Pager.t) ~reclen =
@@ -35,10 +44,10 @@ let attach clock stats cpu (pager : Pager.t) ~reclen =
       invalid_arg
         (Printf.sprintf "Recno.attach: record length %d, file has %d" reclen
            stored);
-    { clock; stats; cpu; pager; rl = reclen; n = Enc.get_u32 meta 8 }
+    { clock; stats; cpu; pager; rl = reclen; n = Enc.get_u32 meta 8; scratch = Bytes.empty }
   end
   else begin
-    let t = { clock; stats; cpu; pager; rl = reclen; n = 0 } in
+    let t = { clock; stats; cpu; pager; rl = reclen; n = 0; scratch = Bytes.empty } in
     write_meta t;
     t
   end
@@ -68,7 +77,8 @@ let refresh t =
 
 let set_at t recno data =
   let page, off = location t recno in
-  let b = Bytes.copy (t.pager.Pager.get page) in
+  let b = scratch t in
+  Bytes.blit (t.pager.Pager.get page) 0 b 0 (Bytes.length b);
   Bytes.blit data 0 b off t.rl;
   t.pager.Pager.put page b
 

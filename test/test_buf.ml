@@ -260,6 +260,15 @@ let test_evict_race_two_fibers () =
     && Cache.lookup c ~file:1 ~lblock:3 <> None);
   Alcotest.(check bool) "within capacity" true (Cache.resident c <= 2)
 
+(* The frame adopts the buffer it is given: a miss allocates once, in
+   the file system that read the block, not again in the cache. *)
+let test_insert_adopts_buffer () =
+  let _, _, c = mk () in
+  Cache.set_writeback c (fun _ -> ());
+  let data = block 'a' in
+  let f = Cache.insert c ~file:1 ~lblock:0 data in
+  Alcotest.(check bool) "frame holds the given buffer" true (f.Cache.data == data)
+
 let prop_never_exceeds_capacity =
   Tutil.qtest "resident <= capacity"
     QCheck2.Gen.(list (pair (int_bound 3) (int_bound 10)))
@@ -277,6 +286,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "insert/lookup" `Quick test_insert_lookup;
+          Alcotest.test_case "insert adopts the buffer" `Quick test_insert_adopts_buffer;
           Alcotest.test_case "key range" `Quick test_key_range;
           Alcotest.test_case "LRU order" `Quick test_lru_eviction_order;
           Alcotest.test_case "dirty writeback" `Quick

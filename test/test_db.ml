@@ -543,6 +543,12 @@ let mem_pager ~record_grain ps =
   in
   ({ (Pager.nohooks ~page_size:ps get put) with Pager.record_grain }, pages, written)
 
+(* [node] encoded into a fresh page of [ps] bytes. *)
+let encode ps node =
+  let b = Bytes.make ps '\255' in
+  Btree.encode_node b node;
+  b
+
 (* The in-place search and edit paths must leave every page exactly as
    encoding its decoded node would, and agree with a map model, at both
    lock grains. Small pages make leaf and internal splits frequent. *)
@@ -585,7 +591,7 @@ let prop_btree_inplace_pages =
                 page = 0
                 ||
                 let b = Hashtbl.find pages page in
-                Bytes.equal (Btree.encode_node ps (Btree.decode_node b)) b)
+                Bytes.equal (encode ps (Btree.decode_node b)) b)
               !written
           in
           written := [];
@@ -648,22 +654,43 @@ let keys_and_probes =
     in
     return (keys, keys @ extra @ shifted))
 
+(* Sorted distinct 10-byte keys filling most of a 4 KB internal page
+   (at most 255 fit), with probes equal to each key, between neighbours
+   (a key extended by a byte), below the first and above the last. *)
+let full_page_keys_and_probes =
+  QCheck2.Gen.(
+    let* n = int_range 200 255 in
+    let* keys = list_repeat (n + 20) (string_size ~gen:key_char (return 10)) in
+    let keys = List.filteri (fun i _ -> i < n) (List.sort_uniq String.compare keys) in
+    let* ext = list_repeat (List.length keys) key_char in
+    let between = List.map2 (fun k c -> k ^ String.make 1 c) keys ext in
+    let first = List.hd keys and last = List.nth keys (List.length keys - 1) in
+    let outside = [ ""; String.sub first 0 9; last ^ "\000"; String.make 11 '\255' ] in
+    return (keys, keys @ between @ outside))
+
 (* [child_at] against the decoded node: the child of the last item whose
-   key is <= the probe, else [child0]. *)
+   key is <= the probe, else [child0]. Pages of under 16 items take the
+   linear walk, larger ones the binary search. *)
+let child_at_matches (keys, probes) =
+  let items = List.mapi (fun i k -> (k, 100 + i)) keys in
+  let b = encode 4096 (Btree.Node { child0 = 7; items }) in
+  List.for_all
+    (fun probe ->
+      let expected =
+        List.fold_left
+          (fun acc (k, c) -> if String.compare k probe <= 0 then c else acc)
+          7 items
+      in
+      Btree.child_at b probe = expected)
+    probes
+
 let prop_child_at =
   Tutil.qtest ~count:300 "child_at matches the decoded node" keys_and_probes
-    (fun (keys, probes) ->
-      let items = List.mapi (fun i k -> (k, 100 + i)) keys in
-      let b = Btree.encode_node 4096 (Btree.Node { child0 = 7; items }) in
-      List.for_all
-        (fun probe ->
-          let expected =
-            List.fold_left
-              (fun acc (k, c) -> if String.compare k probe <= 0 then c else acc)
-              7 items
-          in
-          Btree.child_at b probe = expected)
-        probes)
+    child_at_matches
+
+let prop_child_at_full =
+  Tutil.qtest ~count:100 "child_at matches the decoded node on full pages"
+    full_page_keys_and_probes child_at_matches
 
 (* [leaf_search] against the decoded leaf: entry offsets are summed from
    the decoded items, and the answer is the first key >= the probe. *)
@@ -672,7 +699,7 @@ let prop_leaf_search =
     QCheck2.Gen.(pair keys_and_probes (string_size ~gen:key_char (int_range 0 16)))
     (fun ((keys, probes), value) ->
       let items = List.map (fun k -> (k, value)) keys in
-      let b = Btree.encode_node 4096 (Btree.Leaf { next = 0; items }) in
+      let b = encode 4096 (Btree.Leaf { next = 0; items }) in
       List.for_all
         (fun probe ->
           let rec reference off = function
@@ -785,6 +812,48 @@ let guarded_wal grain () =
   run_guarded m (fun name -> Pager.wal env txn (v.Vfs.create name));
   Libtp.commit env txn
 
+(* [put] copies the page before it returns: once the caller reuses its
+   buffer, [get] still returns the bytes that were put. The access
+   methods build every page in one buffer per handle and rely on this. *)
+let check_put_copies (p : Pager.t) =
+  let ps = p.Pager.page_size in
+  List.iter
+    (fun page ->
+      let buf = Tutil.payload page ps in
+      let put = Bytes.copy buf in
+      p.Pager.put page buf;
+      Bytes.fill buf 0 ps 'Z';
+      Tutil.check_bytes (Printf.sprintf "page %d" page) put (p.Pager.get page))
+    [ 0; 1; 2 ]
+
+let put_copies_plain () =
+  let _, _, _, pager = mk_plain () in
+  check_put_copies pager
+
+let put_copies_wal grain () =
+  let cfg = Tutil.small_config () in
+  let cfg = { cfg with Config.fs = { cfg.Config.fs with Config.lock_grain = grain } } in
+  let m, fs = Tutil.fresh_lfs ~cfg () in
+  let v = Lfs.vfs fs in
+  let env =
+    Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:64
+      ~log_path:"/wal.log" ()
+  in
+  let txn = Libtp.begin_txn env in
+  check_put_copies (Pager.wal env txn (v.Vfs.create "/db"));
+  Libtp.commit env txn
+
+let put_copies_kernel () =
+  let sys = Core.boot ~config:(Tutil.small_config ()) () in
+  let v = Lfs.vfs sys.Core.lfs in
+  ignore (v.Vfs.create "/db");
+  Ktxn.protect sys.Core.ktxn "/db";
+  let inum = Lfs.inum_of sys.Core.lfs "/db" in
+  let k = sys.Core.ktxn in
+  let txn = Ktxn.txn_begin k in
+  check_put_copies (Ktxn.pager k txn ~inum);
+  Ktxn.txn_commit k txn
+
 (* db(3)-style unified facade ---------------------------------------------- *)
 
 let mk_db kind =
@@ -890,7 +959,8 @@ let () =
           prop_hash_model;
           prop_hash_iteration;
         ] );
-      ("page search", [ prop_compare_at; prop_child_at; prop_leaf_search ]);
+      ( "page search",
+        [ prop_compare_at; prop_child_at; prop_child_at_full; prop_leaf_search ] );
       ( "in-place pages",
         [
           prop_btree_inplace_pages;
@@ -899,5 +969,12 @@ let () =
             (guarded_wal `Page);
           Alcotest.test_case "wal record-grain views unmodified" `Quick
             (guarded_wal `Record);
+        ] );
+      ( "put copies",
+        [
+          Alcotest.test_case "plain pager" `Quick put_copies_plain;
+          Alcotest.test_case "wal pager, page grain" `Quick (put_copies_wal `Page);
+          Alcotest.test_case "wal pager, record grain" `Quick (put_copies_wal `Record);
+          Alcotest.test_case "kernel pager" `Quick put_copies_kernel;
         ] );
     ]
