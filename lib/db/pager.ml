@@ -53,20 +53,7 @@ let with_op t f =
 let plain (vfs : Vfs.t) fd =
   let ps = vfs.Vfs.block_size in
   nohooks ~page_size:ps
-    (fun page ->
-      let size = vfs.Vfs.size fd in
-      (* A page wholly inside the file is the cached frame itself; a
-         short read at end of file is zero-padded. *)
-      if (page + 1) * ps <= size then vfs.Vfs.read_block fd page
-      else begin
-        let chunk =
-          if page * ps < size then vfs.Vfs.read fd ~off:(page * ps) ~len:ps
-          else Bytes.empty
-        in
-        let b = Bytes.make ps '\000' in
-        Bytes.blit chunk 0 b 0 (Bytes.length chunk);
-        b
-      end)
+    (fun page -> Vfs.read_page vfs fd page)
     (fun page data -> vfs.Vfs.write fd ~off:(page * ps) data)
 
 let wal env txn fd =

@@ -49,6 +49,19 @@ type t = {
   set_protected : string -> bool -> unit;
 }
 
+let read_page vfs fd b =
+  let bs = vfs.block_size in
+  let size = vfs.size fd in
+  if (b + 1) * bs <= size then vfs.read_block fd b
+  else begin
+    let page = Bytes.make bs '\000' in
+    if b * bs < size then begin
+      let chunk = vfs.read fd ~off:(b * bs) ~len:bs in
+      Bytes.blit chunk 0 page 0 (Bytes.length chunk)
+    end;
+    page
+  end
+
 let () =
   Printexc.register_printer (function
     | Error (code, msg) ->

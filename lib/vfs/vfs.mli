@@ -68,3 +68,10 @@ type t = {
   stat : string -> stat;
   set_protected : string -> bool -> unit;
 }
+
+val read_page : t -> fd -> int -> bytes
+(** [read_page vfs fd b] is block [b] of the file as one full block:
+    {!t.read_block}'s view of the cached page when the block lies wholly
+    inside the file, else a fresh block holding the file's bytes from
+    [b * block_size] on (a short read at end of file, or nothing past
+    it), zero-padded. Either way it is read-only to the caller. *)
