@@ -242,6 +242,35 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Diskset.read_run_view disks Layout.data_start n)))
   in
+  (* The spindles wal-mpl16 boots: two striped data disks and a log
+     spindle of 60 MB each. *)
+  let diskset_create =
+    let base = Config.scaled ~factor:0.2 Config.default in
+    let cfg =
+      { base with Config.fs = { base.Config.fs with Config.ndisks = 2; log_disk = true } }
+    in
+    Test.make ~name:"Diskset.create at wal-mpl16 geometry (2 data + log, 60 MB each)"
+      (Staged.stage (fun () ->
+           ignore (Diskset.create (Clock.create ()) (Stats.create ()) cfg)))
+  in
+  (* One block written at the start of a segment slot nothing has
+     written yet, the next slot each run; when a 60 MB spindle has none
+     left, a new one is built, so each run also pays 1/119 of a build. *)
+  let first_write =
+    let cfg = Config.scaled ~factor:0.2 Config.default in
+    let chunk = cfg.Config.fs.Config.segment_blocks in
+    let fresh () = Diskset.create (Clock.create ()) (Stats.create ()) cfg in
+    let disks = ref (fresh ()) and seg = ref 0 in
+    let block = Bytes.make (Diskset.block_size !disks) 'x' in
+    Test.make ~name:"first write into a never-written extent"
+      (Staged.stage (fun () ->
+           if Layout.data_start + ((!seg + 1) * chunk) > Diskset.nblocks !disks then begin
+             disks := fresh ();
+             seg := 0
+           end;
+           Diskset.write !disks (Layout.data_start + (!seg * chunk)) block;
+           incr seg))
+  in
   (* A 40-segment LFS whose space the cases below reclaim themselves: no
      syncer, no emergency cleaner, greedy victims whose survivors go to
      the hot head. *)
@@ -387,6 +416,8 @@ let micro_tests () =
     checksum_of ~name:"LFS checksum_sub (28 KB partial)" (28 * 1024);
     checksum_of ~name:"LFS checksum_sub (512 KB segment)" (512 * 1024);
     segment_read;
+    diskset_create;
+    first_write;
     emit_partial;
     clean_victim;
     cache_hit;

@@ -516,7 +516,7 @@ let fsck_cmd =
     let cfg = Config.scaled ~factor:0.1 Config.default in
     let clock = Clock.create () in
     let stats = Stats.create () in
-    let disk = Disk.create clock stats cfg.Config.disk in
+    let disk = Diskset.primary (Diskset.create clock stats cfg) in
     let fs = Ffs.format disk clock stats cfg in
     let v = Ffs.vfs fs in
     let fd = v.Vfs.create "/data" in

@@ -14,8 +14,8 @@ type injector = {
    submit once handed a committer a zeroed snapshot of a block whose
    in-flight write carried the real bytes; the address had already been
    updated when the read was issued, so the caller's relocation chase
-   could not catch it. [persist] is a single atomic blit with no yield
-   inside, so a service-time capture never observes a torn run. *)
+   could not catch it. [persist] stores its run with no yield inside, so
+   a service-time capture never observes a torn run. *)
 type pending = {
   p_blkno : int;
   p_nblocks : int;
@@ -72,8 +72,18 @@ let make_keys pfx =
     k_op = k ".op";
   }
 
+(* The platter is an array of extents: the boot region, then one per
+   segment-sized stripe unit, the last one cut short at the end of the
+   disk. Diskset lays every LFS segment, cleaner victim and roll-forward
+   view inside one extent, so those runs are views of one buffer. An
+   extent never written is [zero], a read-only zero buffer at least as
+   long as the longest extent; its first write gives it a buffer of its
+   own. Reads never allocate one. *)
 type t = {
-  data : bytes;
+  extents : bytes array;
+  zero : bytes;
+  boot : int; (* blocks in extent 0 *)
+  extent_blocks : int; (* blocks in every later extent but the last *)
   cfg : Config.disk;
   clock : Clock.t;
   stats : Stats.t;
@@ -88,9 +98,22 @@ type t = {
          Meaningless (always in the past) on the no-scheduler paths. *)
 }
 
-let create ?(prefix = "disk") clock stats (cfg : Config.disk) =
-  if cfg.nblocks <= 0 || cfg.block_size <= 0 then
-    invalid_arg "Disk.create: bad geometry";
+(* The zero buffer every spindle's never-written extents share: the
+   longest any spindle has asked for. A longer request replaces it for
+   spindles created later; earlier ones keep theirs. *)
+let shared_zero = ref Bytes.empty
+
+let zero_of_length len =
+  if Bytes.length !shared_zero < len then shared_zero := Bytes.make len '\000';
+  !shared_zero
+
+let create ?(prefix = "disk") ~boot_blocks ~extent_blocks clock stats
+    (cfg : Config.disk) =
+  if cfg.nblocks <= 0 || cfg.block_size <= 0 || boot_blocks < 0 || extent_blocks <= 0
+  then invalid_arg "Disk.create: bad geometry";
+  let boot = min boot_blocks cfg.nblocks in
+  let nextents = 1 + ((cfg.nblocks - boot + extent_blocks - 1) / extent_blocks) in
+  let zero = zero_of_length (max boot extent_blocks * cfg.block_size) in
   let keys = make_keys prefix in
   (* Per-op latency histograms exist from boot so every benchmark
      artifact carries them, samples or not. *)
@@ -105,7 +128,10 @@ let create ?(prefix = "disk") clock stats (cfg : Config.disk) =
       keys.k_read_qwait;
     ];
   {
-    data = Bytes.make (cfg.nblocks * cfg.block_size) '\000';
+    extents = Array.make nextents zero;
+    zero;
+    boot;
+    extent_blocks;
     cfg;
     clock;
     stats;
@@ -127,6 +153,48 @@ let check_range t blkno n =
     invalid_arg
       (Printf.sprintf "Disk: blocks [%d..%d) out of range [0..%d)" blkno
          (blkno + n) t.cfg.nblocks)
+
+(* Extent [i] holds blocks [extent_start t i, extent_end t i). *)
+let extent_of t blkno =
+  if blkno < t.boot then 0 else 1 + ((blkno - t.boot) / t.extent_blocks)
+
+let extent_end t i =
+  if i = 0 then t.boot else min t.cfg.nblocks (t.boot + (i * t.extent_blocks))
+
+let extent_start t i = if i = 0 then 0 else extent_end t (i - 1)
+
+let resident_extents t =
+  Array.fold_left (fun n e -> if e == t.zero then n else n + 1) 0 t.extents
+
+(* Copy blocks [blkno, blkno + n) into [dst] at [doff], one blit per
+   extent; a never-written extent is copied from [zero]. *)
+let rec blit_out t blkno n dst doff =
+  if n > 0 then begin
+    let bs = t.cfg.block_size in
+    let i = extent_of t blkno in
+    let len = min n (extent_end t i - blkno) in
+    Bytes.blit t.extents.(i) ((blkno - extent_start t i) * bs) dst doff (len * bs);
+    blit_out t (blkno + len) (n - len) dst (doff + (len * bs))
+  end
+
+let copy_out t blkno n =
+  let buf = Bytes.create (n * t.cfg.block_size) in
+  blit_out t blkno n buf 0;
+  buf
+
+(* Store [len] bytes of [src] from [off] at [blkno], one blit per
+   extent, giving each never-written extent its own buffer first. *)
+let rec store t blkno src off len =
+  if len > 0 then begin
+    let bs = t.cfg.block_size in
+    let i = extent_of t blkno in
+    let start = extent_start t i in
+    let n = min (len / bs) (extent_end t i - blkno) in
+    if t.extents.(i) == t.zero then
+      t.extents.(i) <- Bytes.make ((extent_end t i - start) * bs) '\000';
+    Bytes.blit src off t.extents.(i) ((blkno - start) * bs) (n * bs);
+    store t (blkno + n) src (off + (n * bs)) (len - (n * bs))
+  end
 
 let cylinder t blkno = blkno / t.cfg.blocks_per_cylinder
 
@@ -228,16 +296,21 @@ let retry_reads t blkno n =
       Stats.bump t.stats t.keys.k_read_retries
     done
 
-(* The one synchronous read path: service, retries, then the platter
-   itself at the run's offset. Copies are taken from the view. *)
+(* The synchronous read paths: service and retries, then the run. A
+   run inside one extent is viewed in that extent's buffer (or in
+   [zero]); one that crosses an extent boundary is assembled. *)
 let read_run_view t blkno n =
   serve t blkno ~nblocks:n ~write:false;
   retry_reads t blkno n;
-  (t.data, blkno * t.cfg.block_size)
+  let i = extent_of t blkno in
+  if n > 0 && blkno + n <= extent_end t i then
+    (t.extents.(i), (blkno - extent_start t i) * t.cfg.block_size)
+  else (copy_out t blkno n, 0)
 
 let read_run t blkno n =
-  let b, off = read_run_view t blkno n in
-  Bytes.sub b off (n * t.cfg.block_size)
+  serve t blkno ~nblocks:n ~write:false;
+  retry_reads t blkno n;
+  copy_out t blkno n
 
 let read t blkno = read_run t blkno 1
 
@@ -250,11 +323,11 @@ let persist t blkno data ~off ~len =
   let bs = t.cfg.block_size in
   let n = len / bs in
   match t.injector with
-  | None -> Bytes.blit data off t.data (blkno * bs) len
+  | None -> store t blkno data off len
   | Some inj ->
     let keep = inj.on_write ~blkno ~nblocks:n in
     let keep = max 0 (min keep n) in
-    Bytes.blit data off t.data (blkno * bs) (keep * bs);
+    store t blkno data off (keep * bs);
     if keep < n then raise Injected_crash
 
 let write_run_sub t blkno data ~off ~len =
@@ -318,10 +391,7 @@ let rec serve_queue t sched =
       ~nblocks:pick.p_nblocks;
     t.head <- pick.p_blkno + pick.p_nblocks;
     retry_reads t pick.p_blkno pick.p_nblocks;
-    pick.p_data <-
-      Bytes.sub t.data
-        (pick.p_blkno * t.cfg.block_size)
-        (pick.p_nblocks * t.cfg.block_size);
+    pick.p_data <- copy_out t pick.p_blkno pick.p_nblocks;
     Stats.observe_at t.stats t.keys.k_read_qwait
       (Clock.now t.clock -. pick.p_submitted);
     if Stats.tracing t.stats then
@@ -376,10 +446,10 @@ let queue_depth t = List.length t.queue + if t.serving then 1 else 0
 
 let peek t blkno =
   check_range t blkno 1;
-  Bytes.sub t.data (blkno * t.cfg.block_size) t.cfg.block_size
+  copy_out t blkno 1
 
 let poke t blkno data =
   check_range t blkno 1;
   if Bytes.length data <> t.cfg.block_size then
     invalid_arg "Disk.poke: data must be exactly one block";
-  Bytes.blit data 0 t.data (blkno * t.cfg.block_size) t.cfg.block_size
+  store t blkno data 0 t.cfg.block_size

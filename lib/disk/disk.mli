@@ -1,6 +1,6 @@
 (** Simulated block device.
 
-    The device is a byte-addressable image plus a service-time model with
+    The device is a platter of real bytes plus a service-time model with
     a tracked head position: each request pays
 
     - a seek, computed from the cylinder distance between the head and the
@@ -14,8 +14,19 @@
     between one large sequential I/O and many small random I/Os is the
     entire physical basis of the paper's results (Section 2).
 
-    Reads and writes move real bytes: the image is the durable truth that
-    crash-recovery tests re-mount. *)
+    Reads and writes move real bytes: the platter is the durable truth
+    that crash-recovery tests re-mount.
+
+    {b Extents.} The platter is stored as extents: the first
+    [boot_blocks] blocks, then one extent per [extent_blocks] blocks, the
+    last cut short at the end of the disk. {!Diskset} gives each spindle
+    its boot region and its segment-sized stripe unit, so every LFS
+    segment lies inside one extent. An extent that was never written is
+    one read-only zero buffer shared by all such extents of every
+    spindle; its first write ({!write_run_sub} and the other writes, a
+    torn prefix included, or {!poke}) gives it a buffer of its own.
+    Nothing that reads gives an extent a buffer, so a spindle holds only
+    the extents written to it. *)
 
 type t
 
@@ -38,14 +49,25 @@ type injector = {
           eventually answer [false] for the same request. *)
 }
 
-val create : ?prefix:string -> Clock.t -> Stats.t -> Config.disk -> t
-(** A zero-filled device with the head parked at block 0. [Clock] and
-    [Stats] may be shared with other components of the same machine.
+val create :
+  ?prefix:string ->
+  boot_blocks:int ->
+  extent_blocks:int ->
+  Clock.t ->
+  Stats.t ->
+  Config.disk ->
+  t
+(** A zero-filled device with the head parked at block 0, holding no
+    extent yet; [boot_blocks] and [extent_blocks] set the extents (see
+    above). [Clock] and [Stats] may be shared with other components of
+    the same machine.
     [prefix] (default ["disk"]) names this spindle's stat keys
     ([<prefix>.busy], [<prefix>.seek], ...), so the members of a
     multi-disk set report per-disk counters and histograms. Queued
     (sorted-write) seeks are recorded under [<prefix>.seek.queued],
-    separate from the cold-seek histogram [<prefix>.seek]. *)
+    separate from the cold-seek histogram [<prefix>.seek].
+    @raise Invalid_argument on a non-positive size, block size or
+    [extent_blocks], or a negative [boot_blocks]. *)
 
 val set_injector : t -> injector option -> unit
 (** Arm or disarm fault injection. [None] restores fault-free service.
@@ -66,8 +88,9 @@ val read_async : t -> int -> bytes
     device queue: a server process picks requests by C-LOOK elevator
     order from the current head position, holds the device for the
     service time while other processes run, then wakes the submitter.
-    Block contents are captured at submit time — only the timing is
-    asynchronous. Outside a scheduler this is exactly {!read}. *)
+    The block's contents are copied when the server reaches the request,
+    so a write served before it (a synchronous write already holding the
+    arm, say) is seen. Outside a scheduler this is exactly {!read}. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t blkno data] services a one-block write. [data] must be
@@ -86,11 +109,15 @@ val read_run : t -> int -> int -> bytes
 val read_run_view : t -> int -> int -> bytes * int
 (** [read_run_view t blkno n] services exactly the request {!read_run}
     does (same clock, head and [Stats] effects, same retries) and
-    returns the platter itself with the byte offset of block [blkno]:
-    the run is the [n * block_size] bytes from there. The view is
-    read-only, and its bytes stay those of the run only until the next
-    write to those blocks; a caller that keeps it across a park must
-    know that nothing rewrites them meanwhile. *)
+    returns [(b, off)]: the run is the [n * block_size] bytes of [b]
+    from [off]. A run inside one extent is viewed in place, in that
+    extent's buffer; a run that crosses an extent boundary is assembled
+    into a new buffer at offset 0. The view is read-only, and its bytes
+    stay those of the run only until the next write to those blocks; a
+    caller that keeps it across a park must know that nothing rewrites
+    them meanwhile. A view of a never-written extent is the shared zero
+    buffer, so it keeps its zeros after a later write to that extent,
+    and an assembled view keeps its bytes. *)
 
 val write_run : t -> int -> bytes -> unit
 (** [write_run t blkno data] writes [data] (a whole number of blocks) as
@@ -124,6 +151,10 @@ val peek : t -> int -> bytes
 
 val poke : t -> int -> bytes -> unit
 (** Write a block without charging time. For test setup only. *)
+
+val resident_extents : t -> int
+(** How many extents have been written, and so hold a buffer of their
+    own. For tests. *)
 
 val service_time : t -> int -> nblocks:int -> float
 (** [service_time t blkno ~nblocks] is the time a sequential request of

@@ -22,13 +22,14 @@ let create ?(route_checkpoints = false) clock stats (cfg : Config.t) =
   let n = cfg.Config.fs.Config.ndisks in
   if n < 1 then invalid_arg "Diskset.create: ndisks must be >= 1";
   let chunk = cfg.Config.fs.Config.segment_blocks in
+  (* Each member's extents are its boot region and its stripe units. *)
+  let disk ?prefix () =
+    Disk.create ?prefix ~boot_blocks:reserved ~extent_blocks:chunk clock stats
+      cfg.Config.disk
+  in
   let data =
-    if n = 1 then [| Disk.create clock stats cfg.Config.disk |]
-    else
-      Array.init n (fun i ->
-          Disk.create
-            ~prefix:(Printf.sprintf "disk%d" i)
-            clock stats cfg.Config.disk)
+    if n = 1 then [| disk () |]
+    else Array.init n (fun i -> disk ~prefix:(Printf.sprintf "disk%d" i) ())
   in
   let log =
     if cfg.Config.fs.Config.log_disk then
@@ -38,10 +39,9 @@ let create ?(route_checkpoints = false) clock stats (cfg : Config.t) =
       Array.init
         (max 1 cfg.Config.fs.Config.log_streams)
         (fun i ->
-          let prefix =
-            if i = 0 then "disklog" else Printf.sprintf "disklog%d" i
-          in
-          Disk.create ~prefix clock stats cfg.Config.disk)
+          disk
+            ~prefix:(if i = 0 then "disklog" else Printf.sprintf "disklog%d" i)
+            ())
     else [||]
   in
   let logical_nblocks =

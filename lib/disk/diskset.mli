@@ -39,7 +39,10 @@ type t
 
 val create : ?route_checkpoints:bool -> Clock.t -> Stats.t -> Config.t -> t
 (** Build the spindles described by [cfg.fs.ndisks] / [cfg.fs.log_disk],
-    every member with the geometry of [cfg.disk].
+    every member with the geometry of [cfg.disk]. Each member stores its
+    platter as {!Disk} extents: the 3-block boot region, then one extent
+    per [fs.segment_blocks] stripe unit, so every segment slot is one
+    extent and a spindle holds only the segments written to it.
     [route_checkpoints] (default [false]) sends the LFS checkpoint
     blocks to the log spindle when one exists; leave it off whenever the
     log spindle hosts a file system of its own.
@@ -77,10 +80,12 @@ val read_run_view : t -> int -> int -> bytes * int
     [(b, off)]: the run is the [n * block_size] bytes of [b] from
     [off]. A run on one extent (every LFS segment, under
     segment-granular striping) is the member's {!Disk.read_run_view},
-    the platter itself; only a run cut at a stripe boundary is assembled
-    into a new buffer, at offset 0, each extent copied as it is read.
-    The view is read-only and holds the run's bytes only until the next
-    write to those blocks. *)
+    a view of the member's extent; only a run cut at a stripe or extent
+    boundary is assembled into a new buffer, at offset 0, each extent
+    copied as it is read. The view is read-only and holds the run's
+    bytes only until the next write to those blocks, with the
+    exceptions {!Disk.read_run_view} states: a view of a never-written
+    extent stays zero and an assembled one keeps its bytes. *)
 
 val read_async : t -> int -> bytes
 (** Forwards to {!Disk.read_async} on the owning member: under a

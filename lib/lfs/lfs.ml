@@ -918,9 +918,9 @@ let clean_victim t victim =
     let seg_blocks = t.cfg.fs.segment_blocks in
     let plat, roff = Diskset.read_run_view t.disk (seg_base t victim) seg_blocks in
     (* The victim's summaries, parsed in the view. Each must describe
-       blocks inside the segment: the view spans the whole platter, so an
-       entry past the end would name the next segment's bytes. A bad
-       summary is refused before any survivor is taken. *)
+       blocks inside the segment: an entry past its end would name bytes
+       outside it. A bad summary is refused before any survivor is
+       taken. *)
     let rec summaries pos =
       if pos >= seg_blocks then []
       else

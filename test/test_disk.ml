@@ -515,6 +515,294 @@ let prop_diskset_roundtrip =
           Bytes.equal b (Diskset.read ds blkno))
         blknos)
 
+(* Sparse platters. A spindle stores its boot region and each
+   segment-sized stripe unit as an extent of its own, allocated by the
+   first write; the cases below hold it to a flat image of the whole
+   device. *)
+
+(* Eight segment slots and five spare blocks per spindle: a single
+   spindle's last extent is short. *)
+let sparse_cfg ndisks =
+  let cfg = stripe_cfg ~ndisks () in
+  { cfg with Config.disk = { cfg.Config.disk with Config.nblocks = 3 + (8 * 32) + 5 } }
+
+(* One block API over the three devices the property drives: the raw
+   [Disk] of a one-spindle set, and sets of one and two spindles. *)
+type dev = {
+  nblocks : int;
+  write_sub : int -> bytes -> off:int -> len:int -> unit;
+  poke : int -> bytes -> unit;
+  view : int -> int -> bytes * int;
+  run : int -> int -> bytes;
+  peek : int -> bytes;
+  read_async : int -> bytes;
+  set_injector : Disk.injector option -> unit;
+  resident : unit -> int;
+}
+
+let sparse_dev target =
+  let cfg = sparse_cfg (if target = 2 then 2 else 1) in
+  let m = Tutil.machine ~cfg () in
+  let ds = m.Tutil.disks in
+  let resident () =
+    List.fold_left (fun n (_, d) -> n + Disk.resident_extents d) 0 (Diskset.members ds)
+  in
+  let dev =
+    if target = 0 then
+      let d = m.Tutil.disk in
+      {
+        nblocks = Disk.nblocks d;
+        write_sub = Disk.write_run_sub d;
+        poke = Disk.poke d;
+        view = Disk.read_run_view d;
+        run = Disk.read_run d;
+        peek = Disk.peek d;
+        read_async = Disk.read_async d;
+        set_injector = Disk.set_injector d;
+        resident;
+      }
+    else
+      {
+        nblocks = Diskset.nblocks ds;
+        write_sub = Diskset.write_run_sub ds;
+        poke = Diskset.poke ds;
+        view = Diskset.read_run_view ds;
+        run =
+          (fun start n -> Bytes.concat Bytes.empty (List.init n (fun i -> Diskset.read ds (start + i))));
+        peek = Diskset.peek ds;
+        read_async = Diskset.read_async ds;
+        set_injector = Diskset.set_injector ds;
+        resident;
+      }
+  in
+  (m, dev)
+
+(* A block: anywhere, or within four blocks of an extent boundary (the
+   end of the boot region or of a segment slot). *)
+type pos = Any of int | Near of int
+
+type op =
+  | Write of pos * int * int (* start, blocks, blocks before it in the caller's buffer *)
+  | Torn of pos * int * int (* start, blocks, blocks the injector keeps *)
+  | Poke of pos
+  | View of pos * int
+  | Run of pos * int
+  | Peek of pos
+  | Queued of pos list
+
+let gen_pos =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun b -> Any b) (int_bound 10_000);
+        map2 (fun seg d -> Near (3 + (seg * 32) + d)) (int_bound 16) (int_range (-4) 4);
+      ])
+
+let gen_op =
+  QCheck2.Gen.(
+    (* Short runs often, so that many of those placed near a boundary
+       cross it by a block or two. *)
+    let len = oneof [ int_range 1 6; int_range 1 40 ] in
+    frequency
+      [
+        (3, map3 (fun p n pad -> Write (p, n, pad)) gen_pos len (int_bound 3));
+        (1, map3 (fun p n keep -> Torn (p, n, keep)) gen_pos len (int_bound 40));
+        (2, map (fun p -> Poke p) gen_pos);
+        (2, map2 (fun p n -> View (p, n)) gen_pos len);
+        (1, map2 (fun p n -> Run (p, n)) gen_pos len);
+        (1, map (fun p -> Peek p) gen_pos);
+        (1, map (fun ps -> Queued ps) (list_size (int_range 1 5) gen_pos));
+      ])
+
+let prop_sparse_matches_flat =
+  Tutil.qtest ~count:60 "sparse platter = flat image (disk, 1- and 2-spindle sets)"
+    QCheck2.Gen.(pair (int_bound 2) (list_size (int_range 1 30) gen_op))
+    (fun (target, ops) ->
+      let m, dev = sparse_dev target in
+      let bs = Diskset.block_size m.Tutil.disks in
+      let flat = Bytes.make (dev.nblocks * bs) '\000' in
+      let expect start n = Bytes.sub flat (start * bs) (n * bs) in
+      let reads_alike what start n got =
+        if not (Bytes.equal (expect start n) got) then
+          QCheck2.Test.fail_reportf "%s of [%d, %d) differs from the flat image" what start
+            (start + n)
+      in
+      let at = function
+        | Any b -> b mod dev.nblocks
+        | Near b -> max 0 (min (dev.nblocks - 1) b)
+      in
+      let run p n =
+        let start = at p in
+        (start, max 1 (min n (dev.nblocks - start)))
+      in
+      (* A read op must give no extent a buffer. *)
+      let read what f =
+        let before = dev.resident () in
+        f ();
+        if dev.resident () <> before then
+          QCheck2.Test.fail_reportf "%s gave an extent a buffer" what
+      in
+      List.iteri
+        (fun tag op ->
+          match op with
+          | Write (p, n, pad) ->
+            let start, n = run p n in
+            let buf = Tutil.payload tag ((pad + n + 1) * bs) in
+            dev.write_sub start buf ~off:(pad * bs) ~len:(n * bs);
+            Bytes.blit buf (pad * bs) flat (start * bs) (n * bs)
+          | Torn (p, n, keep) ->
+            let start, n = run p n in
+            (* The injector admits [keep] blocks in all, across however
+               many extents the set cuts the run into. *)
+            let budget = ref keep in
+            dev.set_injector
+              (Some
+                 {
+                   Disk.on_write =
+                     (fun ~blkno:_ ~nblocks ->
+                       let k = min !budget nblocks in
+                       budget := !budget - k;
+                       k);
+                   on_read = (fun ~blkno:_ ~nblocks:_ -> false);
+                 });
+            let buf = Tutil.payload tag (n * bs) in
+            let crashed =
+              match dev.write_sub start buf ~off:0 ~len:(n * bs) with
+              | () -> false
+              | exception Disk.Injected_crash -> true
+            in
+            dev.set_injector None;
+            if crashed <> (keep < n) then
+              QCheck2.Test.fail_reportf "torn write of %d blocks keeping %d: crashed=%b" n keep
+                crashed;
+            Bytes.blit buf 0 flat (start * bs) (min keep n * bs)
+          | Poke p ->
+            let blk = at p in
+            let b = Tutil.payload tag bs in
+            dev.poke blk b;
+            Bytes.blit b 0 flat (blk * bs) bs
+          | View (p, n) ->
+            let start, n = run p n in
+            read "read_run_view" (fun () ->
+                let b, off = dev.view start n in
+                reads_alike "read_run_view" start n (Bytes.sub b off (n * bs)))
+          | Run (p, n) ->
+            let start, n = run p n in
+            read "read_run" (fun () -> reads_alike "read_run" start n (dev.run start n))
+          | Peek p ->
+            let blk = at p in
+            read "peek" (fun () -> reads_alike "peek" blk 1 (dev.peek blk))
+          | Queued ps ->
+            let blks = List.map at ps in
+            read "read_async" (fun () ->
+                let sched = Sched.create m.Tutil.clock in
+                List.iter
+                  (fun blk ->
+                    Sched.spawn sched (fun () ->
+                        reads_alike "read_async" blk 1 (dev.read_async blk)))
+                  blks;
+                Sched.run sched;
+                Sched.detach sched))
+        ops;
+      for blk = 0 to dev.nblocks - 1 do
+        reads_alike "final peek" blk 1 (dev.peek blk)
+      done;
+      true)
+
+(* Every kind of read, over every block of a never-written set of two
+   data spindles and a log spindle, leaves every extent without a buffer
+   of its own; the first write gives exactly one extent one. *)
+let test_reads_allocate_nothing () =
+  let cfg = stripe_cfg ~ndisks:2 ~log_disk:true () in
+  let m = Tutil.machine ~cfg () in
+  let ds = m.Tutil.disks in
+  let chunk = cfg.Config.fs.Config.segment_blocks in
+  let bs = Diskset.block_size ds in
+  let members = Diskset.members ds in
+  let resident () = List.map (fun (_, d) -> Disk.resident_extents d) members in
+  let zeros = List.map (fun _ -> 0) members in
+  let zero n = Bytes.make (n * bs) '\000' in
+  let nsegs = (Diskset.nblocks ds - 3) / chunk in
+  for s = 0 to nsegs - 1 do
+    let b, off = Diskset.read_run_view ds (3 + (s * chunk)) chunk in
+    Tutil.check_bytes "a never-written segment views as zeros" (zero chunk)
+      (Bytes.sub b off (chunk * bs))
+  done;
+  List.iter
+    (fun (start, n) -> ignore (Diskset.read_run_view ds start n))
+    [ (0, 6); (3 + chunk - 2, 4); (3 + (2 * chunk) - 1, chunk + 2) ];
+  for blk = 0 to Diskset.nblocks ds - 1 do
+    ignore (Diskset.read ds blk);
+    ignore (Diskset.peek ds blk)
+  done;
+  List.iter
+    (fun (_, d) ->
+      Tutil.check_bytes "a whole member read as one run" (zero (Disk.nblocks d))
+        (Disk.read_run d 0 (Disk.nblocks d)))
+    members;
+  let sched = Sched.create m.Tutil.clock in
+  List.iter
+    (fun blk -> Sched.spawn sched (fun () -> ignore (Diskset.read_async ds blk)))
+    [ 0; 1; 5; 3 + chunk; 3 + (5 * chunk) + 7 ];
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check (list int)) "no read gave an extent a buffer" zeros (resident ());
+  Diskset.write ds (3 + chunk + 1) (Tutil.payload 1 bs);
+  Alcotest.(check (list int)) "one write, one extent (segment 1, on disk1)"
+    (List.map (fun (name, _) -> if name = "disk1" then 1 else 0) members)
+    (resident ())
+
+(* A crash and a roll-forward over two striped spindles read never-written
+   segments; neither those reads nor the writes after the remount leave
+   a byte in the shared zero buffer. A view of a never-written segment
+   keeps its zeros after that segment is written. *)
+let test_zero_extent_survives_remount () =
+  let cfg = stripe_cfg ~ndisks:2 () in
+  let m = Tutil.machine ~cfg () in
+  let ds = m.Tutil.disks in
+  let chunk = cfg.Config.fs.Config.segment_blocks in
+  let bs = Diskset.block_size ds in
+  let fs = Lfs.format ds m.Tutil.clock m.Tutil.stats cfg in
+  let v = Lfs.vfs fs in
+  let a = Tutil.payload 1 (10 * bs) and b = Tutil.payload 2 (6 * bs) in
+  v.Vfs.write (v.Vfs.create "/a") ~off:0 a;
+  v.Vfs.sync ();
+  let fd = v.Vfs.create "/b" in
+  v.Vfs.sync ();
+  v.Vfs.write fd ~off:0 b;
+  v.Vfs.fsync fd;
+  let last = 3 + ((Lfs.nsegments fs - 1) * chunk) in
+  let written = Lfs.nsegments fs - Lfs.free_segments fs in
+  Lfs.crash fs;
+  let fs = Lfs.mount ds m.Tutil.clock m.Tutil.stats cfg in
+  Alcotest.(check bool) "the fsynced partial was rolled forward" true
+    (Stats.count m.Tutil.stats "lfs.rolled_partials" > 0);
+  Lfs.check fs;
+  let z, zoff = Diskset.read_run_view ds last chunk in
+  let zero n = Bytes.make (n * bs) '\000' in
+  Tutil.check_bytes "the last segment is never written" (zero chunk) (Bytes.sub z zoff (chunk * bs));
+  (* Fill more segments through the file system, then write the last
+     segment's first block directly. *)
+  let v = Lfs.vfs fs in
+  let c = Tutil.payload 3 (3 * chunk * bs) in
+  v.Vfs.write (v.Vfs.create "/c") ~off:0 c;
+  v.Vfs.sync ();
+  Diskset.poke ds last (Tutil.payload 4 bs);
+  Tutil.check_bytes "a view of a never-written extent keeps its zeros" (zero chunk)
+    (Bytes.sub z zoff (chunk * bs));
+  Tutil.check_bytes "the block after the poked one is still zero" (zero 1)
+    (Diskset.peek ds (last + 1));
+  let fresh = Lfs.nsegments fs - 2 in
+  Alcotest.(check bool) "more segments written than before the crash" true
+    (Lfs.nsegments fs - Lfs.free_segments fs > written);
+  Tutil.check_bytes "a segment nothing wrote is still zero" (zero 1)
+    (Diskset.peek ds (3 + (fresh * chunk) + 5));
+  List.iter
+    (fun (name, data) ->
+      let fd = v.Vfs.open_file name in
+      Tutil.check_bytes name data (v.Vfs.read fd ~off:0 ~len:(Bytes.length data)))
+    [ ("/a", a); ("/b", b); ("/c", c) ]
+
 let () =
   Alcotest.run "tx_disk"
     [
@@ -552,6 +840,13 @@ let () =
           Alcotest.test_case "checkpoint routing" `Quick
             test_diskset_checkpoint_routing;
           prop_diskset_roundtrip;
+        ] );
+      ( "sparse platter",
+        [
+          prop_sparse_matches_flat;
+          Alcotest.test_case "reads allocate nothing" `Quick test_reads_allocate_nothing;
+          Alcotest.test_case "zero extent survives remount" `Quick
+            test_zero_extent_survives_remount;
         ] );
       ( "elevator",
         [
