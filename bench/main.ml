@@ -340,6 +340,36 @@ let micro_tests () =
            ignore (Lfs.clean_once fs);
            Lfs.checkpoint fs))
   in
+  (* One TPC-B account update as Tpcb runs it: a transaction attaches a
+     fresh B-tree handle through the WAL pager at record grain, reads a
+     100-byte balance, rewrites it at the same size and commits. *)
+  let tpcb_update =
+    let clock = Clock.create () in
+    let stats = Stats.create () in
+    let cfg =
+      { Config.default with
+        Config.fs = { Config.default.Config.fs with Config.lock_grain = `Record } }
+    in
+    let cpu = cfg.Config.cpu in
+    let fs = Lfs.format (Diskset.create clock stats cfg) clock stats cfg in
+    let v = Lfs.vfs fs in
+    let fd = v.Vfs.create "/acct" in
+    let load = Btree.attach clock stats cpu (Pager.plain v fd) in
+    let key i = Printf.sprintf "%010d" i in
+    for i = 0 to 999 do
+      Btree.insert load (key i) (String.make 100 '0')
+    done;
+    let env = Libtp.open_env clock stats cfg v ~log_path:"/log" () in
+    let i = ref 0 in
+    Test.make ~name:"TPC-B update through a fresh B-tree handle (WAL pager, record grain)"
+      (Staged.stage (fun () ->
+           incr i;
+           let k = key (!i * 7919 mod 1000) in
+           let txn = Libtp.begin_txn env in
+           let bt = Btree.attach clock stats cpu (Pager.wal env txn fd) in
+           Option.iter (Btree.insert bt k) (Btree.find bt k);
+           Libtp.commit env txn))
+  in
   let cache_hit =
     let clock = Clock.create () in
     let stats = Stats.create () in
@@ -405,6 +435,7 @@ let micro_tests () =
     btree_insert;
     btree_append;
     btree_update;
+    tpcb_update;
     btree_child_at;
     btree_child_at_above;
     page_diff;

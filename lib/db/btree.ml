@@ -22,7 +22,6 @@ type t = {
   pager : Pager.t;
   meta : meta;
   mutable meta_dirty : bool;
-  mutable scratch : bytes;
 }
 
 (* Codecs ----------------------------------------------------------------- *)
@@ -38,24 +37,14 @@ let read_meta b =
         tree_height = Enc.get_u32 b 16;
       }
 
-(* The handle's one page buffer, allocated on first use: every page the
-   handle writes is built here and handed to [put], which copies it
-   before returning. It belongs to the handle, not the module: a [put]
-   can park before it copies (the kernel pager waits for its page
-   lock), and another process's tree may write meanwhile. *)
-let scratch t =
-  if Bytes.length t.scratch = 0 then t.scratch <- Bytes.make t.pager.Pager.page_size '\000';
-  t.scratch
-
 let write_meta t =
-  let b = scratch t in
-  Enc.set_u32 b 0 magic;
-  Enc.set_u32 b 4 t.meta.root;
-  Enc.set_u32 b 8 t.meta.npages;
-  Enc.set_u32 b 12 t.meta.nrecords;
-  Enc.set_u32 b 16 t.meta.tree_height;
-  Bytes.fill b 20 (Bytes.length b - 20) '\000';
-  t.pager.Pager.put 0 b;
+  Pager.write t.pager 0 (fun b ->
+      Enc.set_u32 b 0 magic;
+      Enc.set_u32 b 4 t.meta.root;
+      Enc.set_u32 b 8 t.meta.npages;
+      Enc.set_u32 b 12 t.meta.nrecords;
+      Enc.set_u32 b 16 t.meta.tree_height;
+      Bytes.fill b 20 (Bytes.length b - 20) '\000');
   t.meta_dirty <- false
 
 let bad_kind k = failwith (Printf.sprintf "Btree: bad node kind %d" k)
@@ -128,10 +117,7 @@ let node_size = function
 (* Page I/O --------------------------------------------------------------- *)
 
 let read_node t page = decode_node (t.pager.Pager.get page)
-let write_node t page node =
-  let b = scratch t in
-  encode_node b node;
-  t.pager.Pager.put page b
+let write_node t page node = Pager.write t.pager page (fun b -> encode_node b node)
 
 let alloc_page t =
   let p = t.meta.npages in
@@ -296,10 +282,10 @@ let leaf_remove out b off =
 let attach clock stats cpu pager =
   let meta_page = pager.Pager.get 0 in
   match read_meta meta_page with
-  | Some meta -> { clock; stats; cpu; pager; meta; meta_dirty = false; scratch = Bytes.empty }
+  | Some meta -> { clock; stats; cpu; pager; meta; meta_dirty = false }
   | None ->
     let meta = { root = 1; npages = 2; nrecords = 0; tree_height = 1 } in
-    let t = { clock; stats; cpu; pager; meta; meta_dirty = false; scratch = Bytes.empty } in
+    let t = { clock; stats; cpu; pager; meta; meta_dirty = false } in
     write_node t 1 (Leaf { next = 0; items = [] });
     write_meta t;
     t
@@ -424,11 +410,10 @@ let rec insert_rec t page key value =
       t.meta.nrecords <- t.meta.nrecords + 1;
       t.meta_dirty <- true
     end;
-    let out = scratch t in
-    if leaf_upsert out b s key value then begin
-      t.pager.Pager.put page out;
-      None
-    end
+    if
+      Pager.lend t.pager (fun out ->
+          leaf_upsert out b s key value && (t.pager.Pager.put page out; true))
+    then None
     else
       match decode_node b with
       | Leaf { items; next } ->
@@ -516,9 +501,8 @@ let insert t key value =
              re-run against a fresh view. *)
           let s = same_size b key vlen in
           if s < 0 then raise Pager.Op_restart;
-          let out = scratch t in
-          if not (leaf_upsert out b s key value) then assert false;
-          t.pager.Pager.put page out
+          Pager.write t.pager page (fun out ->
+              if not (leaf_upsert out b s key value) then assert false)
         end
         else begin
           (* Structure-modification path: two-phase-lock the meta, every
@@ -543,9 +527,7 @@ let insert t key value =
 (* Delete (lazy, as in db(3): pages are never merged) ---------------------- *)
 
 let remove_at t page b off =
-  let out = scratch t in
-  leaf_remove out b off;
-  t.pager.Pager.put page out;
+  Pager.write t.pager page (fun out -> leaf_remove out b off);
   t.meta.nrecords <- t.meta.nrecords - 1;
   t.meta_dirty <- true;
   write_meta t

@@ -16,14 +16,12 @@ type t = {
    key | value). Page 0 is the meta page; bucket i lives on page 1+i. *)
 
 let write_meta t =
-  let b = Bytes.make t.pager.Pager.page_size '\000' in
-  Enc.set_u32 b 0 magic;
-  Enc.set_u32 b 4 t.buckets;
-  Enc.set_u32 b 8 t.npages;
-  Enc.set_u32 b 12 t.n;
-  t.pager.Pager.put 0 b
-
-let empty_bucket ps = Bytes.make ps '\000'
+  Pager.write t.pager 0 (fun b ->
+      Enc.set_u32 b 0 magic;
+      Enc.set_u32 b 4 t.buckets;
+      Enc.set_u32 b 8 t.npages;
+      Enc.set_u32 b 12 t.n;
+      Bytes.fill b 16 (Bytes.length b - 16) '\000')
 
 let attach clock stats cpu (pager : Pager.t) ~buckets =
   if buckets <= 0 then invalid_arg "Hashdb.attach: buckets must be positive";
@@ -41,7 +39,7 @@ let attach clock stats cpu (pager : Pager.t) ~buckets =
   else begin
     let t = { clock; stats; cpu; pager; buckets; npages = 1 + buckets; n = 0 } in
     for i = 1 to buckets do
-      pager.Pager.put i (empty_bucket pager.Pager.page_size)
+      Pager.write pager i (fun b -> Bytes.fill b 0 (Bytes.length b) '\000')
     done;
     write_meta t;
     t
@@ -69,20 +67,21 @@ let decode_bucket b =
   in
   (items, overflow)
 
-let encode_bucket ps items overflow =
-  let b = Bytes.make ps '\000' in
-  Enc.set_u16 b 0 (List.length items);
-  Enc.set_u32 b 2 overflow;
-  let off = ref 6 in
-  List.iter
-    (fun (k, v) ->
-      Enc.set_u16 b !off (String.length k);
-      Enc.set_u16 b (!off + 2) (String.length v);
-      Enc.set_string b (!off + 4) k;
-      Enc.set_string b (!off + 4 + String.length k) v;
-      off := !off + 4 + String.length k + String.length v)
-    items;
-  b
+(* Write bucket page [page] holding [items], chained to [overflow]. *)
+let put_bucket t page items overflow =
+  Pager.write t.pager page (fun b ->
+      Enc.set_u16 b 0 (List.length items);
+      Enc.set_u32 b 2 overflow;
+      let off = ref 6 in
+      List.iter
+        (fun (k, v) ->
+          Enc.set_u16 b !off (String.length k);
+          Enc.set_u16 b (!off + 2) (String.length v);
+          Enc.set_string b (!off + 4) k;
+          Enc.set_string b (!off + 4 + String.length k) v;
+          off := !off + 4 + String.length k + String.length v)
+        items;
+      Bytes.fill b !off (Bytes.length b - !off) '\000')
 
 let bucket_bytes items =
   List.fold_left (fun acc (k, v) -> acc + 4 + String.length k + String.length v) 6 items
@@ -147,7 +146,7 @@ let insert t key value =
       let items, overflow = decode_bucket (t.pager.Pager.get page) in
       if List.mem_assoc key items then begin
         let items = (key, value) :: List.remove_assoc key items in
-        t.pager.Pager.put page (encode_bucket ps items overflow);
+        put_bucket t page items overflow;
         true
       end
       else replace overflow
@@ -156,13 +155,13 @@ let insert t key value =
     let rec add page =
       let items, overflow = decode_bucket (t.pager.Pager.get page) in
       if bucket_bytes ((key, value) :: items) <= ps then
-        t.pager.Pager.put page (encode_bucket ps ((key, value) :: items) overflow)
+        put_bucket t page ((key, value) :: items) overflow
       else if overflow <> 0 then add overflow
       else begin
         let fresh = t.npages in
         t.npages <- fresh + 1;
-        t.pager.Pager.put fresh (encode_bucket ps [ (key, value) ] 0);
-        t.pager.Pager.put page (encode_bucket ps items fresh);
+        put_bucket t fresh [ (key, value) ] 0;
+        put_bucket t page items fresh;
         Stats.bump t.stats k_overflow_pages
       end
     in
@@ -175,13 +174,12 @@ let delete t key =
   Pager.with_op t.pager (fun () ->
   charge t Cpu.Record_op;
   lock_write t key;
-  let ps = t.pager.Pager.page_size in
   let rec probe page =
     if page = 0 then false
     else
       let items, overflow = decode_bucket (t.pager.Pager.get page) in
       if List.mem_assoc key items then begin
-        t.pager.Pager.put page (encode_bucket ps (List.remove_assoc key items) overflow);
+        put_bucket t page (List.remove_assoc key items) overflow;
         t.n <- t.n - 1;
         write_meta t;
         true

@@ -19,9 +19,9 @@
     changed range, Section 3's byte-range logging).
 
     [put] copies the page before it returns and keeps no reference to
-    the caller's buffer, so an access method can build every page it
-    writes in one reused buffer, as [Btree] and [Recno] do (one per
-    handle: a [put] may park before it copies).
+    the caller's buffer, so the access methods build every page they
+    write in a buffer borrowed from {!lend} and allocate none of their
+    own.
 
     When [record_grain] is set the pager exposes the hierarchical
     locking hooks of the record-grain protocol: the access methods lock
@@ -75,6 +75,26 @@ val nohooks : page_size:int -> (int -> bytes) -> (int -> bytes -> unit) -> t
 (** Build a pager from bare [get]/[put] with every record-grain hook a
     no-op and [record_grain] false (substrate constructors start here
     and override what they support). *)
+
+val lend : t -> (bytes -> 'a) -> 'a
+(** [lend t build] runs [build] on a buffer of [t.page_size] bytes from
+    a process-wide pool, one free list per page size, and takes the
+    buffer back when [build] returns or raises. The buffer holds
+    whatever its last borrower left, so [build] writes every byte of the
+    page it hands to [put] or [put_sys]; it may also decline to write.
+    The buffer is [build]'s alone until then, across a park too (a
+    [put] that waits for a page lock before it copies), so every other
+    build meanwhile borrows another one: the pool grows to the number of
+    builds in flight at once and no further. [build] keeps no reference
+    to the buffer. *)
+
+val write : t -> int -> (bytes -> unit) -> unit
+(** [write t page build]: {!lend} a buffer, let [build] fill the whole
+    page, then [put] it. *)
+
+val pooled : page_size:int -> int
+(** Buffers the pool has allocated for pages of [page_size] bytes, for
+    tests. *)
 
 val with_op : t -> (unit -> 'a) -> 'a
 (** Run one logical access-method operation, releasing latches on every

@@ -7,17 +7,9 @@ type t = {
   pager : Pager.t;
   rl : int;
   mutable n : int;
-  mutable scratch : bytes;
 }
 
 let per_page t = t.pager.Pager.page_size / t.rl
-
-(* The handle's one page buffer, allocated on first use: [put] copies
-   the page before returning, and a [put] that parks first parks this
-   handle's process, so no other process writes the buffer meanwhile. *)
-let scratch t =
-  if Bytes.length t.scratch = 0 then t.scratch <- Bytes.make t.pager.Pager.page_size '\000';
-  t.scratch
 
 (* The header is written through [put_sys]: a redo-only system write.
    At record grain the record count is protected by the header latch,
@@ -27,12 +19,12 @@ let scratch t =
    durable count implies durable records below it. At page grain
    [put_sys] is just [put] and nothing changes. *)
 let write_meta t =
-  let b = scratch t in
-  Enc.set_u32 b 0 magic;
-  Enc.set_u32 b 4 t.rl;
-  Enc.set_u32 b 8 t.n;
-  Bytes.fill b 12 (Bytes.length b - 12) '\000';
-  t.pager.Pager.put_sys 0 b
+  Pager.lend t.pager (fun b ->
+      Enc.set_u32 b 0 magic;
+      Enc.set_u32 b 4 t.rl;
+      Enc.set_u32 b 8 t.n;
+      Bytes.fill b 12 (Bytes.length b - 12) '\000';
+      t.pager.Pager.put_sys 0 b)
 
 let attach clock stats cpu (pager : Pager.t) ~reclen =
   if reclen <= 0 || reclen > pager.Pager.page_size then
@@ -44,10 +36,10 @@ let attach clock stats cpu (pager : Pager.t) ~reclen =
       invalid_arg
         (Printf.sprintf "Recno.attach: record length %d, file has %d" reclen
            stored);
-    { clock; stats; cpu; pager; rl = reclen; n = Enc.get_u32 meta 8; scratch = Bytes.empty }
+    { clock; stats; cpu; pager; rl = reclen; n = Enc.get_u32 meta 8 }
   end
   else begin
-    let t = { clock; stats; cpu; pager; rl = reclen; n = 0; scratch = Bytes.empty } in
+    let t = { clock; stats; cpu; pager; rl = reclen; n = 0 } in
     write_meta t;
     t
   end
@@ -77,10 +69,10 @@ let refresh t =
 
 let set_at t recno data =
   let page, off = location t recno in
-  let b = scratch t in
-  Bytes.blit (t.pager.Pager.get page) 0 b 0 (Bytes.length b);
-  Bytes.blit data 0 b off t.rl;
-  t.pager.Pager.put page b
+  let cur = t.pager.Pager.get page in
+  Pager.write t.pager page (fun b ->
+      Bytes.blit cur 0 b 0 (Bytes.length b);
+      Bytes.blit data 0 b off t.rl)
 
 (* Record-grain append protocol: the exclusive header latch makes the
    slot allocation atomic; the record lock covers the new slot to

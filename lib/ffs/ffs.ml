@@ -98,9 +98,8 @@ let iget_opt t inum =
   if inum <= 0 || inum >= max_inodes then None
   else
     Fileops.cached t.files inum (fun () ->
-        Inode.load ~block_size:t.bs ~read:(Disk.read t.disk)
-          (Disk.read t.disk (itable_blkno t inum))
-          (itable_off t inum))
+        let b, off = Disk.read_run_view t.disk (itable_blkno t inum) 1 in
+        Inode.load ~block_size:t.bs ~read:(Disk.read t.disk) b (off + itable_off t inum))
 
 let iget t inum =
   match iget_opt t inum with
@@ -405,18 +404,19 @@ let mount disk clock stats cfg =
   (* Scan the inode table for the allocation picture. *)
   let maxseen = ref root_inum in
   for blk = 0 to t.itable_blocks - 1 do
-    let b = Disk.read disk (t.itable_start + blk) in
+    let b, off = Disk.read_run_view disk (t.itable_start + blk) 1 in
     for slot = 0 to inodes_per_block t - 1 do
       let inum = (blk * inodes_per_block t) + slot in
       if inum >= 1 && inum < max_inodes then
-        match Inode.decode b (slot * 256) with
+        match Inode.decode b (off + (slot * 256)) with
         | Some _ -> if inum > !maxseen then maxseen := inum
         | None -> ()
     done
   done;
   t.files.next_inum <- !maxseen + 1;
   Fileops.rebuild_free_inums t.files ~allocated:(fun inum ->
-      Inode.decode (Disk.read disk (itable_blkno t inum)) (itable_off t inum) <> None);
+      let b, off = Disk.read_run_view disk (itable_blkno t inum) 1 in
+      Inode.decode b (off + itable_off t inum) <> None);
   Stats.bump t.stats k_mounts;
   t
 

@@ -75,7 +75,10 @@ val load : block_size:int -> read:(int -> bytes) -> bytes -> int -> t option
 (** [load ~block_size ~read block off] decodes the record at [off] in
     [block], then fills the whole map from its double-indirect and
     indirect blocks, fetched with [read addr] (double-indirect first,
-    then indirect blocks in index order). [None] for a free slot. *)
+    then indirect blocks in index order). [None] for a free slot. The
+    record is decoded, every field copied, before the first [read], so
+    [block] may be a disk view ([Disk.read_run_view]) that a parked
+    [read] lets change. *)
 
 type block_kind = Data_block | Indirect_block | Double_block
 

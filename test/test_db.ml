@@ -814,7 +814,8 @@ let guarded_wal grain () =
 
 (* [put] copies the page before it returns: once the caller reuses its
    buffer, [get] still returns the bytes that were put. The access
-   methods build every page in one buffer per handle and rely on this. *)
+   methods build every page in a pooled buffer ([Pager.lend]) and rely
+   on this. *)
 let check_put_copies (p : Pager.t) =
   let ps = p.Pager.page_size in
   List.iter
@@ -853,6 +854,106 @@ let put_copies_kernel () =
   let txn = Ktxn.txn_begin k in
   check_put_copies (Ktxn.pager k txn ~inum);
   Ktxn.txn_commit k txn
+
+(* Pooled page buffers -------------------------------------------------------- *)
+
+(* A pager whose [get] and [put] must never run: for lending alone. *)
+let lend_only ps =
+  Pager.nohooks ~page_size:ps
+    (fun _ -> Alcotest.fail "get")
+    (fun _ _ -> Alcotest.fail "put")
+
+(* Two kernel-pager transactions share file /b. A holds /b's meta and
+   root leaf shared, so B's insert parks inside [put] on the leaf's
+   exclusive lock with its built page in a borrowed buffer. Meanwhile A
+   builds and writes /a's leaf and meta; when A commits, B's [put]
+   copies its buffer. With one shared buffer, B would write A's last
+   page into /b. *)
+let pool_parked_put_keeps_bytes () =
+  let sys = Core.boot ~config:(Tutil.small_config ()) () in
+  let v = Lfs.vfs sys.Core.lfs in
+  let k = sys.Core.ktxn and clock = sys.Core.clock and stats = sys.Core.stats in
+  let cpu = sys.Core.config.Config.cpu in
+  let inum path =
+    ignore (v.Vfs.create path);
+    Ktxn.protect k path;
+    Lfs.inum_of sys.Core.lfs path
+  in
+  let a = inum "/a" and b = inum "/b" in
+  let tree txn inum = Btree.attach clock stats cpu (Ktxn.pager k txn ~inum) in
+  let t0 = Ktxn.txn_begin k in
+  ignore (tree t0 a);
+  ignore (tree t0 b);
+  Ktxn.txn_commit k t0;
+  let sched = Sched.create clock in
+  Sched.spawn sched (fun () ->
+      let ta = Ktxn.txn_begin k in
+      ignore (Btree.find (tree ta b) "kb");
+      Sched.delay sched 0.001;
+      Btree.insert (tree ta a) "ka" "va";
+      Ktxn.txn_commit k ta);
+  Sched.spawn sched (fun () ->
+      let tb = Ktxn.txn_begin k in
+      Btree.insert (tree tb b) "kb" "vb";
+      Ktxn.txn_commit k tb);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check bool) "B parked on a page lock" true
+    (Stats.count stats "ktxn.lock_blocks" >= 1);
+  let t = Ktxn.txn_begin k in
+  let ta = tree t a and tb = tree t b in
+  Alcotest.(check (option string)) "A's key" (Some "va") (Btree.find ta "ka");
+  Alcotest.(check (option string)) "B's key" (Some "vb") (Btree.find tb "kb");
+  Btree.check ta;
+  Btree.check tb;
+  Ktxn.txn_commit k t
+
+(* 200 TPC-B transactions at MPL 1 build one page at a time, so the pool
+   needs one 4 KB buffer in all. The groups before this one build one
+   page at a time too. *)
+let pool_stays_small () =
+  let ps = Config.default.Config.disk.Config.block_size in
+  let before = Pager.pooled ~page_size:ps in
+  List.iter
+    (fun (grain, stack) ->
+      let c = Config.scaled ~factor:0.2 Config.default in
+      let config = { c with Config.fs = { c.Config.fs with Config.lock_grain = grain } } in
+      let run =
+        Expcommon.run_tpcb ~config
+          ~scale:{ Tpcb.accounts = 2_000; tellers = 40; branches = 40 }
+          ~txns:200 ~seed:1 ~mpl:1 stack
+      in
+      Alcotest.(check int) "commits" 200 run.Expcommon.result.Tpcb.txns;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: pool holds %d buffers" (Txstack.name stack)
+           (Pager.pooled ~page_size:ps))
+        true
+        (Pager.pooled ~page_size:ps <= max 1 before))
+    [ (`Page, Txstack.Lfs_user); (`Record, Txstack.Lfs_user); (`Page, Txstack.Lfs_kernel) ]
+
+let pool_takes_back_every_buffer () =
+  let p = lend_only 1000 in
+  (* Every build here declines to write: it never calls [put]. *)
+  let first = Pager.lend p Fun.id in
+  Alcotest.(check bool) "same buffer after a decline" true (Pager.lend p (fun b -> b == first));
+  (match Pager.lend p (fun _ -> raise Exit) with () -> () | exception Exit -> ());
+  Alcotest.(check bool) "same buffer after a raise" true (Pager.lend p (fun b -> b == first));
+  Alcotest.(check int) "one allocated" 1 (Pager.pooled ~page_size:1000);
+  let nested () = Pager.lend p (fun b1 -> Pager.lend p (fun b2 -> b1 != b2)) in
+  Alcotest.(check bool) "nested builds get two buffers" true (nested ());
+  Alcotest.(check bool) "and again" true (nested ());
+  Alcotest.(check int) "two allocated" 2 (Pager.pooled ~page_size:1000)
+
+let pool_keeps_sizes_apart () =
+  let small = lend_only 512 and large = lend_only 2048 in
+  Pager.lend large ignore;
+  Alcotest.(check int) "small page" 512 (Pager.lend small Bytes.length);
+  Alcotest.(check int) "small inside large" 512
+    (Pager.lend large (fun _ -> Pager.lend small Bytes.length));
+  Alcotest.(check int) "large inside small" 2048
+    (Pager.lend small (fun _ -> Pager.lend large Bytes.length));
+  Alcotest.(check (pair int int)) "one buffer per size" (1, 1)
+    (Pager.pooled ~page_size:512, Pager.pooled ~page_size:2048)
 
 (* db(3)-style unified facade ---------------------------------------------- *)
 
@@ -976,5 +1077,15 @@ let () =
           Alcotest.test_case "wal pager, page grain" `Quick (put_copies_wal `Page);
           Alcotest.test_case "wal pager, record grain" `Quick (put_copies_wal `Record);
           Alcotest.test_case "kernel pager" `Quick put_copies_kernel;
+        ] );
+      ( "pooled page buffers",
+        [
+          Alcotest.test_case "200 TPC-B transactions at MPL 1 need one buffer" `Quick
+            pool_stays_small;
+          Alcotest.test_case "a parked put keeps its page" `Quick
+            pool_parked_put_keeps_bytes;
+          Alcotest.test_case "declined and raising builds return the buffer" `Quick
+            pool_takes_back_every_buffer;
+          Alcotest.test_case "page sizes never mix" `Quick pool_keeps_sizes_apart;
         ] );
     ]

@@ -85,6 +85,28 @@ let test_fsck_fixes_bitmap_after_crash () =
   Tutil.check_bytes "data intact" (Tutil.payload 1 40960)
     (v.Vfs.read fd ~off:0 ~len:40960)
 
+(* fsck probes every inode number, each through a one-block read of the
+   inode table. The probes view the block in place: one copy of it per
+   probe would allocate 8 191 blocks in the major heap. The report and
+   the simulated time are pinned: the reads are the same requests. *)
+let test_fsck_probes_without_copies () =
+  let m, fs = fresh () in
+  let t0 = Clock.now m.Tutil.clock in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = Ffs.fsck fs in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let elapsed = Clock.now m.Tutil.clock -. t0 in
+  Alcotest.(check (list int)) "scanned, leaked, cross-allocated" [ 1; 0; 0 ]
+    [ r.Ffs.scanned_inodes; r.Ffs.leaked_blocks; r.Ffs.cross_allocated ];
+  Alcotest.(check bool) "fixed" false r.Ffs.fixed;
+  Alcotest.(check string) "simulated seconds" "0x1.44b12ceb55085p+6"
+    (Printf.sprintf "%h" elapsed);
+  let copies = float_of_int (8191 * m.Tutil.cfg.Config.disk.Config.block_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words, under a tenth of %.0f" words copies)
+    true
+    (words < copies /. 10.)
+
 let test_free_blocks_accounting () =
   let _, fs = fresh () in
   let v = Ffs.vfs fs in
@@ -143,6 +165,7 @@ let () =
         [
           Alcotest.test_case "clean image" `Quick test_fsck_clean;
           Alcotest.test_case "repairs bitmap" `Quick test_fsck_fixes_bitmap_after_crash;
+          Alcotest.test_case "probes without copies" `Quick test_fsck_probes_without_copies;
         ] );
       ( "misc",
         [
