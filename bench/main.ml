@@ -253,6 +253,23 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Diskset.create (Clock.create ()) (Stats.create ()) cfg)))
   in
+  (* Crash recovery of wal-mpl16's log spindle: mount and fsck of a
+     60 MB FFS holding one 2 000-block log file (two indirect blocks and
+     the double-indirect block). The image is clean, so nothing is
+     written and every run sees the same disk. *)
+  let log_fsck =
+    let base = Config.scaled ~factor:0.2 Config.default in
+    let cfg = { base with Config.fs = { base.Config.fs with Config.log_disk = true } } in
+    let clock = Clock.create () and stats = Stats.create () in
+    let disk = (Diskset.log_disks (Diskset.create clock stats cfg)).(0) in
+    let fs = Ffs.format disk clock stats cfg in
+    let v = Ffs.vfs fs in
+    let fd = v.Vfs.create "/log" in
+    v.Vfs.write fd ~off:0 (Bytes.make (2000 * v.Vfs.block_size) 'x');
+    Ffs.sync fs;
+    Test.make ~name:"Ffs.mount + fsck of a wal-mpl16-sized log spindle"
+      (Staged.stage (fun () -> ignore (Ffs.fsck (Ffs.mount disk clock stats cfg))))
+  in
   (* One block written at the start of a segment slot nothing has
      written yet, the next slot each run; when a 60 MB spindle has none
      left, a new one is built, so each run also pays 1/119 of a build. *)
@@ -448,6 +465,7 @@ let micro_tests () =
     checksum_of ~name:"LFS checksum_sub (512 KB segment)" (512 * 1024);
     segment_read;
     diskset_create;
+    log_fsck;
     first_write;
     emit_partial;
     clean_victim;

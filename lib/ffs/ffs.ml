@@ -94,15 +94,13 @@ let mark_inode_dirty t ino =
   ino.Inode.dirty <- true;
   Hashtbl.replace t.dirty_inodes ino.Inode.inum ()
 
-let iget_opt t inum =
-  if inum <= 0 || inum >= max_inodes then None
-  else
-    Fileops.cached t.files inum (fun () ->
-        let b, off = Disk.read_run_view t.disk (itable_blkno t inum) 1 in
-        Inode.load ~block_size:t.bs ~read:(Disk.read t.disk) b (off + itable_off t inum))
-
 let iget t inum =
-  match iget_opt t inum with
+  if inum <= 0 || inum >= max_inodes then Vfs.error Not_found "inode %d" inum;
+  let load () =
+    let b, off = Disk.read_run_view t.disk (itable_blkno t inum) 1 in
+    Inode.load ~block_size:t.bs ~read:(Disk.read t.disk) b (off + itable_off t inum)
+  in
+  match Fileops.cached t.files inum load with
   | Some ino -> ino
   | None -> Vfs.error Not_found "inode %d" inum
 
@@ -401,22 +399,21 @@ let mount disk clock stats cfg =
     if n > 0 then Bytes.blit blk 0 t.bitmap off n
   done;
   t.bitmap_dirty <- false;
-  (* Scan the inode table for the allocation picture. *)
-  let maxseen = ref root_inum in
+  (* Each table block is read once; every allocated inode is cached with
+     its indirect blocks (a read leaves the block's view as it is). *)
+  t.files.next_inum <- root_inum + 1;
   for blk = 0 to t.itable_blocks - 1 do
     let b, off = Disk.read_run_view disk (t.itable_start + blk) 1 in
     for slot = 0 to inodes_per_block t - 1 do
       let inum = (blk * inodes_per_block t) + slot in
       if inum >= 1 && inum < max_inodes then
-        match Inode.decode b (off + (slot * 256)) with
-        | Some _ -> if inum > !maxseen then maxseen := inum
-        | None -> ()
+        Inode.load ~block_size:t.bs ~read:(Disk.read disk) b (off + (slot * 256))
+        |> Option.iter (fun ino ->
+               Fileops.Itbl.replace t.files.inodes inum ino;
+               t.files.next_inum <- inum + 1)
     done
   done;
-  t.files.next_inum <- !maxseen + 1;
-  Fileops.rebuild_free_inums t.files ~allocated:(fun inum ->
-      let b, off = Disk.read_run_view disk (itable_blkno t inum) 1 in
-      Inode.decode b (off + itable_off t inum) <> None);
+  Fileops.rebuild_free_inums t.files ~allocated:(Fileops.Itbl.mem t.files.inodes);
   Stats.bump t.stats k_mounts;
   t
 
@@ -440,13 +437,9 @@ let fsck t =
         (Char.chr (min 255 (Char.code (Bytes.get refcount addr) + 1)))
   in
   let scanned = ref 0 in
-  for inum = 1 to max_inodes - 1 do
-    match iget_opt t inum with
-    | None -> ()
-    | Some ino ->
+  Fileops.iter_allocated t.files (fun inum ->
       incr scanned;
-      Inode.iter_block_addrs ino ~block_size:t.bs (fun _ _ addr -> bump addr)
-  done;
+      Inode.iter_block_addrs (iget t inum) ~block_size:t.bs (fun _ _ addr -> bump addr));
   let leaked = ref 0 and cross = ref 0 in
   for blk = t.data_start to t.nblocks - 1 do
     let refs = Char.code (Bytes.get refcount blk) in

@@ -29,6 +29,8 @@ exception Crashed
 
 val format : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
 val mount : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
+(** Reads the superblock, the bitmap and each inode-table block once,
+    and caches every allocated inode with its indirect blocks. *)
 
 val crash : t -> unit
 (** Discard all volatile state; the disk image keeps only what was
@@ -47,8 +49,11 @@ type fsck_report = {
 }
 
 val fsck : t -> fsck_report
-(** Rebuild the allocation bitmap from the inodes, reporting (and fixing)
-    leaks from an unclean shutdown. *)
+(** Rebuild the allocation bitmap from the allocated inodes, reporting
+    (and fixing) leaks from an unclean shutdown. It trusts the file
+    layer's allocation picture and reads only inodes not cached (none
+    after {!mount}): an inode freed but not yet flushed is not scanned,
+    and its blocks stay free. *)
 
 val contiguity : t -> string -> float
 (** Fraction of a file's adjacent logical blocks that are also adjacent

@@ -34,6 +34,13 @@ let rebuild_free_inums st ~allocated =
   done;
   st.free_inums <- !free
 
+let iter_allocated st f =
+  let free = Itbl.create 16 in
+  List.iter (fun inum -> Itbl.replace free inum ()) st.free_inums;
+  for inum = root_inum to st.next_inum - 1 do
+    if not (Itbl.mem free inum) then f inum
+  done
+
 module type FS = sig
   type t
 

@@ -40,6 +40,12 @@ val rebuild_free_inums : state -> allocated:(int -> bool) -> unit
 (** After mount: every number from [next_inum - 1] down to 2 that is not
     [allocated] becomes free (lowest first in the list). *)
 
+val iter_allocated : state -> (int -> unit) -> unit
+(** [f inum] for every number from {!root_inum} to [next_inum - 1] that
+    is not in [free_inums], in increasing order: the allocated inodes
+    as the file layer sees them, unflushed frees and allocations
+    included. *)
+
 module type FS = sig
   type t
 
