@@ -1,13 +1,14 @@
 
+type state = Clean | Dirty | Owned of int
+
 type frame = {
   file : int;
   lblock : int;
   data : bytes;
-  mutable dirty : bool;
+  mutable state : state;
   mutable pins : int;
   mutable dirtied_at : float;
   mutable modseq : int;
-  mutable txn : int;
   mutable prev : frame;
   mutable next : frame;
   mutable resident : bool;
@@ -53,11 +54,10 @@ let make_sentinel () =
       file = -1;
       lblock = -1;
       data = Bytes.empty;
-      dirty = false;
+      state = Clean;
       pins = 0;
       dirtied_at = 0.0;
       modseq = 0;
-      txn = -1;
       prev = s;
       next = s;
       resident = false;
@@ -119,7 +119,15 @@ let lookup t ~file ~lblock =
     Stats.bump t.stats k_misses;
     None
 
-let mark_clean _t f = f.dirty <- false
+(* The write rule (cache.mli): an owned frame leaves [Owned] only
+   through [release] or [invalidate]. States are matched, not compared
+   with [=], which on this type is a C call. *)
+let writable f = match f.state with Dirty -> true | Clean | Owned _ -> false
+let clean f = match f.state with Clean -> true | Dirty | Owned _ -> false
+let owned f = match f.state with Owned _ -> true | Clean | Dirty -> false
+let owned_by f txn = match f.state with Owned id -> id = txn | Clean | Dirty -> false
+let evictable f = f.pins = 0 && not (owned f)
+let mark_clean _t f = if writable f then f.state <- Clean
 
 let drop t f =
   unlink f;
@@ -136,11 +144,11 @@ let evict_one t =
   (* Walk from the LRU end for the first evictable frame. *)
   let rec find f =
     if f == t.lru then raise Cache_full
-    else if f.pins = 0 && f.txn < 0 then f
+    else if evictable f then f
     else find f.next
   in
   let victim = find t.lru.next in
-  if victim.dirty then begin
+  if writable victim then begin
     Stats.bump t.stats k_evict_dirty;
     (* Pin across the writeback: under the scheduler the hook can block
        on the disk and yield, and no other fiber may pick this victim
@@ -153,14 +161,14 @@ let evict_one t =
       (fun () -> t.writeback victim);
     (* Only mark clean if nobody re-dirtied the frame while the
        writeback was parked — a newer modification is not on disk. *)
-    if victim.modseq = seq then victim.dirty <- false
+    if victim.modseq = seq then mark_clean t victim
   end
   else Stats.bump t.stats k_evict_clean;
   (* Re-check after the potential yield: the victim may have been
      invalidated, pinned or re-dirtied by another fiber meanwhile. If it
      is no longer droppable the caller's capacity loop simply evicts
      another frame. *)
-  if victim.resident && victim.pins = 0 && not victim.dirty then drop t victim
+  if victim.resident && victim.pins = 0 && clean victim then drop t victim
 
 let insert t ~file ~lblock data =
   if not (in_range ~file ~lblock) then
@@ -168,9 +176,9 @@ let insert t ~file ~lblock data =
   let k = key ~file ~lblock in
   (match Tbl.find_opt t.tbl k with
   | Some old ->
-    if old.pins > 0 || old.txn >= 0 then
+    if not (evictable old) then
       invalid_arg "Cache.insert: replacing a pinned or transaction-owned frame";
-    if old.dirty then begin
+    if writable old then begin
       (* Replacing a dirty frame must not lose its bytes: push them to
          the backing store first (the hook may clean other frames too,
          hence the re-checks below). *)
@@ -178,7 +186,7 @@ let insert t ~file ~lblock data =
       let seq = old.modseq in
       pin old;
       Fun.protect ~finally:(fun () -> unpin old) (fun () -> t.writeback old);
-      if old.modseq = seq then old.dirty <- false
+      if old.modseq = seq then mark_clean t old
     end;
     if old.resident then drop t old
   | None -> ());
@@ -190,11 +198,10 @@ let insert t ~file ~lblock data =
       file;
       lblock;
       data;
-      dirty = false;
+      state = Clean;
       pins = 0;
       dirtied_at = 0.0;
       modseq = 0;
-      txn = -1;
       prev = t.lru;
       next = t.lru;
       resident = true;
@@ -206,14 +213,18 @@ let insert t ~file ~lblock data =
 
 let mark_dirty t f =
   if not f.resident then invalid_arg "Cache.mark_dirty: frame not resident";
-  if not f.dirty then begin
-    f.dirty <- true;
+  if clean f then begin
+    f.state <- Dirty;
     f.dirtied_at <- Clock.now t.clock
   end;
   t.seq <- t.seq + 1;
   f.modseq <- t.seq
 
-let set_txn _t f txn = f.txn <- txn
+let own t f txn =
+  if clean f then f.dirtied_at <- Clock.now t.clock;
+  f.state <- Owned txn
+
+let release _t f = if owned f then f.state <- Dirty
 
 let invalidate t f = if f.resident then drop t f
 
@@ -223,7 +234,7 @@ let fold t acc0 g =
 
 let dirty_frames_of t of_file =
   fold t [] (fun acc f ->
-      if f.dirty && f.txn < 0 && of_file f.file then f :: acc else acc)
+      if writable f && of_file f.file then f :: acc else acc)
   |> List.sort (fun a b -> Float.compare a.dirtied_at b.dirtied_at)
 
 let dirty_frames t ?file () =
@@ -231,8 +242,10 @@ let dirty_frames t ?file () =
   | None -> dirty_frames_of t (fun _ -> true)
   | Some inum -> dirty_frames_of t (fun f -> f = inum)
 
-let txn_frames t txn = fold t [] (fun acc f -> if f.txn = txn then f :: acc else acc)
+let txn_frames t txn = fold t [] (fun acc f -> if owned_by f txn then f :: acc else acc)
 
 let file_frames t inum =
   fold t [] (fun acc f -> if f.file = inum then f :: acc else acc)
+
+let file_has_owned t inum = List.exists owned (file_frames t inum)
 

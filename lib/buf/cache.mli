@@ -6,14 +6,20 @@
     owning file system, which supplies the {!set_writeback} hook used when
     a dirty victim must be evicted.
 
-    Replacement is strict LRU over unpinned frames. Frames owned by an
-    in-kernel transaction ([txn >= 0]) are never evicted or written back
-    behind the transaction manager's back: the paper's implementation
-    holds all of a transaction's dirty buffers in memory until commit
-    (Section 4.5, restriction 1). Each frame also remembers when it was
-    first dirtied so the 30-second syncer can find delayed writes, and a
-    sequence number of its last modification so a user-space cleaner can
-    detect "recently modified" blocks (Section 5.4).
+    Replacement is strict LRU over unpinned, unowned frames. Each frame
+    also remembers when it was first dirtied so the 30-second syncer can
+    find delayed writes, and a sequence number of its last modification
+    so a user-space cleaner can detect "recently modified" blocks
+    (Section 5.4).
+
+    {b The write rule.} A frame is [Clean], [Dirty] or [Owned txn]. An
+    in-kernel transaction's buffers stay in memory, unwritten, until its
+    commit forces them (Section 4.5, restriction 1): an [Owned] frame
+    holds unwritten bytes by construction, is never evicted, replaced,
+    listed by {!dirty_frames} or cleaned by {!mark_clean}, and leaves
+    that state only through {!release} (to [Dirty], for the commit's
+    flush) or {!invalidate} (abort). Every writer asks {!writable}; the
+    eviction walk asks {!evictable}. No other module compares owners.
 
     The table packs a key into one int, [(file lsl 32) lor lblock], so
     a frame's key must have [0 <= lblock < 2^32] and
@@ -23,15 +29,19 @@
 
 type t
 
+type state =
+  | Clean
+  | Dirty  (** unwritten bytes any writer may flush *)
+  | Owned of int  (** unwritten bytes of this kernel transaction *)
+
 type frame = private {
   file : int;  (** owning inode number *)
   lblock : int;  (** logical block within the file *)
   data : bytes;  (** exactly one block; mutated in place *)
-  mutable dirty : bool;
+  mutable state : state;
   mutable pins : int;
   mutable dirtied_at : float;  (** clock time of the first dirtying *)
   mutable modseq : int;  (** cache-wide sequence of last modification *)
-  mutable txn : int;  (** owning kernel transaction id, or -1 *)
   mutable prev : frame;
   mutable next : frame;
   mutable resident : bool;
@@ -66,33 +76,51 @@ val insert : t -> file:int -> lblock:int -> bytes -> frame
     @raise Cache_full if no frame can be evicted. *)
 
 val mark_dirty : t -> frame -> unit
-(** Flag the frame as containing unwritten data and bump [modseq]. *)
+(** The frame's bytes changed: a [Clean] frame becomes [Dirty] (an
+    [Owned] one stays owned), and [modseq] moves. *)
 
 val mark_clean : t -> frame -> unit
+(** A [Dirty] frame's bytes reached disk. Leaves an [Owned] frame owned:
+    only its commit may write it. *)
+
+val own : t -> frame -> int -> unit
+(** Give the frame to kernel transaction [txn]: it becomes [Owned txn]
+    and stays in memory until {!release} or {!invalidate}. *)
+
+val release : t -> frame -> unit
+(** An [Owned] frame becomes [Dirty]; others are unchanged. *)
+
+val writable : frame -> bool
+(** May a writer flush the frame now? Only a [Dirty] one. *)
+
+val evictable : frame -> bool
+(** Unpinned and not [Owned]. *)
+
+val owned : frame -> bool
+val owned_by : frame -> int -> bool
 
 val pin : frame -> unit
 val unpin : frame -> unit
-
-val set_txn : t -> frame -> int -> unit
-(** Attach the frame to kernel transaction [txn] ([-1] releases it). *)
 
 val invalidate : t -> frame -> unit
 (** Drop the frame without writing it back (transaction abort). *)
 
 val dirty_frames : t -> ?file:int -> unit -> frame list
-(** Dirty frames (optionally of one file), oldest-dirtied first. Frames
-    owned by a transaction are excluded — they are not eligible for
-    writeback until their transaction commits. *)
+(** {!writable} frames (optionally of one file), oldest-dirtied
+    first. *)
 
 val dirty_frames_of : t -> (int -> bool) -> frame list
-(** The dirty frames of every file [of_file] accepts, in one walk of the
-    cache, oldest-dirtied first. The sort is stable, so the frames of
+(** The {!writable} frames of every file [of_file] accepts, in one walk
+    of the cache, oldest-dirtied first. The sort is stable, so the frames of
     one file come in the order [dirty_frames ~file] gives them. *)
 
 val txn_frames : t -> int -> frame list
 (** All frames owned by kernel transaction [txn]. *)
 
 val file_frames : t -> int -> frame list
+
+val file_has_owned : t -> int -> bool
+(** Does the file hold an [Owned] frame? *)
 
 val modseq : t -> int
 (** Current modification sequence number (monotone). *)

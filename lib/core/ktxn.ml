@@ -76,20 +76,6 @@ let unprotect t path =
   let v = Lfs.vfs t.lfs in
   v.Vfs.set_protected path false
 
-(* Forward reference: group-commit flushing is defined with commit below,
-   but transaction begin must settle any deferred commits first. *)
-let settle_pending_ref = ref (fun _ -> ())
-
-let txn_begin t =
-  !settle_pending_ref t;
-  syscall t;
-  kmutex t;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let txn = { id; frames = []; live = true } in
-  Stats.bump t.stats k_begins;
-  txn
-
 let check_live txn =
   if not txn.live then invalid_arg "Ktxn: transaction already finished"
 
@@ -101,7 +87,7 @@ let do_abort t txn =
   let cache = Lfs.cache t.lfs in
   List.iter
     (fun f ->
-      Cache.set_txn cache f (-1);
+      Cache.release cache f;
       (* Dropping the buffer exposes the on-disk before-image — no log
          needed, courtesy of the no-overwrite policy. *)
       Cache.invalidate cache f)
@@ -144,8 +130,8 @@ let write_page t txn ~inum ~page data =
   Bytes.blit data 0 f.Cache.data 0 (Bytes.length data);
   Lfs.page_dirty t.lfs f;
   Lfs.extend_to t.lfs ~inum ((page + 1) * Bytes.length data);
-  if protected_ && f.Cache.txn <> txn.id then begin
-    Cache.set_txn cache f txn.id;
+  if protected_ && not (Cache.owned_by f txn.id) then begin
+    Cache.own cache f txn.id;
     txn.frames <- f :: txn.frames
   end;
   Stats.bump t.stats k_page_writes
@@ -174,7 +160,7 @@ let flush_pending t =
         let all_frames =
           List.concat_map
             (fun (_, frames) ->
-              List.iter (fun f -> Cache.set_txn cache f (-1)) frames;
+              List.iter (Cache.release cache) frames;
               frames)
             pending
         in
@@ -192,7 +178,7 @@ let flush_pending t =
               if List.exists same !seen then false
               else begin
                 seen := f :: !seen;
-                f.Cache.resident && f.Cache.dirty
+                f.Cache.resident && Cache.writable f
               end)
             all_frames
         in
@@ -219,7 +205,15 @@ let settle_pending t =
     flush_pending t
   end
 
-let () = settle_pending_ref := settle_pending
+let txn_begin t =
+  settle_pending t;
+  syscall t;
+  kmutex t;
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let txn = { id; frames = []; live = true } in
+  Stats.bump t.stats k_begins;
+  txn
 
 let flush_commits t = if t.pending_commits <> [] then flush_pending t
 

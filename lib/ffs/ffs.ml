@@ -26,7 +26,6 @@ type t = {
   mutable bitmap_dirty : bool;
   mutable rotor : int; (* global next-fit pointer for allocation *)
   mutable last_syncer : float;
-  mutable in_maintenance : bool;
 }
 
 let inodes_per_block t = t.bs / 256
@@ -243,19 +242,12 @@ let sync_internal t =
   flush_frames t frames;
   issue_sorted t (bitmap_writes t)
 
-(* Run [f] with the syncer in [tick] held off. *)
-let maintaining t f =
-  let was = t.in_maintenance in
-  t.in_maintenance <- true;
-  f ();
-  t.in_maintenance <- was
-
 let tick t =
   if
-    (not t.in_maintenance)
+    Fileops.idle t.files
     && Clock.now t.clock -. t.last_syncer >= t.cfg.Config.fs.syncer_interval_s
   then
-    maintaining t (fun () ->
+    Fileops.section t.files (fun () ->
         t.last_syncer <- Clock.now t.clock;
         sync_internal t;
         Stats.bump t.stats k_syncer_runs)
@@ -272,10 +264,11 @@ let get_page t ~inum ~lblock =
 
 let sync t =
   check_alive t;
-  maintaining t (fun () -> sync_internal t)
+  Fileops.section t.files (fun () -> sync_internal t)
 
 let fsync_inum t inum =
-  maintaining t (fun () -> flush_frames t (Cache.dirty_frames t.cache ~file:inum ()))
+  Fileops.section t.files (fun () ->
+      flush_frames t (Cache.dirty_frames t.cache ~file:inum ()))
 
 (* File layer ------------------------------------------------------------------
 
@@ -347,13 +340,12 @@ let make disk clock stats (cfg : Config.t) =
       bitmap_blocks;
       data_start;
       cache = Cache.create clock stats cfg.cpu ~capacity:cfg.fs.cache_blocks;
-      files = Fileops.state ();
+      files = Fileops.state clock;
       dirty_inodes = Hashtbl.create 16;
       bitmap = Bytes.make ((nblocks + 7) / 8) '\000';
       bitmap_dirty = true;
       rotor = data_start;
       last_syncer = Clock.now clock;
-      in_maintenance = false;
     }
   in
   Cache.set_writeback t.cache (fun _victim ->
@@ -361,7 +353,7 @@ let make disk clock stats (cfg : Config.t) =
          elevator-sorted sweep, exactly as the syncer does — single
          random writes would misrepresent the sorted disk queue the
          paper's baseline relies on. *)
-      maintaining t (fun () -> flush_frames t (Cache.dirty_frames t.cache ())));
+      Fileops.section t.files (fun () -> flush_frames t (Cache.dirty_frames t.cache ())));
   t
 
 let write_superblock t =

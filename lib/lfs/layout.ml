@@ -324,23 +324,24 @@ let n_usage_chunks ~block_size ~nsegments =
 
 (* [f off index] for each entry of an [n]-entry table that chunk [chunk]
    holds: its byte offset in the chunk and its index in the table. *)
-let iter_chunk b ~bytes ~chunk ~n f =
-  let per = Bytes.length b / bytes in
+let iter_chunk ~block_size ~bytes ~chunk ~n f =
+  let per = block_size / bytes in
   let lo = chunk * per in
   for i = 0 to min per (n - lo) - 1 do
     f (i * bytes) (lo + i)
   done
 
-let write_imap_chunk b ~chunk ~n entry =
-  Bytes.fill b 0 (Bytes.length b) '\000';
-  iter_chunk b ~bytes:imap_entry_bytes ~chunk ~n (fun off inum ->
-      let e = entry inum in
+let write_imap_chunk b ~off:base ~block_size ~chunk ~n entry =
+  Bytes.fill b base block_size '\000';
+  iter_chunk ~block_size ~bytes:imap_entry_bytes ~chunk ~n (fun off inum ->
+      let off = base + off and e = entry inum in
       Enc.set_u32 b off e.addr;
       Enc.set_u8 b (off + 4) e.slot;
       Enc.set_u8 b (off + 5) (Bool.to_int e.alloc))
 
 let read_imap_chunk b ~chunk ~n set =
-  iter_chunk b ~bytes:imap_entry_bytes ~chunk ~n (fun off inum ->
+  iter_chunk ~block_size:(Bytes.length b) ~bytes:imap_entry_bytes ~chunk ~n
+    (fun off inum ->
       set inum
         {
           addr = Enc.get_u32 b off;
@@ -348,17 +349,18 @@ let read_imap_chunk b ~chunk ~n set =
           alloc = Enc.get_u8 b (off + 5) = 1;
         })
 
-let write_usage_chunk b ~chunk ~n entry =
-  Bytes.fill b 0 (Bytes.length b) '\000';
-  iter_chunk b ~bytes:usage_entry_bytes ~chunk ~n (fun off seg ->
-      let e = entry seg in
+let write_usage_chunk b ~off:base ~block_size ~chunk ~n entry =
+  Bytes.fill b base block_size '\000';
+  iter_chunk ~block_size ~bytes:usage_entry_bytes ~chunk ~n (fun off seg ->
+      let off = base + off and e = entry seg in
       Enc.set_u32 b off e.live;
       Enc.set_f64 b (off + 4) e.mtime;
       Enc.set_f64 b (off + 12) e.last_write;
       Enc.set_u8 b (off + 20) (Bool.to_int e.cold))
 
 let read_usage_chunk b ~chunk ~n set =
-  iter_chunk b ~bytes:usage_entry_bytes ~chunk ~n (fun off seg ->
+  iter_chunk ~block_size:(Bytes.length b) ~bytes:usage_entry_bytes ~chunk ~n
+    (fun off seg ->
       set seg
         {
           live = Enc.get_u32 b off;

@@ -154,15 +154,18 @@ val n_imap_chunks : block_size:int -> max_inodes:int -> int
 val n_usage_chunks : block_size:int -> nsegments:int -> int
 (** Chunks needed for [nsegments] usage entries. *)
 
-val write_imap_chunk : bytes -> chunk:int -> n:int -> (int -> imap_entry) -> unit
-(** [write_imap_chunk b ~chunk ~n entry] fills block [b] with chunk
-    [chunk] of an [n]-entry inode map, asking [entry] for each inode
-    number the chunk covers. *)
+val write_imap_chunk :
+  bytes -> off:int -> block_size:int -> chunk:int -> n:int -> (int -> imap_entry) -> unit
+(** [write_imap_chunk b ~off ~block_size ~chunk ~n entry] writes chunk
+    [chunk] of an [n]-entry inode map over the [block_size] bytes at
+    [off] in [b], asking [entry] for each inode number the chunk
+    covers. *)
 
 val read_imap_chunk : bytes -> chunk:int -> n:int -> (int -> imap_entry -> unit) -> unit
-(** Decode chunk [chunk] of an [n]-entry inode map, handing each inode
-    number and its entry to the callback. *)
+(** Decode chunk [chunk] of an [n]-entry inode map from block [b],
+    handing each inode number and its entry to the callback. *)
 
-val write_usage_chunk : bytes -> chunk:int -> n:int -> (int -> usage_entry) -> unit
+val write_usage_chunk :
+  bytes -> off:int -> block_size:int -> chunk:int -> n:int -> (int -> usage_entry) -> unit
 val read_usage_chunk : bytes -> chunk:int -> n:int -> (int -> usage_entry -> unit) -> unit
 (** The same pair for the [n]-segment usage table. *)

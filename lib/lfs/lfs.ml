@@ -56,9 +56,6 @@ type t = {
   mutable cp_seq : int64;
   mutable segs_since_cp : int;
   mutable last_syncer : float;
-  mutable maint : int list;
-  (* Owner tags of the maintenance sections currently open; see
-     [maint_enter] below. *)
   (* Partial-segment writes mutate the shared cursor/usage/imap state
      and park on disk I/O partway through; under a scheduler two fibers
      (concurrent committers, or a commit racing a checkpoint) must not
@@ -193,44 +190,6 @@ type ditem = {
          the block still lives there (see [write_partial]'s race filter
          and the victim-reuse invariant at [clean_victim]) *) ];
 }
-
-(* Maintenance sections: paths that relocate or flush blocks (cleaner,
-   syncer, checkpoint, commit forces) update shared block addresses and
-   then park in disk I/O partway through. [t.maint] holds the owner tag
-   of every section currently open — the scheduler process id when
-   entered from a process, [0] otherwise (a wildcard: plain synchronous
-   contexts and the read-only snapshot view cover every caller).
-   Sections overlap under a scheduler (one group-commit flush parks in
-   its segment write while the next begins), so the tags form a
-   multiset, not a single slot: save-and-restore of a scalar here once
-   resurrected an already-finished owner and left the background
-   daemons gated off for the rest of the run. The tag exists because
-   only a process that OWNS an open section may stay on [get_page]'s
-   synchronous platter-read branch. Any other process must join the
-   disk queue, which serializes its read behind the in-flight segment
-   write; reading the platter directly there returns stale bytes for
-   blocks whose inode address was already flipped to the in-flight
-   segment. *)
-let maint_self t =
-  match Sched.current t.clock with Some s -> Sched.self s | None -> 0
-
-let maint_enter t =
-  let id = maint_self t in
-  t.maint <- id :: t.maint;
-  id
-
-let maint_exit t id =
-  let rec drop = function
-    | [] -> []
-    | x :: tl -> if x = id then tl else x :: drop tl
-  in
-  t.maint <- drop t.maint
-
-let maint_idle t = t.maint = []
-
-let maint_here t sched =
-  let self = Sched.self sched in
-  List.exists (fun o -> o = 0 || o = self) t.maint
 
 type inode_plan = {
   pi_inode : Inode.t;
@@ -504,8 +463,7 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
           let addr =
             assign
               (Layout.Indirect { inum = ino.Inode.inum; index = idx })
-              (fun dst o ->
-                Bytes.blit (Inode.encode_indirect ino ~block_size:bs idx) 0 dst o bs)
+              (fun dst off -> Inode.write_indirect ino ~block_size:bs idx dst ~off)
           in
           dec_usage t old;
           if idx >= Array.length ino.Inode.ind_addrs then begin
@@ -525,7 +483,7 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
         let addr =
           assign
             (Layout.Double_indirect { inum = ino.Inode.inum })
-            (fun dst o -> Bytes.blit (Inode.encode_double ino ~block_size:bs) 0 dst o bs)
+            (fun dst off -> Inode.write_double ino ~block_size:bs dst ~off)
         in
         dec_usage t old;
         ino.Inode.dbl_addr <- addr
@@ -566,20 +524,15 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
   let assign_chunks entry addrs encode =
     List.iter (fun chunk ->
         let old = addrs.(chunk) in
-        let addr =
-          assign (entry chunk) (fun dst o ->
-              let b = Bytes.create bs in
-              encode b ~chunk;
-              Bytes.blit b 0 dst o bs)
-        in
+        let addr = assign (entry chunk) (fun dst off -> encode dst ~off ~chunk) in
         dec_usage t old;
         addrs.(chunk) <- addr)
   in
   assign_chunks
     (fun index -> Layout.Imap_block { index })
     t.imap_chunk_addr
-    (fun b ~chunk ->
-      Layout.write_imap_chunk b ~chunk ~n:max_inodes (fun inum ->
+    (fun b ~off ~chunk ->
+      Layout.write_imap_chunk b ~off ~block_size:bs ~chunk ~n:max_inodes (fun inum ->
           {
             Layout.addr = t.imap_addr.(inum);
             slot = t.imap_slot.(inum);
@@ -589,8 +542,8 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
   assign_chunks
     (fun index -> Layout.Usage_block { index })
     t.usage_chunk_addr
-    (fun b ~chunk ->
-      Layout.write_usage_chunk b ~chunk ~n:(nsegments t) (fun seg ->
+    (fun b ~off ~chunk ->
+      Layout.write_usage_chunk b ~off ~block_size:bs ~chunk ~n:(nsegments t) (fun seg ->
           let u = t.usage.(seg) in
           {
             Layout.live = u.live;
@@ -815,20 +768,15 @@ let dirty_inodes t =
 (* Write a checkpoint and return the record it wrote. *)
 let checkpoint_record t =
   let cp_t0 = Clock.now t.clock in
-  let maint_tok = maint_enter t in
+  Fileops.section t.files @@ fun () ->
   (* A checkpoint must leave the on-disk state self-consistent: flush the
      eligible dirty data first (transaction-owned buffers stay pinned),
      so no inode reaches disk describing data that is only in memory. *)
   (* Files with transaction-pinned buffers keep their older on-disk inode
      until commit forces the buffers. *)
-  let file_has_txn_frames inum =
-    List.exists
-      (fun (f : Cache.frame) -> f.Cache.txn >= 0)
-      (Cache.file_frames t.cache inum)
-  in
   let flushable =
     List.filter
-      (fun (ino : Inode.t) -> not (file_has_txn_frames ino.Inode.inum))
+      (fun (ino : Inode.t) -> not (Cache.file_has_owned t.cache ino.Inode.inum))
       (dirty_inodes t)
   in
   log_write t
@@ -876,7 +824,6 @@ let checkpoint_record t =
         ("seq", Trace.I (Int64.to_int t.cp_seq));
         ("duration_s", Trace.F (Clock.now t.clock -. cp_t0));
       ];
-  maint_exit t maint_tok;
   cp
 
 let checkpoint t = ignore (checkpoint_record t)
@@ -963,7 +910,7 @@ let clean_victim t victim =
                    the uncommitted frame content instead would point the
                    inode at the after-image and break rollback. *)
                 match Cache.lookup t.cache ~file:inum ~lblock with
-                | Some f when f.Cache.dirty && f.Cache.txn < 0 ->
+                | Some f when Cache.writable f ->
                   (* Freshly dirtied in memory: genuinely hot, goes to
                      the main head with the new write it really is. *)
                   ditems :=
@@ -1087,20 +1034,16 @@ let clean_once ?policy t =
   let policy =
     match policy with Some p -> p | None -> t.cfg.fs.cleaner_policy
   in
-  let maint_tok = maint_enter t in
-  let r =
-    match
-      Policy.choose ~policy ~nsegments:(nsegments t)
-        ~segment_blocks:t.cfg.fs.segment_blocks ~now:(Clock.now t.clock)
-        ~live:(fun i -> t.usage.(i).live)
-        ~last_write:(fun i -> t.usage.(i).last_write)
-        ~candidate:(fun i -> t.usage.(i).state = Dirty && not (pinned t i))
-    with
-    | None -> false
-    | Some victim -> clean_victim t victim
-  in
-  maint_exit t maint_tok;
-  r
+  Fileops.section t.files @@ fun () ->
+  match
+    Policy.choose ~policy ~nsegments:(nsegments t)
+      ~segment_blocks:t.cfg.fs.segment_blocks ~now:(Clock.now t.clock)
+      ~live:(fun i -> t.usage.(i).live)
+      ~last_write:(fun i -> t.usage.(i).last_write)
+      ~candidate:(fun i -> t.usage.(i).state = Dirty && not (pinned t i))
+  with
+  | None -> false
+  | Some victim -> clean_victim t victim
 
 (* The victim loop every cleaning path runs: clean victims chosen by
    [policy] until [stop ~cleaned ~stalled] holds or no candidate is
@@ -1169,12 +1112,11 @@ let maybe_clean t =
 
 (* One syncer pass: flush everything dirty as a segment write. *)
 let syncer_run t =
-  let maint_tok = maint_enter t in
+  Fileops.section t.files @@ fun () ->
   t.last_syncer <- Clock.now t.clock;
   let frames = Cache.dirty_frames t.cache () in
   log_write t ~ditems:(dirty_ditems frames) ~inodes:(dirty_inodes t);
-  Stats.bump t.stats k_syncer_runs;
-  maint_exit t maint_tok
+  Stats.bump t.stats k_syncer_runs
 
 (* Syncer + maintenance hook executed at every public operation. When
    the syncer and cleaner run as background processes ([start_background])
@@ -1183,7 +1125,7 @@ let syncer_run t =
    exhaust the log's writable reserve. *)
 let tick t =
   check_alive t;
-  if maint_idle t then begin
+  if Fileops.idle t.files then begin
     if
       (not t.bg)
       && Clock.now t.clock -. t.last_syncer >= t.cfg.fs.syncer_interval_s
@@ -1205,7 +1147,7 @@ let start_background t =
             if not t.files.crashed then begin
               Sched.delay sched t.cfg.fs.syncer_interval_s;
               if not t.files.crashed then begin
-                if maint_idle t then syncer_run t;
+                if Fileops.idle t.files then syncer_run t;
                 loop ()
               end
             end
@@ -1249,7 +1191,7 @@ let start_background t =
           let rec loop () =
             if not t.files.crashed then begin
               let wait =
-                if maint_idle t then begin
+                if Fileops.idle t.files then begin
                   let w =
                     if t.cfg.fs.cleaner_adaptive then adaptive_pass ()
                     else begin
@@ -1293,7 +1235,7 @@ let get_page t ~inum ~lblock =
     let ino = iget t inum in
     let addr = Inode.get_addr ino lblock in
     match Sched.current t.clock with
-    | Some sched when (not (maint_here t sched)) && addr <> 0 ->
+    | Some sched when (not (Fileops.in_section t.files sched)) && addr <> 0 ->
       (* Cache miss under the scheduler: the read joins the live disk
          queue and this process parks. LFS maintenance paths stay on the
          synchronous branch — they must not yield mid-write. *)
@@ -1350,34 +1292,31 @@ let force_frames t frames =
   (if free_segments t < t.cfg.fs.cleaner_low_segments then
      match Sched.current t.clock with
      | Some sched ->
-       while not (maint_idle t) do
+       while not (Fileops.idle t.files) do
          Sched.delay sched 0.001
        done
      | None -> ());
   tick t;
-  let maint_tok = maint_enter t in
-  log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
-    ~inodes:[];
-  maint_exit t maint_tok
+  Fileops.section t.files (fun () ->
+      log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
+        ~inodes:[])
 
 let fsync_inum t inum =
   check_alive t;
-  let maint_tok = maint_enter t in
+  Fileops.section t.files @@ fun () ->
   let frames = Cache.dirty_frames t.cache ~file:inum () in
   let inodes = match iget_opt t inum with
     | Some ino when ino.Inode.dirty -> [ ino ]
     | _ -> []
   in
-  log_write t ~ditems:(dirty_ditems frames) ~inodes;
-  maint_exit t maint_tok
+  log_write t ~ditems:(dirty_ditems frames) ~inodes
 
 let sync t =
   check_alive t;
-  let maint_tok = maint_enter t in
+  Fileops.section t.files @@ fun () ->
   let frames = Cache.dirty_frames t.cache () in
   log_write t ~ditems:(dirty_ditems frames) ~inodes:[];
-  checkpoint t;
-  maint_exit t maint_tok
+  checkpoint t
 
 (* File layer ------------------------------------------------------------
 
@@ -1445,7 +1384,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       cfg;
       sb;
       cache = Cache.create clock stats cfg.cpu ~capacity:cfg.fs.cache_blocks;
-      files = Fileops.state ();
+      files = Fileops.state clock;
       imap_addr = Array.make max_inodes 0;
       imap_slot = Array.make max_inodes 0;
       imap_alloc = Array.make max_inodes false;
@@ -1471,7 +1410,6 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       cp_seq = 0L;
       segs_since_cp = 0;
       last_syncer = Clock.now clock;
-      maint = [];
       seg_writing = false;
       in_flight = (0, 0);
       seg_write_cond = Sched.condition ();
@@ -1485,10 +1423,9 @@ let make_empty disk clock stats (cfg : Config.t) sb =
   Cache.set_writeback t.cache (fun _victim ->
       (* Cache pressure: flush all eligible dirty blocks as a segment
          write, which leaves the victim clean. *)
-      let maint_tok = maint_enter t in
-      let frames = Cache.dirty_frames t.cache () in
-      log_write t ~ditems:(dirty_ditems frames) ~inodes:[];
-      maint_exit t maint_tok);
+      Fileops.section t.files (fun () ->
+          let frames = Cache.dirty_frames t.cache () in
+          log_write t ~ditems:(dirty_ditems frames) ~inodes:[]));
   t
 
 let format disk clock stats (cfg : Config.t) =
@@ -1512,9 +1449,7 @@ let format disk clock stats (cfg : Config.t) =
   (* Root directory. *)
   let inum = Files.alloc_inode t ~kind:Vfs.Dir in
   assert (inum = Fileops.root_inum);
-  let maint_tok = maint_enter t in
   checkpoint t;
-  maint_exit t maint_tok;
   t
 
 (* Mount: load the newest checkpoint, roll forward, rebuild usage. *)
@@ -1766,8 +1701,9 @@ let unmount t =
 
 let coalesce_file t inum =
   check_alive t;
-  let maint_tok = maint_enter t in
-  (match iget_opt t inum with
+  (* Each step that may park in a disk read runs in a section: the inode
+     load, then each batch. The cleaner runs between batches. *)
+  (match Fileops.section t.files (fun () -> iget_opt t inum) with
   | None -> ()
   | Some ino ->
     let n = Inode.nblocks ino in
@@ -1777,31 +1713,29 @@ let coalesce_file t inum =
     let lb = ref 0 in
     while !lb < n do
       let hi = min n (!lb + batch) in
-      let ditems = ref [] in
-      for b = hi - 1 downto !lb do
-        if Inode.get_addr ino b <> 0 then begin
-          let src =
-            match Cache.lookup t.cache ~file:inum ~lblock:b with
-            | Some f when f.Cache.txn < 0 -> `Frame f
-            | _ ->
-              (* Either uncached or pinned by a live transaction: the
-                 on-disk copy is the committed version. *)
-              `Raw (Diskset.read t.disk (Inode.get_addr ino b))
-          in
-          ditems := { d_inum = inum; d_lblock = b; d_src = src } :: !ditems
-        end
-      done;
-      log_write t ~ditems:!ditems ~inodes:[];
+      Fileops.section t.files (fun () ->
+          let ditems = ref [] in
+          for b = hi - 1 downto !lb do
+            if Inode.get_addr ino b <> 0 then begin
+              let src =
+                match Cache.lookup t.cache ~file:inum ~lblock:b with
+                | Some f when not (Cache.owned f) -> `Frame f
+                | _ ->
+                  (* Either uncached or pinned by a live transaction: the
+                     on-disk copy is the committed version. *)
+                  `Raw (Diskset.read t.disk (Inode.get_addr ino b))
+              in
+              ditems := { d_inum = inum; d_lblock = b; d_src = src } :: !ditems
+            end
+          done;
+          log_write t ~ditems:!ditems ~inodes:[]);
       lb := hi;
       (* Rewriting a large file consumes clean segments while its old
          blocks die behind us; give the cleaner a chance between
          batches. *)
-      maint_exit t maint_tok;
-      maybe_clean t;
-      ignore (maint_enter t)
+      maybe_clean t
     done;
     Stats.bump t.stats k_coalesced_files);
-  maint_exit t maint_tok;
   maybe_clean t
 
 let contiguity t inum =
@@ -1825,9 +1759,7 @@ let coalesce_all t =
 
 let snapshot t =
   check_alive t;
-  let maint_tok = maint_enter t in
   let cp = checkpoint_record t in
-  maint_exit t maint_tok;
   (* Freeze every segment that holds (or may hold) referenced blocks: the
      partially-filled current segment only ever gains appends, but once
      it closes it must not be cleaned or reused while the snapshot is
@@ -1940,7 +1872,7 @@ let snapshot_view t s =
   let view = make_empty t.disk t.clock t.stats t.cfg t.sb in
   install_checkpoint view s.snap_cp;
   (* No syncer, no cleaner, no checkpoints: the view never writes. *)
-  view.maint <- [ 0 ];
+  Fileops.open_forever view.files;
   Files.read_only view ~name:"lfs-snapshot" ~guard
 
 let checkpoint t =

@@ -91,31 +91,24 @@ let execute clock stats cfg db backend ~account ~teller ~branch ~delta =
     in
     Btree.insert bt key (balance_value (balance + delta))
   in
-  match backend with
-  | User env ->
-    let txn = Libtp.begin_txn env in
-    let bt fd = Btree.attach clock stats cpu (Pager.wal env txn fd) in
-    adjust "acct" (bt db.acct) (key10 account);
-    adjust "tell" (bt db.tell) (key10 teller);
-    adjust "br" (bt db.br) (key10 branch);
-    let hist =
-      Recno.attach clock stats cpu (Pager.wal env txn db.hist)
-        ~reclen:history_bytes
-    in
-    ignore (Recno.append hist (history_record ~account ~teller ~branch ~delta));
-    Libtp.commit env txn
-  | Kernel k ->
-    let txn = Ktxn.txn_begin k in
-    let bt fd = Btree.attach clock stats cpu (Ktxn.pager k txn ~inum:fd) in
-    adjust "acct" (bt db.acct) (key10 account);
-    adjust "tell" (bt db.tell) (key10 teller);
-    adjust "br" (bt db.br) (key10 branch);
-    let hist =
-      Recno.attach clock stats cpu (Ktxn.pager k txn ~inum:db.hist)
-        ~reclen:history_bytes
-    in
-    ignore (Recno.append hist (history_record ~account ~teller ~branch ~delta));
-    Ktxn.txn_commit k txn
+  (* One body for both managers, which differ only in how a page is
+     reached and how the transaction ends. *)
+  let pager, commit =
+    match backend with
+    | User env ->
+      let txn = Libtp.begin_txn env in
+      ((fun fd -> Pager.wal env txn fd), fun () -> Libtp.commit env txn)
+    | Kernel k ->
+      let txn = Ktxn.txn_begin k in
+      ((fun fd -> Ktxn.pager k txn ~inum:fd), fun () -> Ktxn.txn_commit k txn)
+  in
+  let bt fd = Btree.attach clock stats cpu (pager fd) in
+  adjust "acct" (bt db.acct) (key10 account);
+  adjust "tell" (bt db.tell) (key10 teller);
+  adjust "br" (bt db.br) (key10 branch);
+  let hist = Recno.attach clock stats cpu (pager db.hist) ~reclen:history_bytes in
+  ignore (Recno.append hist (history_record ~account ~teller ~branch ~delta));
+  commit ()
 
 type multi_result = {
   base : result;

@@ -12,12 +12,40 @@ type state = {
   mutable next_inum : int;
   mutable free_inums : int list;
   mutable crashed : bool;
+  clock : Clock.t;
+  mutable sections : int list;
 }
 
-let state () =
-  { inodes = Itbl.create 64; next_inum = root_inum; free_inums = []; crashed = false }
+let state clock =
+  {
+    inodes = Itbl.create 64;
+    next_inum = root_inum;
+    free_inums = [];
+    crashed = false;
+    clock;
+    sections = [];
+  }
 
 let check_alive st = if st.crashed then raise Vfs.Crashed
+
+(* A section's tag is the scheduler process that opened it, or 0 (every
+   caller) outside any process. *)
+let section st f =
+  let tag = match Sched.current st.clock with Some s -> Sched.self s | None -> 0 in
+  st.sections <- tag :: st.sections;
+  let rec close = function
+    | [] -> []
+    | x :: tl -> if x = tag then tl else x :: close tl
+  in
+  Fun.protect ~finally:(fun () -> st.sections <- close st.sections) f
+
+let idle st = st.sections = []
+
+let in_section st sched =
+  let self = Sched.self sched in
+  List.exists (fun o -> o = 0 || o = self) st.sections
+
+let open_forever st = st.sections <- 0 :: st.sections
 
 let cached st inum load =
   match Itbl.find_opt st.inodes inum with

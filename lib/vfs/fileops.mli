@@ -10,7 +10,9 @@
     crash check. Each file system supplies only the hooks of {!FS}: how a
     page is fetched, how pages and inodes are marked dirty, where a freed
     block goes, how an inode slot is claimed and released, and its
-    maintenance [tick], [fsync] and [sync]. *)
+    maintenance [tick], [fsync] and [sync]. The maintenance sections
+    those run in are kept here too, in {!state}, with one rule for
+    both. *)
 
 val root_inum : int
 (** Inode number of the root directory on both file systems. *)
@@ -23,14 +25,59 @@ type state = {
   mutable next_inum : int;  (** lowest inode number never handed out *)
   mutable free_inums : int list;  (** freed numbers, reused first *)
   mutable crashed : bool;
+  clock : Clock.t;
+  mutable sections : int list;  (** tags of the open {!section}s *)
 }
 (** The volatile file-layer state a file system keeps. *)
 
-val state : unit -> state
-(** Empty cache, [next_inum = root_inum], not crashed. *)
+val state : Clock.t -> state
+(** Empty cache, [next_inum = root_inum], not crashed, no section open. *)
 
 val check_alive : state -> unit
 (** @raise Vfs.Crashed once [crashed] is set. *)
+
+(** {2 Maintenance sections}
+
+    The paths that flush or relocate blocks — the syncer, a checkpoint,
+    the cleaner, a commit force, [fsync], [sync] and a cache-pressure
+    writeback — update shared block addresses and then park in disk I/O
+    partway through. Each runs inside a {!section}, and both file
+    systems ask the same two questions of the open sections:
+
+    - {!idle}: no section is open. Maintenance that starts on its own
+      (the syncer, the cleaner and a pending checkpoint, run from
+      [tick] or from the LFS daemons) starts only then, so it never
+      runs under a flush that is half done; an LFS commit force that
+      finds the log reserve low waits for it.
+    - {!in_section}: the calling process owns an open section. Only
+      such a process may read the platter directly on a cache miss
+      (LFS [get_page]); any other joins the disk queue behind the
+      in-flight write, or it could read bytes the write is about to
+      replace.
+
+    Sections overlap under a scheduler (one group-commit flush parks in
+    its segment write while the next begins, or two processes [fsync]
+    at once), so the open tags form a multiset, not a flag: a scalar
+    saved and restored around each section lets the first to finish
+    resurrect a finished owner and gate maintenance off for the rest of
+    the run. *)
+
+val section : state -> (unit -> 'a) -> 'a
+(** [section st f] runs [f] inside a section tagged with the calling
+    scheduler process ([0], matching every caller, outside any
+    process). The section closes when [f] returns or raises. *)
+
+val idle : state -> bool
+(** No section is open. *)
+
+val in_section : state -> Sched.t -> bool
+(** The running process of [sched] owns an open section, or a section
+    opened outside any process is open. *)
+
+val open_forever : state -> unit
+(** Open a section that matches every caller and never closes: a
+    surface that never writes (the LFS snapshot view) keeps its readers
+    on the direct path and its maintenance off. *)
 
 val cached : state -> int -> (unit -> Inode.t option) -> Inode.t option
 (** [cached st inum load] is the cached inode, or else [load ()], which

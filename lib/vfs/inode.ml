@@ -152,13 +152,20 @@ let range_of_indirect ~block_size idx nmap =
   let hi = min nmap (lo + per) in
   (lo, hi)
 
-let encode_indirect t ~block_size idx =
-  let b = Bytes.make block_size '\000' in
+let fresh_block block_size write =
+  let b = Bytes.create block_size in
+  write b ~off:0;
+  b
+
+let write_indirect t ~block_size idx b ~off =
+  Bytes.fill b off block_size '\000';
   let lo, hi = range_of_indirect ~block_size idx t.nmap in
   for l = lo to hi - 1 do
-    Enc.set_u32 b (4 * (l - lo)) t.map.(l)
-  done;
-  b
+    Enc.set_u32 b (off + (4 * (l - lo))) t.map.(l)
+  done
+
+let encode_indirect t ~block_size idx =
+  fresh_block block_size (write_indirect t ~block_size idx)
 
 let decode_indirect t ~block_size idx b =
   let lo, hi = range_of_indirect ~block_size idx t.nmap in
@@ -167,13 +174,14 @@ let decode_indirect t ~block_size idx b =
     t.map.(l) <- Enc.get_u32 b (4 * (l - lo))
   done
 
-let encode_double t ~block_size =
-  let b = Bytes.make block_size '\000' in
+let write_double t ~block_size b ~off =
+  Bytes.fill b off block_size '\000';
   let nind = indirect_count t ~block_size in
   for i = 1 to nind - 1 do
-    Enc.set_u32 b (4 * (i - 1)) t.ind_addrs.(i)
-  done;
-  b
+    Enc.set_u32 b (off + (4 * (i - 1))) t.ind_addrs.(i)
+  done
+
+let encode_double t ~block_size = fresh_block block_size (write_double t ~block_size)
 
 let decode_double t ~block_size b =
   let nind = indirect_count t ~block_size in

@@ -59,15 +59,23 @@ val decode : bytes -> int -> t option
     slot is unallocated. The map is sized but unfilled beyond direct
     blocks — the mount code fills it from the indirect blocks. *)
 
+val write_indirect : t -> block_size:int -> int -> bytes -> off:int -> unit
+(** Write the [idx]-th indirect block, from the in-memory map, over the
+    [block_size] bytes at [off] in the buffer. *)
+
 val encode_indirect : t -> block_size:int -> int -> bytes
-(** Materialize the [idx]-th indirect block from the in-memory map. *)
+(** {!write_indirect} into a new block. *)
 
 val decode_indirect : t -> block_size:int -> int -> bytes -> unit
 (** Fill the map range covered by indirect block [idx] from disk bytes. *)
 
+val write_double : t -> block_size:int -> bytes -> off:int -> unit
+(** Write the double-indirect block (addresses of indirect blocks 1..n-1;
+    indirect block 0's address lives in the inode itself) over the
+    [block_size] bytes at [off]. *)
+
 val encode_double : t -> block_size:int -> bytes
-(** Materialize the double-indirect block (addresses of indirect blocks
-    1..n-1; indirect block 0's address lives in the inode itself). *)
+(** {!write_double} into a new block. *)
 
 val decode_double : t -> block_size:int -> bytes -> unit
 

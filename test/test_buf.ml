@@ -101,7 +101,7 @@ let test_txn_frames_protected () =
   Cache.set_writeback c (fun _ -> ());
   let f = Cache.insert c ~file:1 ~lblock:0 (block 'a') in
   Cache.mark_dirty c f;
-  Cache.set_txn c f 7;
+  Cache.own c f 7;
   ignore (Cache.insert c ~file:1 ~lblock:1 (block 'b'));
   ignore (Cache.insert c ~file:1 ~lblock:2 (block 'c'));
   Alcotest.(check bool) "txn frame survives eviction pressure" true
@@ -109,7 +109,7 @@ let test_txn_frames_protected () =
   Alcotest.(check bool) "txn frame not in dirty list" true
     (Cache.dirty_frames c () = []);
   Alcotest.(check int) "txn_frames finds it" 1 (List.length (Cache.txn_frames c 7));
-  Cache.set_txn c f (-1);
+  Cache.release c f;
   Alcotest.(check int) "released to dirty list" 1
     (List.length (Cache.dirty_frames c ()))
 
@@ -201,7 +201,8 @@ let test_insert_over_pinned_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   Cache.unpin f;
-  Cache.set_txn c f 3;
+  Cache.mark_dirty c f;
+  Cache.own c f 3;
   Alcotest.(check bool) "txn-owned frame cannot be replaced" true
     (match Cache.insert c ~file:1 ~lblock:0 (block 'b') with
     | exception Invalid_argument _ -> true
@@ -280,6 +281,133 @@ let prop_never_exceeds_capacity =
         keys;
       Cache.resident c <= 4)
 
+(* Frame states against a small model. Random inserts (which evict
+   under a capacity of 3), dirtyings, ownings, releases, cleanings and
+   invalidations run on one file's six blocks; the model holds each
+   resident block's state. After every step the cache must hold exactly
+   the model's blocks in the model's states, list exactly the [Dirty]
+   ones as dirty, call exactly those writable, and never evict, replace
+   or clean an owned frame. *)
+type op =
+  | Insert of int
+  | Mark_dirty of int
+  | Own of int * int
+  | Release of int
+  | Mark_clean of int
+  | Invalidate of int
+
+let show_op = function
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Mark_dirty k -> Printf.sprintf "mark_dirty %d" k
+  | Own (k, txn) -> Printf.sprintf "own %d %d" k txn
+  | Release k -> Printf.sprintf "release %d" k
+  | Mark_clean k -> Printf.sprintf "mark_clean %d" k
+  | Invalidate k -> Printf.sprintf "invalidate %d" k
+
+let prop_frame_states =
+  let open QCheck2.Gen in
+  let key = int_bound 5 in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Insert k) key);
+        (3, map (fun k -> Mark_dirty k) key);
+        (2, map2 (fun k txn -> Own (k, txn)) key (int_range 1 2));
+        (2, map (fun k -> Release k) key);
+        (2, map (fun k -> Mark_clean k) key);
+        (1, map (fun k -> Invalidate k) key);
+      ]
+  in
+  QCheck2.Test.make ~count:300 ~name:"frame states match the model"
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 60) op)
+    (fun ops ->
+      let _, _, c = mk ~capacity:3 () in
+      let written = ref [] in
+      Cache.set_writeback c (fun f -> written := f.Cache.lblock :: !written);
+      let model = Hashtbl.create 8 in
+      let frames () = Cache.file_frames c 1 in
+      let frame k = List.find_opt (fun f -> f.Cache.lblock = k) (frames ()) in
+      let owned k = match Hashtbl.find_opt model k with Some (Cache.Owned _) -> true | _ -> false in
+      let check_gone k =
+        (* A block that left the cache behind the model's back was evicted:
+           it was not owned, and a dirty one was written back first. *)
+        if owned k then QCheck2.Test.fail_reportf "owned block %d evicted" k;
+        if Hashtbl.find model k = Cache.Dirty && not (List.mem k !written) then
+          QCheck2.Test.fail_reportf "dirty block %d dropped unwritten" k;
+        Hashtbl.remove model k
+      in
+      let step = function
+        | Insert k -> (
+          written := [];
+          let was = Hashtbl.find_opt model k in
+          match Cache.insert c ~file:1 ~lblock:k (block 'x') with
+          | exception Invalid_argument _ ->
+            if not (owned k) then QCheck2.Test.fail_reportf "insert %d refused" k
+          | exception Cache.Cache_full ->
+            if owned k then QCheck2.Test.fail_reportf "owned block %d replaced" k;
+            if was <> None then check_gone k;
+            if List.exists (fun f -> not (Cache.owned f)) (frames ()) then
+              QCheck2.Test.fail_report "Cache_full with an unowned frame resident"
+          | _ ->
+            if owned k then QCheck2.Test.fail_reportf "owned block %d replaced" k;
+            if was = Some Cache.Dirty && not (List.mem k !written) then
+              QCheck2.Test.fail_reportf "replaced dirty block %d unwritten" k;
+            Hashtbl.replace model k Cache.Clean;
+            let resident = List.map (fun f -> f.Cache.lblock) (frames ()) in
+            Hashtbl.fold (fun j _ acc -> j :: acc) model []
+            |> List.iter (fun j -> if not (List.mem j resident) then check_gone j))
+        | Mark_dirty k ->
+          Option.iter
+            (fun f ->
+              Cache.mark_dirty c f;
+              if Hashtbl.find model k = Cache.Clean then Hashtbl.replace model k Cache.Dirty)
+            (frame k)
+        | Own (k, txn) ->
+          Option.iter
+            (fun f ->
+              Cache.own c f txn;
+              Hashtbl.replace model k (Cache.Owned txn))
+            (frame k)
+        | Release k ->
+          Option.iter
+            (fun f ->
+              Cache.release c f;
+              if owned k then Hashtbl.replace model k Cache.Dirty)
+            (frame k)
+        | Mark_clean k ->
+          Option.iter
+            (fun f ->
+              Cache.mark_clean c f;
+              if Hashtbl.find model k = Cache.Dirty then Hashtbl.replace model k Cache.Clean)
+            (frame k)
+        | Invalidate k ->
+          Option.iter
+            (fun f ->
+              Cache.invalidate c f;
+              Hashtbl.remove model k)
+            (frame k)
+      in
+      let agree () =
+        let fs = frames () in
+        List.length fs = Hashtbl.length model
+        && List.for_all
+             (fun f ->
+               let st = Hashtbl.find_opt model f.Cache.lblock in
+               st = Some f.Cache.state
+               && Cache.writable f = (st = Some Cache.Dirty)
+               && Cache.evictable f = not (Cache.owned f))
+             fs
+        && List.sort compare (List.map (fun f -> f.Cache.lblock) (Cache.dirty_frames c ()))
+           = List.sort compare
+               (Hashtbl.fold (fun k st acc -> if st = Cache.Dirty then k :: acc else acc) model [])
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          agree () || QCheck2.Test.fail_reportf "cache and model disagree after %s" (show_op o))
+        ops)
+
 let () =
   Alcotest.run "tx_buf"
     [
@@ -307,5 +435,6 @@ let () =
           Alcotest.test_case "scheduled eviction race" `Quick
             test_evict_race_two_fibers;
           prop_never_exceeds_capacity;
+          QCheck_alcotest.to_alcotest prop_frame_states;
         ] );
     ]

@@ -51,6 +51,34 @@ let test_syncer_flushes_delayed_writes () =
   Alcotest.(check bool) "syncer wrote the dirty pages" true
     (Stats.count m.Tutil.stats "ffs.inplace_writes" > before)
 
+(* Two processes fsync their own files at once: each parks in its
+   sorted write sweep while the other's is open. Once both finish, the
+   next operation past the syncer interval must run the syncer. A flag
+   saved and restored around each flush let the second to open it close
+   it last, restoring "open" and holding the syncer off for good. *)
+let test_syncer_after_overlapping_fsyncs () =
+  let m, fs = fresh () in
+  let v = Ffs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let sched = Sched.create m.Tutil.clock in
+  List.iter
+    (fun (path, tag) ->
+      Sched.spawn sched (fun () ->
+          let fd = v.Vfs.create path in
+          for i = 0 to 7 do
+            v.Vfs.write fd ~off:(i * bs) (Tutil.payload (tag + i) bs)
+          done;
+          v.Vfs.fsync fd))
+    [ ("/a", 0); ("/b", 100) ];
+  Sched.run sched;
+  Sched.detach sched;
+  let runs () = Stats.count m.Tutil.stats "ffs.syncer_runs" in
+  let before = runs () in
+  let fd = v.Vfs.open_file "/a" in
+  Clock.advance m.Tutil.clock (m.Tutil.cfg.Config.fs.syncer_interval_s +. 1.0);
+  v.Vfs.write fd ~off:0 (Tutil.payload 7 bs);
+  Alcotest.(check int) "syncer ran" (before + 1) (runs ())
+
 let test_fsck_clean () =
   let _, fs = fresh () in
   let v = Ffs.vfs fs in
@@ -296,7 +324,11 @@ let () =
             test_free_blocks_accounting;
         ] );
       ( "syncer",
-        [ Alcotest.test_case "delayed writes" `Quick test_syncer_flushes_delayed_writes ] );
+        [
+          Alcotest.test_case "delayed writes" `Quick test_syncer_flushes_delayed_writes;
+          Alcotest.test_case "after overlapping fsyncs" `Quick
+            test_syncer_after_overlapping_fsyncs;
+        ] );
       ( "fsck",
         [
           Alcotest.test_case "clean image" `Quick test_fsck_clean;

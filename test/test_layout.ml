@@ -280,7 +280,7 @@ let table_roundtrip ~block_size ~n_chunks ~write ~read entries =
   let back = Array.make n None in
   for chunk = 0 to n_chunks - 1 do
     let b = Bytes.make block_size '\255' in
-    write b ~chunk ~n (fun i -> entries.(i));
+    write b ~off:0 ~block_size ~chunk ~n (fun i -> entries.(i));
     read b ~chunk ~n (fun i e -> back.(i) <- Some e)
   done;
   Array.for_all2 (fun e d -> d = Some e) entries back
@@ -333,14 +333,14 @@ let hex b =
    it. *)
 let test_chunks_pinned () =
   let b = Bytes.make 64 '\255' in
-  Layout.write_imap_chunk b ~chunk:1 ~n:13 (fun i ->
+  Layout.write_imap_chunk b ~off:0 ~block_size:64 ~chunk:1 ~n:13 (fun i ->
       { Layout.addr = 1_000_003 * (i + 1); slot = i mod 16; alloc = i mod 3 <> 0 });
   Alcotest.(check string) "imap chunk"
     "0089545b080100000098969e0900000000a7d8e10a01000000b71b240b01000000\
      c65d670c000000000000000000000000000000000000000000000000000000"
     (hex b);
   let b = Bytes.make 64 '\255' in
-  Layout.write_usage_chunk b ~chunk:1 ~n:5 (fun i ->
+  Layout.write_usage_chunk b ~off:0 ~block_size:64 ~chunk:1 ~n:5 (fun i ->
       {
         Layout.live = (7 * i) + 1;
         mtime = 1.5 *. float_of_int i;
