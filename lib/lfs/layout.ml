@@ -159,9 +159,18 @@ let max_summary_entries ~block_size =
   (* Reserve a quarter of the block for inode-number side tables. *)
   (block_size - sum_header) * 3 / 4 / entry_bytes
 
+let summary_fits ~block_size ~entries ~inums =
+  sum_header + (entries * entry_bytes) + (4 * inums) <= block_size
+
+let entry_block ~pos i = pos + 1 + i
+let next_partial ~pos s = entry_block ~pos (List.length s.entries)
+let ends_in_segment ~segment_blocks ~pos n = entry_block ~pos n <= segment_blocks
+
 let write_summary_at b ~off ~block_size s =
-  Bytes.fill b off block_size '\000';
   let n = List.length s.entries in
+  let too_big () = invalid_arg "Layout.write_summary_at: summary larger than its block" in
+  if not (summary_fits ~block_size ~entries:n ~inums:0) then too_big ();
+  Bytes.fill b off block_size '\000';
   Enc.set_u32 b off sum_magic;
   Enc.set_i64 b (off + 8) s.seq;
   Enc.set_f64 b (off + 16) s.timestamp;
@@ -170,6 +179,8 @@ let write_summary_at b ~off ~block_size s =
   Enc.set_u8 b (off + 30) (if s.more then 1 else 0);
   Enc.set_u8 b (off + 31) (if s.cold then 1 else 0);
   Enc.set_u32 b (off + 32) s.payload_ck;
+  (* [side] is where the inode-number tables go on, the byte count
+     [summary_fits] takes so far. *)
   let side = ref (sum_header + (n * entry_bytes)) in
   List.iteri
     (fun i entry ->
@@ -180,9 +191,11 @@ let write_summary_at b ~off ~block_size s =
         Enc.set_u32 b (e + 1) inum;
         Enc.set_u32 b (e + 5) lblock
       | Inode_block { inums } ->
+        let k = List.length inums in
+        if !side + (4 * k) > block_size then too_big ();
         Enc.set_u8 b e 1;
         Enc.set_u32 b (e + 1) !side;
-        Enc.set_u32 b (e + 5) (List.length inums);
+        Enc.set_u32 b (e + 5) k;
         List.iter
           (fun inum ->
             Enc.set_u32 b (off + !side) inum;

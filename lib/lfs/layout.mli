@@ -99,9 +99,46 @@ val write_summary_at : bytes -> off:int -> block_size:int -> summary -> unit
 (** [write_summary_at buf ~off ~block_size s] encodes and seals [s] into
     the [block_size] bytes of [buf] from [off], the bytes
     [write_summary] would give a block of its own: the segment writer
-    seals a partial's summary in place in its staging buffer. *)
+    seals a partial's summary in place in its staging buffer.
+    @raise Invalid_argument if [s] does not fit its block
+    ({!summary_fits}); nothing past the block is written then. *)
 
 val max_summary_entries : block_size:int -> int
+(** Entries a summary may hold with a quarter of its block left for
+    inode-number tables: what the cleaner packs into a cold partial. *)
+
+(** {1 Partial segments}
+
+    The rule for what a partial holds, which the segment writer, the
+    cleaner and roll-forward share. A partial is a summary block and
+    one block per summary entry, in entry order. With its summary at
+    block [pos], entry [i] is block [pos + 1 + i] ({!entry_block}) and
+    the next partial starts at [pos + 1 + n] for [n] entries
+    ({!next_partial}); [pos] may count from the disk's start or from the
+    segment's. A partial must end inside its segment
+    ({!ends_in_segment}), and its summary must fit its block
+    ({!summary_fits}). The writer builds no other partial; the cleaner
+    refuses a victim whose summary runs past its segment, and
+    roll-forward ends the log at one. *)
+
+val entry_block : pos:int -> int -> int
+(** [entry_block ~pos i] is the block of entry [i] of the partial whose
+    summary is at block [pos]. *)
+
+val next_partial : pos:int -> summary -> int
+(** The block where the partial after [s], whose summary is at [pos],
+    starts. *)
+
+val ends_in_segment : segment_blocks:int -> pos:int -> int -> bool
+(** [ends_in_segment ~segment_blocks ~pos n]: whether a partial of [n]
+    entries with its summary at block [pos] of its segment ends inside
+    the segment. A partial that ends exactly at the segment's last block
+    does. *)
+
+val summary_fits : block_size:int -> entries:int -> inums:int -> bool
+(** Whether a summary of [entries] entries whose inode blocks hold
+    [inums] inode numbers in all fits one block: a 40-byte header, 9
+    bytes per entry and 4 per inode number. *)
 
 (** {1 Checkpoint region} *)
 

@@ -20,7 +20,18 @@
     (every page write marks its inode), the usage table that takes freed
     blocks, and the inode map that holds inode slots. It also exposes the
     page-frame hooks the embedded transaction manager needs
-    ({!get_page}, {!force_frames}, …). *)
+    ({!get_page}, {!force_frames}, …).
+
+    This module is the facade over three others, each of whose
+    interfaces states the invariants the rest rely on: {!Lfs_writer}
+    (the state record, the log heads, the partial writer, checkpoints;
+    what a partial holds, what an atomic flush promises, when a
+    checkpoint may be taken, which frames each writer may write),
+    {!Lfs_cleaner} (the cleaning paths, the syncer and coalescing; when
+    a victim's blocks may be reused) and {!Lfs_recovery} (mount and
+    roll-forward; which segments roll-forward visits). {!Layout} states
+    the rule for where a partial's blocks lie. Nothing outside lib/lfs
+    names the three. *)
 
 type t
 

@@ -1,0 +1,243 @@
+open Lfs_writer
+
+let k_discarded_batches = Stats.counter "lfs.discarded_batches"
+let k_mounts = Stats.counter "lfs.mounts"
+let k_rolled_partials = Stats.counter "lfs.rolled_partials"
+
+(* Mount: load the newest checkpoint, roll forward, rebuild usage. *)
+
+let load_checkpoint t =
+  let r0, r1 = Layout.checkpoint_blknos in
+  let cp0 = Layout.read_checkpoint (Diskset.read t.disk r0) in
+  let cp1 = Layout.read_checkpoint (Diskset.read t.disk r1) in
+  match (cp0, cp1) with
+  | None, None -> Vfs.error Invalid "LFS mount: no valid checkpoint"
+  | Some cp, None | None, Some cp -> cp
+  | Some a, Some b -> if a.Layout.cp_seq >= b.Layout.cp_seq then a else b
+
+(* Install checkpoint [cp]: the log head, the table chunk addresses and
+   the inode map it records. Mount and the snapshot view share this. *)
+let install_checkpoint t (cp : Layout.checkpoint) =
+  if
+    Array.length cp.imap_addrs <> Array.length t.imap_chunk_addr
+    || Array.length cp.usage_addrs <> Array.length t.usage_chunk_addr
+  then Vfs.error Invalid "LFS: checkpoint table sizes do not match the geometry";
+  t.cp_seq <- cp.cp_seq;
+  t.cur_seg <- cp.cur_seg;
+  t.cur_off <- cp.cur_off;
+  t.next_seg <- cp.cp_next_seg;
+  t.files.next_inum <- cp.next_inum;
+  t.write_seq <- cp.write_seq;
+  Array.blit cp.imap_addrs 0 t.imap_chunk_addr 0 (Array.length cp.imap_addrs);
+  Array.blit cp.usage_addrs 0 t.usage_chunk_addr 0 (Array.length cp.usage_addrs);
+  Array.iteri
+    (fun chunk addr ->
+      if addr <> 0 then
+        Layout.read_imap_chunk (Diskset.read t.disk addr) ~chunk ~n:max_inodes
+          (fun inum e ->
+            t.imap_addr.(inum) <- e.Layout.addr;
+            t.imap_slot.(inum) <- e.Layout.slot;
+            t.imap_alloc.(inum) <- e.Layout.alloc))
+    t.imap_chunk_addr
+
+(* Test-only hook: when set, roll-forward trusts a summary without
+   verifying the checksum of its payload blocks — reintroducing the
+   torn-commit bug the checksum exists to catch. The fault-injection
+   sweep must then report durability violations, which is how the test
+   suite proves the oracle is able to fail. *)
+let test_disable_payload_check = ref false
+
+let roll_forward t =
+  (* Follow the chain of partial segments written after the checkpoint,
+     applying inode locations; stop at the first gap in the sequence. *)
+  let apply blkno (s : Layout.summary) =
+    List.iteri
+      (fun i entry ->
+        let addr = Layout.entry_block ~pos:blkno i in
+        match entry with
+        | Layout.Inode_block { inums } ->
+          List.iteri
+            (fun slot inum ->
+              if inum > 0 && inum < max_inodes then begin
+                t.imap_addr.(inum) <- addr;
+                t.imap_slot.(inum) <- slot;
+                t.imap_alloc.(inum) <- true;
+                (* Any inode loaded earlier in this scan is stale now:
+                   the block written later in the log wins. *)
+                Fileops.Itbl.remove t.files.inodes inum;
+                if inum >= t.files.next_inum then t.files.next_inum <- inum + 1
+              end)
+            inums
+        | Layout.Imap_block { index } -> t.imap_chunk_addr.(index) <- addr
+        | Layout.Usage_block { index } -> t.usage_chunk_addr.(index) <- addr
+        | Layout.Data { inum; lblock } -> (
+          (* Commit partials defer their metadata; the summary entry is
+             authoritative for the block's new location. *)
+          match iget_opt t inum with
+          | Some ino ->
+            Inode.set_addr ino ~block_size:(block_size t) lblock addr;
+            if (lblock + 1) * block_size t > ino.Inode.size then
+              ino.Inode.size <- (lblock + 1) * block_size t;
+            ino.Inode.dirty <- true
+          | None -> () (* file created but its inode never reached disk *))
+        | Layout.Indirect _ | Layout.Double_indirect _ -> ())
+      s.Layout.entries;
+    Stats.bump t.stats k_rolled_partials
+  in
+  (* A sealed summary only proves the summary block itself persisted; a
+     write torn inside the partial leaves it describing garbage. Its
+     entries must also end inside its segment, as the cleaner requires:
+     no partial the writer lays out spans two. *)
+  let payload_ok off blkno (s : Layout.summary) =
+    let n = List.length s.Layout.entries in
+    Layout.ends_in_segment ~segment_blocks:t.cfg.fs.segment_blocks ~pos:off n
+    && (!test_disable_payload_check
+       || n = 0
+       ||
+       let b, boff = Diskset.read_run_view t.disk (Layout.entry_block ~pos:blkno 0) n in
+       Layout.checksum_sub b boff (n * block_size t) = s.Layout.payload_ck)
+  in
+  let expected = ref t.write_seq in
+  let seg = ref t.cur_seg and off = ref t.cur_off in
+  let next = ref t.next_seg in
+  (* Partials carrying [more] belong to an atomic batch: buffer them and
+     apply only when the batch's final partial validates too, so a commit
+     spanning several partials is recovered all-or-nothing. *)
+  let batch = ref [] in
+  let batch_start = ref None in
+  let continue = ref true in
+  while !continue do
+    if !off >= t.cfg.fs.segment_blocks then begin
+      seg := !next;
+      off := 0
+    end;
+    let blkno = seg_base t !seg + !off in
+    match Layout.read_summary (Diskset.read t.disk blkno) with
+    (* Cold partials carry seq 0 and can never match [expected] (>= 1);
+       the explicit [cold] check makes the exclusion structural rather
+       than an accident of sequence numbering. *)
+    | Some s
+      when Int64.equal s.Layout.seq !expected
+           && (not s.Layout.cold)
+           && payload_ok !off blkno s ->
+      if !batch = [] then batch_start := Some (!seg, !off, !next, !expected);
+      batch := (blkno, s) :: !batch;
+      if not s.Layout.more then begin
+        List.iter (fun (b, p) -> apply b p) (List.rev !batch);
+        batch := [];
+        batch_start := None
+      end;
+      expected := Int64.succ !expected;
+      off := Layout.next_partial ~pos:!off s;
+      next := s.Layout.next_seg
+    | Some _ | None ->
+      if !off > 0 then begin
+        (* Maybe the writer moved to the next segment early. *)
+        let blkno' = seg_base t !next in
+        match Layout.read_summary (Diskset.read t.disk blkno') with
+        | Some s when Int64.equal s.Layout.seq !expected && not s.Layout.cold ->
+          seg := !next;
+          off := 0
+        | Some _ | None -> continue := false
+      end
+      else continue := false
+  done;
+  (match !batch_start with
+  | Some (s0, o0, n0, q0) when !batch <> [] ->
+    (* The log ended mid-batch: discard it whole and rewind the head so
+       new writes overwrite the orphaned partials. *)
+    seg := s0;
+    off := o0;
+    next := n0;
+    expected := q0;
+    Stats.bump t.stats k_discarded_batches
+  | _ -> ());
+  t.cur_seg <- !seg;
+  t.cur_off <- !off;
+  t.next_seg <- !next;
+  t.write_seq <- !expected;
+  (* Scrub any stale summary left beyond the recovered head (a torn or
+     discarded partial). If future writes lined up exactly, a later
+     recovery could mistake it for a live continuation of the log. *)
+  let zero = Bytes.make (block_size t) '\000' in
+  let scrub blkno =
+    match Layout.read_summary (Diskset.read t.disk blkno) with
+    | Some s when Int64.compare s.Layout.seq !expected >= 0 ->
+      Diskset.write t.disk blkno zero
+    | _ -> ()
+  in
+  for o = !off to t.cfg.fs.segment_blocks - 1 do
+    scrub (seg_base t !seg + o)
+  done;
+  if !next <> !seg then scrub (seg_base t !next)
+
+let recompute_usage t =
+  Array.iter
+    (fun u ->
+      u.live <- 0;
+      u.state <- Free)
+    t.usage;
+  Hashtbl.reset t.inode_block_refs;
+  (* ~write:false: recounting liveness at mount is bookkeeping, not a
+     write — stamping [last_write] here would make every segment look
+     freshly written and invert the cost-benefit policy's victim choice
+     (the age signal the checkpointed usage table exists to preserve). *)
+  let count addr = if addr >= Layout.data_start then
+      inc_usage ~write:false t (seg_of_addr t addr) 1
+  in
+  for inum = 1 to max_inodes - 1 do
+    if t.imap_alloc.(inum) && t.imap_addr.(inum) <> 0 then begin
+      let addr = t.imap_addr.(inum) in
+      (match Hashtbl.find_opt t.inode_block_refs addr with
+      | Some n -> Hashtbl.replace t.inode_block_refs addr (n + 1)
+      | None ->
+        Hashtbl.add t.inode_block_refs addr 1;
+        count addr);
+      match iget_opt t inum with
+      | None -> ()
+      | Some ino ->
+        Inode.iter_block_addrs ino ~block_size:(block_size t) (fun _ _ addr ->
+            count addr)
+    end
+  done;
+  Array.iter count t.imap_chunk_addr;
+  Array.iter count t.usage_chunk_addr;
+  Array.iteri
+    (fun _ u -> if u.live > 0 then u.state <- Dirty else u.state <- Free)
+    t.usage;
+  t.usage.(t.cur_seg).state <- Current;
+  t.usage.(t.next_seg).state <- Current;
+  (* States were rebuilt wholesale; re-derive the incremental counter. *)
+  t.n_reclaimable <- count_reclaimable t;
+  t.n_free <- count_free t
+
+let mount disk clock stats (cfg : Config.t) =
+  let sb = Layout.read_superblock (Diskset.read disk Layout.superblock_blkno) in
+  if sb.Layout.block_size <> cfg.disk.block_size then
+    Vfs.error Invalid "LFS mount: block size mismatch";
+  let t = make_empty disk clock stats { cfg with fs = { cfg.fs with segment_blocks = sb.Layout.segment_blocks } } sb in
+  install_checkpoint t (load_checkpoint t);
+  (* Load segment usage (live counts are recomputed below; keep the
+     timestamps and the hot/cold bit — the age signal and segregation
+     survive remounts only through this table). *)
+  Array.iteri
+    (fun chunk addr ->
+      if addr <> 0 then
+        Layout.read_usage_chunk (Diskset.read t.disk addr) ~chunk ~n:(nsegments t)
+          (fun seg e ->
+            let u = t.usage.(seg) in
+            u.mtime <- e.Layout.mtime;
+            u.last_write <- e.Layout.last_write;
+            u.cold <- e.Layout.cold))
+    t.usage_chunk_addr;
+  roll_forward t;
+  recompute_usage t;
+  (* Roll-forward can end having followed the log into the reserved next
+     segment without learning what the writer reserved after it (the
+     first partial there was torn, so its next_seg is untrusted). Leave
+     next_seg aliasing cur_seg and the writer would wrap onto the very
+     segment it is filling, overwriting live blocks. Reserve afresh. *)
+  if t.next_seg = t.cur_seg then t.next_seg <- pop_free t;
+  Fileops.rebuild_free_inums t.files ~allocated:(Array.get t.imap_alloc);
+  Stats.bump t.stats k_mounts;
+  t

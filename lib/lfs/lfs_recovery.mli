@@ -1,0 +1,37 @@
+(** LFS recovery: load the newest checkpoint, roll forward through the
+    hot partials written after it, and rebuild the usage table.
+
+    {b Which segments roll-forward visits.} It starts at the hot head
+    the checkpoint records, expecting the partial [seq] the checkpoint
+    records, and follows the chain: it accepts a summary whose [seq] is
+    the one expected, that is not cold, that ends inside its segment
+    ({!Layout.ends_in_segment}) and whose payload checksum matches, and
+    goes on at {!Layout.next_partial}. At a segment's end it moves to
+    the [next_seg] of the last summary accepted (at first, the
+    checkpoint's). Where a summary inside a segment fails, it tries the
+    start of [next_seg] once, since the writer closes a segment early
+    when a partial does not fit its rest; otherwise the log ends there.
+    So it visits the checkpoint's head segment and then only segments
+    the chain names. It never visits a cold partial, a segment written
+    before the checkpoint, or one the chain does not reach.
+
+    {b What a multi-partial atomic flush gets across a crash.} Partials
+    that carry [more] are held back until the batch's last partial is
+    accepted; then the batch is applied whole. If the log ends inside a
+    batch, the batch is discarded whole and the hot head rewound to its
+    start, so new writes overwrite it. Stale summaries past the
+    recovered head, in its segment and at the start of [next_seg], are
+    zeroed so that a later recovery cannot take them for a continuation
+    of the log. *)
+
+val mount : Diskset.t -> Clock.t -> Stats.t -> Config.t -> Lfs_writer.t
+(** As {!Lfs.mount}. *)
+
+val install_checkpoint : Lfs_writer.t -> Layout.checkpoint -> unit
+(** Install a checkpoint record: the hot head, the table chunk
+    addresses and the inode map it records. Mount and the snapshot view
+    share this. @raise Vfs.Error [Invalid] if the record's tables do not
+    match the geometry. *)
+
+val test_disable_payload_check : bool ref
+(** As {!Lfs.test_disable_payload_check}. *)

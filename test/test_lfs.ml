@@ -937,6 +937,156 @@ let test_roll_forward_refuses_overflowing_summary () =
     (v.Vfs.read (v.Vfs.open_file "/f") ~off:0 ~len:(3 * bs));
   Lfs.check fs
 
+(* The boundary of the partial rule: a summary whose entries end exactly
+   at its segment's last block is sound. Here the last summary of each
+   used segment gains entries, for no live file, up to the segment's
+   end, so whichever victim the cleaner picks holds one; the clean must
+   move every survivor. *)
+let test_cleaner_accepts_summary_ending_at_segment_end () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let seg_blocks = m.Tutil.cfg.Config.fs.Config.segment_blocks in
+  let data = Tutil.payload 5 (40 * bs) in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 data;
+  Lfs.sync fs;
+  let used =
+    List.filter (fun i -> Lfs.live_blocks fs i > 0) (List.init (Lfs.nsegments fs) Fun.id)
+  in
+  let padded =
+    List.filter
+      (fun i ->
+        let base = Layout.data_start + (i * seg_blocks) in
+        let rec last pos found =
+          if pos >= seg_blocks then found
+          else
+            match Layout.read_summary (Diskset.peek m.Tutil.disks (base + pos)) with
+            | None -> found
+            | Some s -> last (Layout.next_partial ~pos s) (Some (pos, s))
+        in
+        match last 0 None with
+        | None -> false
+        | Some (pos, s) ->
+          let pad = seg_blocks - Layout.next_partial ~pos s in
+          let b = Bytes.make bs '\000' in
+          Layout.write_summary b
+            {
+              s with
+              Layout.entries =
+                s.Layout.entries
+                @ List.init pad (fun _ -> Layout.Data { inum = 0; lblock = 0 });
+            };
+          Diskset.poke m.Tutil.disks (base + pos) b;
+          pad > 0)
+      used
+  in
+  Alcotest.(check bool) "some summary padded" true (padded <> []);
+  Alcotest.(check bool) "cleaned" true (Lfs.clean_once fs);
+  Alcotest.(check bool) "a victim emptied" true
+    (List.exists (fun i -> Lfs.live_blocks fs i = 0) used);
+  Tutil.check_bytes "file intact" data (v.Vfs.read fd ~off:0 ~len:(40 * bs));
+  Lfs.check fs
+
+(* Roll-forward takes the same boundary: a summary at the recovered log
+   head whose entries end exactly at the segment's last block, with a
+   valid payload checksum, is applied, remapping the file's block 0 to
+   that last block. *)
+let test_roll_forward_accepts_summary_ending_at_segment_end () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let seg_blocks = m.Tutil.cfg.Config.fs.Config.segment_blocks in
+  let data = Tutil.payload 6 (3 * bs) in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 data;
+  Lfs.sync fs;
+  let inum = Lfs.inum_of fs "/f" in
+  Lfs.crash fs;
+  let cp =
+    let r0, r1 = Layout.checkpoint_blknos in
+    match
+      List.filter_map
+        (fun r -> Layout.read_checkpoint (Diskset.peek m.Tutil.disks r))
+        [ r0; r1 ]
+      |> List.sort (fun a b -> Int64.compare b.Layout.cp_seq a.Layout.cp_seq)
+    with
+    | cp :: _ -> cp
+    | [] -> Alcotest.fail "no checkpoint"
+  in
+  let blkno = Layout.data_start + (cp.Layout.cur_seg * seg_blocks) + cp.Layout.cur_off in
+  let n = seg_blocks - cp.Layout.cur_off - 1 in
+  let blocks = List.init n (fun i -> Diskset.peek m.Tutil.disks (blkno + 1 + i)) in
+  let b = Bytes.make bs '\000' in
+  Layout.write_summary b
+    {
+      Layout.seq = cp.Layout.write_seq;
+      timestamp = 0.0;
+      next_seg = cp.Layout.cp_next_seg;
+      more = false;
+      cold = false;
+      payload_ck = Layout.checksum (Bytes.concat Bytes.empty blocks);
+      entries =
+        List.init n (fun i ->
+            Layout.Data { inum = (if i = n - 1 then inum else 0); lblock = 0 });
+    };
+  Diskset.poke m.Tutil.disks blkno b;
+  let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+  let v = Lfs.vfs fs in
+  let block0 = v.Vfs.read (v.Vfs.open_file "/f") ~off:0 ~len:bs in
+  Tutil.check_bytes "block 0 is the segment's last block" (List.nth blocks (n - 1)) block0;
+  Alcotest.(check bool) "block 0 moved" false (Bytes.equal block0 (Bytes.sub data 0 bs));
+  Lfs.check fs
+
+(* A flush never builds a partial that its segment or its summary block
+   cannot hold. At 128-block segments and 4 KB blocks, a sync of many
+   files' inodes or of many indirect blocks used to lay out one partial
+   past the segment, or seal a summary whose inode-number table ran into
+   the first payload block. *)
+let sizing_machine () =
+  let c = Tutil.small_config () in
+  Tutil.fresh_lfs
+    ~cfg:
+      {
+        c with
+        Config.disk = { c.Config.disk with nblocks = 16_384 };
+        fs = { c.Config.fs with segment_blocks = 128; cache_blocks = 4096 };
+      }
+    ()
+
+(* Create [n] files, each with [block] (if any) written at lblock 20,
+   sync, crash, remount, and check every file came back whole. *)
+let sync_many_files ~n ~block =
+  let m, fs = sizing_machine () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let data i = Tutil.payload (1000 + i) bs in
+  for i = 0 to n - 1 do
+    let fd = v.Vfs.create (Printf.sprintf "/f%d" i) in
+    if block then v.Vfs.write fd ~off:(20 * bs) (data i)
+  done;
+  Lfs.sync fs;
+  Lfs.check fs;
+  let fs = remount m fs in
+  Lfs.check fs;
+  let v = Lfs.vfs fs in
+  for i = 0 to n - 1 do
+    let fd = v.Vfs.open_file (Printf.sprintf "/f%d" i) in
+    if block then Tutil.check_bytes "block back" (data i) (v.Vfs.read fd ~off:(20 * bs) ~len:bs)
+    else Alcotest.(check int) "empty" 0 (v.Vfs.size fd)
+  done
+
+(* 1 000 inodes: 63 inode blocks fit the segment, but their summary needs
+   4 607 bytes. *)
+let test_summary_table_fits_its_block () = sync_many_files ~n:1000 ~block:false
+
+(* 2 100 inodes: 132 inode blocks, more than a segment holds. *)
+let test_inodes_spill_over_segments () = sync_many_files ~n:2100 ~block:false
+
+(* 100 files with one indirect block each: a 96-block data chunk pulls
+   in 96 indirect blocks and 6 inode blocks. *)
+let test_indirect_blocks_split_a_chunk () = sync_many_files ~n:100 ~block:true
+
 (* The on-disk bytes of a cleaning-heavy run, not only its timings:
    hot/cold segregation and the adaptive daemon on the scheduler at
    MPL 8 with group commit, over two striped spindles and a log spindle
@@ -1022,12 +1172,20 @@ let () =
             test_crash_after_cleaning_before_checkpoint;
           Alcotest.test_case "overflowing summary not rolled forward" `Quick
             test_roll_forward_refuses_overflowing_summary;
+          Alcotest.test_case "summary ending at the segment's end rolled forward"
+            `Quick test_roll_forward_accepts_summary_ending_at_segment_end;
           Alcotest.test_case "repeated crash cycles" `Quick
             test_repeated_crash_recovery_cycles;
           Alcotest.test_case "usage table's last chunk" `Quick
             test_usage_table_last_chunk;
           Alcotest.test_case "mismatched checkpoint refused" `Quick
             test_mount_rejects_mismatched_checkpoint;
+          Alcotest.test_case "summary table fits its block" `Quick
+            test_summary_table_fits_its_block;
+          Alcotest.test_case "inodes spill over segments" `Quick
+            test_inodes_spill_over_segments;
+          Alcotest.test_case "indirect blocks split a chunk" `Quick
+            test_indirect_blocks_split_a_chunk;
         ] );
       ( "snapshots",
         [
@@ -1051,6 +1209,8 @@ let () =
           Alcotest.test_case "no space" `Quick test_no_space;
           Alcotest.test_case "overflowing summary refused" `Quick
             test_cleaner_refuses_overflowing_summary;
+          Alcotest.test_case "summary ending at the segment's end cleaned" `Quick
+            test_cleaner_accepts_summary_ending_at_segment_end;
           Alcotest.test_case "platter bytes pinned" `Quick test_platter_digest;
           Alcotest.test_case "greedy policy" `Quick test_policy_greedy_prefers_emptiest;
           Alcotest.test_case "dead segment" `Quick test_policy_dead_segment_wins;
