@@ -80,6 +80,8 @@ let create clock stats cpu ~capacity =
 
 let set_writeback t f = t.writeback <- f
 let resident t = Tbl.length t.tbl
+let room t = t.cap - Tbl.length t.tbl
+let mem t ~file ~lblock = in_range ~file ~lblock && Tbl.mem t.tbl (key ~file ~lblock)
 let modseq t = t.seq
 
 let unlink f =

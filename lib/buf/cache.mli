@@ -61,6 +61,14 @@ val set_writeback : t -> (frame -> unit) -> unit
 
 val resident : t -> int
 
+val room : t -> int
+(** Free frames: the capacity less {!resident}. An insert evicts
+    nothing while this is positive. *)
+
+val mem : t -> file:int -> lblock:int -> bool
+(** Whether the block is cached. Unlike {!lookup} it charges nothing,
+    counts no hit or miss and leaves the LRU order as it is. *)
+
 val lookup : t -> file:int -> lblock:int -> frame option
 (** Cache probe; charges one buffer lookup of CPU and refreshes LRU. A
     key out of range is never cached, so its probe misses. *)

@@ -5,7 +5,9 @@ let max_inodes = 8192
 let root_inum = Fileops.root_inum
 
 (* Disk layout: block 0 superblock; then the inode table; then the block
-   bitmap; then data blocks. *)
+   bitmap; then data blocks. The superblock holds the magic, the size,
+   [max_inodes] and how many table blocks, from the first, are in use:
+   mount reads only those. *)
 
 type t = {
   disk : Disk.t;
@@ -16,6 +18,7 @@ type t = {
   nblocks : int;
   itable_start : int;
   itable_blocks : int;
+  mutable itable_used : int; (* table blocks the superblock on disk covers *)
   bitmap_start : int;
   bitmap_blocks : int;
   data_start : int;
@@ -221,6 +224,18 @@ let frame_writes t frames =
       (addr, Bytes.copy f.Cache.data))
     frames
 
+let write_superblock t =
+  let b = Bytes.make t.bs '\000' in
+  Enc.set_u32 b 0 magic;
+  Enc.set_u32 b 4 t.nblocks;
+  Enc.set_u32 b 8 max_inodes;
+  Enc.set_u32 b 12 t.itable_used;
+  Disk.write t.disk 0 b
+
+(* The table blocks that hold every inode number handed out so far. *)
+let itable_needed t =
+  (t.files.next_inum + inodes_per_block t - 1) / inodes_per_block t
+
 let flush_frames t frames =
   let data_writes = frame_writes t frames in
   (* Metadata for every file whose inode got dirty. *)
@@ -234,6 +249,13 @@ let flush_frames t frames =
     dirty;
   let itable = inode_table_writes t dirty in
   Hashtbl.reset t.dirty_inodes;
+  (* The bound reaches the platter, synchronously, before any table
+     block past it: it only grows, so a crash leaves it too high, never
+     too low. *)
+  if itable_needed t > t.itable_used then begin
+    t.itable_used <- itable_needed t;
+    write_superblock t
+  end;
   issue_sorted t (data_writes @ !meta @ itable);
   List.iter (fun f -> Cache.mark_clean t.cache f) frames
 
@@ -336,6 +358,7 @@ let make disk clock stats (cfg : Config.t) =
       nblocks;
       itable_start;
       itable_blocks;
+      itable_used = 1 (* the root's block *);
       bitmap_start;
       bitmap_blocks;
       data_start;
@@ -355,13 +378,6 @@ let make disk clock stats (cfg : Config.t) =
          paper's baseline relies on. *)
       Fileops.section t.files (fun () -> flush_frames t (Cache.dirty_frames t.cache ())));
   t
-
-let write_superblock t =
-  let b = Bytes.make t.bs '\000' in
-  Enc.set_u32 b 0 magic;
-  Enc.set_u32 b 4 t.nblocks;
-  Enc.set_u32 b 8 max_inodes;
-  Disk.write t.disk 0 b
 
 let format disk clock stats cfg =
   let t = make disk clock stats cfg in
@@ -383,6 +399,10 @@ let mount disk clock stats cfg =
   let b = Disk.read disk 0 in
   if Enc.get_u32 b 0 <> magic then Vfs.error Invalid "FFS: bad superblock";
   if Enc.get_u32 b 4 <> t.nblocks then Vfs.error Invalid "FFS: size mismatch";
+  t.itable_used <- Enc.get_u32 b 12;
+  if t.itable_used < 1 || t.itable_used > t.itable_blocks then
+    Vfs.error Invalid "FFS: %d inode-table blocks in use, of %d" t.itable_used
+      t.itable_blocks;
   (* Load the bitmap. *)
   for i = 0 to t.bitmap_blocks - 1 do
     let blk = Disk.read disk (t.bitmap_start + i) in
@@ -391,10 +411,11 @@ let mount disk clock stats cfg =
     if n > 0 then Bytes.blit blk 0 t.bitmap off n
   done;
   t.bitmap_dirty <- false;
-  (* Each table block is read once; every allocated inode is cached with
-     its indirect blocks (a read leaves the block's view as it is). *)
+  (* Each table block in use is read once; every allocated inode is
+     cached with its indirect blocks (a read leaves the block's view as
+     it is). *)
   t.files.next_inum <- root_inum + 1;
-  for blk = 0 to t.itable_blocks - 1 do
+  for blk = 0 to t.itable_used - 1 do
     let b, off = Disk.read_run_view disk (t.itable_start + blk) 1 in
     for slot = 0 to inodes_per_block t - 1 do
       let inum = (blk * inodes_per_block t) + slot in
@@ -450,5 +471,10 @@ let fsck t =
   let fixed = t.bitmap_dirty in
   issue_sorted t (bitmap_writes t);
   { scanned_inodes = !scanned; leaked_blocks = !leaked; cross_allocated = !cross; fixed }
+
+let allocated_inodes t =
+  let l = ref [] in
+  Fileops.iter_allocated t.files (fun inum -> l := inum :: !l);
+  List.rev !l
 
 let contiguity t path = Inode.contiguity (iget t (inum_of t path))

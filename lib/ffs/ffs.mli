@@ -29,8 +29,13 @@ exception Crashed
 
 val format : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
 val mount : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
-(** Reads the superblock, the bitmap and each inode-table block once,
-    and caches every allocated inode with its indirect blocks. *)
+(** Reads the superblock, the bitmap and each inode-table block in use
+    once, and caches every allocated inode with its indirect blocks.
+    The superblock counts the table blocks in use from the first; a
+    flush that hands out an inode number past them writes the grown
+    count, synchronously, before any of the new table blocks.
+    @raise Vfs.Error [Invalid] on a bad magic number or size, or an
+    in-use count of 0 or past the end of the table. *)
 
 val crash : t -> unit
 (** Discard all volatile state; the disk image keeps only what was
@@ -54,6 +59,11 @@ val fsck : t -> fsck_report
     layer's allocation picture and reads only inodes not cached (none
     after {!mount}): an inode freed but not yet flushed is not scanned,
     and its blocks stay free. *)
+
+val allocated_inodes : t -> int list
+(** The allocated inode numbers as the file layer sees them, in
+    increasing order: after {!mount}, those of the table slots it
+    read. *)
 
 val contiguity : t -> string -> float
 (** Fraction of a file's adjacent logical blocks that are also adjacent

@@ -132,6 +132,23 @@ module Make (F : FS) = struct
     charge t Cpu.Copy_block;
     f.Cache.data
 
+  (* The blocks worth fetching, as far as the cache has free frames,
+     read in disk-address order. *)
+  let prefetch t blocks =
+    let cache = F.cache t and bs = F.block_size t in
+    let rec pick room acc = function
+      | (inum, lblock) :: rest when room > 0 ->
+        let ino = F.iget t inum in
+        let addr = Inode.get_addr ino lblock in
+        if lblock < 0 || lblock * bs >= ino.Inode.size || addr = 0
+           || Cache.mem cache ~file:inum ~lblock
+        then pick room acc rest
+        else pick (room - 1) ((addr, inum, lblock) :: acc) rest
+      | _ -> acc
+    in
+    List.sort_uniq compare (pick (Cache.room cache) [] blocks)
+    |> List.iter (fun (_, inum, lblock) -> ignore (F.get_page t ~inum ~lblock))
+
   let write t inum ~off data =
     let ino = F.iget t inum in
     let bs = F.block_size t in
@@ -272,6 +289,7 @@ module Make (F : FS) = struct
       open_file = (fun path -> file_op (); resolve_file t path);
       read = (fun fd ~off ~len -> op (); read t fd ~off ~len);
       read_block = (fun fd lb -> op (); read_block t fd lb);
+      prefetch = (fun blocks -> op (); prefetch t blocks);
       write = (fun fd ~off data -> op (); write t fd ~off data);
       truncate = (fun fd len -> op (); truncate t fd len);
       size = (fun fd -> alive (); size t fd);
@@ -304,6 +322,7 @@ module Make (F : FS) = struct
       open_file = (fun path -> guard (); resolve_file t path);
       read = (fun fd ~off ~len -> guard (); read t fd ~off ~len);
       read_block = (fun fd lb -> guard (); read_block t fd lb);
+      prefetch = (fun blocks -> guard (); prefetch t blocks);
       write = (fun _ ~off:_ _ -> deny ());
       truncate = (fun _ _ -> deny ());
       size = (fun fd -> guard (); size t fd);

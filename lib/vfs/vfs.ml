@@ -36,6 +36,7 @@ type t = {
   open_file : string -> fd;
   read : fd -> off:int -> len:int -> bytes;
   read_block : fd -> int -> bytes;
+  prefetch : (fd * int) list -> unit;
   write : fd -> off:int -> bytes -> unit;
   truncate : fd -> int -> unit;
   size : fd -> int;

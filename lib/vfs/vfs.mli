@@ -55,6 +55,16 @@ type t = {
           written.
           @raise Error [Invalid] if the block is not wholly inside the
           file. *)
+  prefetch : (fd * int) list -> unit;
+      (** [prefetch blocks] reads the named [(file, block)] pages into
+          the file system's cache, as one system call, so that later
+          reads of them hit. It skips a block past the end of its file,
+          a hole and a page already cached. Of the rest it takes, in the
+          order given, only as many as the cache has free frames, so it
+          evicts nothing, and it reads them in disk-address order. A
+          caller that lists pages in the order it will first read them
+          therefore reads no page twice: every fetched page is read
+          before a later miss can need its frame. *)
   write : fd -> off:int -> bytes -> unit;
       (** extends the file if the range ends past the current size *)
   truncate : fd -> int -> unit;

@@ -38,8 +38,9 @@ val open_env :
   t
 (** Open a transaction environment. If the logs already contain records
     (an unclean shutdown), crash recovery runs first: merge the streams
-    in dependency order, redo all durable updates, undo loser
-    transactions, checkpoint.
+    in dependency order, prefetch the pages the updates name
+    ([Vfs.t]'s [prefetch], in the order redo first reads them), redo all
+    durable updates, undo loser transactions, checkpoint.
     [log_vfs] (default: the data [Vfs.t]) is the file system holding
     [log_path] — pass the file system of a dedicated log spindle to
     separate WAL forces from data traffic. With

@@ -550,6 +550,119 @@ let prop_recovery_atomicity =
       Libtp.commit env txn;
       ok)
 
+(* Redo prefetch -------------------------------------------------------- *)
+
+(* A LIBTP database on two striped LFS spindles with its log on an FFS
+   spindle of its own, as in wal-mpl16: 48 pages written and
+   checkpointed, then 20 committed one-page updates in scrambled page
+   order, then a crash. Every call builds the same image. *)
+let db_pages = 48
+
+let updated_page i = i * 17 mod db_pages
+
+let crashed_db ~cache_blocks =
+  let cfg = Tutil.small_config () in
+  let cfg =
+    { cfg with Config.fs = { cfg.Config.fs with ndisks = 2; log_disk = true; cache_blocks } }
+  in
+  let m = Tutil.machine ~cfg () in
+  let fs = Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+  let log_fs =
+    Ffs.format (Diskset.log_disks m.Tutil.disks).(0) m.Tutil.clock m.Tutil.stats m.Tutil.cfg
+  in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let fd = v.Vfs.create "/db" in
+  for p = 0 to db_pages - 1 do
+    v.Vfs.write fd ~off:(p * bs) (Tutil.payload p bs)
+  done;
+  Lfs.sync fs;
+  let env =
+    Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~log_vfs:(Ffs.vfs log_fs)
+      ~pool_pages:64 ~checkpoint_every:1000 ~log_path:"/wal.log" ()
+  in
+  Libtp.checkpoint env;
+  for i = 0 to 19 do
+    let txn = Libtp.begin_txn env in
+    Libtp.write_page env txn ~file:fd ~page:(updated_page i) (Tutil.payload (1000 + i) bs);
+    Libtp.commit env txn
+  done;
+  Lfs.crash fs;
+  Ffs.crash log_fs;
+  m
+
+(* Remount and reopen the environment, recording every read request
+   the spindles serve during the reopen as (spindle, block, page): the
+   database page whose checkpointed bytes the block holds, if any. With
+   [~prefetch:false] the file system's prefetch does nothing. Returns
+   the reads and the database's bytes after recovery. *)
+let recover_db m ~prefetch =
+  let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+  let log_fs =
+    Ffs.mount (Diskset.log_disks m.Tutil.disks).(0) m.Tutil.clock m.Tutil.stats m.Tutil.cfg
+  in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let page_of = Hashtbl.create db_pages in
+  for p = 0 to db_pages - 1 do
+    Hashtbl.replace page_of (Bytes.to_string (Tutil.payload p bs)) p
+  done;
+  let v' = if prefetch then v else { v with Vfs.prefetch = (fun _ -> ()) } in
+  let (), reads =
+    Tutil.tagged_reads m.Tutil.disks page_of (fun () ->
+        ignore
+          (Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v'
+             ~log_vfs:(Ffs.vfs log_fs) ~pool_pages:64 ~checkpoint_every:1000
+             ~log_path:"/wal.log" ()))
+  in
+  (reads, v.Vfs.read (v.Vfs.open_file "/db") ~off:0 ~len:(db_pages * bs))
+
+(* Per spindle, the block numbers of the database pages read, in
+   request order. *)
+let page_reads_by_spindle reads =
+  List.sort_uniq compare (List.map (fun (name, _, _) -> name) reads)
+  |> List.map (fun name ->
+         List.filter_map
+           (fun (n, blk, page) -> if n = name && page <> None then Some blk else None)
+           reads)
+
+let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | _ -> true
+
+(* Recovery prefetches the redo pages: with room for them all, it reads
+   each once, in ascending address order on each spindle, where redo
+   alone reads them in log order. With a cache smaller than the redo
+   set it reads no more blocks than redo alone. Either way the recovered
+   bytes are those of a recovery without the prefetch. *)
+let test_recovery_prefetch () =
+  let bs = (Tutil.small_config ()).Config.disk.block_size in
+  let expected = Bytes.concat Bytes.empty (List.init db_pages (fun p -> Tutil.payload p bs)) in
+  for i = 0 to 19 do
+    Bytes.blit (Tutil.payload (1000 + i) bs) 0 expected (updated_page i * bs) bs
+  done;
+  let reads, bytes = recover_db (crashed_db ~cache_blocks:128) ~prefetch:true in
+  let pages = List.filter_map (fun (_, _, p) -> p) reads in
+  Alcotest.(check (list int)) "each redo page read once"
+    (List.sort_uniq compare (List.init 20 updated_page))
+    (List.sort compare pages);
+  Alcotest.(check bool) "ascending on each spindle" true
+    (List.for_all ascending (page_reads_by_spindle reads));
+  Alcotest.(check bool) "read from both spindles" true
+    (List.length (List.filter (( <> ) []) (page_reads_by_spindle reads)) = 2);
+  Tutil.check_bytes "recovered bytes" expected bytes;
+  let reads', bytes' = recover_db (crashed_db ~cache_blocks:128) ~prefetch:false in
+  Alcotest.(check bool) "redo alone reads out of order" false
+    (List.for_all ascending (page_reads_by_spindle reads'));
+  Tutil.check_bytes "same bytes without the prefetch" bytes' bytes;
+  let small, small_bytes = recover_db (crashed_db ~cache_blocks:8) ~prefetch:true in
+  let small', small_bytes' = recover_db (crashed_db ~cache_blocks:8) ~prefetch:false in
+  Alcotest.(check bool)
+    (Printf.sprintf "small cache: %d reads, %d without the prefetch" (List.length small)
+       (List.length small'))
+    true
+    (List.length small <= List.length small');
+  Tutil.check_bytes "small cache: recovered bytes" expected small_bytes;
+  Tutil.check_bytes "small cache: same bytes without the prefetch" small_bytes' small_bytes
+
 (* Truncate vs. force interleaving ---------------------------------------- *)
 
 (* Regression: Logmgr.truncate used to ignore the force serialization —
@@ -848,6 +961,7 @@ let () =
           Alcotest.test_case "clean shutdown" `Quick
             test_recovery_idempotent_after_clean_shutdown;
           prop_recovery_atomicity;
+          Alcotest.test_case "redo prefetch" `Quick test_recovery_prefetch;
         ] );
       ( "multi-stream",
         [

@@ -264,6 +264,48 @@ let test_read_block make () =
     | exception Vfs.Error (Vfs.Invalid, _) -> true
     | _ -> false)
 
+(* [prefetch] reads each mapped block of the list once, in ascending
+   address order, and nothing for a block past the end of the file, a
+   hole or a block already cached; the reads that follow are hits and
+   return the file's bytes. Reads are told apart by the bytes they
+   return: each written block holds its own payload. *)
+let test_prefetch make () =
+  let h = make () in
+  let v = h.vfs () in
+  let bs = v.Vfs.block_size in
+  let fd = v.Vfs.create "/pf" in
+  let written = [ 0; 1; 2; 3; 5; 6; 7 ] in
+  List.iter (fun b -> v.Vfs.write fd ~off:(b * bs) (Tutil.payload b bs)) written;
+  v.Vfs.sync ();
+  remount h;
+  let v = h.vfs () in
+  let block_of = Hashtbl.create 8 in
+  List.iter (fun b -> Hashtbl.replace block_of (Bytes.to_string (Tutil.payload b bs)) b) written;
+  let counting f =
+    List.filter_map
+      (fun (name, blk, b) -> Option.map (fun b -> (name, blk, b)) b)
+      (snd (Tutil.tagged_reads h.machine.Tutil.disks block_of f))
+  in
+  (* Block 4 is a hole, block 8 lies past the end, block 6 comes twice. *)
+  let wanted = [ 6; 2; 8; 4; 7; 0; 6; 5 ] in
+  let fetched = counting (fun () -> v.Vfs.prefetch (List.map (fun b -> (fd, b)) wanted)) in
+  Alcotest.(check (list int)) "each mapped block once" [ 0; 2; 5; 6; 7 ]
+    (List.sort compare (List.map (fun (_, _, b) -> b) fetched));
+  List.iter
+    (fun (name, _) ->
+      let blks = List.filter_map (fun (n, a, _) -> if n = name then Some a else None) fetched in
+      Alcotest.(check (list int)) (name ^ ": ascending") (List.sort_uniq compare blks) blks)
+    (Diskset.members h.machine.Tutil.disks);
+  let again = counting (fun () -> v.Vfs.prefetch (List.map (fun b -> (fd, b)) wanted)) in
+  Alcotest.(check int) "cached blocks are not read again" 0 (List.length again);
+  let hits =
+    counting (fun () ->
+        List.iter
+          (fun b -> Tutil.check_bytes "bytes" (Tutil.payload b bs) (v.Vfs.read_block fd b))
+          [ 0; 2; 5; 6; 7 ])
+  in
+  Alcotest.(check int) "reads after the prefetch hit" 0 (List.length hits)
+
 (* Model-based property: random operation sequences against an in-memory
    map of path -> contents. Ops: write (extending), remove, truncate to
    half, truncate growing past the end (the new range reads as zeros),
@@ -387,4 +429,5 @@ let cases make =
     Alcotest.test_case "crashed raises" `Quick (with_harness test_crashed_raises);
     Alcotest.test_case "read_block is read without the copy" `Quick
       (test_read_block make);
+    Alcotest.test_case "prefetch" `Quick (test_prefetch make);
   ]

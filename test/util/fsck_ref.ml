@@ -18,10 +18,24 @@ let bitmap_blocks disk =
   let start, len, _ = bitmap_extent disk in
   List.init len (fun i -> Bytes.to_string (Disk.peek disk (start + i)))
 
+(* The inode in [inum]'s table slot on the image, if the slot holds
+   one, with its indirect blocks. *)
+let slot disk inum =
+  let bs = Disk.block_size disk in
+  let per_block = bs / 256 in
+  let b = Disk.peek disk (1 + (inum / per_block)) in
+  Inode.load ~block_size:bs ~read:(Disk.peek disk) b (inum mod per_block * 256)
+
+(* Every inode number whose table slot on the image holds a record, in
+   increasing order. *)
+let allocated disk =
+  List.filter
+    (fun inum -> Option.is_some (slot disk inum))
+    (List.init (max_inodes disk - 1) succ)
+
 (* The report fsck gives on the image, and the bitmap blocks it leaves. *)
 let fsck disk =
   let bs = Disk.block_size disk and nblocks = Disk.nblocks disk in
-  let per_block = bs / 256 in
   let _, _, data_start = bitmap_extent disk in
   let bitmap = Bytes.of_string (String.concat "" (bitmap_blocks disk)) in
   let bit i = Char.code (Bytes.get bitmap (i lsr 3)) land (1 lsl (i land 7)) <> 0 in
@@ -32,8 +46,7 @@ let fsck disk =
   let refs = Array.make nblocks 0 in
   let scanned = ref 0 in
   for inum = 1 to max_inodes disk - 1 do
-    let b = Disk.peek disk (1 + (inum / per_block)) in
-    match Inode.load ~block_size:bs ~read:(Disk.peek disk) b (inum mod per_block * 256) with
+    match slot disk inum with
     | None -> ()
     | Some ino ->
       incr scanned;

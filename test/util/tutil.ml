@@ -58,3 +58,29 @@ let check_bytes msg expected actual =
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* Runs [f] while every spindle of [disks] records the reads it serves,
+   telling blocks apart by their bytes: returns [f]'s result and, in
+   request order, (spindle, block, tag) for each one-block read, where
+   [tag] is what [tag_of] maps the block's bytes to, if anything. *)
+let tagged_reads disks tag_of f =
+  let reads = ref [] in
+  let members = Diskset.members disks in
+  List.iter
+    (fun (name, d) ->
+      Disk.set_injector d
+        (Some
+           {
+             Disk.on_write = (fun ~blkno:_ ~nblocks -> nblocks);
+             on_read =
+               (fun ~blkno ~nblocks:_ ->
+                 let tag = Hashtbl.find_opt tag_of (Bytes.to_string (Disk.peek d blkno)) in
+                 reads := (name, blkno, tag) :: !reads;
+                 false);
+           }))
+    members;
+  let x =
+    Fun.protect f ~finally:(fun () ->
+        List.iter (fun (_, d) -> Disk.set_injector d None) members)
+  in
+  (x, List.rev !reads)
