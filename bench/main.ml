@@ -505,21 +505,19 @@ let () =
     o.tps_scale
     (Tpcb.scale_for_tps o.tps_scale).Tpcb.accounts
     o.txns o.nseeds;
-  let emit ~name ~config json =
-    Printf.printf "wrote %s\n%!" (Expcommon.write_bench ~name ~config json)
-  in
+  let report ~name = Expcommon.report ~json:true ~name in
   let fig4 = Fig4.run ~tps_scale:o.tps_scale ~txns:o.txns ~seeds () in
-  Fig4.print fig4;
-  emit ~name:"fig4" ~config:fig4.Fig4.config (Fig4.to_json fig4);
+  report ~name:"fig4" ~config:fig4.Fig4.config ~print:Fig4.print
+    ~to_json:Fig4.to_json fig4;
   let fig5 = Fig5.run ~tps_scale:(min o.tps_scale 2) () in
-  Fig5.print fig5;
-  emit ~name:"fig5" ~config:fig5.Fig5.config (Fig5.to_json fig5);
+  report ~name:"fig5" ~config:fig5.Fig5.config ~print:Fig5.print
+    ~to_json:Fig5.to_json fig5;
   let fig6 = Fig6.run ~tps_scale:o.tps_scale ~txns:o.txns () in
-  Fig6.print fig6;
-  emit ~name:"fig6" ~config:fig6.Fig6.config (Fig6.to_json fig6);
-  let fig7 = Fig7.of_measurements ~fig4 ~fig6 in
-  Fig7.print fig7;
-  emit ~name:"fig7" ~config:fig4.Fig4.config (Fig7.artifact_json ~fig4 ~fig6 fig7);
+  report ~name:"fig6" ~config:fig6.Fig6.config ~print:Fig6.print
+    ~to_json:Fig6.to_json fig6;
+  report ~name:"fig7" ~config:fig4.Fig4.config ~print:Fig7.print
+    ~to_json:(Fig7.artifact_json ~fig4 ~fig6)
+    (Fig7.of_measurements ~fig4 ~fig6);
   Ablation.print (Ablation.test_and_set ~tps_scale:o.tps_scale ~txns:(o.txns / 2) ());
   Ablation.print
     (Ablation.cleaner_placement ~tps_scale:o.tps_scale ~txns:(o.txns * 3 / 4) ());

@@ -82,9 +82,6 @@ let lock_grain_arg =
   in
   Arg.(value & opt grain_conv `Page & info [ "lock-grain" ] ~docv:"G" ~doc)
 
-let with_grain grain (c : Config.t) =
-  { c with Config.fs = { c.Config.fs with Config.lock_grain = grain } }
-
 let ints_arg ?(elt = Arg.int) name ~default ~doc =
   Arg.(value & opt (list (trimmed elt)) default & info [ name ] ~docv:"LIST" ~doc)
 
@@ -92,18 +89,14 @@ let mpls_arg default =
   ints_arg ~elt:positive "mpls" ~default
     ~doc:"Comma-separated multiprogramming levels to sweep."
 
-let emit_bench ~name ~config json =
-  let path = Expcommon.write_bench ~name ~config json in
-  Printf.printf "wrote %s\n" path
-
 (* fig4 *)
 let fig4_cmd =
   let run scale txns nseeds json =
     let f =
       Fig4.run ~tps_scale:scale ~txns ~seeds:(List.init nseeds (fun i -> i + 1)) ()
     in
-    Fig4.print f;
-    if json then emit_bench ~name:"fig4" ~config:f.Fig4.config (Fig4.to_json f)
+    Expcommon.report ~json ~name:"fig4" ~config:f.Fig4.config ~print:Fig4.print
+      ~to_json:Fig4.to_json f
   in
   Cmd.v
     (Cmd.info "fig4" ~doc:"Figure 4: TPC-B throughput of the three configurations")
@@ -112,8 +105,8 @@ let fig4_cmd =
 let fig5_cmd =
   let run scale json =
     let f = Fig5.run ~tps_scale:scale () in
-    Fig5.print f;
-    if json then emit_bench ~name:"fig5" ~config:f.Fig5.config (Fig5.to_json f)
+    Expcommon.report ~json ~name:"fig5" ~config:f.Fig5.config ~print:Fig5.print
+      ~to_json:Fig5.to_json f
   in
   Cmd.v
     (Cmd.info "fig5"
@@ -123,8 +116,8 @@ let fig5_cmd =
 let fig6_cmd =
   let run scale txns seed json =
     let f = Fig6.run ~tps_scale:scale ~txns ~seed () in
-    Fig6.print f;
-    if json then emit_bench ~name:"fig6" ~config:f.Fig6.config (Fig6.to_json f)
+    Expcommon.report ~json ~name:"fig6" ~config:f.Fig6.config ~print:Fig6.print
+      ~to_json:Fig6.to_json f
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Figure 6: key-order scan after random updates")
@@ -135,11 +128,10 @@ let fig7_cmd =
     let seeds = List.init nseeds (fun i -> i + 1) in
     let fig4 = Fig4.run ~tps_scale:scale ~txns ~seeds () in
     let fig6 = Fig6.run ~tps_scale:scale ~txns () in
-    let f = Fig7.of_measurements ~fig4 ~fig6 in
-    Fig7.print f;
-    if json then
-      emit_bench ~name:"fig7" ~config:fig4.Fig4.config
-        (Fig7.artifact_json ~fig4 ~fig6 f)
+    Expcommon.report ~json ~name:"fig7" ~config:fig4.Fig4.config
+      ~print:Fig7.print
+      ~to_json:(Fig7.artifact_json ~fig4 ~fig6)
+      (Fig7.of_measurements ~fig4 ~fig6)
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Figure 7: transaction/scan trade-off crossover")
@@ -198,9 +190,9 @@ let sched_mpl_arg =
 let tpcb_cmd =
   let run setup scale txns seed mpl ndisks log_disk log_streams grain =
     let config =
-      with_grain grain
-        (with_disks ~ndisks ~log_disk ~log_streams
-           (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
+      Mplsweep.with_grain
+        (with_disks ~ndisks ~log_disk ~log_streams (Expcommon.tps_config scale))
+        grain
     in
     let r =
       Expcommon.run_tpcb ?mpl ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
@@ -254,18 +246,11 @@ let mplsweep_cmd =
       & info [ "grains" ] ~docv:"LIST" ~doc)
   in
   let run setup scale txns seed mpls groups grains json ndisks log_disk =
-    let config =
-      with_disks ~ndisks ~log_disk
-        (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default)
-    in
-    let s =
-      Mplsweep.run ~config ~tps_scale:scale ~txns ~seed ~mpls ~groups ~grains
-        ~setup ()
-    in
-    Mplsweep.print s;
-    if json then
-      emit_bench ~name:"mplsweep" ~config:s.Mplsweep.config
-        (Mplsweep.to_json s)
+    let config = with_disks ~ndisks ~log_disk (Expcommon.tps_config scale) in
+    Expcommon.report ~json ~name:"mplsweep" ~config ~print:Mplsweep.print
+      ~to_json:Fun.id
+      (Mplsweep.run ~config ~tps_scale:scale ~txns ~seed ~mpls ~groups ~grains
+         ~setup ())
   in
   Cmd.v
     (Cmd.info "mplsweep"
@@ -285,11 +270,10 @@ let mplsweep_cmd =
 (* Disk-placement sweep: dedicated log spindle and striped segments. *)
 let disksweep_cmd =
   let run setup scale txns seed mpls json =
-    let s = Disksweep.run ~tps_scale:scale ~txns ~seed ~mpls ~setup () in
-    Disksweep.print s;
-    if json then
-      emit_bench ~name:"disksweep" ~config:s.Disksweep.config
-        (Disksweep.to_json s)
+    Expcommon.report ~json ~name:"disksweep"
+      ~config:(Expcommon.tps_config scale)
+      ~print:Disksweep.print ~to_json:Fun.id
+      (Disksweep.run ~tps_scale:scale ~txns ~seed ~mpls ~setup ())
   in
   Cmd.v
     (Cmd.info "disksweep"
@@ -314,10 +298,10 @@ let logsweep_cmd =
       ~doc:"Comma-separated log-stream counts to sweep."
   in
   let run setup scale txns seed streams mpls json =
-    let s = Logsweep.run ~tps_scale:scale ~txns ~seed ~streams ~mpls ~setup () in
-    Logsweep.print s;
-    if json then
-      emit_bench ~name:"logsweep" ~config:s.Logsweep.config (Logsweep.to_json s)
+    Expcommon.report ~json ~name:"logsweep"
+      ~config:(Expcommon.tps_config scale)
+      ~print:Logsweep.print ~to_json:Fun.id
+      (Logsweep.run ~tps_scale:scale ~txns ~seed ~streams ~mpls ~setup ())
   in
   Cmd.v
     (Cmd.info "logsweep"
@@ -352,11 +336,10 @@ let cleanersweep_cmd =
       & info [ "arms" ] ~docv:"LIST" ~doc)
   in
   let run scale txns seed utils mpls arms json =
-    let s = Cleanersweep.run ~tps_scale:scale ~txns ~seed ~utils ~mpls ~arms () in
-    Cleanersweep.print s;
-    if json then
-      emit_bench ~name:"cleanersweep" ~config:s.Cleanersweep.config
-        (Cleanersweep.to_json s)
+    Expcommon.report ~json ~name:"cleanersweep"
+      ~config:(Expcommon.tps_config scale)
+      ~print:Cleanersweep.print ~to_json:Fun.id
+      (Cleanersweep.run ~tps_scale:scale ~txns ~seed ~utils ~mpls ~arms ())
   in
   Cmd.v
     (Cmd.info "cleanersweep"
@@ -384,9 +367,9 @@ let trace_cmd =
   in
   let run setup scale txns seed out cap mpl ndisks log_disk grain =
     let config =
-      with_grain grain
-        (with_disks ~ndisks ~log_disk
-           (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
+      Mplsweep.with_grain
+        (with_disks ~ndisks ~log_disk (Expcommon.tps_config scale))
+        grain
     in
     let r =
       Expcommon.run_tpcb ~trace:cap ?mpl ~config

@@ -2,12 +2,6 @@ type row = { label : string; tps : float; max_latency_s : float; note : string }
 
 type t = { title : string; rows : row list }
 
-let base_config config tps_scale =
-  match config with
-  | Some c -> c
-  | None ->
-    Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-
 let measure ~config ~tps_scale ~txns setup label note =
   let scale = Tpcb.scale_for_tps tps_scale in
   let r = Expcommon.run_tpcb ~config ~scale ~txns ~seed:1 setup in
@@ -19,7 +13,7 @@ let measure ~config ~tps_scale ~txns setup label note =
   }
 
 let test_and_set ?config ?(tps_scale = 4) ?(txns = 10_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let with_tas v =
     { config with Config.cpu = { config.Config.cpu with has_test_and_set = v } }
   in
@@ -37,7 +31,7 @@ let test_and_set ?config ?(tps_scale = 4) ?(txns = 10_000) () =
   }
 
 let cleaner_placement ?config ?(tps_scale = 4) ?(txns = 15_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let with_user v =
     { config with Config.fs = { config.Config.fs with lfs_user_cleaner = v } }
   in
@@ -53,7 +47,7 @@ let cleaner_placement ?config ?(tps_scale = 4) ?(txns = 15_000) () =
   }
 
 let cleaning_policy ?config ?(tps_scale = 4) ?(txns = 15_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let with_policy p =
     { config with Config.fs = { config.Config.fs with cleaner_policy = p } }
   in
@@ -70,7 +64,7 @@ let cleaning_policy ?config ?(tps_scale = 4) ?(txns = 15_000) () =
   }
 
 let group_commit ?config ?(tps_scale = 4) ?(txns = 10_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let with_gc timeout =
     {
       config with
@@ -100,14 +94,11 @@ type coalesce_result = {
 }
 
 let coalescing ?config ?(tps_scale = 4) ?(txns = 15_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let m = Txstack.machine Txstack.Lfs_user config in
   let rng = Rng.create ~seed:1 in
-  let stack, db =
-    Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
-        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
-  in
+  let stack, db, _ = Txstack.boot_tpcb ~wal:Expcommon.wal ~scale ~rng m in
   let fs = Option.get (Txstack.lfs stack) in
   ignore (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns);
   (match stack.txn with Tpcb.User env -> Libtp.checkpoint env | Kernel _ -> ());
@@ -143,7 +134,7 @@ let print_coalescing r =
     (r.scan_before_s /. r.scan_after_s)
 
 let multiprogramming ?config ?(tps_scale = 4) ?(txns = 8_000) () =
-  let config = base_config config tps_scale in
+  let config = Expcommon.tps_config ?config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let row mpl =
     let r =

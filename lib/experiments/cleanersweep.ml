@@ -14,36 +14,10 @@
 
 type arm = { policy : [ `Greedy | `Cost_benefit ]; segregate : bool }
 
-type point = {
-  util_pct : int;
-  mpl : int;
-  arm : arm;
-  run : Expcommon.tpcb_run;
-  stall_p99_s : float;
-  write_cost : float;
-      (** blocks moved per block reclaimed, whole run; 0 if nothing was
-          reclaimed *)
-  blocks_moved : int;
-  blocks_reclaimed : int;
-  segments_cleaned : int;  (** counter ["cleaner.segments"] *)
-  cleans_observed : int;
-      (** sample count of the ["cleaner.clean"] histogram — must equal
-          [segments_cleaned] (dead-segment reclaims observe a zero) *)
-  idle_cleans : int;  (** background cleans taken while the disk was idle *)
-  backoffs : int;  (** daemon wakeups skipped because the queue was deep *)
-  cold_segments : int;  (** relocation segments opened by segregation *)
-}
-
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-}
-
 let default_utils = [ 50; 70; 80; 90 ]
 let default_mpls = [ 1; 8 ]
 
+(* In the order the report lists each arm's retention. *)
 let default_arms =
   [
     { policy = `Greedy; segregate = false };
@@ -60,8 +34,7 @@ let arm_key a =
 
 (* The cleaner study wants a log-bound workload with a compact hot set,
    not a data-seek-bound one; the log sweep runs on the same scale. *)
-let spread_scale tps =
-  { Tpcb.accounts = 2_000 * tps; tellers = 200 * tps; branches = 200 * tps }
+let spread_scale = Expcommon.compact_scale
 
 (* Fill the disk with static files until only [target_free] segments
    remain.  The fill is written once and never touched again — it is the
@@ -92,139 +65,107 @@ let prefill ~util_pct _m (vfs : Vfs.t) lfs =
     done;
     vfs.Vfs.sync ()
 
-let p99 stats key =
-  match Stats.histo stats key with
-  | Some h -> Histo.percentile h 0.99
-  | None -> 0.0
-
 let histo_count stats key =
   match Stats.histo stats key with Some h -> Histo.count h | None -> 0
 
-let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
-    ?(mpls = default_mpls) ?(arms = default_arms) () =
-  let base =
-    Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
+let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1)
+    ?(utils = default_utils) ?(mpls = default_mpls) ?(arms = default_arms) () =
+  let base = Expcommon.tps_config tps_scale in
   let scale = spread_scale tps_scale in
-  let points =
-    List.concat_map
-      (fun arm ->
-        List.concat_map
-          (fun util_pct ->
-            List.map
-              (fun mpl ->
-                let fs =
-                  {
-                    base.Config.fs with
-                    Config.cleaner_policy = arm.policy;
-                    cleaner_segregate = arm.segregate;
-                    lock_grain = `Record;
-                    group_commit_size = 8;
-                    group_commit_timeout_s = 0.02;
-                  }
-                in
-                let cfg = { base with Config.fs } in
-                let prepare = prefill ~util_pct in
-                (* MPL 1 runs inline, as the paper measured. *)
-                let run =
-                  Expcommon.run_tpcb ~prepare
-                    ?mpl:(if mpl > 1 then Some mpl else None)
-                    ~config:cfg ~scale ~txns ~seed Txstack.Lfs_kernel
-                in
-                let stats = run.Expcommon.stats in
-                let moved = Stats.count stats "cleaner.blocks_moved" in
-                let reclaimed = Stats.count stats "cleaner.blocks_reclaimed" in
-                {
-                  util_pct;
-                  mpl;
-                  arm;
-                  run;
-                  stall_p99_s = p99 stats "cleaner.stall";
-                  write_cost =
-                    (if reclaimed = 0 then 0.0
-                     else float_of_int moved /. float_of_int reclaimed);
-                  blocks_moved = moved;
-                  blocks_reclaimed = reclaimed;
-                  segments_cleaned = Stats.count stats "cleaner.segments";
-                  cleans_observed = histo_count stats "cleaner.clean";
-                  idle_cleans = Stats.count stats "cleaner.idle_cleans";
-                  backoffs = Stats.count stats "cleaner.backoffs";
-                  cold_segments = Stats.count stats "cleaner.cold_segments";
-                })
-              mpls)
-          utils)
-      arms
+  let point arm util_pct mpl =
+    let fs =
+      {
+        base.Config.fs with
+        Config.cleaner_policy = arm.policy;
+        cleaner_segregate = arm.segregate;
+        lock_grain = `Record;
+        group_commit_size = 8;
+        group_commit_timeout_s = 0.02;
+      }
+    in
+    let cfg = { base with Config.fs } in
+    let prepare = prefill ~util_pct in
+    (* MPL 1 runs inline, as the paper measured. *)
+    let run =
+      Expcommon.run_tpcb ~prepare
+        ?mpl:(if mpl > 1 then Some mpl else None)
+        ~config:cfg ~scale ~txns ~seed Txstack.Lfs_kernel
+    in
+    let stats = run.Expcommon.stats in
+    let count k = Json.Int (Stats.count stats k) in
+    let moved = Stats.count stats "cleaner.blocks_moved" in
+    let reclaimed = Stats.count stats "cleaner.blocks_reclaimed" in
+    Json.Obj
+      ([
+         ("util_pct", Json.Int util_pct);
+         ("mpl", Json.Int mpl);
+         ("policy", Json.Str (policy_key arm.policy));
+         ("segregate", Json.Bool arm.segregate);
+         ("arm", Json.Str (arm_key arm));
+       ]
+      @ Expcommon.run_fields run
+      @ [
+          ("stall_p99_s", Json.Float (Expcommon.p99 stats "cleaner.stall"));
+          ( "write_cost",
+            Json.Float
+              (if reclaimed = 0 then 0.0
+               else float_of_int moved /. float_of_int reclaimed) );
+          ("blocks_moved", Json.Int moved);
+          ("blocks_reclaimed", Json.Int reclaimed);
+          ("segments_cleaned", count "cleaner.segments");
+          ("cleans_observed", Json.Int (histo_count stats "cleaner.clean"));
+          ("idle_cleans", count "cleaner.idle_cleans");
+          ("backoffs", count "cleaner.backoffs");
+          ("cold_segments", count "cleaner.cold_segments");
+        ])
   in
-  { points; scale; txns; config = base }
+  Expcommon.sweep_data ~name:"cleanersweep" ~scale ~txns
+    (List.concat_map
+       (fun arm ->
+         List.concat_map (fun util -> List.map (point arm util) mpls) utils)
+       arms)
 
-let point_json p =
-  Json.Obj
-    [
-      ("util_pct", Json.Int p.util_pct);
-      ("mpl", Json.Int p.mpl);
-      ("policy", Json.Str (policy_key p.arm.policy));
-      ("segregate", Json.Bool p.arm.segregate);
-      ("arm", Json.Str (arm_key p.arm));
-      ("tps", Json.Float p.run.Expcommon.result.Tpcb.tps);
-      ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
-      ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
-      ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
-      ("stall_p99_s", Json.Float p.stall_p99_s);
-      ("write_cost", Json.Float p.write_cost);
-      ("blocks_moved", Json.Int p.blocks_moved);
-      ("blocks_reclaimed", Json.Int p.blocks_reclaimed);
-      ("segments_cleaned", Json.Int p.segments_cleaned);
-      ("cleans_observed", Json.Int p.cleans_observed);
-      ("idle_cleans", Json.Int p.idle_cleans);
-      ("backoffs", Json.Int p.backoffs);
-      ("cold_segments", Json.Int p.cold_segments);
-      ("stats", Stats.to_json p.run.Expcommon.stats);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("figure", Json.Str "cleanersweep");
-      ("scale", Expcommon.scale_json t.scale);
-      ("txns", Json.Int t.txns);
-      ("points", Json.List (List.map point_json t.points));
-    ]
-
-let print t =
+let print data =
+  let num = Expcommon.num and str = Expcommon.str in
+  let points = Expcommon.points data in
   Expcommon.pp_header
     "Cleaner sweep: utilization x MPL x victim policy x segregation";
   Printf.printf "%-18s %5s %4s %8s %10s %10s %8s %8s %8s\n" "arm" "util" "mpl"
     "tps" "stall_p99" "write_cost" "cleaned" "idle" "backoff";
   List.iter
     (fun p ->
-      Printf.printf "%-18s %4d%% %4d %8.2f %9.3fs %10.2f %8d %8d %8d\n"
-        (arm_key p.arm) p.util_pct p.mpl p.run.Expcommon.result.Tpcb.tps
-        p.stall_p99_s p.write_cost p.segments_cleaned p.idle_cleans p.backoffs)
-    t.points;
+      Printf.printf "%-18s %4.0f%% %4.0f %8.2f %9.3fs %10.2f %8.0f %8.0f %8.0f\n"
+        (str "arm" p) (num "util_pct" p) (num "mpl" p) (num "tps" p)
+        (num "stall_p99_s" p) (num "write_cost" p) (num "segments_cleaned" p)
+        (num "idle_cleans" p) (num "backoffs" p))
+    points;
   (* The curve the sweep exists to draw: throughput retained from the
      emptiest to the fullest disk, per arm, at the highest MPL. *)
-  let mpl_hi = List.fold_left max 1 (List.map (fun p -> p.mpl) t.points) in
-  let utils = List.sort_uniq compare (List.map (fun p -> p.util_pct) t.points) in
+  let mpl_hi = List.fold_left Float.max 1.0 (List.map (num "mpl") points) in
+  let utils = List.sort_uniq compare (List.map (num "util_pct") points) in
   match (utils, List.rev utils) with
   | lo :: _, hi :: _ when lo <> hi ->
     List.iter
       (fun arm ->
         let at u =
-          List.find_opt
-            (fun p -> p.arm = arm && p.util_pct = u && p.mpl = mpl_hi)
-            t.points
+          Expcommon.find_point
+            [
+              ("arm", Json.Str (arm_key arm));
+              ("util_pct", Json.Float u);
+              ("mpl", Json.Float mpl_hi);
+            ]
+            points
         in
         match (at lo, at hi) with
         | Some plo, Some phi ->
-          let tlo = plo.run.Expcommon.result.Tpcb.tps
-          and thi = phi.run.Expcommon.result.Tpcb.tps in
+          let tlo = num "tps" plo and thi = num "tps" phi in
           if tlo > 0.0 then
             Printf.printf
-              "%-18s keeps %5.1f%% of its %d%%-full TPS at %d%% full (MPL %d)\n"
+              "%-18s keeps %5.1f%% of its %.0f%%-full TPS at %.0f%% full (MPL \
+               %.0f)\n"
               (arm_key arm) (100.0 *. thi /. tlo) lo hi mpl_hi
         | _ -> ())
-      (List.sort_uniq compare (List.map (fun p -> p.arm) t.points))
+      default_arms
   | _ -> ()
 
 (* Cleaner accounting must be consistent — every cleaned segment,
@@ -257,9 +198,7 @@ let check =
               "cleanersweep: segments_cleaned (%g) != cleans_observed (%g) at \
                util %g%% mpl %g (%s)"
               cleaned observed (num "util_pct" p) (num "mpl" p)
-              (match Json.member "arm" p with
-              | Some (Json.Str a) -> a
-              | _ -> "?");
+              (Expcommon.str "arm" p);
           ]
         else []
       in

@@ -13,37 +13,8 @@
 
 type arm = { policy : [ `Greedy | `Cost_benefit ]; segregate : bool }
 
-type point = {
-  util_pct : int;
-  mpl : int;
-  arm : arm;
-  run : Expcommon.tpcb_run;
-  stall_p99_s : float;
-  write_cost : float;
-      (** blocks moved per block reclaimed, whole run; 0 if nothing was
-          reclaimed *)
-  blocks_moved : int;
-  blocks_reclaimed : int;
-  segments_cleaned : int;  (** counter ["cleaner.segments"] *)
-  cleans_observed : int;
-      (** sample count of the ["cleaner.clean"] histogram — must equal
-          [segments_cleaned] (dead-segment reclaims observe a zero) *)
-  idle_cleans : int;  (** background cleans taken while the disk was idle *)
-  backoffs : int;  (** daemon wakeups skipped because the queue was deep *)
-  cold_segments : int;  (** relocation segments opened by segregation *)
-}
-
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base configuration before per-arm edits *)
-}
-
 val spread_scale : int -> Tpcb.scale
-(** The sweep's TPC-B scale at [tps] TPS: 2 000 accounts, 200 tellers
-    and 200 branches per TPS — a compact hot set over a log-bound
-    workload. *)
+(** The sweep's TPC-B scale, {!Expcommon.compact_scale}. *)
 
 val prefill : util_pct:int -> Txstack.machine -> Vfs.t -> Lfs.t option -> unit
 (** A [~prepare] hook for {!Expcommon.run_tpcb}: fill the LFS with static
@@ -71,11 +42,20 @@ val run :
   ?mpls:int list ->
   ?arms:arm list ->
   unit ->
-  t
-
-val to_json : t -> Json.t
-(** The [data] block of [BENCH_cleanersweep.json]; every point carries
-    the machine's full stats. *)
+  Json.t
+(** The [data] block of [BENCH_cleanersweep.json]
+    ({!Expcommon.sweep_data}), on {!Expcommon.tps_config} [tps_scale]
+    (before the per-arm edits) and {!spread_scale}. Each
+    point carries its [util_pct], [mpl], [policy], [segregate] and [arm]
+    ({!arm_key}), the {!Expcommon.run_fields}, then [stall_p99_s];
+    [write_cost], blocks moved per block reclaimed over the whole run (0
+    if nothing was reclaimed); [blocks_moved] and [blocks_reclaimed];
+    [segments_cleaned] (counter [cleaner.segments]); [cleans_observed],
+    the sample count of the [cleaner.clean] histogram, which must equal
+    [segments_cleaned] (dead-segment reclaims observe a zero);
+    [idle_cleans], background cleans taken while the disk was idle;
+    [backoffs], daemon wakeups skipped because the queue was deep; and
+    [cold_segments], relocation segments opened by segregation. *)
 
 val check : Json.t -> string list
 (** The rules a [BENCH_cleanersweep.json] data block must satisfy: every
@@ -84,4 +64,5 @@ val check : Json.t -> string list
     lowest and highest swept utilization, cost-benefit+seg retains a
     larger share of its lowest-utilization TPS than greedy does. *)
 
-val print : t -> unit
+val print : Json.t -> unit
+(** The report of a {!run} data block. *)

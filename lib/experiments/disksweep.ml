@@ -5,33 +5,6 @@
    on its own spindle and with LFS segments striped across several data
    spindles; this sweep measures what each placement buys. *)
 
-type disk_stat = {
-  prefix : string;
-  busy_s : float;
-  seek_s : float;
-  seeks : int;
-  requests : int;
-  blocks_read : int;
-  blocks_written : int;
-}
-
-type point = {
-  label : string;
-  ndisks : int;
-  log_disk : bool;
-  mpl : int;
-  run : Expcommon.tpcb_run;
-  disks : disk_stat list;
-}
-
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Txstack.backend;
-}
-
 (* [(label, ndisks, log_disk)]: one shared disk, one disk plus log
    spindle, and 2- and 4-wide stripes plus log spindle. *)
 let setups =
@@ -51,131 +24,88 @@ let prefixes (cfg : Config.t) =
   in
   if fs.Config.log_disk then data @ [ "disklog" ] else data
 
-let disk_stat stats prefix =
-  {
-    prefix;
-    busy_s = Stats.time stats (prefix ^ ".busy");
-    seek_s = Stats.time stats (prefix ^ ".seek");
-    seeks = Stats.count stats (prefix ^ ".seeks");
-    requests = Stats.count stats (prefix ^ ".requests");
-    blocks_read = Stats.count stats (prefix ^ ".blocks_read");
-    blocks_written = Stats.count stats (prefix ^ ".blocks_written");
-  }
+let disk_json stats prefix =
+  let time k = Json.Float (Stats.time stats (prefix ^ k))
+  and count k = Json.Int (Stats.count stats (prefix ^ k)) in
+  Json.Obj
+    [
+      ("disk", Json.Str prefix);
+      ("busy_s", time ".busy");
+      ("seek_s", time ".seek");
+      ("seeks", count ".seeks");
+      ("requests", count ".requests");
+      ("blocks_read", count ".blocks_read");
+      ("blocks_written", count ".blocks_written");
+    ]
 
-let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
-    ?(setup = Txstack.Lfs_user) () =
-  let base =
-    Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
+let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1)
+    ?(mpls = default_mpls) ?(setup = Txstack.Lfs_user) () =
+  let base = Expcommon.tps_config tps_scale in
   (* The MPL sweep's scale: page-grain 2PL would serialize every
      transaction on TPC-B's official teller and branch pages. *)
-  let scale = Mplsweep.spread_scale tps_scale in
-  let points =
-    List.concat_map
-      (fun (label, ndisks, log_disk) ->
-        List.map
-          (fun mpl ->
-            (* Group commit sized to the offered concurrency, as in the
-               fault sweeps: MPL 1 forces every commit, MPL 8 batches up
-               to 8 with a short rendezvous. Record-grain locking so the
-               committers genuinely overlap — under page grain the
-               shared history tail page serializes them (DESIGN.md §13)
-               and the placement question disappears behind the lock
-               queue. *)
-            let fs =
-              {
-                base.Config.fs with
-                Config.ndisks;
-                log_disk;
-                lock_grain = `Record;
-                group_commit_size = mpl;
-                group_commit_timeout_s = (if mpl > 1 then 0.02 else 0.0);
-              }
-            in
-            let cfg = { base with Config.fs } in
-            let run =
-              Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed ~mpl setup
-            in
-            let disks =
-              List.map (disk_stat run.Expcommon.stats) (prefixes cfg)
-            in
-            { label; ndisks; log_disk; mpl; run; disks })
-          mpls)
-      setups
+  let scale = Expcommon.spread_scale tps_scale in
+  let point (label, ndisks, log_disk) mpl =
+    (* Group commit sized to the offered concurrency, as in the fault
+       sweeps: MPL 1 forces every commit, MPL 8 batches up to 8 with a
+       short rendezvous. Record-grain locking so the committers
+       genuinely overlap — under page grain the shared history tail
+       page serializes them (DESIGN.md §13) and the placement question
+       disappears behind the lock queue. *)
+    let fs =
+      {
+        base.Config.fs with
+        Config.ndisks;
+        log_disk;
+        lock_grain = `Record;
+        group_commit_size = mpl;
+        group_commit_timeout_s = (if mpl > 1 then 0.02 else 0.0);
+      }
+    in
+    let cfg = { base with Config.fs } in
+    let run = Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed ~mpl setup in
+    Json.Obj
+      ([
+         ("label", Json.Str label);
+         ("ndisks", Json.Int ndisks);
+         ("log_disk", Json.Bool log_disk);
+         ("mpl", Json.Int mpl);
+       ]
+      @ Expcommon.run_fields run
+      @ [
+          ( "disks",
+            Json.List (List.map (disk_json run.Expcommon.stats) (prefixes cfg))
+          );
+        ])
   in
-  { points; scale; txns; config = base; setup }
+  Expcommon.sweep_data ~name:"disksweep" ~setup ~scale ~txns
+    (List.concat_map (fun s -> List.map (point s) mpls) setups)
 
-let disk_stat_json d =
-  Json.Obj
-    [
-      ("disk", Json.Str d.prefix);
-      ("busy_s", Json.Float d.busy_s);
-      ("seek_s", Json.Float d.seek_s);
-      ("seeks", Json.Int d.seeks);
-      ("requests", Json.Int d.requests);
-      ("blocks_read", Json.Int d.blocks_read);
-      ("blocks_written", Json.Int d.blocks_written);
-    ]
-
-let point_json p =
-  Json.Obj
-    [
-      ("label", Json.Str p.label);
-      ("ndisks", Json.Int p.ndisks);
-      ("log_disk", Json.Bool p.log_disk);
-      ("mpl", Json.Int p.mpl);
-      ("tps", Json.Float p.run.Expcommon.result.Tpcb.tps);
-      ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
-      ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
-      ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("lock_blocks", Json.Int p.run.Expcommon.lock_blocks);
-      ("deadlocks", Json.Int p.run.Expcommon.deadlocks);
-      ("restarts", Json.Int p.run.Expcommon.restarts);
-      ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
-      ("disks", Json.List (List.map disk_stat_json p.disks));
-      ("stats", Stats.to_json p.run.Expcommon.stats);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("figure", Json.Str "disksweep");
-      ("setup", Json.Str (Txstack.name t.setup));
-      ("scale", Expcommon.scale_json t.scale);
-      ("txns", Json.Int t.txns);
-      ("points", Json.List (List.map point_json t.points));
-    ]
-
-let print t =
-  Expcommon.pp_header
-    (Printf.sprintf "Disk-placement sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Txstack.label t.setup)
-       t.scale.Tpcb.accounts t.txns);
-  Printf.printf "%-10s %4s %8s %10s  %s\n" "config" "mpl" "TPS" "max lat" "per-disk busy (s)";
+let print data =
+  let num = Expcommon.num and str = Expcommon.str in
+  let points = Expcommon.points data in
+  Expcommon.pp_sweep_header "Disk-placement sweep" data;
+  Printf.printf "%-10s %4s %8s %10s  %s\n" "config" "mpl" "TPS" "max lat"
+    "per-disk busy (s)";
   List.iter
     (fun p ->
       let busy =
         String.concat "  "
           (List.map
-             (fun d -> Printf.sprintf "%s=%.1f" d.prefix d.busy_s)
-             p.disks)
+             (fun d -> Printf.sprintf "%s=%.1f" (str "disk" d) (num "busy_s" d))
+             (Expcommon.points ~key:"disks" p))
       in
-      Printf.printf "%-10s %4d %8.2f %9.3fs  %s\n" p.label p.mpl
-        p.run.Expcommon.result.Tpcb.tps
-        p.run.Expcommon.result.Tpcb.max_latency_s busy)
-    t.points;
+      Printf.printf "%-10s %4.0f %8.2f %9.3fs  %s\n" (str "label" p) (num "mpl" p)
+        (num "tps" p) (num "max_latency_s" p) busy)
+    points;
   (* Headline: what the log spindle buys once commits overlap. *)
-  let find label mpl =
-    List.find_opt (fun p -> p.label = label && p.mpl = mpl) t.points
+  let find label =
+    Expcommon.find_point [ ("label", Json.Str label); ("mpl", Json.Int 8) ] points
   in
-  match (find "1-shared" 8, find "1+log" 8) with
+  match (find "1-shared", find "1+log") with
   | Some shared, Some dedicated ->
     Printf.printf
       "\nshape: MPL 8, dedicated log spindle vs shared: %+.1f%% TPS\n"
-      (100.0
-      *. ((dedicated.run.Expcommon.result.Tpcb.tps
-           /. shared.run.Expcommon.result.Tpcb.tps)
-         -. 1.0))
+      (100.0 *. ((num "tps" dedicated /. num "tps" shared) -. 1.0))
   | _ -> ()
 
 (* The dedicated log spindle and the 4-wide stripe must beat the shared

@@ -10,33 +10,6 @@
     utilization, so the artifact shows both the speedup and how evenly
     the stripe spreads the load. *)
 
-type disk_stat = {
-  prefix : string;  (** stat prefix: [disk], [disk0].., or [disklog] *)
-  busy_s : float;
-  seek_s : float;
-  seeks : int;
-  requests : int;
-  blocks_read : int;
-  blocks_written : int;
-}
-
-type point = {
-  label : string;  (** e.g. ["1-shared"], ["1+log"], ["4+log"] *)
-  ndisks : int;
-  log_disk : bool;
-  mpl : int;
-  run : Expcommon.tpcb_run;
-  disks : disk_stat list;  (** one entry per spindle, data then log *)
-}
-
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base (single shared disk) configuration *)
-  setup : Txstack.backend;
-}
-
 val default_mpls : int list
 
 val run :
@@ -46,12 +19,14 @@ val run :
   ?mpls:int list ->
   ?setup:Txstack.backend ->
   unit ->
-  t
-
-val to_json : t -> Json.t
-(** The [data] block of [BENCH_disksweep.json]; every point carries its
-    per-disk busy/seek summary and the machine's full stats (including
-    the per-spindle seek histograms). *)
+  Json.t
+(** The [data] block of [BENCH_disksweep.json] ({!Expcommon.sweep_data}),
+    on {!Expcommon.tps_config} [tps_scale] (the single shared disk the
+    placements edit) and {!Expcommon.spread_scale}. Each
+    point carries its [label] (e.g. ["1-shared"], ["1+log"], ["4+log"]),
+    [ndisks], [log_disk] and [mpl], the {!Expcommon.run_fields}, then
+    [disks]: one busy/seek summary per spindle, data then log, under its
+    stat prefix ([disk], [disk0].., or [disklog]). *)
 
 val check : Json.t -> string list
 (** The rules a [BENCH_disksweep.json] data block must satisfy: every
@@ -59,4 +34,5 @@ val check : Json.t -> string list
     the shared single disk at MPL 8; and the data spindles of a 4-wide
     stripe have busy times within 2x of each other. *)
 
-val print : t -> unit
+val print : Json.t -> unit
+(** The report of a {!run} data block. *)

@@ -15,25 +15,27 @@ type tpcb_run = {
   stats : Stats.t;
 }
 
+let tps_config ?config tps =
+  match config with
+  | Some c -> c
+  | None -> Config.scaled ~factor:(float_of_int tps /. 10.0) Config.default
+
+let spread_scale tps =
+  { Tpcb.accounts = 100_000 * tps; tellers = 200 * tps; branches = 200 * tps }
+
+let compact_scale tps =
+  { Tpcb.accounts = 2_000 * tps; tellers = 200 * tps; branches = 200 * tps }
+
 let run_tpcb ?trace ?prepare ?mpl ~config ~scale ~txns ~seed setup =
   let m = Txstack.machine setup config in
   (match trace with
   | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
   | None -> ());
-  (* With [mpl], attach the discrete-event scheduler before any component
-     boots, so subsystems discover it via [Sched.of_clock] and take their
-     blocking paths once inside worker processes. Setup itself runs
-     outside any process, where nothing waits. *)
-  let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
-  let stack, db =
-    Txstack.boot ~wal m ~populate:(fun v ->
-        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
+  let prepare =
+    Option.map (fun f stack -> f m stack.Txstack.vfs (Txstack.lfs stack)) prepare
   in
-  (match stack.txn with Tpcb.Kernel k -> Tpcb.protect_all db k | User _ -> ());
-  let lfs = Txstack.lfs stack in
-  (match prepare with Some f -> f m stack.vfs lfs | None -> ());
-  if sched <> None then Option.iter Lfs.start_background lfs;
+  let stack, _, sched = Txstack.boot_tpcb ?mpl ?prepare ~wal ~scale ~rng m in
   let db = Tpcb.open_db stack.vfs ~scale in
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
@@ -177,19 +179,46 @@ let scale_json (s : Tpcb.scale) =
       ("branches", Json.Int s.Tpcb.branches);
     ]
 
+let p99 stats key =
+  match Stats.histo stats key with
+  | Some h -> Histo.percentile h 0.99
+  | None -> 0.0
+
+let run_fields (r : tpcb_run) =
+  [
+    ("tps", Json.Float r.result.Tpcb.tps);
+    ("elapsed_s", Json.Float r.result.Tpcb.elapsed_s);
+    ("txns", Json.Int r.result.Tpcb.txns);
+    ("max_latency_s", Json.Float r.result.Tpcb.max_latency_s);
+    ("lock_blocks", Json.Int r.lock_blocks);
+    ("deadlocks", Json.Int r.deadlocks);
+    ("restarts", Json.Int r.restarts);
+    ("cleaner_stall_s", Json.Float r.cleaner_stall_s);
+    ("stats", Stats.to_json r.stats);
+  ]
+
 let tpcb_run_json (r : tpcb_run) =
   Json.Obj
-    [
-      ("setup", Json.Str (Txstack.name r.setup));
-      ("seed", Json.Int r.seed);
-      ("txns", Json.Int r.result.Tpcb.txns);
-      ("elapsed_s", Json.Float r.result.Tpcb.elapsed_s);
-      ("tps", Json.Float r.result.Tpcb.tps);
-      ("max_latency_s", Json.Float r.result.Tpcb.max_latency_s);
-      ("cleaner_stall_s", Json.Float r.cleaner_stall_s);
-      ("cleaner_max_stall_s", Json.Float r.cleaner_max_stall_s);
-      ("stats", Stats.to_json r.stats);
-    ]
+    ([ ("setup", Json.Str (Txstack.name r.setup)); ("seed", Json.Int r.seed) ]
+    @ run_fields r
+    @ [ ("cleaner_max_stall_s", Json.Float r.cleaner_max_stall_s) ])
+
+let sweep_data ~name ?setup ~scale ~txns ?(extra = []) points =
+  Json.Obj
+    ([ ("figure", Json.Str name) ]
+    @ Option.to_list
+        (Option.map (fun b -> ("setup", Json.Str (Txstack.name b))) setup)
+    @ [
+        ("scale", scale_json scale);
+        ("txns", Json.Int txns);
+        ("points", Json.List points);
+      ]
+    @ extra)
+
+let report ~json ~name ~config ~print ~to_json x =
+  print x;
+  if json then
+    Printf.printf "wrote %s\n%!" (write_bench ~name ~config (to_json x))
 
 (* Artifact rules ------------------------------------------------------------ *)
 
@@ -198,6 +227,8 @@ let points ?(key = "points") data =
 
 let num key p =
   Option.value ~default:0.0 (Option.bind (Json.member key p) Json.to_float_opt)
+
+let str key p = match Json.member key p with Some (Json.Str s) -> s | _ -> "?"
 
 let missing_fields what fields p =
   List.filter_map
@@ -222,3 +253,12 @@ let check_sweep ~name ~fields rules data =
   | [] -> [ name ^ ": data.points missing or empty" ]
   | ps ->
     List.concat_map (missing_fields (name ^ " point") fields) ps @ rules ps
+
+let pp_sweep_header title data =
+  let setup = List.assoc (str "setup" data) Txstack.backends in
+  let accounts =
+    num "accounts" (Option.value ~default:Json.Null (Json.member "scale" data))
+  in
+  pp_header
+    (Printf.sprintf "%s: %s, TPC-B, %.0f accounts, %.0f txns per point" title
+       (Txstack.label setup) accounts (num "txns" data))

@@ -17,6 +17,27 @@ type tpcb_run = {
   stats : Stats.t;  (** the machine's stats — counters, histograms, trace *)
 }
 
+val tps_config : ?config:Config.t -> int -> Config.t
+(** [tps_config ?config tps]: [config] if given, else the paper's
+    machine rated at [tps] TPS — every parameter scaled by [tps / 10],
+    which keeps its cache/database/disk ratios. *)
+
+val spread_scale : int -> Tpcb.scale
+(** The MPL and disk sweeps' TPC-B scale at [tps] TPS: the official
+    100 000 accounts per TPS, with tellers and branches spread to 200
+    per TPS each. TPC-B's official ratios leave the whole teller and
+    branch relations on one B-tree page, and page-grain 2PL holds those
+    locks through the commit flush, so every transaction would serialize
+    on them and no MPL could batch a commit. Spreading them is the
+    concurrency analogue of the spec's "scale the database with the
+    load" provision. *)
+
+val compact_scale : int -> Tpcb.scale
+(** The cleaner and log sweeps' TPC-B scale at [tps] TPS: 2 000
+    accounts, 200 tellers and 200 branches per TPS — a compact hot set
+    that stays buffer-pool resident, so the workload is bound by the
+    log, not by data seeks. *)
+
 val run_tpcb :
   ?trace:int ->
   ?prepare:(Txstack.machine -> Vfs.t -> Lfs.t option -> unit) ->
@@ -27,9 +48,9 @@ val run_tpcb :
   seed:int ->
   Txstack.backend ->
   tpcb_run
-(** Boot a fresh machine and its stack ({!Txstack.boot}) with the
-    database built, run [txns] transactions, and report throughput plus
-    cleaner interference. Without [?mpl] the
+(** Boot a fresh machine and its stack with the database built
+    ({!Txstack.boot_tpcb}), run [txns] transactions, and report
+    throughput plus cleaner interference. Without [?mpl] the
     transactions run inline ({!Tpcb.run}); with [~mpl:n] (even [n = 1])
     the machine boots with a {!Sched} attached to its clock, the LFS
     syncer/cleaner run as background processes, and [n] worker processes
@@ -46,6 +67,11 @@ val stdev : float list -> float
 val pp_header : string -> unit
 (** Print a section banner for the experiment reports. *)
 
+val pp_sweep_header : string -> Json.t -> unit
+(** [pp_sweep_header title data]: the banner of a sweep report, naming
+    the [setup], the account count and the [txns] of the {!sweep_data}
+    block. *)
+
 (** {2 Machine-readable benchmark artifacts}
 
     Every experiment driver can serialize its results as a [BENCH_*.json]
@@ -61,10 +87,45 @@ val write_bench : name:string -> config:Config.t -> Json.t -> string
 val scale_json : Tpcb.scale -> Json.t
 (** The TPC-B relation sizes: [{accounts; tellers; branches}]. *)
 
+val p99 : Stats.t -> string -> float
+(** The 99th percentile of histogram [key]; [0.0] if it is absent or
+    empty. *)
+
+val run_fields : tpcb_run -> (string * Json.t) list
+(** The fields every sweep point and Figure 4 run carries for its TPC-B
+    run, in this order: [tps], [elapsed_s], [txns], [max_latency_s],
+    [lock_blocks], [deadlocks], [restarts], [cleaner_stall_s] and
+    [stats], the machine's full stats (counters + histograms, including
+    the [tpcb.txn] latency histogram). A sweep builds each point once,
+    as [Json.Obj (labels @ run_fields run @ extras)], and its [print] and
+    [check] both read that object. *)
+
 val tpcb_run_json : tpcb_run -> Json.t
-(** One TPC-B run: throughput, cleaner interference, and the machine's
-    full stats (counters + histograms, including the [tpcb.txn] latency
-    histogram). *)
+(** One run of Figure 4: [setup] and [seed], the {!run_fields}, and
+    [cleaner_max_stall_s]. *)
+
+val sweep_data :
+  name:string ->
+  ?setup:Txstack.backend ->
+  scale:Tpcb.scale ->
+  txns:int ->
+  ?extra:(string * Json.t) list ->
+  Json.t list ->
+  Json.t
+(** A sweep's [data] block: [figure] (= [name]), [setup] when given,
+    [scale], [txns], [points], then [extra]. *)
+
+val report :
+  json:bool ->
+  name:string ->
+  config:Config.t ->
+  print:('a -> unit) ->
+  to_json:('a -> Json.t) ->
+  'a ->
+  unit
+(** [report ~json ~name ~config ~print ~to_json x]: [print x], then with
+    [json] write [to_json x] as [BENCH_<name>.json] ({!write_bench}) and
+    print ["wrote <path>"]. *)
 
 (** {2 Artifact rules}
 
@@ -78,6 +139,9 @@ val points : ?key:string -> Json.t -> Json.t list
 
 val num : string -> Json.t -> float
 (** Numeric field [key] of an object; [0.0] if absent or not a number. *)
+
+val str : string -> Json.t -> string
+(** String field [key] of an object; ["?"] if absent or not a string. *)
 
 val missing_fields : string -> string list -> Json.t -> string list
 (** [missing_fields what fields p]: ["<what> missing field <f>"] for every

@@ -19,12 +19,7 @@ let paper_value = function
 
 let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
     ?(seeds = [ 1; 2; 3 ]) () =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
+  let config = Expcommon.tps_config ?config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let bar setup =
     let runs =

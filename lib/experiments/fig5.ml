@@ -36,19 +36,11 @@ let bigfile_bench (m : Txstack.machine) =
 let user_tp_bench tps_scale txns (m : Txstack.machine) =
   let scale = Tpcb.scale_for_tps tps_scale in
   let rng = Rng.create ~seed:5 in
-  let stack, db =
-    Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
-        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
-  in
+  let stack, db, _ = Txstack.boot_tpcb ~wal:Expcommon.wal ~scale ~rng m in
   (Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns).Tpcb.elapsed_s
 
 let run ?config ?(tps_scale = 2) () =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
+  let config = Expcommon.tps_config ?config tps_scale in
   let with_kernel ktxn =
     { config with Config.fs = { config.Config.fs with kernel_txn = ktxn } }
   in

@@ -9,20 +9,12 @@ type side = {
 type t = { readopt : side; lfs : side; txns : int; config : Config.t }
 
 let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
+  let config = Expcommon.tps_config ?config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let one setup =
     let m = Txstack.machine setup config in
     let rng = Rng.create ~seed in
-    let stack, db =
-      Txstack.boot ~wal:Expcommon.wal m ~populate:(fun v ->
-          Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
-    in
+    let stack, db, _ = Txstack.boot_tpcb ~wal:Expcommon.wal ~scale ~rng m in
     let r = Tpcb.run m.clock m.stats m.cfg db stack.txn ~rng ~n:txns in
     (* Flush everything so the scan measures the on-disk layout, not the
        caches' leftovers. *)

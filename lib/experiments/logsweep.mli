@@ -12,27 +12,6 @@
     force-latency p99 — so the artifact shows both the parallel-commit
     win and its dependency-force cost. *)
 
-type point = {
-  streams : int;
-  mpl : int;
-  run : Expcommon.tpcb_run;
-  mean_commit_batch : float;  (** mean of [log.commit_batch], all streams *)
-  forces : int;  (** total log forces across streams *)
-  dep_checks : int;  (** cross-stream dependencies inspected at commit *)
-  dep_forces : int;  (** ... of which actually forced another stream *)
-  force_p99 : (string * float) list;
-      (** per-stream force-latency p99 seconds: [("log", _)] for a single
-          stream, else [("s0", _); ("s1", _); ...] *)
-}
-
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base configuration before per-point edits *)
-  setup : Txstack.backend;
-}
-
 val default_streams : int list
 (** [[1; 2; 4]] *)
 
@@ -47,14 +26,19 @@ val run :
   ?mpls:int list ->
   ?setup:Txstack.backend ->
   unit ->
-  t
-(** Default [setup] is {!Txstack.Lfs_user}.
+  Json.t
+(** The [data] block of [BENCH_logsweep.json] ({!Expcommon.sweep_data}),
+    on {!Expcommon.tps_config} [tps_scale] (before the per-point edits)
+    and {!Expcommon.compact_scale}. Each point carries
+    its [streams] and [mpl], the {!Expcommon.run_fields}, then
+    [mean_commit_batch] (of [log.commit_batch], all streams), [forces]
+    (all streams), [dep_checks] (cross-stream dependencies inspected at
+    commit), [dep_forces] (those that forced another stream) and
+    [force_p99]: per stream, its force-latency p99 seconds, as
+    [{stream; p99_s}] with stream ["log"] for a single stream, else
+    ["s0"], ["s1"], .... Default [setup] is {!Txstack.Lfs_user}.
     @raise Invalid_argument for {!Txstack.Lfs_kernel}, which has no
     write-ahead log for the streams to split. *)
-
-val to_json : t -> Json.t
-(** The [data] block of [BENCH_logsweep.json]; every point carries the
-    machine's full stats (including the per-stream force histograms). *)
 
 val check : Json.t -> string list
 (** The rules a [BENCH_logsweep.json] data block must satisfy: every
@@ -62,4 +46,5 @@ val check : Json.t -> string list
     list whose entries name a stream and its [p99_s]; and TPS at 4
     streams beats 1 stream at MPL 16. *)
 
-val print : t -> unit
+val print : Json.t -> unit
+(** The report of a {!run} data block. *)

@@ -13,39 +13,15 @@
     on this disk-bound configuration it does not match the scheduler's
     MPL 1 (DESIGN.md §11). *)
 
-type point = {
-  mpl : int;
-  group_size : int;
-  group_timeout_s : float;
-  lock_grain : [ `Page | `Record ];
-  run : Expcommon.tpcb_run;
-  mean_batch : float;  (** mean committers per flush (1.0 if no sample) *)
-  group_flushes : int;
-  group_commit_wait_s : float;
-  lock_wait_p99_s : float;  (** p99 time a transaction spent parked on a lock *)
-}
-
-type t = {
-  points : point list;
-  legacy_mpl1 : (int * float * float) list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Txstack.backend;
-}
-
 val default_mpls : int list
-
-val spread_scale : int -> Tpcb.scale
-(** The sweep's TPC-B scale at [tps] TPS: the official 100 000 accounts
-    per TPS, with tellers and branches spread to 200 per TPS each so
-    that page-grain locking does not serialize every transaction on
-    their pages. The disk sweep runs on the same scale. *)
 
 val default_groups : (int * float) list
 val default_grains : [ `Page | `Record ] list
 
 val grain_key : [ `Page | `Record ] -> string
+
+val with_grain : Config.t -> [ `Page | `Record ] -> Config.t
+(** The configuration with its lock grain replaced. *)
 
 val run :
   ?config:Config.t ->
@@ -57,13 +33,17 @@ val run :
   ?grains:[ `Page | `Record ] list ->
   ?setup:Txstack.backend ->
   unit ->
-  t
-(** Default [setup] is {!Txstack.Lfs_user}: record granularity changes
+  Json.t
+(** The [data] block of [BENCH_mplsweep.json] ({!Expcommon.sweep_data}),
+    on [config] (default {!Expcommon.tps_config} [tps_scale]) and
+    {!Expcommon.spread_scale}. Each point carries its [mpl],
+    [group_size], [group_timeout_s] and [lock_grain], the
+    {!Expcommon.run_fields}, then [mean_commit_batch] (1.0 if no
+    sample), [group_flushes], [group_commit_wait_s] and
+    [lock_wait_p99_s]; [legacy_mpl1] lists the reference runs. Default
+    [setup] is {!Txstack.Lfs_user}: record granularity changes
     end-to-end behaviour only in the user-level system (the embedded
     kernel manager keeps page-exclusive writes). *)
-
-val to_json : t -> Json.t
-(** The [data] block of [BENCH_mplsweep.json]. *)
 
 val check : Json.t -> string list
 (** The rules a [BENCH_mplsweep.json] data block must satisfy: every
@@ -72,4 +52,5 @@ val check : Json.t -> string list
     beats MPL 1 at the same group size (> 1) and lock grain; and
     record-grain TPS beats page grain at MPL 16 and the same group size. *)
 
-val print : t -> unit
+val print : Json.t -> unit
+(** The report of a {!run} data block. *)

@@ -48,10 +48,9 @@ let params ?mpl ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
    take part, and a cache smaller than the data. Without [mpl] group
    commit is disabled. With a timeout outside a scheduler, the embedded
    manager's [txn_commit] returns with its batch still pending, so the
-   oracle would see acknowledged commits lost (ROADMAP.md, open item
-   "the embedded manager acknowledges an MPL-1 group commit before it is
-   durable"). With [mpl] the group is [mpl] wide, because the rendezvous
-   is the point of that sweep. *)
+   oracle would see acknowledged commits lost (ROADMAP.md, open item 1,
+   "Early acknowledgement at MPL 1"). With [mpl] the group is [mpl]
+   wide, because the rendezvous is the point of that sweep. *)
 let config r =
   let d = Config.default in
   {
@@ -344,14 +343,10 @@ let tpcb_wal =
 let run_tpcb ?crash_point r =
   let { backend; seed; txns; mpl; _ } = r in
   let m = Txstack.machine backend (config r) in
-  let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
   let rng = Rng.create ~seed in
-  let stack, db =
-    Txstack.boot ~wal:tpcb_wal m ~populate:(fun v ->
-        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale:tpcb_scale)
+  let stack, db, sched =
+    Txstack.boot_tpcb ?mpl ~wal:tpcb_wal ~scale:tpcb_scale ~rng m
   in
-  (match stack.txn with Tpcb.Kernel kt -> Tpcb.protect_all db kt | User _ -> ());
-  if sched <> None then Option.iter Lfs.start_background (Txstack.lfs stack);
   let work () =
     (* Recovery must run on the no-scheduler paths. *)
     Fun.protect ~finally:(fun () -> Option.iter Sched.detach sched) (fun () ->

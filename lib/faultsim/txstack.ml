@@ -83,6 +83,20 @@ let boot ~wal ~populate m =
 
 let lfs t = match t.fs with Lfs fs -> Some fs | Ffs _ -> None
 
+let boot_tpcb ?mpl ?(prepare = ignore) ~wal ~scale ~rng m =
+  (* Attached before anything boots, so every component that asks
+     [Sched.of_clock] finds it. Setup itself runs outside any process,
+     where nothing waits. *)
+  let sched = Option.map (fun _ -> Sched.create m.clock) mpl in
+  let stack, db =
+    boot ~wal m ~populate:(fun v ->
+        Tpcb.build m.clock m.stats m.cfg v ~rng ~scale)
+  in
+  (match stack.txn with Tpcb.Kernel k -> Tpcb.protect_all db k | User _ -> ());
+  prepare stack;
+  if sched <> None then Option.iter Lfs.start_background (lfs stack);
+  (stack, db, sched)
+
 let fsck_or_fail what fs =
   let rep = Ffs.fsck fs in
   if rep.Ffs.cross_allocated > 0 then

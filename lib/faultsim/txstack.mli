@@ -6,8 +6,10 @@
     - [Lfs_kernel]: the transaction manager embedded in LFS.
 
     The experiments, the crash-point sweeps and the CLI all boot their
-    stacks here. Nothing else in lib/experiments or lib/faultsim formats
-    or mounts a file system or opens a transaction manager. *)
+    stacks here, TPC-B through {!boot_tpcb}. Nothing else in
+    lib/experiments or lib/faultsim formats or mounts a file system,
+    opens a transaction manager, builds the TPC-B database or attaches a
+    scheduler. *)
 
 type backend = Ffs_user | Lfs_user | Lfs_kernel
 
@@ -79,6 +81,28 @@ val boot : wal:wal -> populate:(Vfs.t -> 'a) -> machine -> t * 'a
 
 val lfs : t -> Lfs.t option
 (** The data file system when it is LFS. *)
+
+val boot_tpcb :
+  ?mpl:int ->
+  ?prepare:(t -> unit) ->
+  wal:wal ->
+  scale:Tpcb.scale ->
+  rng:Rng.t ->
+  machine ->
+  t * Tpcb.db * Sched.t option
+(** The one TPC-B boot, for every experiment and crash sweep:
+    + when [mpl] is given, attach a {!Sched} to the machine's clock
+      before anything boots, so the components take their blocking
+      paths inside worker processes;
+    + {!boot} with {!Tpcb.build} as the populate step;
+    + for [Lfs_kernel], mark the four relations protected
+      ({!Tpcb.protect_all});
+    + run [prepare] (default: nothing), e.g. to prefill the disk;
+    + with a scheduler, start the LFS syncer and cleaner as background
+      processes ({!Lfs.start_background}).
+
+    Returns the stack, the database handle [build] returned, and the
+    scheduler, which the caller detaches once its workers are done. *)
 
 val crash_and_recover : t -> Vfs.t * (unit -> unit)
 (** Cut the power and bring the stack back, in this order:

@@ -162,32 +162,61 @@ let test_cleanersweep_shape () =
       { Cleanersweep.policy = `Cost_benefit; segregate = true };
     ]
   in
-  let s =
+  let data =
     Cleanersweep.run ~tps_scale:tiny_scale ~txns:120 ~seed:1 ~utils:[ 50; 80 ]
       ~mpls:[ 1; 2 ] ~arms ()
   in
-  Alcotest.(check int) "full grid" (2 * 2 * 2) (List.length s.Cleanersweep.points);
+  let points = Expcommon.points data in
+  let num = Expcommon.num in
+  Alcotest.(check int) "full grid" (2 * 2 * 2) (List.length points);
   List.iter
     (fun p ->
       Alcotest.(check bool)
-        (Printf.sprintf "positive TPS at util %d mpl %d" p.Cleanersweep.util_pct
-           p.Cleanersweep.mpl)
+        (Printf.sprintf "positive TPS at util %g mpl %g" (num "util_pct" p)
+           (num "mpl" p))
         true
-        (p.Cleanersweep.run.Expcommon.result.Tpcb.tps > 0.0);
+        (num "tps" p > 0.0);
       Alcotest.(check bool) "write cost non-negative" true
-        (p.Cleanersweep.write_cost >= 0.0))
-    s.Cleanersweep.points;
+        (num "write_cost" p >= 0.0))
+    points;
   (* Per-point fields and segments_cleaned = cleans_observed: every
      cleaned segment (copying or dead-reclaim) observes exactly one
      sample in the clean-latency histogram. *)
-  Alcotest.(check (list string)) "cleanersweep rules" []
-    (Cleanersweep.check (Cleanersweep.to_json s));
+  Alcotest.(check (list string)) "cleanersweep rules" [] (Cleanersweep.check data);
   (* The fuller disk must actually exercise the cleaner somewhere. *)
   Alcotest.(check bool) "cleaner ran at 80% utilization" true
     (List.exists
-       (fun p ->
-         p.Cleanersweep.util_pct = 80 && p.Cleanersweep.segments_cleaned > 0)
-       s.Cleanersweep.points)
+       (fun p -> num "util_pct" p = 80.0 && num "segments_cleaned" p > 0.0)
+       points)
+
+(* One cheap arm of each other sweep, through the path the CLI takes:
+   [run] builds the data block once, [print] reports it and [check]
+   holds it to the artifact rules its points reach. *)
+let test_sweep name ~print ~check run () =
+  let data = run () in
+  print data;
+  Alcotest.(check (list string)) (name ^ " rules") [] (check data);
+  match Expcommon.points data with
+  | [] -> Alcotest.fail (name ^ ": no points")
+  | points ->
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) (name ^ ": positive TPS") true
+          (Expcommon.num "tps" p > 0.0))
+      points
+
+let test_mplsweep =
+  test_sweep "mplsweep" ~print:Mplsweep.print ~check:Mplsweep.check (fun () ->
+      Mplsweep.run ~tps_scale:tiny_scale ~txns:40 ~mpls:[ 2 ]
+        ~groups:[ (2, 0.05) ] ~grains:[ `Record ] ())
+
+let test_disksweep =
+  test_sweep "disksweep" ~print:Disksweep.print ~check:Disksweep.check (fun () ->
+      Disksweep.run ~tps_scale:tiny_scale ~txns:40 ~mpls:[ 1 ] ())
+
+let test_logsweep =
+  test_sweep "logsweep" ~print:Logsweep.print ~check:Logsweep.check (fun () ->
+      Logsweep.run ~tps_scale:tiny_scale ~txns:40 ~streams:[ 2 ] ~mpls:[ 4 ] ())
 
 let test_logsweep_rejects_kernel () =
   match Logsweep.run ~txns:1 ~setup:Txstack.Lfs_kernel () with
@@ -593,6 +622,9 @@ let () =
           Alcotest.test_case "coalescing" `Slow test_coalescing_ablation_shape;
           Alcotest.test_case "test-and-set" `Slow test_tas_ablation_shape;
           Alcotest.test_case "cleanersweep" `Slow test_cleanersweep_shape;
+          Alcotest.test_case "mplsweep" `Slow test_mplsweep;
+          Alcotest.test_case "disksweep" `Slow test_disksweep;
+          Alcotest.test_case "logsweep" `Slow test_logsweep;
         ] );
       ( "helpers",
         [

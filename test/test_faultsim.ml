@@ -120,6 +120,29 @@ let test_params_reject_bad_combinations () =
   rejected "record grain on pages" (fun () ->
       Sweep.params ~lock_grain:`Record Sweep.Pages Txstack.Lfs_user ~seed:1 ~txns:1)
 
+(* The fault-free TPC-B run's block-write count, per backend, inline and
+   at MPL 2, as Txstack.boot_tpcb boots it: scheduler, stack and
+   database, protection, daemons. A boot that leaves out the protection
+   or starts no daemons under the scheduler moves these counts. *)
+let test_tpcb_writes_pinned () =
+  List.iter
+    (fun (backend, mpl, expected) ->
+      let o =
+        Sweep.run_one (Sweep.params ?mpl Sweep.Tpcb backend ~seed:1 ~txns:10)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s%s writes" (Txstack.name backend)
+           (match mpl with Some n -> Printf.sprintf " at MPL %d" n | None -> ""))
+        expected o.Sweep.writes)
+    [
+      (Txstack.Ffs_user, None, 21);
+      (Txstack.Ffs_user, Some 2, 22);
+      (Txstack.Lfs_user, None, 31);
+      (Txstack.Lfs_user, Some 2, 31);
+      (Txstack.Lfs_kernel, None, 67);
+      (Txstack.Lfs_kernel, Some 2, 60);
+    ]
+
 (* Sweeps --------------------------------------------------------------- *)
 
 let assert_clean r =
@@ -295,6 +318,8 @@ let () =
           Alcotest.test_case "base-run recipe" `Quick test_base_run_recipe;
           Alcotest.test_case "bad parameter combinations rejected" `Quick
             test_params_reject_bad_combinations;
+          Alcotest.test_case "tpcb write counts pinned" `Quick
+            test_tpcb_writes_pinned;
         ] );
       ( "sweep",
         [
