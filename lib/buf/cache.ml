@@ -249,5 +249,3 @@ let txn_frames t txn = fold t [] (fun acc f -> if owned_by f txn then f :: acc e
 let file_frames t inum =
   fold t [] (fun acc f -> if f.file = inum then f :: acc else acc)
 
-let file_has_owned t inum = List.exists owned (file_frames t inum)
-

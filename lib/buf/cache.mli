@@ -127,8 +127,5 @@ val txn_frames : t -> int -> frame list
 
 val file_frames : t -> int -> frame list
 
-val file_has_owned : t -> int -> bool
-(** Does the file hold an [Owned] frame? *)
-
 val modseq : t -> int
 (** Current modification sequence number (monotone). *)

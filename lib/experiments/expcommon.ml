@@ -35,8 +35,7 @@ let run_tpcb ?trace ?prepare ?mpl ~config ~scale ~txns ~seed setup =
   let prepare =
     Option.map (fun f stack -> f m stack.Txstack.vfs (Txstack.lfs stack)) prepare
   in
-  let stack, _, sched = Txstack.boot_tpcb ?mpl ?prepare ~wal ~scale ~rng m in
-  let db = Tpcb.open_db stack.vfs ~scale in
+  let stack, db, sched = Txstack.boot_tpcb ?mpl ?prepare ~wal ~scale ~rng m in
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
   let stall0 = Stats.time m.stats "cleaner.stall" in

@@ -47,9 +47,10 @@ val format :
 
 val mount :
   Diskset.t -> Clock.t -> Stats.t -> Config.t -> t
-(** Recover an existing image: load the newest valid checkpoint, roll
-    forward through segments written after it, and rebuild the inode map
-    and segment usage table. *)
+(** Recover an existing image: load the newest valid checkpoint and its
+    inode map and segment usage table, then roll forward through
+    segments written after it, adjusting both for what it replays
+    ({!Lfs_recovery}). *)
 
 val unmount : t -> unit
 (** Flush everything and write a final checkpoint. *)

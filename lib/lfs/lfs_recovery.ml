@@ -4,7 +4,7 @@ let k_discarded_batches = Stats.counter "lfs.discarded_batches"
 let k_mounts = Stats.counter "lfs.mounts"
 let k_rolled_partials = Stats.counter "lfs.rolled_partials"
 
-(* Mount: load the newest checkpoint, roll forward, rebuild usage. *)
+(* Mount: load the newest checkpoint, roll forward, adjust usage. *)
 
 let load_checkpoint t =
   let r0, r1 = Layout.checkpoint_blknos in
@@ -47,7 +47,68 @@ let install_checkpoint t (cp : Layout.checkpoint) =
    suite proves the oracle is able to fail. *)
 let test_disable_payload_check = ref false
 
-let roll_forward t =
+(* Every block [ino] maps: data, indirect and double-indirect. *)
+let iter_blocks t ino f =
+  Inode.iter_block_addrs ino ~block_size:(block_size t) (fun _ _ addr -> f addr)
+
+(* One more live block at [addr]. Mount moves counts and writes no data,
+   so unlike [inc_usage] this stamps neither [mtime] nor [last_write]:
+   the age signal survives remounts only through the table. *)
+let add_live t addr =
+  if addr >= Layout.data_start then begin
+    let u = t.usage.(seg_of_addr t addr) in
+    u.live <- u.live + 1
+  end
+
+(* One more inode in the inode block at [addr]; the block comes alive
+   with its first. *)
+let add_inode_block_ref t addr =
+  match Hashtbl.find_opt t.inode_block_refs addr with
+  | Some n -> Hashtbl.replace t.inode_block_refs addr (n + 1)
+  | None ->
+    Hashtbl.add t.inode_block_refs addr 1;
+    add_live t addr
+
+(* Mount loads inodes through [read_once t], which reads each block at
+   most once. Roll-forward reloads an inode after every inode block of
+   it that it replays, and an inode's checkpoint version shares its
+   unchanged indirect blocks with its final one; mount writes none of
+   these blocks. *)
+let read_once t =
+  let seen = Hashtbl.create 64 in
+  fun addr ->
+    match Hashtbl.find_opt seen addr with
+    | Some b -> b
+    | None ->
+      let b = Diskset.read t.disk addr in
+      Hashtbl.add seen addr b;
+      b
+
+(* Roll forward from the installed checkpoint; returns the inode numbers
+   the applied partials touched, in the order first touched. The live
+   counts and [inode_block_refs] come in as the checkpoint left them,
+   and move with each entry applied: an inode block or table chunk
+   counts at its new address instead of its old one. The first time an
+   entry touches an inode, the blocks of its checkpoint version leave
+   the counts; [settle_usage] adds those of its final version after the
+   roll. *)
+let roll_forward t ~read =
+  let iget_opt = iget_opt ~read t in
+  let touched = Hashtbl.create 16 and order = ref [] in
+  let move_chunk addrs index addr =
+    dec_usage t addrs.(index);
+    add_live t addr;
+    addrs.(index) <- addr
+  in
+  let touch inum =
+    if not (Hashtbl.mem touched inum) then begin
+      Hashtbl.add touched inum ();
+      order := inum :: !order;
+      (* Nothing has changed this inode's imap entry yet, so this loads
+         the version the checkpoint counted. *)
+      Option.iter (fun ino -> iter_blocks t ino (dec_usage t)) (iget_opt inum)
+    end
+  in
   (* Follow the chain of partial segments written after the checkpoint,
      applying inode locations; stop at the first gap in the sequence. *)
   let apply blkno (s : Layout.summary) =
@@ -59,6 +120,9 @@ let roll_forward t =
           List.iteri
             (fun slot inum ->
               if inum > 0 && inum < max_inodes then begin
+                touch inum;
+                if t.imap_alloc.(inum) then dec_inode_block_ref t t.imap_addr.(inum);
+                add_inode_block_ref t addr;
                 t.imap_addr.(inum) <- addr;
                 t.imap_slot.(inum) <- slot;
                 t.imap_alloc.(inum) <- true;
@@ -68,12 +132,13 @@ let roll_forward t =
                 if inum >= t.files.next_inum then t.files.next_inum <- inum + 1
               end)
             inums
-        | Layout.Imap_block { index } -> t.imap_chunk_addr.(index) <- addr
-        | Layout.Usage_block { index } -> t.usage_chunk_addr.(index) <- addr
+        | Layout.Imap_block { index } -> move_chunk t.imap_chunk_addr index addr
+        | Layout.Usage_block { index } -> move_chunk t.usage_chunk_addr index addr
         | Layout.Data { inum; lblock } -> (
           (* Commit partials defer their metadata; the summary entry is
              authoritative for the block's new location. *)
-          match iget_opt t inum with
+          touch inum;
+          match iget_opt inum with
           | Some ino ->
             Inode.set_addr ino ~block_size:(block_size t) lblock addr;
             if (lblock + 1) * block_size t > ino.Inode.size then
@@ -169,45 +234,32 @@ let roll_forward t =
   for o = !off to t.cfg.fs.segment_blocks - 1 do
     scrub (seg_base t !seg + o)
   done;
-  if !next <> !seg then scrub (seg_base t !next)
+  if !next <> !seg then scrub (seg_base t !next);
+  List.rev !order
 
-let recompute_usage t =
-  Array.iter
-    (fun u ->
-      u.live <- 0;
-      u.state <- Free)
-    t.usage;
-  Hashtbl.reset t.inode_block_refs;
-  (* ~write:false: recounting liveness at mount is bookkeeping, not a
-     write — stamping [last_write] here would make every segment look
-     freshly written and invert the cost-benefit policy's victim choice
-     (the age signal the checkpointed usage table exists to preserve). *)
-  let count addr = if addr >= Layout.data_start then
-      inc_usage ~write:false t (seg_of_addr t addr) 1
-  in
+(* Rebuild [inode_block_refs] from the inode map. *)
+let count_inode_block_refs t =
+  let refs = t.inode_block_refs in
+  Hashtbl.reset refs;
   for inum = 1 to max_inodes - 1 do
-    if t.imap_alloc.(inum) && t.imap_addr.(inum) <> 0 then begin
-      let addr = t.imap_addr.(inum) in
-      (match Hashtbl.find_opt t.inode_block_refs addr with
-      | Some n -> Hashtbl.replace t.inode_block_refs addr (n + 1)
-      | None ->
-        Hashtbl.add t.inode_block_refs addr 1;
-        count addr);
-      match iget_opt t inum with
-      | None -> ()
-      | Some ino ->
-        Inode.iter_block_addrs ino ~block_size:(block_size t) (fun _ _ addr ->
-            count addr)
-    end
-  done;
-  Array.iter count t.imap_chunk_addr;
-  Array.iter count t.usage_chunk_addr;
-  Array.iteri
-    (fun _ u -> if u.live > 0 then u.state <- Dirty else u.state <- Free)
-    t.usage;
+    let addr = t.imap_addr.(inum) in
+    if t.imap_alloc.(inum) && addr <> 0 then
+      Hashtbl.replace refs addr
+        (1 + Option.value ~default:0 (Hashtbl.find_opt refs addr))
+  done
+
+(* Finish the live counts after the roll, reading only the inodes it
+   touched: the blocks of their final versions come back in. Then the
+   segment states follow the counts. *)
+let settle_usage t ~read touched =
+  List.iter
+    (fun inum ->
+      Option.iter (fun ino -> iter_blocks t ino (add_live t)) (iget_opt ~read t inum))
+    touched;
+  Array.iter (fun u -> u.state <- (if u.live > 0 then Dirty else Free)) t.usage;
   t.usage.(t.cur_seg).state <- Current;
   t.usage.(t.next_seg).state <- Current;
-  (* States were rebuilt wholesale; re-derive the incremental counter. *)
+  (* States were rebuilt wholesale; re-derive the incremental counters. *)
   t.n_reclaimable <- count_reclaimable t;
   t.n_free <- count_free t
 
@@ -217,21 +269,25 @@ let mount disk clock stats (cfg : Config.t) =
     Vfs.error Invalid "LFS mount: block size mismatch";
   let t = make_empty disk clock stats { cfg with fs = { cfg.fs with segment_blocks = sb.Layout.segment_blocks } } sb in
   install_checkpoint t (load_checkpoint t);
-  (* Load segment usage (live counts are recomputed below; keep the
-     timestamps and the hot/cold bit — the age signal and segregation
-     survive remounts only through this table). *)
+  (* Load the segment usage table: live counts, timestamps and the
+     hot/cold bit. The checkpoint wrote counts of exactly the blocks its
+     inode map reaches, so only what the roll changes needs adjusting;
+     the age signal and segregation survive remounts only through this
+     table. *)
   Array.iteri
     (fun chunk addr ->
       if addr <> 0 then
         Layout.read_usage_chunk (Diskset.read t.disk addr) ~chunk ~n:(nsegments t)
           (fun seg e ->
             let u = t.usage.(seg) in
+            u.live <- e.Layout.live;
             u.mtime <- e.Layout.mtime;
             u.last_write <- e.Layout.last_write;
             u.cold <- e.Layout.cold))
     t.usage_chunk_addr;
-  roll_forward t;
-  recompute_usage t;
+  count_inode_block_refs t;
+  let read = read_once t in
+  settle_usage t ~read (roll_forward t ~read);
   (* Roll-forward can end having followed the log into the reserved next
      segment without learning what the writer reserved after it (the
      first partial there was torn, so its next_seg is untrusted). Leave

@@ -1,5 +1,25 @@
 (** LFS recovery: load the newest checkpoint, roll forward through the
-    hot partials written after it, and rebuild the usage table.
+    hot partials written after it, and adjust the usage table for what
+    the roll replayed.
+
+    {b What mount trusts.} The checkpoint's usage table: its live
+    counts, last-write times and cold bits are taken as written. A
+    checkpoint's table counts exactly the blocks reachable from the
+    inode map written with it ({!Lfs_writer.checkpoint_record}), so mount
+    reads no inode that roll-forward does not touch.
+
+    {b What roll-forward adjusts.} The first time an accepted partial's
+    [Data] or [Inode_block] entry touches an inode, the blocks of its
+    checkpoint version (data, indirect and double-indirect) leave the
+    counts; after the roll, the blocks of its final version come back
+    in. Inode-block reference counts are rebuilt from the checkpoint's
+    inode map before the roll. As each rolled entry moves an inode to a
+    new inode block, or a table chunk to a new address, the count moves
+    with it: a block enters the counts with its first reference and
+    leaves with its last. None of this needs a read. A count that would go negative raises
+    [Invalid_argument] at once. The adjustment stamps neither [mtime]
+    nor [last_write]. Mount reads each inode and indirect block at most
+    once.
 
     {b Which segments roll-forward visits.} It starts at the hot head
     the checkpoint records, expecting the partial [seq] the checkpoint

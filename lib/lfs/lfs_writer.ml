@@ -96,19 +96,17 @@ let dec_usage t addr =
     u.live <- u.live - 1
   end
 
-(* [write] tells whether this touch represents data actually being
-   written into the segment (mount-time recomputation passes [false]);
-   [age] lets the cleaner stamp relocated survivors with their original
-   write time instead of "now". The [mtime] touch, by contrast, always
-   moves — it is bookkeeping, and feeding it to the cost-benefit policy
-   was the bug that made decaying segments look young. *)
-let inc_usage ?(write = true) ?age t seg n =
+(* Data is being written into the segment. [age] lets the cleaner stamp
+   relocated survivors with their original write time instead of "now".
+   The [mtime] touch, by contrast, always moves — it is bookkeeping, and
+   feeding it to the cost-benefit policy was the bug that made decaying
+   segments look young. *)
+let inc_usage ?age t seg n =
   let u = t.usage.(seg) in
   u.live <- u.live + n;
   u.mtime <- Clock.now t.clock;
-  if write then
-    let w = match age with Some a -> a | None -> Clock.now t.clock in
-    if w > u.last_write then u.last_write <- w
+  let w = match age with Some a -> a | None -> Clock.now t.clock in
+  if w > u.last_write then u.last_write <- w
 
 (* Every segment state change goes through here so [n_reclaimable]
    (Free + Pending) and [n_free] stay exact without refolding the usage
@@ -133,15 +131,15 @@ let dec_inode_block_ref t addr =
 
 (* Inode cache *)
 
-let iget_opt t inum =
+let iget_opt ?read t inum =
   if inum <= 0 || inum >= max_inodes || not t.imap_alloc.(inum) then None
   else
     Fileops.cached t.files inum (fun () ->
+        let read = Option.value read ~default:(Diskset.read t.disk) in
         let addr = t.imap_addr.(inum) in
         if addr = 0 then None (* allocated but never written: lost *)
         else
-          Inode.load ~block_size:(block_size t) ~read:(Diskset.read t.disk)
-            (Diskset.read t.disk addr)
+          Inode.load ~block_size:(block_size t) ~read (read addr)
             (t.imap_slot.(inum) * Layout.inode_size))
 
 let iget t inum =
@@ -561,20 +559,23 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
    commits: recovery re-derives the block locations from the summary
    entries, and the (still-dirty) in-memory metadata reaches the log
    with the next syncer flush or checkpoint. *)
-let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
-    ~inodes ~imap_chunks ~usage_chunks =
-  (* One writer at a time: everything below reads and mutates the shared
-     cursor/usage/imap state around disk parks. Taking the mutex before
-     the first state read keeps a follower's plan consistent with
-     whatever the in-flight writer logged (re-logging a frame it already
-     cleaned is harmless; interleaving two packs is not). *)
+(* One writer at a time: a partial reads and mutates the shared
+   cursor/usage/imap state around disk parks. Taking the mutex before
+   the first state read keeps a follower's plan consistent with whatever
+   the in-flight writer logged (re-logging a frame it already cleaned is
+   harmless; interleaving two packs is not). *)
+let with_writer t f =
   Sched.wait_while t.clock t.seg_write_cond (fun () -> t.seg_writing);
   t.seg_writing <- true;
   Fun.protect
     ~finally:(fun () ->
       t.seg_writing <- false;
       Sched.wake t.clock t.seg_write_cond)
-  @@ fun () ->
+    f
+
+(* [write_partial] for a caller that holds the writer mutex. *)
+let write_partial_held ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
+    ~inodes ~imap_chunks ~usage_chunks =
   (* Relocation items are re-validated here, under the writer mutex: the
      cleaner captured these platter bytes before (possibly) yielding —
      waiting for this mutex, or parked in the victim read — and a
@@ -633,6 +634,10 @@ let write_partial ?(defer_meta = false) ?(head = Hot { more = false }) t ~ditems
     emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks;
   fits
 
+let write_partial ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks =
+  with_writer t (fun () ->
+      write_partial_held ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks)
+
 (* A partial its caller sized to fit. *)
 let write_sized wrote =
   if not wrote then
@@ -670,44 +675,41 @@ let dirty_ditems frames =
    every partial but the last carries the [more] flag, and recovery
    discards a batch whose final partial never reached disk — a commit
    larger than a segment must not become durable by halves. *)
-let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
-  (* Writing an inode whose file still has dirty cached data would put a
-     size and block map on disk that describe bytes which are only in
-     memory; pull every involved file's eligible dirty frames into the
-     write so each partial is self-consistent. (Irrelevant when metadata
-     is deferred: no inodes are written at all, so no tables are built.)
-     The fold's order decides the layout of the partial. *)
-  let extra =
-    if defer_meta then []
-    else begin
-      (* One bucket per involved file. The order the table folds the
-         files in decides the layout of the partial. *)
-      let files = Hashtbl.create 8 in
-      let involve inum =
-        if not (Hashtbl.mem files inum) then Hashtbl.add files inum (ref [])
-      in
-      List.iter (fun d -> involve d.d_inum) ditems;
-      List.iter (fun (ino : Inode.t) -> involve ino.Inode.inum) inodes;
-      let have = Hashtbl.create 16 in
-      List.iter (fun d -> Hashtbl.replace have (d.d_inum, d.d_lblock) ()) ditems;
-      (* One walk of the cache for all the files: each bucket gets its
-         file's frames in the order [Cache.dirty_frames ~file] gives. *)
-      List.iter
-        (fun (f : Cache.frame) ->
-          let b = Hashtbl.find files f.Cache.file in
-          b := f :: !b)
-        (List.rev (Cache.dirty_frames_of t.cache (Hashtbl.mem files)));
-      Hashtbl.fold
-        (fun inum b acc ->
-          List.filter
-            (fun (f : Cache.frame) ->
-              not (Hashtbl.mem have (inum, f.Cache.lblock)))
-            !b
-          @ acc)
-        files []
-    end
+(* Writing an inode whose file still has dirty cached data would put a
+   size and block map on disk that describe bytes which are only in
+   memory; [with_file_frames] adds every involved file's writable dirty
+   frames that [ditems] lacks, so each partial is self-consistent. *)
+let with_file_frames t ~ditems ~inodes =
+  (* One bucket per involved file. The order the table folds the files
+     in decides the layout of the partial. *)
+  let files = Hashtbl.create 8 in
+  let involve inum =
+    if not (Hashtbl.mem files inum) then Hashtbl.add files inum (ref [])
   in
-  let ditems = ditems @ dirty_ditems extra in
+  List.iter (fun d -> involve d.d_inum) ditems;
+  List.iter (fun (ino : Inode.t) -> involve ino.Inode.inum) inodes;
+  let have = Hashtbl.create 16 in
+  List.iter (fun d -> Hashtbl.replace have (d.d_inum, d.d_lblock) ()) ditems;
+  (* One walk of the cache for all the files: each bucket gets its file's
+     frames in the order [Cache.dirty_frames ~file] gives. *)
+  List.iter
+    (fun (f : Cache.frame) ->
+      let b = Hashtbl.find files f.Cache.file in
+      b := f :: !b)
+    (List.rev (Cache.dirty_frames_of t.cache (Hashtbl.mem files)));
+  let extra =
+    Hashtbl.fold
+      (fun inum b acc ->
+        List.filter (fun (f : Cache.frame) -> not (Hashtbl.mem have (inum, f.Cache.lblock))) !b
+        @ acc)
+      files []
+  in
+  ditems @ dirty_ditems extra
+
+let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
+  (* No inode is written when metadata is deferred, so nothing needs
+     pulling in. *)
+  let ditems = if defer_meta then ditems else with_file_frames t ~ditems ~inodes in
   let max_data = max 1 (t.cfg.fs.segment_blocks * 3 / 4) in
   let rec chunks = function
     | [] -> []
@@ -763,30 +765,53 @@ let dirty_inodes t =
 
 (* Checkpoint ------------------------------------------------------------ *)
 
+(* The checkpoint's last partial: the whole usage table, every dirty imap
+   chunk, and every inode still dirty with its file's writable frames.
+   Mount trusts this table, so it must count exactly the blocks the inode
+   map written beside it reaches. The checkpoint's earlier partials
+   parked in their disk writes, and a commit flush, [fsync], truncate or
+   remove that ran meanwhile may have moved or freed an inode's blocks
+   after its inode was written, or moved an inode to a new block. So
+   what the partial carries is gathered under the writer mutex, and
+   nothing parks from there until it is encoded. Dirty inodes that do
+   not fit beside the tables are written on their own first, and the
+   gathering starts over. *)
+let write_checkpoint_tables t =
+  let usage_chunks = List.init (Array.length t.usage_chunk_addr) Fun.id in
+  let rec go () =
+    let written, inodes =
+      with_writer t @@ fun () ->
+      let inodes = dirty_inodes t in
+      (* [emit] moves these inodes, so their imap chunks go too. *)
+      List.iter (fun (ino : Inode.t) -> mark_imap_dirty t ino.Inode.inum) inodes;
+      let imap_chunks =
+        List.filter (fun i -> t.imap_dirty.(i)) (List.init (Array.length t.imap_dirty) Fun.id)
+      in
+      let ditems = if inodes = [] then [] else with_file_frames t ~ditems:[] ~inodes in
+      (write_partial_held t ~ditems ~inodes ~imap_chunks ~usage_chunks, inodes)
+    in
+    if not written then begin
+      (* The tables alone must fit. *)
+      if inodes = [] then write_sized false;
+      log_write t ~ditems:[] ~inodes:(dirty_inodes t);
+      go ()
+    end
+  in
+  go ()
+
 (* Write a checkpoint and return the record it wrote. *)
 let checkpoint_record t =
   let cp_t0 = Clock.now t.clock in
   Fileops.section t.files @@ fun () ->
   (* A checkpoint must leave the on-disk state self-consistent: flush the
-     eligible dirty data first (transaction-owned buffers stay pinned),
-     so no inode reaches disk describing data that is only in memory. *)
-  (* Files with transaction-pinned buffers keep their older on-disk inode
-     until commit forces the buffers. *)
-  let flushable =
-    List.filter
-      (fun (ino : Inode.t) -> not (Cache.file_has_owned t.cache ino.Inode.inum))
-      (dirty_inodes t)
-  in
+     writable dirty data (transaction-owned buffers stay pinned) with
+     every dirty inode, owned frames or not, so no inode reaches disk
+     describing data that is only in memory. *)
   log_write t
     ~ditems:(dirty_ditems (Cache.dirty_frames t.cache ()))
-    ~inodes:flushable;
-  (* Then every dirty imap chunk and the whole usage table, and finally
-     the alternating checkpoint region. *)
-  let imap_chunks =
-    List.filter (fun i -> t.imap_dirty.(i)) (List.init (Array.length t.imap_dirty) Fun.id)
-  in
-  let usage_chunks = List.init (Array.length t.usage_chunk_addr) Fun.id in
-  write_tables t ~imap_chunks ~usage_chunks;
+    ~inodes:(dirty_inodes t);
+  (* Then the tables, and finally the alternating checkpoint region. *)
+  write_checkpoint_tables t;
   (* Segments cleaned since the previous checkpoint are now safe to reuse:
      no checkpoint references their old contents any more. *)
   Array.iteri

@@ -39,9 +39,8 @@ type seg_state =
 type usage_entry = {
   mutable live : int;
   mutable mtime : float;
-      (** usage-entry touch time: moves whenever bookkeeping brushes the
-          entry (including mount-time recomputation). Not an age
-          signal. *)
+      (** usage-entry touch time: moves whenever a write brushes the
+          entry. Not an age signal. *)
   mutable last_write : float;
       (** when data was last written into the segment. Cleaner
           relocations inherit the victim's value instead of stamping
@@ -152,19 +151,18 @@ val check_alive : t -> unit
 
 (** {1 Bookkeeping} *)
 
-val inc_usage : ?write:bool -> ?age:float -> t -> int -> int -> unit
-(** [inc_usage t seg n] counts [n] more live blocks in [seg]. [write]
-    (default [true]) says data is being written into it, which stamps
-    [last_write] with [age] (default now); mount-time recounting passes
-    [false]. *)
+val inc_usage : ?age:float -> t -> int -> int -> unit
+(** [inc_usage t seg n] counts [n] more live blocks written into [seg],
+    which stamps [last_write] with [age] (default now) when that is
+    later. *)
 
 val dec_usage : t -> int -> unit
 (** One block at this address died. *)
 
 val set_state : t -> int -> seg_state -> unit
 (** Change a segment's state, keeping [n_reclaimable] and [n_free]
-    exact. Only mount's recount sets states otherwise, and it recounts
-    both. *)
+    exact. Only mount sets states otherwise, from the live counts, and
+    it recounts both. *)
 
 val dec_inode_block_ref : t -> int -> unit
 (** One inode left the inode block at this address; the block dies
@@ -174,9 +172,10 @@ val mark_imap_dirty : t -> int -> unit
 (** The imap chunk holding this inode number must reach the next
     checkpoint. *)
 
-val iget_opt : t -> int -> Inode.t option
+val iget_opt : ?read:(int -> bytes) -> t -> int -> Inode.t option
 (** The inode, through the inode cache; [None] if not allocated or
-    never written. *)
+    never written. A miss reads its inode block and indirect blocks with
+    [read] (default: a charged disk read). *)
 
 val iget : t -> int -> Inode.t
 (** @raise Vfs.Error [Not_found] where {!iget_opt} gives [None]. *)
@@ -230,8 +229,8 @@ val log_write :
     - commit flush ([Lfs.force_frames]): its batch, released to Dirty
       first, with deferred metadata and no inodes;
     - syncer, cache-pressure writeback, checkpoint: every writable
-      frame; the syncer writes every dirty inode, the checkpoint only
-      those of files with no owned frame, the writeback none;
+      frame; the syncer and the checkpoint write every dirty inode, the
+      writeback none;
     - [Lfs.fsync_inum]: the file's writable frames and its inode;
     - cleaner: a live block's frame if writable, else its platter copy,
       and the inodes of what it moved;
@@ -251,23 +250,36 @@ val write_tables : t -> imap_chunks:int list -> usage_chunks:int list -> unit
 
 val checkpoint_record : t -> Layout.checkpoint
 (** Write a checkpoint and return its record: every writable frame and
-    the dirty inodes of files with no owned frame ({!log_write}), every
-    dirty imap chunk and the whole usage table, then the checkpoint
-    region. Pending segments become Free.
+    every dirty inode ({!log_write}), then one partial with the whole
+    usage table, every dirty imap chunk and every inode still dirty,
+    then the checkpoint region. Pending segments become Free.
+
+    {b What the record promises.} The usage table counts exactly the
+    blocks reachable from the inode map it is written with: every
+    inode's data, indirect and double-indirect blocks, each inode block
+    once, and the table chunks. Mount trusts these counts
+    ({!Lfs_recovery}), so every inode whose blocks moved since it was
+    last written reaches the log here, also one whose file has owned
+    frames: a commit flush moves blocks with deferred metadata, the
+    cleaner moves survivors, and roll-forward starts at this record.
+    The checkpoint's first partials park in their disk writes, and
+    what runs meanwhile (a truncate or remove, which frees blocks with
+    {!dec_usage}; a commit flush or [fsync], which moves them) can
+    change an inode the checkpoint already wrote. So the table's
+    partial gathers its contents under the writer mutex, every inode
+    then dirty included with its file's writable frames, and nothing
+    parks from the gathering until it is encoded. Dirty inodes that do
+    not fit beside the tables are written first and the gathering is
+    redone.
 
     {b When a checkpoint may be taken relative to an open flush.} The
     record names the hot head after the checkpoint's own partials, and
     a flush's partials follow one another under the writer mutex with
     no park in between, so the record never falls inside an atomic
-    batch. That rule is kept. Two others are not. A commit's frames are
+    batch. That rule is kept. Another is not: a commit's frames are
     writable from {!Cache.release} until its batch is written, and a
     checkpoint that gets the writer mutex first writes them itself, in
-    non-atomic partials with their inodes. And a checkpoint must write
-    the inode of every file whose blocks a commit flush before it moved
-    with deferred metadata, since roll-forward starts at the record and
-    nothing else recovers those addresses; keeping back the inodes of
-    files with owned frames breaks this, so such a commit is lost at
-    the next crash. *)
+    non-atomic partials with their inodes. *)
 
 val checkpoint : t -> unit
 (** {!checkpoint_record} without the record. @raise Vfs.Crashed after a

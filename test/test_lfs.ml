@@ -374,6 +374,183 @@ let test_crash_after_cleaning_before_checkpoint () =
   let kfd = v.Vfs.open_file "/keep" in
   Tutil.check_bytes "contents intact" keep (v.Vfs.read kfd ~off:0 ~len:50_000)
 
+let full = Sys.getenv_opt "FAULTSIM_FULL" <> None
+
+(* Mount takes the live counts from the checkpointed usage table, so
+   every checkpoint must write a table that counts exactly the blocks its
+   inode map reaches, and roll-forward must move the counts of what it
+   replays. A random run of file operations, transaction-owned pages and
+   their commit flushes (deferred metadata), checkpoints, syncer and
+   cleaner passes is cut at a random block write (Faultsim tears a
+   multi-block request there); the mounted file system must pass
+   [Lfs.check], which recounts usage from reachability. With
+   FAULTSIM_FULL set, ten times the cases. *)
+let prop_crash_trusted_usage =
+  let files = 2 in
+  let file = QCheck2.Gen.int_bound (files - 1) in
+  (* Two transactions, so one can commit while the other owns pages of
+     the same file. *)
+  let txn = QCheck2.Gen.int_range 1 2 in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, map (fun f -> `Create f) file);
+          ( 3,
+            map3
+              (fun f off n -> `Write (f, off, n))
+              file
+              (oneof [ int_bound 20; int_range 1030 1040 ])
+              (int_range 1 3) );
+          (1, map (fun f -> `Fsync f) file);
+          (1, map (fun f -> `Remove f) file);
+          (6, map3 (fun x f p -> `Own (x, f, p)) txn file (int_bound 20));
+          (3, map (fun x -> `Commit x) txn);
+          (3, return `Checkpoint);
+          (1, return `Syncer);
+          (2, return `Clean);
+        ])
+  in
+  (* Runs [ops] on a fresh file system, cutting the power after
+     [crash_after] block writes if given; returns the machine and how
+     many blocks were written. *)
+  let run ?crash_after ops =
+    let m, fs = Tutil.fresh_lfs () in
+    let fault = Faultsim.arm ?crash_after m.Tutil.disks in
+    let v = Lfs.vfs fs in
+    let cache = Lfs.cache fs in
+    let bs = v.Vfs.block_size in
+    let path f = Printf.sprintf "/f%d" f in
+    let on f g = if v.Vfs.exists (path f) then g (v.Vfs.open_file (path f)) in
+    let owned_of inum =
+      List.exists
+        (fun x -> List.exists (fun fr -> fr.Cache.file = inum) (Cache.txn_frames cache x))
+        [ 1; 2 ]
+    in
+    let apply = function
+      | `Create f -> if not (v.Vfs.exists (path f)) then ignore (v.Vfs.create (path f))
+      | `Write (f, off, n) ->
+        on f (fun fd -> v.Vfs.write fd ~off:(off * bs) (Tutil.payload off (n * bs)))
+      | `Fsync f -> on f v.Vfs.fsync
+      | `Remove f ->
+        if v.Vfs.exists (path f) && not (owned_of (Lfs.inum_of fs (path f))) then
+          v.Vfs.remove (path f)
+      | `Own (txn, f, p) ->
+        if v.Vfs.exists (path f) && List.length (Cache.txn_frames cache txn) < 16 then begin
+          (* What the embedded manager's page write does; a page the
+             other transaction owns is locked against this one. *)
+          let inum = Lfs.inum_of fs (path f) in
+          let fr = Lfs.get_page fs ~inum ~lblock:p in
+          if not (Cache.owned_by fr (3 - txn)) then begin
+            Bytes.blit (Tutil.payload (100 + p) bs) 0 fr.Cache.data 0 bs;
+            Lfs.page_dirty fs fr;
+            Lfs.extend_to fs ~inum ((p + 1) * bs);
+            Cache.own cache fr txn
+          end
+        end
+      | `Commit txn ->
+        (* The commit flush: the batch, released, with deferred
+           metadata. *)
+        let frames = Cache.txn_frames cache txn in
+        List.iter (Cache.release cache) frames;
+        if frames <> [] then Lfs.force_frames fs frames
+      | `Checkpoint -> Lfs.checkpoint fs
+      | `Syncer ->
+        Clock.advance m.Tutil.clock (m.Tutil.cfg.Config.fs.syncer_interval_s +. 1.0);
+        ignore (v.Vfs.exists "/")
+      | `Clean -> ignore (Lfs.clean_once fs)
+    in
+    (try List.iter apply ops with Disk.Injected_crash -> ());
+    Lfs.crash fs;
+    Faultsim.disarm fault;
+    (m, Faultsim.writes fault)
+  in
+  Tutil.qtest ~count:(if full then 3000 else 300) "crash: mount trusts the usage table"
+    QCheck2.Gen.(pair (list_size (int_range 10 60) op) nat)
+    (fun (ops, k) ->
+      let _, total = run ops in
+      (* A cut past the last write loses only volatile state. *)
+      let m, _ = run ~crash_after:(k mod (total + 1)) ops in
+      Lfs.check (Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg);
+      true)
+
+(* After a checkpoint, mount reads the metadata of no inode that
+   roll-forward did not touch. Forty files, each with an indirect block,
+   are synced one by one, so each has an inode block of its own; then a
+   checkpoint, and one more write to /f0, fsynced. Mount may read /f0's
+   inode and indirect blocks, but not those of /f1 to /f39. *)
+let test_mount_reads_only_touched_inodes () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let path i = Printf.sprintf "/f%d" i in
+  for i = 0 to 39 do
+    let fd = v.Vfs.create (path i) in
+    v.Vfs.write fd ~off:(Inode.ndirect * bs) (Tutil.payload i bs);
+    v.Vfs.fsync fd
+  done;
+  Lfs.checkpoint fs;
+  let fd = v.Vfs.open_file (path 0) in
+  v.Vfs.write fd ~off:0 (Tutil.payload 99 bs);
+  v.Vfs.fsync fd;
+  let untouched = List.init 39 (fun i -> Lfs.inum_of fs (path (i + 1))) in
+  Lfs.crash fs;
+  (* Where the checkpoint's inode map puts the untouched inodes, and
+     their indirect blocks, read off the platter. *)
+  let d = m.Tutil.disk in
+  let sb = Layout.read_superblock (Disk.peek d Layout.superblock_blkno) in
+  let cp =
+    let r0, r1 = Layout.checkpoint_blknos in
+    match
+      (Layout.read_checkpoint (Disk.peek d r0), Layout.read_checkpoint (Disk.peek d r1))
+    with
+    | Some a, Some b -> if a.Layout.cp_seq >= b.Layout.cp_seq then a else b
+    | Some c, None | None, Some c -> c
+    | None, None -> Alcotest.fail "no checkpoint"
+  in
+  let per_chunk = Layout.imap_per_chunk ~block_size:bs in
+  let meta = Hashtbl.create 128 in
+  List.iter
+    (fun inum ->
+      let chunk = inum / per_chunk in
+      Layout.read_imap_chunk
+        (Disk.peek d cp.Layout.imap_addrs.(chunk))
+        ~chunk ~n:sb.Layout.max_inodes
+        (fun i e ->
+          if i = inum then begin
+            Hashtbl.replace meta e.Layout.addr inum;
+            let ino =
+              Option.get
+                (Inode.load ~block_size:bs ~read:(Disk.peek d) (Disk.peek d e.Layout.addr)
+                   (e.Layout.slot * Layout.inode_size))
+            in
+            Inode.iter_block_addrs ino ~block_size:bs (fun kind _ addr ->
+                if kind <> Inode.Data_block then Hashtbl.replace meta addr inum)
+          end))
+    untouched;
+  Alcotest.(check int) "an inode block and an indirect block per file" (2 * 39)
+    (Hashtbl.length meta);
+  let read = ref [] in
+  Disk.set_injector d
+    (Some
+       {
+         Disk.on_write = (fun ~blkno:_ ~nblocks -> nblocks);
+         on_read =
+           (fun ~blkno ~nblocks ->
+             for b = blkno to blkno + nblocks - 1 do
+               Option.iter (fun inum -> read := (b, inum) :: !read) (Hashtbl.find_opt meta b)
+             done;
+             false);
+       });
+  let fs = Fun.protect ~finally:(fun () -> Disk.set_injector d None) (fun () ->
+      Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg)
+  in
+  Alcotest.(check (list (pair int int))) "untouched metadata blocks read" [] !read;
+  Lfs.check fs;
+  let v = Lfs.vfs fs in
+  Tutil.check_bytes "rolled write" (Tutil.payload 99 bs)
+    (v.Vfs.read (v.Vfs.open_file (path 0)) ~off:0 ~len:bs)
+
 let test_repeated_crash_recovery_cycles () =
   (* Crash, recover, write, crash again — five times over; every synced
      generation must be intact and the image consistent. *)
@@ -731,6 +908,44 @@ let test_queued_read_waits_for_segment_write () =
   Sched.run sched;
   Sched.detach sched;
   Alcotest.(check char) "read the written bytes" 'H' !seen
+
+(* Mount trusts the checkpoint's usage table, so that table must count
+   exactly what the inode map written beside it reaches, also when the
+   file system changes while the checkpoint is parked in a disk write.
+   Here the checkpoint parks in the partial that writes /a's inode;
+   meanwhile another process truncates /a, which frees its blocks, and
+   fsyncs it, so the truncated inode lands after the checkpoint, in the
+   tail roll-forward replays. The remounted image must agree with
+   reachability and hold /a empty. *)
+let test_truncate_while_checkpoint_parked () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let fd = v.Vfs.create "/a" in
+  v.Vfs.write fd ~off:0 (Tutil.payload 1 (8 * bs));
+  Lfs.sync fs;
+  v.Vfs.write fd ~off:0 (Tutil.payload 2 bs);
+  let inum = Lfs.inum_of fs "/a" in
+  let frame = Option.get (Cache.lookup (Lfs.cache fs) ~file:inum ~lblock:0) in
+  let checkpoints () = Stats.count m.Tutil.stats "lfs.checkpoints" in
+  let cps0 = checkpoints () in
+  let parked = ref false in
+  let sched = Sched.create m.Tutil.clock in
+  Sched.spawn sched (fun () -> Lfs.checkpoint fs);
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 1e-4;
+      (* The checkpoint's first partial holds /a's block and inode: it
+         marked the frame clean and is parked in its write. *)
+      parked := checkpoints () = cps0 && not (Cache.writable frame);
+      v.Vfs.truncate fd 0;
+      v.Vfs.fsync fd);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check bool) "truncated while the checkpoint was parked" true !parked;
+  let fs = remount m fs in
+  Lfs.check fs;
+  let v = Lfs.vfs fs in
+  Alcotest.(check int) "/a is empty" 0 (v.Vfs.size (v.Vfs.open_file "/a"))
 
 let test_cold_bit_persists_remount () =
   let cfg = Tutil.small_config () in
@@ -1138,8 +1353,8 @@ let test_platter_digest () =
     Digest.to_hex (Digest.bytes img)
   in
   Alcotest.(check string) "platter digests"
-    "disk0=bf41d1377b29a4561851a5c3d8758529 disk1=e64e830187db25cf32f322fafd616c2d \
-     disklog=226cb047e261a8f8e2ef8b86cbd6946f"
+    "disk0=b0054fe38eeacd21753eedefc4e0ffbc disk1=c79ec10ebacd48e5fb81b01ba57d26bb \
+     disklog=3e17ab97bd4cd029aca52b752db99fc2"
     (String.concat " "
        (List.map
           (fun (name, d) -> name ^ "=" ^ digest d)
@@ -1176,6 +1391,11 @@ let () =
             `Quick test_roll_forward_accepts_summary_ending_at_segment_end;
           Alcotest.test_case "repeated crash cycles" `Quick
             test_repeated_crash_recovery_cycles;
+          Alcotest.test_case "mount reads only touched inodes" `Quick
+            test_mount_reads_only_touched_inodes;
+          prop_crash_trusted_usage;
+          Alcotest.test_case "truncate while a checkpoint is parked" `Quick
+            test_truncate_while_checkpoint_parked;
           Alcotest.test_case "usage table's last chunk" `Quick
             test_usage_table_last_chunk;
           Alcotest.test_case "mismatched checkpoint refused" `Quick

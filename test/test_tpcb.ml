@@ -358,7 +358,7 @@ let test_pinned_kernel_page_mpl1 () =
       ~txns:300 ~seed:3 Txstack.Lfs_kernel
   in
   check_pinned "lfs-kernel, page grain, MPL 1"
-    "commits=300 elapsed=0x1.732812aaccdc5p+3 latencies=3e8c97e8dafb7844414679bdd1df7834"
+    "commits=300 elapsed=0x1.732812aaccdbfp+3 latencies=d3353cdd3f0c2f0774216984a0ef5335"
     run.Expcommon.result
 
 let test_pinned_user_record_mpl4 () =
@@ -367,7 +367,7 @@ let test_pinned_user_record_mpl4 () =
       ~scale:pinned_scale ~txns:300 ~seed:3 ~mpl:4 Txstack.Lfs_user
   in
   check_pinned "LIBTP, record grain, 2+log, MPL 4"
-    "commits=300 elapsed=0x1.b1afb1ad0890dp+4 latencies=769b7b55ed255079e7104e341920141c"
+    "commits=300 elapsed=0x1.b1afb1ad0890bp+4 latencies=abfbff57d94291247e5d37513095e614"
     run.Expcommon.result
 
 let test_pinned_kernel_record_mpl4 () =
@@ -425,20 +425,20 @@ let test_pinned_kernel_batch_clean () =
   check_pinned_cleaning "kernel batch cleaner, MPL 1" ~util_pct:90
     ~user_cleaner:false
     ~reaches:[ "cleaner.segments"; "lfs.cold_partials" ]
-    "commits=200 elapsed=0x1.f600d8a7c3b04p+4 latencies=05875449bc1ac4dd07a13b6905f64d45"
+    "commits=200 elapsed=0x1.f600d8a7c3b03p+4 latencies=f68ca177a159b8c612658eb9a246d89f"
     "cleaner.segments=35 cleaner.idle_cleans=0 lfs.cold_partials=47 lfs.checkpoints=10"
 
 let test_pinned_user_cleaner () =
   check_pinned_cleaning "user-space cleaner, MPL 1" ~util_pct:90
     ~user_cleaner:true ~reaches:[ "cleaner.segments" ]
-    "commits=200 elapsed=0x1.4fb2d485d85e2p+4 latencies=9ed4d6e5382a29d34c5a1337a45eb937"
+    "commits=200 elapsed=0x1.4fb2d485d85e1p+4 latencies=88e394fd1b54c21084fbca021adf001f"
     "cleaner.segments=12 cleaner.idle_cleans=0 lfs.cold_partials=13 lfs.checkpoints=11"
 
 let test_pinned_adaptive_daemon () =
   check_pinned_cleaning "adaptive daemon, segregation, MPL 8" ~util_pct:80 ~mpl:8
     ~user_cleaner:false
     ~reaches:[ "cleaner.idle_cleans"; "lfs.cold_partials" ]
-    "commits=200 elapsed=0x1.25692d91e5283p+5 latencies=0567c73bff3be6530ba80ae55635a755"
+    "commits=200 elapsed=0x1.25692d91e5282p+5 latencies=9df90795686ab9422904aae5d76c2fb5"
     "cleaner.segments=53 cleaner.idle_cleans=53 lfs.cold_partials=75 lfs.checkpoints=21"
 
 let () =
