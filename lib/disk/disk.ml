@@ -92,6 +92,10 @@ type t = {
   mutable injector : injector option;
   mutable queue : pending list;
   mutable serving : bool;
+  mutable server : Sched.t option;
+      (* the scheduler whose process serves [queue]: a scheduler
+         abandoned by an exception (a crash) takes its server and the
+         waiters of [queue] with it *)
   mutable busy_until : float;
       (* device occupancy horizon under the discrete-event scheduler:
          a request issued from a process waits until the arm is free.
@@ -140,6 +144,7 @@ let create ?(prefix = "disk") ~boot_blocks ~extent_blocks clock stats
     injector = None;
     queue = [];
     serving = false;
+    server = None;
     busy_until = 0.0;
   }
 
@@ -412,6 +417,15 @@ let read_async t blkno =
   match Sched.current t.clock with
   | Some sched ->
     check_range t blkno 1;
+    (match t.server with
+     | Some s when s == sched -> ()
+     | _ ->
+       (* Whatever is queued belongs to a scheduler no one will run
+          again: its requests have no one waiting and its server will
+          never pick another. *)
+       t.queue <- [];
+       t.serving <- false;
+       t.server <- Some sched);
     let p =
       {
         p_blkno = blkno;

@@ -90,7 +90,11 @@ val read_async : t -> int -> bytes
     service time while other processes run, then wakes the submitter.
     The block's contents are copied when the server reaches the request,
     so a write served before it (a synchronous write already holding the
-    arm, say) is seen. Outside a scheduler this is exactly {!read}. *)
+    arm, say) is seen. Outside a scheduler this is exactly {!read}.
+    A scheduler abandoned by an exception (the power failing under it)
+    takes its server and its waiting submitters with it; the first
+    request queued under another scheduler drops the requests it left
+    and starts a server of its own. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t blkno data] services a one-block write. [data] must be
@@ -99,7 +103,9 @@ val write : t -> int -> bytes -> unit
 val queue_depth : t -> int
 (** Outstanding {!read_async} requests at this spindle, including the
     one being served. Zero whenever no scheduler process is waiting on
-    the arm — the load signal the adaptive LFS cleaner backs off on. *)
+    the arm — the load signal the adaptive LFS cleaner backs off on —
+    except that the requests an abandoned scheduler left count until a
+    {!read_async} under another drops them. *)
 
 val read_run : t -> int -> int -> bytes
 (** [read_run t blkno n] reads [n] consecutive blocks as one sequential

@@ -32,10 +32,6 @@ let arm_key a =
   Printf.sprintf "%s%s" (policy_key a.policy)
     (if a.segregate then "+seg" else "")
 
-(* The cleaner study wants a log-bound workload with a compact hot set,
-   not a data-seek-bound one; the log sweep runs on the same scale. *)
-let spread_scale = Expcommon.compact_scale
-
 (* Fill the disk with static files until only [target_free] segments
    remain.  The fill is written once and never touched again — it is the
    cold mass whose treatment separates the policies.  The floor keeps the
@@ -71,7 +67,10 @@ let histo_count stats key =
 let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1)
     ?(utils = default_utils) ?(mpls = default_mpls) ?(arms = default_arms) () =
   let base = Expcommon.tps_config tps_scale in
-  let scale = spread_scale tps_scale in
+  (* The cleaner study wants a log-bound workload with a compact hot
+     set, not a data-seek-bound one; the log sweep runs on the same
+     scale. *)
+  let scale = Expcommon.compact_scale tps_scale in
   let point arm util_pct mpl =
     let fs =
       {

@@ -13,9 +13,6 @@
 
 type arm = { policy : [ `Greedy | `Cost_benefit ]; segregate : bool }
 
-val spread_scale : int -> Tpcb.scale
-(** The sweep's TPC-B scale, {!Expcommon.compact_scale}. *)
-
 val prefill : util_pct:int -> Txstack.machine -> Vfs.t -> Lfs.t option -> unit
 (** A [~prepare] hook for {!Expcommon.run_tpcb}: fill the LFS with static
     files until [util_pct] % of its segments are in use (never so far
@@ -45,7 +42,7 @@ val run :
   Json.t
 (** The [data] block of [BENCH_cleanersweep.json]
     ({!Expcommon.sweep_data}), on {!Expcommon.tps_config} [tps_scale]
-    (before the per-arm edits) and {!spread_scale}. Each
+    (before the per-arm edits) and {!Expcommon.compact_scale}. Each
     point carries its [util_pct], [mpl], [policy], [segregate] and [arm]
     ({!arm_key}), the {!Expcommon.run_fields}, then [stall_p99_s];
     [write_cost], blocks moved per block reclaimed over the whole run (0

@@ -3,6 +3,7 @@ open Lfs_writer
 let k_discarded_batches = Stats.counter "lfs.discarded_batches"
 let k_mounts = Stats.counter "lfs.mounts"
 let k_rolled_partials = Stats.counter "lfs.rolled_partials"
+let k_scrubbed_partials = Stats.counter "lfs.scrubbed_partials"
 
 (* Mount: load the newest checkpoint, roll forward, adjust usage. *)
 
@@ -69,20 +70,33 @@ let add_inode_block_ref t addr =
     Hashtbl.add t.inode_block_refs addr 1;
     add_live t addr
 
-(* Mount loads inodes through [read_once t], which reads each block at
-   most once. Roll-forward reloads an inode after every inode block of
-   it that it replays, and an inode's checkpoint version shares its
-   unchanged indirect blocks with its final one; mount writes none of
-   these blocks. *)
-let read_once t =
-  let seen = Hashtbl.create 64 in
-  fun addr ->
-    match Hashtbl.find_opt seen addr with
-    | Some b -> b
-    | None ->
-      let b = Diskset.read t.disk addr in
-      Hashtbl.add seen addr b;
-      b
+(* Mount loads inodes through [read_once t seen], which reads each
+   block at most once, keeping it in [seen]. Roll-forward reloads an
+   inode after every inode block of it that it replays, and an inode's
+   checkpoint version shares its unchanged indirect blocks with its
+   final one; it also puts in [seen] the metadata blocks of each payload
+   it checksums, which it has read already. Mount writes none of these
+   blocks. *)
+let read_once t seen addr =
+  match Hashtbl.find_opt seen addr with
+  | Some b -> b
+  | None ->
+    let b = Diskset.read t.disk addr in
+    Hashtbl.add seen addr b;
+    b
+
+(* Keep in [seen] the blocks of [s]'s inode and indirect entries, from
+   its payload run [b] at [boff]. *)
+let keep_metadata t seen ~blkno (s : Layout.summary) b boff =
+  let bs = block_size t in
+  List.iteri
+    (fun i entry ->
+      match entry with
+      | Layout.Inode_block _ | Layout.Indirect _ | Layout.Double_indirect _ ->
+        Hashtbl.replace seen (Layout.entry_block ~pos:blkno i)
+          (Bytes.sub b (boff + (i * bs)) bs)
+      | Layout.Imap_block _ | Layout.Usage_block _ | Layout.Data _ -> ())
+    s.Layout.entries
 
 (* Roll forward from the installed checkpoint; returns the inode numbers
    the applied partials touched, in the order first touched. The live
@@ -91,8 +105,9 @@ let read_once t =
    counts at its new address instead of its old one. The first time an
    entry touches an inode, the blocks of its checkpoint version leave
    the counts; [settle_usage] adds those of its final version after the
-   roll. *)
-let roll_forward t ~read =
+   roll. [seen] is the mount's block cache ({!read_once}). *)
+let roll_forward t ~seen =
+  let read = read_once t seen in
   let iget_opt = iget_opt ~read t in
   let touched = Hashtbl.create 16 and order = ref [] in
   let move_chunk addrs index addr =
@@ -160,7 +175,21 @@ let roll_forward t ~read =
        || n = 0
        ||
        let b, boff = Diskset.read_run_view t.disk (Layout.entry_block ~pos:blkno 0) n in
-       Layout.checksum_sub b boff (n * block_size t) = s.Layout.payload_ck)
+       let ok = Layout.checksum_sub b boff (n * block_size t) = s.Layout.payload_ck in
+       if ok then keep_metadata t seen ~blkno s b boff;
+       ok)
+  in
+  (* The summaries read since the last batch was applied, by block: the
+     scrub below starts where the roll ended or its batch began, so it
+     finds them here instead of reading them again. *)
+  let summaries = Hashtbl.create 8 in
+  let summary_at blkno =
+    match Hashtbl.find_opt summaries blkno with
+    | Some s -> s
+    | None ->
+      let s = Layout.read_summary (Diskset.read t.disk blkno) in
+      Hashtbl.replace summaries blkno s;
+      s
   in
   let expected = ref t.write_seq in
   let seg = ref t.cur_seg and off = ref t.cur_off in
@@ -177,7 +206,7 @@ let roll_forward t ~read =
       off := 0
     end;
     let blkno = seg_base t !seg + !off in
-    match Layout.read_summary (Diskset.read t.disk blkno) with
+    match summary_at blkno with
     (* Cold partials carry seq 0 and can never match [expected] (>= 1);
        the explicit [cold] check makes the exclusion structural rather
        than an accident of sequence numbering. *)
@@ -190,7 +219,8 @@ let roll_forward t ~read =
       if not s.Layout.more then begin
         List.iter (fun (b, p) -> apply b p) (List.rev !batch);
         batch := [];
-        batch_start := None
+        batch_start := None;
+        Hashtbl.reset summaries
       end;
       expected := Int64.succ !expected;
       off := Layout.next_partial ~pos:!off s;
@@ -198,8 +228,7 @@ let roll_forward t ~read =
     | Some _ | None ->
       if !off > 0 then begin
         (* Maybe the writer moved to the next segment early. *)
-        let blkno' = seg_base t !next in
-        match Layout.read_summary (Diskset.read t.disk blkno') with
+        match summary_at (seg_base t !next) with
         | Some s when Int64.equal s.Layout.seq !expected && not s.Layout.cold ->
           seg := !next;
           off := 0
@@ -221,20 +250,32 @@ let roll_forward t ~read =
   t.cur_off <- !off;
   t.next_seg <- !next;
   t.write_seq <- !expected;
-  (* Scrub any stale summary left beyond the recovered head (a torn or
-     discarded partial). If future writes lined up exactly, a later
-     recovery could mistake it for a live continuation of the log. *)
+  (* Scrub the stale chain: the summaries past the recovered head that
+     continue its sequence (a discarded batch, then a torn partial). If
+     future writes lined up exactly, a later recovery could take one for
+     a live continuation of the log. The chain runs as roll-forward's
+     does, but each link moves on at its own [next_seg]. *)
   let zero = Bytes.make (block_size t) '\000' in
-  let scrub blkno =
-    match Layout.read_summary (Diskset.read t.disk blkno) with
-    | Some s when Int64.compare s.Layout.seq !expected >= 0 ->
-      Diskset.write t.disk blkno zero
-    | _ -> ()
+  let rec scrub seg off next seq =
+    let seg, off = if off >= t.cfg.fs.segment_blocks then (next, 0) else (seg, off) in
+    let stale seg off =
+      match summary_at (seg_base t seg + off) with
+      | Some s when Int64.equal s.Layout.seq seq && not s.Layout.cold -> Some (seg, off, s)
+      | Some _ | None -> None
+    in
+    (* Where the chain breaks inside a segment, the writer may have
+       moved to the next segment early. *)
+    match (match stale seg off with None when off > 0 -> stale next 0 | found -> found) with
+    | Some (seg, off, s) ->
+      let blkno = seg_base t seg + off in
+      Diskset.write t.disk blkno zero;
+      Hashtbl.replace summaries blkno None;
+      Hashtbl.remove seen blkno;
+      Stats.bump t.stats k_scrubbed_partials;
+      scrub seg (Layout.next_partial ~pos:off s) s.Layout.next_seg (Int64.succ seq)
+    | None -> ()
   in
-  for o = !off to t.cfg.fs.segment_blocks - 1 do
-    scrub (seg_base t !seg + o)
-  done;
-  if !next <> !seg then scrub (seg_base t !next);
+  scrub !seg !off !next !expected;
   List.rev !order
 
 (* Rebuild [inode_block_refs] from the inode map. *)
@@ -286,8 +327,9 @@ let mount disk clock stats (cfg : Config.t) =
             u.cold <- e.Layout.cold))
     t.usage_chunk_addr;
   count_inode_block_refs t;
-  let read = read_once t in
-  settle_usage t ~read (roll_forward t ~read);
+  let seen = Hashtbl.create 64 in
+  let touched = roll_forward t ~seen in
+  settle_usage t ~read:(read_once t seen) touched;
   (* Roll-forward can end having followed the log into the reserved next
      segment without learning what the writer reserved after it (the
      first partial there was torn, so its next_seg is untrusted). Leave

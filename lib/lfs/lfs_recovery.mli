@@ -19,7 +19,8 @@
     leaves with its last. None of this needs a read. A count that would go negative raises
     [Invalid_argument] at once. The adjustment stamps neither [mtime]
     nor [last_write]. Mount reads each inode and indirect block at most
-    once.
+    once: one in the payload of a partial whose checksum it verified is
+    kept from that read.
 
     {b Which segments roll-forward visits.} It starts at the hot head
     the checkpoint records, expecting the partial [seq] the checkpoint
@@ -39,10 +40,29 @@
     that carry [more] are held back until the batch's last partial is
     accepted; then the batch is applied whole. If the log ends inside a
     batch, the batch is discarded whole and the hot head rewound to its
-    start, so new writes overwrite it. Stale summaries past the
-    recovered head, in its segment and at the start of [next_seg], are
-    zeroed so that a later recovery cannot take them for a continuation
-    of the log. *)
+    start, so new writes overwrite it.
+
+    {b The stale chain.} A sealed summary past the recovered head whose
+    [seq] continues the log could be taken by a later recovery for the
+    log's continuation, once new writes line up before it, so mount
+    zeroes each one ([lfs.scrubbed_partials] counts them). They form a
+    chain: the writer issues one hot partial at a time, under the
+    writer mutex, and each only after the one before it is on disk, so
+    the only hot partials written after the last one accepted are a
+    discarded atomic batch, each of its partials complete, and at most
+    one torn partial after it, in flight at the crash; their [seq]s run
+    from the rewound [write_seq] up by one. (Cold partials carry
+    [seq = 0], and a summary an earlier recovery left in place had its
+    chain scrubbed then.) So the scrub follows them as roll-forward
+    follows the log: from the recovered head, a summary with the next
+    [seq] that is not cold is zeroed and the chain goes on at
+    {!Layout.next_partial}, at a segment's end at that summary's own
+    [next_seg], and where a summary inside a segment does not continue
+    it, once at the start of [next_seg] (the writer moved there early).
+    Roll-forward keeps the summaries it read since the last batch it
+    applied, and the scrub takes them from there: with nothing stale it
+    reads no block, and it reads a discarded batch's summaries only
+    once. *)
 
 val mount : Diskset.t -> Clock.t -> Stats.t -> Config.t -> Lfs_writer.t
 (** As {!Lfs.mount}. *)

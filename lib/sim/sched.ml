@@ -223,3 +223,38 @@ let create clock =
 let detach t =
   Clock.set_sleeper t.clock None;
   registry := List.filter (fun (c, _) -> c != t.clock) !registry
+
+(* The calling process starts the thunks as siblings and parks on a
+   countdown. Each start yields, so whatever the new thunk made ready
+   (a disk server for the read it queued) runs before the next thunk
+   starts: a server picks a spindle's first request before the second
+   is queued. With no scheduler on the clock, one is made for the call,
+   with a process to do the starting, and detached after, even when a
+   thunk raises. With a scheduler attached but no process running, its
+   loop belongs to someone else (and would run their daemons' events
+   too), so the thunks run in turn. *)
+let fork_join clock thunks =
+  let start t =
+    let left = ref (List.length thunks) and all_done = condition () in
+    List.iter
+      (fun f ->
+        spawn t (fun () ->
+            f ();
+            decr left;
+            if !left = 0 then broadcast t all_done);
+        yield t)
+      thunks;
+    while !left > 0 do
+      wait t all_done
+    done
+  in
+  match of_clock clock with
+  | Some t when t.in_fiber -> start t
+  | Some _ -> List.iter (fun f -> f ()) thunks
+  | None ->
+    let t = create clock in
+    Fun.protect
+      ~finally:(fun () -> detach t)
+      (fun () ->
+        spawn t (fun () -> start t);
+        run t)

@@ -114,3 +114,17 @@ val signal : t -> cond -> unit
 
 val broadcast : t -> cond -> unit
 (** Wake every waiter, in FIFO order, at the current time. *)
+
+val fork_join : Clock.t -> (unit -> unit) list -> unit
+(** [fork_join clock thunks] runs each thunk as a process of its own and
+    returns when all have finished, so their disk waits overlap: each
+    spindle serves its share while the others work. The thunks start in
+    list order, one at a time: each start yields, so what the new thunk
+    made ready runs first (the disk server of the read it queued picks
+    that read before the next thunk queues another). Inside a process
+    it spawns the thunks as siblings and parks until the last ends. With
+    no scheduler on [clock] it attaches one for the call, runs it to
+    completion and detaches it. With a scheduler attached but no process
+    running, it runs the thunks in turn, one after another, since the
+    caller does not own that scheduler's loop. An exception escaping a
+    thunk propagates as from {!run}. *)

@@ -133,7 +133,8 @@ module Make (F : FS) = struct
     f.Cache.data
 
   (* The blocks worth fetching, as far as the cache has free frames,
-     read in disk-address order. *)
+     each read by a process of its own, started in disk-address order:
+     every spindle's queue serves its share while the others work. *)
   let prefetch t blocks =
     let cache = F.cache t and bs = F.block_size t in
     let rec pick room acc = function
@@ -147,7 +148,8 @@ module Make (F : FS) = struct
       | _ -> acc
     in
     List.sort_uniq compare (pick (Cache.room cache) [] blocks)
-    |> List.iter (fun (_, inum, lblock) -> ignore (F.get_page t ~inum ~lblock))
+    |> List.map (fun (_, inum, lblock) () -> ignore (F.get_page t ~inum ~lblock))
+    |> Sched.fork_join (F.clock t)
 
   let write t inum ~off data =
     let ino = F.iget t inum in

@@ -155,7 +155,9 @@ module Make (F : FS) : sig
       {!Vfs.Crashed} if the file system has crashed. All but [size],
       [exists] and an unsupported [set_protected] then run [F.tick] and
       charge a system call; path operations that create, open or remove
-      also charge a file operation. *)
+      also charge a file operation. [prefetch] runs one [F.get_page] per
+      block it takes through {!Sched.fork_join}, so its reads are
+      issued concurrently. *)
 
   val read_only : F.t -> name:string -> guard:(unit -> unit) -> Vfs.t
   (** A read-only surface without maintenance or system-call charges.

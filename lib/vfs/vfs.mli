@@ -61,10 +61,12 @@ type t = {
           reads of them hit. It skips a block past the end of its file,
           a hole and a page already cached. Of the rest it takes, in the
           order given, only as many as the cache has free frames, so it
-          evicts nothing, and it reads them in disk-address order. A
-          caller that lists pages in the order it will first read them
-          therefore reads no page twice: every fetched page is read
-          before a later miss can need its frame. *)
+          evicts nothing, and it issues their reads concurrently, one
+          process each ({!Sched.fork_join}), started in disk-address
+          order: each spindle serves its share in ascending order while
+          the others work. A caller that lists pages in the order it
+          will first read them therefore reads no page twice: every
+          fetched page is read before a later miss can need its frame. *)
   write : fd -> off:int -> bytes -> unit;
       (** extends the file if the range ends past the current size *)
   truncate : fd -> int -> unit;

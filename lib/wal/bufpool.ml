@@ -45,27 +45,24 @@ let create clock stats (cfg : Config.t) vfs logs ~pages =
 
 let latch t = Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.User_mutex
 
-let get t ~file ~page =
-  latch t;
+(* The page's frame, loaded on a miss; the caller holds the latch. *)
+let frame t ~file ~page =
   match Cache.lookup t.cache ~file ~lblock:page with
-  | Some f -> f.Cache.data
+  | Some f -> f
   | None ->
     (* The pool frame adopts a private copy of the file system's page. *)
     let data = Bytes.copy (Vfs.read_page t.vfs file page) in
-    (Cache.insert t.cache ~file ~lblock:page data).Cache.data
+    Cache.insert t.cache ~file ~lblock:page data
 
-let apply_update t ~file ~page ~off data ~stream lsn =
+let get t ~file ~page =
   latch t;
-  let f =
-    match Cache.lookup t.cache ~file ~lblock:page with
-    | Some f -> f
-    | None ->
-      (* Bring the page in before patching it. *)
-      ignore (get t ~file ~page);
-      Option.get (Cache.lookup t.cache ~file ~lblock:page)
-  in
-  Bytes.blit data 0 f.Cache.data off (Bytes.length data);
-  Cache.mark_dirty t.cache f;
+  (frame t ~file ~page).Cache.data
+
+type update = { off : int; data : bytes; stream : int; lsn : Logrec.lsn }
+
+let apply t ~file ~page updates =
+  latch t;
+  let f = frame t ~file ~page in
   let tag =
     match Hashtbl.find_opt t.lsns (file, page) with
     | Some tag -> tag
@@ -80,9 +77,14 @@ let apply_update t ~file ~page ~off data ~stream lsn =
       Hashtbl.replace t.lsns (file, page) tag;
       tag
   in
-  tag.vec.(stream) <- max tag.vec.(stream) lsn;
-  tag.last_stream <- stream;
-  tag.last_lsn <- lsn
+  List.iter
+    (fun { off; data; stream; lsn } ->
+      Bytes.blit data 0 f.Cache.data off (Bytes.length data);
+      tag.vec.(stream) <- max tag.vec.(stream) lsn;
+      tag.last_stream <- stream;
+      tag.last_lsn <- lsn)
+    updates;
+  Cache.mark_dirty t.cache f
 
 let chain t ~file ~page =
   match Hashtbl.find_opt t.lsns (file, page) with

@@ -17,14 +17,21 @@ val get : t -> file:int -> page:int -> bytes
 (** The cached page contents (loaded from the file system on a miss,
     zero-filled past end of file). The returned bytes are the pool's
     buffer: callers must treat them as read-only and go through
-    {!apply_update} for changes. Charges a pool latch (user mutex). *)
+    {!apply} for changes. Charges a pool latch (user mutex). *)
 
-val apply_update :
-  t -> file:int -> page:int -> off:int -> bytes -> stream:int -> Logrec.lsn -> unit
-(** Overwrite a byte range of the cached page, marking it dirty and
-    recording which log stream (and LSN) describes the change. The WAL
-    rule in {!flush_all} / eviction write-back forces every stream with
-    an update to the page before the page reaches disk. *)
+type update = { off : int; data : bytes; stream : int; lsn : Logrec.lsn }
+(** One image for a page: [data] overwrites the bytes at [off], and log
+    stream [stream] describes the change at [lsn]. *)
+
+val apply : t -> file:int -> page:int -> update list -> unit
+(** Apply the page's images in list order under one pool latch (loading
+    the page on a miss under the same latch), marking it dirty. Each
+    image raises the page's watermark in its stream, and the last one
+    becomes the page's last writer ({!chain}). The WAL rule in
+    {!flush_all} / eviction write-back forces every stream with an
+    update to the page before the page reaches disk. A running
+    transaction applies one image per call; recovery applies all of a
+    page's images in one. *)
 
 val chain : t -> file:int -> page:int -> int * Logrec.lsn
 (** The page's last writer as [(stream, lsn)] — the cross-stream chain

@@ -71,7 +71,7 @@ let sparse_deps txn =
 
 (* Apply one image (before or after) straight through the pool. *)
 let apply_image t ~file ~page ~off data ~stream lsn =
-  Bufpool.apply_update t.pool ~file ~page ~off data ~stream lsn
+  Bufpool.apply t.pool ~file ~page [ { Bufpool.off; data; stream; lsn } ]
 
 let release t txn =
   mutex t;
@@ -352,10 +352,13 @@ let abort t txn =
 
 (* Crash recovery: merge the streams into dependency order, redo history
    from the last checkpoint, then undo losers. After-images are absolute
-   bytes, so redo is idempotent. *)
+   bytes, so redo is idempotent. Records of different pages commute, so
+   each page is replayed once, in the order a whole-log pass would
+   apply its images: its redo records in merged order, then its losers'
+   before-images newest first. *)
 let recover t =
   let merged = Logset.merged_records t.logs in
-  let winners = Hashtbl.create 16 in
+  let winners = Hashtbl.create 16 and losers = Hashtbl.create 8 in
   List.iter
     (fun (_, _, r) ->
       match r.Logrec.body with
@@ -365,29 +368,6 @@ let recover t =
         Hashtbl.replace winners r.Logrec.txn ()
       | _ -> ())
     merged;
-  (* The pages redo reads, listed once each in the order it first reads
-     them: one prefetch reads them in disk order, so redo finds them
-     cached instead of seeking to each in log order. *)
-  let seen = Hashtbl.create 64 in
-  t.vfs.Vfs.prefetch
-    (List.filter_map
-       (fun (_, _, r) ->
-         match r.Logrec.body with
-         | Logrec.Update { file; page; _ } when not (Hashtbl.mem seen (file, page)) ->
-           Hashtbl.replace seen (file, page) ();
-           Some (file, page)
-         | _ -> None)
-       merged);
-  (* Redo phase, in merged (dependency) order. *)
-  List.iter
-    (fun (stream, lsn, r) ->
-      match r.Logrec.body with
-      | Logrec.Update { file; page; off; after; _ } ->
-        apply_image t ~file ~page ~off after ~stream lsn
-      | _ -> ())
-    merged;
-  (* Undo phase: losers' updates, newest first. *)
-  let losers = Hashtbl.create 8 in
   List.iter
     (fun (_, _, r) ->
       match r.Logrec.body with
@@ -395,20 +375,38 @@ let recover t =
         Hashtbl.replace losers r.Logrec.txn ()
       | _ -> ())
     merged;
-  let undo_list =
-    List.filter
-      (fun (_, _, r) ->
-        Hashtbl.mem losers r.Logrec.txn
-        && match r.Logrec.body with Logrec.Update _ -> true | _ -> false)
-      merged
+  (* Each page's images, newest first, and the pages in the order redo
+     first reaches them. *)
+  let images = Hashtbl.create 64 and pages = ref [] in
+  let push key u =
+    match Hashtbl.find_opt images key with
+    | Some l -> l := u :: !l
+    | None ->
+      Hashtbl.add images key (ref [ u ]);
+      pages := key :: !pages
   in
   List.iter
     (fun (stream, lsn, r) ->
       match r.Logrec.body with
-      | Logrec.Update { file; page; off; before; _ } ->
-        apply_image t ~file ~page ~off before ~stream lsn
+      | Logrec.Update { file; page; off; after; _ } ->
+        push (file, page) { Bufpool.off; data = after; stream; lsn }
       | _ -> ())
-    (List.rev undo_list);
+    merged;
+  List.iter
+    (fun (stream, lsn, r) ->
+      match r.Logrec.body with
+      | Logrec.Update { file; page; off; before; _ } when Hashtbl.mem losers r.Logrec.txn ->
+        push (file, page) { Bufpool.off; data = before; stream; lsn }
+      | _ -> ())
+    (List.rev merged);
+  let pages = List.rev !pages in
+  (* One prefetch reads the pages in disk order, so replay finds them
+     cached instead of seeking to each in log order. *)
+  t.vfs.Vfs.prefetch pages;
+  List.iter
+    (fun (file, page) ->
+      Bufpool.apply t.pool ~file ~page (List.rev !(Hashtbl.find images (file, page))))
+    pages;
   t.losers <- Hashtbl.length losers;
   Stats.bump_by t.stats k_recovered_losers t.losers;
   (* Make the recovered state durable and reset the logs. *)

@@ -39,8 +39,13 @@ val open_env :
 (** Open a transaction environment. If the logs already contain records
     (an unclean shutdown), crash recovery runs first: merge the streams
     in dependency order, prefetch the pages the updates name
-    ([Vfs.t]'s [prefetch], in the order redo first reads them), redo all
-    durable updates, undo loser transactions, checkpoint.
+    ([Vfs.t]'s [prefetch], in the order redo first reads them), replay
+    each page once, checkpoint. Replay is per page: under one pool latch
+    ({!Bufpool.apply}) a page gets its durable updates in merged order,
+    then its loser transactions' before-images newest first. Records of
+    different pages commute, so the bytes and the per-stream watermarks
+    are those of redoing the whole log in merged order and then undoing
+    the losers.
     [log_vfs] (default: the data [Vfs.t]) is the file system holding
     [log_path] — pass the file system of a dedicated log spindle to
     separate WAL forces from data traffic. With

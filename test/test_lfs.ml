@@ -551,6 +551,148 @@ let test_mount_reads_only_touched_inodes () =
   Tutil.check_bytes "rolled write" (Tutil.payload 99 bs)
     (v.Vfs.read (v.Vfs.open_file (path 0)) ~off:0 ~len:bs)
 
+(* The newest checkpoint on the platter. *)
+let newest_checkpoint disks =
+  let r0, r1 = Layout.checkpoint_blknos in
+  match
+    List.filter_map (fun r -> Layout.read_checkpoint (Diskset.peek disks r)) [ r0; r1 ]
+    |> List.sort (fun a b -> Int64.compare b.Layout.cp_seq a.Layout.cp_seq)
+  with
+  | cp :: _ -> cp
+  | [] -> Alcotest.fail "no checkpoint"
+
+(* With the log head mid-segment and nothing torn, the scrub finds no
+   stale summary and reads nothing beyond what roll-forward read. That
+   is 10 requests: the superblock, both checkpoint records, the imap and
+   usage chunks, the rolled partial's summary and then its payload as
+   one run (two data blocks and /f's new inode block, which mount keeps
+   and does not read again), /f's inode block as the checkpoint left
+   it, the empty summary slot after the partial and the next segment's
+   first block. A scrub of the rest of the segment would read each of
+   its blocks too. *)
+let test_mount_scrubs_only_stale_chain () =
+  let m, fs = Tutil.fresh_lfs () in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 (Tutil.payload 1 (4 * bs));
+  Lfs.checkpoint fs;
+  v.Vfs.write fd ~off:0 (Tutil.payload 2 (2 * bs));
+  v.Vfs.fsync fd;
+  Lfs.crash fs;
+  let cp = newest_checkpoint m.Tutil.disks in
+  let seg_blocks = m.Tutil.cfg.Config.fs.Config.segment_blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "head mid-segment (block %d of %d)" cp.Layout.cur_off seg_blocks)
+    true
+    (cp.Layout.cur_off > 0 && cp.Layout.cur_off + 8 < seg_blocks);
+  let scrubbed0 = Stats.count m.Tutil.stats "lfs.scrubbed_partials" in
+  let fs, reads =
+    Tutil.tagged_reads m.Tutil.disks (Hashtbl.create 0) (fun () ->
+        Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg)
+  in
+  Alcotest.(check int) "reads by mount" 10 (List.length reads);
+  Alcotest.(check int) "summaries scrubbed" 0
+    (Stats.count m.Tutil.stats "lfs.scrubbed_partials" - scrubbed0);
+  Lfs.check fs;
+  let v = Lfs.vfs fs in
+  Tutil.check_bytes "rolled write" (Tutil.payload 2 (2 * bs))
+    (v.Vfs.read (v.Vfs.open_file "/f") ~off:0 ~len:(2 * bs))
+
+(* A commit flush larger than two segments' worth of summary entries is
+   one atomic batch of five partials: each 768-block chunk is halved to
+   fit its summary block. With 1 024-block segments and the head near a
+   segment's start, two partials fill the head segment, the next two go
+   to the start of [next_seg] and 385 blocks into it, and the last
+   follows them. The power fails inside the last, so mount discards the
+   batch and rewinds the head to its start; every summary of the batch
+   must then read as zeros, or a later recovery could take the ones
+   past [next_seg]'s first block for the log's continuation. The same
+   shape is then written and torn again, and again only the committed
+   bytes come back. *)
+let test_stale_batch_across_segment_boundary () =
+  let base = Tutil.small_config () in
+  let cfg =
+    {
+      base with
+      Config.disk = { base.Config.disk with Config.nblocks = 16384 };
+      fs = { base.Config.fs with Config.segment_blocks = 1024; cache_blocks = 2048 };
+    }
+  in
+  let m = Tutil.machine ~cfg () in
+  let fs = Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats cfg in
+  let v = Lfs.vfs fs in
+  let bs = v.Vfs.block_size in
+  let committed = Tutil.payload 1 (4 * bs) in
+  let fd = v.Vfs.create "/f" in
+  v.Vfs.write fd ~off:0 committed;
+  v.Vfs.fsync fd;
+  Lfs.checkpoint fs;
+  let inum = Lfs.inum_of fs "/f" in
+  let pages = (2 * 768) + 10 in
+  (* One transaction's commit flush of [pages] pages of [tag], its
+     power cut after [crash_after] block writes. *)
+  let flush ~crash_after fs tag =
+    let cache = Lfs.cache fs in
+    for p = 0 to pages - 1 do
+      let fr = Lfs.get_page fs ~inum ~lblock:p in
+      Bytes.blit (Tutil.payload (tag + p) bs) 0 fr.Cache.data 0 bs;
+      Lfs.page_dirty fs fr;
+      Lfs.extend_to fs ~inum ((p + 1) * bs);
+      Cache.own cache fr 1
+    done;
+    let frames = Cache.txn_frames cache 1 in
+    List.iter (Cache.release cache) frames;
+    let fault = Faultsim.arm ~crash_after m.Tutil.disks in
+    (try Lfs.force_frames fs frames with Disk.Injected_crash -> ());
+    Faultsim.disarm fault;
+    Lfs.crash fs
+  in
+  let cp = newest_checkpoint m.Tutil.disks in
+  let seg_blocks = cfg.Config.fs.Config.segment_blocks in
+  let at seg off = Layout.data_start + (seg * seg_blocks) + off in
+  let a = cp.Layout.cur_seg and o = cp.Layout.cur_off and b = cp.Layout.cp_next_seg in
+  let batch = [ at a o; at a (o + 385); at b 0; at b 385; at b 770 ] in
+  (* Tear the last partial, leaving its summary and part of its data. *)
+  let crash_after = (4 * 385) + 5 in
+  flush ~crash_after fs 100;
+  List.iteri
+    (fun i blkno ->
+      match Layout.read_summary (Diskset.peek m.Tutil.disks blkno) with
+      | Some s ->
+        Alcotest.(check int64)
+          (Printf.sprintf "partial %d's seq" i)
+          (Int64.add cp.Layout.write_seq (Int64.of_int i))
+          s.Layout.seq;
+        Alcotest.(check bool) (Printf.sprintf "partial %d's more" i) (i < 4) s.Layout.more
+      | None -> Alcotest.failf "no summary for partial %d at block %d" i blkno)
+    batch;
+  let discarded0 = Stats.count m.Tutil.stats "lfs.discarded_batches" in
+  let mount () =
+    let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats cfg in
+    Lfs.check fs;
+    let v = Lfs.vfs fs in
+    let fd = v.Vfs.open_file "/f" in
+    Alcotest.(check int) "committed size" (4 * bs) (v.Vfs.size fd);
+    Tutil.check_bytes "committed bytes" committed (v.Vfs.read fd ~off:0 ~len:(4 * bs));
+    fs
+  in
+  let fs = mount () in
+  Alcotest.(check int) "batch discarded" 1
+    (Stats.count m.Tutil.stats "lfs.discarded_batches" - discarded0);
+  let zero = Bytes.make bs '\000' in
+  List.iteri
+    (fun i blkno ->
+      Alcotest.(check bool)
+        (Printf.sprintf "partial %d's summary zeroed" i)
+        true
+        (Bytes.equal zero (Diskset.peek m.Tutil.disks blkno)))
+    batch;
+  flush ~crash_after fs 200;
+  ignore (mount ());
+  Alcotest.(check int) "both batches discarded" 2
+    (Stats.count m.Tutil.stats "lfs.discarded_batches" - discarded0)
+
 let test_repeated_crash_recovery_cycles () =
   (* Crash, recover, write, crash again — five times over; every synced
      generation must be intact and the image consistent. *)
@@ -1332,7 +1474,7 @@ let test_platter_digest () =
       ~prepare:(fun m v lfs ->
         Cleanersweep.prefill ~util_pct:80 m v lfs;
         booted := Option.map (fun fs -> (m, fs)) lfs)
-      ~mpl:8 ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1
+      ~mpl:8 ~scale:(Expcommon.compact_scale 1) ~txns:200 ~seed:1
       Txstack.Lfs_kernel
   in
   List.iter
@@ -1393,6 +1535,10 @@ let () =
             test_repeated_crash_recovery_cycles;
           Alcotest.test_case "mount reads only touched inodes" `Quick
             test_mount_reads_only_touched_inodes;
+          Alcotest.test_case "mount scrubs only the stale chain" `Quick
+            test_mount_scrubs_only_stale_chain;
+          Alcotest.test_case "stale batch across a segment boundary" `Quick
+            test_stale_batch_across_segment_boundary;
           prop_crash_trusted_usage;
           Alcotest.test_case "truncate while a checkpoint is parked" `Quick
             test_truncate_while_checkpoint_parked;

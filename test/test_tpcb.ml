@@ -407,7 +407,7 @@ let check_pinned_cleaning name ~util_pct ?mpl ~user_cleaner ~reaches expected
   let run =
     Expcommon.run_tpcb ~config:(cleaning_cfg ~user_cleaner)
       ~prepare:(Cleanersweep.prefill ~util_pct) ?mpl
-      ~scale:(Cleanersweep.spread_scale 1) ~txns:200 ~seed:1 Txstack.Lfs_kernel
+      ~scale:(Expcommon.compact_scale 1) ~txns:200 ~seed:1 Txstack.Lfs_kernel
   in
   let stats = run.Expcommon.stats in
   List.iter

@@ -595,8 +595,12 @@ let crashed_db ~cache_blocks =
    the spindles serve during the reopen as (spindle, block, page): the
    database page whose checkpointed bytes the block holds, if any. With
    [~prefetch:false] the file system's prefetch does nothing. Returns
-   the reads and the database's bytes after recovery. *)
-let recover_db m ~prefetch =
+   the reads and the database's bytes after recovery. [timing] receives
+   the prefetch's simulated time and the sum of the two data spindles'
+   busy time over it. [under] says where the reopen runs: with no
+   scheduler (the default), in a process of one, or with one attached
+   but no process running. *)
+let recover_db ?timing ?(under = `No_scheduler) m ~prefetch =
   let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
   let log_fs =
     Ffs.mount (Diskset.log_disks m.Tutil.disks).(0) m.Tutil.clock m.Tutil.stats m.Tutil.cfg
@@ -608,12 +612,40 @@ let recover_db m ~prefetch =
     Hashtbl.replace page_of (Bytes.to_string (Tutil.payload p bs)) p
   done;
   let v' = if prefetch then v else { v with Vfs.prefetch = (fun _ -> ()) } in
+  let v' =
+    match timing with
+    | None -> v'
+    | Some r ->
+      let busy () =
+        Stats.time m.Tutil.stats "disk0.busy" +. Stats.time m.Tutil.stats "disk1.busy"
+      in
+      {
+        v' with
+        Vfs.prefetch =
+          (fun blocks ->
+            let t0 = Clock.now m.Tutil.clock and b0 = busy () in
+            v'.Vfs.prefetch blocks;
+            r := (Clock.now m.Tutil.clock -. t0, busy () -. b0));
+      }
+  in
+  let reopen () =
+    ignore
+      (Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v' ~log_vfs:(Ffs.vfs log_fs)
+         ~pool_pages:64 ~checkpoint_every:1000 ~log_path:"/wal.log" ())
+  in
+  let attached f =
+    let s = Sched.create m.Tutil.clock in
+    Fun.protect ~finally:(fun () -> Sched.detach s) (fun () -> f s)
+  in
   let (), reads =
     Tutil.tagged_reads m.Tutil.disks page_of (fun () ->
-        ignore
-          (Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v'
-             ~log_vfs:(Ffs.vfs log_fs) ~pool_pages:64 ~checkpoint_every:1000
-             ~log_path:"/wal.log" ()))
+        match under with
+        | `No_scheduler -> reopen ()
+        | `Process ->
+          attached (fun s ->
+              Sched.spawn s reopen;
+              Sched.run s)
+        | `Attached -> attached (fun _ -> reopen ()))
   in
   (reads, v.Vfs.read (v.Vfs.open_file "/db") ~off:0 ~len:(db_pages * bs))
 
@@ -633,12 +665,16 @@ let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | 
    alone reads them in log order. With a cache smaller than the redo
    set it reads no more blocks than redo alone. Either way the recovered
    bytes are those of a recovery without the prefetch. *)
-let test_recovery_prefetch () =
+let recovered_db () =
   let bs = (Tutil.small_config ()).Config.disk.block_size in
   let expected = Bytes.concat Bytes.empty (List.init db_pages (fun p -> Tutil.payload p bs)) in
   for i = 0 to 19 do
     Bytes.blit (Tutil.payload (1000 + i) bs) 0 expected (updated_page i * bs) bs
   done;
+  expected
+
+let test_recovery_prefetch () =
+  let expected = recovered_db () in
   let reads, bytes = recover_db (crashed_db ~cache_blocks:128) ~prefetch:true in
   let pages = List.filter_map (fun (_, _, p) -> p) reads in
   Alcotest.(check (list int)) "each redo page read once"
@@ -661,7 +697,71 @@ let test_recovery_prefetch () =
     true
     (List.length small <= List.length small');
   Tutil.check_bytes "small cache: recovered bytes" expected small_bytes;
-  Tutil.check_bytes "small cache: same bytes without the prefetch" small_bytes' small_bytes
+  Tutil.check_bytes "small cache: same bytes without the prefetch" small_bytes' small_bytes;
+  (* The prefetch's reads run at once: each spindle serves its share
+     while the other works, so the prefetch takes less simulated time
+     than the two spindles were busy. *)
+  let timing = ref (0.0, 0.0) in
+  ignore (recover_db ~timing (crashed_db ~cache_blocks:128) ~prefetch:true);
+  let elapsed, busy = !timing in
+  Alcotest.(check bool)
+    (Printf.sprintf "prefetch %.4f s under the spindles' %.4f s busy" elapsed busy)
+    true (elapsed < busy)
+
+(* Inside a process the prefetch's reads overlap as they do with no
+   scheduler. With a scheduler attached but no process running, they
+   run one after another: the prefetch takes as long as the two
+   spindles were busy. Either way each redo page is read once, in
+   ascending order on each spindle, and the bytes come back. *)
+let test_prefetch_under_a_scheduler () =
+  let expected = recovered_db () in
+  List.iter
+    (fun (name, under, overlapped) ->
+      let timing = ref (0.0, 0.0) in
+      let reads, bytes = recover_db ~timing ~under (crashed_db ~cache_blocks:128) ~prefetch:true in
+      let pages = List.filter_map (fun (_, _, p) -> p) reads in
+      Alcotest.(check (list int)) (name ^ ": each redo page read once")
+        (List.sort_uniq compare (List.init 20 updated_page))
+        (List.sort compare pages);
+      Alcotest.(check bool) (name ^ ": ascending on each spindle") true
+        (List.for_all ascending (page_reads_by_spindle reads));
+      Tutil.check_bytes (name ^ ": recovered bytes") expected bytes;
+      let elapsed, busy = !timing in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: prefetch %.4f s, spindles busy %.4f s" name elapsed busy)
+        overlapped
+        (elapsed < busy -. 1e-9))
+    [ ("in a process", `Process, true); ("attached, no process", `Attached, false) ]
+
+(* The power fails under a scheduler while a process waits on a queued
+   read of each data spindle: the scheduler is abandoned with the
+   spindles' servers and the readers parked in it. Recovery's prefetch
+   then queues its reads on the same spindles under a scheduler of its
+   own, and they must still be served. *)
+let test_prefetch_after_crash_with_queued_reads () =
+  let m = crashed_db ~cache_blocks:128 in
+  let spindles =
+    List.filter (fun (name, _) -> name = "disk0" || name = "disk1")
+      (Diskset.members m.Tutil.disks)
+  in
+  Alcotest.(check int) "two data spindles" 2 (List.length spindles);
+  let sched = Sched.create m.Tutil.clock in
+  List.iter
+    (fun (_, d) -> Sched.spawn sched (fun () -> ignore (Disk.read_async d 100)))
+    spindles;
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 1e-4;
+      raise Exit);
+  (match Sched.run sched with
+  | () -> Alcotest.fail "the scheduler ended before the power failure"
+  | exception Exit -> ());
+  Sched.detach sched;
+  Alcotest.(check bool) "a read parked on each spindle" true
+    (List.for_all (fun (_, d) -> Disk.queue_depth d > 0) spindles);
+  let reads, bytes = recover_db m ~prefetch:true in
+  Alcotest.(check bool) "prefetch read from both spindles" true
+    (List.length (List.filter (( <> ) []) (page_reads_by_spindle reads)) = 2);
+  Tutil.check_bytes "recovered bytes" (recovered_db ()) bytes
 
 (* Truncate vs. force interleaving ---------------------------------------- *)
 
@@ -887,6 +987,118 @@ let prop_multi_stream_crash_prefix =
       Libtp.commit env txn;
       !ok)
 
+(* Recovery replays each page once: its redo records in merged order,
+   then its losers' before-images newest first. Random serial
+   transactions over four pages and one to three log streams write
+   short byte runs; some commit, some abort, and up to two are left
+   open on disjoint pages with their streams forced (losers), their
+   pages written back or not. After a crash the recovered pages must
+   equal a model that walks the merged log once, redoing every update
+   in order and then undoing the losers' updates newest first, and
+   recovery must take one pool latch per page it replays. With
+   FAULTSIM_FULL set, ten times the cases. *)
+let prop_page_grouped_redo =
+  let pages = 4 in
+  let write = QCheck2.Gen.(triple (int_bound (pages - 1)) (int_bound 63) (int_range 1 255)) in
+  let writes = QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 3) write in
+  let full = Sys.getenv_opt "FAULTSIM_FULL" <> None in
+  Tutil.qtest ~count:(if full then 1000 else 100) "page-grouped redo equals merged-order redo"
+    QCheck2.Gen.(
+      tup4 (int_range 1 3)
+        (list_size (int_range 1 12) (pair writes (int_bound 2)))
+        (list_size (int_bound 2) writes)
+        bool)
+    (fun (ns, txns, losers, write_back) ->
+      let cfg = streams_cfg ns in
+      let m = Tutil.machine ~cfg () in
+      let fs = Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+      let v = Lfs.vfs fs in
+      let open_env v =
+        Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:64
+          ~checkpoint_every:100_000 ~log_path:"/wal.log" ()
+      in
+      let env = open_env v in
+      let fd = v.Vfs.create "/db" in
+      Lfs.sync fs;
+      let bs = v.Vfs.block_size in
+      (* Each write sets up to eight bytes at a 64-byte slot of a page. *)
+      let run txn ~page_of ws =
+        List.iter
+          (fun (page, slot, value) ->
+            let page = page_of page in
+            let b = Bytes.copy (Libtp.read_page env txn ~file:fd ~page) in
+            Bytes.fill b (slot * 64) (1 + (value mod 8)) (Char.chr value);
+            Libtp.write_page env txn ~file:fd ~page b)
+          ws
+      in
+      List.iter
+        (fun (ws, outcome) ->
+          let txn = Libtp.begin_txn env in
+          run txn ~page_of:Fun.id ws;
+          if outcome = 2 then Libtp.abort env txn else Libtp.commit env txn)
+        txns;
+      (* Loser [i] keeps to pages [i] and [i + 2], so the two never
+         meet on a lock. *)
+      List.iteri
+        (fun i ws ->
+          let txn = Libtp.begin_txn env in
+          run txn ~page_of:(fun p -> i + (2 * (p mod 2))) ws;
+          let logs = Libtp.logs env in
+          let lm = Logset.get logs (Logset.stream_of_txn logs (Libtp.txn_id txn)) in
+          Logmgr.force lm ~upto:(Logmgr.next_lsn lm - 1))
+        losers;
+      if write_back then Bufpool.flush_all (Libtp.pool env);
+      Lfs.crash fs;
+      let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+      let v = Lfs.vfs fs in
+      let fd = v.Vfs.open_file "/db" in
+      let page_bytes page =
+        let b = Bytes.make bs '\000' in
+        let got = v.Vfs.read fd ~off:(page * bs) ~len:bs in
+        Bytes.blit got 0 b 0 (Bytes.length got);
+        b
+      in
+      (* The model: one pass over the merged log. *)
+      let model = Array.init pages page_bytes in
+      let merged =
+        Logset.merged_records
+          (Logset.create m.Tutil.clock m.Tutil.stats m.Tutil.cfg ~homes:[| v |]
+             ~path:"/wal.log")
+      in
+      let begun = Hashtbl.create 8 and finished = Hashtbl.create 8 in
+      let touched = Hashtbl.create 8 in
+      List.iter
+        (fun (_, _, r) ->
+          match r.Logrec.body with
+          | Logrec.Begin -> Hashtbl.replace begun r.Logrec.txn ()
+          | Logrec.Commit _ | Logrec.Abort _ -> Hashtbl.replace finished r.Logrec.txn ()
+          | Logrec.Update { page; _ } -> Hashtbl.replace touched page ()
+          | _ -> ())
+        merged;
+      let loser txn = Hashtbl.mem begun txn && not (Hashtbl.mem finished txn) in
+      List.iter
+        (fun (_, _, r) ->
+          match r.Logrec.body with
+          | Logrec.Update { page; off; after; _ } ->
+            Bytes.blit after 0 model.(page) off (Bytes.length after)
+          | _ -> ())
+        merged;
+      List.iter
+        (fun (_, _, r) ->
+          match r.Logrec.body with
+          | Logrec.Update { page; off; before; _ } when loser r.Logrec.txn ->
+            Bytes.blit before 0 model.(page) off (Bytes.length before)
+          | _ -> ())
+        (List.rev merged);
+      let latches0 = Stats.count m.Tutil.stats "cpu.user_mutex.n" in
+      ignore (open_env v);
+      let latches = Stats.count m.Tutil.stats "cpu.user_mutex.n" - latches0 in
+      if latches <> Hashtbl.length touched then
+        QCheck2.Test.fail_reportf "%d pool latches for %d pages replayed" latches
+          (Hashtbl.length touched);
+      List.for_all (fun page -> Bytes.equal model.(page) (page_bytes page))
+        (List.init pages Fun.id))
+
 (* The word-at-a-time page diff must find exactly the range a byte-by-
    byte scan finds: it decides what every update record logs. *)
 let prop_diff_range =
@@ -962,6 +1174,11 @@ let () =
             test_recovery_idempotent_after_clean_shutdown;
           prop_recovery_atomicity;
           Alcotest.test_case "redo prefetch" `Quick test_recovery_prefetch;
+          Alcotest.test_case "prefetch under a scheduler" `Quick
+            test_prefetch_under_a_scheduler;
+          Alcotest.test_case "prefetch after a crash with reads queued" `Quick
+            test_prefetch_after_crash_with_queued_reads;
+          prop_page_grouped_redo;
         ] );
       ( "multi-stream",
         [
