@@ -415,6 +415,21 @@ let micro_tests () =
            incr i;
            ignore (Cache.insert c ~file:1 ~lblock:!i (Bytes.make 4096 '\000'))))
   in
+  (* The same miss as a file system takes it now: the buffer comes from
+     the block pool, zeroed as the fresh one is, and the evicted frame's
+     buffer goes back there for the next miss. *)
+  let cache_miss_recycled =
+    let c =
+      Cache.create (Clock.create ()) (Stats.create ()) Config.default.Config.cpu
+        ~capacity:1024
+    in
+    Cache.set_writeback c (fun _ -> ());
+    let i = ref 0 in
+    Test.make ~name:"cache miss into a recycled buffer"
+      (Staged.stage (fun () ->
+           incr i;
+           ignore (Cache.insert c ~file:1 ~lblock:!i (Blockpool.zeroed 4096))))
+  in
   (* Hits spread over many files, as the LFS cache holds them. *)
   let cache_hit_files =
     let c =
@@ -472,6 +487,7 @@ let micro_tests () =
     cache_hit;
     cache_hit_files;
     cache_miss;
+    cache_miss_recycled;
   ]
   @ stats_tests
 

@@ -131,10 +131,13 @@ let owned_by f txn = match f.state with Owned id -> id = txn | Clean | Dirty -> 
 let evictable f = f.pins = 0 && not (owned f)
 let mark_clean _t f = if writable f then f.state <- Clean
 
+(* A dropped frame's buffer goes back to the pool, which hands it out
+   again only as the reuse rule allows (blockpool.mli). *)
 let drop t f =
   unlink f;
   Tbl.remove t.tbl (key ~file:f.file ~lblock:f.lblock);
-  f.resident <- false
+  f.resident <- false;
+  Blockpool.retire f.data
 
 let pin f = f.pins <- f.pins + 1
 

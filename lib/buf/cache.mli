@@ -21,6 +21,41 @@
     flush) or {!invalidate} (abort). Every writer asks {!writable}; the
     eviction walk asks {!evictable}. No other module compares owners.
 
+    {b Buffers.} A frame's buffer comes from the process-wide
+    {!Blockpool}: file systems read a missed block into {!Blockpool.take}
+    and zero a new page or a hole in {!Blockpool.zeroed}, and a frame
+    the cache drops (eviction, replacement, {!invalidate}) retires its
+    buffer there. A retired buffer backs another frame only once every
+    buffer scope open when it was retired has closed (blockpool.mli), so
+    code that holds a frame or its bytes across a call that can evict or
+    park does so inside a scope. These are the scopes:
+
+    - [Pager.with_op], at both lock grains: an access-method
+      operation's views ([Btree]'s split decodes an ancestor's view
+      after the child's gets). [Btree.iter] quiesces between leaves, and
+      [Recno.iter] between records, so a scan recycles too.
+    - [Lfs_writer.log_write] and [write_partial]: gathered [`Frame]
+      items until their copy into the stage.
+    - [Ktxn.flush_pending]: the released batch across
+      [Lfs.force_frames]' reserve stall, cleaning and write.
+    - [Lfs_cleaner.clean_victim] (the cleaner pass) and each
+      [coalesce_file] batch: frames across inode and block reads and
+      the relocation's writes.
+    - [Lfs.fsync]'s inode load after it gathered the file's frames.
+    - [Ffs.flush_frames]: frames across [frame_writes]' inode reads.
+    - [Bufpool.flush_all]: pool frames across log forces and
+      write-backs.
+
+    Everything else uses a frame before its next call that can evict or
+    park: [Fileops]' read, write and truncate; the kernel and LIBTP
+    read and write paths (inside [with_op] anyway); the syncer, a
+    checkpoint, [Lfs.sync] and the cache-pressure write-back, which hand
+    the frames they gather straight to [log_write]; the checkpoint's
+    last partial, gathered under the writer mutex and encoded before
+    anything parks; a transaction's
+    owned frames (never evicted); and [Cache]'s own write-backs (the
+    victim is pinned).
+
     The table packs a key into one int, [(file lsl 32) lor lblock], so
     a frame's key must have [0 <= lblock < 2^32] and
     [0 <= file < 2^30] on a 64-bit host: file systems number inodes from
@@ -76,7 +111,8 @@ val lookup : t -> file:int -> lblock:int -> frame option
 val insert : t -> file:int -> lblock:int -> bytes -> frame
 (** Bring a block into the cache (evicting if needed) and return its
     frame. The frame adopts [data] as its buffer, uncopied: the caller
-    hands it over and must not keep writing it. Any previous frame for the
+    hands it over for good, since a dropped frame's buffer is retired to
+    {!Blockpool} and may back another frame later. Any previous frame for the
     same key is replaced; if it was dirty its contents are written back
     through the {!set_writeback} hook first, never silently discarded.
     @raise Invalid_argument if the previous frame is pinned or owned by
@@ -111,7 +147,8 @@ val pin : frame -> unit
 val unpin : frame -> unit
 
 val invalidate : t -> frame -> unit
-(** Drop the frame without writing it back (transaction abort). *)
+(** Drop the frame without writing it back (transaction abort), and
+    retire its buffer. *)
 
 val dirty_frames : t -> ?file:int -> unit -> frame list
 (** {!writable} frames (optionally of one file), oldest-dirtied

@@ -147,6 +147,9 @@ let flush_pending t =
     let pending = t.pending_commits in
     t.pending_commits <- [];
     t.flushing <- true;
+    (* A buffer scope: the released batch is held across
+       [Lfs.force_frames]' reserve stall, cleaning and segment write. *)
+    Blockpool.scope @@ fun () ->
     Fun.protect
       ~finally:(fun () ->
         t.flushing <- false;

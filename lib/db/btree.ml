@@ -583,6 +583,9 @@ let iter_body t ?from f =
     if page <> 0 then
       match read_node t page with
       | Leaf { next; items } ->
+        (* The leaf is decoded and no other view is held: buffers
+           retired so far may be reused, so a long scan recycles. *)
+        Blockpool.quiesce ();
         let continue_ =
           List.for_all
             (fun (k, v) ->

@@ -33,47 +33,18 @@ let nohooks ~page_size get put =
     end_op = (fun () -> ());
   }
 
-(* Page buffers lent to builds: one free list per page size, shared by
-   every pager of the process. A buffer is out from [lend] until the
-   build returns or raises, parks included, so the pool holds as many
-   buffers per size as builds were ever in flight at once. *)
-type pool = { size : int; mutable free : bytes list; mutable made : int }
-
-let pools = ref []
-
-let rec pool_of size = function
-  | [] ->
-    let p = { size; free = []; made = 0 } in
-    pools := p :: !pools;
-    p
-  | p :: rest -> if p.size = size then p else pool_of size rest
-
-(* The pool's one allocating function. *)
-let take p =
-  match p.free with
-  | b :: rest ->
-    p.free <- rest;
-    b
-  | [] ->
-    p.made <- p.made + 1;
-    Bytes.make p.size '\000'
-
-let lend t f =
-  let p = pool_of t.page_size !pools in
-  let b = take p in
-  match f b with
-  | v ->
-    p.free <- b :: p.free;
-    v
-  | exception e ->
-    p.free <- b :: p.free;
-    raise e
+(* Page buffers lent to builds come from the block pool's lent list,
+   one per page size, shared by every pager of the process. *)
+let lend t f = Blockpool.lend t.page_size f
 
 let write t page build = lend t (fun b -> build b; t.put page b)
 
-let pooled ~page_size = (pool_of page_size !pools).made
+let pooled ~page_size = Blockpool.lent page_size
 
+(* Every operation is a buffer scope (blockpool.mli): the views it
+   reads stay its pages' bytes until it ends. *)
 let with_op t f =
+  Blockpool.scope @@ fun () ->
   if not t.record_grain then f ()
   else
     let rec loop () =

@@ -10,10 +10,14 @@
     Contract: [get] returns a read-only view of the page, usually the
     cached frame itself (the buffer-pool frame under {!wal} and the
     kernel pager, the file-system cache frame under {!plain}), not a
-    copy. The view stays valid until the calling process next parks (a
-    lock, latch or disk wait); a pager never reuses a returned buffer
-    for another page, so across a park its bytes can change only where
-    another process writes that page.
+    copy. Inside {!with_op}, which is a buffer scope (blockpool.mli),
+    the view holds its page's bytes until the operation ends: a frame
+    the cache drops meanwhile keeps its buffer out of reuse until then,
+    so across a park or a later [get] its bytes can change only where
+    another process writes that page while it is cached. Outside an
+    operation a view lasts until the next call that can evict (a [get],
+    a [put], a park). [Btree.insert_rec]'s split decodes an ancestor's
+    view after the child's [get]s, which is safe for this reason.
     Never modify it: build the changed page in a buffer of your own and
     hand it to [put] whole (the WAL pager diffs it to log only the
     changed range, Section 3's byte-range logging).
@@ -78,8 +82,8 @@ val nohooks : page_size:int -> (int -> bytes) -> (int -> bytes -> unit) -> t
 
 val lend : t -> (bytes -> 'a) -> 'a
 (** [lend t build] runs [build] on a buffer of [t.page_size] bytes from
-    a process-wide pool, one free list per page size, and takes the
-    buffer back when [build] returns or raises. The buffer holds
+    the block pool's lent list ({!Blockpool.lend}), one per page size,
+    and takes the buffer back when [build] returns or raises. The buffer holds
     whatever its last borrower left, so [build] writes every byte of the
     page it hands to [put] or [put_sys]; it may also decline to write.
     The buffer is [build]'s alone until then, across a park too (a
@@ -93,13 +97,14 @@ val write : t -> int -> (bytes -> unit) -> unit
     page, then [put] it. *)
 
 val pooled : page_size:int -> int
-(** Buffers the pool has allocated for pages of [page_size] bytes, for
+(** Buffers {!lend} has allocated for pages of [page_size] bytes, for
     tests. *)
 
 val with_op : t -> (unit -> 'a) -> 'a
-(** Run one logical access-method operation, releasing latches on every
-    exit and re-running the body on {!Op_restart}. A no-op wrapper when
-    [record_grain] is false. *)
+(** Run one logical access-method operation inside a buffer scope
+    ({!Blockpool.scope}, at both grains), releasing latches on every
+    exit and re-running the body on {!Op_restart} when [record_grain]
+    is set. *)
 
 val plain : Vfs.t -> Vfs.fd -> t
 (** Direct, non-transactional paging (used to bulk-load databases and by

@@ -139,6 +139,8 @@ let iter t f =
       while !continue_ && !recno < t.n do
         charge t Cpu.Cursor_next;
         let page, off = location t !recno in
+        (* Each record is copied out, so no view is held here. *)
+        Blockpool.quiesce ();
         let data = Bytes.sub (t.pager.Pager.get page) off t.rl in
         continue_ := f !recno data;
         incr recno

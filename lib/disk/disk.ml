@@ -19,7 +19,7 @@ type injector = {
 type pending = {
   p_blkno : int;
   p_nblocks : int;
-  mutable p_data : bytes;
+  p_into : bytes;  (* the submitter's buffer, filled at service time *)
   p_submitted : float;
   mutable p_done : bool;
   p_cond : Sched.cond;
@@ -319,6 +319,16 @@ let read_run t blkno n =
 
 let read t blkno = read_run t blkno 1
 
+let check_block t what buf =
+  if Bytes.length buf <> t.cfg.block_size then
+    invalid_arg (what ^ ": buffer must be exactly one block")
+
+let read_into t blkno buf =
+  check_block t "Disk.read_into" buf;
+  serve t blkno ~nblocks:1 ~write:false;
+  retry_reads t blkno 1;
+  blit_out t blkno 1 buf 0
+
 (* Persist [data] at [blkno], honouring the injector: only the first
    [keep] blocks reach the platter, and if the injector truncated or
    ended the run it also kills the machine — the write never returns.
@@ -396,7 +406,7 @@ let rec serve_queue t sched =
       ~nblocks:pick.p_nblocks;
     t.head <- pick.p_blkno + pick.p_nblocks;
     retry_reads t pick.p_blkno pick.p_nblocks;
-    pick.p_data <- copy_out t pick.p_blkno pick.p_nblocks;
+    blit_out t pick.p_blkno pick.p_nblocks pick.p_into 0;
     Stats.observe_at t.stats t.keys.k_read_qwait
       (Clock.now t.clock -. pick.p_submitted);
     if Stats.tracing t.stats then
@@ -413,10 +423,11 @@ let rec serve_queue t sched =
     Sched.broadcast sched pick.p_cond;
     serve_queue t sched)
 
-let read_async t blkno =
+let read_async t blkno buf =
   match Sched.current t.clock with
   | Some sched ->
     check_range t blkno 1;
+    check_block t "Disk.read_async" buf;
     (match t.server with
      | Some s when s == sched -> ()
      | _ ->
@@ -430,7 +441,7 @@ let read_async t blkno =
       {
         p_blkno = blkno;
         p_nblocks = 1;
-        p_data = Bytes.empty;  (* captured at service time; see [pending] *)
+        p_into = buf;  (* filled at service time; see [pending] *)
         p_submitted = Clock.now t.clock;
         p_done = false;
         p_cond = Sched.condition ();
@@ -446,9 +457,8 @@ let read_async t blkno =
     end;
     while not p.p_done do
       Sched.wait sched p.p_cond
-    done;
-    p.p_data
-  | None -> read t blkno
+    done
+  | None -> read_into t blkno buf
 
 let head t = t.head
 

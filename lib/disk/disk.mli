@@ -82,15 +82,23 @@ val read : t -> int -> bytes
     the block's contents.
     @raise Invalid_argument on an out-of-range block number. *)
 
-val read_async : t -> int -> bytes
-(** Like {!read}, but when a {!Sched} scheduler is attached to the
-    clock and the caller runs inside a process, the request joins a live
-    device queue: a server process picks requests by C-LOOK elevator
-    order from the current head position, holds the device for the
-    service time while other processes run, then wakes the submitter.
-    The block's contents are copied when the server reaches the request,
-    so a write served before it (a synchronous write already holding the
-    arm, say) is seen. Outside a scheduler this is exactly {!read}.
+val read_into : t -> int -> bytes -> unit
+(** [read_into t blkno buf] services exactly the request {!read} does
+    (same clock, head and [Stats] effects, same retries) and copies the
+    block into [buf] instead of a fresh buffer.
+    @raise Invalid_argument on an out-of-range block number or a buffer
+    that is not exactly one block long. *)
+
+val read_async : t -> int -> bytes -> unit
+(** [read_async t blkno buf] is {!read_into}, except that when a
+    {!Sched} scheduler is attached to the clock and the caller runs
+    inside a process, the request joins a live device queue: a server
+    process picks requests by C-LOOK elevator order from the current
+    head position, holds the device for the service time while other
+    processes run, then wakes the submitter. The block's contents are
+    copied into [buf] when the server reaches the request, so a write
+    served before it (a synchronous write already holding the arm, say)
+    is seen; the caller leaves [buf] alone until the call returns.
     A scheduler abandoned by an exception (the power failing under it)
     takes its server and its waiting submitters with it; the first
     request queued under another scheduler drops the requests it left

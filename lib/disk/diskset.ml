@@ -132,6 +132,10 @@ let read t blkno =
   let d, phys = locate t blkno in
   Disk.read d phys
 
+let read_into t blkno buf =
+  let d, phys = locate t blkno in
+  Disk.read_into d phys buf
+
 (* A run on one extent (every LFS segment, under segment-granular
    striping) is the member's view. A run cut at a stripe boundary is
    assembled, each extent copied as soon as it is read, as a sequence
@@ -152,9 +156,9 @@ let read_run_view t blkno n =
     (buf, 0)
   end
 
-let read_async t blkno =
+let read_async t blkno buf =
   let d, phys = locate t blkno in
-  Disk.read_async d phys
+  Disk.read_async d phys buf
 
 let write t blkno data =
   let d, phys = locate t blkno in

@@ -74,6 +74,10 @@ val block_size : t -> int
 
 val read : t -> int -> bytes
 
+val read_into : t -> int -> bytes -> unit
+(** {!Disk.read_into} on the owning member: {!read}'s request and
+    charges, copied into the caller's one-block buffer. *)
+
 val read_run_view : t -> int -> int -> bytes * int
 (** [read_run_view t blkno n] reads [n] blocks with one sequential
     {!Disk.read_run_view} per extent, in logical order, and returns
@@ -87,7 +91,7 @@ val read_run_view : t -> int -> int -> bytes * int
     exceptions {!Disk.read_run_view} states: a view of a never-written
     extent stays zero and an assembled one keeps its bytes. *)
 
-val read_async : t -> int -> bytes
+val read_async : t -> int -> bytes -> unit
 (** Forwards to {!Disk.read_async} on the owning member: under a
     scheduler each spindle runs its own elevator server, so reads on
     different members overlap. *)

@@ -165,7 +165,8 @@ let inode_table_writes t inums =
     inums;
   Hashtbl.fold
     (fun blk inums acc ->
-      let b = Disk.read t.disk blk in
+      let b = Blockpool.take t.bs in
+      Disk.read_into t.disk blk b;
       List.iter
         (fun inum ->
           match Fileops.Itbl.find_opt t.files.inodes inum with
@@ -184,7 +185,7 @@ let bitmap_writes t =
   else begin
     t.bitmap_dirty <- false;
     List.init t.bitmap_blocks (fun i ->
-        let b = Bytes.make t.bs '\000' in
+        let b = Blockpool.zeroed t.bs in
         let off = i * t.bs in
         let n = min t.bs (Bytes.length t.bitmap - off) in
         if n > 0 then Bytes.blit t.bitmap off b 0 n;
@@ -198,6 +199,10 @@ let issue_sorted t writes =
       Disk.write_queued t.disk blk data;
       Stats.bump t.stats k_inplace_writes)
     ordered
+
+(* Write buffers borrowed from the pool go back once their writes have
+   returned: [Disk.write_queued] keeps no reference. *)
+let give_back writes = List.iter (fun (_, b) -> Blockpool.give b) writes
 
 (* Assign addresses to dirty frames (allocation on first flush keeps
    sequentially-written files contiguous) and build the write list. *)
@@ -221,7 +226,9 @@ let frame_writes t frames =
           addr
         | addr -> addr
       in
-      (addr, Bytes.copy f.Cache.data))
+      let b = Blockpool.take t.bs in
+      Bytes.blit f.Cache.data 0 b 0 t.bs;
+      (addr, b))
     frames
 
 let write_superblock t =
@@ -236,7 +243,10 @@ let write_superblock t =
 let itable_needed t =
   (t.files.next_inum + inodes_per_block t - 1) / inodes_per_block t
 
+(* A buffer scope: the frames are held across [frame_writes]' inode
+   reads, each of which may park. *)
 let flush_frames t frames =
+  Blockpool.scope @@ fun () ->
   let data_writes = frame_writes t frames in
   (* Metadata for every file whose inode got dirty. *)
   let meta = ref [] in
@@ -257,12 +267,19 @@ let flush_frames t frames =
     write_superblock t
   end;
   issue_sorted t (data_writes @ !meta @ itable);
+  give_back data_writes;
+  give_back itable;
   List.iter (fun f -> Cache.mark_clean t.cache f) frames
+
+let write_bitmap t =
+  let writes = bitmap_writes t in
+  issue_sorted t writes;
+  give_back writes
 
 let sync_internal t =
   let frames = Cache.dirty_frames t.cache () in
   flush_frames t frames;
-  issue_sorted t (bitmap_writes t)
+  write_bitmap t
 
 let tick t =
   if
@@ -281,7 +298,14 @@ let get_page t ~inum ~lblock =
   | Some f -> f
   | None ->
     let addr = Inode.get_addr (iget t inum) lblock in
-    let data = if addr = 0 then Bytes.make t.bs '\000' else Disk.read t.disk addr in
+    let data =
+      if addr = 0 then Blockpool.zeroed t.bs
+      else begin
+        let b = Blockpool.take t.bs in
+        Disk.read_into t.disk addr b;
+        b
+      end
+    in
     Cache.insert t.cache ~file:inum ~lblock data
 
 let sync t =
@@ -469,7 +493,7 @@ let fsck t =
     if refs > 1 then incr cross
   done;
   let fixed = t.bitmap_dirty in
-  issue_sorted t (bitmap_writes t);
+  write_bitmap t;
   { scanned_inodes = !scanned; leaked_blocks = !leaked; cross_allocated = !cross; fixed }
 
 let allocated_inodes t =

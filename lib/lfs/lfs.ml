@@ -9,8 +9,8 @@ let k_snapshots = Stats.counter "lfs.snapshots"
 
 (* Page access ----------------------------------------------------------- *)
 
-let zero_block t = Bytes.make (block_size t) '\000'
-
+(* A miss reads into a buffer from the pool (blockpool.mli) and the
+   frame adopts it; a hole is a zeroed one. *)
 let get_page t ~inum ~lblock =
   check_alive t;
   (* With the transaction manager embedded, every buffer access checks
@@ -23,18 +23,22 @@ let get_page t ~inum ~lblock =
   | None -> (
     let ino = iget t inum in
     let addr = Inode.get_addr ino lblock in
+    let bs = block_size t in
     match Sched.current t.clock with
     | Some sched when (not (Fileops.in_section t.files sched)) && addr <> 0 ->
       (* Cache miss under the scheduler: the read joins the live disk
          queue and this process parks. LFS maintenance paths stay on the
          synchronous branch — they must not yield mid-write. *)
+      let data = Blockpool.take bs in
       let rec fetch addr =
         Sched.wait_while t.clock t.seg_write_cond (fun () -> in_flight t addr);
-        let data = Diskset.read_async t.disk addr in
+        Diskset.read_async t.disk addr data;
         (* Another process may have brought the page in (and dirtied it)
            while we were parked: never clobber a present frame. *)
         match Cache.lookup t.cache ~file:inum ~lblock with
-        | Some f -> f
+        | Some f ->
+          Blockpool.give data;
+          f
         | None ->
           (* The cleaner may have relocated the block while we were
              parked — and once the following checkpoint frees the victim
@@ -46,13 +50,23 @@ let get_page t ~inum ~lblock =
           if addr' = addr then Cache.insert t.cache ~file:inum ~lblock data
           else begin
             Stats.bump t.stats k_read_relocated;
-            if addr' = 0 then Cache.insert t.cache ~file:inum ~lblock (zero_block t)
+            if addr' = 0 then begin
+              Bytes.fill data 0 bs '\000';
+              Cache.insert t.cache ~file:inum ~lblock data
+            end
             else fetch addr'
           end
       in
       fetch addr
     | _ ->
-      let data = if addr = 0 then zero_block t else Diskset.read t.disk addr in
+      let data =
+        if addr = 0 then Blockpool.zeroed bs
+        else begin
+          let b = Blockpool.take bs in
+          Diskset.read_into t.disk addr b;
+          b
+        end
+      in
       Cache.insert t.cache ~file:inum ~lblock data)
 
 let page_dirty t f =
@@ -90,9 +104,11 @@ let force_frames t frames =
       log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
         ~inodes:[])
 
+(* A buffer scope: the frames are held across the inode's load. *)
 let fsync_inum t inum =
   check_alive t;
   Fileops.section t.files @@ fun () ->
+  Blockpool.scope @@ fun () ->
   let frames = Cache.dirty_frames t.cache ~file:inum () in
   let inodes = match iget_opt t inum with
     | Some ino when ino.Inode.dirty -> [ ino ]

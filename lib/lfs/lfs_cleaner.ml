@@ -38,7 +38,10 @@ let clean_victim t victim =
         [ ("seg", Trace.I victim); ("live", Trace.I 0) ];
     true
   end
-  else begin
+  else
+    (* The cleaner pass is a buffer scope: its survivors' frames are
+       held across inode reads and the relocation's writes. *)
+    Blockpool.scope @@ fun () ->
     let t0 = Clock.now t.clock in
     let live0 = u.live in
     Stats.bump_by t.stats k_cleaner_victim_live u.live;
@@ -185,7 +188,6 @@ let clean_victim t victim =
       Stats.emit t.stats ~time:(Clock.now t.clock) "cleaner.victim"
         [ ("seg", Trace.I victim); ("live", Trace.I live0); ("duration_s", Trace.F dt) ];
     true
-  end
 
 (* Clean one victim chosen by [policy]. The foreground stall paths pass
    [`Greedy]: when regular processing is blocked waiting for free space,
@@ -399,7 +401,10 @@ let coalesce_file t inum =
     let lb = ref 0 in
     while !lb < n do
       let hi = min n (!lb + batch) in
+      (* Each batch is a buffer scope: its frames are held across the
+         reads of its uncached blocks. *)
       Fileops.section t.files (fun () ->
+          Blockpool.scope @@ fun () ->
           let ditems = ref [] in
           for b = hi - 1 downto !lb do
             if Inode.get_addr ino b <> 0 then begin

@@ -583,7 +583,12 @@ let write_partial_held ?(defer_meta = false) ?(head = Hot { more = false }) t ~d
      stale copy would point the inode at old data, which surfaces as a
      lost update once the newer cached frame is evicted. Skip any item
      whose block no longer lives at the address the cleaner scanned; the
-     write that moved it already adjusted the victim's live count. *)
+     write that moved it already adjusted the victim's live count.
+     Frame items are re-validated too: a frame the cache dropped while
+     its writer waited (another flush wrote it, then it was evicted) no
+     longer holds its page, and the page may have been read back,
+     changed and flushed since; logging the dropped bytes would point
+     the inode back at the old data. *)
   let ditems =
     List.filter
       (fun d ->
@@ -596,7 +601,8 @@ let write_partial_held ?(defer_meta = false) ?(head = Hot { more = false }) t ~d
           in
           if not still_there then Stats.bump t.stats k_cleaner_reloc_races;
           still_there
-        | `Frame _ | `Raw _ -> true)
+        | `Frame f -> f.Cache.resident
+        | `Raw _ -> true)
       ditems
   in
   let head =
@@ -634,7 +640,10 @@ let write_partial_held ?(defer_meta = false) ?(head = Hot { more = false }) t ~d
     emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks;
   fits
 
+(* A buffer scope: the frames of [ditems] are held while the writer
+   mutex is awaited, up to their copy into the stage. *)
 let write_partial ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks =
+  Blockpool.scope @@ fun () ->
   with_writer t (fun () ->
       write_partial_held ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks)
 
@@ -707,6 +716,9 @@ let with_file_frames t ~ditems ~inodes =
   ditems @ dirty_ditems extra
 
 let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
+  (* A buffer scope, from gathering the frames to copying the last of
+     them: the partials before it park in their writes. *)
+  Blockpool.scope @@ fun () ->
   (* No inode is written when metadata is deferred, so nothing needs
      pulling in. *)
   let ditems = if defer_meta then ditems else with_file_frames t ~ditems ~inodes in

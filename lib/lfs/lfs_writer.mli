@@ -196,9 +196,11 @@ type ditem = {
   d_inum : int;
   d_lblock : int;
   d_src : [ `Frame of Cache.frame | `Raw of bytes | `Reloc of bytes * int * int ];
-      (** a cached frame, a copy, or a cleaner survivor: a view of the
-          victim (buffer, byte offset of the block) and the address it
-          was scanned at, installed only if the block still lives there *)
+      (** a cached frame, logged only if the cache still holds it when
+          its partial is written; a copy; or a cleaner survivor: a view
+          of the victim (buffer, byte offset of the block) and the
+          address it was scanned at, installed only if the block still
+          lives there *)
 }
 (** One data block to log. *)
 

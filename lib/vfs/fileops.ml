@@ -101,7 +101,7 @@ module Make (F : FS) = struct
     check_alive (F.state t);
     match Cache.lookup (F.cache t) ~file:inum ~lblock with
     | Some f -> f
-    | None -> Cache.insert (F.cache t) ~file:inum ~lblock (Bytes.make (F.block_size t) '\000')
+    | None -> Cache.insert (F.cache t) ~file:inum ~lblock (Blockpool.zeroed (F.block_size t))
 
   let read t inum ~off ~len =
     let ino = F.iget t inum in

@@ -50,8 +50,11 @@ let frame t ~file ~page =
   match Cache.lookup t.cache ~file ~lblock:page with
   | Some f -> f
   | None ->
-    (* The pool frame adopts a private copy of the file system's page. *)
-    let data = Bytes.copy (Vfs.read_page t.vfs file page) in
+    (* The pool frame adopts a private copy of the file system's page,
+       made in a buffer from the block pool. *)
+    let page_bytes = Vfs.read_page t.vfs file page in
+    let data = Blockpool.take t.ps in
+    Bytes.blit page_bytes 0 data 0 t.ps;
     Cache.insert t.cache ~file ~lblock:page data
 
 let get t ~file ~page =
@@ -114,7 +117,10 @@ let merge_deps t ~file ~page deps =
 
 let reset_lsns t = Hashtbl.reset t.lsns
 
+(* A buffer scope: the frames are held across the log forces and the
+   write-backs, each of which may park. *)
 let flush_all t =
+  Blockpool.scope @@ fun () ->
   let frames = Cache.dirty_frames t.cache () in
   (match frames with [] -> () | _ -> Logset.force_all t.logs);
   let files = Hashtbl.create 8 in

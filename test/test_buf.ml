@@ -408,6 +408,107 @@ let prop_frame_states =
           agree () || QCheck2.Test.fail_reportf "cache and model disagree after %s" (show_op o))
         ops)
 
+(* Block pool ---------------------------------------------------------------
+
+   The pool is process-wide, so each case uses a buffer size no other
+   case uses: its lists start empty. A buffer taken while the one under
+   test waits is dropped, not given back, so the next take that returns
+   a pooled buffer can only return the one under test. *)
+
+let pooled_is b size = Blockpool.take size == b
+
+let test_retired_waits_for_outermost_scope () =
+  let size = 101 in
+  Alcotest.(check int) "no scope open" 0 (Blockpool.open_scopes ());
+  let b = Blockpool.take size in
+  Blockpool.scope (fun () ->
+      Blockpool.scope (fun () ->
+          Blockpool.retire b;
+          Alcotest.(check bool) "not while both are open" false (pooled_is b size));
+      Alcotest.(check bool) "not while the outer one is open" false (pooled_is b size));
+  Alcotest.(check bool) "handed out once both closed" true (pooled_is b size);
+  (* A raising scope closes too. *)
+  let c = Blockpool.take size in
+  (match Blockpool.scope (fun () -> Blockpool.retire c; raise Exit) with
+  | () -> ()
+  | exception Exit -> ());
+  Alcotest.(check bool) "handed out after a raise" true (pooled_is c size);
+  (* With no scope open a retired buffer is free at once. *)
+  Blockpool.retire c;
+  Alcotest.(check bool) "free at once outside any scope" true (pooled_is c size)
+
+(* A scope of another process spans a park: the caller's quiescence
+   releases nothing until it is the only scope open. *)
+let test_quiesce_needs_sole_scope () =
+  let size = 102 in
+  let b = Blockpool.take size in
+  Blockpool.scope (fun () ->
+      Blockpool.retire b;
+      Blockpool.scope (fun () ->
+          Blockpool.quiesce ();
+          Alcotest.(check bool) "not with a nested scope open" false (pooled_is b size));
+      Blockpool.quiesce ();
+      Alcotest.(check bool) "released when the caller's is the only one" true
+        (pooled_is b size);
+      (* Retired after the quiescence: waits again. *)
+      Blockpool.retire b;
+      Alcotest.(check bool) "a later retirement waits" false (pooled_is b size));
+  Alcotest.(check bool) "until the scope closes" true (pooled_is b size);
+  let clock = Clock.create () in
+  let sched = Sched.create clock in
+  let c = Blockpool.take size in
+  Sched.spawn sched (fun () -> Blockpool.scope (fun () -> Sched.delay sched 1.0));
+  Sched.spawn sched (fun () ->
+      Blockpool.scope (fun () ->
+          Blockpool.retire c;
+          Blockpool.quiesce ();
+          Alcotest.(check bool) "not while another process's scope is open" false
+            (pooled_is c size);
+          Sched.delay sched 2.0;
+          Blockpool.quiesce ();
+          Alcotest.(check bool) "released once it closed" true (pooled_is c size)));
+  Sched.run sched;
+  Sched.detach sched
+
+let test_pool_caps () =
+  let size = 103 in
+  let n = Blockpool.cap + 10 in
+  let bufs = List.init n (fun _ -> Blockpool.take size) in
+  Alcotest.(check int) "all allocated" n (Blockpool.made size);
+  Blockpool.scope (fun () ->
+      List.iter Blockpool.retire bufs;
+      Alcotest.(check int) "retired capped" Blockpool.cap (Blockpool.retired size));
+  ignore (Blockpool.take size);
+  Alcotest.(check int) "reused after the scope, none allocated" n (Blockpool.made size);
+  Alcotest.(check int) "free capped" (Blockpool.cap - 1) (Blockpool.free size);
+  List.iter Blockpool.give bufs;
+  Alcotest.(check int) "free stays capped" Blockpool.cap (Blockpool.free size);
+  Alcotest.(check int) "nothing left retired" 0 (Blockpool.retired size)
+
+(* A process parked inside a scope when its scheduler crashes never
+   closes the scope: buffers retired after it opened stay retired, and
+   quiescence cannot release them. Run last: the abandoned scope stays
+   open for the rest of the process. *)
+let test_abandoned_scope_never_releases_early () =
+  let size = 104 in
+  let clock = Clock.create () in
+  let sched = Sched.create clock in
+  Sched.spawn sched (fun () -> Blockpool.scope (fun () -> Sched.delay sched 10.0));
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 1.0;
+      raise Exit);
+  (match Sched.run sched with () -> () | exception Exit -> ());
+  Sched.detach sched;
+  Alcotest.(check int) "the abandoned scope stays open" 1 (Blockpool.open_scopes ());
+  let b = Blockpool.take size in
+  Blockpool.retire b;
+  Alcotest.(check bool) "retired, not free" false (pooled_is b size);
+  Blockpool.scope (fun () ->
+      Blockpool.quiesce ();
+      Alcotest.(check bool) "quiescence beside it releases nothing" false
+        (pooled_is b size));
+  Alcotest.(check int) "still retired" 1 (Blockpool.retired size)
+
 let () =
   Alcotest.run "tx_buf"
     [
@@ -436,5 +537,15 @@ let () =
             test_evict_race_two_fibers;
           prop_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest prop_frame_states;
+        ] );
+      ( "block pool",
+        [
+          Alcotest.test_case "retired waits for the outermost scope" `Quick
+            test_retired_waits_for_outermost_scope;
+          Alcotest.test_case "quiescence needs the sole scope" `Quick
+            test_quiesce_needs_sole_scope;
+          Alcotest.test_case "caps" `Quick test_pool_caps;
+          Alcotest.test_case "an abandoned scope never releases early" `Quick
+            test_abandoned_scope_never_releases_early;
         ] );
     ]

@@ -715,8 +715,9 @@ let prop_leaf_search =
 
 (* Wrap [p] so every buffer [get] hands out is fingerprinted; the next
    [put], [put_sys] or [end_op] (or an explicit [verify]) fails if any of
-   them changed: callers must copy a page before editing it. *)
-let aliasing_guard (p : Pager.t) =
+   them changed: callers must copy a page before editing it. With
+   [each_get] the next [get] checks them too. *)
+let aliasing_guard ?(each_get = false) (p : Pager.t) =
   let seen = ref [] in
   let verify () =
     List.iter
@@ -731,6 +732,7 @@ let aliasing_guard (p : Pager.t) =
       p with
       Pager.get =
         (fun page ->
+          if each_get then verify ();
           let b = p.Pager.get page in
           seen := (page, b, Digest.bytes b) :: !seen;
           b);
@@ -955,6 +957,198 @@ let pool_keeps_sizes_apart () =
   Alcotest.(check (pair int int)) "one buffer per size" (1, 1)
     (Pager.pooled ~page_size:512, Pager.pooled ~page_size:2048)
 
+(* Recycled frame buffers ------------------------------------------------------
+
+   A cache of about eight frames makes nearly every [get] miss, and a
+   miss reads into a buffer a dropped frame retired (blockpool.mli).
+   Inserts that split pages, updates, deletes and scans run through the
+   plain, kernel and WAL pagers, inline and at MPL 4 under [Sched], each
+   process on a file of its own. Every view [get] returns is
+   fingerprinted and must be unchanged at the op's next [put] and at
+   its end; the trees must equal a map model. An op whose views were
+   recycled early reads another page's bytes: a split decodes its
+   parent's view after the child's gets, so the tree or the model
+   breaks. *)
+
+type rop = Ins of int * int | Del of int | Scan
+
+let show_rop = function
+  | Ins (k, n) -> Printf.sprintf "ins %d (%d B)" k n
+  | Del k -> Printf.sprintf "del %d" k
+  | Scan -> "scan"
+
+let rop_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map2 (fun k n -> Ins (k, n)) (int_bound 299) (oneofl [ 1; 40; 120; 300; 700 ]) );
+        (2, map (fun k -> Del k) (int_bound 299));
+        (1, pure Scan);
+      ])
+
+let rkey k = Printf.sprintf "k%05d" k
+let rvalue k n tag = String.init n (fun i -> Char.chr (97 + ((k + i + tag) mod 26)))
+
+module Smap = Map.Make (String)
+
+type rstack = Rplain | Rkernel of [ `Page | `Record ] | Rwal of [ `Page | `Record ]
+
+let show_rstack = function
+  | Rplain -> "plain"
+  | Rkernel `Page -> "kernel, page grain"
+  | Rkernel `Record -> "kernel, record grain"
+  | Rwal `Page -> "wal, page grain"
+  | Rwal `Record -> "wal, record grain"
+
+(* A machine with [nfiles] files under [stack], and [txn i f], which
+   runs [f] on a pager of file [i] inside a transaction. *)
+let recycling_stack stack ~frames ~nfiles =
+  let cfg = Tutil.small_config () in
+  let grain = match stack with Rplain -> `Page | Rkernel g | Rwal g -> g in
+  let cfg =
+    { cfg with Config.fs = { cfg.Config.fs with Config.cache_blocks = frames; lock_grain = grain } }
+  in
+  let name i = Printf.sprintf "/t%d" i in
+  match stack with
+  | Rplain ->
+    let m, fs = Tutil.fresh_lfs ~cfg () in
+    let v = Lfs.vfs fs in
+    let fds = Array.init nfiles (fun i -> v.Vfs.create (name i)) in
+    (m.Tutil.clock, m.Tutil.stats, fun i f -> f (Pager.plain v fds.(i)))
+  | Rkernel _ ->
+    let sys = Core.boot ~config:cfg () in
+    let v = Lfs.vfs sys.Core.lfs and k = sys.Core.ktxn in
+    let inums =
+      Array.init nfiles (fun i ->
+          ignore (v.Vfs.create (name i));
+          Ktxn.protect k (name i);
+          Lfs.inum_of sys.Core.lfs (name i))
+    in
+    ( sys.Core.clock,
+      sys.Core.stats,
+      fun i f ->
+        let txn = Ktxn.txn_begin k in
+        f (Ktxn.pager k txn ~inum:inums.(i));
+        Ktxn.txn_commit k txn )
+  | Rwal _ ->
+    let m, fs = Tutil.fresh_lfs ~cfg () in
+    let v = Lfs.vfs fs in
+    let env =
+      Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:frames
+        ~log_path:"/wal.log" ()
+    in
+    let fds = Array.init nfiles (fun i -> v.Vfs.create (name i)) in
+    ( m.Tutil.clock,
+      m.Tutil.stats,
+      fun i f ->
+        let txn = Libtp.begin_txn env in
+        f (Pager.wal env txn fds.(i));
+        Libtp.commit env txn )
+
+let run_recycling stack ~mpl ops =
+  (* The kernel pager keeps each transaction's frames until its commit:
+     at MPL 4 the cache must hold four transactions' splits at once. *)
+  let frames = match stack with Rkernel _ when mpl > 1 -> 32 | _ -> 8 in
+  let clock, stats, txn = recycling_stack stack ~frames ~nfiles:mpl in
+  let cpu = Config.default.Config.cpu in
+  let models = Array.make mpl Smap.empty in
+  (* A scan declares each leaf's view dead once it is decoded
+     ([Btree.iter] quiesces), so its views are checked up to the next
+     [get] only. *)
+  let on_tree ?(each_get = false) i f =
+    txn i (fun p ->
+        let p, verify = aliasing_guard ~each_get p in
+        let bt = Btree.attach clock stats cpu p in
+        verify ();
+        f bt;
+        verify ())
+  in
+  let scan i bt =
+    let got = ref [] in
+    Btree.iter bt (fun k v ->
+        got := (k, v) :: !got;
+        true);
+    if List.rev !got <> Smap.bindings models.(i) then
+      failwith (Printf.sprintf "file %d: the scan disagrees with the model" i)
+  in
+  let step i tag = function
+    | Ins (k, n) ->
+      let v = rvalue k n tag in
+      on_tree i (fun bt -> Btree.insert bt (rkey k) v);
+      models.(i) <- Smap.add (rkey k) v models.(i)
+    | Del k ->
+      let found = ref false in
+      on_tree i (fun bt -> found := Btree.delete bt (rkey k));
+      let found = !found in
+      if found <> Smap.mem (rkey k) models.(i) then
+        failwith (Printf.sprintf "file %d: delete %d found %b" i k found);
+      models.(i) <- Smap.remove (rkey k) models.(i)
+    | Scan -> on_tree ~each_get:true i (scan i)
+  in
+  (* Start each tree at about 20 pages, more than the cache holds. *)
+  for i = 0 to mpl - 1 do
+    for k = 0 to 99 do
+      step i (-1) (Ins (3 * k, 600))
+    done
+  done;
+  let worker i () =
+    List.iteri (fun tag op -> if tag mod mpl = i then step i tag op) ops
+  in
+  if mpl = 1 then worker 0 ()
+  else begin
+    let sched = Sched.create clock in
+    for i = 0 to mpl - 1 do
+      Sched.spawn sched (worker i)
+    done;
+    Fun.protect ~finally:(fun () -> Sched.detach sched) (fun () -> Sched.run sched)
+  end;
+  for i = 0 to mpl - 1 do
+    (* [check] ends with a quiescing scan too. *)
+    on_tree ~each_get:true i Btree.check;
+    Smap.iter
+      (fun k v ->
+        on_tree i (fun bt ->
+            if Btree.find bt k <> Some v then
+              failwith (Printf.sprintf "file %d: %s lost or stale" i k)))
+      models.(i);
+    on_tree ~each_get:true i (scan i)
+  done
+
+(* At MPL 4 a flush that waits for the writer mutex can find a frame it
+   gathered written by another flush and evicted, and the page read
+   back, changed and flushed since. Logging the dropped frame pointed
+   the inode back at its old bytes: each of these op lists lost records
+   under the plain pager on an 8-frame cache until [write_partial]
+   skipped dropped frames. *)
+let dropped_frames_not_logged () =
+  let gen = QCheck2.Gen.(list_size (int_range 40 160) rop_gen) in
+  List.iter
+    (fun seed ->
+      run_recycling Rplain ~mpl:4
+        (QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen))
+    [ 23; 105; 122 ]
+
+let prop_recycled_buffers =
+  let full = Sys.getenv_opt "FAULTSIM_FULL" <> None in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:(if full then 100 else 10)
+       ~name:"ops on recycled buffers match the model"
+       ~print:(fun ops -> String.concat "; " (List.map show_rop ops))
+       QCheck2.Gen.(list_size (int_range 40 160) rop_gen)
+  @@ fun ops ->
+      List.for_all
+        (fun stack ->
+          List.for_all
+            (fun mpl ->
+              match run_recycling stack ~mpl ops with
+              | () -> true
+              | exception e ->
+                QCheck2.Test.fail_reportf "%s at MPL %d: %s" (show_rstack stack) mpl
+                  (Printexc.to_string e))
+            [ 1; 4 ])
+        [ Rplain; Rkernel `Page; Rkernel `Record; Rwal `Page; Rwal `Record ]
+
 (* db(3)-style unified facade ---------------------------------------------- *)
 
 let mk_db kind =
@@ -1087,5 +1281,11 @@ let () =
           Alcotest.test_case "declined and raising builds return the buffer" `Quick
             pool_takes_back_every_buffer;
           Alcotest.test_case "page sizes never mix" `Quick pool_keeps_sizes_apart;
+        ] );
+      ( "recycled frame buffers",
+        [
+          prop_recycled_buffers;
+          Alcotest.test_case "a dropped frame is never logged" `Quick
+            dropped_frames_not_logged;
         ] );
     ]

@@ -114,7 +114,8 @@ let test_read_async_queue () =
   List.iter
     (fun b ->
       Sched.spawn sched (fun () ->
-          let data = Disk.read_async d b in
+          let data = Bytes.create bs in
+          Disk.read_async d b data;
           Tutil.check_bytes "content" (Tutil.payload b bs) data;
           done_order := b :: !done_order))
     blocks;
@@ -557,7 +558,11 @@ let sparse_dev target =
         view = Disk.read_run_view d;
         run = Disk.read_run d;
         peek = Disk.peek d;
-        read_async = Disk.read_async d;
+        read_async =
+          (fun blk ->
+            let b = Bytes.create (Disk.block_size d) in
+            Disk.read_async d blk b;
+            b);
         set_injector = Disk.set_injector d;
         resident;
       }
@@ -570,7 +575,11 @@ let sparse_dev target =
         run =
           (fun start n -> Bytes.concat Bytes.empty (List.init n (fun i -> Diskset.read ds (start + i))));
         peek = Diskset.peek ds;
-        read_async = Diskset.read_async ds;
+        read_async =
+          (fun blk ->
+            let b = Bytes.create (Diskset.block_size ds) in
+            Diskset.read_async ds blk b;
+            b);
         set_injector = Diskset.set_injector ds;
         resident;
       }
@@ -742,7 +751,7 @@ let test_reads_allocate_nothing () =
     members;
   let sched = Sched.create m.Tutil.clock in
   List.iter
-    (fun blk -> Sched.spawn sched (fun () -> ignore (Diskset.read_async ds blk)))
+    (fun blk -> Sched.spawn sched (fun () -> Diskset.read_async ds blk (Bytes.create bs)))
     [ 0; 1; 5; 3 + chunk; 3 + (5 * chunk) + 7 ];
   Sched.run sched;
   Sched.detach sched;

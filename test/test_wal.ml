@@ -747,7 +747,8 @@ let test_prefetch_after_crash_with_queued_reads () =
   Alcotest.(check int) "two data spindles" 2 (List.length spindles);
   let sched = Sched.create m.Tutil.clock in
   List.iter
-    (fun (_, d) -> Sched.spawn sched (fun () -> ignore (Disk.read_async d 100)))
+    (fun (_, d) ->
+      Sched.spawn sched (fun () -> Disk.read_async d 100 (Bytes.create (Disk.block_size d))))
     spindles;
   Sched.spawn sched (fun () ->
       Sched.delay sched 1e-4;
