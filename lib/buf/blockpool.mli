@@ -16,7 +16,8 @@
     that it holds no view ({!quiesce}). So a view read inside a scope
     keeps the bytes its page had when its frame was dropped until the
     scope closes; outside any scope a view lasts until the next call
-    that can evict. Who opens scopes is listed in cache.mli.
+    that can evict. The four functions that open scopes
+    ([Fileops.section] among them) are listed in cache.mli.
 
     A scope abandoned by a crashed scheduler (a process that never runs
     again, inside a scope) never closes: the buffers retired after it

@@ -28,33 +28,28 @@
     buffer there. A retired buffer backs another frame only once every
     buffer scope open when it was retired has closed (blockpool.mli), so
     code that holds a frame or its bytes across a call that can evict or
-    park does so inside a scope. These are the scopes:
+    park does so inside a scope. Four functions open scopes:
 
+    - [Fileops.section]: every file-system maintenance section is a
+      scope. That covers the frames LFS gathers for a segment write
+      (syncer, checkpoint, [sync], [fsync], commit force, cache-pressure
+      write-back, cleaner pass, each [coalesce_file] batch) until their
+      copy into the stage, and an FFS flush's frames across
+      [frame_writes]' inode reads.
     - [Pager.with_op], at both lock grains: an access-method
       operation's views ([Btree]'s split decodes an ancestor's view
       after the child's gets). [Btree.iter] quiesces between leaves, and
       [Recno.iter] between records, so a scan recycles too.
-    - [Lfs_writer.log_write] and [write_partial]: gathered [`Frame]
-      items until their copy into the stage.
     - [Ktxn.flush_pending]: the released batch across
       [Lfs.force_frames]' reserve stall, cleaning and write.
-    - [Lfs_cleaner.clean_victim] (the cleaner pass) and each
-      [coalesce_file] batch: frames across inode and block reads and
-      the relocation's writes.
-    - [Lfs.fsync]'s inode load after it gathered the file's frames.
-    - [Ffs.flush_frames]: frames across [frame_writes]' inode reads.
     - [Bufpool.flush_all]: pool frames across log forces and
       write-backs.
 
-    Everything else uses a frame before its next call that can evict or
-    park: [Fileops]' read, write and truncate; the kernel and LIBTP
-    read and write paths (inside [with_op] anyway); the syncer, a
-    checkpoint, [Lfs.sync] and the cache-pressure write-back, which hand
-    the frames they gather straight to [log_write]; the checkpoint's
-    last partial, gathered under the writer mutex and encoded before
-    anything parks; a transaction's
-    owned frames (never evicted); and [Cache]'s own write-backs (the
-    victim is pinned).
+    Everything else runs outside any section and uses a frame before
+    its next call that can evict or park: [Fileops]' read, write and
+    truncate; the kernel and LIBTP read and write paths (inside
+    [with_op] anyway); a transaction's owned frames (never evicted);
+    and [Cache]'s own write-backs (the victim is pinned).
 
     The table packs a key into one int, [(file lsl 32) lor lblock], so
     a frame's key must have [0 <= lblock < 2^32] and

@@ -219,12 +219,25 @@ let rotation_time t = 0.5 *. (60.0 /. t.cfg.rpm)
 let transfer_time t nblocks =
   float_of_int (nblocks * t.cfg.block_size) /. t.cfg.transfer_bytes_per_s
 
-let service_time t blkno ~nblocks =
+(* What one request costs from the current head position: the one
+   computation behind [service_time], [serve] and [serve_queue]. A
+   request that continues exactly where the head stopped streams with no
+   positioning cost at all (the common case for log/segment writes). A
+   [queued] write pays a discounted seek and rotation (disk.mli). *)
+type cost = { seek : float; rot : float; xfer : float; dt : float }
+
+let cost ?(queued = false) t blkno ~nblocks =
   let seek = seek_time t ~from:t.head ~target:blkno in
-  (* A request that continues exactly where the head stopped streams with
-     no positioning cost at all (the common case for log/segment writes). *)
-  let rotation = if seek = 0.0 && blkno = t.head then 0.0 else rotation_time t in
-  seek +. rotation +. transfer_time t nblocks
+  let rot =
+    if queued then 0.75 *. rotation_time t
+    else if seek = 0.0 && blkno = t.head then 0.0
+    else rotation_time t
+  in
+  let seek = if queued then 0.3 *. seek else seek in
+  let xfer = transfer_time t nblocks in
+  { seek; rot; xfer; dt = seek +. rot +. xfer }
+
+let service_time t blkno ~nblocks = (cost t blkno ~nblocks).dt
 
 (* Block the calling process until the arm is free. Loop: several
    waiters can wake at the same horizon and only the first to run gets
@@ -240,17 +253,40 @@ let wait_device t sched =
    and its samples go to their own histogram so the elevator's benefit
    stays visible next to the cold-seek distribution. A read the elevator
    serves pays the full seek and is not [queued] here. *)
-let account t ~write ~queued ~seek ~rot ~xfer ~dt ~nblocks =
+let account t ~write ~queued c ~nblocks =
   let s = t.stats and k = t.keys in
-  Stats.add_to s k.k_busy dt;
-  Stats.add_to s k.k_seek seek;
-  if seek > 0.0 then Stats.bump s k.k_seeks;
+  Stats.add_to s k.k_busy c.dt;
+  Stats.add_to s k.k_seek c.seek;
+  if c.seek > 0.0 then Stats.bump s k.k_seeks;
   Stats.bump s k.k_requests;
   Stats.bump_by s (if write then k.k_blocks_written else k.k_blocks_read) nblocks;
-  Stats.observe_at s (if write then k.k_write_service else k.k_read_service) dt;
-  Stats.observe_at s (if queued then k.k_seek_queued else k.k_seek_hist) seek;
-  Stats.observe_at s k.k_rotation rot;
-  Stats.observe_at s k.k_transfer xfer
+  Stats.observe_at s (if write then k.k_write_service else k.k_read_service) c.dt;
+  Stats.observe_at s (if queued then k.k_seek_queued else k.k_seek_hist) c.seek;
+  Stats.observe_at s k.k_rotation c.rot;
+  Stats.observe_at s k.k_transfer c.xfer
+
+(* Hold the arm for [dt]: under a scheduler other processes run
+   meanwhile; outside one the clock just jumps. *)
+let hold t sched dt =
+  match sched with
+  | Some s ->
+    t.busy_until <- Clock.now t.clock +. dt;
+    Sched.delay s dt
+  | None -> Clock.advance t.clock dt
+
+(* The [disk.op] trace event of one served request. A read the queue
+   server served ([queued] and not [write]) also names how many requests
+   are still queued behind it. *)
+let trace_op t ~write ~queued blkno ~nblocks dt =
+  if Stats.tracing t.stats then
+    Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
+      (("rw", Trace.S (if write then "w" else "r"))
+      :: ("blkno", Trace.I blkno)
+      :: ("nblocks", Trace.I nblocks)
+      :: ("queued", Trace.B queued)
+      :: ("service_s", Trace.F dt)
+      :: (if queued && not write then [ ("qdepth", Trace.I (List.length t.queue)) ]
+          else []))
 
 let serve ?(queued = false) t blkno ~nblocks ~write =
   check_range t blkno nblocks;
@@ -262,30 +298,10 @@ let serve ?(queued = false) t blkno ~nblocks ~write =
      the wait — the head may have moved while we queued. *)
   let sched = Sched.current t.clock in
   Option.iter (wait_device t) sched;
-  let seek = seek_time t ~from:t.head ~target:blkno in
-  let seek_c, rot_c =
-    if queued then (0.3 *. seek, 0.75 *. rotation_time t)
-    else
-      ( seek,
-        if seek = 0.0 && blkno = t.head then 0.0 else rotation_time t )
-  in
-  let xfer = transfer_time t nblocks in
-  let dt = seek_c +. rot_c +. xfer in
-  (match sched with
-  | Some s ->
-    t.busy_until <- Clock.now t.clock +. dt;
-    Sched.delay s dt
-  | None -> Clock.advance t.clock dt);
-  account t ~write ~queued ~seek:seek_c ~rot:rot_c ~xfer ~dt ~nblocks;
-  if Stats.tracing t.stats then
-    Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
-      [
-        ("rw", Trace.S (if write then "w" else "r"));
-        ("blkno", Trace.I blkno);
-        ("nblocks", Trace.I nblocks);
-        ("queued", Trace.B queued);
-        ("service_s", Trace.F dt);
-      ];
+  let c = cost ~queued t blkno ~nblocks in
+  hold t sched c.dt;
+  account t ~write ~queued c ~nblocks;
+  trace_op t ~write ~queued blkno ~nblocks c.dt;
   t.head <- blkno + nblocks
 
 (* A transient read error costs a full revolution (the sector comes
@@ -387,38 +403,22 @@ let rec serve_queue t sched =
      | reqs ->
     let pick =
       match
-        Elevator.order Elevator.Elevator ~head:t.head
+        Elevator.order ~head:t.head
           (List.map (fun r -> (r.p_blkno, r)) reqs)
       with
       | (_, r) :: _ -> r
       | [] -> assert false
     in
     t.queue <- List.filter (fun r -> r != pick) t.queue;
-    let seek = seek_time t ~from:t.head ~target:pick.p_blkno in
-    let rot =
-      if seek = 0.0 && pick.p_blkno = t.head then 0.0 else rotation_time t
-    in
-    let xfer = transfer_time t pick.p_nblocks in
-    let dt = seek +. rot +. xfer in
-    t.busy_until <- Clock.now t.clock +. dt;
-    Sched.delay sched dt;
-    account t ~write:false ~queued:false ~seek ~rot ~xfer ~dt
-      ~nblocks:pick.p_nblocks;
+    let c = cost t pick.p_blkno ~nblocks:pick.p_nblocks in
+    hold t (Some sched) c.dt;
+    account t ~write:false ~queued:false c ~nblocks:pick.p_nblocks;
     t.head <- pick.p_blkno + pick.p_nblocks;
     retry_reads t pick.p_blkno pick.p_nblocks;
     blit_out t pick.p_blkno pick.p_nblocks pick.p_into 0;
     Stats.observe_at t.stats t.keys.k_read_qwait
       (Clock.now t.clock -. pick.p_submitted);
-    if Stats.tracing t.stats then
-      Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
-        [
-          ("rw", Trace.S "r");
-          ("blkno", Trace.I pick.p_blkno);
-          ("nblocks", Trace.I pick.p_nblocks);
-          ("queued", Trace.B true);
-          ("service_s", Trace.F dt);
-          ("qdepth", Trace.I (List.length t.queue));
-        ];
+    trace_op t ~write:false ~queued:true pick.p_blkno ~nblocks:pick.p_nblocks c.dt;
     pick.p_done <- true;
     Sched.broadcast sched pick.p_cond;
     serve_queue t sched)

@@ -150,11 +150,12 @@ val write_run_sub : t -> int -> bytes -> off:int -> len:int -> unit
 val write_queued : t -> int -> bytes -> unit
 (** A delayed write issued from a sorted disk queue. Because the
     scheduler orders these among the other traffic, positioning is much
-    cheaper than a cold random write: the seek is charged at a quarter
-    and the rotational delay at half. The resulting ~10 ms per 4 KB page
-    (≈ 40 % of media bandwidth) matches the sorted-write ceiling the
-    paper cites from the disk-scheduling study it references
-    (Section 2). Used by the read-optimized file system's syncer. *)
+    cheaper than a cold random write: the seek is charged at three
+    tenths and the rotational delay at three quarters. The resulting
+    ~10 ms per 4 KB page (≈ 40 % of media bandwidth) matches the
+    sorted-write ceiling the paper cites from the disk-scheduling study
+    it references (Section 2). Used by the read-optimized file system's
+    syncer. *)
 
 val head : t -> int
 (** Current head position (block number), exposed for scheduler tests. *)

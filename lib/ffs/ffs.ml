@@ -114,34 +114,26 @@ let iget t inum =
    separate in-place I/O — LFS's batched segment write is what it is being
    compared against. *)
 
-(* Make sure every dirty frame and every mapped block of a dirty inode has
-   a disk address, then return the in-place write list. *)
+(* Give every changed indirect block of a dirty inode, and its
+   double-indirect block, a disk address, then return their in-place
+   writes, each encoded into a pool buffer. *)
 let writes_for_inode t ino =
   let acc = ref [] in
-  (* Indirect blocks that changed. *)
+  let add addr write =
+    let b = Blockpool.take t.bs in
+    write b ~off:0;
+    acc := (addr, b) :: !acc
+  in
   let nind = Inode.indirect_count ino ~block_size:t.bs in
   if Hashtbl.length ino.Inode.dirty_ind > 0 then begin
     Hashtbl.iter
       (fun idx () ->
         if idx < nind then begin
-          (if
-             idx >= Array.length ino.Inode.ind_addrs
-             || ino.Inode.ind_addrs.(idx) = 0
-           then begin
-             let addr = alloc_block t ~hint:t.rotor in
-             if idx >= Array.length ino.Inode.ind_addrs then begin
-               let a = Array.make (idx + 1) 0 in
-               Array.blit ino.Inode.ind_addrs 0 a 0
-                 (Array.length ino.Inode.ind_addrs);
-               ino.Inode.ind_addrs <- a
-             end;
-             ino.Inode.ind_addrs.(idx) <- addr;
-             if idx >= 1 then ino.Inode.dbl_dirty <- true
-           end);
-          acc :=
-            ( ino.Inode.ind_addrs.(idx),
-              Inode.encode_indirect ino ~block_size:t.bs idx )
-            :: !acc
+          if Inode.ind_addr ino idx = 0 then begin
+            Inode.set_ind_addr ino idx (alloc_block t ~hint:t.rotor);
+            if idx >= 1 then ino.Inode.dbl_dirty <- true
+          end;
+          add (Inode.ind_addr ino idx) (Inode.write_indirect ino ~block_size:t.bs idx)
         end)
       ino.Inode.dirty_ind;
     Hashtbl.reset ino.Inode.dirty_ind
@@ -149,7 +141,7 @@ let writes_for_inode t ino =
   if ino.Inode.dbl_dirty && nind > 1 then begin
     if ino.Inode.dbl_addr = 0 then
       ino.Inode.dbl_addr <- alloc_block t ~hint:t.rotor;
-    acc := (ino.Inode.dbl_addr, Inode.encode_double ino ~block_size:t.bs) :: !acc;
+    add ino.Inode.dbl_addr (Inode.write_double ino ~block_size:t.bs);
     ino.Inode.dbl_dirty <- false
   end;
   !acc
@@ -171,7 +163,7 @@ let inode_table_writes t inums =
         (fun inum ->
           match Fileops.Itbl.find_opt t.files.inodes inum with
           | Some ino ->
-            Bytes.blit (Inode.encode ino) 0 b (itable_off t inum) 256;
+            Inode.write ino b ~off:(itable_off t inum);
             ino.Inode.dirty <- false
           | None ->
             (* Freed inode: clear the slot. *)
@@ -192,17 +184,17 @@ let bitmap_writes t =
         (t.bitmap_start + i, b))
   end
 
+(* Every write buffer is borrowed from the pool, and all of them go
+   back once their writes have returned: [Disk.write_queued] keeps no
+   reference. *)
 let issue_sorted t writes =
-  let ordered = Elevator.order Elevator.Elevator ~head:(Disk.head t.disk) writes in
+  let ordered = Elevator.order ~head:(Disk.head t.disk) writes in
   List.iter
     (fun (blk, data) ->
       Disk.write_queued t.disk blk data;
       Stats.bump t.stats k_inplace_writes)
-    ordered
-
-(* Write buffers borrowed from the pool go back once their writes have
-   returned: [Disk.write_queued] keeps no reference. *)
-let give_back writes = List.iter (fun (_, b) -> Blockpool.give b) writes
+    ordered;
+  List.iter (fun (_, b) -> Blockpool.give b) writes
 
 (* Assign addresses to dirty frames (allocation on first flush keeps
    sequentially-written files contiguous) and build the write list. *)
@@ -243,10 +235,9 @@ let write_superblock t =
 let itable_needed t =
   (t.files.next_inum + inodes_per_block t - 1) / inodes_per_block t
 
-(* A buffer scope: the frames are held across [frame_writes]' inode
-   reads, each of which may park. *)
+(* Every caller holds a section, the buffer scope that keeps the frames
+   across [frame_writes]' inode reads, each of which may park. *)
 let flush_frames t frames =
-  Blockpool.scope @@ fun () ->
   let data_writes = frame_writes t frames in
   (* Metadata for every file whose inode got dirty. *)
   let meta = ref [] in
@@ -267,14 +258,9 @@ let flush_frames t frames =
     write_superblock t
   end;
   issue_sorted t (data_writes @ !meta @ itable);
-  give_back data_writes;
-  give_back itable;
   List.iter (fun f -> Cache.mark_clean t.cache f) frames
 
-let write_bitmap t =
-  let writes = bitmap_writes t in
-  issue_sorted t writes;
-  give_back writes
+let write_bitmap t = issue_sorted t (bitmap_writes t)
 
 let sync_internal t =
   let frames = Cache.dirty_frames t.cache () in
@@ -415,7 +401,7 @@ let format disk clock stats cfg =
     (Bytes.make (t.itable_blocks * t.bs) '\000');
   let inum = Files.alloc_inode t ~kind:Vfs.Dir in
   assert (inum = root_inum);
-  sync_internal t;
+  Fileops.section t.files (fun () -> sync_internal t);
   t
 
 let mount disk clock stats cfg =

@@ -104,11 +104,9 @@ let force_frames t frames =
       log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
         ~inodes:[])
 
-(* A buffer scope: the frames are held across the inode's load. *)
 let fsync_inum t inum =
   check_alive t;
   Fileops.section t.files @@ fun () ->
-  Blockpool.scope @@ fun () ->
   let frames = Cache.dirty_frames t.cache ~file:inum () in
   let inodes = match iget_opt t inum with
     | Some ino when ino.Inode.dirty -> [ ino ]

@@ -39,9 +39,6 @@ let clean_victim t victim =
     true
   end
   else
-    (* The cleaner pass is a buffer scope: its survivors' frames are
-       held across inode reads and the relocation's writes. *)
-    Blockpool.scope @@ fun () ->
     let t0 = Clock.now t.clock in
     let live0 = u.live in
     Stats.bump_by t.stats k_cleaner_victim_live u.live;
@@ -401,10 +398,7 @@ let coalesce_file t inum =
     let lb = ref 0 in
     while !lb < n do
       let hi = min n (!lb + batch) in
-      (* Each batch is a buffer scope: its frames are held across the
-         reads of its uncached blocks. *)
       Fileops.section t.files (fun () ->
-          Blockpool.scope @@ fun () ->
           let ditems = ref [] in
           for b = hi - 1 downto !lb do
             if Inode.get_addr ino b <> 0 then begin

@@ -396,23 +396,14 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
       let ino = p.pi_inode in
       List.iter
         (fun idx ->
-          let old =
-            if idx < Array.length ino.Inode.ind_addrs then
-              ino.Inode.ind_addrs.(idx)
-            else 0
-          in
+          let old = Inode.ind_addr ino idx in
           let addr =
             assign
               (Layout.Indirect { inum = ino.Inode.inum; index = idx })
               (fun dst off -> Inode.write_indirect ino ~block_size:bs idx dst ~off)
           in
           dec_usage t old;
-          if idx >= Array.length ino.Inode.ind_addrs then begin
-            let a = Array.make (idx + 1) 0 in
-            Array.blit ino.Inode.ind_addrs 0 a 0 (Array.length ino.Inode.ind_addrs);
-            ino.Inode.ind_addrs <- a
-          end;
-          ino.Inode.ind_addrs.(idx) <- addr)
+          Inode.set_ind_addr ino idx addr)
         p.pi_ind)
     plans;
   (* 3. Double-indirect blocks. *)
@@ -444,9 +435,7 @@ let emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks =
             Bytes.fill dst o bs '\000';
             List.iteri
               (fun slot p ->
-                Bytes.blit (Inode.encode p.pi_inode) 0 dst
-                  (o + (slot * Layout.inode_size))
-                  Layout.inode_size)
+                Inode.write p.pi_inode dst ~off:(o + (slot * Layout.inode_size)))
               group)
       in
       Hashtbl.replace t.inode_block_refs addr (List.length group);
@@ -640,10 +629,7 @@ let write_partial_held ?(defer_meta = false) ?(head = Hot { more = false }) t ~d
     emit t head ~ditems ~plans ~imap_chunks ~usage_chunks ~nblocks;
   fits
 
-(* A buffer scope: the frames of [ditems] are held while the writer
-   mutex is awaited, up to their copy into the stage. *)
 let write_partial ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks =
-  Blockpool.scope @@ fun () ->
   with_writer t (fun () ->
       write_partial_held ?defer_meta ?head t ~ditems ~inodes ~imap_chunks ~usage_chunks)
 
@@ -716,9 +702,6 @@ let with_file_frames t ~ditems ~inodes =
   ditems @ dirty_ditems extra
 
 let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
-  (* A buffer scope, from gathering the frames to copying the last of
-     them: the partials before it park in their writes. *)
-  Blockpool.scope @@ fun () ->
   (* No inode is written when metadata is deferred, so nothing needs
      pulling in. *)
   let ditems = if defer_meta then ditems else with_file_frames t ~ditems ~inodes in

@@ -236,7 +236,11 @@ val log_write :
     - [Lfs.fsync_inum]: the file's writable frames and its inode;
     - cleaner: a live block's frame if writable, else its platter copy,
       and the inodes of what it moved;
-    - coalescing: the file's unowned frames, else platter copies. *)
+    - coalescing: the file's unowned frames, else platter copies.
+
+    Every writer calls it inside a {!Fileops.section}, which is the
+    buffer scope that keeps the gathered frames' buffers until their
+    copy into the stage (cache.mli). *)
 
 val relocate : t -> age:float -> ditem list -> unit
 (** Write cleaner survivors at the cold head, stamped with the victim's

@@ -37,7 +37,8 @@ let section st f =
     | [] -> []
     | x :: tl -> if x = tag then tl else x :: close tl
   in
-  Fun.protect ~finally:(fun () -> st.sections <- close st.sections) f
+  Fun.protect ~finally:(fun () -> st.sections <- close st.sections) (fun () ->
+      Blockpool.scope f)
 
 let idle st = st.sections = []
 

@@ -65,7 +65,11 @@ val check_alive : state -> unit
 val section : state -> (unit -> 'a) -> 'a
 (** [section st f] runs [f] inside a section tagged with the calling
     scheduler process ([0], matching every caller, outside any
-    process). The section closes when [f] returns or raises. *)
+    process). The section closes when [f] returns or raises.
+
+    A section is also a buffer scope ({!Blockpool.scope}) for its whole
+    extent, so maintenance may hold frames across a park or an eviction
+    without opening a scope of its own (cache.mli). *)
 
 val idle : state -> bool
 (** No section is open. *)
@@ -77,7 +81,9 @@ val in_section : state -> Sched.t -> bool
 val open_forever : state -> unit
 (** Open a section that matches every caller and never closes: a
     surface that never writes (the LFS snapshot view) keeps its readers
-    on the direct path and its maintenance off. *)
+    on the direct path and its maintenance off. It opens no buffer
+    scope, which would never close and so stop the block pool's reuse
+    for good. *)
 
 val cached : state -> int -> (unit -> Inode.t option) -> Inode.t option
 (** [cached st inum load] is the cached inode, or else [load ()], which

@@ -98,23 +98,32 @@ let truncate_map t ~block_size n =
     t.dbl_dirty <- nind > 1
   end
 
-let encode t =
-  let b = Bytes.make 256 '\000' in
-  Enc.set_u16 b 0 magic;
-  Enc.set_u8 b 2 (match t.kind with Vfs.File -> 0 | Vfs.Dir -> 1);
-  Enc.set_u8 b 3 (if t.protected_ then 1 else 0);
-  Enc.set_u8 b 4 1 (* allocated *);
-  Enc.set_i64 b 8 (Int64.of_int t.size);
-  Enc.set_f64 b 16 t.mtime;
-  Enc.set_u32 b 24 t.version;
-  Enc.set_u32 b 28 t.inum;
-  Enc.set_u32 b 32 (if Array.length t.ind_addrs > 0 then t.ind_addrs.(0) else 0);
-  Enc.set_u32 b 36 t.dbl_addr;
+let ind_addr t idx = if idx < Array.length t.ind_addrs then t.ind_addrs.(idx) else 0
+
+let set_ind_addr t idx addr =
+  if idx >= Array.length t.ind_addrs then begin
+    let a = Array.make (idx + 1) 0 in
+    Array.blit t.ind_addrs 0 a 0 (Array.length t.ind_addrs);
+    t.ind_addrs <- a
+  end;
+  t.ind_addrs.(idx) <- addr
+
+let write t b ~off =
+  Bytes.fill b off 256 '\000';
+  Enc.set_u16 b off magic;
+  Enc.set_u8 b (off + 2) (match t.kind with Vfs.File -> 0 | Vfs.Dir -> 1);
+  Enc.set_u8 b (off + 3) (if t.protected_ then 1 else 0);
+  Enc.set_u8 b (off + 4) 1 (* allocated *);
+  Enc.set_i64 b (off + 8) (Int64.of_int t.size);
+  Enc.set_f64 b (off + 16) t.mtime;
+  Enc.set_u32 b (off + 24) t.version;
+  Enc.set_u32 b (off + 28) t.inum;
+  Enc.set_u32 b (off + 32) (ind_addr t 0);
+  Enc.set_u32 b (off + 36) t.dbl_addr;
   for i = 0 to ndirect - 1 do
-    Enc.set_u32 b (40 + (4 * i)) (if i < t.nmap then t.map.(i) else 0)
+    Enc.set_u32 b (off + 40 + (4 * i)) (if i < t.nmap then t.map.(i) else 0)
   done;
-  Enc.set_u32 b 88 t.nmap;
-  b
+  Enc.set_u32 b (off + 88) t.nmap
 
 let decode block off =
   if Enc.get_u16 block off <> magic || Enc.get_u8 block (off + 4) = 0 then None
@@ -152,20 +161,12 @@ let range_of_indirect ~block_size idx nmap =
   let hi = min nmap (lo + per) in
   (lo, hi)
 
-let fresh_block block_size write =
-  let b = Bytes.create block_size in
-  write b ~off:0;
-  b
-
 let write_indirect t ~block_size idx b ~off =
   Bytes.fill b off block_size '\000';
   let lo, hi = range_of_indirect ~block_size idx t.nmap in
   for l = lo to hi - 1 do
     Enc.set_u32 b (off + (4 * (l - lo))) t.map.(l)
   done
-
-let encode_indirect t ~block_size idx =
-  fresh_block block_size (write_indirect t ~block_size idx)
 
 let decode_indirect t ~block_size idx b =
   let lo, hi = range_of_indirect ~block_size idx t.nmap in
@@ -180,8 +181,6 @@ let write_double t ~block_size b ~off =
   for i = 1 to nind - 1 do
     Enc.set_u32 b (off + (4 * (i - 1))) t.ind_addrs.(i)
   done
-
-let encode_double t ~block_size = fresh_block block_size (write_double t ~block_size)
 
 let decode_double t ~block_size b =
   let nind = indirect_count t ~block_size in

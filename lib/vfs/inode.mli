@@ -51,8 +51,16 @@ val truncate_map : t -> block_size:int -> int -> unit
 val indirect_count : t -> block_size:int -> int
 (** Number of indirect blocks the current map requires. *)
 
-val encode : t -> bytes
-(** The 256-byte on-disk record. *)
+val ind_addr : t -> int -> int
+(** Disk address of indirect block [idx]; 0 if it has none yet. *)
+
+val set_ind_addr : t -> int -> int -> unit
+(** [set_ind_addr t idx addr] records indirect block [idx]'s address,
+    growing [ind_addrs] to cover [idx]. *)
+
+val write : t -> bytes -> off:int -> unit
+(** Write the 256-byte on-disk record over the bytes at [off] in the
+    buffer. *)
 
 val decode : bytes -> int -> t option
 (** [decode block off] reads a record at byte offset [off]; [None] if the
@@ -63,9 +71,6 @@ val write_indirect : t -> block_size:int -> int -> bytes -> off:int -> unit
 (** Write the [idx]-th indirect block, from the in-memory map, over the
     [block_size] bytes at [off] in the buffer. *)
 
-val encode_indirect : t -> block_size:int -> int -> bytes
-(** {!write_indirect} into a new block. *)
-
 val decode_indirect : t -> block_size:int -> int -> bytes -> unit
 (** Fill the map range covered by indirect block [idx] from disk bytes. *)
 
@@ -73,9 +78,6 @@ val write_double : t -> block_size:int -> bytes -> off:int -> unit
 (** Write the double-indirect block (addresses of indirect blocks 1..n-1;
     indirect block 0's address lives in the inode itself) over the
     [block_size] bytes at [off]. *)
-
-val encode_double : t -> block_size:int -> bytes
-(** {!write_double} into a new block. *)
 
 val decode_double : t -> block_size:int -> bytes -> unit
 

@@ -234,7 +234,35 @@ let diff_range a b =
     Some (!lo, !hi - !lo)
   end
 
-let write_bytes t txn ~file ~page data =
+(* The one page-write body behind [write_page] ([`Page]),
+   [write_page_raw] ([`Raw]) and [write_page_sys] ([`Sys]): log the
+   changed byte range, then apply it to the pool.
+
+   Only [`Page] takes the page lock. At record grain ([`Raw]) isolation
+   comes from the record locks and latches the access method holds, and
+   byte-range logging keeps the undo of co-resident transactions
+   disjoint.
+
+   [`Sys] is a redo-only system write, logged as transaction 0.
+   Transaction 0 never logs a Begin, so recovery never classifies it as
+   a loser: the update is redone but never undone, even when the
+   transaction that issued it aborts. Used for the recno record-count,
+   whose allocation must survive an aborted append (the record bytes
+   themselves are undone, leaving a zeroed hole). The record goes to
+   the {e enclosing} transaction's stream so it is covered by that
+   transaction's commit-time force. *)
+let write_as kind t txn ~file ~page data =
+  check_live txn;
+  if Bytes.length data <> page_size t then
+    invalid_arg
+      (Printf.sprintf "Libtp.%s: data must be exactly one page"
+         (match kind with
+         | `Page -> "write_page"
+         | `Raw -> "write_page_raw"
+         | `Sys -> "write_page_sys"));
+  (match kind with
+  | `Page -> lock t txn (Lockmgr.Page (file, page)) Lockmgr.Exclusive
+  | `Raw | `Sys -> ());
   let current = Bufpool.get t.pool ~file ~page in
   match diff_range current data with
   | None -> ()
@@ -243,63 +271,24 @@ let write_bytes t txn ~file ~page data =
     let after = Bytes.sub data off len in
     note_touch t txn ~file ~page;
     let pstream, plsn = chain_for t txn ~file ~page in
+    let sys = match kind with `Sys -> true | `Page | `Raw -> false in
     let lsn =
       Logmgr.append (lm t txn)
         {
-          Logrec.txn = txn.id;
-          prev = txn.last_lsn;
+          Logrec.txn = (if sys then 0 else txn.id);
+          prev = (if sys then Logrec.null_lsn else txn.last_lsn);
           body = Logrec.Update { file; page; off; pstream; plsn; before; after };
         }
     in
-    txn.last_lsn <- lsn;
-    txn.undo <- (file, page, off, before) :: txn.undo;
+    if not sys then begin
+      txn.last_lsn <- lsn;
+      txn.undo <- (file, page, off, before) :: txn.undo
+    end;
     apply_image t ~file ~page ~off after ~stream:txn.stream lsn
 
-let write_page t txn ~file ~page data =
-  check_live txn;
-  if Bytes.length data <> page_size t then
-    invalid_arg "Libtp.write_page: data must be exactly one page";
-  lock t txn (Lockmgr.Page (file, page)) Lockmgr.Exclusive;
-  write_bytes t txn ~file ~page data
-
-(* Record-grain write: no page lock — isolation comes from the record
-   locks and latches the access method holds, and byte-range logging
-   keeps the undo of co-resident transactions disjoint. *)
-let write_page_raw t txn ~file ~page data =
-  check_live txn;
-  if Bytes.length data <> page_size t then
-    invalid_arg "Libtp.write_page_raw: data must be exactly one page";
-  write_bytes t txn ~file ~page data
-
-(* Redo-only system write, logged as transaction 0. Transaction 0 never
-   logs a Begin, so recovery never classifies it as a loser: the update
-   is redone but never undone, even when the transaction that issued it
-   aborts. Used for the recno record-count, whose allocation must
-   survive an aborted append (the record bytes themselves are undone,
-   leaving a zeroed hole). The record goes to the {e enclosing}
-   transaction's stream so it is covered by that transaction's
-   commit-time force. *)
-let write_page_sys t txn ~file ~page data =
-  check_live txn;
-  if Bytes.length data <> page_size t then
-    invalid_arg "Libtp.write_page_sys: data must be exactly one page";
-  let current = Bufpool.get t.pool ~file ~page in
-  match diff_range current data with
-  | None -> ()
-  | Some (off, len) ->
-    let before = Bytes.sub current off len in
-    let after = Bytes.sub data off len in
-    note_touch t txn ~file ~page;
-    let pstream, plsn = chain_for t txn ~file ~page in
-    let lsn =
-      Logmgr.append (lm t txn)
-        {
-          Logrec.txn = 0;
-          prev = Logrec.null_lsn;
-          body = Logrec.Update { file; page; off; pstream; plsn; before; after };
-        }
-    in
-    apply_image t ~file ~page ~off after ~stream:txn.stream lsn
+let write_page t txn ~file ~page data = write_as `Page t txn ~file ~page data
+let write_page_raw t txn ~file ~page data = write_as `Raw t txn ~file ~page data
+let write_page_sys t txn ~file ~page data = write_as `Sys t txn ~file ~page data
 
 let checkpoint t =
   if Hashtbl.length t.active = 0 then begin
@@ -412,16 +401,14 @@ let recover t =
   (* Make the recovered state durable and reset the logs. *)
   checkpoint t
 
-let open_env clock stats (cfg : Config.t) vfs ?log_vfs ?log_vfss
-    ?(pool_pages = 1024) ?(checkpoint_every = 500) ~log_path () =
+let open_env clock stats (cfg : Config.t) vfs ?log_vfss ?(pool_pages = 1024)
+    ?(checkpoint_every = 500) ~log_path () =
   (* The WAL may live in different file systems than the data — on
-     dedicated log spindles, commit forces never move the data heads.
-     [log_vfss] spreads a multi-stream set across several spindles;
-     [log_vfs] keeps the single-home interface. *)
+     dedicated log spindles, commit forces never move the data heads. *)
   let homes =
     match log_vfss with
     | Some homes when Array.length homes > 0 -> homes
-    | _ -> [| Option.value log_vfs ~default:vfs |]
+    | _ -> [| vfs |]
   in
   let logs = Logset.create clock stats cfg ~homes ~path:log_path in
   let pool = Bufpool.create clock stats cfg vfs logs ~pages:pool_pages in

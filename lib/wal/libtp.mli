@@ -29,7 +29,6 @@ val open_env :
   Stats.t ->
   Config.t ->
   Vfs.t ->
-  ?log_vfs:Vfs.t ->
   ?log_vfss:Vfs.t array ->
   ?pool_pages:int ->
   ?checkpoint_every:int ->
@@ -46,12 +45,11 @@ val open_env :
     different pages commute, so the bytes and the per-stream watermarks
     are those of redoing the whole log in merged order and then undoing
     the losers.
-    [log_vfs] (default: the data [Vfs.t]) is the file system holding
-    [log_path] — pass the file system of a dedicated log spindle to
-    separate WAL forces from data traffic. With
-    [Config.fs.log_streams] > 1, [log_vfss] spreads the streams across
-    several spindles (stream [i] on [log_vfss.(i mod len)]); it
-    overrides [log_vfs] when both are given.
+    [log_vfss] (default, or when empty: the data [Vfs.t] alone) are the
+    file systems holding [log_path]: stream [i] lives on
+    [log_vfss.(i mod len)]. Pass the file system of a dedicated log
+    spindle to separate WAL forces from data traffic, or several to
+    spread [Config.fs.log_streams] > 1 streams across spindles.
     [checkpoint_every] (default 500) is the number of committed
     transactions between sharp checkpoints. *)
 

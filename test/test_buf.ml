@@ -485,6 +485,32 @@ let test_pool_caps () =
   Alcotest.(check int) "free stays capped" Blockpool.cap (Blockpool.free size);
   Alcotest.(check int) "nothing left retired" 0 (Blockpool.retired size)
 
+(* A file-system maintenance section is a buffer scope: a frame the
+   cache evicts inside [Fileops.section] keeps its buffer out of the
+   pool until the section closes, whether [f] returns or raises. *)
+let test_section_is_a_scope () =
+  let evicted_in_section ~size leave =
+    let clock, _, c = mk ~capacity:1 () in
+    Cache.set_writeback c (fun _ -> ());
+    let st = Fileops.state clock in
+    let b = Blockpool.take size in
+    ignore (Cache.insert c ~file:1 ~lblock:0 b);
+    (match
+       Fileops.section st (fun () ->
+           ignore (Cache.insert c ~file:1 ~lblock:1 (Blockpool.take size));
+           Alcotest.(check bool) "evicted" false (Cache.mem c ~file:1 ~lblock:0);
+           Alcotest.(check bool) "not reused while the section is open" false
+             (pooled_is b size);
+           leave ())
+     with
+    | () -> ()
+    | exception Exit -> ());
+    Alcotest.(check bool) "section closed" true (Fileops.idle st);
+    Alcotest.(check bool) "reused once the section closed" true (pooled_is b size)
+  in
+  evicted_in_section ~size:105 ignore;
+  evicted_in_section ~size:106 (fun () -> raise Exit)
+
 (* A process parked inside a scope when its scheduler crashes never
    closes the scope: buffers retired after it opened stay retired, and
    quiescence cannot release them. Run last: the abandoned scope stays
@@ -545,6 +571,8 @@ let () =
           Alcotest.test_case "quiescence needs the sole scope" `Quick
             test_quiesce_needs_sole_scope;
           Alcotest.test_case "caps" `Quick test_pool_caps;
+          Alcotest.test_case "a maintenance section is a scope" `Quick
+            test_section_is_a_scope;
           Alcotest.test_case "an abandoned scope never releases early" `Quick
             test_abandoned_scope_never_releases_early;
         ] );

@@ -85,20 +85,17 @@ let test_peek_poke_free () =
 
 let test_elevator_order () =
   let reqs = [ (50, "a"); (10, "b"); (90, "c"); (30, "d") ] in
-  let ordered = Elevator.order Elevator.Elevator ~head:40 reqs in
+  let ordered = Elevator.order ~head:40 reqs in
   Alcotest.(check (list int)) "ascending from head, then wrap"
     [ 50; 90; 10; 30 ]
-    (List.map fst ordered);
-  let fcfs = Elevator.order Elevator.Fcfs ~head:40 reqs in
-  Alcotest.(check (list int)) "fcfs keeps arrival order" [ 50; 10; 90; 30 ]
-    (List.map fst fcfs)
+    (List.map fst ordered)
 
 let prop_elevator_is_permutation =
   Tutil.qtest "elevator preserves requests"
     QCheck2.Gen.(pair (int_bound 1000) (list (int_bound 1000)))
     (fun (head, blocks) ->
       let reqs = List.map (fun b -> (b, ())) blocks in
-      let out = Elevator.order Elevator.Elevator ~head reqs in
+      let out = Elevator.order ~head reqs in
       List.sort compare (List.map fst out) = List.sort compare blocks)
 
 (* Queued reads under the scheduler: concurrent processes enqueue
@@ -144,7 +141,7 @@ let prop_elevator_clook_from_head =
          the ascending blocks below it. *)
       let ge, lt = List.partition (fun b -> b >= head) blocks in
       let reqs = List.map (fun b -> (b, ())) blocks in
-      let out = List.map fst (Elevator.order Elevator.Elevator ~head reqs) in
+      let out = List.map fst (Elevator.order ~head reqs) in
       out = List.sort compare ge @ List.sort compare lt)
 
 let prop_elevator_single_sweep =
@@ -152,7 +149,7 @@ let prop_elevator_single_sweep =
     QCheck2.Gen.(pair (int_bound 1000) (list (int_bound 1000)))
     (fun (head, blocks) ->
       let reqs = List.map (fun b -> (b, ())) blocks in
-      let out = List.map fst (Elevator.order Elevator.Elevator ~head reqs) in
+      let out = List.map fst (Elevator.order ~head reqs) in
       (* Direction changes downward at most once. *)
       let rec descents prev = function
         | [] -> 0

@@ -7,6 +7,20 @@ let per = Inode.per_indirect ~block_size:bs (* 1024 *)
 
 let mk () = Inode.create ~inum:7 ~kind:Vfs.File
 
+(* Encode [width] bytes with [write] at a non-zero offset of a buffer
+   whose other bytes are all 0xff, check that the encoder touched only
+   its own range, and return that range. *)
+let encoded_at ~width write =
+  let off = width + 40 in
+  let buf = Bytes.make (off + width + 40) '\xff' in
+  write buf ~off;
+  let untouched lo len =
+    Bytes.for_all (fun c -> c = '\xff') (Bytes.sub buf lo len)
+  in
+  Alcotest.(check bool) "bytes before untouched" true (untouched 0 off);
+  Alcotest.(check bool) "bytes after untouched" true (untouched (off + width) 40);
+  Bytes.sub buf off width
+
 let test_direct_addressing () =
   let ino = mk () in
   Alcotest.(check int) "empty map" 0 (Inode.nblocks ino);
@@ -44,8 +58,9 @@ let test_inode_record_roundtrip () =
   for i = 0 to 11 do
     Inode.set_addr ino ~block_size:bs i (1000 + i)
   done;
-  let block = Bytes.make bs '\000' in
-  Bytes.blit (Inode.encode ino) 0 block 512 256;
+  let record = encoded_at ~width:256 (Inode.write ino) in
+  let block = Bytes.make bs '\xff' in
+  Bytes.blit record 0 block 512 256;
   match Inode.decode block 512 with
   | None -> Alcotest.fail "decode failed"
   | Some d ->
@@ -70,7 +85,7 @@ let test_indirect_block_roundtrip () =
   Inode.set_addr ino ~block_size:bs lo 7_000;
   Inode.set_addr ino ~block_size:bs (lo + 17) 7_017;
   Inode.set_addr ino ~block_size:bs (lo + per - 1) 7_999;
-  let encoded = Inode.encode_indirect ino ~block_size:bs 1 in
+  let encoded = encoded_at ~width:bs (Inode.write_indirect ino ~block_size:bs 1) in
   (* Clear and rebuild from the encoded block. *)
   let fresh = mk () in
   (* Make the fresh inode's map the same size (nmap governs the range). *)
@@ -83,8 +98,8 @@ let test_indirect_block_roundtrip () =
 let test_double_indirect_roundtrip () =
   let ino = mk () in
   Inode.set_addr ino ~block_size:bs (Inode.ndirect + (3 * per)) 1 (* 4 indirects *);
-  ino.Inode.ind_addrs <- [| 11; 22; 33; 44 |];
-  let b = Inode.encode_double ino ~block_size:bs in
+  List.iteri (fun idx a -> Inode.set_ind_addr ino idx a) [ 11; 22; 33; 44 ];
+  let b = encoded_at ~width:bs (Inode.write_double ino ~block_size:bs) in
   let fresh = mk () in
   Inode.set_addr fresh ~block_size:bs (Inode.ndirect + (3 * per)) 1;
   fresh.Inode.ind_addrs <- [| 11; 0; 0; 0 |];
@@ -114,12 +129,14 @@ let test_load_double_indirect () =
   for idx = 0 to nind - 1 do
     let a = 90_000 + idx in
     ino.Inode.ind_addrs.(idx) <- a;
-    Hashtbl.replace disk a (Inode.encode_indirect ino ~block_size:bs idx)
+    Hashtbl.replace disk a
+      (encoded_at ~width:bs (Inode.write_indirect ino ~block_size:bs idx))
   done;
   ino.Inode.dbl_addr <- 95_000;
-  Hashtbl.replace disk 95_000 (Inode.encode_double ino ~block_size:bs);
+  Hashtbl.replace disk 95_000
+    (encoded_at ~width:bs (Inode.write_double ino ~block_size:bs));
   let block = Bytes.make bs '\000' in
-  Bytes.blit (Inode.encode ino) 0 block 256 256;
+  Inode.write ino block ~off:256;
   let reads = ref [] in
   let read a =
     reads := a :: !reads;

@@ -578,7 +578,7 @@ let crashed_db ~cache_blocks =
   done;
   Lfs.sync fs;
   let env =
-    Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~log_vfs:(Ffs.vfs log_fs)
+    Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~log_vfss:[| Ffs.vfs log_fs |]
       ~pool_pages:64 ~checkpoint_every:1000 ~log_path:"/wal.log" ()
   in
   Libtp.checkpoint env;
@@ -630,7 +630,7 @@ let recover_db ?timing ?(under = `No_scheduler) m ~prefetch =
   in
   let reopen () =
     ignore
-      (Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v' ~log_vfs:(Ffs.vfs log_fs)
+      (Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v' ~log_vfss:[| Ffs.vfs log_fs |]
          ~pool_pages:64 ~checkpoint_every:1000 ~log_path:"/wal.log" ())
   in
   let attached f =
