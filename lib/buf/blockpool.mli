@@ -4,9 +4,9 @@
     into one it has let go, instead of allocating a new one per miss.
     This module is that set for every {!Cache} of the process: a page
     miss takes its buffer here ({!take}, {!zeroed}), and when a cache
-    drops a frame (eviction, replacement or invalidation) the frame's
-    buffer is {!retire}d here. Buffers are kept per size, so pools for
-    different block or page sizes never mix.
+    drops a frame (eviction, replacement, invalidation or a crash) the
+    frame's buffer is {!retire}d here. Buffers are kept per size, so
+    pools for different block or page sizes never mix.
 
     {b The reuse rule.} Code may hold a frame, or a view of its bytes,
     across a call that can evict it (a page miss, a write-back, a park

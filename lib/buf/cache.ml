@@ -237,6 +237,8 @@ let fold t acc0 g =
   let rec go f acc = if f == t.lru then acc else go f.next (g acc f) in
   go t.lru.next acc0
 
+let clear t = List.iter (drop t) (fold t [] (fun acc f -> f :: acc))
+
 let dirty_frames_of t of_file =
   fold t [] (fun acc f ->
       if writable f && of_file f.file then f :: acc else acc)

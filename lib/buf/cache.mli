@@ -9,8 +9,8 @@
     Replacement is strict LRU over unpinned, unowned frames. Each frame
     also remembers when it was first dirtied so the 30-second syncer can
     find delayed writes, and a sequence number of its last modification
-    so a user-space cleaner can detect "recently modified" blocks
-    (Section 5.4).
+    so the cache's own write-back can tell whether a frame was
+    re-dirtied while the write was parked (then it stays dirty).
 
     {b The write rule.} A frame is [Clean], [Dirty] or [Owned txn]. An
     in-kernel transaction's buffers stay in memory, unwritten, until its
@@ -24,8 +24,8 @@
     {b Buffers.} A frame's buffer comes from the process-wide
     {!Blockpool}: file systems read a missed block into {!Blockpool.take}
     and zero a new page or a hole in {!Blockpool.zeroed}, and a frame
-    the cache drops (eviction, replacement, {!invalidate}) retires its
-    buffer there. A retired buffer backs another frame only once every
+    the cache drops (eviction, replacement, {!invalidate}, {!clear})
+    retires its buffer there. A retired buffer backs another frame only once every
     buffer scope open when it was retired has closed (blockpool.mli), so
     code that holds a frame or its bytes across a call that can evict or
     park does so inside a scope. Four functions open scopes:
@@ -144,6 +144,10 @@ val unpin : frame -> unit
 val invalidate : t -> frame -> unit
 (** Drop the frame without writing it back (transaction abort), and
     retire its buffer. *)
+
+val clear : t -> unit
+(** Drop every frame, whatever its state, without writing any back, and
+    retire its buffer: what a power failure leaves of the cache. *)
 
 val dirty_frames : t -> ?file:int -> unit -> frame list
 (** {!writable} frames (optionally of one file), oldest-dirtied

@@ -46,7 +46,8 @@ val with_txn : system -> (Ktxn.txn -> 'a) -> 'a
 
 val btree : system -> Ktxn.txn -> path:string -> Btree.t
 (** Open (or create) a transaction-protected B-tree at [path], bound to
-    the given transaction. *)
+    the given transaction. Like [recno] and [hash], it raises
+    [Invalid_argument] on a file another access method formatted. *)
 
 val recno : system -> Ktxn.txn -> path:string -> reclen:int -> Recno.t
 

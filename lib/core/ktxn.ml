@@ -13,12 +13,10 @@ type t = {
   mutable next_id : int;
   mutable pending_commits : (txn * Cache.frame list) list; (* group commit *)
   mutable pending_deadline : float; (* flush time of the oldest pending *)
-  (* Scheduler-mode state. [flush_gen] / [commit_cond]: the group-commit
-     rendezvous — committers park until the generation moves past the
-     one they joined; every flush bumps it after the frames are
-     durable. *)
-  mutable flush_gen : int;
-  (* [Lfs.force_frames] parks in disk I/O under the scheduler, so a
+  (* Scheduler-mode state. [commit_cond] is the group-commit
+     rendezvous: a committer parks on it until its own transaction is
+     released, which every flush does after the frames are durable.
+     [Lfs.force_frames] parks in disk I/O under the scheduler, so a
      flush is not atomic: [flushing] is the mutex bit that keeps a
      second flush (size trigger or timeout daemon) from running under
      the first, and each flush claims its batch out of
@@ -57,7 +55,6 @@ let create lfs =
     next_id = 1;
     pending_commits = [];
     pending_deadline = 0.0;
-    flush_gen = 0;
     flushing = false;
     commit_cond = Sched.condition ();
   }
@@ -155,7 +152,6 @@ let flush_pending t =
         t.flushing <- false;
         (* Release committers parked at the rendezvous — each re-checks
            whether its own transaction was in the flushed batch. *)
-        t.flush_gen <- t.flush_gen + 1;
         Sched.wake t.clock t.commit_cond)
       (fun () ->
         let cache = Lfs.cache t.lfs in
@@ -241,9 +237,9 @@ let txn_commit t txn =
       (* Real rendezvous (Section 4.4): park until the batch fills — a
          later committer's inline flush — or this batch's timeout
          process fires. The first committer arms the timeout. Waking is
-         keyed on our own transaction's release, not the flush
-         generation: a flush that was already in flight when we
-         enqueued bumps the generation without covering us. *)
+         keyed on our own transaction's release, not on any flush
+         ending: a flush that was already in flight when we enqueued
+         ends without covering us. *)
       if was_empty then
         Sched.spawn ~daemon:true sched (fun () ->
             Sched.delay sched timeout;

@@ -57,12 +57,9 @@ let decode_node b =
     let off = ref 7 in
     let items =
       List.init n (fun _ ->
-          let klen = Enc.get_u16 b !off in
-          let vlen = Enc.get_u16 b (!off + 2) in
-          let key = Enc.get_string b (!off + 4) ~len:klen in
-          let value = Enc.get_string b (!off + 4 + klen) ~len:vlen in
-          off := !off + 4 + klen + vlen;
-          (key, value))
+          let ((k, v) as e) = Enc.get_entry b !off in
+          off := !off + Enc.entry_size k v;
+          e)
     in
     Leaf { next; items }
   | 1 ->
@@ -87,14 +84,7 @@ let encode_node b node =
     Enc.set_u8 b 0 0;
     Enc.set_u16 b 1 (List.length items);
     Enc.set_u32 b 3 next;
-    List.iter
-      (fun (k, v) ->
-        Enc.set_u16 b !off (String.length k);
-        Enc.set_u16 b (!off + 2) (String.length v);
-        Enc.set_string b (!off + 4) k;
-        Enc.set_string b (!off + 4 + String.length k) v;
-        off := !off + 4 + String.length k + String.length v)
-      items
+    List.iter (fun (k, v) -> off := Enc.set_entry b !off k v) items
   | Node { child0; items } ->
     Enc.set_u8 b 0 1;
     Enc.set_u16 b 1 (List.length items);
@@ -110,7 +100,7 @@ let encode_node b node =
 
 let node_size = function
   | Leaf { items; _ } ->
-    List.fold_left (fun acc (k, v) -> acc + 4 + String.length k + String.length v) 7 items
+    List.fold_left (fun acc (k, v) -> acc + Enc.entry_size k v) 7 items
   | Node { items; _ } ->
     List.fold_left (fun acc (k, _) -> acc + 6 + String.length k) 7 items
 
@@ -245,20 +235,12 @@ let leaf_end b = end_from b (nitems b) 0 7
 let leaf_splice out b ~pos ~cut ~entry ~dn =
   let ps = Bytes.length out in
   let used = leaf_end b in
-  let add =
-    match entry with Some (k, v) -> 4 + String.length k + String.length v | None -> 0
-  in
+  let add = match entry with Some (k, v) -> Enc.entry_size k v | None -> 0 in
   let size = used - cut + add in
   if size > ps then false
   else begin
     Bytes.blit b 0 out 0 pos;
-    (match entry with
-    | Some (k, v) ->
-      Enc.set_u16 out pos (String.length k);
-      Enc.set_u16 out (pos + 2) (String.length v);
-      Enc.set_string out (pos + 4) k;
-      Enc.set_string out (pos + 4 + String.length k) v
-    | None -> ());
+    (match entry with Some (k, v) -> ignore (Enc.set_entry out pos k v) | None -> ());
     Bytes.blit b (pos + cut) out (pos + add) (used - pos - cut);
     Bytes.fill out size (ps - size) '\000';
     Enc.set_u16 out 1 (nitems b + dn);
@@ -284,6 +266,8 @@ let attach clock stats cpu pager =
   match read_meta meta_page with
   | Some meta -> { clock; stats; cpu; pager; meta; meta_dirty = false }
   | None ->
+    if Enc.get_u32 meta_page 0 <> 0 then
+      invalid_arg "Btree.attach: the file holds another access method";
     let meta = { root = 1; npages = 2; nrecords = 0; tree_height = 1 } in
     let t = { clock; stats; cpu; pager; meta; meta_dirty = false } in
     write_node t 1 (Leaf { next = 0; items = [] });
@@ -393,7 +377,7 @@ let split_items ?(appending = false) size_of items =
     in
     go [] 0 items
 
-let leaf_item_size (k, v) = 4 + String.length k + String.length v
+let leaf_item_size (k, v) = Enc.entry_size k v
 let node_item_size (k, _) = 6 + String.length k
 
 (* Returns [Some (separator, right page)] when the child split. A leaf
@@ -481,7 +465,7 @@ let same_size b key len =
 let insert t key value =
   Pager.with_op t.pager (fun () ->
       charge t Cpu.Record_op;
-      if 4 + String.length key + String.length value > max_entry t then
+      if Enc.entry_size key value > max_entry t then
         raise Entry_too_large;
       if not t.pager.Pager.record_grain then insert_locked t key value
       else begin

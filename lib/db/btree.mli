@@ -28,7 +28,9 @@ exception Entry_too_large
 
 val attach : Clock.t -> Stats.t -> Config.cpu -> Pager.t -> t
 (** Open the tree through the pager, initializing an empty tree if the
-    meta page is blank. *)
+    meta page is blank (its first word is zero).
+    @raise Invalid_argument if page 0 holds another access method's
+    file: each method refuses a file it did not format. *)
 
 val find : t -> string -> string option
 val insert : t -> string -> string -> unit

@@ -37,6 +37,8 @@ let attach clock stats cpu (pager : Pager.t) ~buckets =
       n = Enc.get_u32 meta 12;
     }
   else begin
+    if Enc.get_u32 meta 0 <> 0 then
+      invalid_arg "Hashdb.attach: the file holds another access method";
     let t = { clock; stats; cpu; pager; buckets; npages = 1 + buckets; n = 0 } in
     for i = 1 to buckets do
       Pager.write pager i (fun b -> Bytes.fill b 0 (Bytes.length b) '\000')
@@ -58,12 +60,9 @@ let decode_bucket b =
   let off = ref 6 in
   let items =
     List.init n (fun _ ->
-        let klen = Enc.get_u16 b !off in
-        let vlen = Enc.get_u16 b (!off + 2) in
-        let k = Enc.get_string b (!off + 4) ~len:klen in
-        let v = Enc.get_string b (!off + 4 + klen) ~len:vlen in
-        off := !off + 4 + klen + vlen;
-        (k, v))
+        let ((k, v) as e) = Enc.get_entry b !off in
+        off := !off + Enc.entry_size k v;
+        e)
   in
   (items, overflow)
 
@@ -72,19 +71,11 @@ let put_bucket t page items overflow =
   Pager.write t.pager page (fun b ->
       Enc.set_u16 b 0 (List.length items);
       Enc.set_u32 b 2 overflow;
-      let off = ref 6 in
-      List.iter
-        (fun (k, v) ->
-          Enc.set_u16 b !off (String.length k);
-          Enc.set_u16 b (!off + 2) (String.length v);
-          Enc.set_string b (!off + 4) k;
-          Enc.set_string b (!off + 4 + String.length k) v;
-          off := !off + 4 + String.length k + String.length v)
-        items;
-      Bytes.fill b !off (Bytes.length b - !off) '\000')
+      let off = List.fold_left (fun off (k, v) -> Enc.set_entry b off k v) 6 items in
+      Bytes.fill b off (Bytes.length b - off) '\000')
 
 let bucket_bytes items =
-  List.fold_left (fun acc (k, v) -> acc + 4 + String.length k + String.length v) 6 items
+  List.fold_left (fun acc (k, v) -> acc + Enc.entry_size k v) 6 items
 
 (* Record-grain protocol. A record is named by its bucket-chain head
    page (stable under overflow growth) and the key hash. Readers take
@@ -135,7 +126,7 @@ let insert t key value =
   Pager.with_op t.pager (fun () ->
   charge t Cpu.Record_op;
   let ps = t.pager.Pager.page_size in
-  if 4 + String.length key + String.length value > (ps - 6) / 2 then
+  if Enc.entry_size key value > (ps - 6) / 2 then
     raise Entry_too_large;
   lock_write t key;
   (* Replace in whichever chain page holds the key; otherwise add to the

@@ -13,7 +13,9 @@ exception Entry_too_large
 
 val attach : Clock.t -> Stats.t -> Config.cpu -> Pager.t -> buckets:int -> t
 (** Open through the pager, creating an empty table with [buckets]
-    buckets if the file is blank ([buckets] is then ignored on reopen). *)
+    buckets if the file is blank ([buckets] is then ignored on reopen).
+    @raise Invalid_argument if [buckets] is not positive, or if page 0
+    holds another access method's file. *)
 
 val find : t -> string -> string option
 val insert : t -> string -> string -> unit

@@ -39,6 +39,8 @@ let attach clock stats cpu (pager : Pager.t) ~reclen =
     { clock; stats; cpu; pager; rl = reclen; n = Enc.get_u32 meta 8 }
   end
   else begin
+    if Enc.get_u32 meta 0 <> 0 then
+      invalid_arg "Recno.attach: the file holds another access method";
     let t = { clock; stats; cpu; pager; rl = reclen; n = 0 } in
     write_meta t;
     t

@@ -12,7 +12,8 @@ val attach : Clock.t -> Stats.t -> Config.cpu -> Pager.t -> reclen:int -> t
 (** Open the file through the pager; initializes it with the given
     record length if blank.
     @raise Invalid_argument if the stored record length disagrees with
-    [reclen], or [reclen] exceeds a page. *)
+    [reclen], [reclen] exceeds a page, or page 0 holds another access
+    method's file. *)
 
 val count : t -> int
 

@@ -440,7 +440,7 @@ let mount disk clock stats cfg =
   Stats.bump t.stats k_mounts;
   t
 
-let crash t = t.files.crashed <- true
+let crash = Files.crash
 
 (* fsck -------------------------------------------------------------------- *)
 

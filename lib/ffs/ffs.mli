@@ -38,8 +38,9 @@ val mount : Disk.t -> Clock.t -> Stats.t -> Config.t -> t
     in-use count of 0 or past the end of the table. *)
 
 val crash : t -> unit
-(** Discard all volatile state; the disk image keeps only what was
-    physically written. *)
+(** Discard all volatile state, handing the cache's buffers back to
+    {!Blockpool} ([Fileops.Make]'s [crash]); the disk image keeps only
+    what was physically written. *)
 
 val vfs : t -> Vfs.t
 

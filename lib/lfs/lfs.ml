@@ -101,8 +101,7 @@ let force_frames t frames =
      | None -> ());
   tick t;
   Fileops.section t.files (fun () ->
-      log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
-        ~inodes:[])
+      log_write ~commit:true t ~ditems:(dirty_ditems frames) ~inodes:[])
 
 let fsync_inum t inum =
   check_alive t;
@@ -186,8 +185,6 @@ let format disk clock stats (cfg : Config.t) =
   checkpoint t;
   t
 
-let crash t = t.files.crashed <- true
-
 let unmount t =
   sync t;
   crash t
@@ -204,10 +201,7 @@ let snapshot t =
   let snap_segments =
     Array.init (nsegments t) (fun i -> t.usage.(i).state <> Free)
   in
-  let s =
-    { snap_id = t.next_snap; snap_cp = cp; snap_segments; snap_live = true }
-  in
-  t.next_snap <- t.next_snap + 1;
+  let s = { snap_cp = cp; snap_segments; snap_live = true } in
   t.snaps <- s :: t.snaps;
   t.n_free <- count_free t;
   Stats.bump t.stats k_snapshots;

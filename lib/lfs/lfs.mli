@@ -57,9 +57,10 @@ val unmount : t -> unit
 
 val crash : t -> unit
 (** Simulate a power failure: all volatile state (buffer cache, inode
-    cache, in-memory inode map) is discarded. The disk image retains
-    exactly the blocks already written; a subsequent {!mount} exercises
-    recovery. *)
+    cache, in-memory inode map) is discarded, and the cache's buffers go
+    back to {!Blockpool} ([Fileops.Make]'s [crash]). The disk image
+    retains exactly the blocks already written; a subsequent {!mount}
+    exercises recovery. *)
 
 val vfs : t -> Vfs.t
 

@@ -43,11 +43,9 @@ type t = {
   mutable pending_cp : bool;
   mutable bg : bool;
   mutable snaps : snapshot list;
-  mutable next_snap : int;
 }
 
 and snapshot = {
-  snap_id : int;
   snap_cp : Layout.checkpoint;
   snap_segments : bool array;
   mutable snap_live : bool;
@@ -666,7 +664,8 @@ let dirty_ditems frames =
     frames
 
 (* Write an arbitrary amount of dirty data, chunked into partials that fit
-   in a segment. With [atomic] the chunks form one all-or-nothing batch:
+   in a segment. A [commit] defers the metadata ([write_partial]'s
+   [defer_meta]), and its chunks form one all-or-nothing batch:
    every partial but the last carries the [more] flag, and recovery
    discards a batch whose final partial never reached disk — a commit
    larger than a segment must not become durable by halves. *)
@@ -701,10 +700,10 @@ let with_file_frames t ~ditems ~inodes =
   in
   ditems @ dirty_ditems extra
 
-let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
-  (* No inode is written when metadata is deferred, so nothing needs
+let log_write ?(commit = false) t ~ditems ~inodes =
+  (* A commit defers metadata and writes no inode, so nothing needs
      pulling in. *)
-  let ditems = if defer_meta then ditems else with_file_frames t ~ditems ~inodes in
+  let ditems = if commit then ditems else with_file_frames t ~ditems ~inodes in
   let max_data = max 1 (t.cfg.fs.segment_blocks * 3 / 4) in
   let rec chunks = function
     | [] -> []
@@ -716,25 +715,25 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
      metadata its data pulls in, or its inodes' summary entries), as
      several: the data first, halved as often as it takes, then the
      inodes in inode-only partials. Every piece but the last carries
-     [more] when the write is atomic; the last carries the chunk's. *)
+     [more] when the write is a commit; the last carries the chunk's. *)
   let rec write ~more ditems inodes =
     let halves l = split_at (List.length l / 2) l in
     if
       not
-        (write_partial ~defer_meta ~head:(Hot { more }) t ~ditems ~inodes
+        (write_partial ~defer_meta:commit ~head:(Hot { more }) t ~ditems ~inodes
            ~imap_chunks:[] ~usage_chunks:[])
     then
       match (ditems, inodes) with
       | _ :: _, _ :: _ ->
-        write ~more:atomic ditems [];
+        write ~more:commit ditems [];
         write ~more [] inodes
       | _ :: _ :: _, [] ->
         let a, b = halves ditems in
-        write ~more:atomic a [];
+        write ~more:commit a [];
         write ~more b []
       | [], _ :: _ :: _ ->
         let a, b = halves inodes in
-        write ~more:atomic [] a;
+        write ~more:commit [] a;
         write ~more [] b
       | _ -> invalid_arg "LFS.log_write: one block's partial larger than a segment"
   in
@@ -749,7 +748,7 @@ let log_write ?(defer_meta = false) ?(atomic = false) t ~ditems ~inodes =
       (fun i g ->
         (* Attach the extra inodes to the last chunk so their final state
            is what lands on disk. *)
-        write ~more:(atomic && i < last) g (if i = last then inodes else []))
+        write ~more:(commit && i < last) g (if i = last then inodes else []))
       groups
 
 let dirty_inodes t =
@@ -899,7 +898,6 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       pending_cp = false;
       bg = false;
       snaps = [];
-      next_snap = 1;
     }
   in
   Cache.set_writeback t.cache (fun _victim ->

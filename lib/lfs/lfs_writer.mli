@@ -103,11 +103,9 @@ type t = {
   mutable pending_cp : bool;
   mutable bg : bool;  (** the syncer and cleaner run as scheduler daemons *)
   mutable snaps : snapshot list;
-  mutable next_snap : int;
 }
 
 and snapshot = {
-  snap_id : int;
   snap_cp : Layout.checkpoint;
   snap_segments : bool array;  (** segments frozen by this snapshot *)
   mutable snap_live : bool;
@@ -209,18 +207,18 @@ val dirty_ditems : Cache.frame list -> ditem list
 val dirty_inodes : t -> Inode.t list
 (** Every dirty cached inode, by inode number. *)
 
-val log_write :
-  ?defer_meta:bool -> ?atomic:bool -> t -> ditems:ditem list -> inodes:Inode.t list -> unit
-(** Log [ditems] and [inodes] at the hot head. Unless [defer_meta], the
+val log_write : ?commit:bool -> t -> ditems:ditem list -> inodes:Inode.t list -> unit
+(** Log [ditems] and [inodes] at the hot head. Unless [commit], the
     writable frames of every file involved join the write, so no inode
     reaches disk describing data that is only in memory, and each
     partial carries its data's metadata; [inodes] ride the last
-    partial. Data is chunked at three quarters of a segment, and a
-    chunk whose partial would break {!Layout}'s partial rule is split
-    further: its data halved, its inodes spilt into inode-only
-    partials.
+    partial. A [commit] (the commit flush, [Lfs.force_frames]) logs
+    only [ditems], with their metadata deferred, as one atomic batch.
+    Data is chunked at three quarters of a segment, and a chunk whose
+    partial would break {!Layout}'s partial rule is split further: its
+    data halved, its inodes spilt into inode-only partials.
 
-    {b What a multi-partial atomic flush promises.} With [atomic] the
+    {b What a multi-partial atomic flush promises.} With [commit] the
     partials form one batch: every partial but the last carries [more].
     Across a crash, recovery applies the batch whole if its last
     partial is on disk and sound, and otherwise none of it; no

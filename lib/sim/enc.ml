@@ -20,15 +20,17 @@ let set_f64 b off v = Bytes.set_int64_be b off (Int64.bits_of_float v)
 let get_string b off ~len = Bytes.sub_string b off len
 let set_string b off s = Bytes.blit_string s 0 b off (String.length s)
 
-let get_lstring b off =
-  let len = get_u16 b off in
-  (Bytes.sub_string b (off + 2) len, off + 2 + len)
+(* An entry: u16 klen | u16 vlen | key | value. *)
+let entry_size k v = 4 + String.length k + String.length v
 
-let set_lstring b off s =
-  let len = String.length s in
-  if len > 0xffff then invalid_arg "Enc.set_lstring: string too long";
-  set_u16 b off len;
-  Bytes.blit_string s 0 b (off + 2) len;
-  off + 2 + len
+let set_entry b off k v =
+  let klen = String.length k in
+  set_u16 b off klen;
+  set_u16 b (off + 2) (String.length v);
+  set_string b (off + 4) k;
+  set_string b (off + 4 + klen) v;
+  off + entry_size k v
 
-let lstring_size s = 2 + String.length s
+let get_entry b off =
+  let klen = get_u16 b off and vlen = get_u16 b (off + 2) in
+  (get_string b (off + 4) ~len:klen, get_string b (off + 4 + klen) ~len:vlen)

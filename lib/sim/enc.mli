@@ -28,13 +28,17 @@ val get_string : bytes -> int -> len:int -> string
 
 val set_string : bytes -> int -> string -> unit
 
-val get_lstring : bytes -> int -> string * int
-(** Length-prefixed (u16) string; returns the string and the offset just
-    past it. *)
+(** {2 Entries}
 
-val set_lstring : bytes -> int -> string -> int
-(** Writes a u16 length prefix then the bytes; returns the offset just
-    past the written data. *)
+    A [(key, value)] entry as B-tree leaves and hash buckets lay it out:
+    [u16 klen | u16 vlen | key | value]. *)
 
-val lstring_size : string -> int
-(** On-disk size of a length-prefixed string. *)
+val entry_size : string -> string -> int
+(** On-disk size of the entry [(k, v)]. *)
+
+val set_entry : bytes -> int -> string -> string -> int
+(** [set_entry b off k v] writes the entry at [off] and returns the
+    offset just past it. *)
+
+val get_entry : bytes -> int -> string * string
+(** The entry at an offset; it spans {!entry_size} of the pair. *)

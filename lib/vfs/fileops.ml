@@ -316,6 +316,10 @@ module Make (F : FS) = struct
           F.inode_dirty t ino);
     }
 
+  let crash t =
+    (F.state t).crashed <- true;
+    Cache.clear (F.cache t)
+
   let read_only t ~name ~guard =
     let deny _ = guard (); Vfs.error Not_supported "%s is read-only" name in
     {

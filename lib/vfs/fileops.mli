@@ -165,6 +165,11 @@ module Make (F : FS) : sig
       block it takes through {!Sched.fork_join}, so its reads are
       issued concurrently. *)
 
+  val crash : F.t -> unit
+  (** Power failure: every later operation raises {!Vfs.Crashed}, and
+      every cached frame is dropped unwritten, its buffer retired to
+      {!Blockpool} for the next mount's misses. *)
+
   val read_only : F.t -> name:string -> guard:(unit -> unit) -> Vfs.t
   (** A read-only surface without maintenance or system-call charges.
       Every operation runs [guard] first; mutators then raise

@@ -511,6 +511,38 @@ let test_section_is_a_scope () =
   evicted_in_section ~size:105 ignore;
   evicted_in_section ~size:106 (fun () -> raise Exit)
 
+(* A crash drops every cached frame and retires its buffer: the file
+   system mounted after it reads the same pages back into those buffers
+   and allocates none, on both file systems. *)
+let test_crash_returns_buffers () =
+  let npages = 100 in
+  let warm_crash_reread (v : Vfs.t) crash remount =
+    let bs = v.Vfs.block_size in
+    let fd = v.Vfs.create "/warm" in
+    for lb = 0 to npages - 1 do
+      v.Vfs.write fd ~off:(lb * bs) (Tutil.payload lb bs)
+    done;
+    v.Vfs.sync ();
+    let made = Blockpool.made bs in
+    crash ();
+    let v : Vfs.t = remount () in
+    let fd = v.Vfs.open_file "/warm" in
+    for lb = 0 to npages - 1 do
+      Tutil.check_bytes "page read back" (Tutil.payload lb bs)
+        (v.Vfs.read fd ~off:(lb * bs) ~len:bs)
+    done;
+    Alcotest.(check int) (v.Vfs.name ^ ": no buffer allocated") made (Blockpool.made bs)
+  in
+  let m, fs = Tutil.fresh_lfs () in
+  warm_crash_reread (Lfs.vfs fs)
+    (fun () -> Lfs.crash fs)
+    (fun () -> Lfs.vfs (Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg));
+  let m = Tutil.machine () in
+  let fs = Ffs.format m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
+  warm_crash_reread (Ffs.vfs fs)
+    (fun () -> Ffs.crash fs)
+    (fun () -> Ffs.vfs (Ffs.mount m.Tutil.disk m.Tutil.clock m.Tutil.stats m.Tutil.cfg))
+
 (* A process parked inside a scope when its scheduler crashes never
    closes the scope: buffers retired after it opened stay retired, and
    quiescence cannot release them. Run last: the abandoned scope stays
@@ -573,6 +605,8 @@ let () =
           Alcotest.test_case "caps" `Quick test_pool_caps;
           Alcotest.test_case "a maintenance section is a scope" `Quick
             test_section_is_a_scope;
+          Alcotest.test_case "a crash hands the cache's buffers back" `Quick
+            test_crash_returns_buffers;
           Alcotest.test_case "an abandoned scope never releases early" `Quick
             test_abandoned_scope_never_releases_early;
         ] );

@@ -1149,63 +1149,103 @@ let prop_recycled_buffers =
             [ 1; 4 ])
         [ Rplain; Rkernel `Page; Rkernel `Record; Rwal `Page; Rwal `Record ]
 
-(* db(3)-style unified facade ---------------------------------------------- *)
+(* Each access method refuses a file another one formatted ------------------ *)
 
-let mk_db kind =
+(* An access method as these cases drive it: format a blank file with ten
+   records, and read the ten back from a file it formatted. *)
+type meth = {
+  name : string;
+  attach : Tutil.machine -> Pager.t -> unit;
+  fill : Tutil.machine -> Pager.t -> unit;
+  read_back : Tutil.machine -> Pager.t -> unit;
+}
+
+let ten f =
+  for i = 0 to 9 do
+    f i
+  done
+
+let btree_meth =
+  {
+    name = "btree";
+    attach = (fun m p -> ignore (attach_btree m p));
+    fill =
+      (fun m p ->
+        let bt = attach_btree m p in
+        ten (fun i -> Btree.insert bt (key i) (value i)));
+    read_back =
+      (fun m p ->
+        let bt = attach_btree m p in
+        Alcotest.(check int) "btree count" 10 (Btree.count bt);
+        ten (fun i ->
+            Alcotest.(check (option string)) "btree record" (Some (value i))
+              (Btree.find bt (key i))));
+  }
+
+let attach_hash (m : Tutil.machine) pager =
+  Hashdb.attach m.Tutil.clock m.Tutil.stats m.Tutil.cfg.Config.cpu pager ~buckets:4
+
+let hash_meth =
+  {
+    name = "hash";
+    attach = (fun m p -> ignore (attach_hash m p));
+    fill =
+      (fun m p ->
+        let h = attach_hash m p in
+        ten (fun i -> Hashdb.insert h (key i) (value i)));
+    read_back =
+      (fun m p ->
+        let h = attach_hash m p in
+        Alcotest.(check int) "hash count" 10 (Hashdb.count h);
+        ten (fun i ->
+            Alcotest.(check (option string)) "hash record" (Some (value i))
+              (Hashdb.find h (key i))));
+  }
+
+let attach_recno (m : Tutil.machine) pager =
+  Recno.attach m.Tutil.clock m.Tutil.stats m.Tutil.cfg.Config.cpu pager ~reclen:32
+
+let recno_meth =
+  {
+    name = "recno";
+    attach = (fun m p -> ignore (attach_recno m p));
+    fill =
+      (fun m p ->
+        let r = attach_recno m p in
+        ten (fun i -> ignore (Recno.append r (record i 32))));
+    read_back =
+      (fun m p ->
+        let r = attach_recno m p in
+        Alcotest.(check int) "recno count" 10 (Recno.count r);
+        ten (fun i -> Tutil.check_bytes "recno record" (record i 32) (Recno.get r i)));
+  }
+
+(* A file [owner] formatted is refused by [other] with [Invalid_argument],
+   and [owner] still reads its ten records from it afterwards. *)
+let test_foreign_file_refused owner other () =
   let m, _, _, pager = mk_plain () in
-  (m, Db.opendb m.Tutil.clock m.Tutil.stats m.Tutil.cfg.Config.cpu pager kind)
+  owner.fill m pager;
+  (match other.attach m pager with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.failf "%s attached to a %s file" other.name owner.name);
+  owner.read_back m pager
 
-let test_db_facade_btree () =
-  let _, db = mk_db Db.Btree_db in
-  Db.put db "beta" "2";
-  Db.put db "alpha" "1";
-  Alcotest.(check (option string)) "get" (Some "1") (Db.get db "alpha");
-  Alcotest.(check int) "count" 2 (Db.count db);
-  let keys = ref [] in
-  Db.seq db (fun k _ -> keys := k :: !keys; true);
-  Alcotest.(check (list string)) "sorted scan" [ "alpha"; "beta" ] (List.rev !keys);
-  Alcotest.(check bool) "del" true (Db.del db "alpha");
-  Alcotest.(check (option string)) "gone" None (Db.get db "alpha")
-
-let test_db_facade_hash () =
-  let _, db = mk_db (Db.Hash_db 4) in
-  for i = 0 to 49 do
-    Db.put db (key i) (value i)
-  done;
-  Alcotest.(check int) "count" 50 (Db.count db);
-  Alcotest.(check (option string)) "get" (Some (value 7)) (Db.get db (key 7));
-  let n = ref 0 in
-  Db.seq db (fun _ _ -> incr n; true);
-  Alcotest.(check int) "scan sees all" 50 !n
-
-let test_db_facade_recno () =
-  let _, db = mk_db (Db.Recno_db 32) in
-  let rec32 s = s ^ String.make (32 - String.length s) ' ' in
-  Db.put db "0" (rec32 "first");
-  Db.put db "1" (rec32 "second");
-  Db.put db "0" (rec32 "FIRST");
-  Alcotest.(check (option string)) "overwrite" (Some (rec32 "FIRST")) (Db.get db "0");
-  Alcotest.(check (option string)) "missing" None (Db.get db "9");
-  Alcotest.(check bool) "bad key rejected" true
-    (match Db.get db "not-a-number" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "del unsupported" true
-    (match Db.del db "0" with exception Invalid_argument _ -> true | _ -> false);
-  let seen = ref [] in
-  Db.seq db (fun k v -> seen := (k, v) :: !seen; true);
-  Alcotest.(check int) "scan" 2 (List.length !seen)
-
-let test_db_facade_kind_mismatch () =
-  let m, _, v, pager = mk_plain () in
-  let _ = Db.opendb m.Tutil.clock m.Tutil.stats m.Tutil.cfg.Config.cpu pager Db.Btree_db in
-  ignore v;
-  Alcotest.(check bool) "hash over btree rejected" true
-    (match
-       Db.opendb m.Tutil.clock m.Tutil.stats m.Tutil.cfg.Config.cpu pager (Db.Hash_db 2)
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+(* One case for every ordered pair of distinct methods. *)
+let foreign_file_cases =
+  let meths = [ btree_meth; hash_meth; recno_meth ] in
+  List.concat_map
+    (fun owner ->
+      List.filter_map
+        (fun other ->
+          if other.name = owner.name then None
+          else
+            Some
+              (Alcotest.test_case
+                 (Printf.sprintf "%s refuses a %s file" other.name owner.name)
+                 `Quick
+                 (test_foreign_file_refused owner other)))
+        meths)
+    meths
 
 let () =
   Alcotest.run "tx_db"
@@ -1239,13 +1279,7 @@ let () =
           Alcotest.test_case "oversized reclen" `Quick test_recno_oversized_rejected;
           prop_recno_model;
         ] );
-      ( "db-facade",
-        [
-          Alcotest.test_case "btree" `Quick test_db_facade_btree;
-          Alcotest.test_case "hash" `Quick test_db_facade_hash;
-          Alcotest.test_case "recno" `Quick test_db_facade_recno;
-          Alcotest.test_case "kind mismatch" `Quick test_db_facade_kind_mismatch;
-        ] );
+      ( "attach", foreign_file_cases );
       ( "hash",
         [
           Alcotest.test_case "basic" `Quick test_hash_basic;

@@ -694,13 +694,21 @@ let test_enc_u32_range () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative accepted")
 
-let prop_lstring_roundtrip =
-  Tutil.qtest "lstring round-trip" QCheck2.Gen.(string_size (int_bound 300))
-    (fun s ->
-      let b = Bytes.make (Enc.lstring_size s + 8) '\000' in
-      let stop = Enc.set_lstring b 4 s in
-      let s', stop' = Enc.get_lstring b 4 in
-      s = s' && stop = stop')
+(* The entry codec round-trips and writes exactly [entry_size] bytes,
+   laid out as u16 klen | u16 vlen | key | value. *)
+let prop_entry_roundtrip =
+  let str = QCheck2.Gen.(string_size (int_bound 300)) in
+  Tutil.qtest "entry round-trip" QCheck2.Gen.(pair str str) (fun (k, v) ->
+      let size = Enc.entry_size k v in
+      let b = Bytes.make (size + 8) '\255' in
+      let stop = Enc.set_entry b 4 k v in
+      let lens = Bytes.create 4 in
+      Bytes.set_uint16_be lens 0 (String.length k);
+      Bytes.set_uint16_be lens 2 (String.length v);
+      let pad = String.make 4 '\255' in
+      Enc.get_entry b 4 = (k, v)
+      && stop = 4 + size
+      && Bytes.to_string b = String.concat "" [ pad; Bytes.to_string lens; k; v; pad ])
 
 let prop_u32_roundtrip =
   Tutil.qtest "u32 round-trip" QCheck2.Gen.(int_bound 0xffffffff) (fun v ->
@@ -773,7 +781,7 @@ let () =
         [
           Alcotest.test_case "fixed width" `Quick test_enc_fixed_width;
           Alcotest.test_case "u32 range" `Quick test_enc_u32_range;
-          prop_lstring_roundtrip;
+          prop_entry_roundtrip;
           prop_u32_roundtrip;
         ] );
     ]
